@@ -27,8 +27,8 @@ from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep
 from .rings import RingParams, bit_decompose, decode_fixed, encode_fixed
-from .rss import PartyId, PrfState, share_secret
-from .session import PartySession, ThreatModel, run_three_parties
+from .rss import share_secret
+from .session import PartySession, ThreatModel, make_session, run_three_parties
 from .transport import TcpLinks
 
 # published end-to-end reference timings (seconds, single inference; not
@@ -176,17 +176,8 @@ def run_cmd(args, fn, config_extra: bytes = b""):
         env_port = os.environ.get(f"FALCON_PORT_{idx}")
         if env_port:
             addresses[idx] = (addresses[idx][0], int(env_port))
-    seeds = PrfState.setup_seeds(args.seed)
-    i = args.party
-    sess = PartySession(
-        party=PartyId(i),
-        params=params,
-        threat=threat,
-        links=TcpLinks(i, addresses, timeout=args.timeout),
-        prf=PrfState.from_seeds(seeds[i - 1], seeds[i - 2]),
-        session_id=args.seed,
-        timeout=args.timeout,
-    )
+    links = TcpLinks(args.party, addresses, timeout=args.timeout)
+    sess = make_session(args.party, links, params, threat, args.seed, args.timeout)
     try:
         return wrapped(sess)
     finally:
@@ -383,17 +374,7 @@ def cmd_infer(args) -> int:
     float_images = decode_fixed(images, params)
 
     def job(sess: PartySession):
-        state = nn.NetState(net, [])
-        shape = tuple(net.input_shape)
-        from .netspec import _propagate, param_shapes
-
-        for i, layer in enumerate(net.layers):
-            st = nn.LayerState()
-            for name in param_shapes(layer, shape):
-                st.params[name] = share_secret(raws[f"{i}.{name}"], params.L,
-                                               sess.shared_rng)[sess.party.index - 1]
-            state.layers.append(st)
-            shape = _propagate(layer, shape, i)
+        state = nn.share_weights(sess, net, raws)
         t0 = time.perf_counter()
         xb = share_secret(images, params.L, sess.shared_rng)[sess.party.index - 1]
         logits = P.reconstruct(sess, nn.forward(sess, state, xb))

@@ -35,10 +35,14 @@ from .rss import (
     RssShare,
     add_public,
     add_shares,
+    broadcast_share,
+    concat_shares,
+    expand_last,
     public_share,
     scale_share,
     share_secret,
     sub_shares,
+    sum_share,
 )
 from .session import PartySession, open_share
 
@@ -68,13 +72,20 @@ def init_state(sess: PartySession, net: NetworkSpec, float_params: dict | None =
     """Share the (possibly imported) float parameters under fixed-point encoding."""
     if float_params is None:
         float_params = init_float_params(net, seed)
+    raws = {k: encode_fixed(v, sess.params) for k, v in float_params.items()}
+    return share_weights(sess, net, raws)
+
+
+def share_weights(sess: PartySession, net: NetworkSpec, raws: dict) -> NetState:
+    """Share raw ring weights {"<layer>.<param>": array} layer by layer, in
+    parameter order, from the session's shared rng."""
     layers = []
     shape = tuple(net.input_shape)
     for i, layer in enumerate(net.layers):
         st = LayerState()
         for name in param_shapes(layer, shape):
-            raw = encode_fixed(float_params[f"{i}.{name}"], sess.params)
-            st.params[name] = share_secret(raw, sess.params.L, sess.shared_rng)[sess.party.index - 1]
+            st.params[name] = share_secret(raws[f"{i}.{name}"], sess.params.L,
+                                           sess.shared_rng)[sess.party.index - 1]
         layers.append(st)
         shape = _propagate(layer, shape, i)
     return NetState(net, layers)
@@ -103,7 +114,7 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
             x = x.reshape(x.shape[0], -1)
         st.cache["a_in"] = x
         out = matmul(sess, x, st.params["w"], truncate_after=True)
-        return add_shares(out, _row_broadcast(st.params["b"], out.shape))
+        return add_shares(out, broadcast_share(st.params["b"], out.shape))
     if layer.kind == "conv":
         st.cache["a_in"] = x
         return conv2d(sess, x, st.params["w"], st.params["b"],
@@ -133,21 +144,13 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
-def _row_broadcast(b: RssShare, shape) -> RssShare:
-    return RssShare(np.broadcast_to(b.lo, shape), np.broadcast_to(b.hi, shape), b.mod)
-
-
 def _pool_windows(x: RssShare, window: int, stride: int, Ho: int, Wo: int) -> RssShare:
-    # (B, C, Ho, Wo, window*window), pure indexing
+    """(B, C, Ho, Wo, window*window) view of the pooling windows."""
+    B, C = x.shape[:2]
+
     def gather(a):
-        B, C, H, W = a.shape
-        out = np.empty((B, C, Ho, Wo, window * window), dtype=UINT)
-        k = 0
-        for i in range(window):
-            for j in range(window):
-                out[..., k] = a[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
-                k += 1
-        return out
+        cols = _im2col(a, window, stride, 0, Ho, Wo)
+        return cols.reshape(C, window * window, B, Ho, Wo).transpose(2, 0, 3, 4, 1)
 
     return RssShare(gather(x.lo), gather(x.hi), x.mod)
 
@@ -202,7 +205,7 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
             delta = delta.reshape(delta.shape[0], -1)
         a_in = st.cache["a_in"]
         grads[f"{idx}.w"] = matmul(sess, transpose(a_in), delta, truncate_after=True)
-        grads[f"{idx}.b"] = _sum_rows(delta)
+        grads[f"{idx}.b"] = sum_share(delta, 0)
         return matmul(sess, delta, transpose(st.params["w"]), truncate_after=True)
     if layer.kind == "conv":
         a_in = st.cache["a_in"]
@@ -222,7 +225,7 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         cols = RssShare(_im2col(a_in.lo, F, S, Pd, Ho, Wo), _im2col(a_in.hi, F, S, Pd, Ho, Wo), a_in.mod)
         dw = matmul(sess, dmat, transpose(cols), truncate_after=True)
         grads[f"{idx}.w"] = dw.reshape(Cout, C, F, F)
-        grads[f"{idx}.b"] = _sum_last(dmat)
+        grads[f"{idx}.b"] = sum_share(dmat, -1)
         dcols = matmul(sess, transpose(st.params["w"].reshape(Cout, C * F * F)), dmat,
                        truncate_after=True)
         dx_lo = col2im(dcols.lo, (B, C, H, W), F, S, Pd, a_in.mod)
@@ -243,19 +246,11 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         B, C, H, W = st.cache["in_shape"]
         if delta.lo.ndim == 2:
             delta = delta.reshape(onehot.shape[:-1])
-        routed = mult(sess, onehot, _expand_last(delta, onehot.shape))
-        # scatter back (adjoint of the window gather)
-        def scatter(a):
-            out = np.zeros((B, C, H, W), dtype=UINT)
-            k = 0
-            with np.errstate(over="ignore"):
-                for i in range(layer.window):
-                    for j in range(layer.window):
-                        Ho, Wo = a.shape[2], a.shape[3]
-                        out[:, :, i : i + layer.stride * Ho : layer.stride,
-                            j : j + layer.stride * Wo : layer.stride] += a[..., k]
-                        k += 1
-            return reduce_mod(out, delta.mod)
+        routed = mult(sess, onehot, expand_last(delta, onehot.shape))
+
+        def scatter(a):  # adjoint of _pool_windows
+            cols = a.transpose(1, 4, 0, 2, 3).reshape(C * onehot.shape[-1], -1)
+            return col2im(cols, (B, C, H, W), layer.window, layer.stride, 0, delta.mod)
 
         return RssShare(scatter(routed.lo), scatter(routed.hi), delta.mod)
     if layer.kind == "bn":
@@ -277,43 +272,19 @@ def _bn_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta: Rs
     grouped, restore = _channels_first(delta)
     dy = grouped  # (C, m)
     dyz = truncate(sess, mult(sess, dy, z), fp)
-    grads[f"{idx}.gamma"] = _sum_last(dyz)
-    grads[f"{idx}.beta"] = _sum_last(dy)
+    grads[f"{idx}.gamma"] = sum_share(dyz, -1)
+    grads[f"{idx}.beta"] = sum_share(dy, -1)
     if m & (m - 1):
         raise ValueError("bn training requires a power-of-two group size")
     shift = int(np.log2(m))
-    sum_dy = _sum_last(dy)
-    sum_dyz = _sum_last(dyz)
-    t = sub_shares(scale_share(np.uint64(m), dy), _expand_last(sum_dy, dy.shape))
-    zs = truncate(sess, mult(sess, z, _expand_last(sum_dyz, z.shape)), fp)
+    sum_dy = sum_share(dy, -1)
+    sum_dyz = sum_share(dyz, -1)
+    t = sub_shares(scale_share(np.uint64(m), dy), expand_last(sum_dy, dy.shape))
+    zs = truncate(sess, mult(sess, z, expand_last(sum_dyz, z.shape)), fp)
     t = sub_shares(t, zs)
     g_inv = truncate(sess, mult(sess, st.params["gamma"], inv), fp)  # (C,)
-    out = truncate(sess, mult(sess, _expand_last(g_inv, t.shape), t), fp + shift)
+    out = truncate(sess, mult(sess, expand_last(g_inv, t.shape), t), fp + shift)
     return restore(out)
-
-
-def _sum_rows(x: RssShare) -> RssShare:
-    return RssShare(
-        reduce_mod(x.lo.sum(axis=0, dtype=np.uint64), x.mod),
-        reduce_mod(x.hi.sum(axis=0, dtype=np.uint64), x.mod),
-        x.mod,
-    )
-
-
-def _sum_last(x: RssShare) -> RssShare:
-    return RssShare(
-        reduce_mod(x.lo.sum(axis=-1, dtype=np.uint64), x.mod),
-        reduce_mod(x.hi.sum(axis=-1, dtype=np.uint64), x.mod),
-        x.mod,
-    )
-
-
-def _expand_last(x: RssShare, shape) -> RssShare:
-    return RssShare(
-        np.broadcast_to(x.lo[..., None], shape),
-        np.broadcast_to(x.hi[..., None], shape),
-        x.mod,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +308,7 @@ def sgd_step(sess: PartySession, state: NetState, grads: dict, lr_shift: int):
             parts.append(g)
     if not parts:
         return
-    flat = _stack_flat(parts)
+    flat = concat_shares([g.reshape(-1) for g in parts])
     stepped = rescale(sess, flat, np.int64(lr_shift), nearest=True)
     offset = 0
     for (i, name), g in zip(names, parts):
@@ -345,12 +316,6 @@ def sgd_step(sess: PartySession, state: NetState, grads: dict, lr_shift: int):
         step = stepped[offset : offset + n].reshape(g.shape)
         offset += n
         state.layers[i].params[name] = sub_shares(state.layers[i].params[name], step)
-
-
-def _stack_flat(shares: list[RssShare]) -> RssShare:
-    lo = np.concatenate([s.lo.reshape(-1) for s in shares])
-    hi = np.concatenate([s.hi.reshape(-1) for s in shares])
-    return RssShare(lo, hi, shares[0].mod)
 
 
 def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
@@ -367,20 +332,15 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
     fp = params.fp
     B, classes = logits.shape
     r = relu(sess, logits)
-    total = _sum_last(r)  # (B,)
+    total = sum_share(r, -1)  # (B,)
     pos = drelu(sess, add_public(sess.party, total, reduce_mod(-1, params.L)))
     one = public_share(sess.party, np.uint64(1 << fp), params.L, shape=(B,))
     denom = select_shares(sess, one, total, pos)
     recip = divide(sess, one, denom, a_max_bits=fp + 1)
-    probs = truncate(sess, mult(sess, r, _expand_last(recip, r.shape)), fp)
+    probs = truncate(sess, mult(sess, r, expand_last(recip, r.shape)), fp)
     uniform = public_share(sess.party, np.uint64(round((1 << fp) / classes)),
                            params.L, shape=r.shape)
-    pos_b = RssShare(
-        np.broadcast_to(pos.lo[..., None], r.shape),
-        np.broadcast_to(pos.hi[..., None], r.shape),
-        2,
-    )
-    phat = select_shares(sess, uniform, probs, pos_b)
+    phat = select_shares(sess, uniform, probs, expand_last(pos, r.shape))
     onehot_raw = reduce_mod(-encode_fixed(np.asarray(onehot, np.float64), params).astype(np.int64),
                             params.L)
     delta = add_public(sess.party, phat, onehot_raw)
@@ -471,27 +431,28 @@ def save_checkpoint(path: str, raw_params: dict, params: RingParams):
 
 def load_checkpoint(path: str) -> tuple[dict, RingParams]:
     with open(path, "rb") as f:
+
+        def read(n: int) -> bytes:
+            buf = f.read(n)
+            if len(buf) != n:
+                raise FormatError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
+            return buf
+
         if f.read(8) != CKPT_MAGIC:
             raise FormatError("not a ring checkpoint file")
-        ell, fp, p = struct.unpack("<BBH", f.read(4))
+        ell, fp, p = struct.unpack("<BBH", read(4))
         params = RingParams(ell=ell, p=p, fp=fp)
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            (nd,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(nd))
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode()
+            (nd,) = struct.unpack("<B", read(1))
+            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(nd))
             n = int(np.prod(shape, dtype=int))
-            out[name] = np.frombuffer(f.read(8 * n), dtype="<u8").astype(UINT).reshape(shape)
+            out[name] = np.frombuffer(read(8 * n), dtype="<u8").astype(UINT).reshape(shape)
         return out, params
 
 
 class FormatError(ValueError):
     pass
-
-
-def import_float_checkpoint(path: str, params: RingParams) -> dict:
-    """Load a float .npz checkpoint, quantizing to the session's fixed point."""
-    data = np.load(path)
-    return {name: encode_fixed(data[name], params) for name in data.files}

@@ -15,7 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from .rings import reduce_mod
-from .rss import RssShare, add_public, add_shares, public_share, scale_share, sub_shares
+from .rss import (
+    RssShare,
+    add_public,
+    add_shares,
+    concat_shares,
+    expand_last,
+    public_share,
+    scale_share,
+    sub_shares,
+    sum_share,
+)
 from .session import PartySession, open_share
 from .protocols import drelu, mult, truncate
 
@@ -79,27 +89,26 @@ def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np
     Binary search over the log2(ell) bits of alpha; each probe is one
     DReLU plus a one-bit opening, so only the bounding power leaks.
     """
-    with sess.protocol("pow"):
-        params = sess.params
-        ell = params.ell
-        n = int(np.prod(x.shape, dtype=int))
-        flat = x.reshape(n)
-        if validate:
-            lower = add_public(sess.party, flat, reduce_mod(-1, params.L))
-            ok = open_share(sess, drelu(sess, lower))
-            if not np.all(ok == 1):
-                raise DomainError("bounding power requires a strictly positive input")
-        alpha = np.zeros(n, dtype=np.int64)
-        nbits = int(np.log2(ell))
-        for i in range(nbits - 1, -1, -1):
-            step = 1 << i
-            # exponents at or above ell-1 cannot be exceeded by a positive
-            # value; clamping keeps the probe in-ring with the same outcome
-            exp = np.minimum(alpha + step, ell - 1).astype(np.uint64)
-            probe = sub_shares(flat, public_share(sess.party, _pow2(exp, params.L), params.L, shape=(n,)))
-            c = open_share(sess, drelu(sess, probe))
-            alpha += step * c.astype(np.int64)
-        return alpha.reshape(x.shape)
+    params = sess.params
+    ell = params.ell
+    n = int(np.prod(x.shape, dtype=int))
+    flat = x.reshape(n)
+    if validate:
+        lower = add_public(sess.party, flat, reduce_mod(-1, params.L))
+        ok = open_share(sess, drelu(sess, lower))
+        if not np.all(ok == 1):
+            raise DomainError("bounding power requires a strictly positive input")
+    alpha = np.zeros(n, dtype=np.int64)
+    nbits = int(np.log2(ell))
+    for i in range(nbits - 1, -1, -1):
+        step = 1 << i
+        # exponents at or above ell-1 cannot be exceeded by a positive
+        # value; clamping keeps the probe in-ring with the same outcome
+        exp = np.minimum(alpha + step, ell - 1).astype(np.uint64)
+        probe = sub_shares(flat, public_share(sess.party, _pow2(exp, params.L), params.L, shape=(n,)))
+        c = open_share(sess, drelu(sess, probe))
+        alpha += step * c.astype(np.int64)
+    return alpha.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -116,28 +125,27 @@ def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None 
     public powers of two so large operands stay inside the safe envelope;
     a_max_bits bounds log2 of |raw(a)| (default fp + 7, i.e. |a| < 128).
     """
-    with sess.protocol("div"):
-        params = sess.params
-        fp = params.fp
-        w = working_precision(params)
-        if alpha is None:
-            alpha = bounding_power(sess, b)  # DomainError on b <= 0
-        n = int(np.prod(b.shape, dtype=int))
-        flat_a = a.reshape(n)
-        flat_b = b.reshape(n)
-        alpha = np.asarray(alpha).reshape(n)
-        q = alpha + 1
+    params = sess.params
+    fp = params.fp
+    w = working_precision(params)
+    if alpha is None:
+        alpha = bounding_power(sess, b)  # DomainError on b <= 0
+    n = int(np.prod(b.shape, dtype=int))
+    flat_a = a.reshape(n)
+    flat_b = b.reshape(n)
+    alpha = np.asarray(alpha).reshape(n)
+    q = alpha + 1
 
-        y = _reciprocal_series(sess, flat_b, q, w)  # ~ (1/x) at precision w
+    y = _reciprocal_series(sess, flat_b, q, w)  # ~ (1/x) at precision w
 
-        if a_max_bits is None:
-            a_max_bits = fp + 7
-        h = min(10, params.ell - 2 - a_max_bits)
-        if h <= 0:
-            raise DomainError("a_max_bits leaves no headroom for the final product")
-        s1 = w + q - fp
-        out = _chunked_product_rescale(sess, flat_a, y, s1, h, w)
-        return out.reshape(b.shape)
+    if a_max_bits is None:
+        a_max_bits = fp + 7
+    h = min(10, params.ell - 2 - a_max_bits)
+    if h <= 0:
+        raise DomainError("a_max_bits leaves no headroom for the final product")
+    s1 = w + q - fp
+    out = _chunked_product_rescale(sess, flat_a, y, s1, h, w)
+    return out.reshape(b.shape)
 
 
 def _reciprocal_series(sess: PartySession, b: RssShare, q: np.ndarray, w: int) -> RssShare:
@@ -162,7 +170,7 @@ def _chunked_product_rescale(sess: PartySession, a: RssShare, y: RssShare, s1: n
     params = sess.params
     nchunks = max(1, -(-(w + 2) // h))
     # y >> k*h for k = 1..nchunks-1, all in one opening round
-    stack = _stack([y] * (nchunks - 1)) if nchunks > 1 else None
+    stack = concat_shares([y] * (nchunks - 1)) if nchunks > 1 else None
     if stack is not None:
         shifts = np.concatenate([np.full(y.shape, k * h, np.int64) for k in range(1, nchunks)])
         trunc_all = rescale(sess, stack, shifts, nearest=False)
@@ -176,20 +184,14 @@ def _chunked_product_rescale(sess: PartySession, a: RssShare, y: RssShare, s1: n
         prev = tr[k]
     chunks.append(prev)
 
-    a_rep = _stack([a] * nchunks)
-    prods = mult(sess, a_rep, _stack(chunks))
+    a_rep = concat_shares([a] * nchunks)
+    prods = mult(sess, a_rep, concat_shares(chunks))
     shift_vec = np.concatenate([s1 - k * h for k in range(nchunks)])
     scaled = rescale(sess, prods, shift_vec)
     out = scaled[: a.shape[0]]
     for k in range(1, nchunks):
         out = add_shares(out, scaled[k * a.shape[0] : (k + 1) * a.shape[0]])
     return out
-
-
-def _stack(shares: list[RssShare]) -> RssShare:
-    lo = np.concatenate([s.lo for s in shares])
-    hi = np.concatenate([s.hi for s in shares])
-    return RssShare(lo, hi, shares[0].mod)
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +204,39 @@ def inv_sqrt_newton(sess: PartySession, b: RssShare, alpha) -> RssShare:
     b is normalized by an even power of two so c lands in [0.5, 2) and the
     initial guess 1 puts c*x0^2 in the guaranteed-convergent band.
     """
-    with sess.protocol("invsqrt"):
-        params = sess.params
-        fp = params.fp
-        w = working_precision(params)
-        n = int(np.prod(b.shape, dtype=int))
-        flat = b.reshape(n)
-        alpha_s = np.asarray(alpha).reshape(n) - fp
-        e = alpha_s + (alpha_s & 1)  # even, alpha_s - e in {-1, 0}
-        c = rescale(sess, flat, e + fp - w)  # [2^{w-1}, 2^{w+1})
-        x = public_share(sess.party, np.uint64(1 << w), params.L, shape=(n,))
-        three = np.uint64(3 << w)
-        for _ in range(4):
-            y = rescale(sess, mult(sess, x, x), w)
-            y = rescale(sess, mult(sess, c, y), w)
-            t = add_public(sess.party, scale_share(reduce_mod(-1, params.L), y), three)
-            x = rescale(sess, mult(sess, x, t), w + 1)  # the /2 folds into the shift
-        out = rescale(sess, x, w + e // 2 - fp)
-        return out.reshape(b.shape)
+    params = sess.params
+    fp = params.fp
+    w = working_precision(params)
+    n = int(np.prod(b.shape, dtype=int))
+    flat = b.reshape(n)
+    alpha_s = np.asarray(alpha).reshape(n) - fp
+    e = alpha_s + (alpha_s & 1)  # even, alpha_s - e in {-1, 0}
+    c = rescale(sess, flat, e + fp - w)  # [2^{w-1}, 2^{w+1})
+    x = public_share(sess.party, np.uint64(1 << w), params.L, shape=(n,))
+    three = np.uint64(3 << w)
+    for _ in range(4):
+        y = rescale(sess, mult(sess, x, x), w)
+        y = rescale(sess, mult(sess, c, y), w)
+        t = add_public(sess.party, scale_share(reduce_mod(-1, params.L), y), three)
+        x = rescale(sess, mult(sess, x, t), w + 1)  # the /2 folds into the shift
+    out = rescale(sess, x, w + e // 2 - fp)
+    return out.reshape(b.shape)
 
 
 def sqrt_newton(sess: PartySession, a: RssShare) -> RssShare:
     """sqrt(a) by four steps of x <- (x + a/x)/2 from a power-of-two guess."""
-    with sess.protocol("sqrt"):
-        params = sess.params
-        fp = params.fp
-        n = int(np.prod(a.shape, dtype=int))
-        flat = a.reshape(n)
-        alpha = np.asarray(bounding_power(sess, flat)).reshape(n)
-        alpha_s = alpha - fp
-        guess_exp = (alpha_s + (alpha_s & 1)) // 2 + fp  # fp + round-up(alpha_s / 2)
-        x = public_share(sess.party, _pow2(guess_exp, params.L), params.L, shape=(n,))
-        for _ in range(4):
-            quot = divide(sess, flat, x, a_max_bits=int(alpha.max()) + 2)
-            x = rescale(sess, add_shares(x, quot), np.int64(1))
-        return x.reshape(a.shape)
+    params = sess.params
+    fp = params.fp
+    n = int(np.prod(a.shape, dtype=int))
+    flat = a.reshape(n)
+    alpha = np.asarray(bounding_power(sess, flat)).reshape(n)
+    alpha_s = alpha - fp
+    guess_exp = (alpha_s + (alpha_s & 1)) // 2 + fp  # fp + round-up(alpha_s / 2)
+    x = public_share(sess.party, _pow2(guess_exp, params.L), params.L, shape=(n,))
+    for _ in range(4):
+        quot = divide(sess, flat, x, a_max_bits=int(alpha.max()) + 2)
+        x = rescale(sess, add_shares(x, quot), np.int64(1))
+    return x.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -251,41 +251,30 @@ def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta
     the public constant 2^{-eps_bits}. Per-element squared deviations are
     truncated before summing so the accumulant stays in the safe envelope.
     """
-    with sess.protocol("bn"):
-        params = sess.params
-        fp = params.fp
-        m = acts.shape[-1]
-        mu = _mean_last_axis(sess, acts, m)
-        dev = sub_shares(acts, _broadcast_last(mu, acts.shape))
-        sq = rescale(sess, mult(sess, dev, dev), fp)
-        var = _mean_last_axis(sess, sq, m)
-        eps_raw = np.uint64(1 << (fp - eps_bits)) if fp >= eps_bits else np.uint64(0)
-        if eps_raw == 0:
-            raise DomainError("fp must be at least eps_bits for the BN epsilon")
-        b = add_public(sess.party, var, eps_raw)
-        alpha = bounding_power(sess, b, validate=False)
-        inv = inv_sqrt_newton(sess, b, alpha)
-        z = rescale(sess, mult(sess, dev, _broadcast_last(inv, acts.shape)), fp)
-        g = rescale(sess, mult(sess, _broadcast_last(gamma, z.shape), z), fp)
-        out = add_shares(g, _broadcast_last(beta, z.shape))
-        if want_cache:
-            return out, z, inv
-        return out
+    params = sess.params
+    fp = params.fp
+    m = acts.shape[-1]
+    mu = _mean_last_axis(sess, acts, m)
+    dev = sub_shares(acts, expand_last(mu, acts.shape))
+    sq = rescale(sess, mult(sess, dev, dev), fp)
+    var = _mean_last_axis(sess, sq, m)
+    eps_raw = np.uint64(1 << (fp - eps_bits)) if fp >= eps_bits else np.uint64(0)
+    if eps_raw == 0:
+        raise DomainError("fp must be at least eps_bits for the BN epsilon")
+    b = add_public(sess.party, var, eps_raw)
+    alpha = bounding_power(sess, b, validate=False)
+    inv = inv_sqrt_newton(sess, b, alpha)
+    z = rescale(sess, mult(sess, dev, expand_last(inv, acts.shape)), fp)
+    g = rescale(sess, mult(sess, expand_last(gamma, z.shape), z), fp)
+    out = add_shares(g, expand_last(beta, z.shape))
+    if want_cache:
+        return out, z, inv
+    return out
 
 
 def _mean_last_axis(sess: PartySession, x: RssShare, m: int) -> RssShare:
-    total = RssShare(
-        reduce_mod(x.lo.sum(axis=-1, dtype=np.uint64), x.mod),
-        reduce_mod(x.hi.sum(axis=-1, dtype=np.uint64), x.mod),
-        x.mod,
-    )
+    total = sum_share(x, -1)
     if m & (m - 1) == 0:
         return rescale(sess, total, int(np.log2(m)))
     inv_m = np.uint64(round((1 << sess.params.fp) / m))
     return rescale(sess, scale_share(inv_m, total), sess.params.fp)
-
-
-def _broadcast_last(x: RssShare, shape) -> RssShare:
-    lo = np.broadcast_to(x.lo[..., None], shape)
-    hi = np.broadcast_to(x.hi[..., None], shape)
-    return RssShare(lo, hi, x.mod)

@@ -78,16 +78,6 @@ def fx_shift_nearest(raw, s: int, params: RingParams) -> np.ndarray:
     return shift_signed(add_mod(raw, half, params.L), s, params)
 
 
-def fx_mul(a, b, params: RingParams, d: int | None = None) -> np.ndarray:
-    """Raw ring product followed by the fixed-point truncation."""
-    d = params.fp if d is None else d
-    return fx_trunc(mul_mod(a, b, params.L), d, params)
-
-
-def fx_mul_raw(a, b, params: RingParams) -> np.ndarray:
-    return mul_mod(a, b, params.L)
-
-
 def fx_matmul(a, b, params: RingParams, truncate_after: bool = True) -> np.ndarray:
     out = matmul_mod(a, b, params.L)
     return fx_trunc(out, params.fp, params) if truncate_after else out
@@ -99,10 +89,6 @@ def fx_relu(raw, params: RingParams) -> np.ndarray:
 
 def fx_drelu(raw, params: RingParams) -> np.ndarray:
     return oracle_drelu(raw, params)
-
-
-def fx_select(x, y, bit) -> np.ndarray:
-    return np.where(np.asarray(bit) == 1, y, x)
 
 
 def fx_maxpool_with_onehot(raws, params: RingParams):
@@ -690,15 +676,6 @@ def fx_train_loop(net, raw_params: dict, images_raw: np.ndarray, labels: np.ndar
         grads = fx_backward(net, raw_params, caches, delta, params)
         fx_sgd_step(raw_params, grads, lr_shift, params)
     return raw_params
-
-
-def fx_predict(net, raw_params: dict, images_raw: np.ndarray, params: RingParams,
-               batch: int = 512) -> np.ndarray:
-    outs = []
-    for k in range(0, len(images_raw), batch):
-        logits = fx_forward(net, raw_params, images_raw[k : k + batch], params)
-        outs.append(signed(logits, params).argmax(axis=1))
-    return np.concatenate(outs)
 
 
 def calibrate_float_params(net, float_params: dict, sample: np.ndarray,

@@ -25,6 +25,7 @@ from .rss import (
     PartyId,
     RssShare,
     add_shares,
+    concat_shares,
     public_share,
     scale_share,
     share_components,
@@ -224,8 +225,8 @@ def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
 
     s1, s2, s3 = lift_component_shares(sess, b, mod)
     lin = add_shares(add_shares(s1, s2), s3)
-    a = _concat([s1, s2, s3])
-    c = _concat([s2, s3, s1])
+    a = concat_shares([s1, s2, s3], axis=-1)
+    c = concat_shares([s2, s3, s1], axis=-1)
     prods = mult(sess, a, c)  # s1s2, s2s3, s3s1 in one round
     parts = np.split(np.arange(prods.shape[-1]), 3)
     p12 = prods[..., parts[0]]
@@ -237,12 +238,6 @@ def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
     out = sub_shares(lin.reshape(p12.shape), scale_share(np.uint64(2), pair_sum))
     out = add_shares(out, scale_share(np.uint64(4), triple))
     return out.reshape(b.shape)
-
-
-def _concat(shares: list[RssShare]) -> RssShare:
-    lo = np.concatenate([np.atleast_1d(s.lo) for s in shares], axis=-1)
-    hi = np.concatenate([np.atleast_1d(s.hi) for s in shares], axis=-1)
-    return RssShare(lo, hi, shares[0].mod)
 
 
 def bit_compose(sess: PartySession, bits: RssShare, mod: int) -> RssShare:
@@ -276,8 +271,8 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> RssShare:
 
     # carry-save: S = a^b^c, C = majority(a,b,c) = ab ^ bc ^ ca
     S = add_shares(add_shares(s1, s2), s3)
-    a = _concat([s1, s2, s3])
-    b = _concat([s2, s3, s1])
+    a = concat_shares([s1, s2, s3], axis=-1)
+    b = concat_shares([s2, s3, s1], axis=-1)
     prods = mult(sess, a, b)
     parts = np.split(np.arange(prods.shape[-1]), 3)
     C = add_shares(add_shares(prods[..., parts[0]], prods[..., parts[1]]), prods[..., parts[2]])
@@ -350,12 +345,9 @@ class DistributedPrep:
 
 def _nonzero_masks(sess: PartySession, n: int) -> RssShare:
     """Sample masks in Z_p, open m^{p-1} (1 iff m != 0) and keep the good ones."""
-    from .protocols import mult
-
     params = sess.params
     p = params.p
-    got_lo: list[np.ndarray] = []
-    got_hi: list[np.ndarray] = []
+    got: list[RssShare] = []
     need = n
     while need > 0:
         batch = max(need + 4, int(need * 1.1))
@@ -363,10 +355,9 @@ def _nonzero_masks(sess: PartySession, n: int) -> RssShare:
         power = _pow_const(sess, m, p - 1)
         opened = open_share(sess, power)
         keep = opened == 1
-        got_lo.append(m.lo[keep][:need])
-        got_hi.append(m.hi[keep][:need])
+        got.append(m[keep][:need])
         need -= int(keep.sum())
-    return RssShare(np.concatenate(got_lo)[:n], np.concatenate(got_hi)[:n], p)
+    return concat_shares(got)[:n]
 
 
 def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
@@ -382,25 +373,6 @@ def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
         if e:
             base = mult(sess, base, base)
     return result
-
-
-# session-facing entry points (dispatch to whichever source the session owns)
-
-
-def gen_trunc_pair(sess: PartySession, n: int = 1, d: int | None = None) -> TruncPair:
-    return sess.prep.trunc_pairs(n, sess.params.fp if d is None else d)
-
-
-def gen_wrap_rand(sess: PartySession, n: int = 1) -> WrapRand:
-    return sess.prep.wrap_rands(n)
-
-
-def gen_compare_rand(sess: PartySession, n: int = 1) -> CompareRand:
-    return sess.prep.compare_rands(n)
-
-
-def gen_bit_pair(sess: PartySession, n: int = 1) -> BitPair:
-    return sess.prep.bit_pairs(n)
 
 
 # ---------------------------------------------------------------------------

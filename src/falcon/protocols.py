@@ -33,6 +33,9 @@ from .rss import (
     RssShare,
     add_public,
     add_shares,
+    broadcast_share,
+    concat_shares,
+    expand_last,
     neg_share,
     public_share,
     scale_share,
@@ -72,8 +75,7 @@ def mult(sess: PartySession, x: RssShare, y: RssShare) -> RssShare:
     return fin(rnd.run())
 
 
-def matmul(sess: PartySession, x: RssShare, y: RssShare, truncate_after: bool = False,
-           trunc_pair=None) -> RssShare:
+def matmul(sess: PartySession, x: RssShare, y: RssShare, truncate_after: bool = False) -> RssShare:
     """Share of the matrix product X @ Y; fixed-point rescale when asked."""
     if x.mod != y.mod:
         raise ValueError("modulus mismatch in matmul")
@@ -86,11 +88,11 @@ def matmul(sess: PartySession, x: RssShare, y: RssShare, truncate_after: bool = 
     fin = reshare_begin(sess, z, m, rnd)
     out = fin(rnd.run())
     if truncate_after:
-        out = truncate(sess, out, sess.params.fp, trunc_pair)
+        out = truncate(sess, out, sess.params.fp)
     return out
 
 
-def truncate(sess: PartySession, x: RssShare, d, pair=None) -> RssShare:
+def truncate(sess: PartySession, x: RssShare, d) -> RssShare:
     """Arithmetic shift of the shared value by d bits, exact via a trunc pair.
 
     Opens x - r and adds the preshifted r' locally; d may vary per element
@@ -98,10 +100,8 @@ def truncate(sess: PartySession, x: RssShare, d, pair=None) -> RssShare:
     the value is undefined (documented, not checked - the value is secret).
     """
     d = np.broadcast_to(np.asarray(d, np.int64), x.shape)
-    if pair is None:
-        n = int(np.prod(x.shape, dtype=int))
-        pair = sess.prep.trunc_pairs(n, d.reshape(n) if d.ndim else d)
-        pair = pair.reshape(x.shape)
+    n = int(np.prod(x.shape, dtype=int))
+    pair = sess.prep.trunc_pairs(n, d.reshape(n) if d.ndim else d).reshape(x.shape)
     if not np.array_equal(np.broadcast_to(np.asarray(pair.d), x.shape), d):
         raise ValueError("trunc pair shift does not match the requested shift")
     y = open_share(sess, sub_shares(x, pair.r))
@@ -134,10 +134,7 @@ def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare 
     out = out.reshape(Cout, B, Hout, Wout)
     out = RssShare(out.lo.transpose(1, 0, 2, 3), out.hi.transpose(1, 0, 2, 3), img.mod)
     if bias is not None:
-        blo = bias.lo.reshape(1, Cout, 1, 1)
-        bhi = bias.hi.reshape(1, Cout, 1, 1)
-        out = add_shares(out, RssShare(np.broadcast_to(blo, out.shape),
-                                       np.broadcast_to(bhi, out.shape), img.mod))
+        out = add_shares(out, broadcast_share(bias.reshape(1, Cout, 1, 1), out.shape))
     return out
 
 
@@ -198,7 +195,7 @@ def flip_by_bit(sess: PartySession, x: RssShare, beta: RssShare) -> RssShare:
     return mult(sess, one_minus_two_beta(sess, beta), x)
 
 
-def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare, pair=None) -> RssShare:
+def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:
     """z = x when b = 0, y when b = 1; consumes a random bit pair.
 
     Opens e = b xor c, swaps the arithmetic bit c accordingly, then one
@@ -207,21 +204,11 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare, pai
     if b.mod != 2:
         raise ValueError("selection bit must be shared over Z_2")
     n = int(np.prod(b.shape, dtype=int))
-    if pair is None:
-        pair = sess.prep.bit_pairs(n)
-        pair = pair.reshape(b.shape)
+    pair = sess.prep.bit_pairs(n).reshape(b.shape)
     e = open_share(sess, add_shares(b, pair.c2))  # b xor c
     d = xor_public(sess, pair.cL, e)
-    dxy = mult(sess, sub_shares(y, x), _broadcast_like(d, y))
+    dxy = mult(sess, sub_shares(y, x), broadcast_share(d, y.shape))
     return add_shares(dxy, x)
-
-
-def _broadcast_like(d: RssShare, ref: RssShare) -> RssShare:
-    if d.shape == ref.shape:
-        return d
-    lo = np.broadcast_to(d.lo, ref.shape)
-    hi = np.broadcast_to(d.hi, ref.shape)
-    return RssShare(lo, hi, d.mod)
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +226,35 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
     under beta = 1. All factors stay below p, the masked product is
     revealed, and the blinding bit is removed with a local XOR.
     """
-    with sess.protocol("pc"):
-        params = sess.params
-        ell = params.ell
-        n, nb = xbits.shape
-        if nb != ell:
-            raise ValueError(f"expected {ell} shared bits, got {nb}")
-        t = np.asarray(t, dtype=np.uint64).reshape(n)
-        if t_top is None:
-            if ell == 64:
-                raise ValueError("ell = 64 requires an explicit t_top bit")
-            t_top = ((t >> np.uint64(ell)) & np.uint64(1)).astype(UINT)
-            if np.any(t >> np.uint64(ell) > 1):
-                raise ValueError("public operand exceeds 2^ell")
-        else:
-            t_top = np.asarray(t_top, dtype=np.uint64).reshape(n)
-        if crand is None:
-            crand = sess.prep.compare_rands(n)
+    params = sess.params
+    ell = params.ell
+    n, nb = xbits.shape
+    if nb != ell:
+        raise ValueError(f"expected {ell} shared bits, got {nb}")
+    t = np.asarray(t, dtype=np.uint64).reshape(n)
+    if t_top is None:
+        if ell == 64:
+            raise ValueError("ell = 64 requires an explicit t_top bit")
+        t_top = ((t >> np.uint64(ell)) & np.uint64(1)).astype(UINT)
+        if np.any(t >> np.uint64(ell) > 1):
+            raise ValueError("public operand exceeds 2^ell")
+    else:
+        t_top = np.asarray(t_top, dtype=np.uint64).reshape(n)
+    if crand is None:
+        crand = sess.prep.compare_rands(n)
 
-        if flipped is None:
-            s = one_minus_two_beta(sess, crand.beta_p)
-            v = mult(sess, _broadcast_like(s.reshape(n, 1), xbits), xbits)
-        else:
-            v = flipped  # (-1)^beta * x[i], staged by the caller's round
-        return _pc_core(sess, xbits, v, t, t_top, crand, reveal_sink)
+    if flipped is None:
+        s = one_minus_two_beta(sess, crand.beta_p)
+        v = mult(sess, expand_last(s, xbits.shape), xbits)
+    else:
+        v = flipped  # (-1)^beta * x[i], staged by the caller's round
+    return _pc_core(sess, xbits, v, t, t_top, crand, reveal_sink)
 
 
 def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
     """Stage the (-1)^beta * x[i] multiplication into an existing round."""
-    n = xbits.shape[0]
     s = one_minus_two_beta(sess, crand.beta_p)
-    return mult_begin(sess, _broadcast_like(s.reshape(n, 1), xbits), xbits, rnd)
+    return mult_begin(sess, expand_last(s, xbits.shape), xbits, rnd)
 
 
 def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
@@ -311,11 +296,7 @@ def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
     extra = add_shares(RssShare(total_lo, total_hi, p),
                        add_public(sess.party, neg_share(crand.beta_p), np.uint64(1)))
 
-    factors = RssShare(
-        np.concatenate([c.lo, extra.lo[:, None], crand.m.lo[:, None]], axis=1),
-        np.concatenate([c.hi, extra.hi[:, None], crand.m.hi[:, None]], axis=1),
-        p,
-    )
+    factors = concat_shares([c, extra.reshape(n, 1), crand.m.reshape(n, 1)], axis=1)
     prod = _tree_product(sess, factors)
     d = open_share(sess, prod)
     if reveal_sink is not None:
@@ -341,11 +322,7 @@ def _tree_product(sess: PartySession, factors: RssShare) -> RssShare:
         b = cur[..., half : 2 * half]
         prod = mult(sess, a, b)
         if k % 2:
-            prod = RssShare(
-                np.concatenate([prod.lo, cur.lo[..., -1:]], axis=-1),
-                np.concatenate([prod.hi, cur.hi[..., -1:]], axis=-1),
-                cur.mod,
-            )
+            prod = concat_shares([prod, cur[..., -1:]], axis=-1)
         cur = prod
     return cur.reshape(factors.shape[:-1])
 
@@ -365,8 +342,7 @@ class WrapTranscript:
     r_public: np.ndarray
 
 
-def wrap3_protocol(sess: PartySession, a: RssShare, wrand=None, crand=None,
-                   want_transcript: bool = False):
+def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = False):
     """Share over Z_2 of wrap3(a1, a2, a3, L): the parity of the carry when
     the three components are summed as integers.
 
@@ -374,46 +350,43 @@ def wrap3_protocol(sess: PartySession, a: RssShare, wrand=None, crand=None,
     bits are reshared in the same round), evaluates the exact wrap of the
     opened components in the clear, and corrects with eta = (x >= r + 1).
     """
-    with sess.protocol("wa"):
-        params = sess.params
-        L = params.L
-        n = int(np.prod(a.shape, dtype=int))
-        flat = a.reshape(n)
-        if wrand is None:
-            wrand = sess.prep.wrap_rands(n)
-        if crand is None:
-            crand = sess.prep.compare_rands(n)
+    params = sess.params
+    L = params.L
+    n = int(np.prod(a.shape, dtype=int))
+    flat = a.reshape(n)
+    wrand = sess.prep.wrap_rands(n)
+    crand = sess.prep.compare_rands(n)
 
-        r_sh = add_shares(flat, wrand.x)
-        beta_lo = wrap2(flat.lo, wrand.x.lo, L)
-        beta_hi = wrap2(flat.hi, wrand.x.hi, L)
-        beta_bits = RssShare(beta_lo, beta_hi, 2)
+    r_sh = add_shares(flat, wrand.x)
+    beta_lo = wrap2(flat.lo, wrand.x.lo, L)
+    beta_hi = wrap2(flat.hi, wrand.x.hi, L)
+    beta_bits = RssShare(beta_lo, beta_hi, 2)
 
-        rnd = Round(sess, "wa-open-r")
-        fin_open = open_begin(sess, r_sh, rnd)
-        fin_flip = pc_flip_begin(sess, wrand.xbits, crand, rnd)
-        results = rnd.run()
-        r = fin_open(results)
-        v = fin_flip(results)
+    rnd = Round(sess, "wa-open-r")
+    fin_open = open_begin(sess, r_sh, rnd)
+    fin_flip = pc_flip_begin(sess, wrand.xbits, crand, rnd)
+    results = rnd.run()
+    r = fin_open(results)
+    v = fin_flip(results)
 
-        # exact wrap of the opened sharing, in the clear from own components
-        third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
-        delta_e = wrap3_exact(r_sh.lo, r_sh.hi, third, L)
-        delta = (delta_e & np.uint64(1)).astype(UINT)
+    # exact wrap of the opened sharing, in the clear from own components
+    third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
+    delta_e = wrap3_exact(r_sh.lo, r_sh.hi, third, L)
+    delta = (delta_e & np.uint64(1)).astype(UINT)
 
-        # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit
-        with np.errstate(over="ignore"):
-            t_low = reduce_mod(r.astype(UINT) + np.uint64(1), L)
-        t_top = (r == np.uint64(L - 1)).astype(UINT)
-        eta = private_compare(sess, wrand.xbits, t_low, crand, flipped=v, t_top=t_top)
+    # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit
+    with np.errstate(over="ignore"):
+        t_low = reduce_mod(r.astype(UINT) + np.uint64(1), L)
+    t_top = (r == np.uint64(L - 1)).astype(UINT)
+    eta = private_compare(sess, wrand.xbits, t_low, crand, flipped=v, t_top=t_top)
 
-        # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2)
-        theta = add_shares(add_shares(beta_bits, eta), wrand.alpha)
-        theta = xor_public(sess, theta, delta)
-        theta = theta.reshape(a.shape)
-        if want_transcript:
-            return theta, WrapTranscript(beta_bits, delta, eta, wrand.alpha, r)
-        return theta
+    # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2)
+    theta = add_shares(add_shares(beta_bits, eta), wrand.alpha)
+    theta = xor_public(sess, theta, delta)
+    theta = theta.reshape(a.shape)
+    if want_transcript:
+        return theta, WrapTranscript(beta_bits, delta, eta, wrand.alpha, r)
+    return theta
 
 
 # elementwise comparison batches above this size run in sequential chunks:
@@ -421,46 +394,31 @@ def wrap3_protocol(sess: PartySession, a: RssShare, wrand=None, crand=None,
 COMPARE_CHUNK = 1 << 17
 
 
-def drelu(sess: PartySession, a: RssShare, wrand=None, crand=None) -> RssShare:
+def drelu(sess: PartySession, a: RssShare) -> RssShare:
     """Share over Z_2 of the ReLU derivative: 1 iff signed(a) >= 0.
 
     Local MSBs of the components XOR the wrap of the doubled sharing XOR 1.
     """
-    with sess.protocol("drelu"):
-        params = sess.params
-        n = int(np.prod(a.shape, dtype=int))
-        if n > COMPARE_CHUNK and wrand is None and crand is None:
-            flat = a.reshape(n)
-            parts = [
-                drelu(sess, flat[k : k + COMPARE_CHUNK])
-                for k in range(0, n, COMPARE_CHUNK)
-            ]
-            lo = np.concatenate([p.lo for p in parts])
-            hi = np.concatenate([p.hi for p in parts])
-            return RssShare(lo, hi, 2).reshape(a.shape)
-        doubled = scale_share(np.uint64(2), a)
-        theta = wrap3_protocol(sess, doubled, wrand, crand)
-        msb_lo = (a.lo >> np.uint64(params.ell - 1)) & np.uint64(1)
-        msb_hi = (a.hi >> np.uint64(params.ell - 1)) & np.uint64(1)
-        msbs = RssShare(msb_lo.astype(UINT), msb_hi.astype(UINT), 2)
-        out = add_shares(msbs, theta)
-        return xor_public(sess, out, np.uint64(1))
+    params = sess.params
+    n = int(np.prod(a.shape, dtype=int))
+    if n > COMPARE_CHUNK:
+        flat = a.reshape(n)
+        parts = [drelu(sess, flat[k : k + COMPARE_CHUNK]) for k in range(0, n, COMPARE_CHUNK)]
+        return concat_shares(parts).reshape(a.shape)
+    doubled = scale_share(np.uint64(2), a)
+    theta = wrap3_protocol(sess, doubled)
+    msb_lo = (a.lo >> np.uint64(params.ell - 1)) & np.uint64(1)
+    msb_hi = (a.hi >> np.uint64(params.ell - 1)) & np.uint64(1)
+    msbs = RssShare(msb_lo.astype(UINT), msb_hi.astype(UINT), 2)
+    out = add_shares(msbs, theta)
+    return xor_public(sess, out, np.uint64(1))
 
 
-def relu(sess: PartySession, a: RssShare, wrand=None, crand=None, pair=None) -> RssShare:
+def relu(sess: PartySession, a: RssShare) -> RssShare:
     """Share of max(0, signed(a)): DReLU then an oblivious select against 0."""
-    with sess.protocol("relu"):
-        b = drelu(sess, a, wrand, crand)
-        zero = public_share(sess.party, np.uint64(0), a.mod, shape=a.shape)
-        return select_shares(sess, zero, a, b, pair)
-
-
-def relu_with_deriv(sess: PartySession, a: RssShare) -> tuple[RssShare, RssShare]:
-    """ReLU plus its derivative bits (cached by the NN forward pass)."""
-    with sess.protocol("relu"):
-        b = drelu(sess, a)
-        zero = public_share(sess.party, np.uint64(0), a.mod, shape=a.shape)
-        return select_shares(sess, zero, a, b), b
+    b = drelu(sess, a)
+    zero = public_share(sess.party, np.uint64(0), a.mod, shape=a.shape)
+    return select_shares(sess, zero, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -473,42 +431,27 @@ def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, RssShare]
     Ties break toward the earlier index (DReLU(0) = 1 keeps the incumbent).
     Input (..., n); returns max (...,) and one-hot (..., n) of integer 0/1.
     """
-    with sess.protocol("maxpool"):
-        n = a.shape[-1]
-        lead = a.shape[:-1]
-        cur = a[..., 0]
-        onehot_rows = [public_share(sess.party, np.uint64(1), a.mod, shape=lead)]
-        onehot_rows += [public_share(sess.party, np.uint64(0), a.mod, shape=lead)
-                        for _ in range(n - 1)]
-        ind = _stack_shares(onehot_rows, a.mod)
-        for i in range(1, n):
-            cand = a[..., i]
-            d_max = sub_shares(cur, cand)
-            b = drelu(sess, d_max)  # 1: keep incumbent
-            e_i = _unit_vector_share(sess, i, n, lead, a.mod)
-            # one opened bit steers both selections (same pair, same round)
-            npts = int(np.prod(lead, dtype=int))
-            pair = sess.prep.bit_pairs(npts).reshape(lead)
-            e = open_share(sess, add_shares(b, pair.c2))
-            dbit = xor_public(sess, pair.cL, e)
-            rnd = Round(sess, "maxpool-select")
-            fin_max = mult_begin(sess, sub_shares(cur, cand), dbit, rnd)
-            fin_ind = mult_begin(
-                sess,
-                sub_shares(ind, e_i),
-                _broadcast_like(dbit.reshape(lead + (1,)), ind),
-                rnd,
-            )
-            results = rnd.run()
-            cur = add_shares(fin_max(results), cand)
-            ind = add_shares(fin_ind(results), e_i)
-        return cur, ind
-
-
-def _stack_shares(rows: list[RssShare], mod: int) -> RssShare:
-    lo = np.stack([r.lo for r in rows], axis=-1)
-    hi = np.stack([r.hi for r in rows], axis=-1)
-    return RssShare(lo, hi, mod)
+    n = a.shape[-1]
+    lead = a.shape[:-1]
+    cur = a[..., 0]
+    ind = _unit_vector_share(sess, 0, n, lead, a.mod)
+    for i in range(1, n):
+        cand = a[..., i]
+        d_max = sub_shares(cur, cand)
+        b = drelu(sess, d_max)  # 1: keep incumbent
+        e_i = _unit_vector_share(sess, i, n, lead, a.mod)
+        # one opened bit steers both selections (same pair, same round)
+        npts = int(np.prod(lead, dtype=int))
+        pair = sess.prep.bit_pairs(npts).reshape(lead)
+        e = open_share(sess, add_shares(b, pair.c2))
+        dbit = xor_public(sess, pair.cL, e)
+        rnd = Round(sess, "maxpool-select")
+        fin_max = mult_begin(sess, sub_shares(cur, cand), dbit, rnd)
+        fin_ind = mult_begin(sess, sub_shares(ind, e_i), expand_last(dbit, ind.shape), rnd)
+        results = rnd.run()
+        cur = add_shares(fin_max(results), cand)
+        ind = add_shares(fin_ind(results), e_i)
+    return cur, ind
 
 
 def _unit_vector_share(sess: PartySession, i: int, n: int, lead, mod: int) -> RssShare:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UINT = np.uint64
-_U64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class RingError(ValueError):
@@ -42,18 +41,6 @@ class RingParams:
     @property
     def L(self) -> int:
         return 1 << self.ell
-
-    @property
-    def k(self) -> int:
-        """Byte width of a Z_L element."""
-        return (self.ell + 7) // 8
-
-    @property
-    def mask(self) -> np.uint64:
-        return _U64_MASK if self.ell == 64 else np.uint64(self.L - 1)
-
-    def with_fp(self, fp: int) -> "RingParams":
-        return RingParams(self.ell, self.p, fp)
 
 
 def _is_prime(n: int) -> bool:
@@ -159,11 +146,6 @@ def signed(x, params: RingParams) -> np.ndarray:
         return np.ascontiguousarray(x).view(np.int64)
     half = np.uint64(1) << np.uint64(params.ell - 1)
     return np.where(x >= half, x.astype(np.int64) - np.int64(params.L), x.astype(np.int64))
-
-
-def msb(x, params: RingParams) -> np.ndarray:
-    """Most significant bit of Z_L raws (1 for the negative half)."""
-    return ((np.asarray(x, UINT) >> np.uint64(params.ell - 1)) & np.uint64(1)).astype(UINT)
 
 
 def shift_signed(x, d, params: RingParams) -> np.ndarray:

@@ -64,9 +64,6 @@ class RssShare:
     def __getitem__(self, idx) -> "RssShare":
         return RssShare(self.lo[idx], self.hi[idx], self.mod)
 
-    def copy(self) -> "RssShare":
-        return RssShare(self.lo.copy(), self.hi.copy(), self.mod)
-
 
 def _check_same_ring(*shares: RssShare):
     mods = {s.mod for s in shares}
@@ -98,39 +95,8 @@ def share_components(party: PartyId, comps: tuple, mod: int) -> RssShare:
     return RssShare(c[i], c[(i + 1) % 3], mod)
 
 
-def reconstruct_components(lo1, lo2, lo3, mod: int):
-    """Plain sum of the three components (test-side reconstruction)."""
-    return add_mod(add_mod(lo1, lo2, mod), lo3, mod)
-
-
 # ---------------------------------------------------------------------------
-# local linear algebra (zero communication)
-
-
-def linear_combine(party: PartyId, a, b, c, x: RssShare | None, y: RssShare | None, mod: int) -> RssShare:
-    """Share of a*x + b*y + c for public a, b, c; zero communication.
-
-    The constant c enters through component 1: party 1 adds it to lo,
-    party 3 to hi (fixed framework-wide convention).
-    """
-    shape = x.shape if x is not None else y.shape
-    lo = np.zeros(shape, UINT)
-    hi = np.zeros(shape, UINT)
-    if x is not None:
-        if x.mod != mod:
-            raise RingError("modulus mismatch")
-        lo = add_mod(lo, mul_mod(a, x.lo, mod), mod)
-        hi = add_mod(hi, mul_mod(a, x.hi, mod), mod)
-    if y is not None:
-        if y.mod != mod:
-            raise RingError("modulus mismatch")
-        lo = add_mod(lo, mul_mod(b, y.lo, mod), mod)
-        hi = add_mod(hi, mul_mod(b, y.hi, mod), mod)
-    out = RssShare(lo, hi, mod)
-    c_arr = reduce_mod(np.asarray(c), mod)
-    if np.any(c_arr != 0):
-        out = add_public(party, out, c_arr)
-    return out
+# local linear algebra and array plumbing (zero communication)
 
 
 def add_shares(x: RssShare, y: RssShare) -> RssShare:
@@ -174,19 +140,30 @@ def public_share(party: PartyId, c, mod: int, shape=None) -> RssShare:
     return RssShare(zero, zero.copy(), mod)
 
 
-def local_bit_share(party: PartyId, component: int, bits, mod: int = 2) -> RssShare:
-    """Sharing whose component j equals a value known to exactly P_j and P_{j-1}.
+def broadcast_share(x: RssShare, shape) -> RssShare:
+    """Read-only view of x broadcast to shape (numpy broadcasting rules)."""
+    return RssShare(np.broadcast_to(x.lo, shape), np.broadcast_to(x.hi, shape), x.mod)
 
-    P_j supplies it as lo, P_{j-1} as hi, the third party passes zeros.
-    Used for the wrap bits beta_j and component MSBs; zero communication.
-    """
-    bits = reduce_mod(np.asarray(bits), mod)
-    zero = np.zeros_like(bits)
-    if party.index == component:
-        return RssShare(bits, zero, mod)
-    if party.next.index == component:
-        return RssShare(zero, bits, mod)
-    return RssShare(zero, zero.copy(), mod)
+
+def expand_last(x: RssShare, shape) -> RssShare:
+    """x with a new trailing axis, broadcast to shape == x.shape + (k,)."""
+    return broadcast_share(x.reshape(x.shape + (1,)), shape)
+
+
+def sum_share(x: RssShare, axis: int) -> RssShare:
+    return RssShare(
+        reduce_mod(x.lo.sum(axis=axis, dtype=UINT), x.mod),
+        reduce_mod(x.hi.sum(axis=axis, dtype=UINT), x.mod),
+        x.mod,
+    )
+
+
+def concat_shares(shares: list[RssShare], axis: int = 0) -> RssShare:
+    return RssShare(
+        np.concatenate([s.lo for s in shares], axis=axis),
+        np.concatenate([s.hi for s in shares], axis=axis),
+        shares[0].mod,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +171,11 @@ def local_bit_share(party: PartyId, component: int, bits, mod: int = 2) -> RssSh
 
 
 def elem_width(mod: int, ell: int) -> int:
-    """Wire width in bytes of one element: Z_L -> ell/8, Z_p and Z_2 -> 1."""
-    if mod == 2 or mod < 256:
+    """Wire width in bytes of one element: 1 for Z_p and Z_2; for Z_L the
+    smallest of 1, 4 or 8 bytes that holds ell bits."""
+    if mod < 256 or ell <= 8:
         return 1
-    return (ell + 7) // 8
+    return 4 if ell <= 32 else 8
 
 
 def elem_acct_bits(mod: int, ell: int) -> int:
@@ -206,33 +184,13 @@ def elem_acct_bits(mod: int, ell: int) -> int:
 
 
 def serialize_elems(x: np.ndarray, mod: int, ell: int) -> bytes:
-    w = elem_width(mod, ell)
     x = np.ascontiguousarray(np.asarray(x, UINT).ravel())
-    if w == 1:
-        return x.astype("<u1").tobytes()
-    if w <= 4:
-        return x.astype("<u4").tobytes()
-    return x.astype("<u8").tobytes()
+    return x.astype(f"<u{elem_width(mod, ell)}").tobytes()
 
 
 def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
-    w = elem_width(mod, ell)
-    dt = "<u1" if w == 1 else ("<u4" if w <= 4 else "<u8")
-    out = np.frombuffer(buf, dtype=dt).astype(UINT)
+    out = np.frombuffer(buf, dtype=f"<u{elem_width(mod, ell)}").astype(UINT)
     return reduce_mod(out.reshape(shape), mod)
-
-
-def serialize_share(x: RssShare, ell: int) -> bytes:
-    return serialize_elems(x.lo, x.mod, ell) + serialize_elems(x.hi, x.mod, ell)
-
-
-def deserialize_share(buf: bytes, mod: int, ell: int, shape) -> RssShare:
-    half = len(buf) // 2
-    return RssShare(
-        deserialize_elems(buf[:half], mod, ell, shape),
-        deserialize_elems(buf[half:], mod, ell, shape),
-        mod,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ each of which is exactly one communication round of the cost model.
 Malicious mode: every opening delivers each missing component twice (once
 per peer) and the receiver compares; every resharing is mirrored to the
 third party and the two receivers keep rolling transcript digests that are
-cross-checked on the next opening. Any single tampered message therefore
-aborts before a value is released.
+cross-checked on the next opening. A message tampered with in transit
+therefore aborts before a value is released; a party that deviates is not
+yet caught (see the security model in README.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,6 +29,7 @@ from .rss import (
     RssShare,
     deserialize_elems,
     elem_acct_bits,
+    elem_width,
     serialize_elems,
     zero_randomness_3of3,
 )
@@ -92,14 +93,6 @@ class PartySession:
     def malicious(self) -> bool:
         return self.threat is ThreatModel.MALICIOUS
 
-    @contextmanager
-    def protocol(self, tag: str):
-        self.meter.push(tag)
-        try:
-            yield
-        finally:
-            self.meter.pop()
-
     # -- handshake ---------------------------------------------------------
 
     def handshake(self, config_blob: bytes):
@@ -128,23 +121,25 @@ class Round:
         self._expects: list = []
         self._done = False
 
-    def send_raw(self, to: int, payload: bytes, acct_bits: int = 0, replicated: bool = False):
+    def send_raw(self, to: int, payload: bytes, acct_bits: int = 0):
         msg = Message(self.sess.session_id, self.no, self.sess.party.index, to, payload)
         self.sess.links.send(msg)
         self.sess.meter.on_send(HEADER_BYTES + len(payload), acct_bits)
 
-    def send_elems(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b"", replicated: bool = False):
+    def send_elems(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b""):
         ell = self.sess.params.ell
         payload = serialize_elems(arr, mod, ell) + extra
         bits = elem_acct_bits(mod, ell) * int(np.asarray(arr).size)
-        self.send_raw(to, payload, acct_bits=bits, replicated=replicated)
+        self.send_raw(to, payload, acct_bits=bits)
 
-    def expect_raw(self, frm: int, nbytes: int, replicated: bool = False) -> int:
-        self._expects.append(("raw", frm, nbytes, None, None, replicated))
+    def expect_raw(self, frm: int, nbytes: int) -> int:
+        self._expects.append((frm, nbytes, 0, None, None, False))
         return len(self._expects) - 1
 
     def expect_elems(self, frm: int, mod: int, shape, extra_len: int = 0, replicated: bool = False) -> int:
-        self._expects.append(("elems", frm, extra_len, mod, shape, replicated))
+        size = int(np.prod(shape, dtype=int))
+        nbytes = size * elem_width(mod, self.sess.params.ell) + extra_len
+        self._expects.append((frm, nbytes, extra_len, mod, shape, replicated))
         return len(self._expects) - 1
 
     def run(self) -> list:
@@ -152,23 +147,24 @@ class Round:
         self._done = True
         sess = self.sess
         out = [None] * len(self._expects)
-        for i, (kind, frm, aux, mod, shape, replicated) in enumerate(self._expects):
+        for i, (frm, nbytes, extra_len, mod, shape, replicated) in enumerate(self._expects):
             msg = sess.links.recv(frm, sess.timeout)
-            if msg.round_tag != self.no or msg.sender != frm:
+            got = (msg.session_id, msg.round_tag, msg.sender, msg.receiver, len(msg.payload))
+            want = (sess.session_id, self.no, frm, sess.party.index, nbytes)
+            if got != want:
+                detail = ("expected (session, round, sender, receiver, bytes) = "
+                          f"{want}, got {got}")
                 if sess.malicious:
-                    raise AbortError(f"desync: expected round {self.no} from P{frm}, "
-                                     f"got round {msg.round_tag} from P{msg.sender}")
-                raise DesyncError(f"round tag mismatch: expected {self.no}, got {msg.round_tag}")
+                    raise AbortError(f"desync: {detail}")
+                raise DesyncError(f"malformed frame: {detail}")
             if replicated:
                 sess.transcript[frm] = _hash_chain(sess.transcript[frm], msg.payload)
-            if kind == "raw":
+            if mod is None:
                 out[i] = msg.payload
             else:
-                extra_len = aux
-                body = msg.payload if extra_len == 0 else msg.payload[:-extra_len]
-                extra = b"" if extra_len == 0 else msg.payload[-extra_len:]
-                arr = deserialize_elems(body, mod, sess.params.ell, shape)
-                out[i] = (arr, extra)
+                split = nbytes - extra_len
+                arr = deserialize_elems(msg.payload[:split], mod, sess.params.ell, shape)
+                out[i] = (arr, msg.payload[split:])
         sess.meter.on_round()
         return out
 
@@ -236,9 +232,9 @@ def reshare_begin(sess: PartySession, z_local: np.ndarray, mod: int, rnd: Round)
     z_local = np.asarray(z_local)
     alpha = zero_randomness_3of3(sess.prf, z_local.size, mod).reshape(z_local.shape)
     c = add_mod(z_local, alpha, mod)
-    rnd.send_elems(sess.party.prev.index, c, mod, replicated=True)
+    rnd.send_elems(sess.party.prev.index, c, mod)
     if sess.malicious:
-        rnd.send_elems(sess.party.next.index, c, mod, replicated=True)
+        rnd.send_elems(sess.party.next.index, c, mod)
     ih = rnd.expect_elems(sess.party.next.index, mod, z_local.shape, replicated=True)
     if sess.malicious:
         # mirror of the component P_prev computed, for transcript only
@@ -251,14 +247,23 @@ def reshare_begin(sess: PartySession, z_local: np.ndarray, mod: int, rnd: Round)
     return finish
 
 
-def reshare_3to2(sess: PartySession, z_local: np.ndarray, mod: int) -> RssShare:
-    rnd = Round(sess, "reshare")
-    fin = reshare_begin(sess, z_local, mod, rnd)
-    return fin(rnd.run())
-
-
 # ---------------------------------------------------------------------------
-# three-party simulation harness
+# session set-up and the three-party simulation harness
+
+
+def make_session(party: int, links: PartyLinks, params: RingParams, threat: ThreatModel,
+                 session_seed: int, timeout: float) -> PartySession:
+    """Party `party`'s session; its two pairwise PRF keys derive from session_seed."""
+    seeds = PrfState.setup_seeds(session_seed)
+    return PartySession(
+        party=PartyId(party),
+        params=params,
+        threat=threat,
+        links=links,
+        prf=PrfState.from_seeds(seeds[party - 1], seeds[party - 2]),
+        session_id=session_seed,
+        timeout=timeout,
+    )
 
 
 def run_three_parties(
@@ -276,20 +281,6 @@ def run_three_parties(
     The memory backend threads all parties in-process; pairwise PRF seeds
     and the shared data rng derive deterministically from session_seed.
     """
-    seeds = PrfState.setup_seeds(session_seed)
-
-    def make_session(i: int, links: PartyLinks) -> PartySession:
-        prf = PrfState.from_seeds(seeds[i - 1], seeds[i - 2])
-        return PartySession(
-            party=PartyId(i),
-            params=params,
-            threat=threat,
-            links=links,
-            prf=prf,
-            session_id=session_seed,
-            timeout=timeout,
-        )
-
     if backend == "memory":
         hub = MemoryHub(fault=fault)
         link_factory = hub.links
@@ -311,7 +302,8 @@ def run_three_parties(
 
     def runner(idx: int):
         try:
-            sessions[idx] = make_session(idx + 1, link_factory(idx + 1))
+            sessions[idx] = make_session(idx + 1, link_factory(idx + 1), params, threat,
+                                         session_seed, timeout)
             results[idx] = fn(sessions[idx])
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             errors[idx] = exc

@@ -12,7 +12,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HEADER = struct.Struct("<QIBBH")  # session, round_tag, sender, receiver, reserved
 LEN = struct.Struct("<I")
@@ -66,34 +66,18 @@ class CostMeter:
     wire_bytes: int = 0
     acct_bits: int = 0
     messages: int = 0
-    by_protocol: dict = field(default_factory=dict)
-    _stack: list = field(default_factory=list)
 
     @property
     def acct_bytes(self) -> float:
         return self.acct_bits / 8
 
-    def push(self, tag: str):
-        self._stack.append(tag)
-
-    def pop(self):
-        self._stack.pop()
-
-    def _bucket(self) -> dict:
-        tag = self._stack[0] if self._stack else "-"
-        return self.by_protocol.setdefault(tag, {"rounds": 0, "wire_bytes": 0, "acct_bits": 0})
-
     def on_send(self, wire: int, acct_bits: int):
         self.wire_bytes += wire
         self.acct_bits += acct_bits
         self.messages += 1
-        b = self._bucket()
-        b["wire_bytes"] += wire
-        b["acct_bits"] += acct_bits
 
     def on_round(self):
         self.rounds += 1
-        self._bucket()["rounds"] += 1
 
     def snapshot(self) -> dict:
         return {
@@ -255,13 +239,20 @@ class TcpLinks(PartyLinks):
             srv.listen(2)
             srv.settimeout(self.timeout)
             pending = set(lower)
-            while pending:
-                conn, _ = srv.accept()
-                peer = conn.recv(1)[0]
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self.socks[peer] = conn
-                pending.discard(peer)
-            srv.close()
+            try:
+                while pending:
+                    conn, _ = srv.accept()
+                    hello = conn.recv(1)
+                    if not hello or hello[0] not in pending:
+                        for sock in (conn, *self.socks.values()):
+                            sock.close()
+                        raise DesyncError(f"P{self.party} got hello {hello!r}, "
+                                          f"expected one of {sorted(pending)}")
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    self.socks[hello[0]] = conn
+                    pending.discard(hello[0])
+            finally:
+                srv.close()
         for peer in higher:
             host, port = addresses[peer]
             deadline = time.monotonic() + self.timeout

@@ -322,17 +322,7 @@ def test_criterion_7_malicious_abort(pretrained, digits):
 
     def forward_job(sess):
         sess.prep = DealerPrep(sess.party, PARAMS, seed=7)
-        state = nn.NetState(net, [])
-        from falcon.netspec import _propagate, param_shapes
-
-        shape = tuple(net.input_shape)
-        for i, layer in enumerate(net.layers):
-            st = nn.LayerState()
-            for name in param_shapes(layer, shape):
-                st.params[name] = share_secret(raws[f"{i}.{name}"], PARAMS.L,
-                                               sess.shared_rng)[sess.party.index - 1]
-            state.layers.append(st)
-            shape = _propagate(layer, shape, i)
+        state = nn.share_weights(sess, net, raws)
         xb = share_secret(batch, PARAMS.L, sess.shared_rng)[sess.party.index - 1]
         return P.reconstruct(sess, nn.forward(sess, state, xb))
 
@@ -383,17 +373,7 @@ def test_criterion_8_inference(pretrained, digits):
         float_images = digits[f"float_{key}"][6000:6100]
 
         def job(sess):
-            state = nn.NetState(net, [])
-            from falcon.netspec import _propagate, param_shapes
-
-            shape = tuple(net.input_shape)
-            for i, layer in enumerate(net.layers):
-                st = nn.LayerState()
-                for pname in param_shapes(layer, shape):
-                    st.params[pname] = share_secret(raws[f"{i}.{pname}"], PARAMS.L,
-                                                    sess.shared_rng)[sess.party.index - 1]
-                state.layers.append(st)
-                shape = _propagate(layer, shape, i)
+            state = nn.share_weights(sess, net, raws)
             xb = share_secret(images, PARAMS.L, sess.shared_rng)[sess.party.index - 1]
             return P.reconstruct(sess, nn.forward(sess, state, xb))
 

@@ -173,6 +173,25 @@ def test_cli_corrupted_checkpoint(mini_setup, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cut", [10, 20, -5])
+def test_cli_truncated_checkpoint(mini_setup, capsys, cut):
+    d, store, net_path = mini_setup
+    from falcon.netspec import NetworkSpec, init_float_params
+
+    net = NetworkSpec.from_json(open(net_path).read())
+    raws = {k: encode_fixed(v, PARAMS) for k, v in init_float_params(net, seed=1).items()}
+    full = d / "full.ckpt"
+    nn.save_checkpoint(str(full), raws, PARAMS)
+    blob = full.read_bytes()
+    bad = d / f"cut{cut}.ckpt"
+    bad.write_bytes(blob[:cut])
+    with pytest.raises(nn.FormatError):
+        nn.load_checkpoint(str(bad))
+    rc = cli.main(["infer", "--net", net_path, "--weights", str(bad), "--data", store])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_file_prep_mode(mini_setup, capsys):
     d, store, net_path = mini_setup
     prep_base = str(d / "prep.bin")

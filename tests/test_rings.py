@@ -20,7 +20,7 @@ from falcon.rings import (
 def test_params_defaults():
     p = RingParams()
     assert (p.ell, p.p, p.fp) == (32, 37, 13)
-    assert p.L == 2**32 and p.k == 4
+    assert p.L == 2**32
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,8 @@ from falcon.rings import RingError, add_mod
 from falcon.rss import (
     PartyId,
     PrfState,
-    RssShare,
+    add_public,
     add_shares,
-    linear_combine,
-    local_bit_share,
     public_share,
     scale_share,
     share_secret,
@@ -49,14 +47,14 @@ def test_share_components_uniformish():
     assert stats.chisquare(counts).pvalue > 1e-4
 
 
-def test_linear_combine():
+def test_linear_ops():
     rng = np.random.default_rng(2)
     mod = 2**32
     xs = share_secret(np.uint64(2), mod, rng)
     ys = share_secret(np.uint64(3), mod, rng)
-    out = [linear_combine(PartyId(i + 1), 1, 1, 0, xs[i], ys[i], mod) for i in range(3)]
+    out = [add_shares(xs[i], ys[i]) for i in range(3)]
     assert reconstruct_all(out) == 5
-    # constant injection: a = b = 0, c = 7
+    # a public constant
     const = [public_share(PartyId(i + 1), np.uint64(7), mod) for i in range(3)]
     assert reconstruct_all(const) == 7
     # negation of x = 2
@@ -73,7 +71,9 @@ def test_linear_homomorphism_exhaustive_small():
         for y in range(0, 256, 23):
             xs = share_secret(np.uint64(x), mod, rng)
             ys = share_secret(np.uint64(y), mod, rng)
-            out = [linear_combine(PartyId(i + 1), 3, 5, 11, xs[i], ys[i], mod) for i in range(3)]
+            out = [add_public(PartyId(i + 1),
+                              add_shares(scale_share(3, xs[i]), scale_share(5, ys[i])), 11)
+                   for i in range(3)]
             assert reconstruct_all(out) == (3 * x + 5 * y + 11) % 256
 
 
@@ -113,20 +113,3 @@ def test_zero_randomness_2of3_replicated_layout():
     shares = [zero_randomness_2of3(p, 32, 2**32) for p in prfs]
     reconstruct_all(shares)  # asserts hi_i == lo_{i+1}
 
-
-def test_local_bit_share():
-    mod = 2
-    for comp, bit in ((1, 1), (2, 0), (3, 1)):
-        shares = [local_bit_share(PartyId(i), comp, np.uint64(bit), mod) for i in (1, 2, 3)]
-        assert reconstruct_all(shares) == bit
-    # XOR of three single-component sharings
-    b = [1, 0, 1]
-    shares = [
-        RssShare(
-            sum(local_bit_share(PartyId(i), j + 1, np.uint64(b[j]), 2).lo for j in range(3)) % 2,
-            sum(local_bit_share(PartyId(i), j + 1, np.uint64(b[j]), 2).hi for j in range(3)) % 2,
-            2,
-        )
-        for i in (1, 2, 3)
-    ]
-    assert reconstruct_all(shares) == (b[0] ^ b[1] ^ b[2])

@@ -1,20 +1,24 @@
 """Framing, metering, desync, timeouts, and memory/TCP backend transparency."""
 
+import socket
+import threading
+
 import numpy as np
 import pytest
 
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams
-from falcon.session import Round, run_three_parties
+from falcon.session import AbortError, Round, ThreatModel, run_three_parties
 from falcon.transport import (
     HEADER_BYTES,
     DesyncError,
     Message,
     MemoryHub,
+    TcpLinks,
     TransportTimeout,
 )
-from falcon.rss import share_secret
+from falcon.rss import serialize_elems, share_secret
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
 
@@ -79,6 +83,61 @@ def test_round_tag_mismatch_raises_desync():
 
     with pytest.raises(DesyncError):
         run_three_parties(job, PARAMS, session_seed=0)
+
+
+@pytest.mark.parametrize("threat,error", [(ThreatModel.SEMI_HONEST, DesyncError),
+                                          (ThreatModel.MALICIOUS, AbortError)])
+@pytest.mark.parametrize("frame", ["short_payload", "wrong_session"])
+def test_malformed_frame_is_rejected(threat, error, frame):
+    # P2 expects four Z_L elements from P1; P1 sends a bad frame instead
+    def job(sess):
+        rnd = Round(sess, "t")
+        if sess.party.index == 1:
+            body = serialize_elems(np.arange(4), PARAMS.L, PARAMS.ell)
+            if frame == "short_payload":
+                sess.links.send(Message(sess.session_id, rnd.no, 1, 2, body[:3]))
+            else:
+                sess.links.send(Message(sess.session_id + 1, rnd.no, 1, 2, body))
+        if sess.party.index == 2:
+            rnd.expect_elems(1, PARAMS.L, (4,))
+        rnd.run()
+
+    with pytest.raises(error):
+        run_three_parties(job, PARAMS, threat=threat, session_seed=0)
+
+
+def _free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+@pytest.mark.parametrize("hello", [b"", b"\x07", b"\x03"], ids=["empty", "out_of_range", "not_lower"])
+def test_tcp_bad_hello_raises_desync(hello):
+    # P2 listens for P1 only; a dialer that closes at once or names
+    # another party must fail the set-up instead of becoming a peer
+    addresses = {2: ("127.0.0.1", _free_port()), 3: ("127.0.0.1", _free_port())}
+    errors = []
+
+    def listen():
+        try:
+            TcpLinks(2, addresses, timeout=5.0).close()
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    t = threading.Thread(target=listen, daemon=True)
+    t.start()
+    for _ in range(100):
+        try:
+            sock = socket.create_connection(addresses[2], timeout=1.0)
+            break
+        except OSError:
+            t.join(0.05)
+    sock.sendall(hello)
+    sock.close()
+    t.join(10.0)
+    assert not t.is_alive()
+    assert len(errors) == 1 and isinstance(errors[0], DesyncError), errors
 
 
 def test_recv_timeout():
