@@ -25,7 +25,7 @@ from . import protocols as P
 from .data import FormatError, ingest_mnist, load_tensors, write_synth_idx
 from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
-from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep
+from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
 from .rings import RingParams, bit_decompose, decode_fixed, encode_fixed
 from .rss import share_secret
 from .session import PartySession, ThreatModel, make_session, run_three_parties
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, nn.FormatError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -138,13 +138,16 @@ def make_prep(args, sess: PartySession):
     if args.prep == "distributed":
         return DistributedPrep(sess)
     if args.prep.startswith("file:"):
-        path = f"{args.prep[5:]}.p{sess.party.index}"
+        path = prep_path(args, sess)
         if os.path.exists(path):
-            return FilePrep(path)
-        rec = RecordingPrep(DealerPrep(sess.party, sess.params, seed=args.seed))
-        sess._prep_record_path = path  # saved by run_cmd after the run
-        return rec
+            return FilePrep(path, sess.party, sess.params)
+        return RecordingPrep(DealerPrep(sess.party, sess.params, seed=args.seed))  # saved by run_cmd
     raise ValueError(f"unknown prep mode {args.prep!r}")
+
+
+def prep_path(args, sess: PartySession) -> str:
+    """This party's file of a `--prep file:<path>` run."""
+    return f"{args.prep[5:]}.p{sess.party.index}"
 
 
 def run_cmd(args, fn, config_extra: bytes = b""):
@@ -159,9 +162,8 @@ def run_cmd(args, fn, config_extra: bytes = b""):
         ).encode() + config_extra
         sess.handshake(blob)
         out = fn(sess)
-        path = getattr(sess, "_prep_record_path", None)
-        if path:
-            sess.prep.save(path, sess.party, params)
+        if isinstance(sess.prep, RecordingPrep):
+            save_prep_file(prep_path(args, sess), sess.party, params, sess.prep.records)
         return out
 
     if args.backend == "memory":

@@ -8,6 +8,7 @@ files (magic 0x803/0x801) so the ingestion path exercises the real format.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -20,7 +21,7 @@ STORE_MAGIC = b"FALTENS1"
 
 
 class FormatError(ValueError):
-    pass
+    """A file's content does not parse as the format its reader expects."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,43 +70,64 @@ def write_idx_labels(path: str, labels: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# binary tensor store (dataset persistence)
+# the tensor container: every named-array file of the package (the dataset
+# store, ring checkpoints, preprocessing files) is this layout with its own
+# magic: magic, count (u32), then per array its name (u16 length + utf-8),
+# dtype code (1 byte), ndim (u8), shape (u32 each) and little-endian bytes.
+
+_DTYPES = {b"u": np.dtype("<u8"), b"b": np.dtype("u1"), b"f": np.dtype("<f8")}
+_CODES = {dt.name: code for code, dt in _DTYPES.items()}
 
 
-def save_tensors(path: str, tensors: dict):
+def save_tensors(path: str, tensors: dict, magic: bytes = STORE_MAGIC):
     with open(path, "wb") as f:
-        f.write(STORE_MAGIC)
+        f.write(magic)
         f.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            kind = {"uint64": b"u", "uint8": b"b", "float64": b"f"}.get(arr.dtype.name)
-            if kind is None:
+            arr = np.asarray(tensors[name])
+            code = _CODES.get(arr.dtype.name)
+            if code is None:
                 raise FormatError(f"unsupported tensor dtype {arr.dtype}")
             nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(kind)
-            f.write(struct.pack("<B", arr.ndim))
-            for s in arr.shape:
-                f.write(struct.pack("<I", s))
-            f.write(arr.tobytes())
+            f.write(struct.pack(f"<H{len(nb)}sc B{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
+            f.write(arr.astype(_DTYPES[code], copy=False).tobytes())
 
 
-def load_tensors(path: str) -> dict:
-    dts = {b"u": np.uint64, b"b": np.uint8, b"f": np.float64}
-    out = {}
+def load_tensors(path: str, magic: bytes = STORE_MAGIC) -> dict:
+    """Read a container written with the same magic; any other content
+    raises FormatError. Arrays are read-only views of the file's bytes."""
     with open(path, "rb") as f:
-        if f.read(8) != STORE_MAGIC:
-            raise FormatError("not a tensor store")
-        (count,) = struct.unpack("<I", f.read(4))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            dt = dts[f.read(1)]
-            (nd,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(nd))
-            n = int(np.prod(shape, dtype=int))
-            out[name] = np.frombuffer(f.read(n * np.dtype(dt).itemsize), dtype=dt).reshape(shape)
+        blob = memoryview(f.read())
+    if blob[: len(magic)] != magic:
+        raise FormatError(f"{path}: not a {magic.decode()} file")
+    pos = len(magic)
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise FormatError(f"{path}: truncated at byte {pos}, wanted {n} more")
+        pos += n
+        return blob[pos - n : pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    out = {}
+    (count,) = unpack("<I")
+    for _ in range(count):
+        (nlen,) = unpack("<H")
+        try:
+            name = bytes(take(nlen)).decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name at byte {pos - nlen} is not utf-8") from None
+        dt = _DTYPES.get(bytes(take(1)))
+        if dt is None:
+            raise FormatError(f"{path}: unknown dtype code for tensor {name!r}")
+        (nd,) = unpack("<B")
+        shape = unpack(f"<{nd}I")
+        out[name] = np.frombuffer(take(math.prod(shape) * dt.itemsize), dt).reshape(shape)
+    if pos != len(blob):
+        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes")
     return out
 
 

@@ -10,11 +10,11 @@ step is a subtraction after an arithmetic shift of the gradient.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import FormatError, load_tensors, save_tensors
 from .netspec import LayerSpec, NetworkSpec, init_float_params, param_shapes, _propagate
 from .numeric import divide, rescale
 from .protocols import (
@@ -30,7 +30,7 @@ from .protocols import (
     truncate,
 )
 from .numeric import batch_norm_forward
-from .rings import UINT, RingParams, encode_fixed, reduce_mod
+from .rings import UINT, RingError, RingParams, encode_fixed, reduce_mod
 from .rss import (
     RssShare,
     add_public,
@@ -407,52 +407,26 @@ def secure_predict(sess: PartySession, state: NetState, images_raw: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: binary ring tensors with a shape header
+# checkpoints: the tensor container with the ring as one more entry
 
 
-CKPT_MAGIC = b"FALCKPT1"
+CKPT_MAGIC = b"FALCKPT2"
 
 
 def save_checkpoint(path: str, raw_params: dict, params: RingParams):
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<BBH", params.ell, params.fp, params.p))
-        f.write(struct.pack("<I", len(raw_params)))
-        for name in sorted(raw_params):
-            arr = np.ascontiguousarray(raw_params[name], UINT)
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for s in arr.shape:
-                f.write(struct.pack("<I", s))
-            f.write(arr.astype("<u8").tobytes())
+    # parameter names are "<layer>.<param>", so "ring" cannot collide
+    tensors = {name: np.asarray(arr, UINT) for name, arr in raw_params.items()}
+    tensors["ring"] = np.array([params.ell, params.p, params.fp], UINT)
+    save_tensors(path, tensors, CKPT_MAGIC)
 
 
 def load_checkpoint(path: str) -> tuple[dict, RingParams]:
-    with open(path, "rb") as f:
-
-        def read(n: int) -> bytes:
-            buf = f.read(n)
-            if len(buf) != n:
-                raise FormatError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
-            return buf
-
-        if f.read(8) != CKPT_MAGIC:
-            raise FormatError("not a ring checkpoint file")
-        ell, fp, p = struct.unpack("<BBH", read(4))
-        params = RingParams(ell=ell, p=p, fp=fp)
-        (count,) = struct.unpack("<I", read(4))
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode()
-            (nd,) = struct.unpack("<B", read(1))
-            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(nd))
-            n = int(np.prod(shape, dtype=int))
-            out[name] = np.frombuffer(read(8 * n), dtype="<u8").astype(UINT).reshape(shape)
-        return out, params
-
-
-class FormatError(ValueError):
-    pass
+    tensors = load_tensors(path, CKPT_MAGIC)
+    ring = tensors.pop("ring", None)
+    if ring is None or ring.shape != (3,):
+        raise FormatError(f"{path}: no [ell, p, fp] ring entry")
+    try:
+        params = RingParams(ell=int(ring[0]), p=int(ring[1]), fp=int(ring[2]))
+    except RingError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return tensors, params

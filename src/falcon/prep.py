@@ -8,18 +8,17 @@ Two interchangeable generators produce the same artifact types:
   pairwise PRF streams, bit injection and composition over Mult, the wrap
   bit from a binary adder circuit, and Fermat-checked nonzero masks.
 
-Dealer output can be persisted to a per-party binary file of tagged
-records and replayed with FilePrep.
+Any source's output can be recorded with RecordingPrep, persisted to a
+per-party tensor container and replayed with FilePrep.
 """
 
 from __future__ import annotations
 
-import io
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import FormatError, load_tensors, save_tensors
 from .rings import UINT, RingParams, bit_decompose, reduce_mod, wrap3
 from .rss import (
     PartyId,
@@ -35,8 +34,7 @@ from .rss import (
 )
 from .session import PartySession, open_share
 
-PREP_MAGIC = b"FALPREP1"
-_KIND = {"trunc": 1, "compare": 2, "wrap": 3, "bitpair": 4}
+PREP_MAGIC = b"FALPREP2"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +88,11 @@ class BitPair:
 
     def reshape(self, shape) -> "BitPair":
         return BitPair(self.c2.reshape(shape), self.cL.reshape(shape))
+
+
+# the record kinds of a preprocessing file; each artifact's first field
+# leads with the instance count n
+_ARTIFACTS = {"trunc": TruncPair, "compare": CompareRand, "wrap": WrapRand, "bitpair": BitPair}
 
 
 # ---------------------------------------------------------------------------
@@ -376,94 +379,51 @@ def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
 
 
 # ---------------------------------------------------------------------------
-# persistence: tagged records, one file per party
+# persistence: one tensor container per party, each artifact flattened over
+# its dataclass fields ("trunc.<i>.r.lo", "trunc.<i>.d", ...)
 
 
 def save_prep_file(path: str, party: PartyId, params: RingParams, records: dict):
     """records: {"trunc": [TruncPair, ...], "compare": [...], "wrap": [...], "bitpair": [...]}"""
-    buf = io.BytesIO()
-    buf.write(PREP_MAGIC)
-    buf.write(struct.pack("<BBH", party.index, params.ell, params.p))
+    tensors = {"session": np.array([party.index, params.ell, params.p], UINT)}
     for kind, items in records.items():
-        for item in items:
-            _write_record(buf, kind, item, params)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        for i, item in enumerate(items):
+            for f in fields(item):
+                key, value = f"{kind}.{i}.{f.name}", getattr(item, f.name)
+                if isinstance(value, RssShare):
+                    tensors[f"{key}.lo"], tensors[f"{key}.hi"] = value.lo, value.hi
+                    tensors[f"{key}.mod"] = np.uint64(value.mod % (1 << 64))  # 0 marks 2^64
+                else:  # the trunc shift: an int or a per-element array
+                    tensors[key] = np.asarray(value, np.int64).astype(UINT)
+    save_tensors(path, tensors, PREP_MAGIC)
 
 
-def _write_arr(buf, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr, UINT)
-    buf.write(struct.pack("<I", arr.ndim))
-    for s in arr.shape:
-        buf.write(struct.pack("<I", s))
-    buf.write(arr.astype("<u8").tobytes())
+def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
+    """The records dict of artifact lists, if the file was written for this
+    party and ring."""
+    tensors = load_tensors(path, PREP_MAGIC)
 
+    def need(key: str) -> np.ndarray:
+        if key not in tensors:
+            raise FormatError(f"{path}: missing {key!r}")
+        return tensors[key]
 
-def _read_arr(buf) -> np.ndarray:
-    (nd,) = struct.unpack("<I", buf.read(4))
-    shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(nd))
-    count = int(np.prod(shape, dtype=int))
-    return np.frombuffer(buf.read(8 * count), dtype="<u8").astype(UINT).reshape(shape)
+    header = need("session").tolist()
+    if header != [party.index, params.ell, params.p]:
+        raise FormatError(f"{path}: written for (party, ell, p) = {tuple(header)}, "
+                          f"not {(party.index, params.ell, params.p)}")
 
+    def field_value(key: str):
+        if key in tensors:
+            return tensors[key].astype(np.int64)
+        return RssShare(need(f"{key}.lo"), need(f"{key}.hi"), int(need(f"{key}.mod")) or 1 << 64)
 
-def _write_share(buf, sh: RssShare):
-    buf.write(struct.pack("<Q", sh.mod if sh.mod < (1 << 63) else 0))  # 0 marks 2^64
-    _write_arr(buf, sh.lo)
-    _write_arr(buf, sh.hi)
-
-
-def _read_share(buf) -> RssShare:
-    (mod,) = struct.unpack("<Q", buf.read(8))
-    if mod == 0:
-        mod = 1 << 64
-    lo = _read_arr(buf)
-    hi = _read_arr(buf)
-    return RssShare(lo, hi, mod)
-
-
-def _write_record(buf, kind: str, item, params: RingParams):
-    buf.write(struct.pack("<B", _KIND[kind]))
-    if kind == "trunc":
-        _write_arr(buf, np.broadcast_to(np.asarray(item.d, np.int64), item.r.shape).astype(UINT))
-        _write_share(buf, item.r)
-        _write_share(buf, item.r_shift)
-    elif kind == "compare":
-        _write_share(buf, item.beta2)
-        _write_share(buf, item.beta_p)
-        _write_share(buf, item.m)
-    elif kind == "wrap":
-        _write_share(buf, item.x)
-        _write_share(buf, item.xbits)
-        _write_share(buf, item.alpha)
-    elif kind == "bitpair":
-        _write_share(buf, item.c2)
-        _write_share(buf, item.cL)
-
-
-def load_prep_file(path: str) -> tuple[int, dict]:
-    """Returns (party_index, records dict of artifact lists)."""
-    with open(path, "rb") as f:
-        buf = io.BytesIO(f.read())
-    if buf.read(8) != PREP_MAGIC:
-        raise ValueError("not a preprocessing file")
-    party, ell, p = struct.unpack("<BBH", buf.read(4))
-    records = {k: [] for k in _KIND}
-    inv = {v: k for k, v in _KIND.items()}
-    while True:
-        head = buf.read(1)
-        if not head:
-            break
-        kind = inv[head[0]]
-        if kind == "trunc":
-            d = _read_arr(buf).astype(np.int64)
-            records[kind].append(TruncPair(_read_share(buf), _read_share(buf), d))
-        elif kind == "compare":
-            records[kind].append(CompareRand(_read_share(buf), _read_share(buf), _read_share(buf)))
-        elif kind == "wrap":
-            records[kind].append(WrapRand(_read_share(buf), _read_share(buf), _read_share(buf)))
-        elif kind == "bitpair":
-            records[kind].append(BitPair(_read_share(buf), _read_share(buf)))
-    return party, records
+    records = {}
+    for kind, cls in _ARTIFACTS.items():
+        count = len({name.split(".")[1] for name in tensors if name.startswith(kind + ".")})
+        records[kind] = [cls(*(field_value(f"{kind}.{i}.{f.name}") for f in fields(cls)))
+                         for i in range(count)]
+    return records
 
 
 class RecordingPrep:
@@ -471,68 +431,55 @@ class RecordingPrep:
 
     def __init__(self, inner):
         self.inner = inner
-        self.records = {k: [] for k in _KIND}
+        self.records = {k: [] for k in _ARTIFACTS}
 
-    def trunc_pairs(self, n: int, d: int) -> TruncPair:
-        item = self.inner.trunc_pairs(n, d)
-        self.records["trunc"].append(item)
+    def _record(self, kind: str, item):
+        self.records[kind].append(item)
         return item
+
+    def trunc_pairs(self, n: int, d) -> TruncPair:
+        return self._record("trunc", self.inner.trunc_pairs(n, d))
 
     def wrap_rands(self, n: int) -> WrapRand:
-        item = self.inner.wrap_rands(n)
-        self.records["wrap"].append(item)
-        return item
+        return self._record("wrap", self.inner.wrap_rands(n))
 
     def compare_rands(self, n: int) -> CompareRand:
-        item = self.inner.compare_rands(n)
-        self.records["compare"].append(item)
-        return item
+        return self._record("compare", self.inner.compare_rands(n))
 
     def bit_pairs(self, n: int) -> BitPair:
-        item = self.inner.bit_pairs(n)
-        self.records["bitpair"].append(item)
-        return item
-
-    def save(self, path: str, party: PartyId, params: RingParams):
-        save_prep_file(path, party, params, self.records)
+        return self._record("bitpair", self.inner.bit_pairs(n))
 
 
 class FilePrep:
-    """Replays dealer artifacts from a per-party file, in order."""
+    """Replays recorded artifacts from a per-party file, in order."""
 
-    def __init__(self, path: str):
-        self.party_index, self.records = load_prep_file(path)
+    def __init__(self, path: str, party: PartyId, params: RingParams):
+        self.records = load_prep_file(path, party, params)
         self._cursors = {k: 0 for k in self.records}
 
-    def _take(self, kind: str):
+    def _take(self, kind: str, n: int):
         idx = self._cursors[kind]
         if idx >= len(self.records[kind]):
             raise RuntimeError(f"preprocessing file exhausted for {kind!r}")
         self._cursors[kind] += 1
-        return self.records[kind][idx]
+        item = self.records[kind][idx]
+        if getattr(item, fields(item)[0].name).shape != (n,):
+            raise RuntimeError("preprocessing file does not match the requested order")
+        return item
 
     def trunc_pairs(self, n: int, d) -> TruncPair:
-        item = self._take("trunc")
+        item = self._take("trunc", n)
         want = np.broadcast_to(np.asarray(d, np.int64), (n,))
         have = np.broadcast_to(np.asarray(item.d, np.int64), item.r.shape)
-        if item.r.shape != (n,) or not np.array_equal(have, want):
+        if not np.array_equal(have, want):
             raise RuntimeError("preprocessing file does not match the requested order")
         return item
 
     def wrap_rands(self, n: int) -> WrapRand:
-        item = self._take("wrap")
-        if item.x.shape != (n,):
-            raise RuntimeError("preprocessing file does not match the requested order")
-        return item
+        return self._take("wrap", n)
 
     def compare_rands(self, n: int) -> CompareRand:
-        item = self._take("compare")
-        if item.beta2.shape != (n,):
-            raise RuntimeError("preprocessing file does not match the requested order")
-        return item
+        return self._take("compare", n)
 
     def bit_pairs(self, n: int) -> BitPair:
-        item = self._take("bitpair")
-        if item.c2.shape != (n,):
-            raise RuntimeError("preprocessing file does not match the requested order")
-        return item
+        return self._take("bitpair", n)

@@ -242,12 +242,17 @@ class TcpLinks(PartyLinks):
             try:
                 while pending:
                     conn, _ = srv.accept()
-                    hello = conn.recv(1)
+                    conn.settimeout(self.timeout)  # a silent dialer must not block set-up
+                    try:
+                        hello = conn.recv(1)
+                    except TimeoutError:
+                        hello = b""
                     if not hello or hello[0] not in pending:
                         for sock in (conn, *self.socks.values()):
                             sock.close()
-                        raise DesyncError(f"P{self.party} got hello {hello!r}, "
+                        raise DesyncError(f"P{self.party} got hello {hello!r} within {self.timeout}s, "
                                           f"expected one of {sorted(pending)}")
+                    conn.settimeout(None)  # receive timeouts come from Pipe.get
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     self.socks[hello[0]] = conn
                     pending.discard(hello[0])
@@ -264,6 +269,7 @@ class TcpLinks(PartyLinks):
                     if time.monotonic() > deadline:
                         raise
                     time.sleep(0.05)  # peer's listener may not be up yet
+            sock.settimeout(None)  # an idle peer is not a closed one
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(bytes([self.party]))
             self.socks[peer] = sock

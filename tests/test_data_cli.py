@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from falcon.data import (
     ingest_mnist,
     load_tensors,
     read_idx_images,
+    save_tensors,
     synth_digits,
     write_idx_labels,
     write_synth_idx,
 )
-from falcon.rings import RingParams, decode_fixed, encode_fixed
+from falcon.prep import DealerPrep, RecordingPrep, load_prep_file, save_prep_file
+from falcon.rings import UINT, RingParams, decode_fixed, encode_fixed
+from falcon.rss import PartyId
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
 
@@ -95,6 +99,54 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(nn.FormatError):
         nn.load_checkpoint(str(p))
+
+
+def _store_file(path):
+    save_tensors(path, {"images": np.arange(12, dtype=np.uint64).reshape(3, 4),
+                        "labels": np.arange(3, dtype=np.uint8)})
+    return lambda: load_tensors(path)
+
+
+def _checkpoint_file(path):
+    nn.save_checkpoint(path, {"0.w": encode_fixed(np.ones((4, 3)), PARAMS),
+                              "0.b": encode_fixed(np.zeros(3), PARAMS)}, PARAMS)
+    return lambda: nn.load_checkpoint(path)
+
+
+def _prep_file(path):
+    rec = RecordingPrep(DealerPrep(PartyId(1), PARAMS, seed=1))
+    rec.trunc_pairs(4, PARAMS.fp)
+    rec.bit_pairs(4)
+    save_prep_file(path, PartyId(1), PARAMS, rec.records)
+    return lambda: load_prep_file(path, PartyId(1), PARAMS)
+
+
+def _unknown_dtype(blob):
+    (nlen,) = struct.unpack_from("<H", blob, 12)  # the first name's length
+    return blob[: 14 + nlen] + b"x" + blob[15 + nlen :]
+
+
+_DAMAGE = {
+    "magic": lambda blob: b"NOTMAGIC" + blob[8:],
+    "cut10": lambda blob: blob[:10],
+    "cut20": lambda blob: blob[:20],
+    "cut-5": lambda blob: blob[:-5],
+    "dtype": _unknown_dtype,
+}
+
+
+@pytest.mark.parametrize("damage", _DAMAGE)
+@pytest.mark.parametrize("write", [_store_file, _checkpoint_file, _prep_file],
+                         ids=["store", "checkpoint", "prep"])
+def test_malformed_file_raises_format_error(tmp_path, write, damage):
+    path = str(tmp_path / "file")
+    load = write(path)
+    load()
+    blob = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(_DAMAGE[damage](blob))
+    with pytest.raises(FormatError):
+        load()
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +240,30 @@ def test_cli_truncated_checkpoint(mini_setup, capsys, cut):
     with pytest.raises(nn.FormatError):
         nn.load_checkpoint(str(bad))
     rc = cli.main(["infer", "--net", net_path, "--weights", str(bad), "--data", store])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["truncated-data", "ring-ell7"])
+def test_cli_bad_input_file_reports_error(mini_setup, capsys, bad):
+    d, store, net_path = mini_setup
+    from falcon.netspec import NetworkSpec, init_float_params
+
+    net = NetworkSpec.from_json(open(net_path).read())
+    ckpt = str(d / f"{bad}.ckpt")
+    data = str(d / f"{bad}.bin")
+    if bad == "truncated-data":
+        nn.save_checkpoint(ckpt, {k: encode_fixed(v, PARAMS)
+                                  for k, v in init_float_params(net, seed=1).items()}, PARAMS)
+        blob = open(store, "rb").read()
+        with open(data, "wb") as f:
+            f.write(blob[: len(blob) // 2])
+    else:
+        save_tensors(ckpt, {"ring": np.array([7, 37, 4], UINT)}, nn.CKPT_MAGIC)
+        with pytest.raises(FormatError):
+            nn.load_checkpoint(ckpt)
+        data = store
+    rc = cli.main(["infer", "--net", net_path, "--weights", ckpt, "--data", data, "--count", "4"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 

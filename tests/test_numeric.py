@@ -171,7 +171,9 @@ def test_sqrt_examples_and_range(params):
         a = shared_input(sess, encode_fixed(b, params), params.L)
         return P.reconstruct(sess, N.sqrt_newton(sess, a))
 
-    got2 = decode_fixed(run_shared(params, job2)[0], params)
+    raw2 = run_shared(params, job2)[0]
+    assert np.array_equal(raw2, O.fx_sqrt(encode_fixed(b, params), params))
+    got2 = decode_fixed(raw2, params)
     bq = decode_fixed(encode_fixed(b, params), params)
     rel = np.abs(got2 - np.sqrt(bq)) / np.sqrt(bq)
     assert rel.max() <= 1e-3

@@ -1,9 +1,12 @@
 """Preprocessing artifacts: reconstruct-and-recompute oracles, both modes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from falcon import protocols as P
+from falcon.data import FormatError
 from falcon.prep import (
     DealerPrep,
     DistributedPrep,
@@ -12,9 +15,10 @@ from falcon.prep import (
     bit_compose,
     bit_inject,
     sample_shared_bits,
+    save_prep_file,
 )
 from falcon.rings import RingParams, shift_signed, signed, wrap3
-from falcon.rss import PartyId
+from falcon.rss import PartyId, RssShare
 from falcon.session import run_three_parties
 from conftest import reconstruct_all
 
@@ -218,13 +222,13 @@ def test_prep_file_roundtrip(tmp_path):
         sess.prep = RecordingPrep(DealerPrep(sess.party, PARAMS, seed=8))
         x = shared_input(sess, np.arange(16, dtype=np.uint64), PARAMS.L)
         out = P.reconstruct(sess, P.relu(sess, x))
-        sess.prep.save(str(path) + f".p{sess.party.index}", sess.party, PARAMS)
+        save_prep_file(str(path) + f".p{sess.party.index}", sess.party, PARAMS, sess.prep.records)
         return out
 
     first = run_three_parties(record, PARAMS, session_seed=9)
 
     def replay(sess):
-        sess.prep = FilePrep(str(path) + f".p{sess.party.index}")
+        sess.prep = FilePrep(str(path) + f".p{sess.party.index}", sess.party, PARAMS)
         x = shared_input(sess, np.arange(16, dtype=np.uint64), PARAMS.L)
         return P.reconstruct(sess, P.relu(sess, x))
 
@@ -232,9 +236,37 @@ def test_prep_file_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def replay_wrong_order(sess):
-        sess.prep = FilePrep(str(path) + f".p{sess.party.index}")
+        sess.prep = FilePrep(str(path) + f".p{sess.party.index}", sess.party, PARAMS)
         x = shared_input(sess, np.arange(8, dtype=np.uint64), PARAMS.L)
         return P.reconstruct(sess, P.relu(sess, x))
 
     with pytest.raises(RuntimeError):
         run_three_parties(replay_wrong_order, PARAMS, session_seed=9)
+
+
+def test_prep_file_checks_party_and_ring(tmp_path):
+    # every field of every kind round-trips; P2 replaying P1's material (or
+    # another ring's) must fail on load: in semi-honest mode ReLU would
+    # otherwise go silently wrong
+    path = str(tmp_path / "prep.p1")
+    rec = RecordingPrep(DealerPrep(PartyId(1), PARAMS, seed=10))
+    rec.trunc_pairs(4, PARAMS.fp)
+    rec.trunc_pairs(3, np.array([2, 5, 13]))
+    rec.compare_rands(4)
+    rec.wrap_rands(4)
+    rec.bit_pairs(4)
+    save_prep_file(path, PartyId(1), PARAMS, rec.records)
+    back = FilePrep(path, PartyId(1), PARAMS).records
+    for kind, items in rec.records.items():
+        assert len(back[kind]) == len(items)
+        for item, got in zip(items, back[kind]):
+            for f in fields(item):
+                a, b = getattr(item, f.name), getattr(got, f.name)
+                if isinstance(a, RssShare):
+                    assert a.mod == b.mod
+                    a, b = (a.lo, a.hi), (b.lo, b.hi)
+                assert np.array_equal(a, b)
+    for party, params in [(PartyId(2), PARAMS), (PartyId(1), RingParams(ell=32, p=41, fp=13)),
+                          (PartyId(1), RingParams(ell=16, p=37, fp=8))]:
+        with pytest.raises(FormatError):
+            FilePrep(path, party, params)

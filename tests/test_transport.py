@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,51 @@ def test_tcp_bad_hello_raises_desync(hello):
     t.join(10.0)
     assert not t.is_alive()
     assert len(errors) == 1 and isinstance(errors[0], DesyncError), errors
+
+
+def test_tcp_silent_dialer_raises_desync():
+    # a dialer that connects but never says hello fails the set-up within
+    # the transport timeout instead of blocking the listener forever
+    addresses = {2: ("127.0.0.1", _free_port()), 3: ("127.0.0.1", _free_port())}
+    errors = []
+
+    def listen():
+        try:
+            TcpLinks(2, addresses, timeout=1.0).close()
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    t = threading.Thread(target=listen, daemon=True)
+    t.start()
+    for _ in range(100):
+        try:
+            sock = socket.create_connection(addresses[2], timeout=1.0)
+            break
+        except OSError:
+            t.join(0.05)
+    try:
+        t.join(5.0)
+        assert not t.is_alive()
+    finally:
+        sock.close()
+    assert len(errors) == 1 and isinstance(errors[0], DesyncError), errors
+
+
+def test_tcp_idle_session_survives():
+    # a peer idle for longer than the timeout between rounds is not a
+    # closed peer: only a receive that waits too long times out
+    def job(sess):
+        first = P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+                                                 sess.shared_rng)[sess.party.index - 1])
+        time.sleep(2.0)
+        second = P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+                                                  sess.shared_rng)[sess.party.index - 1])
+        return first, second
+
+    addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)}
+    out = run_three_parties(job, PARAMS, session_seed=0, backend="tcp", addresses=addresses,
+                            timeout=1.0)
+    assert all(np.array_equal(a, np.arange(4)) and np.array_equal(b, np.arange(4)) for a, b in out)
 
 
 def test_recv_timeout():
