@@ -165,8 +165,7 @@ def _glyph(digit: int) -> np.ndarray:
     return np.array([[int(c) for c in row] for row in _FONT[digit]], dtype=np.float64)
 
 
-def synth_digits(n: int, seed: int = 0, shear_max: float = 0.08, noise: float = 0.015,
-                 dim_lo: float = 0.9, jitter: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def synth_digits(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """n jittered digit images (uint8, 28x28) with labels, deterministic.
 
     Difficulty is calibrated so a small MLP behaves roughly as it does on
@@ -182,7 +181,7 @@ def synth_digits(n: int, seed: int = 0, shear_max: float = 0.08, noise: float = 
         img = np.kron(g, np.ones((scale, scale)))
         if rng.random() < 0.3:  # thicken strokes
             img = np.maximum(img, np.roll(img, 1, axis=rng.integers(0, 2)))
-        shear = rng.uniform(-shear_max, shear_max)
+        shear = rng.uniform(-0.08, 0.08)
         h, w = img.shape
         sheared = np.zeros((h, w + 4))
         for r in range(h):
@@ -191,12 +190,12 @@ def synth_digits(n: int, seed: int = 0, shear_max: float = 0.08, noise: float = 
         img = sheared
         h, w = img.shape
         base_t, base_l = (28 - h) // 2, (28 - w) // 2
-        top = int(np.clip(base_t + rng.integers(-jitter, jitter + 1), 0, 28 - h))
-        left = int(np.clip(base_l + rng.integers(-jitter, jitter + 1), 0, 28 - w))
+        top = int(np.clip(base_t + rng.integers(-3, 4), 0, 28 - h))
+        left = int(np.clip(base_l + rng.integers(-3, 4), 0, 28 - w))
         canvas = np.zeros((28, 28))
         canvas[top : top + h, left : left + w] = img
-        canvas *= rng.uniform(dim_lo, 1.0)
-        canvas += rng.normal(0, noise, (28, 28))
+        canvas *= rng.uniform(0.9, 1.0)
+        canvas += rng.normal(0, 0.015, (28, 28))
         images[i] = np.clip(canvas, 0.0, 0.999)
     return (images * 256).astype(np.uint8), labels
 

@@ -39,7 +39,6 @@ from .rss import (
     concat_shares,
     expand_last,
     public_share,
-    scale_share,
     share_secret,
     sub_shares,
     sum_share,
@@ -96,13 +95,15 @@ def share_weights(sess: PartySession, net: NetworkSpec, raws: dict) -> NetState:
 
 
 def forward(sess: PartySession, state: NetState, batch: RssShare) -> RssShare:
-    """Secure forward pass; returns logits (B, classes) and fills caches."""
+    """Secure forward pass; returns logits (B, classes) and fills caches,
+    each with the shape its layer's gradient arrives in."""
     x = batch
     if len(state.net.input_shape) == 1 and x.lo.ndim != 2:
         x = x.reshape(x.shape[0], -1)
     for layer, st in zip(state.net.layers, state.layers):
         st.cache = {}
         x = _layer_forward(sess, layer, st, x)
+        st.cache["out_shape"] = x.shape
     if x.lo.ndim > 2:
         x = x.reshape(x.shape[0], -1)
     return x
@@ -157,27 +158,17 @@ def _pool_windows(x: RssShare, window: int, stride: int, Ho: int, Wo: int) -> Rs
 
 def _channels_first(x: RssShare):
     """Group activations per channel/feature: (C, B*spatial) plus a restorer."""
-    if x.lo.ndim == 2:  # (B, D) -> (D, B)
-        grouped = transpose(x)
+    B, C = x.shape[:2]
+    moved = (C, B) + x.shape[2:]
 
-        def restore(y: RssShare) -> RssShare:
-            return transpose(y)
-
-        return grouped, restore
-    B, C, H, W = x.shape
-
-    def to_grouped(a):
-        return a.transpose(1, 0, 2, 3).reshape(C, B * H * W)
-
-    def from_grouped(a):
-        return a.reshape(C, B, H, W).transpose(1, 0, 2, 3)
-
-    grouped = RssShare(to_grouped(x.lo), to_grouped(x.hi), x.mod)
+    def group(a):
+        return np.moveaxis(a, 1, 0).reshape(C, -1)
 
     def restore(y: RssShare) -> RssShare:
-        return RssShare(from_grouped(y.lo), from_grouped(y.hi), y.mod)
+        return RssShare(np.moveaxis(y.lo.reshape(moved), 0, 1),
+                        np.moveaxis(y.hi.reshape(moved), 0, 1), y.mod)
 
-    return grouped, restore
+    return RssShare(group(x.lo), group(x.hi), x.mod), restore
 
 
 # ---------------------------------------------------------------------------
@@ -189,39 +180,27 @@ def backward(sess: PartySession, state: NetState, loss_grad: RssShare) -> dict:
     grads: dict = {}
     delta = loss_grad
     for i in range(len(state.net.layers) - 1, -1, -1):
-        layer = state.net.layers[i]
         st = state.layers[i]
-        if layer.kind != "bn" and layer.kind in ("fc", "conv") and "a_in" not in st.cache:
+        if "out_shape" not in st.cache:
             raise MissingCacheError("forward() must run before backward()")
-        delta = _layer_backward(sess, layer, st, delta, grads, i)
+        delta = delta.reshape(st.cache["out_shape"])
+        delta = _layer_backward(sess, state.net.layers[i], st, delta, grads, i)
     return grads
 
 
 def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta: RssShare,
                     grads: dict, idx: int) -> RssShare:
-    params = sess.params
+    """delta arrives in the layer's output shape; returns it for the input."""
     if layer.kind == "fc":
-        if delta.lo.ndim > 2:
-            delta = delta.reshape(delta.shape[0], -1)
-        a_in = st.cache["a_in"]
-        grads[f"{idx}.w"] = matmul(sess, transpose(a_in), delta, truncate_after=True)
+        grads[f"{idx}.w"] = matmul(sess, transpose(st.cache["a_in"]), delta, truncate_after=True)
         grads[f"{idx}.b"] = sum_share(delta, 0)
         return matmul(sess, delta, transpose(st.params["w"]), truncate_after=True)
     if layer.kind == "conv":
         a_in = st.cache["a_in"]
         B, C, H, W = a_in.shape
-        Cout = layer.out_ch
+        _, Cout, Ho, Wo = delta.shape
         F, S, Pd = layer.kernel, layer.stride, layer.pad
-        Ho = (H - F + 2 * Pd) // S + 1
-        Wo = (W - F + 2 * Pd) // S + 1
-        if delta.lo.ndim == 2:
-            delta = delta.reshape(B, Cout, Ho, Wo)
-        # delta as (Cout, B*Ho*Wo)
-        dmat = RssShare(
-            delta.lo.transpose(1, 0, 2, 3).reshape(Cout, -1),
-            delta.hi.transpose(1, 0, 2, 3).reshape(Cout, -1),
-            delta.mod,
-        )
+        dmat, _ = _channels_first(delta)  # (Cout, B*Ho*Wo)
         cols = RssShare(_im2col(a_in.lo, F, S, Pd, Ho, Wo), _im2col(a_in.hi, F, S, Pd, Ho, Wo), a_in.mod)
         dw = matmul(sess, dmat, transpose(cols), truncate_after=True)
         grads[f"{idx}.w"] = dw.reshape(Cout, C, F, F)
@@ -232,20 +211,11 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         dx_hi = col2im(dcols.hi, (B, C, H, W), F, S, Pd, a_in.mod)
         return RssShare(dx_lo, dx_hi, a_in.mod)
     if layer.kind == "relu":
-        if "drelu" not in st.cache:
-            raise MissingCacheError("relu backward needs the cached derivative bits")
-        bits = st.cache["drelu"]
-        if bits.shape != delta.shape:
-            delta = delta.reshape(bits.shape)
         zero = public_share(sess.party, np.uint64(0), delta.mod, shape=delta.shape)
-        return select_shares(sess, zero, delta, bits)
+        return select_shares(sess, zero, delta, st.cache["drelu"])
     if layer.kind == "maxpool":
-        if "onehot" not in st.cache:
-            raise MissingCacheError("maxpool backward needs the cached one-hots")
         onehot = st.cache["onehot"]  # (B, C, Ho, Wo, F*F), integer 0/1
         B, C, H, W = st.cache["in_shape"]
-        if delta.lo.ndim == 2:
-            delta = delta.reshape(onehot.shape[:-1])
         routed = mult(sess, onehot, expand_last(delta, onehot.shape))
 
         def scatter(a):  # adjoint of _pool_windows
@@ -254,36 +224,34 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
 
         return RssShare(scatter(routed.lo), scatter(routed.hi), delta.mod)
     if layer.kind == "bn":
-        return _bn_backward(sess, layer, st, delta, grads, idx)
+        return _bn_backward(sess, st, delta, grads, idx)
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
-def _bn_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta: RssShare,
-                 grads: dict, idx: int) -> RssShare:
+def _bn_backward(sess: PartySession, st: LayerState, delta: RssShare, grads: dict,
+                 idx: int) -> RssShare:
     """Standard batch-norm gradient from the cached z and 1/sigma.
 
-    dx = (gamma * inv / m) * (m*dy - sum(dy) - z * sum(dy*z))
+    dx = gamma * inv * (dy - mean(dy) - z * mean(dy*z)); the means are taken
+    before the products so every truncation input stays inside the envelope.
     """
-    params = sess.params
-    fp = params.fp
-    if "z" not in st.cache:
-        raise MissingCacheError("bn backward needs the cached normalized activations")
+    fp = sess.params.fp
     z, inv, m = st.cache["z"], st.cache["inv"], st.cache["m"]
-    grouped, restore = _channels_first(delta)
-    dy = grouped  # (C, m)
-    dyz = truncate(sess, mult(sess, dy, z), fp)
-    grads[f"{idx}.gamma"] = sum_share(dyz, -1)
-    grads[f"{idx}.beta"] = sum_share(dy, -1)
     if m & (m - 1):
         raise ValueError("bn training requires a power-of-two group size")
-    shift = int(np.log2(m))
+    dy, restore = _channels_first(delta)  # (C, m)
+    dyz = truncate(sess, mult(sess, dy, z), fp)
     sum_dy = sum_share(dy, -1)
     sum_dyz = sum_share(dyz, -1)
-    t = sub_shares(scale_share(np.uint64(m), dy), expand_last(sum_dy, dy.shape))
-    zs = truncate(sess, mult(sess, z, expand_last(sum_dyz, z.shape)), fp)
-    t = sub_shares(t, zs)
+    grads[f"{idx}.gamma"] = sum_dyz
+    grads[f"{idx}.beta"] = sum_dy
+    C = sum_dy.shape[0]
+    means = truncate(sess, concat_shares([sum_dy, sum_dyz]), int(np.log2(m)))
+    mean_dy, mean_dyz = means[:C], means[C:]
+    zs = truncate(sess, mult(sess, z, expand_last(mean_dyz, z.shape)), fp)
+    t = sub_shares(sub_shares(dy, expand_last(mean_dy, dy.shape)), zs)
     g_inv = truncate(sess, mult(sess, st.params["gamma"], inv), fp)  # (C,)
-    out = truncate(sess, mult(sess, expand_last(g_inv, t.shape), t), fp + shift)
+    out = truncate(sess, mult(sess, expand_last(g_inv, t.shape), t), fp)
     return restore(out)
 
 
@@ -340,7 +308,7 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
     probs = truncate(sess, mult(sess, r, expand_last(recip, r.shape)), fp)
     uniform = public_share(sess.party, np.uint64(round((1 << fp) / classes)),
                            params.L, shape=r.shape)
-    phat = select_shares(sess, uniform, probs, expand_last(pos, r.shape))
+    phat = select_shares(sess, uniform, probs, pos)
     onehot_raw = reduce_mod(-encode_fixed(np.asarray(onehot, np.float64), params).astype(np.int64),
                             params.L)
     delta = add_public(sess.party, phat, onehot_raw)
@@ -355,8 +323,7 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
 
 def train_secure(sess: PartySession, net: NetworkSpec, images_raw: np.ndarray,
                  labels: np.ndarray, iters: int, batch: int, lr_shift: int = 8,
-                 delta_shift: int = 2, batch_seed: int = 2024,
-                 float_params: dict | None = None, init_seed: int = 3,
+                 delta_shift: int = 2, batch_seed: int = 2024, init_seed: int = 3,
                  log=None, eval_every: int = 0, eval_cb=None) -> NetState:
     """Secure SGD over a public-to-the-operator dataset (harness convention).
 
@@ -364,7 +331,7 @@ def train_secure(sess: PartySession, net: NetworkSpec, images_raw: np.ndarray,
     the plaintext fixed-point twin trained with the same seeds must end
     with bit-identical weights.
     """
-    state = init_state(sess, net, float_params, seed=init_seed)
+    state = init_state(sess, net, seed=init_seed)
     rng = np.random.default_rng(batch_seed)
     n = len(images_raw)
     for it in range(iters):
@@ -392,14 +359,13 @@ def open_params(sess: PartySession, state: NetState) -> dict:
     }
 
 
-def secure_predict(sess: PartySession, state: NetState, images_raw: np.ndarray,
-                   batch: int = 250) -> np.ndarray:
-    """Argmax predictions over a public evaluation slice."""
+def secure_predict(sess: PartySession, state: NetState, images_raw: np.ndarray) -> np.ndarray:
+    """Argmax predictions over a public evaluation slice, 250 images a batch."""
     from .rings import signed
 
     outs = []
-    for k in range(0, len(images_raw), batch):
-        xb = share_secret(images_raw[k : k + batch], sess.params.L,
+    for k in range(0, len(images_raw), 250):
+        xb = share_secret(images_raw[k : k + 250], sess.params.L,
                           sess.shared_rng)[sess.party.index - 1]
         logits = open_share(sess, forward(sess, state, xb))
         outs.append(signed(logits, sess.params).argmax(axis=1))

@@ -115,8 +115,7 @@ def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np
 # division
 
 
-def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None = None,
-           alpha=None) -> RssShare:
+def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None = None) -> RssShare:
     """Fixed-point a / b for a secret positive divisor.
 
     The divisor is read at precision alpha+1 as x in [0.5, 1); the series
@@ -128,12 +127,10 @@ def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None 
     params = sess.params
     fp = params.fp
     w = working_precision(params)
-    if alpha is None:
-        alpha = bounding_power(sess, b)  # DomainError on b <= 0
     n = int(np.prod(b.shape, dtype=int))
     flat_a = a.reshape(n)
     flat_b = b.reshape(n)
-    alpha = np.asarray(alpha).reshape(n)
+    alpha = bounding_power(sess, flat_b)  # DomainError on b <= 0
     q = alpha + 1
 
     y = _reciprocal_series(sess, flat_b, q, w)  # ~ (1/x) at precision w
@@ -244,11 +241,11 @@ def sqrt_newton(sess: PartySession, a: RssShare) -> RssShare:
 
 
 def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta: RssShare,
-                       eps_bits: int = 10, want_cache: bool = False):
+                       want_cache: bool = False):
     """gamma * (a - mu)/sqrt(var + eps) + beta over the last axis.
 
     acts is (..., m); gamma/beta broadcast over the leading axes. eps is
-    the public constant 2^{-eps_bits}. Per-element squared deviations are
+    the public constant 2^-10. Per-element squared deviations are
     truncated before summing so the accumulant stays in the safe envelope.
     """
     params = sess.params
@@ -258,10 +255,9 @@ def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta
     dev = sub_shares(acts, expand_last(mu, acts.shape))
     sq = rescale(sess, mult(sess, dev, dev), fp)
     var = _mean_last_axis(sess, sq, m)
-    eps_raw = np.uint64(1 << (fp - eps_bits)) if fp >= eps_bits else np.uint64(0)
-    if eps_raw == 0:
-        raise DomainError("fp must be at least eps_bits for the BN epsilon")
-    b = add_public(sess.party, var, eps_raw)
+    if fp < 10:
+        raise DomainError("fp must be at least 10 for the BN epsilon 2^-10")
+    b = add_public(sess.party, var, np.uint64(1 << (fp - 10)))
     alpha = bounding_power(sess, b, validate=False)
     inv = inv_sqrt_newton(sess, b, alpha)
     z = rescale(sess, mult(sess, dev, expand_last(inv, acts.shape)), fp)

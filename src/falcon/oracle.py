@@ -292,8 +292,6 @@ def _oracle_col2im(cols: np.ndarray, img_shape, F: int, stride: int, pad: int, m
 def fx_forward(net, raw_params: dict, batch_raw: np.ndarray, params: RingParams,
                caches: list | None = None) -> np.ndarray:
     """Plaintext fixed-point forward; optionally records per-layer caches."""
-    from .netspec import _propagate  # shared declarative types only
-
     x = np.asarray(batch_raw, UINT)
     if len(net.input_shape) == 1 and x.ndim != 2:
         x = x.reshape(x.shape[0], -1)
@@ -436,16 +434,16 @@ def _fx_bn_backward(layer, raw_params, cache, delta, grads, i, params: RingParam
     grouped, restore = _fx_channels_first(delta)
     dy = grouped
     dyz = fx_trunc(mul_mod(dy, z, L), fp, params)
-    grads[f"{i}.gamma"] = reduce_mod(dyz.sum(axis=-1, dtype=np.uint64), L)
-    grads[f"{i}.beta"] = reduce_mod(dy.sum(axis=-1, dtype=np.uint64), L)
-    shift = int(np.log2(m))
     sum_dy = reduce_mod(dy.sum(axis=-1, dtype=np.uint64), L)
     sum_dyz = reduce_mod(dyz.sum(axis=-1, dtype=np.uint64), L)
-    t = sub_mod(mul_mod(np.uint64(m), dy, L), sum_dy[..., None], L)
-    zs = fx_trunc(mul_mod(z, sum_dyz[..., None], L), fp, params)
-    t = sub_mod(t, zs, L)
+    grads[f"{i}.gamma"] = sum_dyz
+    grads[f"{i}.beta"] = sum_dy
+    # the means come before the products: dy - mean(dy) - z * mean(dy*z)
+    mean_dy, mean_dyz = fx_trunc(np.stack([sum_dy, sum_dyz]), int(np.log2(m)), params)
+    zs = fx_trunc(mul_mod(z, mean_dyz[..., None], L), fp, params)
+    t = sub_mod(sub_mod(dy, mean_dy[..., None], L), zs, L)
     g_inv = fx_trunc(mul_mod(raw_params[f"{i}.gamma"], inv, L), fp, params)
-    out = fx_trunc(mul_mod(g_inv[..., None], t, L), fp + shift, params)
+    out = fx_trunc(mul_mod(g_inv[..., None], t, L), fp, params)
     return restore(out)
 
 

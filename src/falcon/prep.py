@@ -413,16 +413,30 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
         raise FormatError(f"{path}: written for (party, ell, p) = {tuple(header)}, "
                           f"not {(party.index, params.ell, params.p)}")
 
-    def field_value(key: str):
-        if key in tensors:
-            return tensors[key].astype(np.int64)
-        return RssShare(need(f"{key}.lo"), need(f"{key}.hi"), int(need(f"{key}.mod")) or 1 << 64)
+    def field_value(key: str, n: int):
+        if key in tensors:  # the trunc shift: one int or one per instance
+            d = tensors[key]
+            if d.ndim and d.shape != (n,):
+                raise FormatError(f"{path}: {key!r} has shape {d.shape}, not ({n},)")
+            return d.astype(np.int64)
+        lo, hi, mod = need(f"{key}.lo"), need(f"{key}.hi"), need(f"{key}.mod")
+        want = (n, params.ell) if key.endswith(".xbits") else (n,)
+        if lo.shape != want or hi.shape != want:
+            raise FormatError(f"{path}: {key!r} has shapes {lo.shape}/{hi.shape}, not {want}")
+        mod = (int(mod) or 1 << 64) if mod.shape == () else None  # 0 marks 2^64
+        if mod not in (2, params.p, params.L):
+            raise FormatError(f"{path}: {key!r} has modulus {mod}, not 2, p or 2^ell")
+        return RssShare(lo, hi, mod)
 
     records = {}
     for kind, cls in _ARTIFACTS.items():
         count = len({name.split(".")[1] for name in tensors if name.startswith(kind + ".")})
-        records[kind] = [cls(*(field_value(f"{kind}.{i}.{f.name}") for f in fields(cls)))
-                         for i in range(count)]
+        items = []
+        for i in range(count):
+            first = need(f"{kind}.{i}.{fields(cls)[0].name}.lo").shape
+            n = first[0] if first else -1  # a 0-d first field matches no shape
+            items.append(cls(*(field_value(f"{kind}.{i}.{f.name}", n) for f in fields(cls))))
+        records[kind] = items
     return records
 
 

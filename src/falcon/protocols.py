@@ -109,9 +109,9 @@ def truncate(sess: PartySession, x: RssShare, d) -> RssShare:
     return add_public(sess.party, pair.r_shift, shifted)
 
 
-def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare | None,
-           stride: int = 1, padding: int = 0, truncate_after: bool = True) -> RssShare:
-    """Convolution via im2col + matmul.
+def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare,
+           stride: int = 1, padding: int = 0) -> RssShare:
+    """Convolution via im2col + matmul, rescaled to the fixed-point format.
 
     img is (B, Cin, H, W), weights (Cout, Cin, F, F), bias (Cout,).
     Output (B, Cout, Hout, Wout) with Hout = (H - F + 2P)/S + 1.
@@ -130,12 +130,10 @@ def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare 
     cols_hi = _im2col(img.hi, F, stride, padding, Hout, Wout)
     cols = RssShare(cols_lo, cols_hi, img.mod)  # (Cin*F*F, B*Hout*Wout)
     wmat = weights.reshape(Cout, Cin * F * F)
-    out = matmul(sess, wmat, cols, truncate_after=truncate_after)
+    out = matmul(sess, wmat, cols, truncate_after=True)
     out = out.reshape(Cout, B, Hout, Wout)
     out = RssShare(out.lo.transpose(1, 0, 2, 3), out.hi.transpose(1, 0, 2, 3), img.mod)
-    if bias is not None:
-        out = add_shares(out, broadcast_share(bias.reshape(1, Cout, 1, 1), out.shape))
-    return out
+    return add_shares(out, broadcast_share(bias.reshape(1, Cout, 1, 1), out.shape))
 
 
 def _im2col(a: np.ndarray, F: int, stride: int, pad: int, Hout: int, Wout: int) -> np.ndarray:
@@ -196,17 +194,21 @@ def flip_by_bit(sess: PartySession, x: RssShare, beta: RssShare) -> RssShare:
 
 
 def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:
-    """z = x when b = 0, y when b = 1; consumes a random bit pair.
+    """z = x when b = 0, y when b = 1; consumes one random bit pair per bit.
 
-    Opens e = b xor c, swaps the arithmetic bit c accordingly, then one
-    multiplication: z = (y - x) * d + x. Two rounds total.
+    b's shape is a leading prefix of y's, so one bit may steer a whole
+    trailing block. Opens e = b xor c, swaps the arithmetic bit c
+    accordingly, then one multiplication: z = (y - x) * d + x. Two rounds.
     """
     if b.mod != 2:
         raise ValueError("selection bit must be shared over Z_2")
+    if y.shape[: len(b.shape)] != b.shape:
+        raise ValueError(f"selection bit shape {b.shape} is not a prefix of {y.shape}")
     n = int(np.prod(b.shape, dtype=int))
     pair = sess.prep.bit_pairs(n).reshape(b.shape)
     e = open_share(sess, add_shares(b, pair.c2))  # b xor c
     d = xor_public(sess, pair.cL, e)
+    d = d.reshape(b.shape + (1,) * (len(y.shape) - len(b.shape)))
     dxy = mult(sess, sub_shares(y, x), broadcast_share(d, y.shape))
     return add_shares(dxy, x)
 
@@ -430,32 +432,19 @@ def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, RssShare]
 
     Ties break toward the earlier index (DReLU(0) = 1 keeps the incumbent).
     Input (..., n); returns max (...,) and one-hot (..., n) of integer 0/1.
+    The max and its one-hot travel as one stacked share (..., 1 + n), so
+    each step is one DReLU and one selection.
     """
     n = a.shape[-1]
-    lead = a.shape[:-1]
-    cur = a[..., 0]
-    ind = _unit_vector_share(sess, 0, n, lead, a.mod)
+    eye = np.eye(n, dtype=UINT)
+
+    def slot(i):  # (..., 1 + n): the value a_i, then the unit vector e_i
+        unit = public_share(sess.party, eye[i], a.mod, shape=a.shape)
+        return concat_shares([a[..., i : i + 1], unit], axis=-1)
+
+    best = slot(0)
     for i in range(1, n):
-        cand = a[..., i]
-        d_max = sub_shares(cur, cand)
-        b = drelu(sess, d_max)  # 1: keep incumbent
-        e_i = _unit_vector_share(sess, i, n, lead, a.mod)
-        # one opened bit steers both selections (same pair, same round)
-        npts = int(np.prod(lead, dtype=int))
-        pair = sess.prep.bit_pairs(npts).reshape(lead)
-        e = open_share(sess, add_shares(b, pair.c2))
-        dbit = xor_public(sess, pair.cL, e)
-        rnd = Round(sess, "maxpool-select")
-        fin_max = mult_begin(sess, sub_shares(cur, cand), dbit, rnd)
-        fin_ind = mult_begin(sess, sub_shares(ind, e_i), expand_last(dbit, ind.shape), rnd)
-        results = rnd.run()
-        cur = add_shares(fin_max(results), cand)
-        ind = add_shares(fin_ind(results), e_i)
-    return cur, ind
-
-
-def _unit_vector_share(sess: PartySession, i: int, n: int, lead, mod: int) -> RssShare:
-    vec = np.zeros(n, UINT)
-    vec[i] = 1
-    vec = np.broadcast_to(vec, lead + (n,))
-    return public_share(sess.party, vec, mod)
+        cand = slot(i)
+        keep = drelu(sess, sub_shares(best[..., 0], cand[..., 0]))
+        best = select_shares(sess, cand, best, keep)
+    return best[..., 0], best[..., 1:]

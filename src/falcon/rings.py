@@ -141,11 +141,8 @@ def matmul_mod(a, b, modulus: int) -> np.ndarray:
 
 def signed(x, params: RingParams) -> np.ndarray:
     """Two's-complement view of Z_L raws: values in [-L/2, L/2) as int64."""
-    x = np.asarray(x, UINT)
-    if params.ell == 64:
-        return np.ascontiguousarray(x).view(np.int64)
-    half = np.uint64(1) << np.uint64(params.ell - 1)
-    return np.where(x >= half, x.astype(np.int64) - np.int64(params.L), x.astype(np.int64))
+    pad = np.uint64(64 - params.ell)  # sign-extend bit ell-1 through bit 63
+    return np.asarray(np.asarray(x, UINT) << pad).view(np.int64) >> np.int64(pad)
 
 
 def shift_signed(x, d, params: RingParams) -> np.ndarray:

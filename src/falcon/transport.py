@@ -89,15 +89,14 @@ class CostMeter:
 
 
 class FaultInjector:
-    """Flips one payload byte of one message (by global delivery index).
+    """Flips the first payload byte of one message (by global delivery index).
 
     Test fixture for the malicious-abort criteria: tampering is applied at
     the receiving edge, as an in-transit corruption would be.
     """
 
-    def __init__(self, message_index: int, byte_index: int = 0):
+    def __init__(self, message_index: int):
         self.message_index = message_index
-        self.byte_index = byte_index
         self._count = 0
         self._lock = threading.Lock()
         self.fired = False
@@ -110,7 +109,7 @@ class FaultInjector:
             return payload
         self.fired = True
         b = bytearray(payload)
-        b[self.byte_index % len(b)] ^= 0x01
+        b[0] ^= 0x01
         return bytes(b)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from falcon import protocols as P
-from falcon.data import FormatError
+from falcon.data import FormatError, load_tensors, save_tensors
 from falcon.prep import (
+    PREP_MAGIC,
     DealerPrep,
     DistributedPrep,
     FilePrep,
@@ -270,3 +271,14 @@ def test_prep_file_checks_party_and_ring(tmp_path):
                           (PartyId(1), RingParams(ell=16, p=37, fp=8))]:
         with pytest.raises(FormatError):
             FilePrep(path, party, params)
+    # a well-formed container whose entries do not fit their record
+    entries = load_tensors(path, PREP_MAGIC)
+    xbits = {k: entries[f"wrap.0.xbits.{k}"][:, :8] for k in ("lo", "hi")}  # (n, 8)
+    for bad in [{"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
+                {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
+                {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},
+                {"wrap.0.xbits.lo": xbits["lo"], "wrap.0.xbits.hi": xbits["hi"]},
+                {"bitpair.0.c2.mod": np.uint64(5)}]:
+        save_tensors(path, {**entries, **bad}, PREP_MAGIC)
+        with pytest.raises(FormatError):
+            FilePrep(path, PartyId(1), PARAMS)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from falcon.prep import DealerPrep
+from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed, reduce_mod
 from falcon.rss import share_secret
 from falcon.session import ThreatModel, run_three_parties
@@ -219,6 +219,25 @@ def test_select_shares():
     assert rounds == 2  # open + mult
     assert np.array_equal(out, np.where(bs == 1, ys, xs))
 
+    # one bit per row steers all k values of that row, from one bit pair each
+    xs, ys = xs.reshape(n // 4, 4), ys.reshape(n // 4, 4)
+    bs = bs[: n // 4]
+
+    def rows(sess):
+        sess.prep = RecordingPrep(sess.prep)
+        x = shared_input(sess, xs, PARAMS.L)
+        y = shared_input(sess, ys, PARAMS.L)
+        b = shared_input(sess, bs, 2)
+        r0 = sess.meter.rounds
+        z = P.select_shares(sess, x, y, b)
+        dr = sess.meter.rounds - r0
+        (pair,) = sess.prep.records["bitpair"]
+        return P.reconstruct(sess, z), dr, pair.c2.shape
+
+    out, rounds, pair_shape = run_shared(PARAMS, rows)[0]
+    assert rounds == 2 and pair_shape == (n // 4,)
+    assert np.array_equal(out, np.where(bs[:, None] == 1, ys, xs))
+
 
 def test_select_shares_blinding():
     # the opened bit e = b xor c is uniform across trials for fixed b
@@ -248,7 +267,8 @@ def test_conv2d_delta_kernel():
     def job(sess):
         a = shared_input(sess, encode_fixed(img, PARAMS), PARAMS.L)
         w = shared_input(sess, encode_fixed(kern, PARAMS), PARAMS.L)
-        out = P.conv2d(sess, a, w, None, stride=1, padding=0)
+        zero = shared_input(sess, np.zeros(1, np.uint64), PARAMS.L)
+        out = P.conv2d(sess, a, w, zero, stride=1, padding=0)
         return P.reconstruct(sess, out)
 
     out = run_shared(PARAMS, job)[0]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from falcon import protocols as P
-from falcon.oracle import oracle_drelu, oracle_relu
-from falcon.rings import RingParams, encode_fixed
+from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
+from falcon.rings import RingParams, encode_fixed, reduce_mod
 from falcon.session import ThreatModel
 
 from test_protocols import run_shared, shared_input
@@ -147,3 +147,29 @@ def test_maxpool_random_vectors_earliest_tie():
         assert np.array_equal(mx, exp_max)
         assert np.array_equal(np.argmax(ind, axis=1), exp_idx)
         assert np.all(ind.sum(axis=1) == 1)
+
+
+@pytest.mark.parametrize("ell", [63, 64])
+def test_relu_truncate_maxpool_at_wide_rings(ell):
+    # the sign extension of the signed view must hold up to the full word
+    params = RingParams(ell=ell, p=67, fp=13)
+    rng = np.random.default_rng(ell)
+    half = 1 << (ell - 3)  # truncation is exact below 2^{ell-2}
+    vals = rng.integers(-half, half, 64, dtype=np.int64)
+    vals[:4] = [0, -1, half - 1, -half]
+    raws = reduce_mod(vals, params.L)
+    windows = raws.reshape(16, 4)
+
+    def job(sess):
+        a = shared_input(sess, raws, params.L)
+        relu = P.reconstruct(sess, P.relu(sess, a))
+        trunc = P.reconstruct(sess, P.truncate(sess, a, params.fp))
+        mx, ind = P.maxpool_argmax(sess, shared_input(sess, windows, params.L))
+        return relu, trunc, P.reconstruct(sess, mx), P.reconstruct(sess, ind)
+
+    relu, trunc, mx, ind = run_shared(params, job)[0]
+    assert np.array_equal(relu, oracle_relu(raws, params))
+    assert np.array_equal(trunc, reduce_mod(vals >> params.fp, params.L))
+    assert np.array_equal(trunc, fx_trunc(raws, params.fp, params))
+    want_max, want_ind = fx_maxpool_with_onehot(windows, params)
+    assert np.array_equal(mx, want_max) and np.array_equal(ind, want_ind)

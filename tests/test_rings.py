@@ -105,3 +105,12 @@ def test_signed_view():
     assert signed(np.uint64(255), p) == -1
     assert signed(np.uint64(127), p) == 127
     assert signed(np.uint64(128), p) == -128
+    # every width against Python-int references, edges included
+    rng = np.random.default_rng(6)
+    for ell in (8, 16, 32, 40, 62, 63, 64):
+        p = RingParams(ell=ell, p=67, fp=4)
+        top = (1 << ell) - 1
+        raws = [0, 1, (1 << (ell - 1)) - 1, 1 << (ell - 1), top]
+        raws += [int(v) & top for v in rng.integers(0, 2**64, 200, dtype=np.uint64)]
+        want = [v - (1 << ell) if v >> (ell - 1) else v for v in raws]
+        assert signed(np.array(raws, np.uint64), p).tolist() == want
