@@ -78,9 +78,9 @@ def fx_shift_nearest(raw, s: int, params: RingParams) -> np.ndarray:
     return shift_signed(add_mod(raw, half, params.L), s, params)
 
 
-def fx_matmul(a, b, params: RingParams, truncate_after: bool = True) -> np.ndarray:
-    out = matmul_mod(a, b, params.L)
-    return fx_trunc(out, params.fp, params) if truncate_after else out
+def fx_matmul(a, b, params: RingParams) -> np.ndarray:
+    """Twin of the secure matmul with its fixed-point rescale."""
+    return fx_trunc(matmul_mod(a, b, params.L), params.fp, params)
 
 
 def fx_relu(raw, params: RingParams) -> np.ndarray:
@@ -220,9 +220,8 @@ def fx_sqrt(a_raw, params: RingParams) -> np.ndarray:
     return x
 
 
-def fx_batch_norm(acts_raw, gamma_raw, beta_raw, params: RingParams, eps_bits: int = 10,
-                  want_cache: bool = False):
-    """Twin of the secure batch-norm forward over the last axis."""
+def fx_batch_norm(acts_raw, gamma_raw, beta_raw, params: RingParams, want_cache: bool = False):
+    """Twin of the secure batch-norm forward over the last axis (eps = 2^-10)."""
     acts_raw = np.asarray(acts_raw, UINT)
     fp = params.fp
     m = acts_raw.shape[-1]
@@ -230,7 +229,7 @@ def fx_batch_norm(acts_raw, gamma_raw, beta_raw, params: RingParams, eps_bits: i
     dev = sub_mod(acts_raw, mu[..., None], params.L)
     sq = fx_rescale(mul_mod(dev, dev, params.L), fp, params)
     var = _fx_mean_last(sq, m, params)
-    b = add_mod(var, np.uint64(1 << (fp - eps_bits)), params.L)
+    b = add_mod(var, np.uint64(1 << (fp - 10)), params.L)
     alpha = fx_bounding_power(b, params)
     inv = fx_inv_sqrt(b, alpha, params)
     z = fx_rescale(mul_mod(dev, inv[..., None], params.L), fp, params)

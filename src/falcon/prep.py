@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
-from .rings import UINT, RingParams, bit_decompose, reduce_mod, wrap3
+from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
@@ -154,8 +154,8 @@ class DealerPrep:
         p = self.params
 
         def gen():
-            beta = self.rng.integers(0, 2, n).astype(UINT)
-            m = self.rng.integers(1, p.p, n).astype(UINT)
+            beta = self.rng.integers(0, 2, n).astype(NARROW)
+            m = self.rng.integers(1, p.p, n).astype(dtype_for(p.p))
             return (self._share_all(beta, 2), self._share_all(beta, p.p), self._share_all(m, p.p))
 
         b2_all, bp_all, m_all = self._consume("compare", (n,), gen)
@@ -166,7 +166,7 @@ class DealerPrep:
         p = self.params
 
         def gen():
-            c = self.rng.integers(0, 2, n).astype(UINT)
+            c = self.rng.integers(0, 2, n).astype(NARROW)
             return (self._share_all(c, 2), self._share_all(c, p.L))
 
         c2_all, cL_all = self._consume("bitpair", (n,), gen)
@@ -426,6 +426,13 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
         mod = (int(mod) or 1 << 64) if mod.shape == () else None  # 0 marks 2^64
         if mod not in (2, params.p, params.L):
             raise FormatError(f"{path}: {key!r} has modulus {mod}, not 2, p or 2^ell")
+        # shares are stored narrow (uint8) for Z_2 and Z_p, so a larger value
+        # would be truncated, and one in [p, 256) breaks the kernels' invariant
+        for part in (lo, hi):
+            if part.dtype.kind != "u":
+                raise FormatError(f"{path}: {key!r} holds {part.dtype}, not unsigned integers")
+            if mod < 1 << 64 and part.size and int(part.max()) >= mod:
+                raise FormatError(f"{path}: {key!r} holds {int(part.max())}, not below {mod}")
         return RssShare(lo, hi, mod)
 
     records = {}

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
+    NARROW,
     UINT,
     add_mod,
+    bit_decompose,
     matmul_mod,
     mul_mod,
     reduce_mod,
@@ -237,11 +239,11 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
     if t_top is None:
         if ell == 64:
             raise ValueError("ell = 64 requires an explicit t_top bit")
-        t_top = ((t >> np.uint64(ell)) & np.uint64(1)).astype(UINT)
+        t_top = ((t >> np.uint64(ell)) & np.uint64(1)).astype(NARROW)
         if np.any(t >> np.uint64(ell) > 1):
             raise ValueError("public operand exceeds 2^ell")
     else:
-        t_top = np.asarray(t_top, dtype=np.uint64).reshape(n)
+        t_top = np.asarray(t_top, dtype=NARROW).reshape(n)
     if crand is None:
         crand = sess.prep.compare_rands(n)
 
@@ -264,11 +266,8 @@ def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
     params = sess.params
     p, ell = params.p, params.ell
     n = xbits.shape[0]
-    shifts = np.arange(ell, dtype=np.uint64)
-    low = reduce_mod(t, params.L)
-    tbits = np.concatenate(
-        [((low[:, None] >> shifts) & np.uint64(1)).astype(UINT), t_top[:, None]], axis=1
-    )  # (n, ell+1)
+    tbits = np.concatenate([bit_decompose(reduce_mod(t, params.L), params), t_top[:, None]],
+                           axis=1)  # (n, ell+1) over Z_p
 
     s = one_minus_two_beta(sess, crand.beta_p).reshape(n, 1)
     # u[i] = v[i] - t[i] * s, with the virtual top bit using x[ell] = 0
@@ -282,8 +281,8 @@ def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
     w_scale = sub_mod(1, mul_mod(2, tbits[:, :ell], p), p)
     w_lo = mul_mod(w_scale, xbits.lo, p)
     w_hi = mul_mod(w_scale, xbits.hi, p)
-    w = RssShare(np.concatenate([w_lo, np.zeros((n, 1), UINT)], axis=1),
-                 np.concatenate([w_hi, np.zeros((n, 1), UINT)], axis=1), p)
+    zero = np.zeros((n, 1), w_lo.dtype)
+    w = RssShare(np.concatenate([w_lo, zero], axis=1), np.concatenate([w_hi, zero], axis=1), p)
     w = add_public(sess.party, w, tbits)
 
     # suffix sums sum_{k > i} w[k]
@@ -303,13 +302,14 @@ def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
     d = open_share(sess, prod)
     if reveal_sink is not None:
         reveal_sink.append(d)
-    beta_prime = (d != 0).astype(UINT)
+    beta_prime = (d != 0).astype(NARROW)
     return xor_public(sess, crand.beta2, beta_prime)
 
 
 def _suffix_sum(a: np.ndarray, mod: int) -> np.ndarray:
-    rev = np.flip(a, axis=1)
-    cum = np.cumsum(rev.astype(np.uint64), axis=1, dtype=np.uint64)
+    # uint8 rows of at most 65 reduced terms sum below 2^16
+    acc = np.uint16 if a.dtype == NARROW else np.uint64
+    cum = np.cumsum(np.flip(a, axis=1), axis=1, dtype=acc)
     out = np.flip(cum, axis=1) - a  # strict suffix: exclude own position
     return reduce_mod(out, mod)
 
@@ -374,12 +374,12 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     # exact wrap of the opened sharing, in the clear from own components
     third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
     delta_e = wrap3_exact(r_sh.lo, r_sh.hi, third, L)
-    delta = (delta_e & np.uint64(1)).astype(UINT)
+    delta = (delta_e & np.uint64(1)).astype(NARROW)
 
     # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit
     with np.errstate(over="ignore"):
         t_low = reduce_mod(r.astype(UINT) + np.uint64(1), L)
-    t_top = (r == np.uint64(L - 1)).astype(UINT)
+    t_top = (r == np.uint64(L - 1)).astype(NARROW)
     eta = private_compare(sess, wrand.xbits, t_low, crand, flipped=v, t_top=t_top)
 
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2)
@@ -392,7 +392,8 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 
 
 # elementwise comparison batches above this size run in sequential chunks:
-# the compare tree holds ~35 Z_p elements per instance in flight
+# the compare tree holds ~35 Z_p elements per instance in flight, one byte
+# each, so a full chunk keeps ~4.6 MB per share component (lo or hi)
 COMPARE_CHUNK = 1 << 17
 
 
@@ -409,9 +410,8 @@ def drelu(sess: PartySession, a: RssShare) -> RssShare:
         return concat_shares(parts).reshape(a.shape)
     doubled = scale_share(np.uint64(2), a)
     theta = wrap3_protocol(sess, doubled)
-    msb_lo = (a.lo >> np.uint64(params.ell - 1)) & np.uint64(1)
-    msb_hi = (a.hi >> np.uint64(params.ell - 1)) & np.uint64(1)
-    msbs = RssShare(msb_lo.astype(UINT), msb_hi.astype(UINT), 2)
+    top = np.uint64(params.ell - 1)
+    msbs = RssShare((a.lo >> top).astype(NARROW), (a.hi >> top).astype(NARROW), 2)
     out = add_shares(msbs, theta)
     return xor_public(sess, out, np.uint64(1))
 

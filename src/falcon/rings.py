@@ -1,7 +1,8 @@
 """Modular arithmetic over the three rings Z_{2^ell}, Z_p and Z_2.
 
 Everything downstream (shares, protocols, oracles) works on raw ring
-values stored as numpy uint64 arrays, reduced with the helpers here.
+values reduced with the helpers here and stored in one numpy dtype per
+modulus (`dtype_for`): uint8 for Z_2 and Z_p, uint64 for Z_{2^ell}.
 Fixed-point reals live in Z_{2^ell} in two's complement with `fp`
 fractional bits.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UINT = np.uint64
+NARROW = np.uint8
 
 
 class RingError(ValueError):
@@ -55,7 +57,13 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reduction / signed views
+# storage dtypes, reduction / signed views
+
+
+def dtype_for(modulus: int) -> type:
+    """Storage dtype of values mod `modulus`: uint8 when the sum of two
+    reduced values cannot wrap it (Z_2 and every p <= 127), else uint64."""
+    return NARROW if 2 * (modulus - 1) < 256 else UINT
 
 
 _REM_LUT_SPAN = 1 << 17
@@ -65,76 +73,85 @@ _REM_LUTS: dict = {}
 def _rem_lut(modulus: int) -> np.ndarray:
     lut = _REM_LUTS.get(modulus)
     if lut is None:
-        lut = (np.arange(_REM_LUT_SPAN, dtype=np.uint64) % np.uint64(modulus)).astype(UINT)
+        lut = (np.arange(_REM_LUT_SPAN, dtype=UINT) % np.uint64(modulus)).astype(dtype_for(modulus))
         _REM_LUTS[modulus] = lut
     return lut
 
 
 def reduce_mod(x, modulus: int) -> np.ndarray:
-    """Reduce int array into [0, modulus) as uint64. modulus may be 2^ell, p or 2."""
+    """Reduce an int array into [0, modulus) as dtype_for(modulus).
+
+    modulus may be 2^ell, p or 2; any integer dtype, sign or size is accepted.
+    """
     x = np.asarray(x)
-    if modulus & (modulus - 1) == 0:  # power of two
-        if modulus == 1 << 64:
-            return x.astype(UINT)
-        with np.errstate(over="ignore"):
-            return x.astype(UINT) & np.uint64(modulus - 1)
-    if x.dtype == UINT:
-        # uint64 division is slow; small intermediates take a table lookup
-        if modulus < 256 and x.size and int(x.max()) < _REM_LUT_SPAN:
+    dt = dtype_for(modulus)
+    if modulus & (modulus - 1) == 0:  # power of two: mask the two's-complement bits
+        if x.dtype != dt:
+            x = x.astype(UINT, copy=False).astype(dt, copy=False)
+        return x & dt(modulus - 1)
+    if x.dtype.kind == "u":
+        # wide division is slow; small values take a table lookup
+        if modulus < 256 and (x.dtype.itemsize <= 2 or (x.size and int(x.max()) < _REM_LUT_SPAN)):
             return _rem_lut(modulus)[x]
-        return x % np.uint64(modulus)
+        return (x % np.uint64(modulus)).astype(dt, copy=False)
     # signed input: python-level mod keeps the result nonnegative
-    return (x.astype(np.int64) % modulus).astype(UINT)
+    return (x.astype(np.int64) % modulus).astype(dt)
 
 
 # The mod-m helpers assume their array operands are already reduced (every
-# share component and every deserialized/public value is); for odd moduli
-# this allows branchless correction instead of slow uint64 division.
+# share component and every deserialized/public value is); operands of
+# another dtype (python ints, uint64 bits into Z_p, ...) are reduced first.
+# One branchless kernel serves both storage dtypes: a + b never wraps the
+# dtype, so min(s, s - m) corrects a sum (s - m wraps above s when s < m),
+# a wrapped difference is corrected by min(d, d + m), and powers of two mask.
+
+
+def _reduced(a, modulus: int) -> np.ndarray:
+    a = np.asarray(a)
+    return a if a.dtype == dtype_for(modulus) else reduce_mod(a, modulus)
 
 
 def add_mod(a, b, modulus: int) -> np.ndarray:
+    dt = dtype_for(modulus)
     with np.errstate(over="ignore"):
+        s = _reduced(a, modulus) + _reduced(b, modulus)
         if modulus & (modulus - 1) == 0:
-            return reduce_mod(np.asarray(a, UINT) + np.asarray(b, UINT), modulus)
-        s = np.asarray(a, UINT) + np.asarray(b, UINT)  # < 2m, no wrap
-        m = np.uint64(modulus)
-        return np.where(s >= m, s - m, s)
+            return s & dt(modulus - 1)
+        return np.minimum(s, s - dt(modulus))
 
 
 def sub_mod(a, b, modulus: int) -> np.ndarray:
+    dt = dtype_for(modulus)
     with np.errstate(over="ignore"):
+        d = _reduced(a, modulus) - _reduced(b, modulus)  # wraps when a < b
         if modulus & (modulus - 1) == 0:
-            return reduce_mod(np.asarray(a, UINT) - np.asarray(b, UINT), modulus)
-        m = np.uint64(modulus)
-        s = np.asarray(a, UINT) + (m - np.asarray(b, UINT))  # in [0, 2m)
-        return np.where(s >= m, s - m, s)
+            return d & dt(modulus - 1)
+        return np.minimum(d, d + dt(modulus))
 
 
 def mul_mod(a, b, modulus: int) -> np.ndarray:
+    dt = dtype_for(modulus)
     with np.errstate(over="ignore"):
+        a, b = _reduced(a, modulus), _reduced(b, modulus)
         if modulus & (modulus - 1) == 0:
-            return reduce_mod(np.asarray(a, UINT) * np.asarray(b, UINT), modulus)
-        prod = np.asarray(a, UINT) * np.asarray(b, UINT)  # < m^2, cache-hot LUT
-        if modulus < 256:
-            return _rem_lut(modulus)[prod]
-        return prod % np.uint64(modulus)
+            return (a * b) & dt(modulus - 1)
+        if modulus < 256:  # product < m^2 < 2^16: a cache-hot table lookup
+            return _rem_lut(modulus)[a.astype(np.uint16) * b]
+        return (a * b) % np.uint64(modulus)
 
 
 def neg_mod(a, modulus: int) -> np.ndarray:
+    dt = dtype_for(modulus)
     with np.errstate(over="ignore"):
+        d = -_reduced(a, modulus)  # wraps unless a = 0
         if modulus & (modulus - 1) == 0:
-            return reduce_mod(np.uint64(0) - np.asarray(a, UINT), modulus)
-        m = np.uint64(modulus)
-        s = m - np.asarray(a, UINT)
-        return np.where(s >= m, s - m, s)
+            return d & dt(modulus - 1)
+        return np.minimum(d, d + dt(modulus))
 
 
 def matmul_mod(a, b, modulus: int) -> np.ndarray:
-    """Matrix product of uint64 raws; exact because 2^ell | 2^64 (wraps fold)."""
-    if modulus & (modulus - 1) != 0:
-        # Z_p: products fit in uint64 for p < 2^16 and inner dims < 2^32
-        with np.errstate(over="ignore"):
-            return (np.asarray(a, UINT) @ np.asarray(b, UINT)) % np.uint64(modulus)
+    """Matrix product of raws, accumulated in uint64: exact for 2^ell since
+    2^ell | 2^64 (wraps fold), and for p < 2^16 with inner dims < 2^32."""
     with np.errstate(over="ignore"):
         return reduce_mod(np.asarray(a, UINT) @ np.asarray(b, UINT), modulus)
 
@@ -177,13 +194,13 @@ def decode_fixed(raw, params: RingParams) -> np.ndarray:
 
 
 def wrap2(a1, a2, L: int) -> np.ndarray:
-    """1 iff a1 + a2 >= L as integers (the two-operand carry)."""
+    """1 iff a1 + a2 >= L as integers (the two-operand carry), a Z_2 bit."""
     a1 = np.asarray(a1, UINT)
     a2 = np.asarray(a2, UINT)
     if L == 1 << 64:
         with np.errstate(over="ignore"):
-            return (a1 + a2 < a1).astype(UINT)
-    return ((a1 + a2) >= np.uint64(L)).astype(UINT)
+            return (a1 + a2 < a1).astype(NARROW)
+    return ((a1 + a2) >= np.uint64(L)).astype(NARROW)
 
 
 def wrap3_exact(a1, a2, a3, L: int) -> np.ndarray:
@@ -207,12 +224,12 @@ def wrap3_exact(a1, a2, a3, L: int) -> np.ndarray:
 
 
 def wrap3(a1, a2, a3, L: int) -> np.ndarray:
-    """Parity of wrap3_exact; the 'wrap' used throughout the protocols."""
-    return wrap3_exact(a1, a2, a3, L) & np.uint64(1)
+    """Parity of wrap3_exact as a Z_2 bit; the 'wrap' used throughout the protocols."""
+    return (wrap3_exact(a1, a2, a3, L) & np.uint64(1)).astype(NARROW)
 
 
 def bit_decompose(x, params: RingParams) -> np.ndarray:
-    """LSB-first bits of Z_L raws; output shape x.shape + (ell,)."""
+    """LSB-first bits of Z_L raws as uint8; output shape x.shape + (ell,)."""
     x = np.asarray(x, UINT)
-    shifts = np.arange(params.ell, dtype=UINT)
-    return ((x[..., None] >> shifts) & np.uint64(1)).astype(UINT)
+    octets = np.ascontiguousarray(x, "<u8").view(np.uint8).reshape(x.shape + (8,))
+    return np.unpackbits(octets, axis=-1, count=params.ell, bitorder="little")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .rings import UINT, RingError, add_mod, mul_mod, neg_mod, reduce_mod, sub_mod
+from .rings import UINT, RingError, add_mod, dtype_for, mul_mod, neg_mod, reduce_mod, sub_mod
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,9 @@ class PartyId:
 class RssShare:
     """One party's replicated pair (lo = x_i, hi = x_{i+1}) modulo `mod`.
 
-    lo/hi are uint64 arrays of identical shape; elementwise protocols work
-    on any shape, matrix protocols expect 2-D.
+    lo/hi are arrays of identical shape in the modulus' storage dtype
+    (`rings.dtype_for`: uint8 over Z_2 and Z_p, uint64 over Z_{2^ell});
+    elementwise protocols work on any shape, matrix protocols expect 2-D.
     """
 
     lo: np.ndarray
@@ -49,8 +50,9 @@ class RssShare:
     mod: int
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, UINT)
-        self.hi = np.asarray(self.hi, UINT)
+        dt = dtype_for(self.mod)
+        self.lo = np.asarray(self.lo, dt)
+        self.hi = np.asarray(self.hi, dt)
         if self.lo.shape != self.hi.shape:
             raise RingError("lo/hi shape mismatch")
 
@@ -74,12 +76,9 @@ def _check_same_ring(*shares: RssShare):
 def share_secret(x, mod: int, rng: np.random.Generator) -> tuple[RssShare, RssShare, RssShare]:
     """Dealer-side sharing: x1, x2 uniform, x3 = x - x1 - x2 (mod m)."""
     x = reduce_mod(np.asarray(x), mod)
-    if mod == 1 << 64:
-        x1 = rng.integers(0, 1 << 64, size=x.shape, dtype=np.uint64)
-        x2 = rng.integers(0, 1 << 64, size=x.shape, dtype=np.uint64)
-    else:
-        x1 = rng.integers(0, mod, size=x.shape, dtype=np.uint64)
-        x2 = rng.integers(0, mod, size=x.shape, dtype=np.uint64)
+    # uint64 draws whatever the storage dtype, so the rng stream is fixed
+    x1 = rng.integers(0, mod, size=x.shape, dtype=np.uint64).astype(x.dtype, copy=False)
+    x2 = rng.integers(0, mod, size=x.shape, dtype=np.uint64).astype(x.dtype, copy=False)
     x3 = sub_mod(sub_mod(x, x1, mod), x2, mod)
     return (
         RssShare(x1, x2, mod),
@@ -184,12 +183,12 @@ def elem_acct_bits(mod: int, ell: int) -> int:
 
 
 def serialize_elems(x: np.ndarray, mod: int, ell: int) -> bytes:
-    x = np.ascontiguousarray(np.asarray(x, UINT).ravel())
-    return x.astype(f"<u{elem_width(mod, ell)}").tobytes()
+    return np.ascontiguousarray(x, f"<u{elem_width(mod, ell)}").tobytes()
 
 
 def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
-    out = np.frombuffer(buf, dtype=f"<u{elem_width(mod, ell)}").astype(UINT)
+    """Read the wire width as is and reduce into the modulus' storage dtype."""
+    out = np.frombuffer(buf, dtype=f"<u{elem_width(mod, ell)}")
     return reduce_mod(out.reshape(shape), mod)
 
 
@@ -205,7 +204,7 @@ def _aes_stream(key: bytes, counter: int, nbytes: int) -> bytes:
 
 
 class PrfStream:
-    """Deterministic uint64 stream under one 128-bit key; counter advances per draw."""
+    """Deterministic stream under one 128-bit key; counter advances per draw."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -225,8 +224,8 @@ class PrfStream:
             self.counter += 1
             vals = np.frombuffer(buf, dtype="<u4")
             if mod & (mod - 1) == 0:
-                return (vals & np.uint32(mod - 1)).astype(UINT)
-            return (vals % np.uint32(mod)).astype(UINT)
+                return (vals & np.uint32(mod - 1)).astype(dtype_for(mod))
+            return (vals % np.uint32(mod)).astype(dtype_for(mod))
         return reduce_mod(self.draw_u64(n), mod)
 
 

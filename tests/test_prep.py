@@ -81,6 +81,8 @@ def test_dealer_compare_rands():
 
 
 def pow_mod(base, e, p):
+    # widen first: opened Z_p values are uint8, where b * b would wrap
+    base = np.asarray(base, np.uint64)
     out = np.ones_like(base)
     b = base % p
     while e:
@@ -278,7 +280,19 @@ def test_prep_file_checks_party_and_ring(tmp_path):
                 {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
                 {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},
                 {"wrap.0.xbits.lo": xbits["lo"], "wrap.0.xbits.hi": xbits["hi"]},
-                {"bitpair.0.c2.mod": np.uint64(5)}]:
+                {"bitpair.0.c2.mod": np.uint64(5)},
+                # Z_p shares are uint8: p itself breaks the reduced-operand
+                # invariant, 300 would be truncated to 44
+                {"compare.0.m.lo": np.full(4, PARAMS.p, np.uint8)},
+                {"compare.0.m.hi": np.full(4, 300, np.uint64)},
+                {"trunc.0.r.lo": np.full(4, PARAMS.L, np.uint64)}]:
         save_tensors(path, {**entries, **bad}, PREP_MAGIC)
         with pytest.raises(FormatError):
             FilePrep(path, PartyId(1), PARAMS)
+    # a file written with uint64 Z_p/Z_2 entries loads as the same uint8 shares
+    wide = {k: v.astype(np.uint64) for k, v in entries.items()}
+    save_tensors(path, wide, PREP_MAGIC)
+    back = FilePrep(path, PartyId(1), PARAMS).records
+    assert back["compare"][0].m.lo.dtype == np.uint8
+    assert np.array_equal(back["compare"][0].m.hi, rec.records["compare"][0].m.hi)
+    assert np.array_equal(back["wrap"][0].xbits.lo, rec.records["wrap"][0].xbits.lo)

@@ -5,8 +5,9 @@ import pytest
 
 from falcon import protocols as P
 from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
+from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
 from falcon.rings import RingParams, encode_fixed, reduce_mod
-from falcon.session import ThreatModel
+from falcon.session import ThreatModel, run_three_parties
 
 from test_protocols import run_shared, shared_input
 
@@ -173,3 +174,33 @@ def test_relu_truncate_maxpool_at_wide_rings(ell):
     assert np.array_equal(trunc, fx_trunc(raws, params.fp, params))
     want_max, want_ind = fx_maxpool_with_onehot(windows, params)
     assert np.array_equal(mx, want_max) and np.array_equal(ind, want_ind)
+
+
+@pytest.mark.parametrize("mode", ["dealer", "distributed"])
+def test_small_ring_shares_stay_uint8(mode):
+    # every Z_p/Z_2 share on the compare path is uint8 end to end; a stray
+    # widening to uint64 anywhere would silently undo the narrow kernels
+    raws = np.random.default_rng(31).integers(0, PARAMS.L, 16, dtype=np.uint64)
+
+    def job(sess):
+        sess.prep = RecordingPrep(DealerPrep(sess.party, PARAMS, seed=5) if mode == "dealer"
+                                  else DistributedPrep(sess))
+        a = shared_input(sess, raws, PARAMS.L)
+        bits = P.drelu(sess, a)
+        mx, onehot = P.maxpool_argmax(sess, a.reshape(4, 4))
+        return bits, P.reconstruct(sess, bits), mx, onehot, sess.prep.records
+
+    for bits, opened, mx, onehot, records in run_three_parties(job, PARAMS, session_seed=5):
+        assert opened.dtype == np.uint8
+        assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
+        small = [bits]
+        small += [s for c in records["compare"] for s in (c.beta2, c.beta_p, c.m)]
+        small += [s for w in records["wrap"] for s in (w.xbits, w.alpha)]
+        small += [b.c2 for b in records["bitpair"]]
+        assert len(small) == 1 + 3 * 4 + 2 * 4 + 3  # 4 drelus, 3 selections
+        for sh in small:
+            assert sh.mod in (2, PARAMS.p)
+            assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8
+        wide = [mx, onehot] + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
+        for sh in wide:
+            assert sh.mod == PARAMS.L and sh.lo.dtype == np.uint64

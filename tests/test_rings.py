@@ -6,15 +6,21 @@ import pytest
 from falcon.rings import (
     RingError,
     RingParams,
+    add_mod,
     bit_decompose,
     decode_fixed,
+    dtype_for,
     encode_fixed,
+    mul_mod,
+    neg_mod,
     reduce_mod,
     signed,
+    sub_mod,
     wrap2,
     wrap3,
     wrap3_exact,
 )
+from falcon.rss import deserialize_elems
 
 
 def test_params_defaults():
@@ -114,3 +120,69 @@ def test_signed_view():
         raws += [int(v) & top for v in rng.integers(0, 2**64, 200, dtype=np.uint64)]
         want = [v - (1 << ell) if v >> (ell - 1) else v for v in raws]
         assert signed(np.array(raws, np.uint64), p).tolist() == want
+
+
+# Z_2 and primes up to 127 are stored as uint8; 131 and 251 still fit a
+# byte but a + b would wrap it, so they keep the uint64 path
+SMALL_MODULI = (2, 37, 67, 127, 131, 251)
+BINARY_OPS = ((add_mod, lambda x, y: x + y), (sub_mod, lambda x, y: x - y),
+              (mul_mod, lambda x, y: x * y))
+
+
+@pytest.mark.parametrize("mod", SMALL_MODULI)
+def test_small_ring_helpers_exhaustive(mod):
+    dt = dtype_for(mod)
+    assert dt is (np.uint8 if mod <= 127 else np.uint64)
+    pairs = [(x, y) for x in range(mod) for y in range(mod)]
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    for fn, op in BINARY_OPS:
+        want = [op(x, y) % mod for x, y in pairs]
+        for ta in (np.uint8, np.uint64):
+            for tb in (np.uint8, np.uint64):
+                got = fn(a.astype(ta), b.astype(tb), mod)
+                assert got.dtype == dt, (fn.__name__, ta, tb)
+                assert got.tolist() == want, (fn.__name__, ta, tb)
+    for ta in (np.uint8, np.uint64):
+        got = neg_mod(np.arange(mod, dtype=ta), mod)
+        assert got.dtype == dt
+        assert got.tolist() == [-x % mod for x in range(mod)]
+
+
+@pytest.mark.parametrize("mod", SMALL_MODULI)
+def test_small_ring_helpers_python_int_operands(mod):
+    dt = dtype_for(mod)
+    row = np.arange(mod)
+    for fn, op in BINARY_OPS:
+        for x in range(mod):
+            for arr in (row.astype(np.uint8), row.astype(np.uint64)):
+                left, right = fn(x, arr, mod), fn(arr, x, mod)
+                assert left.dtype == dt and right.dtype == dt
+                assert left.tolist() == [op(x, y) % mod for y in range(mod)]
+                assert right.tolist() == [op(y, x) % mod for y in range(mod)]
+            both = np.asarray(fn(x, mod - 1, mod))
+            assert both.dtype == dt and int(both) == op(x, mod - 1) % mod
+    for x in range(mod):
+        got = np.asarray(neg_mod(x, mod))
+        assert got.dtype == dt and int(got) == -x % mod
+
+
+@pytest.mark.parametrize("mod", SMALL_MODULI)
+def test_reduce_and_deserialize_cover_every_input(mod):
+    dt = dtype_for(mod)
+    octets = list(range(256))
+    for t in (np.uint8, np.uint16, np.uint64, np.int64):
+        got = reduce_mod(np.array(octets, t), mod)
+        assert got.dtype == dt and got.tolist() == [v % mod for v in octets]
+    got = deserialize_elems(bytes(octets), mod, 32, (16, 16))
+    assert got.dtype == dt and got.shape == (16, 16)
+    assert got.ravel().tolist() == [v % mod for v in octets]
+    large = [1 << 16, (1 << 17) - 1, 1 << 17, (1 << 32) + 5, 1 << 63, (1 << 64) - 1]
+    got = reduce_mod(np.array(large, np.uint64), mod)
+    assert got.dtype == dt and got.tolist() == [v % mod for v in large]
+    negative = [-1, -mod, -mod - 1, -300, -(1 << 40), -(1 << 63)]
+    got = reduce_mod(np.array(negative, np.int64), mod)
+    assert got.dtype == dt and got.tolist() == [v % mod for v in negative]
+    for v in large + negative:
+        got = np.asarray(reduce_mod(v, mod))
+        assert got.dtype == dt and int(got) == v % mod

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from falcon.rings import RingError, add_mod
+from falcon.rings import RingError, add_mod, dtype_for
 from falcon.rss import (
     PartyId,
     PrfState,
+    PrfStream,
+    _aes_stream,
     add_public,
     add_shares,
     public_share,
@@ -113,3 +115,12 @@ def test_zero_randomness_2of3_replicated_layout():
     shares = [zero_randomness_2of3(p, 32, 2**32) for p in prfs]
     reconstruct_all(shares)  # asserts hi_i == lo_{i+1}
 
+
+@pytest.mark.parametrize("mod", [2, 37, 131, 251])
+def test_draw_mod_small_moduli_read_four_stream_bytes_per_element(mod):
+    # the storage dtype narrows with the modulus; the AES stream does not
+    key = bytes(range(16))
+    got = PrfStream(key).draw_mod(1000, mod)
+    raw = np.frombuffer(_aes_stream(key, 0, 4000), "<u4").astype(np.uint64)
+    assert got.dtype == dtype_for(mod)
+    assert np.array_equal(got, raw % np.uint64(mod))
