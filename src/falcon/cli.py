@@ -55,13 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="falcon")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--party", type=int, default=0, help="party index for tcp runs (1-3); 0 = all in-process")
-        p.add_argument("--config", default=None, help="peer address config (json) for tcp runs")
-        p.add_argument("--threat", choices=["semi", "malicious"], default="semi")
+    def ring(p):
         p.add_argument("--ring-bits", type=int, default=32)
         p.add_argument("--fp-bits", type=int, default=13)
         p.add_argument("--prime", type=int, default=37)
+
+    def common(p):  # the session commands: bench, infer, train
+        p.add_argument("--party", type=int, default=0, help="party index for tcp runs (1-3); 0 = all in-process")
+        p.add_argument("--config", default=None, help="peer address config (json) for tcp runs")
+        p.add_argument("--threat", choices=["semi", "malicious"], default="semi")
+        ring(p)
         p.add_argument("--prep", default="dealer", help="dealer | distributed | file:<path>")
         p.add_argument("--backend", choices=["memory", "tcp"], default="memory")
         p.add_argument("--seed", type=int, default=0)
@@ -108,14 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     m = sub.add_parser("ingest-mnist", help="parse IDX images/labels into the tensor store")
-    common(m)
+    ring(m)
+    m.add_argument("--json", action="store_true", dest="as_json")
     m.add_argument("--images", required=True)
     m.add_argument("--labels", required=True)
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_ingest)
 
     s = sub.add_parser("synth-data", help="generate the offline digit dataset as IDX files")
-    common(s)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--json", action="store_true", dest="as_json")
     s.add_argument("--out-dir", required=True)
     s.add_argument("--train-n", type=int, default=10000)
     s.add_argument("--test-n", type=int, default=2000)

@@ -4,9 +4,10 @@ Two interchangeable generators produce the same artifact types:
 
 * DealerPrep — a trusted local generator (test fixture). Every party runs
   it from a common seed and keeps its own components.
-* DistributedPrep — the real three-party generation: private bits from the
-  pairwise PRF streams, bit injection and composition over Mult, the wrap
-  bit from a binary adder circuit, and Fermat-checked nonzero masks.
+* DistributedPrep — the real three-party generation: private bits and the
+  wrap value x from the pairwise PRF streams, bit injection and composition
+  over Mult, one binary adder that yields x's bits and its wrap bit, and
+  Fermat-checked nonzero masks.
 
 Any source's output can be recorded with RecordingPrep, persisted to a
 per-party tensor container and replayed with FilePrep.
@@ -19,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
+from .protocols import mult
 from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, reduce_mod, wrap3
 from .rss import (
     PartyId,
@@ -46,16 +48,15 @@ class TruncPair:
     """(r, r >> d): r is a signed multiple of 2^d so the online open-and-shift
     truncation is exactly floor(x / 2^d) for |x| < 2^{ell-2}.
 
-    d is an int, or an array for per-element shifts.
+    d holds the int64 shift of each element.
     """
 
     r: RssShare
     r_shift: RssShare
-    d: object
+    d: np.ndarray
 
     def reshape(self, shape) -> "TruncPair":
-        d = self.d if np.ndim(self.d) == 0 else np.asarray(self.d).reshape(shape)
-        return TruncPair(self.r.reshape(shape), self.r_shift.reshape(shape), d)
+        return TruncPair(self.r.reshape(shape), self.r_shift.reshape(shape), self.d.reshape(shape))
 
 
 @dataclass
@@ -133,7 +134,7 @@ class DealerPrep:
 
         r_all, u_all = self._consume("trunc", (n, d_arr.tobytes()), gen)
         i = self.party.index - 1
-        return TruncPair(r_all[i], u_all[i], d if np.isscalar(d) or np.asarray(d).ndim == 0 else d_arr)
+        return TruncPair(r_all[i], u_all[i], d_arr)
 
     def wrap_rands(self, n: int) -> WrapRand:
         p = self.params
@@ -198,9 +199,7 @@ class DealerPrep:
 
 def sample_shared_bits(sess: PartySession, shape, mod: int = 2) -> RssShare:
     """Fresh random sharing from the pairwise streams (no communication)."""
-    n = int(np.prod(shape, dtype=int))
-    sh = zero_randomness_2of3(sess.prf, n, mod)
-    return sh.reshape(shape)
+    return zero_randomness_2of3(sess.prf, int(np.prod(shape, dtype=int)), mod).reshape(shape)
 
 
 def lift_component_shares(sess: PartySession, bits: RssShare, mod: int) -> tuple[RssShare, RssShare, RssShare]:
@@ -217,6 +216,13 @@ def lift_component_shares(sess: PartySession, bits: RssShare, mod: int) -> tuple
     return s1, s2, s3
 
 
+def _pair_products(sess: PartySession, s1: RssShare, s2: RssShare, s3: RssShare):
+    """s1s2, s2s3 and s3s1 in one Mult round."""
+    k = s1.shape[-1]
+    prods = mult(sess, concat_shares([s1, s2, s3], axis=-1), concat_shares([s2, s3, s1], axis=-1))
+    return prods[..., :k], prods[..., k : 2 * k], prods[..., 2 * k :]
+
+
 def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
     """Convert a Z_2-shared bit into a Z_m sharing of the same bit.
 
@@ -224,74 +230,63 @@ def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
     component bits; two sequential Mult rounds (three pair products in
     parallel, then the triple product).
     """
-    from .protocols import mult
-
     s1, s2, s3 = lift_component_shares(sess, b, mod)
+    p12, p23, p31 = _pair_products(sess, s1, s2, s3)
+    triple = mult(sess, p12, s3)
     lin = add_shares(add_shares(s1, s2), s3)
-    a = concat_shares([s1, s2, s3], axis=-1)
-    c = concat_shares([s2, s3, s1], axis=-1)
-    prods = mult(sess, a, c)  # s1s2, s2s3, s3s1 in one round
-    parts = np.split(np.arange(prods.shape[-1]), 3)
-    p12 = prods[..., parts[0]]
-    p23 = prods[..., parts[1]]
-    p31 = prods[..., parts[2]]
     pair_sum = add_shares(add_shares(p12, p23), p31)
-    s3_flat = s3.reshape(p12.shape)
-    triple = mult(sess, p12, s3_flat)
-    out = sub_shares(lin.reshape(p12.shape), scale_share(np.uint64(2), pair_sum))
-    out = add_shares(out, scale_share(np.uint64(4), triple))
-    return out.reshape(b.shape)
+    out = sub_shares(lin, scale_share(np.uint64(2), pair_sum))
+    return add_shares(out, scale_share(np.uint64(4), triple))
 
 
-def bit_compose(sess: PartySession, bits: RssShare, mod: int) -> RssShare:
-    """Compose Z_2-shared bits (n, ell) into (n,) sharings of sum b_i 2^i.
+def bit_compose(sess: PartySession, bits: RssShare) -> RssShare:
+    """Compose Z_2-shared bits (n, nb) into (n,) Z_{2^ell} sharings of sum b_i 2^i.
 
     Per-bit injection then a public powers-of-two combination; two rounds
     for all bits in parallel.
     """
-    n, nb = bits.shape
-    injected = bit_inject(sess, bits, mod)  # (n, nb) over Z_m
-    weights = (np.uint64(1) << np.arange(nb, dtype=np.uint64)) if mod != 2 else np.ones(nb, UINT)
-    lo = reduce_mod((injected.lo * weights).sum(axis=-1, dtype=np.uint64), mod)
-    hi = reduce_mod((injected.hi * weights).sum(axis=-1, dtype=np.uint64), mod)
-    return RssShare(lo, hi, mod)
+    L = sess.params.L
+    injected = bit_inject(sess, bits, L)  # (n, nb) over Z_L
+    weights = np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64)
+    lo = reduce_mod((injected.lo * weights).sum(axis=-1, dtype=np.uint64), L)
+    hi = reduce_mod((injected.hi * weights).sum(axis=-1, dtype=np.uint64), L)
+    return RssShare(lo, hi, L)
 
 
-def _adder_wrap_bit(sess: PartySession, x: RssShare) -> RssShare:
-    """alpha = bit ell of (x1 + x2 + x3) via a Z_2 adder over the component bits.
+def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare]:
+    """x's bits and its wrap bit from one Z_2 adder over x's component bits.
 
-    Carry-save stage (one Mult round) then a ripple carry chain; all values
-    remain Z_2 sharings built locally from each component's bits.
+    Each party decomposes the two components it holds, so x1, x2 and x3 are
+    Z_2-shared bit vectors without communication. A carry-save stage (one
+    Mult round) turns x1 + x2 + x3 into S + 2C, then a ripple carry chain
+    adds S and 2C. Returns the (n, ell) sum bits, which are the bits of x,
+    and alpha = bit ell of the sum (wrap3 of the components), both over Z_2.
     """
-    from .protocols import mult
-
     params = sess.params
     ell = params.ell
-    bits_lo = bit_decompose(x.lo, params)  # (n, ell) public-to-me bits of my lo component
-    bits_hi = bit_decompose(x.hi, params)
-    comp = RssShare(bits_lo, bits_hi, 2)  # component j bits at position j
+    comp = RssShare(bit_decompose(x.lo, params), bit_decompose(x.hi, params), 2)
     s1, s2, s3 = lift_component_shares(sess, comp, 2)
 
     # carry-save: S = a^b^c, C = majority(a,b,c) = ab ^ bc ^ ca
     S = add_shares(add_shares(s1, s2), s3)
-    a = concat_shares([s1, s2, s3], axis=-1)
-    b = concat_shares([s2, s3, s1], axis=-1)
-    prods = mult(sess, a, b)
-    parts = np.split(np.arange(prods.shape[-1]), 3)
-    C = add_shares(add_shares(prods[..., parts[0]], prods[..., parts[1]]), prods[..., parts[2]])
+    p12, p23, p31 = _pair_products(sess, s1, s2, s3)
+    C = add_shares(add_shares(p12, p23), p31)
 
     # total = S + 2C; ripple the carry through positions 1..ell-1
-    # (A = S, B = C shifted left one position; g batched in one round)
+    # (A = S, B = C shifted left one position; g batched in one round).
+    # Sum bit i + 1 is A_i ^ B_i ^ carry, local before the carry update.
     A = S[..., 1:ell]
     B = C[..., 0 : ell - 1]
     g_all = mult(sess, A, B)
     p_all = add_shares(A, B)
-    n = x.shape[0] if x.lo.ndim else 1
-    carry = public_share(sess.party, np.uint64(0), 2, shape=(n,))
+    carry = public_share(sess.party, np.uint64(0), 2, shape=x.shape + (1,))
+    sums = [S[..., :1]]
     for i in range(ell - 1):
-        carry = add_shares(g_all[..., i], mult(sess, p_all[..., i], carry))
+        p_i = p_all[..., i : i + 1]
+        sums.append(add_shares(p_i, carry))
+        carry = add_shares(g_all[..., i : i + 1], mult(sess, p_i, carry))
     # bit ell of the total: B_ell = C[ell-1] plus the carry into position ell
-    return add_shares(C[..., ell - 1], carry)
+    return concat_shares(sums, axis=-1), add_shares(C[..., ell - 1 :], carry).reshape(x.shape)
 
 
 class DistributedPrep:
@@ -313,23 +308,20 @@ class DistributedPrep:
             idx = np.nonzero(d_arr == dv)[0]
             nb = params.ell - 2 - int(dv)
             bits = sample_shared_bits(sess, (len(idx), nb))
-            u = bit_compose(sess, bits, params.L)  # uniform in [0, 2^{ell-2-d})
+            u = bit_compose(sess, bits)  # uniform in [0, 2^{ell-2-d})
             offset = np.uint64(1 << (params.ell - 3 - int(dv)))
             u = sub_shares(u, public_share(sess.party, offset, params.L, shape=(len(idx),)))
             r = scale_share(np.uint64(1 << int(dv)), u)
             r_lo[idx], r_hi[idx] = r.lo, r.hi
             u_lo[idx], u_hi[idx] = u.lo, u.hi
-        d_out = d if np.ndim(d) == 0 else d_arr
-        return TruncPair(RssShare(r_lo, r_hi, params.L), RssShare(u_lo, u_hi, params.L), d_out)
+        return TruncPair(RssShare(r_lo, r_hi, params.L), RssShare(u_lo, u_hi, params.L), d_arr)
 
     def wrap_rands(self, n: int) -> WrapRand:
         sess = self.sess
         params = sess.params
-        bits2 = sample_shared_bits(sess, (n, params.ell))
-        xbits_p = bit_inject(sess, bits2, params.p)
-        x = bit_compose(sess, bits2, params.L)
-        alpha = _adder_wrap_bit(sess, x)
-        return WrapRand(x, xbits_p, alpha)
+        x = sample_shared_bits(sess, (n,), mod=params.L)
+        bits, alpha = _adder_wrap_bit(sess, x)
+        return WrapRand(x, bit_inject(sess, bits, params.p), alpha)
 
     def compare_rands(self, n: int) -> CompareRand:
         sess = self.sess
@@ -365,8 +357,6 @@ def _nonzero_masks(sess: PartySession, n: int) -> RssShare:
 
 def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
     """m^e by square-and-multiply over Mult."""
-    from .protocols import mult
-
     result = None
     base = m
     while e:
@@ -393,7 +383,7 @@ def save_prep_file(path: str, party: PartyId, params: RingParams, records: dict)
                 if isinstance(value, RssShare):
                     tensors[f"{key}.lo"], tensors[f"{key}.hi"] = value.lo, value.hi
                     tensors[f"{key}.mod"] = np.uint64(value.mod % (1 << 64))  # 0 marks 2^64
-                else:  # the trunc shift: an int or a per-element array
+                else:  # the trunc shift, one per element
                     tensors[key] = np.asarray(value, np.int64).astype(UINT)
     save_tensors(path, tensors, PREP_MAGIC)
 
@@ -414,9 +404,9 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
                           f"not {(party.index, params.ell, params.p)}")
 
     def field_value(key: str, n: int):
-        if key in tensors:  # the trunc shift: one int or one per instance
+        if key in tensors:  # the trunc shift, one per instance
             d = tensors[key]
-            if d.ndim and d.shape != (n,):
+            if d.shape != (n,):
                 raise FormatError(f"{path}: {key!r} has shape {d.shape}, not ({n},)")
             return d.astype(np.int64)
         lo, hi, mod = need(f"{key}.lo"), need(f"{key}.hi"), need(f"{key}.mod")
@@ -490,9 +480,7 @@ class FilePrep:
 
     def trunc_pairs(self, n: int, d) -> TruncPair:
         item = self._take("trunc", n)
-        want = np.broadcast_to(np.asarray(d, np.int64), (n,))
-        have = np.broadcast_to(np.asarray(item.d, np.int64), item.r.shape)
-        if not np.array_equal(have, want):
+        if np.any(item.d != np.asarray(d, np.int64)):
             raise RuntimeError("preprocessing file does not match the requested order")
         return item
 

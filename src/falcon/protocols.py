@@ -103,8 +103,8 @@ def truncate(sess: PartySession, x: RssShare, d) -> RssShare:
     """
     d = np.broadcast_to(np.asarray(d, np.int64), x.shape)
     n = int(np.prod(x.shape, dtype=int))
-    pair = sess.prep.trunc_pairs(n, d.reshape(n) if d.ndim else d).reshape(x.shape)
-    if not np.array_equal(np.broadcast_to(np.asarray(pair.d), x.shape), d):
+    pair = sess.prep.trunc_pairs(n, d.reshape(n)).reshape(x.shape)
+    if not np.array_equal(pair.d, d):
         raise ValueError("trunc pair shift does not match the requested shift")
     y = open_share(sess, sub_shares(x, pair.r))
     shifted = shift_signed(y, d, sess.params)
@@ -188,11 +188,6 @@ def one_minus_two_beta(sess: PartySession, beta: RssShare) -> RssShare:
     """Share of (-1)^beta = 1 - 2*beta (local)."""
     neg2 = sub_mod(0, 2, beta.mod)
     return add_public(sess.party, scale_share(neg2, beta), np.uint64(1))
-
-
-def flip_by_bit(sess: PartySession, x: RssShare, beta: RssShare) -> RssShare:
-    """Share of (-1)^beta * x; one multiplication round."""
-    return mult(sess, one_minus_two_beta(sess, beta), x)
 
 
 def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:

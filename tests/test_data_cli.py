@@ -84,6 +84,26 @@ def test_synth_deterministic():
     assert not np.array_equal(a_img, c_img)
 
 
+def test_cli_synth_then_ingest(tmp_path, capsys):
+    rc = cli.main(["synth-data", "--out-dir", str(tmp_path), "--train-n", "40", "--test-n", "8",
+                   "--seed", "2", "--json"])
+    assert rc == 0
+    paths = json.loads(capsys.readouterr().out)["paths"]
+    store = str(tmp_path / "train.bin")
+    rc = cli.main(["ingest-mnist", "--images", paths["train_images"], "--labels", paths["train_labels"],
+                   "--out", store, "--ring-bits", "32", "--fp-bits", "16", "--prime", "37", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["images"] == 40
+    imgs = read_idx_images(paths["train_images"])
+    params = RingParams(ell=32, p=37, fp=16)
+    assert np.array_equal(load_tensors(store)["images"], encode_fixed(imgs / 256.0, params))
+    # the data commands take no three-party session flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth-data", "--out-dir", str(tmp_path), "--train-n", "4", "--test-n", "2",
+                  "--threat", "malicious"])
+    assert exc.value.code == 2
+
+
 def test_checkpoint_roundtrip(tmp_path):
     raws = {"0.w": encode_fixed(np.random.default_rng(0).uniform(-1, 1, (4, 3)), PARAMS),
             "0.b": encode_fixed(np.zeros(3), PARAMS)}

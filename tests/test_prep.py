@@ -1,5 +1,6 @@
 """Preprocessing artifacts: reconstruct-and-recompute oracles, both modes."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,9 +19,9 @@ from falcon.prep import (
     sample_shared_bits,
     save_prep_file,
 )
-from falcon.rings import RingParams, shift_signed, signed, wrap3
+from falcon.rings import RingParams, reduce_mod, shift_signed, signed, wrap3
 from falcon.rss import PartyId, RssShare
-from falcon.session import run_three_parties
+from falcon.session import ThreatModel, run_three_parties
 from conftest import reconstruct_all
 
 from test_protocols import run_shared, shared_input
@@ -134,7 +135,7 @@ def test_bit_inject_matches_shared_random_bits():
 def test_bit_compose_oracle():
     def job(sess):
         bits = sample_shared_bits(sess, (100, 16))
-        composed = bit_compose(sess, bits, sess.params.L)
+        composed = bit_compose(sess, bits)
         return P.reconstruct(sess, bits), P.reconstruct(sess, composed)
 
     bits, composed = run_shared(PARAMS, job)[0]
@@ -142,8 +143,19 @@ def test_bit_compose_oracle():
     assert np.array_equal((bits * weights).sum(axis=-1), composed)
 
 
-@pytest.mark.parametrize("kind", ["trunc", "wrap", "compare", "bitpair"])
-def test_distributed_prep_oracles(kind):
+P64 = RingParams(ell=64, p=67, fp=13)
+
+
+def _distributed_cases():
+    # the id names only what differs from semi-honest at ell = 32
+    for kind in ("trunc", "wrap", "compare", "bitpair"):
+        for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
+            for params, pname in ((RingParams(), ""), (P64, "-ell64")):
+                yield pytest.param(kind, threat, params, id=kind + tname + pname)
+
+
+@pytest.mark.parametrize("kind,threat,params", _distributed_cases())
+def test_distributed_prep_oracles(kind, threat, params):
     n = 50
 
     def job(sess):
@@ -158,6 +170,7 @@ def test_distributed_prep_oracles(kind):
                 P.reconstruct(sess, wr.xbits),
                 P.reconstruct(sess, wr.alpha),
                 wr.x.lo,  # own component for the wrap oracle
+                (wr.x.mod, wr.xbits.mod, wr.xbits.lo.dtype, wr.alpha.mod),
             )
         if kind == "compare":
             cr = prep.compare_rands(n)
@@ -169,17 +182,20 @@ def test_distributed_prep_oracles(kind):
         bp = prep.bit_pairs(n)
         return P.reconstruct(sess, bp.c2), P.reconstruct(sess, bp.cL)
 
-    outs = run_three_parties(lambda s: job(s), PARAMS, session_seed=5)
+    outs = run_three_parties(job, params, threat=threat, session_seed=5)
     if kind == "trunc":
         r, rs = outs[0]
-        assert np.array_equal(rs, shift_signed(r, PARAMS.fp, PARAMS))
-        assert np.all(signed(r, PARAMS) % (1 << PARAMS.fp) == 0)
+        assert np.array_equal(rs, shift_signed(r, params.fp, params))
+        assert np.all(signed(r, params) % (1 << params.fp) == 0)
     elif kind == "wrap":
-        x, bits, alpha, _ = outs[0]
+        x, bits, alpha, _, rings = outs[0]
+        assert rings == (params.L, params.p, np.uint8, 2)
         comps = (outs[0][3], outs[1][3], outs[2][3])
-        weights = np.uint64(1) << np.arange(PARAMS.ell, dtype=np.uint64)
-        assert np.array_equal((bits * weights).sum(axis=-1) % (1 << PARAMS.ell), x)
-        assert np.array_equal(alpha, wrap3(*comps, PARAMS.L))
+        weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)
+        # the uint64 sum wraps mod 2^64, a multiple of 2^ell
+        composed = reduce_mod((bits * weights).sum(axis=-1, dtype=np.uint64), params.L)
+        assert np.array_equal(composed, x)
+        assert np.array_equal(alpha, wrap3(*comps, params.L))
     elif kind == "compare":
         b2, bp_, m = outs[0]
         assert np.array_equal(b2, bp_)
@@ -187,6 +203,32 @@ def test_distributed_prep_oracles(kind):
     else:
         c2, cL = outs[0]
         assert np.array_equal(c2, cL)
+
+
+@pytest.mark.parametrize("params", [RingParams(ell=16, p=37, fp=6), RingParams(), P64],
+                         ids=["ell16", "ell32", "ell64"])
+def test_distributed_wrap_rands_rounds(params):
+    # one carry-save round, ell rounds of adder carries, two of bit injection
+    def job(sess):
+        before = sess.meter.rounds
+        DistributedPrep(sess).wrap_rands(8)
+        return sess.meter.rounds - before
+
+    assert run_three_parties(job, params, session_seed=6) == [params.ell + 3] * 3
+
+
+def test_distributed_wrap_rands_memory():
+    # one benchmark request's worth of wrap randomness (network-b, batch 16)
+    # holds only a handful of (n, ell) uint8 bit planes at a time
+    n = 15680
+    tracemalloc.start()
+    try:
+        run_three_parties(lambda sess: DistributedPrep(sess).wrap_rands(n), PARAMS,
+                          threat=ThreatModel.MALICIOUS, session_seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"wrap_rands({n}) peaked at {peak / 1e6:.0f} MB over three parties"
 
 
 def test_dealer_and_distributed_interchangeable_online():
@@ -277,6 +319,7 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     entries = load_tensors(path, PREP_MAGIC)
     xbits = {k: entries[f"wrap.0.xbits.{k}"][:, :8] for k in ("lo", "hi")}  # (n, 8)
     for bad in [{"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
+                {"trunc.0.d": np.uint64(PARAMS.fp)},  # one shift for the record
                 {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
                 {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},
                 {"wrap.0.xbits.lo": xbits["lo"], "wrap.0.xbits.hi": xbits["hi"]},

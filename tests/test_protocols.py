@@ -169,34 +169,22 @@ def test_xor_public_truth_table():
         assert got == x ^ b
 
 
-def test_flip_by_bit():
-    def job(sess):
-        x = shared_input(sess, np.uint64(5), 37)
-        b0 = shared_input(sess, np.uint64(0), 37)
-        b1 = shared_input(sess, np.uint64(1), 37)
-        keep = P.reconstruct(sess, P.flip_by_bit(sess, x, b0))
-        flip = P.reconstruct(sess, P.flip_by_bit(sess, x, b1))
-        return keep, flip
-
-    keep, flip = run_shared(PARAMS, job)[0]
-    assert keep == 5 and flip == 32  # -5 mod 37
-
-
-def test_flip_by_bit_exhaustive_small():
-    params = RingParams(ell=8, p=37, fp=4)
-    xs = np.arange(256, dtype=np.uint64)
+@pytest.mark.parametrize("mod", [37, 256])
+def test_one_minus_two_beta(mod):
+    # the sign share private compare multiplies by: (-1)^beta * x
+    xs = np.arange(mod, dtype=np.uint64)
 
     def job(sess):
         out = {}
         for beta in (0, 1):
-            x = shared_input(sess, xs, 256)
-            b = shared_input(sess, np.full(256, beta, np.uint64), 256)
-            out[beta] = P.reconstruct(sess, P.flip_by_bit(sess, x, b))
+            x = shared_input(sess, xs, mod)
+            b = shared_input(sess, np.full(mod, beta, np.uint64), mod)
+            out[beta] = P.reconstruct(sess, P.mult(sess, P.one_minus_two_beta(sess, b), x))
         return out
 
-    out = run_shared(params, job)[0]
+    out = run_shared(RingParams(ell=8, p=37, fp=4), job)[0]
     assert np.array_equal(out[0], xs)
-    assert np.array_equal(out[1], reduce_mod(-xs.astype(np.int64), 256))
+    assert np.array_equal(out[1], reduce_mod(-xs.astype(np.int64), mod))
 
 
 def test_select_shares():
