@@ -218,9 +218,10 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
         "matmul": (1, k * x * z),
         "pc": (2 + lg, 2 * k * n),
         "wa": (3 + lg, 3 * k * n),
-        "drelu": (5 + lg, 4 * k * n),
+        "drelu": (3 + lg, 3 * k * n),
         "relu": (5 + lg, 4 * k * n),
-        "maxpool": ((wh - 1) * (7 + lg), n * (5 * k + wh)),
+        # n windows: ceil(log2 wh) tree levels of DReLU + select, wh - 1 of each
+        "maxpool": ((wh - 1).bit_length() * (5 + lg), (wh - 1) * 4 * k * n),
         "pow": (5 * ell + ell * lg, 4 * k * n * ell),
         "div": (7 + 5 * ell + ell * lg, 4 * k * n * ell + 7 * k * n),
         "bn": (15 + 5 * ell + ell * lg, k * r + 4 * k * r * ell + 14 * k * r * n),

@@ -2,7 +2,7 @@
 
 Layers evaluate batch-first: images as (B, C, H, W) shares, flat
 activations as (B, D). The forward pass caches whatever the backward pass
-reuses (ReLU derivative bits, maxpool one-hots, batch-norm normalized
+reuses (ReLU derivative bits, maxpool keep bits, batch-norm normalized
 activations and inverse sigma), mirroring the fused forward/backward
 optimization of the cost model. Learning rates are powers of two; an SGD
 step is a subtraction after an arithmetic shift of the gradient.
@@ -24,6 +24,7 @@ from .protocols import (
     drelu,
     matmul,
     maxpool_argmax,
+    maxpool_route,
     mult,
     relu,
     select_shares,
@@ -130,8 +131,8 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         Ho = (H - layer.window) // layer.stride + 1
         Wo = (W - layer.window) // layer.stride + 1
         windows = _pool_windows(x, layer.window, layer.stride, Ho, Wo)
-        mx, onehot = maxpool_argmax(sess, windows)
-        st.cache["onehot"] = onehot
+        mx, path = maxpool_argmax(sess, windows)
+        st.cache["path"] = path
         st.cache["in_shape"] = (B, C, H, W)
         return mx.reshape(B, C, Ho, Wo)
     if layer.kind == "bn":
@@ -214,12 +215,11 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         zero = public_share(sess.party, np.uint64(0), delta.mod, shape=delta.shape)
         return select_shares(sess, zero, delta, st.cache["drelu"])
     if layer.kind == "maxpool":
-        onehot = st.cache["onehot"]  # (B, C, Ho, Wo, F*F), integer 0/1
         B, C, H, W = st.cache["in_shape"]
-        routed = mult(sess, onehot, expand_last(delta, onehot.shape))
+        routed = maxpool_route(sess, st.cache["path"], delta)  # (B, C, Ho, Wo, F*F)
 
         def scatter(a):  # adjoint of _pool_windows
-            cols = a.transpose(1, 4, 0, 2, 3).reshape(C * onehot.shape[-1], -1)
+            cols = a.transpose(1, 4, 0, 2, 3).reshape(C * layer.window ** 2, -1)
             return col2im(cols, (B, C, H, W), layer.window, layer.stride, 0, delta.mod)
 
         return RssShare(scatter(routed.lo), scatter(routed.hi), delta.mod)

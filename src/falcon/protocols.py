@@ -2,9 +2,11 @@
 
 Multiplication with resharing, matrix/convolution variants, exact
 truncation from preprocessed pairs, oblivious selection, private compare,
-the three-operand wrap bit, ReLU/DReLU and maxpool with argmax. Each
-protocol works elementwise over arbitrary array shapes and runs under
-either threat model of the session.
+the three-operand wrap bit, ReLU/DReLU, and maxpool as a comparison tree
+of ceil(log2 n) levels whose keep bits stand for the argmax: inference
+takes the max alone, and backward routes the gradient down the same bits
+(`maxpool_route`). Each protocol works elementwise over arbitrary array
+shapes and runs under either threat model of the session.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
@@ -23,6 +25,7 @@ from .rings import (
     UINT,
     add_mod,
     bit_decompose,
+    dtype_for,
     matmul_mod,
     mul_mod,
     reduce_mod,
@@ -258,47 +261,67 @@ def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
 
 def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
              t_top: np.ndarray, crand, reveal_sink: list | None = None) -> RssShare:
-    params = sess.params
-    p, ell = params.p, params.ell
-    n = xbits.shape[0]
-    tbits = np.concatenate([bit_decompose(reduce_mod(t, params.L), params), t_top[:, None]],
-                           axis=1)  # (n, ell+1) over Z_p
-
-    s = one_minus_two_beta(sess, crand.beta_p).reshape(n, 1)
-    # u[i] = v[i] - t[i] * s, with the virtual top bit using x[ell] = 0
-    u_lo = sub_mod(v.lo, mul_mod(tbits[:, :ell], s.lo, p), p)
-    u_hi = sub_mod(v.hi, mul_mod(tbits[:, :ell], s.hi, p), p)
-    u_top = scale_share(sub_mod(0, tbits[:, ell], p), s.reshape(n))  # -t[ell] * s
-    u = RssShare(np.concatenate([u_lo, u_top.lo[:, None]], axis=1),
-                 np.concatenate([u_hi, u_top.hi[:, None]], axis=1), p)
-
-    # w[i] = x[i] xor t[i]; top position has x[ell] = 0 so w[ell] = t[ell]
-    w_scale = sub_mod(1, mul_mod(2, tbits[:, :ell], p), p)
-    w_lo = mul_mod(w_scale, xbits.lo, p)
-    w_hi = mul_mod(w_scale, xbits.hi, p)
-    zero = np.zeros((n, 1), w_lo.dtype)
-    w = RssShare(np.concatenate([w_lo, zero], axis=1), np.concatenate([w_hi, zero], axis=1), p)
-    w = add_public(sess.party, w, tbits)
-
-    # suffix sums sum_{k > i} w[k]
-    suf_lo = _suffix_sum(w.lo, p)
-    suf_hi = _suffix_sum(w.hi, p)
-    c = RssShare(add_mod(u.lo, suf_lo, p), add_mod(u.hi, suf_hi, p), p)
-    c = add_public(sess.party, c, np.uint64(1))
-
-    # equality catcher: (1 - beta) + sum of all w
-    total_lo = add_mod(suf_lo[:, 0], w.lo[:, 0], p)
-    total_hi = add_mod(suf_hi[:, 0], w.hi[:, 0], p)
-    extra = add_shares(RssShare(total_lo, total_hi, p),
-                       add_public(sess.party, neg_share(crand.beta_p), np.uint64(1)))
-
-    factors = concat_shares([c, extra.reshape(n, 1), crand.m.reshape(n, 1)], axis=1)
-    prod = _tree_product(sess, factors)
+    prod = _tree_product(sess, _pc_factors(sess, xbits, v, t, t_top, crand))
     d = open_share(sess, prod)
     if reveal_sink is not None:
         reveal_sink.append(d)
     beta_prime = (d != 0).astype(NARROW)
     return xor_public(sess, crand.beta2, beta_prime)
+
+
+# rows per block of the private-compare factor arithmetic: its ~20 (rows,
+# ell + 1) temporaries then stay a few MB whatever n is, and only the
+# (n, ell + 3) factors reach the multiplication tree
+PC_BLOCK_ROWS = 4096
+
+
+def _pc_factors(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
+                t_top: np.ndarray, crand) -> RssShare:
+    """The ell + 3 factors of each instance, (n, ell + 3) over Z_p: c[0..ell],
+    the equality catcher and the mask m. Local only, built in row blocks."""
+    params = sess.params
+    p, ell = params.p, params.ell
+    n = xbits.shape[0]
+    lo = np.empty((n, ell + 3), dtype_for(p))
+    hi = np.empty_like(lo)
+    for k in range(0, n, PC_BLOCK_ROWS):
+        rows = slice(k, k + PC_BLOCK_ROWS)
+        xb, m = xbits[rows], crand.m[rows]
+        b = m.shape[0]  # rows in this block
+        tbits = np.concatenate([bit_decompose(reduce_mod(t[rows], params.L), params),
+                                t_top[rows, None]], axis=1)  # (b, ell+1) over Z_p
+
+        s = one_minus_two_beta(sess, crand.beta_p[rows]).reshape(b, 1)
+        # u[i] = v[i] - t[i] * s, with the virtual top bit using x[ell] = 0
+        u_lo = sub_mod(v.lo[rows], mul_mod(tbits[:, :ell], s.lo, p), p)
+        u_hi = sub_mod(v.hi[rows], mul_mod(tbits[:, :ell], s.hi, p), p)
+        u_top = scale_share(sub_mod(0, tbits[:, ell], p), s.reshape(b))  # -t[ell] * s
+        u = RssShare(np.concatenate([u_lo, u_top.lo[:, None]], axis=1),
+                     np.concatenate([u_hi, u_top.hi[:, None]], axis=1), p)
+
+        # w[i] = x[i] xor t[i]; top position has x[ell] = 0 so w[ell] = t[ell]
+        w_scale = sub_mod(1, mul_mod(2, tbits[:, :ell], p), p)
+        w_lo = mul_mod(w_scale, xb.lo, p)
+        w_hi = mul_mod(w_scale, xb.hi, p)
+        zero = np.zeros((b, 1), w_lo.dtype)
+        w = RssShare(np.concatenate([w_lo, zero], axis=1), np.concatenate([w_hi, zero], axis=1), p)
+        w = add_public(sess.party, w, tbits)
+
+        # suffix sums sum_{k > i} w[k]
+        suf_lo = _suffix_sum(w.lo, p)
+        suf_hi = _suffix_sum(w.hi, p)
+        c = RssShare(add_mod(u.lo, suf_lo, p), add_mod(u.hi, suf_hi, p), p)
+        c = add_public(sess.party, c, np.uint64(1))
+
+        # equality catcher: (1 - beta) + sum of all w
+        total_lo = add_mod(suf_lo[:, 0], w.lo[:, 0], p)
+        total_hi = add_mod(suf_hi[:, 0], w.hi[:, 0], p)
+        extra = add_shares(RssShare(total_lo, total_hi, p),
+                           add_public(sess.party, neg_share(crand.beta_p[rows]), np.uint64(1)))
+
+        factors = concat_shares([c, extra.reshape(b, 1), m.reshape(b, 1)], axis=1)
+        lo[rows], hi[rows] = factors.lo, factors.hi
+    return RssShare(lo, hi, p)
 
 
 def _suffix_sum(a: np.ndarray, mod: int) -> np.ndarray:
@@ -387,8 +410,8 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 
 
 # elementwise comparison batches above this size run in sequential chunks:
-# the compare tree holds ~35 Z_p elements per instance in flight, one byte
-# each, so a full chunk keeps ~4.6 MB per share component (lo or hi)
+# online DReLU peaks at ~0.85 KB per element over the three parties (~1 KB
+# malicious; tracemalloc at n = 2^17), so a full chunk holds ~40 MB per party
 COMPARE_CHUNK = 1 << 17
 
 
@@ -422,24 +445,44 @@ def relu(sess: PartySession, a: RssShare) -> RssShare:
 # maxpool
 
 
-def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, RssShare]:
-    """Running max and one-hot argmax over the last axis.
+def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, list[RssShare]]:
+    """Max over the last axis by a tournament tree; the argmax stays as keep bits.
 
-    Ties break toward the earlier index (DReLU(0) = 1 keeps the incumbent).
-    Input (..., n); returns max (...,) and one-hot (..., n) of integer 0/1.
-    The max and its one-hot travel as one stacked share (..., 1 + n), so
-    each step is one DReLU and one selection.
+    Each level compares adjacent slots (0, 1), (2, 3), ... with one DReLU
+    over all pairs of the level and keeps the larger with one selection; an
+    odd last slot is carried up unchanged. keep = DReLU(left - right) is 1 on
+    a tie and the left slot always holds the earlier indices, so the kept
+    slot is the earliest maximum. Input (..., n); returns the max (...,) and
+    the Z_2 keep bits of each level, root last, for `maxpool_route`.
+    ceil(log2 n) levels of one DReLU and one selection each.
     """
-    n = a.shape[-1]
-    eye = np.eye(n, dtype=UINT)
+    cur, path = a, []
+    while cur.shape[-1] > 1:
+        k = cur.shape[-1]
+        left, right = cur[..., 0 : k - 1 : 2], cur[..., 1:k:2]
+        keep = drelu(sess, sub_shares(left, right))
+        best = select_shares(sess, right, left, keep)
+        if k % 2:
+            best = concat_shares([best, cur[..., -1:]], axis=-1)
+        path.append(keep)
+        cur = best
+    return cur[..., 0], path
 
-    def slot(i):  # (..., 1 + n): the value a_i, then the unit vector e_i
-        unit = public_share(sess.party, eye[i], a.mod, shape=a.shape)
-        return concat_shares([a[..., i : i + 1], unit], axis=-1)
 
-    best = slot(0)
-    for i in range(1, n):
-        cand = slot(i)
-        keep = drelu(sess, sub_shares(best[..., 0], cand[..., 0]))
-        best = select_shares(sess, cand, best, keep)
-    return best[..., 0], best[..., 1:]
+def maxpool_route(sess: PartySession, path: list[RssShare], delta: RssShare) -> RssShare:
+    """Adjoint of `maxpool_argmax`: delta (...,) lands on the argmax slot of
+    (..., n) and 0 on every other, walking the keep bits from the root down.
+
+    Per level the kept slot takes select(0, d, keep) and its rival the rest,
+    d minus that: two rounds per level.
+    """
+    d = delta.reshape(delta.shape + (1,))
+    for keep in reversed(path):
+        half = keep.shape[-1]
+        pairs = d[..., :half]
+        zero = public_share(sess.party, np.uint64(0), d.mod, shape=pairs.shape)
+        left = select_shares(sess, zero, pairs, keep)
+        right = sub_shares(pairs, left)
+        slots = concat_shares([left[..., None], right[..., None]], axis=-1)
+        d = concat_shares([slots.reshape(pairs.shape[:-1] + (2 * half,)), d[..., half:]], axis=-1)
+    return d

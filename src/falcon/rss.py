@@ -196,11 +196,20 @@ def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
 # keyed PRF streams (AES-128 in counter mode)
 
 
-def _aes_stream(key: bytes, counter: int, nbytes: int) -> bytes:
-    # each logical draw owns a disjoint 2^64-block slice of the CTR space
+# keystream bytes per AES call: a draw of any length then holds one piece of
+# stream and its reduction beside its output, not several copies of the draw
+_PIECE_BYTES = 1 << 18
+
+
+def _aes_stream(key: bytes, counter: int, nbytes: int):
+    """The keystream of one draw, in pieces of at most _PIECE_BYTES bytes."""
+    # each logical draw owns a disjoint 2^64-block slice of the CTR space;
+    # CTR is a stream, so the pieces concatenate to the one-call keystream
     nonce = counter.to_bytes(8, "little") + b"\x00" * 8
     enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
-    return enc.update(b"\x00" * nbytes)
+    zeros = memoryview(bytes(min(nbytes, _PIECE_BYTES)))
+    for start in range(0, nbytes, _PIECE_BYTES):
+        yield enc.update(zeros[: min(_PIECE_BYTES, nbytes - start)])
 
 
 class PrfStream:
@@ -212,20 +221,27 @@ class PrfStream:
         self.key = key
         self.counter = 0
 
-    def draw_u64(self, n: int) -> np.ndarray:
-        buf = _aes_stream(self.key, self.counter, 8 * n)
+    def _draw(self, n: int, width: int, reduce, dtype) -> np.ndarray:
+        # n little-endian words of `width` bytes, each mapped through reduce
+        out = np.empty(n, dtype)
+        pos = 0
+        for piece in _aes_stream(self.key, self.counter, width * n):
+            words = np.frombuffer(piece, dtype=f"<u{width}")
+            out[pos : pos + words.size] = reduce(words)
+            pos += words.size
         self.counter += 1
-        return np.frombuffer(buf, dtype="<u8").astype(UINT)
+        return out
+
+    def draw_u64(self, n: int) -> np.ndarray:
+        return self._draw(n, 8, lambda words: words, UINT)
 
     def draw_mod(self, n: int, mod: int) -> np.ndarray:
         # power-of-two moduli reduce exactly; odd p keeps a <= 2^-32 bias (masks only)
         if mod < (1 << 16):
-            buf = _aes_stream(self.key, self.counter, 4 * n)
-            self.counter += 1
-            vals = np.frombuffer(buf, dtype="<u4")
+            m = np.uint32(mod)
             if mod & (mod - 1) == 0:
-                return (vals & np.uint32(mod - 1)).astype(dtype_for(mod))
-            return (vals % np.uint32(mod)).astype(dtype_for(mod))
+                return self._draw(n, 4, lambda words: words & (m - np.uint32(1)), dtype_for(mod))
+            return self._draw(n, 4, lambda words: words % m, dtype_for(mod))
         return reduce_mod(self.draw_u64(n), mod)
 
 

@@ -26,6 +26,7 @@ from falcon.session import AbortError, ThreatModel, run_three_parties
 from falcon.transport import FaultInjector
 
 from test_protocols import run_shared, shared_input
+from test_relu_maxpool import maxpool_onehot
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
 P16 = RingParams(ell=32, p=37, fp=16)
@@ -202,7 +203,7 @@ def test_criterion_4_maxpool():
         outs = []
         for vals in batches:
             a = shared_input(sess, encode_fixed(vals, sess.params), sess.params.L)
-            mx, ind = P.maxpool_argmax(sess, a)
+            mx, ind = maxpool_onehot(sess, a)
             outs.append((P.reconstruct(sess, mx), P.reconstruct(sess, ind)))
         return outs
 
@@ -457,6 +458,7 @@ def test_criterion_10_cost_model():
     pos_vals = rng.integers(1, 1 << 29, n, dtype=np.uint64)
     div_b = np.exp(rng.uniform(np.log(0.5), np.log(50.0), n))
     bn_acts = encode_fixed(rng.normal(0, 1, (2, n)), PARAMS)
+    windows = {wh: encode_fixed(rng.uniform(-8, 8, (n, wh)), PARAMS) for wh in (4, 9)}
 
     def mk_matmul(sess):
         return (shared_input(sess, mat_a, PARAMS.L), shared_input(sess, mat_b, PARAMS.L))
@@ -476,6 +478,9 @@ def test_criterion_10_cost_model():
         return (shared_input(sess, encode_fixed(div_b * 1.5, PARAMS), PARAMS.L),
                 shared_input(sess, encode_fixed(div_b, PARAMS), PARAMS.L))
 
+    def mk_windows(wh):
+        return lambda sess: (shared_input(sess, windows[wh], PARAMS.L),)
+
     def mk_bn(sess):
         return (shared_input(sess, bn_acts, PARAMS.L),
                 shared_input(sess, encode_fixed(np.ones(2), PARAMS), PARAMS.L),
@@ -485,7 +490,10 @@ def test_criterion_10_cost_model():
         ("matmul", mk_matmul, lambda s, i: P.matmul(s, *i, truncate_after=False), dict(dims=(4, 4, 4))),
         ("pc", mk_bits, lambda s, i: P.private_compare(s, *i), {}),
         ("wa", mk_vec, lambda s, i: P.wrap3_protocol(s, i[0]), {}),
+        ("drelu", mk_vec, lambda s, i: P.drelu(s, i[0]), {}),
         ("relu", mk_vec, lambda s, i: P.relu(s, i[0]), {}),
+        ("maxpool", mk_windows(4), lambda s, i: P.maxpool_argmax(s, i[0]), dict(pool=4)),
+        ("maxpool", mk_windows(9), lambda s, i: P.maxpool_argmax(s, i[0]), dict(pool=9)),
         ("pow", mk_pos, lambda s, i: N.bounding_power(s, i[0], validate=False), {}),
         ("div", mk_div, lambda s, i: N.divide(s, *i), {}),
         ("bn", mk_bn, lambda s, i: N.batch_norm_forward(s, *i), dict(groups=2)),
@@ -495,14 +503,14 @@ def test_criterion_10_cost_model():
         row = {}
         for threat in ("semi", "malicious"):
             rounds, bts = measure(proto, n, threat, mk, call)
-            pred = table10(proto, PARAMS, n, threat,
-                           dims=extra.get("dims", (4, 4, 4)), groups=extra.get("groups", 1))
+            pred = table10(proto, PARAMS, n, threat, dims=extra.get("dims", (4, 4, 4)),
+                           pool=extra.get("pool", 4), groups=extra.get("groups", 1))
             r_ratio = rounds / pred["rounds"]
             b_ratio = bts / pred["bytes"]
             ok = r_ratio <= 1.25 and b_ratio <= 1.25
             all_ok &= ok
             row[threat] = bts
-            lines.append(f"{proto}[{threat}]: rounds {rounds}/{pred['rounds']} "
+            lines.append(f"{proto}{extra.get('pool', '')}[{threat}]: rounds {rounds}/{pred['rounds']} "
                          f"({r_ratio:.2f}x), bytes {bts:.0f}/{pred['bytes']} ({b_ratio:.2f}x)")
         mult_family_ratios[proto] = row["malicious"] / row["semi"]
     ratio = mult_family_ratios["matmul"]
@@ -513,7 +521,7 @@ def test_criterion_10_cost_model():
         print("  " + line)
     verdict(10, all_ok,
             f"rounds and bytes within 1.25x of the analytic formulas for "
-            f"MatMul/PC/WA/ReLU/Pow/Div/BN; malicious/semi-honest byte ratio for the "
+            f"MatMul/PC/WA/DReLU/ReLU/Maxpool/Pow/Div/BN; malicious/semi-honest byte ratio for the "
             f"mult family = {ratio} (exactly 2.0: {exact2})")
 
 

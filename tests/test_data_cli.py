@@ -230,6 +230,14 @@ def test_cli_bench_json(mini_setup, capsys):
     assert report["predicted"]["rounds"] == 1
 
 
+def test_cli_bench_maxpool_json(capsys):
+    # 3x3 windows: four tree levels of DReLU and select, as table10 predicts
+    rc = cli.main(["bench", "--protocol", "maxpool", "--n", "8", "--pool", "9", "--json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 40
+
+
 def test_cli_bench_reference_table(capsys):
     rc = cli.main(["bench", "--protocol", "mult", "--n", "4", "--reference"])
     assert rc == 0

@@ -72,6 +72,21 @@ def conv_bn_net():
     )
 
 
+def pool3_net():
+    # odd fan-in and overlapping windows, as in alexnet-cifar10's first pool
+    return NetworkSpec(
+        name="tiny-pool3",
+        input_shape=(1, 7, 7),
+        classes=3,
+        layers=[
+            LayerSpec("conv", in_ch=1, out_ch=2, kernel=3, stride=1, pad=1),
+            LayerSpec("relu"),
+            LayerSpec("maxpool", window=3, stride=2),
+            LayerSpec("fc", in_dim=18, out_dim=3),
+        ],
+    )
+
+
 def test_builtin_shapes_propagate():
     for name, ctor in BUILTIN.items():
         net = ctor()
@@ -131,7 +146,7 @@ def test_zero_input_zero_bias_gives_zero_logits():
     assert np.all(out == 0)
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net])
+@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net])
 def test_secure_forward_bit_exact_vs_fx(maker):
     net = maker()
     fparams = init_float_params(net, seed=3)
@@ -179,7 +194,7 @@ def _secure_train_step(net, fparams, batch_raw, onehot, lr_shift, seed=0):
     return run_shared(PARAMS, job, seed=seed)[0]
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net])
+@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net])
 def test_training_step_bit_exact_vs_fx(maker):
     net = maker()
     fparams = init_float_params(net, seed=7)

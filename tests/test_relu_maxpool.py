@@ -1,5 +1,8 @@
 """DReLU, ReLU and maxpool against plain oracles, plus the round meters."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,19 @@ from falcon import protocols as P
 from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
 from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
 from falcon.rings import RingParams, encode_fixed, reduce_mod
+from falcon.rss import public_share
 from falcon.session import ThreatModel, run_three_parties
 
 from test_protocols import run_shared, shared_input
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
+
+
+def maxpool_onehot(sess, a):
+    """The max and the one-hot argmax, read by routing a 1 down the keep bits."""
+    mx, path = P.maxpool_argmax(sess, a)
+    ones = public_share(sess.party, np.uint64(1), a.mod, shape=mx.shape)
+    return mx, P.maxpool_route(sess, path, ones)
 
 
 def test_drelu_exhaustive_8bit():
@@ -101,9 +112,9 @@ def test_relu_bytes_within_budget():
 def test_maxpool_examples():
     def job(sess):
         a = shared_input(sess, encode_fixed(np.array([1.0, 5.0, 3.0]), PARAMS), PARAMS.L)
-        mx, ind = P.maxpool_argmax(sess, a)
+        mx, ind = maxpool_onehot(sess, a)
         one = shared_input(sess, encode_fixed(np.array([7.5]), PARAMS), PARAMS.L)
-        mx1, ind1 = P.maxpool_argmax(sess, one)
+        mx1, ind1 = maxpool_onehot(sess, one)
         return (
             P.reconstruct(sess, mx),
             P.reconstruct(sess, ind),
@@ -136,7 +147,7 @@ def test_maxpool_random_vectors_earliest_tie():
                 continue
             arr = np.stack(batch).astype(np.float64)
             a = shared_input(sess, encode_fixed(arr, sess.params), sess.params.L)
-            mx, ind = P.maxpool_argmax(sess, a)
+            mx, ind = maxpool_onehot(sess, a)
             outs.append((n, P.reconstruct(sess, mx), P.reconstruct(sess, ind)))
         return outs
 
@@ -148,6 +159,71 @@ def test_maxpool_random_vectors_earliest_tie():
         assert np.array_equal(mx, exp_max)
         assert np.array_equal(np.argmax(ind, axis=1), exp_idx)
         assert np.all(ind.sum(axis=1) == 1)
+
+
+def test_maxpool_takes_one_level_per_doubling():
+    # ceil(log2 n) levels of one DReLU and one selection each; the routing
+    # back down takes one selection per level
+    def job(sess):
+        x = shared_input(sess, np.arange(4, dtype=np.uint64), PARAMS.L)
+        r0 = sess.meter.rounds
+        P.select_shares(sess, x, x, P.drelu(sess, x))
+        level = sess.meter.rounds - r0
+        got = {}
+        for n in range(2, 17):
+            a = shared_input(sess, np.arange(3 * n, dtype=np.uint64).reshape(3, n), PARAMS.L)
+            r0 = sess.meter.rounds
+            mx, path = P.maxpool_argmax(sess, a)
+            r1 = sess.meter.rounds
+            P.maxpool_route(sess, path, mx)
+            got[n] = (r1 - r0, sess.meter.rounds - r1)
+        return level, got
+
+    level, got = run_shared(PARAMS, job)[0]
+    assert level == 10
+    assert got == {n: ((n - 1).bit_length() * level, (n - 1).bit_length() * 2)
+                   for n in range(2, 17)}
+
+
+def test_drelu_online_memory():
+    # the private-compare factors are built in row blocks, so the online
+    # working set stays a few hundred bytes per element and party; the
+    # preprocessing material is drawn before the measured window
+    n = 36864  # one sequential maxpool step of network-c at batch 16
+    raws = np.random.default_rng(9).integers(0, PARAMS.L, n, dtype=np.uint64)
+    gate = threading.Barrier(3, timeout=60)
+    peak = []
+
+    class Drawn:
+        def __init__(self, source):
+            self.wrap, self.compare = source.wrap_rands(n), source.compare_rands(n)
+
+        def wrap_rands(self, count):
+            return self.wrap
+
+        def compare_rands(self, count):
+            return self.compare
+
+    def job(sess):
+        sess.prep = Drawn(DealerPrep(sess.party, PARAMS, seed=9))
+        a = shared_input(sess, raws, PARAMS.L)
+        gate.wait()
+        if sess.party.index == 1:
+            tracemalloc.start()
+        gate.wait()
+        bits = P.drelu(sess, a)
+        gate.wait()
+        if sess.party.index == 1:
+            peak.append(tracemalloc.get_traced_memory()[1])
+        return P.reconstruct(sess, bits)
+
+    try:
+        got = run_three_parties(job, PARAMS, session_seed=9)[0]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, oracle_drelu(raws, PARAMS))
+    per_elem = peak[0] / n
+    assert per_elem < 1300, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
 
 
 @pytest.mark.parametrize("ell", [63, 64])
@@ -165,7 +241,7 @@ def test_relu_truncate_maxpool_at_wide_rings(ell):
         a = shared_input(sess, raws, params.L)
         relu = P.reconstruct(sess, P.relu(sess, a))
         trunc = P.reconstruct(sess, P.truncate(sess, a, params.fp))
-        mx, ind = P.maxpool_argmax(sess, shared_input(sess, windows, params.L))
+        mx, ind = maxpool_onehot(sess, shared_input(sess, windows, params.L))
         return relu, trunc, P.reconstruct(sess, mx), P.reconstruct(sess, ind)
 
     relu, trunc, mx, ind = run_shared(params, job)[0]
@@ -187,20 +263,20 @@ def test_small_ring_shares_stay_uint8(mode):
                                   else DistributedPrep(sess))
         a = shared_input(sess, raws, PARAMS.L)
         bits = P.drelu(sess, a)
-        mx, onehot = P.maxpool_argmax(sess, a.reshape(4, 4))
-        return bits, P.reconstruct(sess, bits), mx, onehot, sess.prep.records
+        mx, path = P.maxpool_argmax(sess, a.reshape(4, 4))
+        return bits, P.reconstruct(sess, bits), mx, path, sess.prep.records
 
-    for bits, opened, mx, onehot, records in run_three_parties(job, PARAMS, session_seed=5):
+    for bits, opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
-        small = [bits]
+        small = [bits] + path
         small += [s for c in records["compare"] for s in (c.beta2, c.beta_p, c.m)]
         small += [s for w in records["wrap"] for s in (w.xbits, w.alpha)]
         small += [b.c2 for b in records["bitpair"]]
-        assert len(small) == 1 + 3 * 4 + 2 * 4 + 3  # 4 drelus, 3 selections
+        assert len(small) == 1 + 2 + 3 * 3 + 2 * 3 + 2  # 3 drelus, 2 selections
         for sh in small:
             assert sh.mod in (2, PARAMS.p)
             assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8
-        wide = [mx, onehot] + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
+        wide = [mx] + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
         for sh in wide:
             assert sh.mod == PARAMS.L and sh.lo.dtype == np.uint64

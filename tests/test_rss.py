@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from scipy import stats
 
 from falcon.rings import RingError, add_mod, dtype_for
@@ -9,7 +10,6 @@ from falcon.rss import (
     PartyId,
     PrfState,
     PrfStream,
-    _aes_stream,
     add_public,
     add_shares,
     public_share,
@@ -116,11 +116,28 @@ def test_zero_randomness_2of3_replicated_layout():
     reconstruct_all(shares)  # asserts hi_i == lo_{i+1}
 
 
+def _keystream(key, counter, nbytes):
+    # one AES-CTR call over the whole draw: the reference for the pieces
+    nonce = counter.to_bytes(8, "little") + b"\x00" * 8
+    return Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(b"\x00" * nbytes)
+
+
 @pytest.mark.parametrize("mod", [2, 37, 131, 251])
 def test_draw_mod_small_moduli_read_four_stream_bytes_per_element(mod):
-    # the storage dtype narrows with the modulus; the AES stream does not
+    # the storage dtype narrows with the modulus; the AES stream does not,
+    # and a draw longer than one keystream piece reads the same stream
     key = bytes(range(16))
-    got = PrfStream(key).draw_mod(1000, mod)
-    raw = np.frombuffer(_aes_stream(key, 0, 4000), "<u4").astype(np.uint64)
-    assert got.dtype == dtype_for(mod)
-    assert np.array_equal(got, raw % np.uint64(mod))
+    for n in (1000, 200_000):
+        got = PrfStream(key).draw_mod(n, mod)
+        raw = np.frombuffer(_keystream(key, 0, 4 * n), "<u4").astype(np.uint64)
+        assert got.dtype == dtype_for(mod)
+        assert np.array_equal(got, raw % np.uint64(mod))
+
+
+def test_draw_u64_reads_the_one_call_keystream():
+    key = bytes(range(16))
+    prf = PrfStream(key)
+    prf.draw_u64(5)
+    got = prf.draw_u64(100_000)  # several keystream pieces, counter 1
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.frombuffer(_keystream(key, 1, 800_000), "<u8"))
