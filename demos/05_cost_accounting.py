@@ -2,7 +2,8 @@
 
 Every send is metered twice: wire bytes as serialized, and cost-model
 bytes where ring elements count their width and bit-ring elements count a
-single bit. The malicious variants double every transmitted element.
+single bit. The malicious variants send every opened element twice and
+everything else once, so they add the bytes of the openings.
 """
 
 from falcon.cli import main
@@ -13,7 +14,7 @@ if __name__ == "__main__":
     for proto in PROTOCOLS:
         main(["bench", "--protocol", proto, "--n", "256"])
         print()
-    print("same protocols under the malicious model (bytes double exactly):")
+    print("same protocols under the malicious model (plus the bytes of the openings):")
     main(["bench", "--protocol", "matmul", "--dims", "8,8,8", "--threat", "malicious"])
     print()
     main(["bench", "--protocol", "relu", "--n", "256", "--threat", "malicious", "--reference"])

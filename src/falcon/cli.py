@@ -205,29 +205,50 @@ def emit(args, report: dict, text_lines: list):
 
 def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 4),
             pool: int = 4, groups: int = 1) -> dict:
-    """Analytic round/byte formulas (bytes in cost-model units)."""
+    """Analytic round/byte formulas (bytes in cost-model units).
+
+    Each entry is (rounds, semi-honest bytes, bytes of the openings). The
+    malicious model sends every opened element once more, so its bytes are
+    the semi-honest bytes plus those of the openings. Rescales whose shift
+    depends on the data count as taken.
+    """
     k = params.ell // 8
     ell = params.ell
     lg = int(math.log2(ell))
-    mal = threat == "malicious"
     x, y, z = dims
     wh = pool
     r = groups
+    # bounding-power probe: a DReLU, then its one-bit result is opened
+    probe = 4 + lg
+    # divide's final product splits y into c = ceil((w + 2) / h) chunks of h
+    # bits; divide refuses h <= 0, so clamping it only keeps this entry defined
+    w = num.working_precision(params)
+    h = max(1, min(10, ell - 9 - params.fp))
+    c = -(-(w + 2) // h)
     table = {
-        "mult": (1, k * n),
-        "matmul": (1, k * x * z),
-        "pc": (2 + lg, 2 * k * n),
-        "wa": (3 + lg, 3 * k * n),
-        "drelu": (3 + lg, 3 * k * n),
-        "relu": (5 + lg, 4 * k * n),
+        "mult": (1, k * n, 0),
+        "matmul": (1, k * x * z, 0),
+        # the flip, ceil(log2(ell + 3)) = lg + 1 tree levels, the open
+        "pc": (3 + lg, 2 * k * n, n / 8),
+        "wa": (3 + lg, 3 * k * n, k * n + n / 8),
+        "drelu": (3 + lg, 3 * k * n, k * n + n / 8),
+        "relu": (5 + lg, 4 * k * n, k * n + n / 4),
         # n windows: ceil(log2 wh) tree levels of DReLU + select, wh - 1 of each
-        "maxpool": ((wh - 1).bit_length() * (5 + lg), (wh - 1) * 4 * k * n),
-        "pow": (5 * ell + ell * lg, 4 * k * n * ell),
-        "div": (7 + 5 * ell + ell * lg, 4 * k * n * ell + 7 * k * n),
-        "bn": (15 + 5 * ell + ell * lg, k * r + 4 * k * r * ell + 14 * k * r * n),
+        "maxpool": ((wh - 1).bit_length() * (5 + lg), (wh - 1) * 4 * k * n,
+                    (wh - 1) * (k * n + n / 4)),
+        "pow": (lg * probe, lg * 3 * k * n, lg * (k * n + n / 4)),
+        # lg + 1 probes (one validates b > 0), the reciprocal series (a
+        # rescale, then four mults each rescaled) and the chunked product
+        "div": ((lg + 1) * probe + 11 + (c > 1), (lg + 1) * 3 * k * n + (3 * c + 8) * k * n,
+                (lg + 1) * (k * n + n / 4) + (2 * c + 4) * k * n),
+        # r groups of n: mean, squared deviations, variance, pow, 1/sqrt
+        # (a rescale, four Newton steps of three mults each rescaled, a
+        # rescale), then the normalised and the gamma-scaled products
+        "bn": (34 + lg * probe, 6 * k * r * n + (28 + 3 * lg) * k * r,
+               3 * k * r * n + (16 + lg) * k * r + lg * r / 4),
     }
-    rounds, bytes_sh = table[protocol]
-    return {"rounds": rounds, "bytes": 2 * bytes_sh if mal else bytes_sh}
+    rounds, bytes_sh, opened = table[protocol]
+    return {"rounds": rounds, "bytes": bytes_sh + opened if threat == "malicious" else bytes_sh}
 
 
 def _bench_inputs(sess: PartySession, protocol: str, args):

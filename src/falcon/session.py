@@ -5,12 +5,13 @@ threat model and cost meters. Protocol code is written SPMD-style: the
 same function runs at each party and synchronizes through Round objects,
 each of which is exactly one communication round of the cost model.
 
-Malicious mode: every opening delivers each missing component twice (once
-per peer) and the receiver compares; every resharing is mirrored to the
-third party and the two receivers keep rolling transcript digests that are
-cross-checked on the next opening. A message tampered with in transit
-therefore aborts before a value is released; a party that deviates is not
-yet caught (see the security model in README.md).
+Malicious mode: each party keeps a rolling digest of every payload it
+sends to and receives from each peer. Every opening delivers each missing
+component twice (once per peer), the receiver compares the copies, and the
+two ends of each link compare their digests of what crossed it before the
+round. A message tampered with in transit therefore aborts before a value is
+released; a party that deviates is not yet caught (see the security model
+in README.md).
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class ConfigMismatchError(RuntimeError):
     pass
 
 
-def _hash_chain(old: bytes, payload: bytes) -> bytes:
-    return hashlib.blake2b(old + payload, digest_size=DIGEST_BYTES).digest()
-
-
 @dataclass
 class PartySession:
     party: PartyId
@@ -80,12 +77,15 @@ class PartySession:
     prep: object = None
     shared_rng: np.random.Generator = None
     round_no: int = 0
-    # rolling digest of replicated traffic received from each peer
-    transcript: dict = None
+    # malicious only: running hashes of the payloads sent to / received from each peer
+    sent: dict = None
+    received: dict = None
 
     def __post_init__(self):
-        if self.transcript is None:
-            self.transcript = {p: b"\x00" * DIGEST_BYTES for p in (1, 2, 3) if p != self.party.index}
+        if self.malicious:
+            peers = (self.party.next.index, self.party.prev.index)
+            self.sent = {q: hashlib.blake2b(digest_size=DIGEST_BYTES) for q in peers}
+            self.received = {q: hashlib.blake2b(digest_size=DIGEST_BYTES) for q in peers}
         if self.shared_rng is None:
             self.shared_rng = np.random.default_rng(self.session_id)
 
@@ -116,14 +116,16 @@ class Round:
         self.tag = tag
         sess.round_no += 1
         self.no = sess.round_no
-        # digest state as of round start: what peers reference in this round
-        self.digests_at_start = dict(sess.transcript)
+        # what this party had sent as of round start: what it vouches for in this round
+        self.sent_at_start = {q: h.digest() for q, h in sess.sent.items()} if sess.malicious else None
         self._expects: list = []
         self._done = False
 
     def send_raw(self, to: int, payload: bytes, acct_bits: int = 0):
         msg = Message(self.sess.session_id, self.no, self.sess.party.index, to, payload)
         self.sess.links.send(msg)
+        if self.sess.malicious:
+            self.sess.sent[to].update(payload)
         self.sess.meter.on_send(HEADER_BYTES + len(payload), acct_bits)
 
     def send_elems(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b""):
@@ -133,13 +135,13 @@ class Round:
         self.send_raw(to, payload, acct_bits=bits)
 
     def expect_raw(self, frm: int, nbytes: int) -> int:
-        self._expects.append((frm, nbytes, 0, None, None, False))
+        self._expects.append((frm, nbytes, 0, None, None))
         return len(self._expects) - 1
 
-    def expect_elems(self, frm: int, mod: int, shape, extra_len: int = 0, replicated: bool = False) -> int:
+    def expect_elems(self, frm: int, mod: int, shape, extra_len: int = 0) -> int:
         size = int(np.prod(shape, dtype=int))
         nbytes = size * elem_width(mod, self.sess.params.ell) + extra_len
-        self._expects.append((frm, nbytes, extra_len, mod, shape, replicated))
+        self._expects.append((frm, nbytes, extra_len, mod, shape))
         return len(self._expects) - 1
 
     def run(self) -> list:
@@ -147,7 +149,7 @@ class Round:
         self._done = True
         sess = self.sess
         out = [None] * len(self._expects)
-        for i, (frm, nbytes, extra_len, mod, shape, replicated) in enumerate(self._expects):
+        for i, (frm, nbytes, extra_len, mod, shape) in enumerate(self._expects):
             msg = sess.links.recv(frm, sess.timeout)
             got = (msg.session_id, msg.round_tag, msg.sender, msg.receiver, len(msg.payload))
             want = (sess.session_id, self.no, frm, sess.party.index, nbytes)
@@ -157,8 +159,8 @@ class Round:
                 if sess.malicious:
                     raise AbortError(f"desync: {detail}")
                 raise DesyncError(f"malformed frame: {detail}")
-            if replicated:
-                sess.transcript[frm] = _hash_chain(sess.transcript[frm], msg.payload)
+            if sess.malicious:
+                sess.received[frm].update(msg.payload)
             if mod is None:
                 out[i] = msg.payload
             else:
@@ -177,8 +179,10 @@ def open_begin(sess: PartySession, x: RssShare, rnd: Round):
     """Stage the opening of x into rnd; returns a finisher for the payloads.
 
     Semi-honest: each party sends one component to the next party.
-    Malicious: both peers supply the missing component plus their transcript
-    digest of the third party; mismatch of either aborts.
+    Malicious: both peers supply the missing component, each with its digest
+    of what it had sent this party before the round. A mismatch of the copies,
+    or of either digest against this party's digest of what arrived, aborts:
+    the party that holds a corrupted value is the one that stops.
     """
     nxt, prv = sess.party.next.index, sess.party.prev.index
     if not sess.malicious:
@@ -191,10 +195,10 @@ def open_begin(sess: PartySession, x: RssShare, rnd: Round):
 
         return finish
 
-    third_for_next = 6 - sess.party.index - nxt
-    third_for_prev = 6 - sess.party.index - prv
-    rnd.send_elems(nxt, x.lo, x.mod, extra=rnd.digests_at_start[third_for_next])
-    rnd.send_elems(prv, x.hi, x.mod, extra=rnd.digests_at_start[third_for_prev])
+    rnd.send_elems(nxt, x.lo, x.mod, extra=rnd.sent_at_start[nxt])
+    rnd.send_elems(prv, x.hi, x.mod, extra=rnd.sent_at_start[prv])
+    # receives land only in rnd.run, so these are the round-start digests
+    arrived = {q: sess.received[q].digest() for q in (nxt, prv)}
     ia = rnd.expect_elems(prv, x.mod, x.shape, extra_len=DIGEST_BYTES)
     ib = rnd.expect_elems(nxt, x.mod, x.shape, extra_len=DIGEST_BYTES)
 
@@ -203,10 +207,10 @@ def open_begin(sess: PartySession, x: RssShare, rnd: Round):
         vb, db = results[ib]
         if not np.array_equal(va, vb):
             raise AbortError("reconstruction mismatch: peers sent different components")
-        if da != rnd.digests_at_start[nxt]:
-            raise AbortError(f"transcript digest mismatch for P{nxt}")
-        if db != rnd.digests_at_start[prv]:
-            raise AbortError(f"transcript digest mismatch for P{prv}")
+        for q, digest in ((prv, da), (nxt, db)):
+            if digest != arrived[q]:
+                raise AbortError(f"link digest mismatch: P{sess.party.index} did not "
+                                 f"receive what P{q} sent it")
         return add_mod(add_mod(x.lo, x.hi, x.mod), va, x.mod)
 
     return finish
@@ -225,20 +229,14 @@ def open_share(sess: PartySession, x: RssShare) -> np.ndarray:
 def reshare_begin(sess: PartySession, z_local: np.ndarray, mod: int, rnd: Round):
     """Blind own additive piece with fresh zero randomness and redistribute.
 
-    c_i = z_i + alpha_i travels to P_{i-1} (who stores it as its hi
-    component); in malicious mode an identical mirror goes to P_{i+1},
-    whose transcript digest later exposes any divergence.
+    c_i = z_i + alpha_i travels to P_{i-1} alone, who stores it as its hi
+    component.
     """
     z_local = np.asarray(z_local)
     alpha = zero_randomness_3of3(sess.prf, z_local.size, mod).reshape(z_local.shape)
     c = add_mod(z_local, alpha, mod)
     rnd.send_elems(sess.party.prev.index, c, mod)
-    if sess.malicious:
-        rnd.send_elems(sess.party.next.index, c, mod)
-    ih = rnd.expect_elems(sess.party.next.index, mod, z_local.shape, replicated=True)
-    if sess.malicious:
-        # mirror of the component P_prev computed, for transcript only
-        rnd.expect_elems(sess.party.prev.index, mod, z_local.shape, replicated=True)
+    ih = rnd.expect_elems(sess.party.next.index, mod, z_local.shape)
 
     def finish(results):
         hi, _ = results[ih]

@@ -59,7 +59,7 @@ class CostMeter:
     wire_bytes counts actual bytes on the wire (header + payload).
     acct_bytes counts ring elements in the analytic cost-model units
     (Z_L elements at ell bits, Z_p/Z_2 elements at one bit); integrity
-    metadata such as transcript digests is excluded from it.
+    metadata such as link digests is excluded from it.
     """
 
     rounds: int = 0

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from falcon import cli, nn
+from falcon import cli, nn, session
+from falcon import protocols as P
 from falcon.data import (
     FormatError,
     ingest_mnist,
@@ -20,7 +21,7 @@ from falcon.data import (
 )
 from falcon.prep import DealerPrep, RecordingPrep, load_prep_file, save_prep_file
 from falcon.rings import UINT, RingParams, decode_fixed, encode_fixed
-from falcon.rss import PartyId
+from falcon.rss import PartyId, elem_acct_bits
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
 
@@ -327,13 +328,27 @@ def test_cli_float_npz_weights_import(mini_setup, capsys):
     assert report["count"] == 6 and report["agreement"] >= 5
 
 
-def test_cli_malicious_infer_doubles_bytes(mini_setup, capsys):
+def test_cli_malicious_infer_adds_the_openings(mini_setup, capsys, monkeypatch):
+    """Malicious sends each opened element a second time and nothing else twice."""
     d, store, net_path = mini_setup
     base = ["infer", "--net", net_path, "--weights", str(d / "mini.ckpt"), "--data", store,
             "--count", "4", "--json"]
-    assert cli.main(base) == 0
+    opened_bits = []  # party 1's openings in the semi-honest run
+    open_begin = session.open_begin
+
+    def tap(sess, x, rnd):
+        if sess.party.index == 1:
+            opened_bits.append(elem_acct_bits(x.mod, sess.params.ell) * x.lo.size)
+        return open_begin(sess, x, rnd)
+
+    with monkeypatch.context() as m:
+        m.setattr(session, "open_begin", tap)
+        m.setattr(P, "open_begin", tap)
+        assert cli.main(base) == 0
     semi = json.loads(capsys.readouterr().out)
     assert cli.main(base + ["--threat", "malicious"]) == 0
     mal = json.loads(capsys.readouterr().out)
-    assert np.isclose(mal["meter"]["acct_bytes"] / semi["meter"]["acct_bytes"], 2.0)
+    assert opened_bits
+    surplus = mal["meter"]["acct_bytes"] - semi["meter"]["acct_bytes"]
+    assert surplus == sum(opened_bits) / 8
     assert mal["agreement"] == semi["agreement"]

@@ -198,7 +198,7 @@ def test_recv_timeout():
         run_three_parties(job, PARAMS, session_seed=0, timeout=0.3)
 
 
-def _relu_transcript(backend, addresses=None):
+def _relu_transcript(backend, threat, addresses=None):
     """Run a small ReLU and capture every payload received at party 1."""
     captured = {}
 
@@ -220,14 +220,16 @@ def _relu_transcript(backend, addresses=None):
         captured[sess.party.index] = recorded
         return out
 
-    res = run_three_parties(job, PARAMS, session_seed=9, backend=backend, addresses=addresses)
+    res = run_three_parties(job, PARAMS, threat=threat, session_seed=9, backend=backend,
+                            addresses=addresses)
     return res, captured
 
 
-def test_tcp_backend_matches_memory_transcripts():
-    mem_out, mem_tr = _relu_transcript("memory")
+@pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS])
+def test_tcp_backend_matches_memory_transcripts(threat):
+    mem_out, mem_tr = _relu_transcript("memory", threat)
     addresses = {1: ("127.0.0.1", 29751), 2: ("127.0.0.1", 29752), 3: ("127.0.0.1", 29753)}
-    tcp_out, tcp_tr = _relu_transcript("tcp", addresses)
+    tcp_out, tcp_tr = _relu_transcript("tcp", threat, addresses)
     assert all(np.array_equal(a, b) for a, b in zip(mem_out, tcp_out))
     for party in (1, 2, 3):
         assert mem_tr[party] == tcp_tr[party]
