@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--init-seed", type=int, default=3)
     t.add_argument("--train-count", type=int, default=8000)
     t.add_argument("--eval-count", type=int, default=1000)
-    t.add_argument("--eval-every", type=int, default=0,
-                   help="plaintext-evaluated accuracy every N iterations")
     t.add_argument("--out", default=None, help="ring checkpoint output path")
     t.add_argument("--check-oracle", action="store_true",
                    help="verify final weights equal the plaintext fixed-point twin")
@@ -462,19 +460,11 @@ def cmd_train(args) -> int:
 
     def job(sess: PartySession):
         t0 = time.perf_counter()
-        eval_cb = None
-        if args.eval_every and len(eval_x) and not args.as_json:
-            def eval_cb(it, state):
-                preds = nn.secure_predict(sess, state, eval_x[:200])
-                if sess.party.index == 1:
-                    acc_now = float((preds == eval_y[:200]).mean())
-                    print(f"  iteration {it}: held-out accuracy {acc_now:.3f}")
         state = nn.train_secure(
             sess, net, train_x, train_y, iters=args.iters, batch=args.batch,
             lr_shift=args.lr_shift, delta_shift=args.delta_shift,
             batch_seed=args.seed + 2024, init_seed=args.init_seed,
             log=None if args.as_json else max(1, args.iters // 10),
-            eval_every=args.eval_every, eval_cb=eval_cb,
         )
         preds = nn.secure_predict(sess, state, eval_x) if len(eval_x) else np.array([])
         return nn.open_params(sess, state), preds, time.perf_counter() - t0

@@ -324,7 +324,7 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
 def train_secure(sess: PartySession, net: NetworkSpec, images_raw: np.ndarray,
                  labels: np.ndarray, iters: int, batch: int, lr_shift: int = 8,
                  delta_shift: int = 2, batch_seed: int = 2024, init_seed: int = 3,
-                 log=None, eval_every: int = 0, eval_cb=None) -> NetState:
+                 log=None) -> NetState:
     """Secure SGD over a public-to-the-operator dataset (harness convention).
 
     Batch order, initialization and every rounding are deterministic, so
@@ -344,8 +344,6 @@ def train_secure(sess: PartySession, net: NetworkSpec, images_raw: np.ndarray,
         sgd_step(sess, state, grads, lr_shift)
         if log and (it + 1) % log == 0 and sess.party.index == 1:
             print(f"  secure sgd iteration {it + 1}/{iters}")
-        if eval_every and eval_cb is not None and (it + 1) % eval_every == 0:
-            eval_cb(it + 1, state)
     return state
 
 

@@ -5,9 +5,10 @@ Two interchangeable generators produce the same artifact types:
 * DealerPrep — a trusted local generator (test fixture). Every party runs
   it from a common seed and keeps its own components.
 * DistributedPrep — the real three-party generation: private bits and the
-  wrap value x from the pairwise PRF streams, bit injection and composition
-  over Mult, one binary adder that yields x's bits and its wrap bit, and
-  Fermat-checked nonzero masks.
+  wrap value x from the pairwise PRF streams, then two gates over Mult:
+  the arithmetic XOR x + y - 2xy, which injects a Z_2 bit into another
+  ring, and the Z_2 AND of one binary adder that yields x's bits and its
+  wrap bit. Nonzero masks are Fermat-checked.
 
 Any source's output can be recorded with RecordingPrep, persisted to a
 per-party tensor container and replayed with FilePrep.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
 from .protocols import mult
-from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, reduce_mod, wrap3
+from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
@@ -216,41 +217,19 @@ def lift_component_shares(sess: PartySession, bits: RssShare, mod: int) -> tuple
     return s1, s2, s3
 
 
-def _pair_products(sess: PartySession, s1: RssShare, s2: RssShare, s3: RssShare):
-    """s1s2, s2s3 and s3s1 in one Mult round."""
-    k = s1.shape[-1]
-    prods = mult(sess, concat_shares([s1, s2, s3], axis=-1), concat_shares([s2, s3, s1], axis=-1))
-    return prods[..., :k], prods[..., k : 2 * k], prods[..., 2 * k :]
+def _xor(sess: PartySession, x: RssShare, y: RssShare) -> RssShare:
+    """x ^ y = x + y - 2xy for shared bits over any ring; one Mult round."""
+    return sub_shares(add_shares(x, y), scale_share(np.uint64(2), mult(sess, x, y)))
 
 
 def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
     """Convert a Z_2-shared bit into a Z_m sharing of the same bit.
 
-    b = s1 + s2 + s3 - 2(s1s2 + s2s3 + s3s1) + 4 s1s2s3 over the lifted
-    component bits; two sequential Mult rounds (three pair products in
-    parallel, then the triple product).
+    b = (s1 ^ s2) ^ s3 over the lifted component bits, each XOR an
+    arithmetic x + y - 2xy: two sequential Mult rounds of one product each.
     """
     s1, s2, s3 = lift_component_shares(sess, b, mod)
-    p12, p23, p31 = _pair_products(sess, s1, s2, s3)
-    triple = mult(sess, p12, s3)
-    lin = add_shares(add_shares(s1, s2), s3)
-    pair_sum = add_shares(add_shares(p12, p23), p31)
-    out = sub_shares(lin, scale_share(np.uint64(2), pair_sum))
-    return add_shares(out, scale_share(np.uint64(4), triple))
-
-
-def bit_compose(sess: PartySession, bits: RssShare) -> RssShare:
-    """Compose Z_2-shared bits (n, nb) into (n,) Z_{2^ell} sharings of sum b_i 2^i.
-
-    Per-bit injection then a public powers-of-two combination; two rounds
-    for all bits in parallel.
-    """
-    L = sess.params.L
-    injected = bit_inject(sess, bits, L)  # (n, nb) over Z_L
-    weights = np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64)
-    lo = reduce_mod((injected.lo * weights).sum(axis=-1, dtype=np.uint64), L)
-    hi = reduce_mod((injected.hi * weights).sum(axis=-1, dtype=np.uint64), L)
-    return RssShare(lo, hi, L)
+    return _xor(sess, _xor(sess, s1, s2), s3)
 
 
 def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare]:
@@ -258,19 +237,18 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
 
     Each party decomposes the two components it holds, so x1, x2 and x3 are
     Z_2-shared bit vectors without communication. A carry-save stage (one
-    Mult round) turns x1 + x2 + x3 into S + 2C, then a ripple carry chain
-    adds S and 2C. Returns the (n, ell) sum bits, which are the bits of x,
-    and alpha = bit ell of the sum (wrap3 of the components), both over Z_2.
+    AND) turns x1 + x2 + x3 into S + 2C, then a ripple carry chain adds S
+    and 2C. Returns the (n, ell) sum bits, which are the bits of x, and
+    alpha = bit ell of the sum (wrap3 of the components), both over Z_2.
     """
     params = sess.params
     ell = params.ell
     comp = RssShare(bit_decompose(x.lo, params), bit_decompose(x.hi, params), 2)
     s1, s2, s3 = lift_component_shares(sess, comp, 2)
 
-    # carry-save: S = a^b^c, C = majority(a,b,c) = ab ^ bc ^ ca
+    # carry-save: S = a^b^c, C = majority(a,b,c) = ((a^c)(b^c)) ^ c
     S = add_shares(add_shares(s1, s2), s3)
-    p12, p23, p31 = _pair_products(sess, s1, s2, s3)
-    C = add_shares(add_shares(p12, p23), p31)
+    C = add_shares(mult(sess, add_shares(s1, s3), add_shares(s2, s3)), s3)
 
     # total = S + 2C; ripple the carry through positions 1..ell-1
     # (A = S, B = C shifted left one position; g batched in one round).
@@ -298,23 +276,25 @@ class DistributedPrep:
     def trunc_pairs(self, n: int, d) -> TruncPair:
         sess = self.sess
         params = sess.params
+        L = params.L
         d_arr = np.broadcast_to(np.asarray(d, np.int64), (n,))
         r_lo = np.empty(n, UINT)
         r_hi = np.empty(n, UINT)
         u_lo = np.empty(n, UINT)
         u_hi = np.empty(n, UINT)
-        # one composition per distinct shift (the bit width differs)
+        # one composition per distinct shift (the bit width differs):
+        # u = sum_i b_i 2^i - 2^{nb-1}, uniform in [-2^{ell-2-d}, 2^{ell-2-d})
         for dv in np.unique(d_arr):
             idx = np.nonzero(d_arr == dv)[0]
-            nb = params.ell - 2 - int(dv)
-            bits = sample_shared_bits(sess, (len(idx), nb))
-            u = bit_compose(sess, bits)  # uniform in [0, 2^{ell-2-d})
-            offset = np.uint64(1 << (params.ell - 3 - int(dv)))
-            u = sub_shares(u, public_share(sess.party, offset, params.L, shape=(len(idx),)))
+            nb = params.ell - 1 - int(dv)
+            bits = bit_inject(sess, sample_shared_bits(sess, (len(idx), nb)), L)
+            weights = np.uint64(1) << np.arange(nb, dtype=np.uint64)
+            u = RssShare(matmul_mod(bits.lo, weights, L), matmul_mod(bits.hi, weights, L), L)
+            u = sub_shares(u, public_share(sess.party, np.uint64(1 << (nb - 1)), L, shape=(len(idx),)))
             r = scale_share(np.uint64(1 << int(dv)), u)
             r_lo[idx], r_hi[idx] = r.lo, r.hi
             u_lo[idx], u_hi[idx] = u.lo, u.hi
-        return TruncPair(RssShare(r_lo, r_hi, params.L), RssShare(u_lo, u_hi, params.L), d_arr)
+        return TruncPair(RssShare(r_lo, r_hi, L), RssShare(u_lo, u_hi, L), d_arr)
 
     def wrap_rands(self, n: int) -> WrapRand:
         sess = self.sess

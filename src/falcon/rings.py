@@ -204,23 +204,9 @@ def wrap2(a1, a2, L: int) -> np.ndarray:
 
 
 def wrap3_exact(a1, a2, a3, L: int) -> np.ndarray:
-    """Number of times a1 + a2 + a3 overflows L (0, 1 or 2)."""
-    a1 = np.asarray(a1, UINT)
-    a2 = np.asarray(a2, UINT)
-    a3 = np.asarray(a3, UINT)
-    if L > 1 << 62:
-        # 3 * (L - 1) would overflow uint64: count the two carries explicitly
-        if L == 1 << 64:
-            with np.errstate(over="ignore"):
-                s12 = a1 + a2
-                c1 = (s12 < a1).astype(UINT)
-                s = s12 + a3
-                c2 = (s < s12).astype(UINT)
-            return c1 + c2
-        s = a1.astype(object) + a2.astype(object) + a3.astype(object)
-        return np.asarray(s // L, dtype=UINT)
-    s = a1 + a2 + a3
-    return (s // np.uint64(L)).astype(UINT)
+    """Number of times a1 + a2 + a3 overflows L (0, 1 or 2): the carry of
+    a1 + a2, plus the carry of adding a3 to that sum mod L."""
+    return wrap2(a1, a2, L) + wrap2(add_mod(a1, a2, L), a3, L)
 
 
 def wrap3(a1, a2, a3, L: int) -> np.ndarray:

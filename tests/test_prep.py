@@ -14,7 +14,6 @@ from falcon.prep import (
     DistributedPrep,
     FilePrep,
     RecordingPrep,
-    bit_compose,
     bit_inject,
     sample_shared_bits,
     save_prep_file,
@@ -34,15 +33,32 @@ def _dealers(params, seed=0):
     return [DealerPrep(PartyId(i), params, seed=seed) for i in (1, 2, 3)]
 
 
+def _trunc_shifts(params):
+    # 2,000 pairs at the fixed-point shift and 2,000 at the widest, ell - 2
+    return np.repeat([params.fp, params.ell - 2], 2000)
+
+
+def _check_trunc_pairs(r, r_shift, d, params):
+    """r = u 2^d and r' = u with u uniform in [-2^{ell-2-d}, 2^{ell-2-d}).
+
+    Both halves of that range must be reached: opening x - r masks x only
+    as far as r spans.
+    """
+    for dv in np.unique(d):
+        at = d == dv
+        u = signed(r_shift[at], params)
+        assert np.array_equal(signed(r[at], params), u << dv)
+        span = 1 << (params.ell - 2 - int(dv))
+        assert -span <= u.min() and u.max() < span
+        assert u.min() < -(span // 2) and u.max() >= span // 2
+
+
 def test_dealer_trunc_pairs_oracle():
     dealers = _dealers(PARAMS)
-    pairs = [d.trunc_pairs(1000, PARAMS.fp) for d in dealers]
+    pairs = [d.trunc_pairs(4000, _trunc_shifts(PARAMS)) for d in dealers]
     r = reconstruct_all([p.r for p in pairs])
     rs = reconstruct_all([p.r_shift for p in pairs])
-    # r' is the arithmetic shift of r, and r is a multiple of 2^d
-    assert np.array_equal(rs, shift_signed(r, PARAMS.fp, PARAMS))
-    assert np.all(signed(r, PARAMS) % (1 << PARAMS.fp) == 0)
-    assert np.all(np.abs(signed(r, PARAMS)) <= 1 << (PARAMS.ell - 2))
+    _check_trunc_pairs(r, rs, pairs[0].d, PARAMS)
 
 
 def test_dealer_trunc_pair_fixed_values():
@@ -132,17 +148,6 @@ def test_bit_inject_matches_shared_random_bits():
     assert np.array_equal(plain, lifted)
 
 
-def test_bit_compose_oracle():
-    def job(sess):
-        bits = sample_shared_bits(sess, (100, 16))
-        composed = bit_compose(sess, bits)
-        return P.reconstruct(sess, bits), P.reconstruct(sess, composed)
-
-    bits, composed = run_shared(PARAMS, job)[0]
-    weights = np.uint64(1) << np.arange(16, dtype=np.uint64)
-    assert np.array_equal((bits * weights).sum(axis=-1), composed)
-
-
 P64 = RingParams(ell=64, p=67, fp=13)
 
 
@@ -161,8 +166,8 @@ def test_distributed_prep_oracles(kind, threat, params):
     def job(sess):
         prep = DistributedPrep(sess)
         if kind == "trunc":
-            pair = prep.trunc_pairs(n, sess.params.fp)
-            return P.reconstruct(sess, pair.r), P.reconstruct(sess, pair.r_shift)
+            pair = prep.trunc_pairs(4000, _trunc_shifts(sess.params))
+            return P.reconstruct(sess, pair.r), P.reconstruct(sess, pair.r_shift), pair.d
         if kind == "wrap":
             wr = prep.wrap_rands(n)
             return (
@@ -184,9 +189,7 @@ def test_distributed_prep_oracles(kind, threat, params):
 
     outs = run_three_parties(job, params, threat=threat, session_seed=5)
     if kind == "trunc":
-        r, rs = outs[0]
-        assert np.array_equal(rs, shift_signed(r, params.fp, params))
-        assert np.all(signed(r, params) % (1 << params.fp) == 0)
+        _check_trunc_pairs(*outs[0], params)
     elif kind == "wrap":
         x, bits, alpha, _, rings = outs[0]
         assert rings == (params.L, params.p, np.uint8, 2)
@@ -208,27 +211,50 @@ def test_distributed_prep_oracles(kind, threat, params):
 @pytest.mark.parametrize("params", [RingParams(ell=16, p=37, fp=6), RingParams(), P64],
                          ids=["ell16", "ell32", "ell64"])
 def test_distributed_wrap_rands_rounds(params):
-    # one carry-save round, ell rounds of adder carries, two of bit injection
-    def job(sess):
-        before = sess.meter.rounds
-        DistributedPrep(sess).wrap_rands(8)
-        return sess.meter.rounds - before
+    # Rounds and cost-model bits per party of each artifact. wrap_rands: one
+    # carry-save AND per bit, ell - 1 rounds of two ripple products, then a
+    # Z_p injection (Z_p and Z_2 count 1 bit). Each injected bit costs two
+    # products, one per XOR; trunc_pairs injects ell - 1 - fp bits per pair.
+    n, ell, fp = 8, params.ell, params.fp
 
-    assert run_three_parties(job, params, session_seed=6) == [params.ell + 3] * 3
+    def job(sess):
+        prep = DistributedPrep(sess)
+        costs = []
+        for make in (lambda: prep.wrap_rands(n), lambda: prep.bit_pairs(n),
+                     lambda: prep.trunc_pairs(n, fp)):
+            rounds, bits = sess.meter.rounds, sess.meter.acct_bits
+            make()
+            costs.append((sess.meter.rounds - rounds, sess.meter.acct_bits - bits))
+        return costs
+
+    want = [(ell + 3, n * (5 * ell - 2)), (2, 2 * n * ell), (2, 2 * n * (ell - 1 - fp) * ell)]
+    assert run_three_parties(job, params, session_seed=6) == [want] * 3
+
+
+def _malicious_peak(job):
+    """tracemalloc peak of one malicious memory-backend run, three parties."""
+    tracemalloc.start()
+    try:
+        run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS, session_seed=7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_distributed_wrap_rands_memory():
     # one benchmark request's worth of wrap randomness (network-b, batch 16)
     # holds only a handful of (n, ell) uint8 bit planes at a time
     n = 15680
-    tracemalloc.start()
-    try:
-        run_three_parties(lambda sess: DistributedPrep(sess).wrap_rands(n), PARAMS,
-                          threat=ThreatModel.MALICIOUS, session_seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _malicious_peak(lambda sess: DistributedPrep(sess).wrap_rands(n))
     assert peak < 150e6, f"wrap_rands({n}) peaked at {peak / 1e6:.0f} MB over three parties"
+
+
+def test_distributed_trunc_pairs_memory():
+    # the same request's truncation pairs: (n, ell - 1 - fp) injected bits
+    # over Z_L, one product per XOR
+    n = 15680
+    peak = _malicious_peak(lambda sess: DistributedPrep(sess).trunc_pairs(n, PARAMS.fp))
+    assert peak < 130e6, f"trunc_pairs({n}) peaked at {peak / 1e6:.0f} MB over three parties"
 
 
 def test_dealer_and_distributed_interchangeable_online():

@@ -75,10 +75,11 @@ def test_wrap3_examples():
     assert wrap3(255, 255, 255, 256) == 0
 
 
-def test_wrap3_is_exact_integer_relation():
+@pytest.mark.parametrize("ell", [8, 16, 32, 63, 64])
+def test_wrap3_is_exact_integer_relation(ell):
     # a = a1 + a2 + a3 - wrap3_exact * L as plain integers
     rng = np.random.default_rng(3)
-    L = 2**16
+    L = 2**ell
     a1, a2, a3 = (rng.integers(0, L, 5000, dtype=np.uint64) for _ in range(3))
     a = reduce_mod(a1 + a2 + a3, L)
     lhs = a1.astype(object) + a2.astype(object) + a3.astype(object) - wrap3_exact(a1, a2, a3, L).astype(object) * L
