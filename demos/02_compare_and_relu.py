@@ -3,7 +3,8 @@
 Comparisons never reveal operands: private compare multiplies masked
 per-bit differences into a single blinded product, the wrap protocol
 turns share-carry algebra into a sign bit, and ReLU is one oblivious
-select on top. Round counts follow 5 + log2(ell).
+select on top, whose opening shares the compare's last round. Round
+counts follow 4 + log2(ell).
 """
 
 import numpy as np
@@ -40,4 +41,4 @@ if __name__ == "__main__":
     ge, relu_vals, rounds = run_three_parties(job, params, session_seed=7)[0]
     print("x >= t for (3,10) (41,17) (100,100) (100,101):", list(ge))
     print("relu(-3.5, -0.25, 0, 0.25, 7.75) =", list(decode_fixed(relu_vals, params)))
-    print(f"relu used {rounds} rounds = 5 + log2({params.ell})")
+    print(f"relu used {rounds} rounds = 4 + log2({params.ell})")

@@ -216,8 +216,8 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     x, y, z = dims
     wh = pool
     r = groups
-    # bounding-power probe: a DReLU, then its one-bit result is opened
-    probe = 4 + lg
+    # bounding-power probe: a DReLU whose bit opens with the compare's d
+    probe = 3 + lg
     # divide's final product splits y into c = ceil((w + 2) / h) chunks of h
     # bits; divide refuses h <= 0, so clamping it only keeps this entry defined
     w = num.working_precision(params)
@@ -230,9 +230,10 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
         "pc": (3 + lg, 2 * k * n, n / 8),
         "wa": (3 + lg, 3 * k * n, k * n + n / 8),
         "drelu": (3 + lg, 3 * k * n, k * n + n / 8),
-        "relu": (5 + lg, 4 * k * n, k * n + n / 4),
+        # the DReLU opens the selection's e with d; then the selection's mult
+        "relu": (4 + lg, 4 * k * n, k * n + n / 4),
         # n windows: ceil(log2 wh) tree levels of DReLU + select, wh - 1 of each
-        "maxpool": ((wh - 1).bit_length() * (5 + lg), (wh - 1) * 4 * k * n,
+        "maxpool": ((wh - 1).bit_length() * (4 + lg), (wh - 1) * 4 * k * n,
                     (wh - 1) * (k * n + n / 4)),
         "pow": (lg * probe, lg * 3 * k * n, lg * (k * n + n / 4)),
         # lg + 1 probes (one validates b > 0), the reciprocal series (a

@@ -19,6 +19,7 @@ from .netspec import LayerSpec, NetworkSpec, init_float_params, param_shapes, _p
 from .numeric import divide, rescale
 from .protocols import (
     _im2col,
+    bit_pair,
     col2im,
     conv2d,
     drelu,
@@ -27,6 +28,7 @@ from .protocols import (
     maxpool_route,
     mult,
     relu,
+    select_opened,
     select_shares,
     truncate,
 )
@@ -122,10 +124,10 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         return conv2d(sess, x, st.params["w"], st.params["b"],
                       stride=layer.stride, padding=layer.pad)
     if layer.kind == "relu":
-        bits = drelu(sess, x)
-        st.cache["drelu"] = bits
+        pair = bit_pair(sess, x.shape)
+        st.cache["drelu"], (e,) = drelu(sess, x, [pair.c2])
         zero = public_share(sess.party, np.uint64(0), x.mod, shape=x.shape)
-        return select_shares(sess, zero, x, bits)
+        return select_opened(sess, zero, x, pair, e)
     if layer.kind == "maxpool":
         B, C, H, W = x.shape
         Ho = (H - layer.window) // layer.stride + 1
@@ -301,14 +303,17 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
     B, classes = logits.shape
     r = relu(sess, logits)
     total = sum_share(r, -1)  # (B,)
-    pos = drelu(sess, add_public(sess.party, total, reduce_mod(-1, params.L)))
+    # both selections on pos open their e in the compare's last round
+    pairs = [bit_pair(sess, (B,)) for _ in range(2)]
+    _, (e_denom, e_phat) = drelu(sess, add_public(sess.party, total, reduce_mod(-1, params.L)),
+                                 [pair.c2 for pair in pairs])
     one = public_share(sess.party, np.uint64(1 << fp), params.L, shape=(B,))
-    denom = select_shares(sess, one, total, pos)
+    denom = select_opened(sess, one, total, pairs[0], e_denom)
     recip = divide(sess, one, denom, a_max_bits=fp + 1)
     probs = truncate(sess, mult(sess, r, expand_last(recip, r.shape)), fp)
     uniform = public_share(sess.party, np.uint64(round((1 << fp) / classes)),
                            params.L, shape=r.shape)
-    phat = select_shares(sess, uniform, probs, pos)
+    phat = select_opened(sess, uniform, probs, pairs[1], e_phat)
     onehot_raw = reduce_mod(-encode_fixed(np.asarray(onehot, np.float64), params).astype(np.int64),
                             params.L)
     delta = add_public(sess.party, phat, onehot_raw)

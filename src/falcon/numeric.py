@@ -26,7 +26,7 @@ from .rss import (
     sub_shares,
     sum_share,
 )
-from .session import PartySession, open_share
+from .session import PartySession
 from .protocols import drelu, mult, truncate
 
 
@@ -87,7 +87,8 @@ def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np
     """Public alpha with 2^alpha <= raw(x) < 2^{alpha+1}; requires raw(x) >= 1.
 
     Binary search over the log2(ell) bits of alpha; each probe is one
-    DReLU plus a one-bit opening, so only the bounding power leaks.
+    DReLU whose bit is opened with the compare's d, so only the bounding
+    power leaks.
     """
     params = sess.params
     ell = params.ell
@@ -95,7 +96,7 @@ def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np
     flat = x.reshape(n)
     if validate:
         lower = add_public(sess.party, flat, reduce_mod(-1, params.L))
-        ok = open_share(sess, drelu(sess, lower))
+        ok = _open_drelu(sess, lower)
         if not np.all(ok == 1):
             raise DomainError("bounding power requires a strictly positive input")
     alpha = np.zeros(n, dtype=np.int64)
@@ -106,9 +107,17 @@ def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np
         # value; clamping keeps the probe in-ring with the same outcome
         exp = np.minimum(alpha + step, ell - 1).astype(np.uint64)
         probe = sub_shares(flat, public_share(sess.party, _pow2(exp, params.L), params.L, shape=(n,)))
-        c = open_share(sess, drelu(sess, probe))
+        c = _open_drelu(sess, probe)
         alpha += step * c.astype(np.int64)
     return alpha.reshape(x.shape)
+
+
+def _open_drelu(sess: PartySession, x: RssShare) -> np.ndarray:
+    """The public DReLU bit of x: masked by a zero sharing, it opens in the
+    compare's last round."""
+    zero = public_share(sess.party, np.uint64(0), 2, shape=x.shape)
+    _, (bit,) = drelu(sess, x, [zero])
+    return bit
 
 
 # ---------------------------------------------------------------------------

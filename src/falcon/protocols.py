@@ -10,8 +10,10 @@ shapes and runs under either threat model of the session.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
-the analytic round counts require it (e.g. the wrap protocol opens r in
-the same step that reshares the flipped compare bits).
+the analytic round counts require it: the wrap protocol opens r in the
+same step that reshares the flipped compare bits, and a DReLU opens each
+consumer's masked bit (a selection's e = b xor c, or a probe's b) in the
+step that opens the compare's d.
 """
 
 from __future__ import annotations
@@ -193,22 +195,32 @@ def one_minus_two_beta(sess: PartySession, beta: RssShare) -> RssShare:
     return add_public(sess.party, scale_share(neg2, beta), np.uint64(1))
 
 
+def bit_pair(sess: PartySession, shape):
+    """One preprocessed bit pair (c over Z_2 and Z_L) per position of shape."""
+    return sess.prep.bit_pairs(int(np.prod(shape, dtype=int))).reshape(shape)
+
+
 def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:
     """z = x when b = 0, y when b = 1; consumes one random bit pair per bit.
 
     b's shape is a leading prefix of y's, so one bit may steer a whole
-    trailing block. Opens e = b xor c, swaps the arithmetic bit c
-    accordingly, then one multiplication: z = (y - x) * d + x. Two rounds.
+    trailing block. Opens e = b xor c, then `select_opened` multiplies:
+    two rounds. This is the path of a cached bit; a fresh DReLU bit has
+    `drelu` open its e in the compare's last round instead.
     """
     if b.mod != 2:
         raise ValueError("selection bit must be shared over Z_2")
-    if y.shape[: len(b.shape)] != b.shape:
-        raise ValueError(f"selection bit shape {b.shape} is not a prefix of {y.shape}")
-    n = int(np.prod(b.shape, dtype=int))
-    pair = sess.prep.bit_pairs(n).reshape(b.shape)
-    e = open_share(sess, add_shares(b, pair.c2))  # b xor c
+    pair = bit_pair(sess, b.shape)
+    return select_opened(sess, x, y, pair, open_share(sess, add_shares(b, pair.c2)))
+
+
+def select_opened(sess: PartySession, x: RssShare, y: RssShare, pair, e: np.ndarray) -> RssShare:
+    """The multiplication half of a selection whose e = b xor c is public:
+    swaps the arithmetic bit c by e, then z = (y - x) * d + x. One round."""
+    if y.shape[: e.ndim] != e.shape:
+        raise ValueError(f"selection bit shape {e.shape} is not a prefix of {y.shape}")
     d = xor_public(sess, pair.cL, e)
-    d = d.reshape(b.shape + (1,) * (len(y.shape) - len(b.shape)))
+    d = d.reshape(e.shape + (1,) * (len(y.shape) - e.ndim))
     dxy = mult(sess, sub_shares(y, x), broadcast_share(d, y.shape))
     return add_shares(dxy, x)
 
@@ -218,15 +230,22 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> 
 
 
 def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
-                    flipped=None, t_top=None, reveal_sink: list | None = None) -> RssShare:
+                    flipped=None, t_top=None, reveal_sink: list | None = None,
+                    masks: list | None = None):
     """Share over Z_2 of the bit (x >= t) for public t in [0, 2^ell].
 
     xbits holds the little-endian bits of x over Z_p, shape (n, ell). The
     c-vector is extended by a virtual bit position ell (so the wrap
     protocol may pass t = r + 1 up to 2^ell; t_top carries that bit when
     given) and by one factor (1 - beta) + sum(w) that covers equality
-    under beta = 1. All factors stay below p, the masked product is
+    under beta = 1. All factors stay below p, the masked product d is
     revealed, and the blinding bit is removed with a local XOR.
+
+    A caller that staged the flip (-1)^beta * x[i] into its own round hands
+    it over as `flipped`, a one-item list the compare empties, so the bits
+    die once the factors are built. With masks (Z_2 sharings of shape
+    (n,)), returns (bit, opened): the public bit xor m of each mask, opened
+    in the same round as d.
     """
     params = sess.params
     ell = params.ell
@@ -247,10 +266,10 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
 
     if flipped is None:
         s = one_minus_two_beta(sess, crand.beta_p)
-        v = mult(sess, expand_last(s, xbits.shape), xbits)
-    else:
-        v = flipped  # (-1)^beta * x[i], staged by the caller's round
-    return _pc_core(sess, xbits, v, t, t_top, crand, reveal_sink)
+        flipped = [mult(sess, expand_last(s, xbits.shape), xbits)]
+    factors = _pc_factors(sess, xbits, flipped.pop(), t, t_top, crand)
+    del t, t_top  # the tree needs the factors alone
+    return _pc_core(sess, factors, crand, reveal_sink, masks)
 
 
 def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
@@ -259,14 +278,23 @@ def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
     return mult_begin(sess, expand_last(s, xbits.shape), xbits, rnd)
 
 
-def _pc_core(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
-             t_top: np.ndarray, crand, reveal_sink: list | None = None) -> RssShare:
-    prod = _tree_product(sess, _pc_factors(sess, xbits, v, t, t_top, crand))
-    d = open_share(sess, prod)
+def _pc_core(sess: PartySession, factors: RssShare, crand, reveal_sink: list | None,
+             masks: list | None):
+    """Multiply the factors down and open d; each mask m opens beta2 xor m
+    alongside, which is bit xor m up to the beta' = (d != 0) known after."""
+    prod = _tree_product(sess, factors)
+    rnd = Round(sess, "pc-open-d")
+    fin_d = open_begin(sess, prod, rnd)
+    fins = [open_begin(sess, add_shares(crand.beta2, m), rnd) for m in masks or ()]
+    results = rnd.run()
+    d = fin_d(results)
     if reveal_sink is not None:
         reveal_sink.append(d)
     beta_prime = (d != 0).astype(NARROW)
-    return xor_public(sess, crand.beta2, beta_prime)
+    bit = xor_public(sess, crand.beta2, beta_prime)
+    if masks is None:
+        return bit
+    return bit, [fin(results) ^ beta_prime for fin in fins]
 
 
 # rows per block of the private-compare factor arithmetic: its ~20 (rows,
@@ -362,83 +390,108 @@ class WrapTranscript:
     r_public: np.ndarray
 
 
-def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = False):
+def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = False,
+                   masks: list | None = None):
     """Share over Z_2 of wrap3(a1, a2, a3, L): the parity of the carry when
     the three components are summed as integers.
 
     Masks a with the preprocessed x, opens r = a + x (the flipped compare
     bits are reshared in the same round), evaluates the exact wrap of the
     opened components in the clear, and corrects with eta = (x >= r + 1).
+    With masks (Z_2 sharings of a's shape), returns (theta, opened): the
+    public theta xor m of each, opened in the compare's last round.
     """
     params = sess.params
     L = params.L
-    n = int(np.prod(a.shape, dtype=int))
-    flat = a.reshape(n)
+    shape = a.shape
+    n = int(np.prod(shape, dtype=int))
     wrand = sess.prep.wrap_rands(n)
     crand = sess.prep.compare_rands(n)
 
+    flat = a.reshape(n)
     r_sh = add_shares(flat, wrand.x)
-    beta_lo = wrap2(flat.lo, wrand.x.lo, L)
-    beta_hi = wrap2(flat.hi, wrand.x.hi, L)
-    beta_bits = RssShare(beta_lo, beta_hi, 2)
+    beta_bits = RssShare(wrap2(flat.lo, wrand.x.lo, L), wrap2(flat.hi, wrand.x.hi, L), 2)
+    del a, flat
 
     rnd = Round(sess, "wa-open-r")
     fin_open = open_begin(sess, r_sh, rnd)
     fin_flip = pc_flip_begin(sess, wrand.xbits, crand, rnd)
     results = rnd.run()
     r = fin_open(results)
-    v = fin_flip(results)
+    flipped = [fin_flip(results)]  # handed to the compare, which empties it
+    del results, fin_open, fin_flip
 
     # exact wrap of the opened sharing, in the clear from own components
     third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
-    delta_e = wrap3_exact(r_sh.lo, r_sh.hi, third, L)
-    delta = (delta_e & np.uint64(1)).astype(NARROW)
+    delta = (wrap3_exact(r_sh.lo, r_sh.hi, third, L) & np.uint64(1)).astype(NARROW)
+    del r_sh, third
 
-    # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit
-    with np.errstate(over="ignore"):
-        t_low = reduce_mod(r.astype(UINT) + np.uint64(1), L)
+    # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2); all but
+    # eta is known now, so a mask m reaches the compare as m xor known
+    known = xor_public(sess, add_shares(beta_bits, wrand.alpha), delta)
+    inner = None if masks is None else [add_shares(m.reshape(n), known) for m in masks]
+
+    # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit (the
+    # array sum wraps silently at ell = 64); only the compare holds r + 1
     t_top = (r == np.uint64(L - 1)).astype(NARROW)
-    eta = private_compare(sess, wrand.xbits, t_low, crand, flipped=v, t_top=t_top)
-
-    # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2)
-    theta = add_shares(add_shares(beta_bits, eta), wrand.alpha)
-    theta = xor_public(sess, theta, delta)
-    theta = theta.reshape(a.shape)
+    eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), crand,
+                          flipped=flipped, t_top=t_top, masks=inner)
+    if masks is not None:
+        eta, opened = eta
+    theta = add_shares(known, eta).reshape(shape)
+    if masks is not None:
+        return theta, [o.reshape(shape) for o in opened]
     if want_transcript:
         return theta, WrapTranscript(beta_bits, delta, eta, wrand.alpha, r)
     return theta
 
 
 # elementwise comparison batches above this size run in sequential chunks:
-# online DReLU peaks at ~0.85 KB per element over the three parties (~1 KB
-# malicious; tracemalloc at n = 2^17), so a full chunk holds ~40 MB per party
+# online DReLU peaks at ~0.56 KB per element over the three parties in both
+# threat models (tracemalloc at n = 2^17), so a full chunk holds ~25 MB per party
 COMPARE_CHUNK = 1 << 17
 
 
-def drelu(sess: PartySession, a: RssShare) -> RssShare:
+def drelu(sess: PartySession, a: RssShare, masks: list | None = None):
     """Share over Z_2 of the ReLU derivative: 1 iff signed(a) >= 0.
 
     Local MSBs of the components XOR the wrap of the doubled sharing XOR 1.
+    With masks (Z_2 sharings of a's shape), returns (b, opened): the public
+    b xor m of each mask, opened in the compare's last round with d. A
+    selection passes its pair's c and gets its e; a probe passes a zero
+    sharing and gets b itself.
     """
     params = sess.params
     n = int(np.prod(a.shape, dtype=int))
+    flat_masks = [m.reshape(n) for m in masks or ()]
     if n > COMPARE_CHUNK:
         flat = a.reshape(n)
-        parts = [drelu(sess, flat[k : k + COMPARE_CHUNK]) for k in range(0, n, COMPARE_CHUNK)]
-        return concat_shares(parts).reshape(a.shape)
-    doubled = scale_share(np.uint64(2), a)
-    theta = wrap3_protocol(sess, doubled)
-    top = np.uint64(params.ell - 1)
-    msbs = RssShare((a.lo >> top).astype(NARROW), (a.hi >> top).astype(NARROW), 2)
-    out = add_shares(msbs, theta)
-    return xor_public(sess, out, np.uint64(1))
+        parts = [drelu(sess, flat[k : k + COMPARE_CHUNK],
+                       [m[k : k + COMPARE_CHUNK] for m in flat_masks])
+                 for k in range(0, n, COMPARE_CHUNK)]
+        bits = concat_shares([b for b, _ in parts])
+        opened = [np.concatenate(col) for col in zip(*(o for _, o in parts))]
+    else:
+        top = np.uint64(params.ell - 1)
+        flat = a.reshape(n)
+        msbs = RssShare((flat.lo >> top).astype(NARROW), (flat.hi >> top).astype(NARROW), 2)
+        known = xor_public(sess, msbs, np.uint64(1))
+        theta, opened = wrap3_protocol(sess, scale_share(np.uint64(2), flat),
+                                       masks=[add_shares(m, known) for m in flat_masks])
+        bits = add_shares(known, theta)
+    bits = bits.reshape(a.shape)
+    if masks is None:
+        return bits
+    return bits, [o.reshape(a.shape) for o in opened]
 
 
 def relu(sess: PartySession, a: RssShare) -> RssShare:
-    """Share of max(0, signed(a)): DReLU then an oblivious select against 0."""
-    b = drelu(sess, a)
+    """Share of max(0, signed(a)): DReLU, its selection's e opened with the
+    compare's d, then one multiplication against 0."""
+    pair = bit_pair(sess, a.shape)
+    _, (e,) = drelu(sess, a, [pair.c2])
     zero = public_share(sess.party, np.uint64(0), a.mod, shape=a.shape)
-    return select_shares(sess, zero, a, b)
+    return select_opened(sess, zero, a, pair, e)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +502,8 @@ def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, list[RssS
     """Max over the last axis by a tournament tree; the argmax stays as keep bits.
 
     Each level compares adjacent slots (0, 1), (2, 3), ... with one DReLU
-    over all pairs of the level and keeps the larger with one selection; an
-    odd last slot is carried up unchanged. keep = DReLU(left - right) is 1 on
+    over all pairs of the level and keeps the larger with one selection,
+    whose e the DReLU opens with its d; an odd last slot is carried up. keep = DReLU(left - right) is 1 on
     a tie and the left slot always holds the earlier indices, so the kept
     slot is the earliest maximum. Input (..., n); returns the max (...,) and
     the Z_2 keep bits of each level, root last, for `maxpool_route`.
@@ -460,8 +513,9 @@ def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, list[RssS
     while cur.shape[-1] > 1:
         k = cur.shape[-1]
         left, right = cur[..., 0 : k - 1 : 2], cur[..., 1:k:2]
-        keep = drelu(sess, sub_shares(left, right))
-        best = select_shares(sess, right, left, keep)
+        pair = bit_pair(sess, left.shape)
+        keep, (e,) = drelu(sess, sub_shares(left, right), [pair.c2])
+        best = select_opened(sess, right, left, pair, e)
         if k % 2:
             best = concat_shares([best, cur[..., -1:]], axis=-1)
         path.append(keep)

@@ -179,11 +179,11 @@ def test_criterion_3_relu_drelu():
     bytes_mal = meters["malicious"][1] / 8 - 2 * k * n  # sent by both peers
     bound_semi = 1.25 * table10("relu", PARAMS, n, "semi")["bytes"]
     bound_mal = 1.25 * table10("relu", PARAMS, n, "malicious")["bytes"]
-    rounds_ok = rounds_semi == 5 + int(math.log2(PARAMS.ell))
+    rounds_ok = rounds_semi == 4 + int(math.log2(PARAMS.ell))
     bytes_ok = bytes_semi <= bound_semi and bytes_mal <= bound_mal
     verdict(3, ok8 and ok32 and ok32m and rounds_ok and bytes_ok,
             f"exhaustive ell=8 and 10^5 random ell=32 exact (semi+malicious); "
-            f"relu rounds {rounds_semi} == 10; bytes {bytes_semi:.0f} <= {bound_semi:.0f} "
+            f"relu rounds {rounds_semi} == 9; bytes {bytes_semi:.0f} <= {bound_semi:.0f} "
             f"semi, {bytes_mal:.0f} <= {bound_mal:.0f} malicious")
 
 

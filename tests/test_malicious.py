@@ -10,7 +10,7 @@ from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
 from falcon.rss import deserialize_elems, elem_width
 from falcon.session import AbortError, ThreatModel, run_three_parties
-from falcon.transport import FaultInjector
+from falcon.transport import ChannelClosed, FaultInjector, Message
 
 from test_protocols import shared_input
 
@@ -147,6 +147,58 @@ def test_malicious_relu_flip_aborts():
             run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS,
                               session_seed=5, fault=fault)
         assert fault.fired
+
+
+def test_tampered_compare_round_aborts_its_receiver():
+    """A relu opens the compare's d and the selection's e in one round, one
+    message per opening on each link. Tampering any of the twelve makes its
+    receiver abort in that round, so it opens neither e nor an output."""
+    lg = int(np.log2(PARAMS.ell))
+    vals = encode_fixed(np.linspace(-2, 2, 16), PARAMS)
+
+    def make_job(target):
+        # target = (receiver, sender, k): flip the first payload byte of the
+        # k-th message the receiver gets from that sender in the merged round
+        def job(sess):
+            sess.prep = DealerPrep(sess.party, PARAMS, seed=5)
+            a = shared_input(sess, vals, PARAMS.L)
+            merged = sess.round_no + lg + 3  # wrap's r-open, lg + 1 tree levels, d
+            seen = {}
+            recv = sess.links.recv
+
+            def tap(frm, timeout):
+                msg = recv(frm, timeout)
+                if msg.round_tag == merged:
+                    seen[frm] = k = seen.get(frm, -1) + 1
+                    if target == (sess.party.index, frm, k):
+                        payload = bytes([msg.payload[0] ^ 1]) + msg.payload[1:]
+                        msg = Message(msg.session_id, msg.round_tag, msg.sender, msg.receiver, payload)
+                return msg
+
+            sess.links.recv = tap
+            try:
+                return "output", P.reconstruct(sess, P.relu(sess, a)), seen
+            except AbortError:
+                sess.links.close()  # the peers stop at their next receive
+                return "abort", sess.round_no == merged, seen
+            except ChannelClosed:
+                return "closed", None, seen
+
+        return job
+
+    clean = run_three_parties(make_job(None), PARAMS, threat=ThreatModel.MALICIOUS, session_seed=5)
+    for index, (kind, _, seen) in enumerate(clean, start=1):
+        assert kind == "output"
+        assert seen == {q: 1 for q in (1, 2, 3) if q != index}  # d's and e's message per peer
+    for receiver in (1, 2, 3):
+        for sender in (q for q in (1, 2, 3) if q != receiver):
+            for k in (0, 1):
+                out = run_three_parties(make_job((receiver, sender, k)), PARAMS,
+                                        threat=ThreatModel.MALICIOUS, session_seed=5)
+                kind, in_round, _ = out[receiver - 1]
+                assert kind == "abort" and in_round, \
+                    f"P{receiver} did not abort in the merged round after message {k} from P{sender}"
+                assert all(o[0] != "output" for o in out)
 
 
 def test_handshake_rejects_config_mismatch():

@@ -72,14 +72,15 @@ def test_relu_fixed_point_values():
 
 
 def test_relu_round_meter_is_formula_exact():
-    # 5 + log2(ell) rounds: the wrap open shares a round with the flip mult
+    # 4 + log2(ell) rounds: the wrap open shares a round with the flip mult,
+    # and the selection's e opens in the round that opens the compare's d
     def job(sess):
         a = shared_input(sess, np.arange(64, dtype=np.uint64), PARAMS.L)
         r0 = sess.meter.rounds
         P.relu(sess, a)
         return sess.meter.rounds - r0
 
-    assert run_shared(PARAMS, job)[0] == 5 + 5
+    assert run_shared(PARAMS, job)[0] == 4 + 5
 
     params8 = RingParams(ell=8, p=37, fp=4)
 
@@ -89,7 +90,43 @@ def test_relu_round_meter_is_formula_exact():
         P.relu(sess, a)
         return sess.meter.rounds - r0
 
-    assert run_shared(params8, job8)[0] == 5 + 3
+    assert run_shared(params8, job8)[0] == 4 + 3
+
+
+def test_relu_staged_opening_is_blinded(monkeypatch):
+    # the round that opens the compare's d also opens pre xor c, with
+    # pre = b xor beta'; on a constant-sign input b is fixed, so both the
+    # opened value and e = b xor c must look like fair coins, and the output
+    # stays exact
+    n = 7400
+    xs = np.full(n, encode_fixed(1.5, PARAMS), np.uint64)
+    seen = {}
+    open_begin = P.open_begin
+
+    def tap(sess, x, rnd):
+        fin = open_begin(sess, x, rnd)
+        if rnd.tag != "pc-open-d":
+            return fin
+
+        def finish(results):
+            out = fin(results)
+            seen.setdefault(sess.party.index, []).append(out)
+            return out
+
+        return finish
+
+    monkeypatch.setattr(P, "open_begin", tap)
+
+    def job(sess):
+        return P.reconstruct(sess, P.relu(sess, shared_input(sess, xs, PARAMS.L)))
+
+    got = run_shared(PARAMS, job)[0]
+    assert np.array_equal(got, oracle_relu(xs, PARAMS))
+    d, opened = seen[1]  # the compare's d over Z_p, then the masked bit over Z_2
+    assert d.shape == opened.shape == (n,)
+    e = opened ^ (d != 0)
+    for bits in (opened, e):
+        assert 0.45 < float(bits.mean()) < 0.55
 
 
 def test_relu_bytes_within_budget():
@@ -164,12 +201,15 @@ def test_maxpool_random_vectors_earliest_tie():
 
 
 def test_maxpool_takes_one_level_per_doubling():
-    # ceil(log2 n) levels of one DReLU and one selection each; the routing
-    # back down takes one selection per level
+    # ceil(log2 n) levels of one DReLU and one selection each, whose e opens
+    # with the compare's d; the routing back down takes one two-round
+    # selection on the cached keep bits per level
     def job(sess):
         x = shared_input(sess, np.arange(4, dtype=np.uint64), PARAMS.L)
         r0 = sess.meter.rounds
-        P.select_shares(sess, x, x, P.drelu(sess, x))
+        pair = P.bit_pair(sess, x.shape)
+        _, (e,) = P.drelu(sess, x, [pair.c2])
+        P.select_opened(sess, x, x, pair, e)
         level = sess.meter.rounds - r0
         got = {}
         for n in range(2, 17):
@@ -182,15 +222,16 @@ def test_maxpool_takes_one_level_per_doubling():
         return level, got
 
     level, got = run_shared(PARAMS, job)[0]
-    assert level == 10
+    assert level == 9
     assert got == {n: ((n - 1).bit_length() * level, (n - 1).bit_length() * 2)
                    for n in range(2, 17)}
 
 
 def test_drelu_online_memory():
-    # the private-compare factors are built in row blocks, so the online
-    # working set stays a few hundred bytes per element and party; the
-    # preprocessing material is drawn before the measured window
+    # the private-compare factors are built in row blocks, and the wrap
+    # protocol's opened-r state and the flipped bits die once the factors
+    # exist, so the online working set stays a few hundred bytes per element
+    # and party; the preprocessing material is drawn before the measured window
     n = 36864  # one sequential maxpool step of network-c at batch 16
     raws = np.random.default_rng(9).integers(0, PARAMS.L, n, dtype=np.uint64)
     gate = threading.Barrier(3, timeout=60)
@@ -225,7 +266,7 @@ def test_drelu_online_memory():
         tracemalloc.stop()
     assert np.array_equal(got, oracle_drelu(raws, PARAMS))
     per_elem = peak[0] / n
-    assert per_elem < 1300, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
+    assert per_elem < 780, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
 
 
 @pytest.mark.parametrize("ell", [63, 64])
