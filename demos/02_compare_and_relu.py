@@ -2,9 +2,9 @@
 
 Comparisons never reveal operands: private compare multiplies masked
 per-bit differences into a single blinded product, the wrap protocol
-turns share-carry algebra into a sign bit, and ReLU is one oblivious
-select on top, whose opening shares the compare's last round. Round
-counts follow 4 + log2(ell).
+turns share-carry algebra into a sign bit, and ReLU is one
+multiplication by that bit lifted to Z_L, whose lift opens in the
+compare's last round. Round counts follow 4 + log2(ell).
 """
 
 import numpy as np

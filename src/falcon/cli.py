@@ -230,9 +230,9 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
         "pc": (3 + lg, 2 * k * n, n / 8),
         "wa": (3 + lg, 3 * k * n, k * n + n / 8),
         "drelu": (3 + lg, 3 * k * n, k * n + n / 8),
-        # the DReLU opens the selection's e with d; then the selection's mult
+        # the DReLU opens the lift's e with d; then one mult by the lifted bit
         "relu": (4 + lg, 4 * k * n, k * n + n / 4),
-        # n windows: ceil(log2 wh) tree levels of DReLU + select, wh - 1 of each
+        # n windows: ceil(log2 wh) tree levels of lifted DReLU + select, wh - 1 of each
         "maxpool": ((wh - 1).bit_length() * (4 + lg), (wh - 1) * 4 * k * n,
                     (wh - 1) * (k * n + n / 4)),
         "pow": (lg * probe, lg * 3 * k * n, lg * (k * n + n / 4)),

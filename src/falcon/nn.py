@@ -2,9 +2,10 @@
 
 Layers evaluate batch-first: images as (B, C, H, W) shares, flat
 activations as (B, D). The forward pass caches whatever the backward pass
-reuses (ReLU derivative bits, maxpool keep bits, batch-norm normalized
-activations and inverse sigma), mirroring the fused forward/backward
-optimization of the cost model. Learning rates are powers of two; an SGD
+reuses, mirroring the fused forward/backward optimization of the cost
+model: ReLU derivative bits and maxpool keep bits, both over Z_L so that
+each backward use is one multiplication, and batch-norm normalized
+activations and inverse sigma. Learning rates are powers of two; an SGD
 step is a subtraction after an arithmetic shift of the gradient.
 """
 
@@ -19,16 +20,14 @@ from .netspec import LayerSpec, NetworkSpec, init_float_params, param_shapes, _p
 from .numeric import divide, rescale
 from .protocols import (
     _im2col,
-    bit_pair,
     col2im,
     conv2d,
-    drelu,
+    drelu_lifted,
     matmul,
     maxpool_argmax,
     maxpool_route,
     mult,
     relu,
-    select_opened,
     select_shares,
     truncate,
 )
@@ -124,10 +123,8 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         return conv2d(sess, x, st.params["w"], st.params["b"],
                       stride=layer.stride, padding=layer.pad)
     if layer.kind == "relu":
-        pair = bit_pair(sess, x.shape)
-        st.cache["drelu"], (e,) = drelu(sess, x, [pair.c2])
-        zero = public_share(sess.party, np.uint64(0), x.mod, shape=x.shape)
-        return select_opened(sess, zero, x, pair, e)
+        st.cache["drelu"] = bit = drelu_lifted(sess, x)
+        return mult(sess, x, bit)
     if layer.kind == "maxpool":
         B, C, H, W = x.shape
         Ho = (H - layer.window) // layer.stride + 1
@@ -214,8 +211,7 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         dx_hi = col2im(dcols.hi, (B, C, H, W), F, S, Pd, a_in.mod)
         return RssShare(dx_lo, dx_hi, a_in.mod)
     if layer.kind == "relu":
-        zero = public_share(sess.party, np.uint64(0), delta.mod, shape=delta.shape)
-        return select_shares(sess, zero, delta, st.cache["drelu"])
+        return mult(sess, delta, st.cache["drelu"])
     if layer.kind == "maxpool":
         B, C, H, W = st.cache["in_shape"]
         routed = maxpool_route(sess, st.cache["path"], delta)  # (B, C, Ho, Wo, F*F)
@@ -303,17 +299,15 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
     B, classes = logits.shape
     r = relu(sess, logits)
     total = sum_share(r, -1)  # (B,)
-    # both selections on pos open their e in the compare's last round
-    pairs = [bit_pair(sess, (B,)) for _ in range(2)]
-    _, (e_denom, e_phat) = drelu(sess, add_public(sess.party, total, reduce_mod(-1, params.L)),
-                                 [pair.c2 for pair in pairs])
+    # one lifted positivity bit steers both selections
+    pos = drelu_lifted(sess, add_public(sess.party, total, reduce_mod(-1, params.L)))
     one = public_share(sess.party, np.uint64(1 << fp), params.L, shape=(B,))
-    denom = select_opened(sess, one, total, pairs[0], e_denom)
+    denom = select_shares(sess, one, total, pos)
     recip = divide(sess, one, denom, a_max_bits=fp + 1)
     probs = truncate(sess, mult(sess, r, expand_last(recip, r.shape)), fp)
     uniform = public_share(sess.party, np.uint64(round((1 << fp) / classes)),
                            params.L, shape=r.shape)
-    phat = select_opened(sess, uniform, probs, pairs[1], e_phat)
+    phat = select_shares(sess, uniform, probs, pos)
     onehot_raw = reduce_mod(-encode_fixed(np.asarray(onehot, np.float64), params).astype(np.int64),
                             params.L)
     delta = add_public(sess.party, phat, onehot_raw)
@@ -353,8 +347,6 @@ def train_secure(sess: PartySession, net: NetworkSpec, images_raw: np.ndarray,
 
 
 def open_params(sess: PartySession, state: NetState) -> dict:
-    from .session import open_share
-
     return {
         f"{i}.{name}": open_share(sess, st.params[name])
         for i, st in enumerate(state.layers)

@@ -1,19 +1,23 @@
 """Online protocol suite over replicated shares.
 
 Multiplication with resharing, matrix/convolution variants, exact
-truncation from preprocessed pairs, oblivious selection, private compare,
-the three-operand wrap bit, ReLU/DReLU, and maxpool as a comparison tree
-of ceil(log2 n) levels whose keep bits stand for the argmax: inference
-takes the max alone, and backward routes the gradient down the same bits
-(`maxpool_route`). Each protocol works elementwise over arbitrary array
-shapes and runs under either threat model of the session.
+truncation from preprocessed pairs, private compare, the three-operand
+wrap bit, DReLU/ReLU, oblivious selection, and maxpool as a comparison
+tree of ceil(log2 n) levels whose keep bits stand for the argmax:
+inference takes the max alone, and backward routes the gradient down the
+same bits (`maxpool_route`). Each protocol works elementwise over
+arbitrary array shapes and runs under either threat model of the session.
+
+A DReLU bit that steers anything is lifted once, by `drelu_lifted`, to a
+sharing over Z_L; every consumer (ReLU, its backward, a maxpool level,
+the routing, the loss's fallback) is then one multiplication by it.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
 the analytic round counts require it: the wrap protocol opens r in the
-same step that reshares the flipped compare bits, and a DReLU opens each
-consumer's masked bit (a selection's e = b xor c, or a probe's b) in the
-step that opens the compare's d.
+same step that reshares the flipped compare bits, and a DReLU opens its
+one masked bit (a lift's e = b xor c, or a probe's b) in the step that
+opens the compare's d.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .rss import (
     concat_shares,
     expand_last,
     neg_share,
-    public_share,
     scale_share,
     sub_shares,
 )
@@ -195,34 +198,19 @@ def one_minus_two_beta(sess: PartySession, beta: RssShare) -> RssShare:
     return add_public(sess.party, scale_share(neg2, beta), np.uint64(1))
 
 
-def bit_pair(sess: PartySession, shape):
-    """One preprocessed bit pair (c over Z_2 and Z_L) per position of shape."""
-    return sess.prep.bit_pairs(int(np.prod(shape, dtype=int))).reshape(shape)
-
-
 def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:
-    """z = x when b = 0, y when b = 1; consumes one random bit pair per bit.
+    """z = x when b = 0, y when b = 1: z = x + (y - x) * b, one multiplication.
 
-    b's shape is a leading prefix of y's, so one bit may steer a whole
-    trailing block. Opens e = b xor c, then `select_opened` multiplies:
-    two rounds. This is the path of a cached bit; a fresh DReLU bit has
-    `drelu` open its e in the compare's last round instead.
+    b is a bit shared over x's ring, as `drelu_lifted` returns it; its shape
+    is a leading prefix of y's, so one bit may steer a whole trailing block.
+    One round, no preprocessing.
     """
-    if b.mod != 2:
-        raise ValueError("selection bit must be shared over Z_2")
-    pair = bit_pair(sess, b.shape)
-    return select_opened(sess, x, y, pair, open_share(sess, add_shares(b, pair.c2)))
-
-
-def select_opened(sess: PartySession, x: RssShare, y: RssShare, pair, e: np.ndarray) -> RssShare:
-    """The multiplication half of a selection whose e = b xor c is public:
-    swaps the arithmetic bit c by e, then z = (y - x) * d + x. One round."""
-    if y.shape[: e.ndim] != e.shape:
-        raise ValueError(f"selection bit shape {e.shape} is not a prefix of {y.shape}")
-    d = xor_public(sess, pair.cL, e)
-    d = d.reshape(e.shape + (1,) * (len(y.shape) - e.ndim))
-    dxy = mult(sess, sub_shares(y, x), broadcast_share(d, y.shape))
-    return add_shares(dxy, x)
+    if b.mod != x.mod:
+        raise ValueError("selection bit must be shared over the operands' ring")
+    if y.shape[: len(b.shape)] != b.shape:
+        raise ValueError(f"selection bit shape {b.shape} is not a prefix of {y.shape}")
+    b = b.reshape(b.shape + (1,) * (len(y.shape) - len(b.shape)))
+    return add_shares(mult(sess, sub_shares(y, x), b), x)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +218,7 @@ def select_opened(sess: PartySession, x: RssShare, y: RssShare, pair, e: np.ndar
 
 
 def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
-                    flipped=None, t_top=None, reveal_sink: list | None = None,
-                    masks: list | None = None):
+                    flipped=None, t_top=None, mask: RssShare | None = None):
     """Share over Z_2 of the bit (x >= t) for public t in [0, 2^ell].
 
     xbits holds the little-endian bits of x over Z_p, shape (n, ell). The
@@ -243,9 +230,9 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
 
     A caller that staged the flip (-1)^beta * x[i] into its own round hands
     it over as `flipped`, a one-item list the compare empties, so the bits
-    die once the factors are built. With masks (Z_2 sharings of shape
-    (n,)), returns (bit, opened): the public bit xor m of each mask, opened
-    in the same round as d.
+    die once the factors are built. With a mask m (a Z_2 sharing of shape
+    (n,)), returns (bit, opened): the public bit xor m, opened in the same
+    round as d.
     """
     params = sess.params
     ell = params.ell
@@ -269,7 +256,7 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
         flipped = [mult(sess, expand_last(s, xbits.shape), xbits)]
     factors = _pc_factors(sess, xbits, flipped.pop(), t, t_top, crand)
     del t, t_top  # the tree needs the factors alone
-    return _pc_core(sess, factors, crand, reveal_sink, masks)
+    return _pc_core(sess, factors, crand, mask)
 
 
 def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
@@ -278,23 +265,19 @@ def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
     return mult_begin(sess, expand_last(s, xbits.shape), xbits, rnd)
 
 
-def _pc_core(sess: PartySession, factors: RssShare, crand, reveal_sink: list | None,
-             masks: list | None):
-    """Multiply the factors down and open d; each mask m opens beta2 xor m
+def _pc_core(sess: PartySession, factors: RssShare, crand, mask: RssShare | None):
+    """Multiply the factors down and open d; a mask m opens beta2 xor m
     alongside, which is bit xor m up to the beta' = (d != 0) known after."""
     prod = _tree_product(sess, factors)
     rnd = Round(sess, "pc-open-d")
     fin_d = open_begin(sess, prod, rnd)
-    fins = [open_begin(sess, add_shares(crand.beta2, m), rnd) for m in masks or ()]
+    fin_m = None if mask is None else open_begin(sess, add_shares(crand.beta2, mask), rnd)
     results = rnd.run()
-    d = fin_d(results)
-    if reveal_sink is not None:
-        reveal_sink.append(d)
-    beta_prime = (d != 0).astype(NARROW)
+    beta_prime = (fin_d(results) != 0).astype(NARROW)
     bit = xor_public(sess, crand.beta2, beta_prime)
-    if masks is None:
+    if mask is None:
         return bit
-    return bit, [fin(results) ^ beta_prime for fin in fins]
+    return bit, fin_m(results) ^ beta_prime
 
 
 # rows per block of the private-compare factor arithmetic: its ~20 (rows,
@@ -391,15 +374,15 @@ class WrapTranscript:
 
 
 def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = False,
-                   masks: list | None = None):
+                   mask: RssShare | None = None):
     """Share over Z_2 of wrap3(a1, a2, a3, L): the parity of the carry when
     the three components are summed as integers.
 
     Masks a with the preprocessed x, opens r = a + x (the flipped compare
     bits are reshared in the same round), evaluates the exact wrap of the
     opened components in the clear, and corrects with eta = (x >= r + 1).
-    With masks (Z_2 sharings of a's shape), returns (theta, opened): the
-    public theta xor m of each, opened in the compare's last round.
+    With a mask m (a Z_2 sharing of a's shape), returns (theta, opened):
+    the public theta xor m, opened in the compare's last round.
     """
     params = sess.params
     L = params.L
@@ -429,18 +412,18 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2); all but
     # eta is known now, so a mask m reaches the compare as m xor known
     known = xor_public(sess, add_shares(beta_bits, wrand.alpha), delta)
-    inner = None if masks is None else [add_shares(m.reshape(n), known) for m in masks]
+    inner = None if mask is None else add_shares(mask.reshape(n), known)
 
     # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit (the
     # array sum wraps silently at ell = 64); only the compare holds r + 1
     t_top = (r == np.uint64(L - 1)).astype(NARROW)
     eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), crand,
-                          flipped=flipped, t_top=t_top, masks=inner)
-    if masks is not None:
+                          flipped=flipped, t_top=t_top, mask=inner)
+    if mask is not None:
         eta, opened = eta
     theta = add_shares(known, eta).reshape(shape)
-    if masks is not None:
-        return theta, [o.reshape(shape) for o in opened]
+    if mask is not None:
+        return theta, opened.reshape(shape)
     if want_transcript:
         return theta, WrapTranscript(beta_bits, delta, eta, wrand.alpha, r)
     return theta
@@ -452,46 +435,56 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 COMPARE_CHUNK = 1 << 17
 
 
-def drelu(sess: PartySession, a: RssShare, masks: list | None = None):
+def drelu(sess: PartySession, a: RssShare, mask: RssShare | None = None):
     """Share over Z_2 of the ReLU derivative: 1 iff signed(a) >= 0.
 
     Local MSBs of the components XOR the wrap of the doubled sharing XOR 1.
-    With masks (Z_2 sharings of a's shape), returns (b, opened): the public
-    b xor m of each mask, opened in the compare's last round with d. A
-    selection passes its pair's c and gets its e; a probe passes a zero
-    sharing and gets b itself.
+    With a mask m (a Z_2 sharing of a's shape), returns (b, opened): the
+    public b xor m, opened in the compare's last round with d.
+    `drelu_lifted` passes its bit pair's c and gets its e; a probe passes a
+    zero sharing and gets b itself.
     """
     params = sess.params
     n = int(np.prod(a.shape, dtype=int))
-    flat_masks = [m.reshape(n) for m in masks or ()]
+    flat = a.reshape(n)
+    flat_mask = None if mask is None else mask.reshape(n)
     if n > COMPARE_CHUNK:
-        flat = a.reshape(n)
         parts = [drelu(sess, flat[k : k + COMPARE_CHUNK],
-                       [m[k : k + COMPARE_CHUNK] for m in flat_masks])
+                       None if mask is None else flat_mask[k : k + COMPARE_CHUNK])
                  for k in range(0, n, COMPARE_CHUNK)]
-        bits = concat_shares([b for b, _ in parts])
-        opened = [np.concatenate(col) for col in zip(*(o for _, o in parts))]
+        if mask is not None:
+            parts, opened = zip(*parts)
+            opened = np.concatenate(opened)
+        bits = concat_shares(list(parts))
     else:
         top = np.uint64(params.ell - 1)
-        flat = a.reshape(n)
         msbs = RssShare((flat.lo >> top).astype(NARROW), (flat.hi >> top).astype(NARROW), 2)
         known = xor_public(sess, msbs, np.uint64(1))
-        theta, opened = wrap3_protocol(sess, scale_share(np.uint64(2), flat),
-                                       masks=[add_shares(m, known) for m in flat_masks])
+        theta = wrap3_protocol(sess, scale_share(np.uint64(2), flat),
+                               mask=None if mask is None else add_shares(flat_mask, known))
+        if mask is not None:
+            theta, opened = theta
         bits = add_shares(known, theta)
     bits = bits.reshape(a.shape)
-    if masks is None:
+    if mask is None:
         return bits
-    return bits, [o.reshape(a.shape) for o in opened]
+    return bits, opened.reshape(a.shape)
+
+
+def drelu_lifted(sess: PartySession, a: RssShare) -> RssShare:
+    """The DReLU bit of a shared over a's ring, ready to steer by one mult.
+
+    Draws a bit pair (c over Z_2 and Z_L); the DReLU opens e = b xor c with
+    its d, and b = c_L xor e is local: the rounds of `drelu` alone.
+    """
+    pair = sess.prep.bit_pairs(int(np.prod(a.shape, dtype=int))).reshape(a.shape)
+    _, e = drelu(sess, a, pair.c2)
+    return xor_public(sess, pair.cL, e)
 
 
 def relu(sess: PartySession, a: RssShare) -> RssShare:
-    """Share of max(0, signed(a)): DReLU, its selection's e opened with the
-    compare's d, then one multiplication against 0."""
-    pair = bit_pair(sess, a.shape)
-    _, (e,) = drelu(sess, a, [pair.c2])
-    zero = public_share(sess.party, np.uint64(0), a.mod, shape=a.shape)
-    return select_opened(sess, zero, a, pair, e)
+    """Share of max(0, signed(a)): a times its lifted DReLU bit."""
+    return mult(sess, a, drelu_lifted(sess, a))
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +494,20 @@ def relu(sess: PartySession, a: RssShare) -> RssShare:
 def maxpool_argmax(sess: PartySession, a: RssShare) -> tuple[RssShare, list[RssShare]]:
     """Max over the last axis by a tournament tree; the argmax stays as keep bits.
 
-    Each level compares adjacent slots (0, 1), (2, 3), ... with one DReLU
-    over all pairs of the level and keeps the larger with one selection,
-    whose e the DReLU opens with its d; an odd last slot is carried up. keep = DReLU(left - right) is 1 on
-    a tie and the left slot always holds the earlier indices, so the kept
-    slot is the earliest maximum. Input (..., n); returns the max (...,) and
-    the Z_2 keep bits of each level, root last, for `maxpool_route`.
-    ceil(log2 n) levels of one DReLU and one selection each.
+    Each level compares adjacent slots (0, 1), (2, 3), ... with one lifted
+    DReLU over all pairs of the level and keeps the larger with one
+    selection; an odd last slot is carried up. keep = DReLU(left - right)
+    is 1 on a tie and the left slot always holds the earlier indices, so
+    the kept slot is the earliest maximum. Input (..., n); returns the max
+    (...,) and the keep bits of each level over Z_L, root last, for
+    `maxpool_route`. ceil(log2 n) levels of one DReLU and one mult each.
     """
     cur, path = a, []
     while cur.shape[-1] > 1:
         k = cur.shape[-1]
         left, right = cur[..., 0 : k - 1 : 2], cur[..., 1:k:2]
-        pair = bit_pair(sess, left.shape)
-        keep, (e,) = drelu(sess, sub_shares(left, right), [pair.c2])
-        best = select_opened(sess, right, left, pair, e)
+        keep = drelu_lifted(sess, sub_shares(left, right))
+        best = select_shares(sess, right, left, keep)
         if k % 2:
             best = concat_shares([best, cur[..., -1:]], axis=-1)
         path.append(keep)
@@ -527,15 +519,14 @@ def maxpool_route(sess: PartySession, path: list[RssShare], delta: RssShare) -> 
     """Adjoint of `maxpool_argmax`: delta (...,) lands on the argmax slot of
     (..., n) and 0 on every other, walking the keep bits from the root down.
 
-    Per level the kept slot takes select(0, d, keep) and its rival the rest,
-    d minus that: two rounds per level.
+    Per level the left slot takes d * keep and its rival the rest, d minus
+    that: one round per level.
     """
     d = delta.reshape(delta.shape + (1,))
     for keep in reversed(path):
         half = keep.shape[-1]
         pairs = d[..., :half]
-        zero = public_share(sess.party, np.uint64(0), d.mod, shape=pairs.shape)
-        left = select_shares(sess, zero, pairs, keep)
+        left = mult(sess, pairs, keep)
         right = sub_shares(pairs, left)
         slots = concat_shares([left[..., None], right[..., None]], axis=-1)
         d = concat_shares([slots.reshape(pairs.shape[:-1] + (2 * half,)), d[..., half:]], axis=-1)

@@ -52,24 +52,40 @@ def test_private_compare_exhaustive_8bit(threat):
     assert np.array_equal(got, oracle_compare(xs, rs))
 
 
-def test_private_compare_reveal_blinded():
+def test_private_compare_reveal_blinded(monkeypatch):
     # for fixed (x, r) the revealed product is 0 about half the time (the
     # blinding bit flips) and uniform-looking over Z_p^* otherwise; the
-    # output is correct regardless
+    # output is correct regardless. d is read where it crosses the wire:
+    # the compare's "pc-open-d" round, the only opening of a Z_p payload
     from scipy import stats
 
     params = RingParams(ell=8, p=37, fp=4)
     n = 7400
     xs = np.full(n, 77, np.uint64)
     rs = np.full(n, 20, np.uint64)
+    seen = {}
+    open_begin = P.open_begin
+
+    def tap(sess, x, rnd):
+        fin = open_begin(sess, x, rnd)
+        if rnd.tag != "pc-open-d" or x.mod != params.p:
+            return fin
+
+        def finish(results):
+            out = fin(results)
+            seen.setdefault(sess.party.index, []).append(out)
+            return out
+
+        return finish
+
+    monkeypatch.setattr(P, "open_begin", tap)
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        sink = []
-        out = P.private_compare(sess, bits, rs, reveal_sink=sink)
-        return P.reconstruct(sess, out), sink[0]
+        return P.reconstruct(sess, P.private_compare(sess, bits, rs))
 
-    got, d = run_shared(params, job)[0]
+    got = run_shared(params, job)[0]
+    (d,) = seen[1]
     assert np.all(got == 1)  # 77 >= 20 regardless of blinding
     zero_frac = float((d == 0).mean())
     assert 0.45 < zero_frac < 0.55

@@ -8,7 +8,7 @@ from falcon import oracle as O
 from falcon import protocols as P
 from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 from falcon.nets import BUILTIN, network_c
-from falcon.prep import DealerPrep
+from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
 
 from test_protocols import run_shared, shared_input
@@ -259,6 +259,28 @@ def test_relu_layer_blocks_gradient_when_negative():
 
     dw = run_shared(PARAMS, job)[0]
     assert np.all(dw == 0)
+
+
+def test_relu_layer_backward_is_one_multiplication():
+    # the forward caches the DReLU bit over Z_L, so the backward multiplies
+    # the delta by it: one round, and no bit pair is drawn
+    net = NetworkSpec("r", (4,), 4, [LayerSpec("relu")])
+    xs = np.array([[-1.5, 0.0, 2.25, -0.5]])
+    ds = np.array([[1.0, 2.0, 3.0, 4.0]])
+
+    def job(sess):
+        sess.prep = RecordingPrep(sess.prep)
+        state = nn.init_state(sess, net)
+        nn.forward(sess, state, shared_input(sess, encode_fixed(xs, PARAMS), PARAMS.L))
+        d = shared_input(sess, encode_fixed(ds, PARAMS), PARAMS.L)
+        pairs, r0 = len(sess.prep.records["bitpair"]), sess.meter.rounds
+        dx = nn._layer_backward(sess, net.layers[0], state.layers[0], d, {}, 0)
+        rounds, pairs = sess.meter.rounds - r0, len(sess.prep.records["bitpair"]) - pairs
+        return P.reconstruct(sess, dx), rounds, pairs
+
+    dx, rounds, pairs = run_shared(PARAMS, job)[0]
+    assert rounds == 1 and pairs == 0
+    assert np.array_equal(dx, encode_fixed(np.where(xs >= 0, ds, 0.0), PARAMS))
 
 
 def test_backward_without_forward_raises():

@@ -188,47 +188,48 @@ def test_one_minus_two_beta(mod):
 
 
 def test_select_shares():
+    # the bit is shared over Z_L, as drelu_lifted returns it: the selection
+    # is one multiplication, with no opening and no bit pair
     rng = np.random.default_rng(9)
     n = 1000
     xs = rng.integers(0, PARAMS.L, n, dtype=np.uint64)
     ys = rng.integers(0, PARAMS.L, n, dtype=np.uint64)
     bs = rng.integers(0, 2, n, dtype=np.uint64)
 
-    def job(sess):
-        x = shared_input(sess, xs, PARAMS.L)
-        y = shared_input(sess, ys, PARAMS.L)
-        b = shared_input(sess, bs, 2)
-        r0 = sess.meter.rounds
-        z = P.select_shares(sess, x, y, b)
-        dr = sess.meter.rounds - r0
-        return P.reconstruct(sess, z), dr
+    def select(xs, ys, bs):
+        def job(sess):
+            sess.prep = RecordingPrep(sess.prep)
+            x = shared_input(sess, xs, PARAMS.L)
+            y = shared_input(sess, ys, PARAMS.L)
+            b = shared_input(sess, bs, PARAMS.L)
+            r0 = sess.meter.rounds
+            z = P.select_shares(sess, x, y, b)
+            dr = sess.meter.rounds - r0
+            return P.reconstruct(sess, z), dr, sum(map(len, sess.prep.records.values()))
 
-    out, rounds = run_shared(PARAMS, job)[0]
-    assert rounds == 2  # open + mult
+        return run_shared(PARAMS, job)[0]
+
+    out, rounds, drawn = select(xs, ys, bs)
+    assert rounds == 1 and drawn == 0
     assert np.array_equal(out, np.where(bs == 1, ys, xs))
 
-    # one bit per row steers all k values of that row, from one bit pair each
+    # one bit per row steers all k values of that row
     xs, ys = xs.reshape(n // 4, 4), ys.reshape(n // 4, 4)
     bs = bs[: n // 4]
-
-    def rows(sess):
-        sess.prep = RecordingPrep(sess.prep)
-        x = shared_input(sess, xs, PARAMS.L)
-        y = shared_input(sess, ys, PARAMS.L)
-        b = shared_input(sess, bs, 2)
-        r0 = sess.meter.rounds
-        z = P.select_shares(sess, x, y, b)
-        dr = sess.meter.rounds - r0
-        (pair,) = sess.prep.records["bitpair"]
-        return P.reconstruct(sess, z), dr, pair.c2.shape
-
-    out, rounds, pair_shape = run_shared(PARAMS, rows)[0]
-    assert rounds == 2 and pair_shape == (n // 4,)
+    out, rounds, drawn = select(xs, ys, bs)
+    assert rounds == 1 and drawn == 0
     assert np.array_equal(out, np.where(bs[:, None] == 1, ys, xs))
+
+    def z2_bit(sess):
+        x = shared_input(sess, xs, PARAMS.L)
+        P.select_shares(sess, x, x, shared_input(sess, bs, 2))
+
+    with pytest.raises(ValueError, match="ring"):
+        run_shared(PARAMS, z2_bit)
 
 
 def test_select_shares_blinding():
-    # the opened bit e = b xor c is uniform across trials for fixed b
+    # the bit e = b xor c that a lift opens is uniform across trials for fixed b
     n = 2000
     bs = np.ones(n, np.uint64)
 

@@ -201,15 +201,13 @@ def test_maxpool_random_vectors_earliest_tie():
 
 
 def test_maxpool_takes_one_level_per_doubling():
-    # ceil(log2 n) levels of one DReLU and one selection each, whose e opens
-    # with the compare's d; the routing back down takes one two-round
-    # selection on the cached keep bits per level
+    # ceil(log2 n) levels of one lifted DReLU and one selection each; the
+    # routing back down takes one multiplication by the cached Z_L keep
+    # bits per level
     def job(sess):
         x = shared_input(sess, np.arange(4, dtype=np.uint64), PARAMS.L)
         r0 = sess.meter.rounds
-        pair = P.bit_pair(sess, x.shape)
-        _, (e,) = P.drelu(sess, x, [pair.c2])
-        P.select_opened(sess, x, x, pair, e)
+        P.select_shares(sess, x, x, P.drelu_lifted(sess, x))
         level = sess.meter.rounds - r0
         got = {}
         for n in range(2, 17):
@@ -223,7 +221,7 @@ def test_maxpool_takes_one_level_per_doubling():
 
     level, got = run_shared(PARAMS, job)[0]
     assert level == 9
-    assert got == {n: ((n - 1).bit_length() * level, (n - 1).bit_length() * 2)
+    assert got == {n: ((n - 1).bit_length() * level, (n - 1).bit_length())
                    for n in range(2, 17)}
 
 
@@ -298,7 +296,8 @@ def test_relu_truncate_maxpool_at_wide_rings(ell):
 @pytest.mark.parametrize("mode", ["dealer", "distributed"])
 def test_small_ring_shares_stay_uint8(mode):
     # every Z_p/Z_2 share on the compare path is uint8 end to end; a stray
-    # widening to uint64 anywhere would silently undo the narrow kernels
+    # widening to uint64 anywhere would silently undo the narrow kernels.
+    # The maxpool keep bits are lifted to Z_L and so are uint64
     raws = np.random.default_rng(31).integers(0, PARAMS.L, 16, dtype=np.uint64)
 
     def job(sess):
@@ -312,14 +311,15 @@ def test_small_ring_shares_stay_uint8(mode):
     for bits, opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
-        small = [bits] + path
+        small = [bits]
         small += [s for c in records["compare"] for s in (c.beta2, c.beta_p, c.m)]
         small += [s for w in records["wrap"] for s in (w.xbits, w.alpha)]
         small += [b.c2 for b in records["bitpair"]]
-        assert len(small) == 1 + 2 + 3 * 3 + 2 * 3 + 2  # 3 drelus, 2 selections
+        assert len(small) == 1 + 3 * 3 + 2 * 3 + 2  # 3 drelus, 2 of them lifted
         for sh in small:
             assert sh.mod in (2, PARAMS.p)
             assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8
-        wide = [mx] + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
+        wide = [mx] + path + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
+        assert len(wide) == 1 + 2 + 3 + 2
         for sh in wide:
             assert sh.mod == PARAMS.L and sh.lo.dtype == np.uint64
