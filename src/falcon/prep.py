@@ -288,8 +288,8 @@ class DistributedPrep:
             idx = np.nonzero(d_arr == dv)[0]
             nb = params.ell - 1 - int(dv)
             bits = bit_inject(sess, sample_shared_bits(sess, (len(idx), nb)), L)
-            weights = np.uint64(1) << np.arange(nb, dtype=np.uint64)
-            u = RssShare(matmul_mod(bits.lo, weights, L), matmul_mod(bits.hi, weights, L), L)
+            weights = (np.uint64(1) << np.arange(nb, dtype=np.uint64))[:, None]
+            u = RssShare(matmul_mod(bits.lo, weights, L)[:, 0], matmul_mod(bits.hi, weights, L)[:, 0], L)
             u = sub_shares(u, public_share(sess.party, np.uint64(1 << (nb - 1)), L, shape=(len(idx),)))
             r = scale_share(np.uint64(1 << int(dv)), u)
             r_lo[idx], r_hi[idx] = r.lo, r.hi

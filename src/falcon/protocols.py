@@ -47,7 +47,6 @@ from .rss import (
     broadcast_share,
     concat_shares,
     expand_last,
-    neg_share,
     scale_share,
     sub_shares,
 )
@@ -61,21 +60,22 @@ reconstruct = open_share
 
 
 def _cross_terms(x: RssShare, y: RssShare) -> np.ndarray:
-    # z_i = x_i y_i + x_{i+1} y_i + x_i y_{i+1}
+    # z_i = x_i (y_i + y_{i+1}) + x_{i+1} y_i, reduced once. Its integer value
+    # stays below 3 (m - 1)^2: uint16 holds it for a uint8-stored odd p, a
+    # power of two wraps its own dtype (2 | 2^8, 2^ell | 2^64), and uint64
+    # holds it for a uint64-stored p below 2^31
     m = x.mod
-    return add_mod(add_mod(mul_mod(x.lo, y.lo, m), mul_mod(x.hi, y.lo, m), m),
-                   mul_mod(x.lo, y.hi, m), m)
+    acc = np.uint16 if dtype_for(m) == NARROW and m & (m - 1) else dtype_for(m)
+    with np.errstate(over="ignore"):
+        z = np.multiply(x.lo, np.add(y.lo, y.hi, dtype=acc), dtype=acc)
+        z += np.multiply(x.hi, y.lo, dtype=acc)
+    return reduce_mod(z, m)
 
 
 def mult_begin(sess: PartySession, x: RssShare, y: RssShare, rnd: Round):
     if x.mod != y.mod:
         raise ValueError("modulus mismatch in mult")
-    lo_x, lo_y = np.broadcast_arrays(x.lo, y.lo)
-    hi_x, hi_y = np.broadcast_arrays(x.hi, y.hi)
-    xb = RssShare(lo_x, hi_x, x.mod)
-    yb = RssShare(lo_y, hi_y, y.mod)
-    z = _cross_terms(xb, yb)
-    return reshare_begin(sess, z, x.mod, rnd)
+    return reshare_begin(sess, _cross_terms(x, y), x.mod, rnd)
 
 
 def mult(sess: PartySession, x: RssShare, y: RssShare) -> RssShare:
@@ -91,9 +91,10 @@ def matmul(sess: PartySession, x: RssShare, y: RssShare, truncate_after: bool = 
         raise ValueError("modulus mismatch in matmul")
     if x.lo.ndim != 2 or y.lo.ndim != 2 or x.shape[1] != y.shape[0]:
         raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
+    # the cross terms as two products, (x_i + x_{i+1}) y_i + x_i y_{i+1}; the
+    # sum is over x, the smaller operand of every layer's forward call
     m = x.mod
-    z = add_mod(add_mod(matmul_mod(x.lo, y.lo, m), matmul_mod(x.hi, y.lo, m), m),
-                matmul_mod(x.lo, y.hi, m), m)
+    z = add_mod(matmul_mod(add_mod(x.lo, x.hi, m), y.lo, m), matmul_mod(x.lo, y.hi, m), m)
     rnd = Round(sess, "matmul")
     fin = reshare_begin(sess, z, m, rnd)
     out = fin(rnd.run())
@@ -280,67 +281,53 @@ def _pc_core(sess: PartySession, factors: RssShare, crand, mask: RssShare | None
     return bit, fin_m(results) ^ beta_prime
 
 
-# rows per block of the private-compare factor arithmetic: its ~20 (rows,
-# ell + 1) temporaries then stay a few MB whatever n is, and only the
-# (n, ell + 3) factors reach the multiplication tree
+# rows per block of the private-compare factor arithmetic: its few (rows,
+# ell + 3) temporaries then stay a few hundred KB whatever n is, and only
+# the (n, ell + 3) factors reach the multiplication tree
 PC_BLOCK_ROWS = 4096
 
 
 def _pc_factors(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
                 t_top: np.ndarray, crand) -> RssShare:
     """The ell + 3 factors of each instance, (n, ell + 3) over Z_p: c[0..ell],
-    the equality catcher and the mask m. Local only, built in row blocks."""
+    the equality catcher and the mask m. Local only, built in row blocks.
+
+    Every factor is linear in one component of the shares, so each component
+    is summed in a signed accumulator and reduced once:
+      c[i] = u[i] + sum_{k > i} w[k] + 1, with u[i] = v[i] - t[i] (1 - 2 beta)
+      and w[i] = x[i] xor t[i] = (1 - 2 t[i]) x[i] + t[i] (x[ell] = 0);
+      the catcher is (1 - beta) + sum of all w.
+    The public terms enter through component 1, as `add_public` does.
+    """
     params = sess.params
     p, ell = params.p, params.ell
     n = xbits.shape[0]
-    lo = np.empty((n, ell + 3), dtype_for(p))
-    hi = np.empty_like(lo)
+    # |each partial sum| < (ell + 2) p, which int16 holds for uint8-stored p;
+    # adding `lift`, a multiple of p, makes it nonnegative before the reduction
+    acc, unsigned = (np.int16, np.uint16) if dtype_for(p) == NARROW else (np.int64, np.uint64)
+    lift = (ell + 2) * p
+    own = (sess.party.index == 1, sess.party.index == 3)  # lo / hi hold component 1
+    out = (np.empty((n, ell + 3), dtype_for(p)), np.empty((n, ell + 3), dtype_for(p)))
     for k in range(0, n, PC_BLOCK_ROWS):
         rows = slice(k, k + PC_BLOCK_ROWS)
-        xb, m = xbits[rows], crand.m[rows]
-        b = m.shape[0]  # rows in this block
-        tbits = np.concatenate([bit_decompose(reduce_mod(t[rows], params.L), params),
-                                t_top[rows, None]], axis=1)  # (b, ell+1) over Z_p
-
-        s = one_minus_two_beta(sess, crand.beta_p[rows]).reshape(b, 1)
-        # u[i] = v[i] - t[i] * s, with the virtual top bit using x[ell] = 0
-        u_lo = sub_mod(v.lo[rows], mul_mod(tbits[:, :ell], s.lo, p), p)
-        u_hi = sub_mod(v.hi[rows], mul_mod(tbits[:, :ell], s.hi, p), p)
-        u_top = scale_share(sub_mod(0, tbits[:, ell], p), s.reshape(b))  # -t[ell] * s
-        u = RssShare(np.concatenate([u_lo, u_top.lo[:, None]], axis=1),
-                     np.concatenate([u_hi, u_top.hi[:, None]], axis=1), p)
-
-        # w[i] = x[i] xor t[i]; top position has x[ell] = 0 so w[ell] = t[ell]
-        w_scale = sub_mod(1, mul_mod(2, tbits[:, :ell], p), p)
-        w_lo = mul_mod(w_scale, xb.lo, p)
-        w_hi = mul_mod(w_scale, xb.hi, p)
-        zero = np.zeros((b, 1), w_lo.dtype)
-        w = RssShare(np.concatenate([w_lo, zero], axis=1), np.concatenate([w_hi, zero], axis=1), p)
-        w = add_public(sess.party, w, tbits)
-
-        # suffix sums sum_{k > i} w[k]
-        suf_lo = _suffix_sum(w.lo, p)
-        suf_hi = _suffix_sum(w.hi, p)
-        c = RssShare(add_mod(u.lo, suf_lo, p), add_mod(u.hi, suf_hi, p), p)
-        c = add_public(sess.party, c, np.uint64(1))
-
-        # equality catcher: (1 - beta) + sum of all w
-        total_lo = add_mod(suf_lo[:, 0], w.lo[:, 0], p)
-        total_hi = add_mod(suf_hi[:, 0], w.hi[:, 0], p)
-        extra = add_shares(RssShare(total_lo, total_hi, p),
-                           add_public(sess.party, neg_share(crand.beta_p[rows]), np.uint64(1)))
-
-        factors = concat_shares([c, extra.reshape(b, 1), m.reshape(b, 1)], axis=1)
-        lo[rows], hi[rows] = factors.lo, factors.hi
-    return RssShare(lo, hi, p)
-
-
-def _suffix_sum(a: np.ndarray, mod: int) -> np.ndarray:
-    # uint8 rows of at most 65 reduced terms sum below 2^16
-    acc = np.uint16 if a.dtype == NARROW else np.uint64
-    cum = np.cumsum(np.flip(a, axis=1), axis=1, dtype=acc)
-    out = np.flip(cum, axis=1) - a  # strict suffix: exclude own position
-    return reduce_mod(out, mod)
+        tb = np.concatenate([bit_decompose(reduce_mod(t[rows], params.L), params),
+                             t_top[rows, None]], axis=1).astype(acc)  # (b, ell + 1)
+        flip = 1 - 2 * tb[:, :ell]
+        for j, comp in enumerate(("lo", "hi")):
+            x, vj, beta, m = (getattr(a, comp)[rows].astype(acc)
+                              for a in (xbits, v, crand.beta_p, crand.m))
+            w = tb * acc(own[j])
+            w[:, :ell] += flip * x
+            f = np.empty((tb.shape[0], ell + 3), acc)
+            c = f[:, : ell + 1]
+            np.multiply(tb, (2 * beta - own[j])[:, None], out=c)  # -t[i] s
+            c[:, :ell] += vj
+            c[:, :ell] += np.cumsum(w[:, :0:-1], axis=1, dtype=acc)[:, ::-1]  # suffix sums
+            c += lift + own[j]
+            f[:, ell + 1] = w.sum(axis=1, dtype=acc) + (lift + own[j]) - beta
+            f[:, ell + 2] = m
+            out[j][rows] = reduce_mod(f.view(unsigned), p)
+    return RssShare(out[0], out[1], p)
 
 
 def _tree_product(sess: PartySession, factors: RssShare) -> RssShare:
@@ -430,8 +417,8 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 
 
 # elementwise comparison batches above this size run in sequential chunks:
-# online DReLU peaks at ~0.56 KB per element over the three parties in both
-# threat models (tracemalloc at n = 2^17), so a full chunk holds ~25 MB per party
+# online DReLU peaks at ~0.54 KB per element over the three parties in both
+# threat models (tracemalloc at n = 2^17), so a full chunk holds ~24 MB per party
 COMPARE_CHUNK = 1 << 17
 
 

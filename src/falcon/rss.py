@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .rings import UINT, RingError, add_mod, dtype_for, mul_mod, neg_mod, reduce_mod, sub_mod
+from .rings import UINT, RingError, add_mod, dtype_for, mul_mod, reduce_mod, sub_mod
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def add_shares(x: RssShare, y: RssShare) -> RssShare:
 def sub_shares(x: RssShare, y: RssShare) -> RssShare:
     _check_same_ring(x, y)
     return RssShare(sub_mod(x.lo, y.lo, x.mod), sub_mod(x.hi, y.hi, x.mod), x.mod)
-
-
-def neg_share(x: RssShare) -> RssShare:
-    return RssShare(neg_mod(x.lo, x.mod), neg_mod(x.hi, x.mod), x.mod)
 
 
 def scale_share(a, x: RssShare) -> RssShare:

@@ -33,10 +33,12 @@ def test_private_compare_examples():
     assert list(got) == [1, 1]  # 5 >= 3 and 0 >= 0
 
 
+@pytest.mark.parametrize("p", [37, 131])
 @pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS])
-def test_private_compare_exhaustive_8bit(threat):
-    # all x in [0, 256) against 64 targets, fresh random beta/m/shares each
-    params = RingParams(ell=8, p=37, fp=4)
+def test_private_compare_exhaustive_8bit(threat, p):
+    # all x in [0, 256) against 64 targets, fresh random beta/m/shares each;
+    # p = 37 builds the factors in int16, p = 131 (stored as uint64) in int64
+    params = RingParams(ell=8, p=p, fp=4)
     xs = np.tile(np.arange(256, dtype=np.uint64), 64)
     rng = np.random.default_rng(123)
     rs = np.repeat(
@@ -50,6 +52,23 @@ def test_private_compare_exhaustive_8bit(threat):
 
     got = run_shared(params, job, threat=threat)[0]
     assert np.array_equal(got, oracle_compare(xs, rs))
+
+
+def test_private_compare_full_word_targets():
+    # ell = 64: t = 2^64 exists only through its top bit, t_top
+    params = RingParams(ell=64, p=67, fp=13)
+    top = 2**64 - 1
+    xs = np.array([0, 1, 2**63, top - 1, top] * 3, np.uint64)
+    ts = np.repeat(np.array([0, top, 0], np.uint64), 5)
+    t_top = np.repeat(np.array([0, 0, 1], np.uint8), 5)
+
+    def job(sess):
+        bits = _share_bits(sess, xs, sess.params)
+        return P.reconstruct(sess, P.private_compare(sess, bits, ts, t_top=t_top))
+
+    got = run_shared(params, job)[0]
+    # x >= 0 always, x >= 2^64 - 1 only at the top, x >= 2^64 never
+    assert got.tolist() == [1] * 5 + [0, 0, 0, 0, 1] + [0] * 5
 
 
 def test_private_compare_reveal_blinded(monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from falcon.prep import DealerPrep, RecordingPrep
-from falcon.rings import RingParams, decode_fixed, encode_fixed, reduce_mod
-from falcon.rss import share_secret
+from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed, reduce_mod
+from falcon.rss import RssShare, share_secret
 from falcon.session import ThreatModel, run_three_parties
 from falcon import protocols as P
 
@@ -63,6 +63,35 @@ def test_mult_exhaustive_small_ring():
 
     out = run_shared(params, job)[0]
     assert np.array_equal(out, (xs * ys) % 256)
+
+
+def _cross_terms_reference(xl, xh, yl, yh, mod):
+    # z_i = x_i y_i + x_{i+1} y_i + x_i y_{i+1} over Python ints
+    xl, xh, yl, yh = (np.asarray(v).astype(object) for v in (xl, xh, yl, yh))
+    return ((xl * yl + xh * yl + xl * yh) % mod).tolist()
+
+
+@pytest.mark.parametrize("mod", [2, 37])
+def test_cross_terms_exhaustive(mod):
+    # every component quadruple (x_i, x_{i+1}, y_i, y_{i+1}); 37^4 ~ 1.9 M
+    xl, xh, yl, yh = np.indices((mod,) * 4).reshape(4, -1).astype(dtype_for(mod))
+    got = P._cross_terms(RssShare(xl, xh, mod), RssShare(yl, yh, mod))
+    assert got.dtype == dtype_for(mod)
+    assert got.tolist() == _cross_terms_reference(xl, xh, yl, yh, mod)
+
+
+@pytest.mark.parametrize("mod", [67, 127, 131, 2**32, 2**64])
+def test_cross_terms_sampled(mod):
+    rng = np.random.default_rng(mod % 997)
+    xl, xh, yl, yh = (rng.integers(0, mod, (400, 6), dtype=np.uint64) for _ in range(4))
+    xl[0], xh[0], yl[0], yh[0] = mod - 1, mod - 1, mod - 1, mod - 1  # the widest sum
+    got = P._cross_terms(RssShare(xl, xh, mod), RssShare(yl, yh, mod))
+    assert got.dtype == dtype_for(mod)
+    assert got.tolist() == _cross_terms_reference(xl, xh, yl, yh, mod)
+    # one column of x steering a row of y, as the compare's flip mult does
+    col = RssShare(xl[:, :1], xh[:, :1], mod)
+    got = P._cross_terms(col, RssShare(yl, yh, mod))
+    assert got.tolist() == _cross_terms_reference(xl[:, :1], xh[:, :1], yl, yh, mod)
 
 
 def test_mult_rounds_and_bytes():

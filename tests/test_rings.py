@@ -11,6 +11,7 @@ from falcon.rings import (
     decode_fixed,
     dtype_for,
     encode_fixed,
+    matmul_mod,
     mul_mod,
     neg_mod,
     reduce_mod,
@@ -187,3 +188,29 @@ def test_reduce_and_deserialize_cover_every_input(mod):
     for v in large + negative:
         got = np.asarray(reduce_mod(v, mod))
         assert got.dtype == dt and int(got) == v % mod
+
+
+def _object_matmul(a, b, mod):
+    # Python-int reference: no wraps, one reduction of the exact product
+    return (a.astype(object) @ b.astype(object)) % mod
+
+
+# (rows, inner, cols): inner 1, inner >= 2048, and trunc_pairs' shape
+# (instances, bit positions) @ (bit positions, 1)
+MATMUL_SHAPES = ((5, 1, 7), (3, 2048, 4), (2, 2500, 3), (9, 31, 1), (16, 25, 40))
+
+
+@pytest.mark.parametrize("mod", [2**8, 2**16, 2**32, 2**63, 2**64, 37])
+def test_matmul_mod_matches_python_ints(mod):
+    rng = np.random.default_rng(mod % 1000)
+    for m, k, n in MATMUL_SHAPES:
+        a = rng.integers(0, mod, (m, k), dtype=np.uint64)
+        b = rng.integers(0, mod, (k, n), dtype=np.uint64)
+        a[0], b[:, 0] = mod - 1, mod - 1  # the largest residue meets itself
+        got = matmul_mod(a, b, mod)
+        assert got.dtype == dtype_for(mod) and got.shape == (m, n)
+        assert got.astype(object).tolist() == _object_matmul(a, b, mod).tolist(), (m, k, n)
+        # transposed (non-contiguous) operands read the same values
+        at, bt = np.asfortranarray(a), np.asfortranarray(b)
+        assert np.array_equal(matmul_mod(at, bt, mod), got)
+        assert np.array_equal(matmul_mod(b.T, a.T, mod), got.T)
