@@ -226,24 +226,27 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     table = {
         "mult": (1, k * n, 0),
         "matmul": (1, k * x * z, 0),
-        # the flip, ceil(log2(ell + 3)) = lg + 1 tree levels, the open
+        # the flip (ell Z_p products, k n bytes), ceil(log2(ell + 3)) = lg + 1
+        # tree levels, the open
         "pc": (3 + lg, 2 * k * n, n / 8),
-        "wa": (3 + lg, 3 * k * n, k * n + n / 8),
-        "drelu": (3 + lg, 3 * k * n, k * n + n / 8),
+        # the r open (its bits come flipped from preprocessing), then pc's
+        # tree levels and open
+        "wa": (3 + lg, 2 * k * n, k * n + n / 8),
+        "drelu": (3 + lg, 2 * k * n, k * n + n / 8),
         # the DReLU opens the lift's e with d; then one mult by the lifted bit
-        "relu": (4 + lg, 4 * k * n, k * n + n / 4),
+        "relu": (4 + lg, 3 * k * n, k * n + n / 4),
         # n windows: ceil(log2 wh) tree levels of lifted DReLU + select, wh - 1 of each
-        "maxpool": ((wh - 1).bit_length() * (4 + lg), (wh - 1) * 4 * k * n,
+        "maxpool": ((wh - 1).bit_length() * (4 + lg), (wh - 1) * 3 * k * n,
                     (wh - 1) * (k * n + n / 4)),
-        "pow": (lg * probe, lg * 3 * k * n, lg * (k * n + n / 4)),
+        "pow": (lg * probe, lg * 2 * k * n, lg * (k * n + n / 4)),
         # lg + 1 probes (one validates b > 0), the reciprocal series (a
         # rescale, then four mults each rescaled) and the chunked product
-        "div": ((lg + 1) * probe + 11 + (c > 1), (lg + 1) * 3 * k * n + (3 * c + 8) * k * n,
+        "div": ((lg + 1) * probe + 11 + (c > 1), (lg + 1) * 2 * k * n + (3 * c + 8) * k * n,
                 (lg + 1) * (k * n + n / 4) + (2 * c + 4) * k * n),
         # r groups of n: mean, squared deviations, variance, pow, 1/sqrt
         # (a rescale, four Newton steps of three mults each rescaled, a
         # rescale), then the normalised and the gamma-scaled products
-        "bn": (34 + lg * probe, 6 * k * r * n + (28 + 3 * lg) * k * r,
+        "bn": (34 + lg * probe, 6 * k * r * n + (28 + 2 * lg) * k * r,
                3 * k * r * n + (16 + lg) * k * r + lg * r / 4),
     }
     rounds, bytes_sh, opened = table[protocol]

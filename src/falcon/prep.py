@@ -8,7 +8,8 @@ Two interchangeable generators produce the same artifact types:
   wrap value x from the pairwise PRF streams, then two gates over Mult:
   the arithmetic XOR x + y - 2xy, which injects a Z_2 bit into another
   ring, and the Z_2 AND of one binary adder that yields x's bits and its
-  wrap bit. Nonzero masks are Fermat-checked.
+  wrap bit. Nonzero masks are Fermat-checked, and the compare's flipped
+  bits (1 - 2 beta) x[i] are one Z_p Mult.
 
 Any source's output can be recorded with RecordingPrep, persisted to a
 per-party tensor container and replayed with FilePrep.
@@ -21,13 +22,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
-from .protocols import mult
+from .protocols import mult, one_minus_two_beta
 from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
     add_shares,
     concat_shares,
+    expand_last,
     public_share,
     scale_share,
     share_components,
@@ -37,7 +39,7 @@ from .rss import (
 )
 from .session import PartySession, open_share
 
-PREP_MAGIC = b"FALPREP2"
+PREP_MAGIC = b"FALPREP3"
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +76,19 @@ class CompareRand:
 
 @dataclass
 class WrapRand:
-    """Random x with its Z_p bit sharing and alpha = wrap3 of its components."""
+    """Random x with its Z_p bit sharing and alpha = wrap3 of its components,
+    plus the blinding of the private compare on x's bits (a CompareRand's
+    fields) and those bits already flipped by it: vbits = (1 - 2 beta) x[i],
+    a sharing of its own, so the online compare multiplies nothing before
+    its tree."""
 
     x: RssShare        # (n,) over Z_L
     xbits: RssShare    # (n, ell) over Z_p
     alpha: RssShare    # (n,) over Z_2
+    beta2: RssShare    # (n,) over Z_2
+    beta_p: RssShare   # (n,) over Z_p, the same bit
+    m: RssShare        # (n,) over Z_p, nonzero
+    vbits: RssShare    # (n, ell) over Z_p
 
 
 @dataclass
@@ -146,18 +156,27 @@ class DealerPrep:
             x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
             bits = bit_decompose(x, p)  # (n, ell)
-            return (comps, self._share_all(bits, p.p), self._share_all(alpha, 2))
+            beta, m = self._blinding(n)
+            # v is dealt as a fresh sharing: scaling the bits' shares by
+            # (1 or p - 1) would tell each party beta
+            v = bits * np.where(beta, p.p - 1, 1).astype(bits.dtype)[:, None]  # bits are 0/1
+            return (comps, *(self._share_all(val, mod) for val, mod in (
+                (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p))))
 
-        comps, bits_all, alpha_all = self._consume("wrap", (n,), gen)
+        comps, *shared = self._consume("wrap", (n,), gen)
         i = self.party.index - 1
-        return WrapRand(share_components(self.party, tuple(comps), p.L), bits_all[i], alpha_all[i])
+        return WrapRand(share_components(self.party, tuple(comps), p.L), *(s[i] for s in shared))
+
+    def _blinding(self, n: int):
+        """The compare's blinding bit beta and its nonzero mask m over Z_p."""
+        beta = self.rng.integers(0, 2, n).astype(NARROW)
+        return beta, self.rng.integers(1, self.params.p, n).astype(dtype_for(self.params.p))
 
     def compare_rands(self, n: int) -> CompareRand:
         p = self.params
 
         def gen():
-            beta = self.rng.integers(0, 2, n).astype(NARROW)
-            m = self.rng.integers(1, p.p, n).astype(dtype_for(p.p))
+            beta, m = self._blinding(n)
             return (self._share_all(beta, 2), self._share_all(beta, p.p), self._share_all(m, p.p))
 
         b2_all, bp_all, m_all = self._consume("compare", (n,), gen)
@@ -268,7 +287,12 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
 
 
 class DistributedPrep:
-    """Three-party preprocessing over the live session (slower; no dealer)."""
+    """Three-party preprocessing over the live session (slower; no dealer).
+
+    `wrap_rands` also carries the compare's blinding: beta is sampled over
+    Z_2 and injected into Z_p as one more column of x's bits (no rounds of
+    its own), and the flipped bits (1 - 2 beta) x[i] are one Z_p Mult.
+    """
 
     def __init__(self, sess: PartySession):
         self.sess = sess
@@ -299,9 +323,16 @@ class DistributedPrep:
     def wrap_rands(self, n: int) -> WrapRand:
         sess = self.sess
         params = sess.params
+        ell, p = params.ell, params.p
         x = sample_shared_bits(sess, (n,), mod=params.L)
         bits, alpha = _adder_wrap_bit(sess, x)
-        return WrapRand(x, bit_inject(sess, bits, params.p), alpha)
+        # beta rides into Z_p as one more column of the bits' injection
+        beta2 = sample_shared_bits(sess, (n, 1))
+        lifted = bit_inject(sess, concat_shares([bits, beta2], axis=1), p)
+        xbits, beta_p = lifted[:, :ell], lifted[:, ell]
+        m = _nonzero_masks(sess, n)
+        vbits = mult(sess, expand_last(one_minus_two_beta(sess, beta_p), xbits.shape), xbits)
+        return WrapRand(x, xbits, alpha, beta2.reshape(n), beta_p, m, vbits)
 
     def compare_rands(self, n: int) -> CompareRand:
         sess = self.sess
@@ -390,7 +421,7 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
                 raise FormatError(f"{path}: {key!r} has shape {d.shape}, not ({n},)")
             return d.astype(np.int64)
         lo, hi, mod = need(f"{key}.lo"), need(f"{key}.hi"), need(f"{key}.mod")
-        want = (n, params.ell) if key.endswith(".xbits") else (n,)
+        want = (n, params.ell) if key.endswith((".xbits", ".vbits")) else (n,)
         if lo.shape != want or hi.shape != want:
             raise FormatError(f"{path}: {key!r} has shapes {lo.shape}/{hi.shape}, not {want}")
         mod = (int(mod) or 1 << 64) if mod.shape == () else None  # 0 marks 2^64

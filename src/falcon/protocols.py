@@ -14,10 +14,11 @@ the routing, the loss's fallback) is then one multiplication by it.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
-the analytic round counts require it: the wrap protocol opens r in the
-same step that reshares the flipped compare bits, and a DReLU opens its
-one masked bit (a lift's e = b xor c, or a probe's b) in the step that
-opens the compare's d.
+the analytic round counts require it: a DReLU opens its one masked bit (a
+lift's e = b xor c, or a probe's b) in the step that opens the compare's
+d. The compare inside the wrap protocol takes its bits already flipped by
+its blinding from preprocessing, so the step that opens r carries nothing
+else.
 """
 
 from __future__ import annotations
@@ -72,16 +73,12 @@ def _cross_terms(x: RssShare, y: RssShare) -> np.ndarray:
     return reduce_mod(z, m)
 
 
-def mult_begin(sess: PartySession, x: RssShare, y: RssShare, rnd: Round):
-    if x.mod != y.mod:
-        raise ValueError("modulus mismatch in mult")
-    return reshare_begin(sess, _cross_terms(x, y), x.mod, rnd)
-
-
 def mult(sess: PartySession, x: RssShare, y: RssShare) -> RssShare:
     """Share of x*y (no truncation); one round, one reshared element each."""
+    if x.mod != y.mod:
+        raise ValueError("modulus mismatch in mult")
     rnd = Round(sess, "mult")
-    fin = mult_begin(sess, x, y, rnd)
+    fin = reshare_begin(sess, _cross_terms(x, y), x.mod, rnd)
     return fin(rnd.run())
 
 
@@ -229,11 +226,13 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
     under beta = 1. All factors stay below p, the masked product d is
     revealed, and the blinding bit is removed with a local XOR.
 
-    A caller that staged the flip (-1)^beta * x[i] into its own round hands
-    it over as `flipped`, a one-item list the compare empties, so the bits
-    die once the factors are built. With a mask m (a Z_2 sharing of shape
-    (n,)), returns (bit, opened): the public bit xor m, opened in the same
-    round as d.
+    crand holds the blinding (beta2, beta_p, m); the compare draws its own
+    when it is not given. The bits flipped by it, (-1)^beta * x[i], take
+    one multiplication round unless the caller hands them over as
+    `flipped`, a one-item list the compare empties: the wrap protocol
+    passes its preprocessed `WrapRand`, which carries both. With a mask m
+    (a Z_2 sharing of shape (n,)), returns (bit, opened): the public bit
+    xor m, opened in the same round as d.
     """
     params = sess.params
     ell = params.ell
@@ -258,12 +257,6 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
     factors = _pc_factors(sess, xbits, flipped.pop(), t, t_top, crand)
     del t, t_top  # the tree needs the factors alone
     return _pc_core(sess, factors, crand, mask)
-
-
-def pc_flip_begin(sess: PartySession, xbits: RssShare, crand, rnd: Round):
-    """Stage the (-1)^beta * x[i] multiplication into an existing round."""
-    s = one_minus_two_beta(sess, crand.beta_p)
-    return mult_begin(sess, expand_last(s, xbits.shape), xbits, rnd)
 
 
 def _pc_core(sess: PartySession, factors: RssShare, crand, mask: RssShare | None):
@@ -365,9 +358,10 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     """Share over Z_2 of wrap3(a1, a2, a3, L): the parity of the carry when
     the three components are summed as integers.
 
-    Masks a with the preprocessed x, opens r = a + x (the flipped compare
-    bits are reshared in the same round), evaluates the exact wrap of the
-    opened components in the clear, and corrects with eta = (x >= r + 1).
+    Masks a with the preprocessed x, opens r = a + x, evaluates the exact
+    wrap of the opened components in the clear, and corrects with
+    eta = (x >= r + 1). The compare takes its blinding and x's flipped bits
+    from the same `WrapRand`, so opening r is all the first round does.
     With a mask m (a Z_2 sharing of a's shape), returns (theta, opened):
     the public theta xor m, opened in the compare's last round.
     """
@@ -376,7 +370,6 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     shape = a.shape
     n = int(np.prod(shape, dtype=int))
     wrand = sess.prep.wrap_rands(n)
-    crand = sess.prep.compare_rands(n)
 
     flat = a.reshape(n)
     r_sh = add_shares(flat, wrand.x)
@@ -384,12 +377,9 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     del a, flat
 
     rnd = Round(sess, "wa-open-r")
-    fin_open = open_begin(sess, r_sh, rnd)
-    fin_flip = pc_flip_begin(sess, wrand.xbits, crand, rnd)
-    results = rnd.run()
-    r = fin_open(results)
-    flipped = [fin_flip(results)]  # handed to the compare, which empties it
-    del results, fin_open, fin_flip
+    fin = open_begin(sess, r_sh, rnd)
+    r = fin(rnd.run())
+    del fin
 
     # exact wrap of the opened sharing, in the clear from own components
     third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
@@ -404,8 +394,8 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit (the
     # array sum wraps silently at ell = 64); only the compare holds r + 1
     t_top = (r == np.uint64(L - 1)).astype(NARROW)
-    eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), crand,
-                          flipped=flipped, t_top=t_top, mask=inner)
+    eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), wrand,
+                          flipped=[wrand.vbits], t_top=t_top, mask=inner)
     if mask is not None:
         eta, opened = eta
     theta = add_shares(known, eta).reshape(shape)

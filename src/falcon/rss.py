@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .rings import UINT, RingError, add_mod, dtype_for, mul_mod, reduce_mod, sub_mod
+from .rings import NARROW, UINT, RingError, add_mod, dtype_for, mul_mod, reduce_mod, sub_mod
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,15 @@ def _check_same_ring(*shares: RssShare):
 
 def share_secret(x, mod: int, rng: np.random.Generator) -> tuple[RssShare, RssShare, RssShare]:
     """Dealer-side sharing: x1, x2 uniform, x3 = x - x1 - x2 (mod m)."""
-    x = reduce_mod(np.asarray(x), mod)
-    # uint64 draws whatever the storage dtype, so the rng stream is fixed
-    x1 = rng.integers(0, mod, size=x.shape, dtype=np.uint64).astype(x.dtype, copy=False)
-    x2 = rng.integers(0, mod, size=x.shape, dtype=np.uint64).astype(x.dtype, copy=False)
+    x = np.asarray(x)
+    dt = dtype_for(mod)
+    if x.dtype != dt or (mod < 1 << 64 and x.size and int(x.max()) >= mod):
+        x = reduce_mod(x, mod)
+    # narrow rings draw bounded uint16 (exact, uniform and the fastest of
+    # numpy's bounded draws), so no wide temporaries of x's shape are made
+    draw = np.uint16 if dt == NARROW else np.uint64
+    x1 = rng.integers(0, mod, size=x.shape, dtype=draw).astype(dt, copy=False)
+    x2 = rng.integers(0, mod, size=x.shape, dtype=draw).astype(dt, copy=False)
     x3 = sub_mod(sub_mod(x, x1, mod), x2, mod)
     return (
         RssShare(x1, x2, mod),
@@ -183,9 +188,16 @@ def serialize_elems(x: np.ndarray, mod: int, ell: int) -> bytes:
 
 
 def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
-    """Read the wire width as is and reduce into the modulus' storage dtype."""
-    out = np.frombuffer(buf, dtype=f"<u{elem_width(mod, ell)}")
-    return reduce_mod(out.reshape(shape), mod)
+    """Read the wire width into the modulus' storage dtype (a fresh array).
+
+    A sender reduces every element it serializes, so an element >= mod is a
+    malformed payload: it raises RingError rather than being reduced.
+    """
+    width = elem_width(mod, ell)
+    out = np.frombuffer(buf, dtype=f"<u{width}").reshape(shape)
+    if mod < 1 << (8 * width) and out.size and int(out.max()) >= mod:
+        raise RingError(f"element {int(out.max())}, not below the modulus {mod}")
+    return out.astype(dtype_for(mod))
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +229,38 @@ class PrfStream:
         self.key = key
         self.counter = 0
 
-    def _draw(self, n: int, width: int, reduce, dtype) -> np.ndarray:
-        # n little-endian words of `width` bytes, each mapped through reduce
+    def _draw(self, n: int, nbytes: int, convert, dtype) -> np.ndarray:
+        # the draw's nbytes of keystream, each piece mapped by convert to
+        # elements (a piece is a whole number of words, and of octets of bits)
         out = np.empty(n, dtype)
         pos = 0
-        for piece in _aes_stream(self.key, self.counter, width * n):
-            words = np.frombuffer(piece, dtype=f"<u{width}")
-            out[pos : pos + words.size] = reduce(words)
-            pos += words.size
+        for piece in _aes_stream(self.key, self.counter, nbytes):
+            vals = convert(piece)[: n - pos]
+            out[pos : pos + vals.size] = vals
+            pos += vals.size
         self.counter += 1
         return out
 
     def draw_u64(self, n: int) -> np.ndarray:
-        return self._draw(n, 8, lambda words: words, UINT)
+        return self._draw(n, 8 * n, lambda piece: np.frombuffer(piece, "<u8"), UINT)
 
     def draw_mod(self, n: int, mod: int) -> np.ndarray:
-        # power-of-two moduli reduce exactly; odd p keeps a <= 2^-32 bias (masks only)
-        if mod < (1 << 16):
-            m = np.uint32(mod)
-            if mod & (mod - 1) == 0:
-                return self._draw(n, 4, lambda words: words & (m - np.uint32(1)), dtype_for(mod))
-            return self._draw(n, 4, lambda words: words % m, dtype_for(mod))
+        # Z_2 takes one keystream bit per element and 2^ell (ell <= 32) one
+        # masked 4-byte word, both exact; an odd p below 2^16 reduces a 4-byte
+        # word, keeping a <= 2^-16 bias (masks only)
+        dt = dtype_for(mod)
+        if mod == 2:
+            return self._draw(n, -(-n // 8), _stream_bits, dt)
+        pow2 = mod & (mod - 1) == 0
+        if mod < 1 << 16 or (pow2 and mod <= 1 << 32):
+            m = np.uint32(mod - 1 if pow2 else mod)
+            op = np.bitwise_and if pow2 else np.remainder
+            return self._draw(n, 4 * n, lambda piece: op(np.frombuffer(piece, "<u4"), m), dt)
         return reduce_mod(self.draw_u64(n), mod)
+
+
+def _stream_bits(piece: bytes) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(piece, np.uint8), bitorder="little")
 
 
 @dataclass

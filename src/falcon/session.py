@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rings import RingParams, add_mod
+from .rings import RingError, RingParams, add_mod
 from .rss import (
     PartyId,
     PrfState,
@@ -154,21 +154,27 @@ class Round:
             got = (msg.session_id, msg.round_tag, msg.sender, msg.receiver, len(msg.payload))
             want = (sess.session_id, self.no, frm, sess.party.index, nbytes)
             if got != want:
-                detail = ("expected (session, round, sender, receiver, bytes) = "
-                          f"{want}, got {got}")
-                if sess.malicious:
-                    raise AbortError(f"desync: {detail}")
-                raise DesyncError(f"malformed frame: {detail}")
+                self._malformed(f"expected (session, round, sender, receiver, bytes) = "
+                                f"{want}, got {got}")
             if sess.malicious:
                 sess.received[frm].update(msg.payload)
             if mod is None:
                 out[i] = msg.payload
             else:
                 split = nbytes - extra_len
-                arr = deserialize_elems(msg.payload[:split], mod, sess.params.ell, shape)
+                try:
+                    arr = deserialize_elems(msg.payload[:split], mod, sess.params.ell, shape)
+                except RingError as exc:
+                    self._malformed(f"round {self.no} ({self.tag}): P{frm} sent "
+                                    f"P{sess.party.index} {exc}")
                 out[i] = (arr, msg.payload[split:])
         sess.meter.on_round()
         return out
+
+    def _malformed(self, detail: str):
+        if self.sess.malicious:
+            raise AbortError(f"desync: {detail}")
+        raise DesyncError(f"malformed frame: {detail}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Malicious-with-abort behavior: tampering detection, desync, handshake."""
 
+import re
 import threading
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
-from falcon.rss import deserialize_elems, elem_width
+from falcon.rss import deserialize_elems, elem_width, share_secret
 from falcon.session import AbortError, ThreatModel, run_three_parties
-from falcon.transport import ChannelClosed, FaultInjector, Message
+from falcon.transport import ChannelClosed, DesyncError, FaultInjector, Message
 
 from test_protocols import shared_input
 
@@ -131,6 +132,42 @@ def test_semi_honest_flip_gives_wrong_value_no_abort():
     dirty = run_three_parties(_job_mult_chain, PARAMS, session_seed=3, fault=fault)
     assert fault.fired
     assert not all(np.array_equal(c, d) for c, d in zip(clean, dirty))
+
+
+class _WriteModulus:
+    """Overwrites the first element of the first delivered payload with p."""
+
+    def __init__(self):
+        self.fired = False
+        self._lock = threading.Lock()
+
+    def apply(self, payload: bytes) -> bytes:
+        with self._lock:
+            if self.fired:
+                return payload
+            self.fired = True
+        return bytes([PARAMS.p]) + payload[1:]
+
+
+@pytest.mark.parametrize("threat, error", [(ThreatModel.SEMI_HONEST, DesyncError),
+                                           (ThreatModel.MALICIOUS, AbortError)],
+                         ids=["semi-honest", "malicious"])
+def test_out_of_range_element_is_refused_naming_round_and_sender(threat, error):
+    # every sender reduces what it serializes, so a Z_p element equal to p is
+    # a malformed payload; reducing it to 0 would hide the fault
+    vals = np.arange(16, dtype=np.uint64) % PARAMS.p
+
+    def job(sess):
+        x, y = (share_secret(vals, PARAMS.p, sess.shared_rng)[sess.party.index - 1]
+                for _ in range(2))
+        return P.reconstruct(sess, P.mult(sess, x, y))
+
+    fault = _WriteModulus()
+    with pytest.raises(error, match=r"round 1 \(mult\): P(\d) sent P(\d) element 37,") as info:
+        run_three_parties(job, PARAMS, threat=threat, session_seed=3, fault=fault)
+    assert fault.fired
+    sender, receiver = map(int, re.search(r"P(\d) sent P(\d)", str(info.value)).groups())
+    assert sender == receiver % 3 + 1  # a reshare piece comes from the next party
 
 
 def test_malicious_relu_flip_aborts():

@@ -13,7 +13,12 @@ truncation round for some sample of the benchmark's batch of 32 (121
 rounds).
 
 Each shape pins party 1's rounds, messages, wire bytes and cost-model
-bits; all three parties must agree on every count.
+bits; all three parties must agree on every count. The private compare
+inside each DReLU takes its blinded bits from preprocessing, so the round
+that opens the wrap protocol's r carries nothing else. The network-b
+request is also pinned under DistributedPrep: the counts of its
+preprocessing calls (the benchmark's offline phase) and an online phase
+equal to the dealer's.
 """
 
 import numpy as np
@@ -23,7 +28,7 @@ from falcon import nn
 from falcon.data import synth_digits
 from falcon.nets import network_a, network_b, network_c
 from falcon.netspec import init_float_params
-from falcon.prep import DealerPrep
+from falcon.prep import DealerPrep, DistributedPrep
 from falcon.rings import RingParams, encode_fixed
 from falcon.rss import share_secret
 from falcon.session import ThreatModel, open_share, run_three_parties
@@ -32,7 +37,34 @@ PARAMS = RingParams()
 BATCH = 2
 
 
-def online_counts(make_net, threat: ThreatModel, train: bool) -> tuple:
+class _Metered:
+    """Forwards prep calls to `inner`, summing the meter's counts inside them."""
+
+    def __init__(self, inner, meter):
+        self.inner, self.meter = inner, meter
+        self.counts = (0, 0, 0, 0)
+
+    def __getattr__(self, kind):
+        fn = getattr(self.inner, kind)
+
+        def call(*args):
+            before = _snapshot(self.meter)
+            try:
+                return fn(*args)
+            finally:
+                self.counts = tuple(c + b - a for c, a, b in
+                                    zip(self.counts, before, _snapshot(self.meter)))
+
+        return call
+
+
+def _snapshot(m) -> tuple:
+    return (m.rounds, m.messages, m.wire_bytes, m.acct_bits)
+
+
+def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool = False) -> tuple:
+    """(online, offline) counts of one request; offline is what the prep
+    calls cost, all zero under the dealer."""
     net = make_net().swap_relu_maxpool()
     raws = {k: encode_fixed(v, PARAMS) for k, v in init_float_params(net, seed=3).items()}
     pixels, labels = synth_digits(BATCH, seed=3)
@@ -41,10 +73,10 @@ def online_counts(make_net, threat: ThreatModel, train: bool) -> tuple:
     onehot = np.eye(net.classes)[labels]
 
     def job(sess):
-        sess.prep = DealerPrep(sess.party, PARAMS, seed=3)
+        source = DistributedPrep(sess) if distributed else DealerPrep(sess.party, PARAMS, seed=3)
+        sess.prep = _Metered(source, sess.meter)
         state = nn.share_weights(sess, net, raws)
-        m = sess.meter
-        c0 = (m.rounds, m.messages, m.wire_bytes, m.acct_bits)
+        c0 = _snapshot(sess.meter)
         x = share_secret(images, PARAMS.L, sess.shared_rng)[sess.party.index - 1]
         logits = nn.forward(sess, state, x)
         if train:
@@ -52,8 +84,8 @@ def online_counts(make_net, threat: ThreatModel, train: bool) -> tuple:
             nn.sgd_step(sess, state, nn.backward(sess, state, delta), 8)
         else:
             open_share(sess, logits)
-        c1 = (m.rounds, m.messages, m.wire_bytes, m.acct_bits)
-        return tuple(b - a for a, b in zip(c0, c1))
+        total = (b - a for a, b in zip(c0, _snapshot(sess.meter)))
+        return tuple(t - o for t, o in zip(total, sess.prep.counts)), sess.prep.counts
 
     counts = run_three_parties(job, PARAMS, threat=threat, session_seed=3)
     assert len(set(counts)) == 1
@@ -62,9 +94,18 @@ def online_counts(make_net, threat: ThreatModel, train: bool) -> tuple:
 
 # (rounds, messages, wire bytes, cost-model bits)
 @pytest.mark.parametrize("make_net, threat, train, want", [
-    (network_c, ThreatModel.SEMI_HONEST, False, (72, 86, 1_739_080, 4_055_200)),
-    (network_b, ThreatModel.MALICIOUS, False, (25, 39, 204_380, 569_120)),
-    (network_a, ThreatModel.MALICIOUS, True, (120, 188, 2_445_732, 19_262_092)),
+    (network_c, ThreatModel.SEMI_HONEST, False, (72, 79, 1_077_180, 3_393_440)),
+    (network_b, ThreatModel.MALICIOUS, False, (25, 37, 135_220, 500_000)),
+    (network_a, ThreatModel.MALICIOUS, True, (120, 178, 2_428_060, 19_244_620)),
 ], ids=["infer-c", "infer-b-mal", "train-a-mal"])
 def test_online_rounds_are_exact(make_net, threat, train, want):
-    assert online_counts(make_net, threat, train) == want
+    assert request_counts(make_net, threat, train) == (want, (0, 0, 0, 0))
+
+
+def test_distributed_offline_counts_are_exact():
+    # the network-b request of the benchmark's distributed workload: its
+    # DistributedPrep material costs these counts, and the online phase
+    # costs what it costs under the dealer
+    online, offline = request_counts(network_b, ThreatModel.MALICIOUS, False, distributed=True)
+    assert online == (25, 37, 135_220, 500_000)
+    assert offline == (96, 98, 766_920, 3_083_328)

@@ -152,19 +152,21 @@ P64 = RingParams(ell=64, p=67, fp=13)
 
 
 def _distributed_cases():
-    # the id names only what differs from semi-honest at ell = 32
+    # the id names only what differs from distributed, semi-honest, ell = 32
     for kind in ("trunc", "wrap", "compare", "bitpair"):
-        for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
-            for params, pname in ((RingParams(), ""), (P64, "-ell64")):
-                yield pytest.param(kind, threat, params, id=kind + tname + pname)
+        for source in ("", "-dealer"):
+            for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
+                for params, pname in ((RingParams(), ""), (P64, "-ell64")):
+                    yield pytest.param(kind, source == "-dealer", threat, params,
+                                       id=kind + source + tname + pname)
 
 
-@pytest.mark.parametrize("kind,threat,params", _distributed_cases())
-def test_distributed_prep_oracles(kind, threat, params):
+@pytest.mark.parametrize("kind,dealer,threat,params", _distributed_cases())
+def test_distributed_prep_oracles(kind, dealer, threat, params):
     n = 50
 
     def job(sess):
-        prep = DistributedPrep(sess)
+        prep = DealerPrep(sess.party, sess.params, seed=5) if dealer else DistributedPrep(sess)
         if kind == "trunc":
             pair = prep.trunc_pairs(4000, _trunc_shifts(sess.params))
             return P.reconstruct(sess, pair.r), P.reconstruct(sess, pair.r_shift), pair.d
@@ -175,7 +177,10 @@ def test_distributed_prep_oracles(kind, threat, params):
                 P.reconstruct(sess, wr.xbits),
                 P.reconstruct(sess, wr.alpha),
                 wr.x.lo,  # own component for the wrap oracle
-                (wr.x.mod, wr.xbits.mod, wr.xbits.lo.dtype, wr.alpha.mod),
+                tuple(P.reconstruct(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits)),
+                tuple((s.mod, s.lo.dtype, s.shape) for s in (wr.xbits, wr.alpha, wr.beta2,
+                                                              wr.beta_p, wr.m, wr.vbits)),
+                wr.x.mod,
             )
         if kind == "compare":
             cr = prep.compare_rands(n)
@@ -191,14 +196,22 @@ def test_distributed_prep_oracles(kind, threat, params):
     if kind == "trunc":
         _check_trunc_pairs(*outs[0], params)
     elif kind == "wrap":
-        x, bits, alpha, _, rings = outs[0]
-        assert rings == (params.L, params.p, np.uint8, 2)
+        x, bits, alpha, _, (b2, bp_, m, vbits), rings, x_mod = outs[0]
+        p, bit_planes = params.p, (n, params.ell)
+        assert x_mod == params.L
+        assert rings == tuple((mod, np.uint8, shape) for mod, shape in (
+            (p, bit_planes), (2, (n,)), (2, (n,)), (p, (n,)), (p, (n,)), (p, bit_planes)))
         comps = (outs[0][3], outs[1][3], outs[2][3])
         weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)
         # the uint64 sum wraps mod 2^64, a multiple of 2^ell
         composed = reduce_mod((bits * weights).sum(axis=-1, dtype=np.uint64), params.L)
         assert np.array_equal(composed, x)
         assert np.array_equal(alpha, wrap3(*comps, params.L))
+        # the compare's blinding, and x's bits flipped by it
+        assert np.array_equal(b2, bp_) and 0 < b2.sum() < n
+        assert np.all(m != 0)
+        flip = 1 - 2 * b2.astype(np.int64)[:, None]
+        assert np.array_equal(vbits, reduce_mod(flip * bits.astype(np.int64), p))
     elif kind == "compare":
         b2, bp_, m = outs[0]
         assert np.array_equal(b2, bp_)
@@ -208,14 +221,38 @@ def test_distributed_prep_oracles(kind, threat, params):
         assert np.array_equal(c2, cL)
 
 
+@pytest.mark.parametrize("dealer", [True, False], ids=["dealer", "distributed"])
+def test_flipped_bits_are_a_fresh_sharing(dealer):
+    # each party's components of vbits = (1 - 2 beta) x[i] must not be its
+    # components of xbits times 1 or p - 1: that sign is beta. A fresh sharing
+    # repeats a row of ell components with probability about 2 p^-ell
+    p = PARAMS.p
+
+    def job(sess):
+        prep = DealerPrep(sess.party, PARAMS, seed=5) if dealer else DistributedPrep(sess)
+        wr = prep.wrap_rands(200)
+        scaled = 0
+        for comp in ("lo", "hi"):
+            x, v = getattr(wr.xbits, comp), getattr(wr.vbits, comp)
+            scaled += int(np.sum(np.all(v == x, axis=1) | np.all(v == (p - x) % p, axis=1)))
+        return scaled
+
+    assert run_three_parties(job, PARAMS, session_seed=5) == [0, 0, 0]
+
+
 @pytest.mark.parametrize("params", [RingParams(ell=16, p=37, fp=6), RingParams(), P64],
                          ids=["ell16", "ell32", "ell64"])
 def test_distributed_wrap_rands_rounds(params):
-    # Rounds and cost-model bits per party of each artifact. wrap_rands: one
-    # carry-save AND per bit, ell - 1 rounds of two ripple products, then a
-    # Z_p injection (Z_p and Z_2 count 1 bit). Each injected bit costs two
-    # products, one per XOR; trunc_pairs injects ell - 1 - fp bits per pair.
+    # Rounds and cost-model bits per party of each artifact (Z_p and Z_2
+    # count 1 bit). wrap_rands: one carry-save AND per bit, ell - 1 rounds of
+    # two ripple products, a Z_p injection of x's bits and beta (two rounds,
+    # two products per injected bit, one per XOR), the nonzero masks and one
+    # flip product per bit. The masks take the square-and-multiply of
+    # m^(p-1) and one open, each over a batch of n + 4 (one batch is enough
+    # here). trunc_pairs injects ell - 1 - fp bits per pair.
     n, ell, fp = 8, params.ell, params.fp
+    e = params.p - 1
+    masks = e.bit_length() - 1 + bin(e).count("1") - 1 + 1
 
     def job(sess):
         prep = DistributedPrep(sess)
@@ -227,7 +264,8 @@ def test_distributed_wrap_rands_rounds(params):
             costs.append((sess.meter.rounds - rounds, sess.meter.acct_bits - bits))
         return costs
 
-    want = [(ell + 3, n * (5 * ell - 2)), (2, 2 * n * ell), (2, 2 * n * (ell - 1 - fp) * ell)]
+    want = [(ell + 4 + masks, 6 * n * ell + masks * (n + 4)), (2, 2 * n * ell),
+            (2, 2 * n * (ell - 1 - fp) * ell)]
     assert run_three_parties(job, params, session_seed=6) == [want] * 3
 
 
@@ -343,12 +381,15 @@ def test_prep_file_checks_party_and_ring(tmp_path):
             FilePrep(path, party, params)
     # a well-formed container whose entries do not fit their record
     entries = load_tensors(path, PREP_MAGIC)
-    xbits = {k: entries[f"wrap.0.xbits.{k}"][:, :8] for k in ("lo", "hi")}  # (n, 8)
+    narrow = {f"wrap.0.{f}.{k}": entries[f"wrap.0.{f}.{k}"][:, :8]  # (n, 8)
+              for f in ("xbits", "vbits") for k in ("lo", "hi")}
     for bad in [{"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
                 {"trunc.0.d": np.uint64(PARAMS.fp)},  # one shift for the record
                 {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
                 {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},
-                {"wrap.0.xbits.lo": xbits["lo"], "wrap.0.xbits.hi": xbits["hi"]},
+                {k: v for k, v in narrow.items() if ".xbits." in k},
+                {k: v for k, v in narrow.items() if ".vbits." in k},
+                {"wrap.0.vbits.lo": entries["wrap.0.vbits.lo"][:, 0]},
                 {"bitpair.0.c2.mod": np.uint64(5)},
                 # Z_p shares are uint8: p itself breaks the reduced-operand
                 # invariant, 300 would be truncated to 44
@@ -358,6 +399,13 @@ def test_prep_file_checks_party_and_ring(tmp_path):
         save_tensors(path, {**entries, **bad}, PREP_MAGIC)
         with pytest.raises(FormatError):
             FilePrep(path, PartyId(1), PARAMS)
+    # a file of the previous format, whose wrap records lack the compare's
+    # blinding and flipped bits, is refused by its magic
+    new_fields = tuple(f"wrap.0.{f}." for f in ("beta2", "beta_p", "m", "vbits"))
+    save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(new_fields)},
+                 b"FALPREP2")
+    with pytest.raises(FormatError):
+        FilePrep(path, PartyId(1), PARAMS)
     # a file written with uint64 Z_p/Z_2 entries loads as the same uint8 shares
     wide = {k: v.astype(np.uint64) for k, v in entries.items()}
     save_tensors(path, wide, PREP_MAGIC)
@@ -365,3 +413,4 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     assert back["compare"][0].m.lo.dtype == np.uint8
     assert np.array_equal(back["compare"][0].m.hi, rec.records["compare"][0].m.hi)
     assert np.array_equal(back["wrap"][0].xbits.lo, rec.records["wrap"][0].xbits.lo)
+    assert np.array_equal(back["wrap"][0].vbits.hi, rec.records["wrap"][0].vbits.hi)

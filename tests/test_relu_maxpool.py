@@ -72,8 +72,8 @@ def test_relu_fixed_point_values():
 
 
 def test_relu_round_meter_is_formula_exact():
-    # 4 + log2(ell) rounds: the wrap open shares a round with the flip mult,
-    # and the selection's e opens in the round that opens the compare's d
+    # 4 + log2(ell) rounds: the wrap open, the compare's tree and its d
+    # open, in which the selection's e opens too, and the selection
     def job(sess):
         a = shared_input(sess, np.arange(64, dtype=np.uint64), PARAMS.L)
         r0 = sess.meter.rounds
@@ -140,9 +140,9 @@ def test_relu_bytes_within_budget():
 
     k = PARAMS.ell // 8
     sh_bits = run_shared(PARAMS, job)[0]
-    assert sh_bits / 8 <= 1.25 * 4 * k * n
+    assert sh_bits / 8 <= 1.25 * 3 * k * n
     mal_bits = run_shared(PARAMS, job, threat=ThreatModel.MALICIOUS)[0]
-    assert mal_bits / 8 <= 1.25 * (5 * k * n + n / 4)
+    assert mal_bits / 8 <= 1.25 * (4 * k * n + n / 4)
     # malicious sends each opened element once more: r over Z_L, then the
     # compare result d and the selection's e over Z_p and Z_2 at one bit each
     assert mal_bits == sh_bits + n * (PARAMS.ell + 2)
@@ -227,10 +227,10 @@ def test_maxpool_takes_one_level_per_doubling():
 
 def test_drelu_online_memory():
     # the private-compare factors are built in row blocks, one signed
-    # accumulator per component, and the wrap protocol's opened-r state and
-    # the flipped bits die once the factors exist, so the online working set
-    # stays a few hundred bytes per element and party; the preprocessing
-    # material is drawn before the measured window
+    # accumulator per component, and the wrap protocol's opened-r state dies
+    # once the factors exist, so the online working set stays a few hundred
+    # bytes per element and party; the preprocessing material, flipped bits
+    # included, is drawn before the measured window
     n = 36864  # one sequential maxpool step of network-c at batch 16
     raws = np.random.default_rng(9).integers(0, PARAMS.L, n, dtype=np.uint64)
     gate = threading.Barrier(3, timeout=60)
@@ -238,13 +238,10 @@ def test_drelu_online_memory():
 
     class Drawn:
         def __init__(self, source):
-            self.wrap, self.compare = source.wrap_rands(n), source.compare_rands(n)
+            self.wrap = source.wrap_rands(n)
 
         def wrap_rands(self, count):
             return self.wrap
-
-        def compare_rands(self, count):
-            return self.compare
 
     def job(sess):
         sess.prep = Drawn(DealerPrep(sess.party, PARAMS, seed=9))
@@ -312,11 +309,14 @@ def test_small_ring_shares_stay_uint8(mode):
     for bits, opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
+        # the wrap material carries the compare's blinding and flipped bits,
+        # so no drelu draws compare material of its own
+        assert records["compare"] == []
         small = [bits]
-        small += [s for c in records["compare"] for s in (c.beta2, c.beta_p, c.m)]
-        small += [s for w in records["wrap"] for s in (w.xbits, w.alpha)]
+        small += [s for w in records["wrap"]
+                  for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits)]
         small += [b.c2 for b in records["bitpair"]]
-        assert len(small) == 1 + 3 * 3 + 2 * 3 + 2  # 3 drelus, 2 of them lifted
+        assert len(small) == 1 + 6 * 3 + 2  # 3 drelus, 2 of them lifted
         for sh in small:
             assert sh.mod in (2, PARAMS.p)
             assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8

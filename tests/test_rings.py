@@ -176,9 +176,13 @@ def test_reduce_and_deserialize_cover_every_input(mod):
     for t in (np.uint8, np.uint16, np.uint64, np.int64):
         got = reduce_mod(np.array(octets, t), mod)
         assert got.dtype == dt and got.tolist() == [v % mod for v in octets]
-    got = deserialize_elems(bytes(octets), mod, 32, (16, 16))
-    assert got.dtype == dt and got.shape == (16, 16)
-    assert got.ravel().tolist() == [v % mod for v in octets]
+    # a received element is range-checked, not reduced: the octets below mod
+    # come back as they are, and any other one rejects its payload
+    got = deserialize_elems(bytes(octets[:mod]), mod, 32, (mod,))
+    assert got.dtype == dt and got.flags.writeable and got.tolist() == octets[:mod]
+    for v in octets[mod:]:
+        with pytest.raises(RingError):
+            deserialize_elems(bytes(octets[:mod] + [v]), mod, 32, (mod + 1,))
     large = [1 << 16, (1 << 17) - 1, 1 << 17, (1 << 32) + 5, 1 << 63, (1 << 64) - 1]
     got = reduce_mod(np.array(large, np.uint64), mod)
     assert got.dtype == dt and got.tolist() == [v % mod for v in large]

@@ -122,16 +122,55 @@ def _keystream(key, counter, nbytes):
     return Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(b"\x00" * nbytes)
 
 
-@pytest.mark.parametrize("mod", [2, 37, 131, 251])
+@pytest.mark.parametrize("mod", [37, 131, 251])
 def test_draw_mod_small_moduli_read_four_stream_bytes_per_element(mod):
-    # the storage dtype narrows with the modulus; the AES stream does not,
-    # and a draw longer than one keystream piece reads the same stream
+    # the storage dtype narrows with the odd modulus; the AES stream does
+    # not, and a draw longer than one keystream piece reads the same stream
     key = bytes(range(16))
     for n in (1000, 200_000):
         got = PrfStream(key).draw_mod(n, mod)
         raw = np.frombuffer(_keystream(key, 0, 4 * n), "<u4").astype(np.uint64)
         assert got.dtype == dtype_for(mod)
         assert np.array_equal(got, raw % np.uint64(mod))
+
+
+def test_draw_mod_z2_reads_one_stream_bit_per_element():
+    # n bits from ceil(n / 8) keystream bytes, little-endian within a byte,
+    # across piece boundaries and for n not a multiple of 8
+    key = bytes(range(16))
+    for n in (1, 13, 1000, 4_000_003):
+        got = PrfStream(key).draw_mod(n, 2)
+        octets = np.frombuffer(_keystream(key, 0, -(-n // 8)), np.uint8)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.unpackbits(octets, bitorder="little")[:n])
+
+
+@pytest.mark.parametrize("ell", [8, 16, 17, 32])
+def test_draw_mod_power_of_two_reads_four_stream_bytes_per_element(ell):
+    key = bytes(range(16))
+    for n in (1000, 200_000):
+        got = PrfStream(key).draw_mod(n, 1 << ell)
+        raw = np.frombuffer(_keystream(key, 0, 4 * n), "<u4").astype(np.uint64)
+        assert got.dtype == dtype_for(1 << ell)
+        assert np.array_equal(got, raw & np.uint64((1 << ell) - 1))
+
+
+@pytest.mark.parametrize("mod", [2, 37, 1 << 16, 1 << 32, 1 << 40, 1 << 64])
+def test_draw_mod_holders_agree_in_range(mod):
+    # both holders of a key draw the same values, in range, and each draw
+    # advances the counter once, so consecutive draws differ
+    a, b = PrfStream(bytes(16)), PrfStream(bytes(16))
+    draws = []
+    for n in (1 << 16, 1 << 16, 5):
+        x, y = a.draw_mod(n, mod), b.draw_mod(n, mod)
+        assert x.dtype == dtype_for(mod) and np.array_equal(x, y)
+        assert mod == 1 << 64 or int(x.max()) < mod
+        draws.append(x)
+    assert a.counter == b.counter == 3
+    assert not np.array_equal(draws[0], draws[1])
+    if mod == 2:  # balanced: 2^15 +- 5 sigma ones over 2^16 bits
+        for x in draws[:2]:
+            assert abs(int(x.sum()) - (1 << 15)) < 5 * 128
 
 
 def test_draw_u64_reads_the_one_call_keystream():
