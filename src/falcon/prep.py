@@ -158,8 +158,10 @@ class DealerPrep:
             bits = bit_decompose(x, p)  # (n, ell)
             beta, m = self._blinding(n)
             # v is dealt as a fresh sharing: scaling the bits' shares by
-            # (1 or p - 1) would tell each party beta
-            v = bits * np.where(beta, p.p - 1, 1).astype(bits.dtype)[:, None]  # bits are 0/1
+            # (1 or p - 1) would tell each party beta. The bits are 0/1 uint8,
+            # so the product is formed in Z_p's dtype, which holds p - 1
+            dt = dtype_for(p.p)
+            v = bits.astype(dt, copy=False) * np.where(beta, p.p - 1, 1).astype(dt)[:, None]
             return (comps, *(self._share_all(val, mod) for val, mod in (
                 (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p))))
 

@@ -229,8 +229,8 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
     crand holds the blinding (beta2, beta_p, m); the compare draws its own
     when it is not given. The bits flipped by it, (-1)^beta * x[i], take
     one multiplication round unless the caller hands them over as
-    `flipped`, a one-item list the compare empties: the wrap protocol
-    passes its preprocessed `WrapRand`, which carries both. With a mask m
+    `flipped`: the wrap protocol passes its preprocessed `WrapRand`, which
+    carries both. With a mask m
     (a Z_2 sharing of shape (n,)), returns (bit, opened): the public bit
     xor m, opened in the same round as d.
     """
@@ -253,9 +253,9 @@ def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
 
     if flipped is None:
         s = one_minus_two_beta(sess, crand.beta_p)
-        flipped = [mult(sess, expand_last(s, xbits.shape), xbits)]
-    factors = _pc_factors(sess, xbits, flipped.pop(), t, t_top, crand)
-    del t, t_top  # the tree needs the factors alone
+        flipped = mult(sess, expand_last(s, xbits.shape), xbits)
+    factors = _pc_factors(sess, xbits, flipped, t, t_top, crand)
+    del t, t_top, flipped  # the tree needs the factors alone
     return _pc_core(sess, factors, crand, mask)
 
 
@@ -395,7 +395,7 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     # array sum wraps silently at ell = 64); only the compare holds r + 1
     t_top = (r == np.uint64(L - 1)).astype(NARROW)
     eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), wrand,
-                          flipped=[wrand.vbits], t_top=t_top, mask=inner)
+                          flipped=wrand.vbits, t_top=t_top, mask=inner)
     if mask is not None:
         eta, opened = eta
     theta = add_shares(known, eta).reshape(shape)

@@ -18,7 +18,7 @@ from falcon.prep import (
     sample_shared_bits,
     save_prep_file,
 )
-from falcon.rings import RingParams, reduce_mod, shift_signed, signed, wrap3
+from falcon.rings import RingParams, dtype_for, reduce_mod, shift_signed, signed, wrap3
 from falcon.rss import PartyId, RssShare
 from falcon.session import ThreatModel, run_three_parties
 from conftest import reconstruct_all
@@ -149,14 +149,17 @@ def test_bit_inject_matches_shared_random_bits():
 
 
 P64 = RingParams(ell=64, p=67, fp=13)
+# a prime above 256: Z_p elements, p - 1 among them, no longer fit a uint8
+P257 = RingParams(ell=32, p=257, fp=13)
 
 
 def _distributed_cases():
     # the id names only what differs from distributed, semi-honest, ell = 32
     for kind in ("trunc", "wrap", "compare", "bitpair"):
+        rings = ((RingParams(), ""), (P64, "-ell64")) + (((P257, "-p257"),) if kind == "wrap" else ())
         for source in ("", "-dealer"):
             for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
-                for params, pname in ((RingParams(), ""), (P64, "-ell64")):
+                for params, pname in rings:
                     yield pytest.param(kind, source == "-dealer", threat, params,
                                        id=kind + source + tname + pname)
 
@@ -199,7 +202,7 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         x, bits, alpha, _, (b2, bp_, m, vbits), rings, x_mod = outs[0]
         p, bit_planes = params.p, (n, params.ell)
         assert x_mod == params.L
-        assert rings == tuple((mod, np.uint8, shape) for mod, shape in (
+        assert rings == tuple((mod, dtype_for(mod), shape) for mod, shape in (
             (p, bit_planes), (2, (n,)), (2, (n,)), (p, (n,)), (p, (n,)), (p, bit_planes)))
         comps = (outs[0][3], outs[1][3], outs[2][3])
         weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)

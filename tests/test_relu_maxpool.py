@@ -9,8 +9,8 @@ import pytest
 from falcon import protocols as P
 from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
 from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
-from falcon.rings import RingParams, encode_fixed, reduce_mod
-from falcon.rss import public_share
+from falcon.rings import RingParams, encode_fixed, reduce_mod, wrap3
+from falcon.rss import public_share, share_components
 from falcon.session import ThreatModel, run_three_parties
 
 from test_protocols import run_shared, shared_input
@@ -60,6 +60,24 @@ def test_relu_random_32bit(threat):
 
     got = run_shared(PARAMS, job, threat=threat)[0]
     assert np.array_equal(got, oracle_relu(raws, PARAMS))
+
+
+@pytest.mark.parametrize("p", [257, 263])
+def test_wrap3_drelu_exact_above_byte_primes(p):
+    # Z_p elements stop fitting a uint8 above 256, p - 1 among them, which
+    # the compare's preprocessed flip (1 - 2 beta) x[i] takes for beta = 1
+    params = RingParams(ell=32, p=p, fp=13)
+    rng = np.random.default_rng(p)
+    comps = tuple(rng.integers(0, params.L, 2000, dtype=np.uint64) for _ in range(3))
+    raws = reduce_mod(comps[0] + comps[1] + comps[2], params.L)
+
+    def job(sess):
+        a = share_components(sess.party, comps, params.L)
+        return P.reconstruct(sess, P.wrap3_protocol(sess, a)), P.reconstruct(sess, P.drelu(sess, a))
+
+    theta, bit = run_shared(params, job)[0]
+    assert np.array_equal(theta, wrap3(*comps, params.L))
+    assert np.array_equal(bit, oracle_drelu(raws, params))
 
 
 def test_relu_fixed_point_values():
