@@ -23,10 +23,10 @@ def job(sess):
 
     # private compare: shared bits of x against a public threshold
     xs = np.array([3, 41, 100, 100], np.uint64)
-    ts = np.array([10, 17, 100, 101], np.uint64)
+    ts = np.array([10, 17, 100, 99], np.uint64)
     bits = share_secret(bit_decompose(xs, params), params.p,
                         sess.shared_rng)[sess.party.index - 1]
-    ge = P.reconstruct(sess, P.private_compare(sess, bits, ts))
+    gt = P.reconstruct(sess, P.private_compare(sess, bits, ts))
 
     # ReLU over a fixed-point vector, with the round meter
     vals = encode_fixed(np.array([-3.5, -0.25, 0.0, 0.25, 7.75]), params)
@@ -34,11 +34,11 @@ def job(sess):
     r0 = sess.meter.rounds
     out = P.relu(sess, a)
     relu_rounds = sess.meter.rounds - r0
-    return ge, P.reconstruct(sess, out), relu_rounds
+    return gt, P.reconstruct(sess, out), relu_rounds
 
 
 if __name__ == "__main__":
-    ge, relu_vals, rounds = run_three_parties(job, params, session_seed=7)[0]
-    print("x >= t for (3,10) (41,17) (100,100) (100,101):", list(ge))
-    print("relu(-3.5, -0.25, 0, 0.25, 7.75) =", list(decode_fixed(relu_vals, params)))
+    gt, relu_vals, rounds = run_three_parties(job, params, session_seed=7)[0]
+    print("x > t for (3,10) (41,17) (100,100) (100,99):", gt.tolist())
+    print("relu(-3.5, -0.25, 0, 0.25, 7.75) =", decode_fixed(relu_vals, params).tolist())
     print(f"relu used {rounds} rounds = 4 + log2({params.ell})")

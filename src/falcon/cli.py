@@ -226,8 +226,8 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     table = {
         "mult": (1, k * n, 0),
         "matmul": (1, k * x * z, 0),
-        # the flip (ell Z_p products, k n bytes), ceil(log2(ell + 3)) = lg + 1
-        # tree levels, the open
+        # the flip (ell Z_p products, k n bytes), ceil(log2(ell + 2)) = lg + 1
+        # tree levels over the ell + 2 factors, the open
         "pc": (3 + lg, 2 * k * n, n / 8),
         # the r open (its bits come flipped from preprocessing), then pc's
         # tree levels and open

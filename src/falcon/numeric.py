@@ -173,7 +173,6 @@ def _reciprocal_series(sess: PartySession, b: RssShare, q: np.ndarray, w: int) -
 def _chunked_product_rescale(sess: PartySession, a: RssShare, y: RssShare, s1: np.ndarray,
                              h: int, w: int) -> RssShare:
     """a * y / 2^{s1} with y split into h-bit chunks by public powers of two."""
-    params = sess.params
     nchunks = max(1, -(-(w + 2) // h))
     # y >> k*h for k = 1..nchunks-1, all in one opening round
     stack = concat_shares([y] * (nchunks - 1)) if nchunks > 1 else None

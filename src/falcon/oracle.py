@@ -35,8 +35,8 @@ from .rings import (
 
 
 def oracle_compare(x, r) -> np.ndarray:
-    """Ground truth for private compare: the bit (x >= r)."""
-    return (np.asarray(x, dtype=np.int64) >= np.asarray(r, dtype=np.int64)).astype(UINT)
+    """Ground truth for private compare: the bit (x > r)."""
+    return (np.asarray(x, dtype=UINT) > np.asarray(r, dtype=UINT)).astype(UINT)
 
 
 def oracle_wrap3(a1, a2, a3, L: int) -> np.ndarray:
@@ -92,8 +92,10 @@ def fx_drelu(raw, params: RingParams) -> np.ndarray:
 
 
 def fx_maxpool_with_onehot(raws, params: RingParams):
-    """Running max over the last axis with earliest-tie one-hot, mirroring
-    the secure loop (incumbent kept when the new candidate does not exceed it)."""
+    """Running max over the last axis with earliest-tie one-hot: the
+    sequential reference (incumbent kept when the new candidate does not
+    exceed it) whose earliest-tie argmax the secure tournament tree must
+    match."""
     v = signed(raws, params)
     n = v.shape[-1]
     best = v[..., 0]
@@ -684,11 +686,7 @@ def calibrate_float_params(net, float_params: dict, sample: np.ndarray,
     truncation-safe bound.
     """
     params = {k: v.copy() for k, v in float_params.items()}
-    x = np.asarray(sample, np.float64)
-    if len(net.input_shape) == 1 and x.ndim != 2:
-        x = x.reshape(x.shape[0], -1)
     for i, layer in enumerate(net.layers):
-        caches: list = []
         if layer.kind in ("fc", "conv"):
             sub = NetworkishSlice(net.layers[: i + 1], net.input_shape)
             out = float_forward(sub, params, np.asarray(sample, np.float64))

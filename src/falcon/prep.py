@@ -70,9 +70,6 @@ class CompareRand:
     beta_p: RssShare
     m: RssShare
 
-    def reshape(self, shape) -> "CompareRand":
-        return CompareRand(self.beta2.reshape(shape), self.beta_p.reshape(shape), self.m.reshape(shape))
-
 
 @dataclass
 class WrapRand:

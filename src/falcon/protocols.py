@@ -1,12 +1,13 @@
 """Online protocol suite over replicated shares.
 
 Multiplication with resharing, matrix/convolution variants, exact
-truncation from preprocessed pairs, private compare, the three-operand
-wrap bit, DReLU/ReLU, oblivious selection, and maxpool as a comparison
-tree of ceil(log2 n) levels whose keep bits stand for the argmax:
-inference takes the max alone, and backward routes the gradient down the
-same bits (`maxpool_route`). Each protocol works elementwise over
-arbitrary array shapes and runs under either threat model of the session.
+truncation from preprocessed pairs, private compare (the bit x > t for
+shared x and public t), the three-operand wrap bit, DReLU/ReLU, oblivious
+selection, and maxpool as a comparison tree of ceil(log2 n) levels whose
+keep bits stand for the argmax: inference takes the max alone, and
+backward routes the gradient down the same bits (`maxpool_route`). Each
+protocol works elementwise over arbitrary array shapes and runs under
+either threat model of the session.
 
 A DReLU bit that steers anything is lifted once, by `drelu_lifted`, to a
 sharing over Z_L; every consumer (ReLU, its backward, a maxpool level,
@@ -16,9 +17,9 @@ Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
 the analytic round counts require it: a DReLU opens its one masked bit (a
 lift's e = b xor c, or a probe's b) in the step that opens the compare's
-d. The compare inside the wrap protocol takes its bits already flipped by
-its blinding from preprocessing, so the step that opens r carries nothing
-else.
+d. The compare inside the wrap protocol answers eta = (x > r) for the
+opened r itself, and takes its bits already flipped by its blinding from
+preprocessing, so the step that opens r carries nothing else.
 """
 
 from __future__ import annotations
@@ -215,81 +216,75 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> 
 # private compare
 
 
-def private_compare(sess: PartySession, xbits: RssShare, t, crand=None,
-                    flipped=None, t_top=None, mask: RssShare | None = None):
-    """Share over Z_2 of the bit (x >= t) for public t in [0, 2^ell].
+def private_compare(sess: PartySession, xbits: RssShare, t, rand=None,
+                    mask: RssShare | None = None):
+    """Share over Z_2 of the bit (x > t) for public t in [0, 2^ell).
 
-    xbits holds the little-endian bits of x over Z_p, shape (n, ell). The
-    c-vector is extended by a virtual bit position ell (so the wrap
-    protocol may pass t = r + 1 up to 2^ell; t_top carries that bit when
-    given) and by one factor (1 - beta) + sum(w) that covers equality
-    under beta = 1. All factors stay below p, the masked product d is
-    revealed, and the blinding bit is removed with a local XOR.
+    xbits holds the little-endian bits of x over Z_p, shape (n, ell). Each
+    instance multiplies ell + 2 factors below p (see `_pc_factors`): one per
+    bit position, the equality catcher and the mask m. The masked product d
+    is revealed, and the blinding bit is removed with a local XOR.
 
-    crand holds the blinding (beta2, beta_p, m); the compare draws its own
-    when it is not given. The bits flipped by it, (-1)^beta * x[i], take
-    one multiplication round unless the caller hands them over as
-    `flipped`: the wrap protocol passes its preprocessed `WrapRand`, which
-    carries both. With a mask m
-    (a Z_2 sharing of shape (n,)), returns (bit, opened): the public bit
-    xor m, opened in the same round as d.
+    rand holds the blinding (beta2, beta_p, m) and x's bits flipped by it,
+    vbits = (-1)^beta * x[i]: the wrap protocol passes its preprocessed
+    `WrapRand`, which carries both. Without it the compare draws its own
+    blinding and flips in one multiplication round. With a mask m (a Z_2
+    sharing of shape (n,)), returns (bit, opened): the public bit xor m,
+    opened in the same round as d.
     """
-    params = sess.params
-    ell = params.ell
+    ell = sess.params.ell
     n, nb = xbits.shape
     if nb != ell:
         raise ValueError(f"expected {ell} shared bits, got {nb}")
     t = np.asarray(t, dtype=np.uint64).reshape(n)
-    if t_top is None:
-        if ell == 64:
-            raise ValueError("ell = 64 requires an explicit t_top bit")
-        t_top = ((t >> np.uint64(ell)) & np.uint64(1)).astype(NARROW)
-        if np.any(t >> np.uint64(ell) > 1):
-            raise ValueError("public operand exceeds 2^ell")
-    else:
-        t_top = np.asarray(t_top, dtype=NARROW).reshape(n)
-    if crand is None:
-        crand = sess.prep.compare_rands(n)
-
-    if flipped is None:
-        s = one_minus_two_beta(sess, crand.beta_p)
+    if ell < 64 and np.any(t >> np.uint64(ell)):
+        raise ValueError("public operand is not below 2^ell")
+    if rand is None:
+        rand = sess.prep.compare_rands(n)
+        s = one_minus_two_beta(sess, rand.beta_p)
         flipped = mult(sess, expand_last(s, xbits.shape), xbits)
-    factors = _pc_factors(sess, xbits, flipped, t, t_top, crand)
-    del t, t_top, flipped  # the tree needs the factors alone
-    return _pc_core(sess, factors, crand, mask)
+    else:
+        flipped = rand.vbits
+    factors = _pc_factors(sess, xbits, flipped, t, rand)
+    del t, flipped  # the tree needs the factors alone
+    return _pc_core(sess, factors, rand, mask)
 
 
-def _pc_core(sess: PartySession, factors: RssShare, crand, mask: RssShare | None):
+def _pc_core(sess: PartySession, factors: RssShare, rand, mask: RssShare | None):
     """Multiply the factors down and open d; a mask m opens beta2 xor m
     alongside, which is bit xor m up to the beta' = (d != 0) known after."""
     prod = _tree_product(sess, factors)
     rnd = Round(sess, "pc-open-d")
     fin_d = open_begin(sess, prod, rnd)
-    fin_m = None if mask is None else open_begin(sess, add_shares(crand.beta2, mask), rnd)
+    fin_m = None if mask is None else open_begin(sess, add_shares(rand.beta2, mask), rnd)
     results = rnd.run()
     beta_prime = (fin_d(results) != 0).astype(NARROW)
-    bit = xor_public(sess, crand.beta2, beta_prime)
+    bit = xor_public(sess, rand.beta2, beta_prime)
     if mask is None:
         return bit
     return bit, fin_m(results) ^ beta_prime
 
 
 # rows per block of the private-compare factor arithmetic: its few (rows,
-# ell + 3) temporaries then stay a few hundred KB whatever n is, and only
-# the (n, ell + 3) factors reach the multiplication tree
+# ell + 2) temporaries then stay a few hundred KB whatever n is, and only
+# the (n, ell + 2) factors reach the multiplication tree
 PC_BLOCK_ROWS = 4096
 
 
 def _pc_factors(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
-                t_top: np.ndarray, crand) -> RssShare:
-    """The ell + 3 factors of each instance, (n, ell + 3) over Z_p: c[0..ell],
+                rand) -> RssShare:
+    """The ell + 2 factors of each instance, (n, ell + 2) over Z_p: c[0..ell-1],
     the equality catcher and the mask m. Local only, built in row blocks.
 
     Every factor is linear in one component of the shares, so each component
     is summed in a signed accumulator and reduced once:
       c[i] = u[i] + sum_{k > i} w[k] + 1, with u[i] = v[i] - t[i] (1 - 2 beta)
-      and w[i] = x[i] xor t[i] = (1 - 2 t[i]) x[i] + t[i] (x[ell] = 0);
-      the catcher is (1 - beta) + sum of all w.
+      and w[i] = x[i] xor t[i] = (1 - 2 t[i]) x[i] + t[i];
+      the catcher is beta + sum of all w.
+    Under beta = 0 some c[i] is 0 iff x < t and the catcher iff x = t, so
+    d != 0 iff x > t; under beta = 1 some c[i] is 0 iff x > t and the
+    catcher never, so d != 0 iff x <= t. Either way beta xor (d != 0) is
+    (x > t).
     The public terms enter through component 1, as `add_public` does.
     """
     params = sess.params
@@ -300,25 +295,24 @@ def _pc_factors(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
     acc, unsigned = (np.int16, np.uint16) if dtype_for(p) == NARROW else (np.int64, np.uint64)
     lift = (ell + 2) * p
     own = (sess.party.index == 1, sess.party.index == 3)  # lo / hi hold component 1
-    out = (np.empty((n, ell + 3), dtype_for(p)), np.empty((n, ell + 3), dtype_for(p)))
+    out = (np.empty((n, ell + 2), dtype_for(p)), np.empty((n, ell + 2), dtype_for(p)))
     for k in range(0, n, PC_BLOCK_ROWS):
         rows = slice(k, k + PC_BLOCK_ROWS)
-        tb = np.concatenate([bit_decompose(reduce_mod(t[rows], params.L), params),
-                             t_top[rows, None]], axis=1).astype(acc)  # (b, ell + 1)
-        flip = 1 - 2 * tb[:, :ell]
+        tb = bit_decompose(t[rows], params).astype(acc)  # (b, ell)
+        flip = 1 - 2 * tb
         for j, comp in enumerate(("lo", "hi")):
             x, vj, beta, m = (getattr(a, comp)[rows].astype(acc)
-                              for a in (xbits, v, crand.beta_p, crand.m))
+                              for a in (xbits, v, rand.beta_p, rand.m))
             w = tb * acc(own[j])
-            w[:, :ell] += flip * x
-            f = np.empty((tb.shape[0], ell + 3), acc)
-            c = f[:, : ell + 1]
+            w += flip * x
+            f = np.empty((tb.shape[0], ell + 2), acc)
+            c = f[:, :ell]
             np.multiply(tb, (2 * beta - own[j])[:, None], out=c)  # -t[i] s
-            c[:, :ell] += vj
-            c[:, :ell] += np.cumsum(w[:, :0:-1], axis=1, dtype=acc)[:, ::-1]  # suffix sums
+            c += vj
+            c[:, :-1] += np.cumsum(w[:, :0:-1], axis=1, dtype=acc)[:, ::-1]  # suffix sums
             c += lift + own[j]
-            f[:, ell + 1] = w.sum(axis=1, dtype=acc) + (lift + own[j]) - beta
-            f[:, ell + 2] = m
+            f[:, ell] = w.sum(axis=1, dtype=acc) + lift + beta
+            f[:, ell + 1] = m
             out[j][rows] = reduce_mod(f.view(unsigned), p)
     return RssShare(out[0], out[1], p)
 
@@ -360,7 +354,7 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 
     Masks a with the preprocessed x, opens r = a + x, evaluates the exact
     wrap of the opened components in the clear, and corrects with
-    eta = (x >= r + 1). The compare takes its blinding and x's flipped bits
+    eta = (x > r). The compare takes its blinding and x's flipped bits
     from the same `WrapRand`, so opening r is all the first round does.
     With a mask m (a Z_2 sharing of a's shape), returns (theta, opened):
     the public theta xor m, opened in the compare's last round.
@@ -391,11 +385,7 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     known = xor_public(sess, add_shares(beta_bits, wrand.alpha), delta)
     inner = None if mask is None else add_shares(mask.reshape(n), known)
 
-    # eta = (x >= r + 1); r + 1 can equal 2^ell, carried by the top bit (the
-    # array sum wraps silently at ell = 64); only the compare holds r + 1
-    t_top = (r == np.uint64(L - 1)).astype(NARROW)
-    eta = private_compare(sess, wrand.xbits, reduce_mod(r + np.uint64(1), L), wrand,
-                          flipped=wrand.vbits, t_top=t_top, mask=inner)
+    eta = private_compare(sess, wrand.xbits, r, wrand, mask=inner)
     if mask is not None:
         eta, opened = eta
     theta = add_shares(known, eta).reshape(shape)

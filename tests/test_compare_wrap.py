@@ -1,12 +1,14 @@
 """Private compare and the three-operand wrap protocol vs plain oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from falcon import protocols as P
 from falcon.oracle import oracle_compare
 from falcon.prep import DealerPrep
-from falcon.rings import RingParams, bit_decompose, wrap3
+from falcon.rings import RingParams, bit_decompose, sub_mod, wrap3
 from falcon.rss import share_components, share_secret
 from falcon.session import ThreatModel, run_three_parties
 from conftest import reconstruct_all
@@ -23,14 +25,19 @@ def test_private_compare_examples():
     params = RingParams(ell=8, p=37, fp=4)
 
     def job(sess):
-        x = np.array([5, 0], np.uint64)
-        r = np.array([3, 0], np.uint64)
+        x = np.array([5, 0, 3, 255], np.uint64)
+        r = np.array([3, 0, 4, 254], np.uint64)
         bits = _share_bits(sess, x, sess.params)
+        # t = 2^ell is not an ell-bit value: refused before any message
+        with pytest.raises(ValueError, match="below 2\\^ell"):
+            P.private_compare(sess, bits, np.array([0, 0, 0, 256], np.uint64))
+        rounds = sess.meter.rounds
         out = P.private_compare(sess, bits, r)
-        return P.reconstruct(sess, out)
+        return P.reconstruct(sess, out), rounds
 
-    got = run_shared(params, job)[0]
-    assert list(got) == [1, 1]  # 5 >= 3 and 0 >= 0
+    got, rounds = run_shared(params, job)[0]
+    assert rounds == 0
+    assert list(got) == [1, 0, 0, 1]  # 5 > 3, not 0 > 0, not 3 > 4, 255 > 254
 
 
 @pytest.mark.parametrize("p", [37, 131])
@@ -42,7 +49,7 @@ def test_private_compare_exhaustive_8bit(threat, p):
     xs = np.tile(np.arange(256, dtype=np.uint64), 64)
     rng = np.random.default_rng(123)
     rs = np.repeat(
-        np.concatenate([rng.integers(0, 257, 60, dtype=np.uint64), [0, 255, 256, 1]]), 256
+        np.concatenate([rng.integers(0, 256, 60, dtype=np.uint64), [0, 1, 254, 255]]), 256
     ).astype(np.uint64)
 
     def job(sess):
@@ -55,20 +62,19 @@ def test_private_compare_exhaustive_8bit(threat, p):
 
 
 def test_private_compare_full_word_targets():
-    # ell = 64: t = 2^64 exists only through its top bit, t_top
+    # ell = 64: every uint64 target is in range, up to 2^64 - 1
     params = RingParams(ell=64, p=67, fp=13)
     top = 2**64 - 1
     xs = np.array([0, 1, 2**63, top - 1, top] * 3, np.uint64)
-    ts = np.repeat(np.array([0, top, 0], np.uint64), 5)
-    t_top = np.repeat(np.array([0, 0, 1], np.uint8), 5)
+    ts = np.repeat(np.array([0, top - 1, top], np.uint64), 5)
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        return P.reconstruct(sess, P.private_compare(sess, bits, ts, t_top=t_top))
+        return P.reconstruct(sess, P.private_compare(sess, bits, ts))
 
     got = run_shared(params, job)[0]
-    # x >= 0 always, x >= 2^64 - 1 only at the top, x >= 2^64 never
-    assert got.tolist() == [1] * 5 + [0, 0, 0, 0, 1] + [0] * 5
+    # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
+    assert got.tolist() == [0, 1, 1, 1, 1] + [0, 0, 0, 0, 1] + [0] * 5
 
 
 def test_private_compare_reveal_blinded(monkeypatch):
@@ -105,7 +111,7 @@ def test_private_compare_reveal_blinded(monkeypatch):
 
     got = run_shared(params, job)[0]
     (d,) = seen[1]
-    assert np.all(got == 1)  # 77 >= 20 regardless of blinding
+    assert np.all(got == 1)  # 77 > 20 regardless of blinding
     zero_frac = float((d == 0).mean())
     assert 0.45 < zero_frac < 0.55
     nonzero = d[d != 0].astype(int)
@@ -124,8 +130,9 @@ def test_private_compare_rounds():
         return sess.meter.rounds - r0
 
     rounds = run_shared(params, job)[0]
-    # flip mult + product tree + reveal; inside 1.25x of 2 + log2(ell)
-    assert rounds <= 1.25 * (2 + 5)
+    # the flip mult, ceil(log2(ell + 2)) tree levels over the ell + 2
+    # factors, the reveal
+    assert rounds == 2 + math.ceil(math.log2(32 + 2)) == 8
 
 
 def _random_sharings(params, n, rng):
@@ -165,6 +172,31 @@ def test_wrap3_fixed_cases():
     outs = run_shared(params, job)[0]
     assert outs[0] == 0
     assert outs[1] == 1  # 300 in [256, 512)
+
+
+@pytest.mark.parametrize("ell, p", [(8, 37), (32, 37), (64, 67)])
+def test_wrap3_at_the_top_of_the_ring(ell, p):
+    # the opened r at the top of the ring, 2^ell - 1, where eta = (x > r) is
+    # 0 for every x: read the dealer's wrap mask x in a first run, then
+    # share a = 2^ell - 1 - x under the same seed, so r = a + x = 2^ell - 1
+    # at every element
+    params = RingParams(ell=ell, p=p, fp=min(13, ell - 3))
+    L, n = params.L, 512
+    top = np.uint64(L - 1)
+    x = reconstruct_all(run_shared(params, lambda sess: sess.prep.wrap_rands(n).x, seed=5))
+    a = sub_mod(np.full(n, top), x, L)
+    rng = np.random.default_rng(ell)
+    c1, c2 = (rng.integers(0, L, n, dtype=np.uint64) for _ in range(2))
+    comps = (c1, c2, sub_mod(sub_mod(a, c1, L), c2, L))
+
+    def job(sess):
+        theta, tr = P.wrap3_protocol(sess, share_components(sess.party, comps, L),
+                                     want_transcript=True)
+        return P.reconstruct(sess, theta), tr.r_public
+
+    theta, r = run_shared(params, job, seed=5)[0]
+    assert np.all(r == top)
+    assert np.array_equal(theta, wrap3(*comps, L))
 
 
 def test_wrap3_identity_on_transcripts():

@@ -1,4 +1,5 @@
-"""Every name a falcon module imports is used in that module."""
+"""Every name a falcon module imports is used in that module, and every
+name a falcon function assigns is read in that function."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,30 @@ def unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def dead_locals(tree: ast.Module) -> list:
+    """Names a function binds by a plain `name = ...` (or `name: T = ...`)
+    and never reads, nested functions included; a name declared global or
+    nonlocal is not a local. Tuple unpacking and loop targets are left out:
+    they bind what they must to reach the names they want."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            found |= {(node.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id not in read}
+    return sorted(found)
+
+
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .rings import add_mod, sub_mod\nsub_mod(1, 2, 3)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "add_mod")]
@@ -32,6 +57,31 @@ def test_scan_flags_an_unused_import():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_scan_flags_a_dead_local():
+    tree = ast.parse(
+        "def f(a):\n"
+        "    global seen\n"
+        "    seen = a\n"
+        "    unused = a + 1\n"
+        "    kept: int = 2\n"
+        "    lo, hi = a\n"
+        "    for i in a:\n"
+        "        pass\n"
+        "    cache: list = []\n"
+        "    def g():\n"
+        "        return kept + late\n"
+        "    late = 3\n"
+        "    return g\n")
+    assert dead_locals(tree) == [(4, "unused"), (9, "cache")]
+
+
+def test_no_function_assigns_a_name_it_never_reads():
+    found = {path.name: dead_locals(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}

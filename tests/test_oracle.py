@@ -12,7 +12,11 @@ P8 = RingParams(ell=8, p=37, fp=4)
 
 def test_oracle_compare():
     assert O.oracle_compare(5, 3) == 1
-    assert O.oracle_compare(0, 0) == 1
+    assert O.oracle_compare(0, 0) == 0  # strict: x > r
+    assert O.oracle_compare(9, 8) == 1
+    # full 64-bit words compare unsigned
+    assert O.oracle_compare(2**63, 0) == 1
+    assert O.oracle_compare(2**64 - 1, 2**64 - 2) == 1
     assert O.oracle_compare(2, 9) == 0
 
 
