@@ -1,10 +1,10 @@
 """The comparison stack: private compare, the wrap bit, DReLU and ReLU.
 
-Comparisons never reveal operands: private compare multiplies masked
-per-bit differences into a single blinded product, the wrap protocol
-turns share-carry algebra into a sign bit, and ReLU is one
-multiplication by that bit lifted to Z_L, whose lift opens in the
-compare's last round. Round counts follow 4 + log2(ell).
+Comparisons never reveal operands: private compare multiplies ell masked
+per-bit differences into a single blinded product in log2(ell) tree
+levels, the wrap protocol turns share-carry algebra into a sign bit, and
+ReLU is one multiplication by that bit lifted to Z_L, whose lift opens in
+the compare's last round. Round counts follow 3 + log2(ell) for ReLU.
 """
 
 import numpy as np
@@ -41,4 +41,4 @@ if __name__ == "__main__":
     gt, relu_vals, rounds = run_three_parties(job, params, session_seed=7)[0]
     print("x > t for (3,10) (41,17) (100,100) (100,99):", gt.tolist())
     print("relu(-3.5, -0.25, 0, 0.25, 7.75) =", decode_fixed(relu_vals, params).tolist())
-    print(f"relu used {rounds} rounds = 4 + log2({params.ell})")
+    print(f"relu used {rounds} rounds = 3 + log2({params.ell})")

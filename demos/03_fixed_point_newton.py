@@ -1,7 +1,8 @@
 """Fixed-point numerics on shares: division, inverse sqrt, sqrt, batch norm.
 
-Division learns only the public power-of-two bracket of the divisor, reads
-it as a value in [0.5, 1) and runs a quartic reciprocal approximation;
+Division learns only the public power-of-two bracket of the divisor (one
+DReLU over all ell - 1 thresholds at once), reads it as a value in
+[0.5, 1) and runs a quartic reciprocal approximation;
 the square-root family iterates Newton steps from a power-of-two guess.
 """
 
@@ -29,7 +30,9 @@ def job(sess):
     quot = P.reconstruct(sess, N.divide(sess, a, b))
 
     c = sh(np.array([0.25, 1.0, 4.0, 170.0]))
+    r0 = sess.meter.rounds
     alpha = N.bounding_power(sess, c)
+    pow_rounds = sess.meter.rounds - r0
     inv_root = P.reconstruct(sess, N.inv_sqrt_newton(sess, c, alpha))
     root = P.reconstruct(sess, N.sqrt_newton(sess, c))
 
@@ -37,13 +40,14 @@ def job(sess):
     ones = sh(np.ones(1))
     zeros = sh(np.zeros(1))
     z = P.reconstruct(sess, N.batch_norm_forward(sess, acts, ones, zeros))
-    return quot, alpha, inv_root, root, z
+    return quot, alpha, pow_rounds, inv_root, root, z
 
 
 if __name__ == "__main__":
-    quot, alpha, inv_root, root, z = run_three_parties(job, params, session_seed=13)[0]
+    quot, alpha, pow_rounds, inv_root, root, z = run_three_parties(job, params, session_seed=13)[0]
     print("a / b        :", np.round(decode_fixed(quot, params), 5), "(expect 1, 2, 25, 0.0625)")
-    print("bracket of c :", list(alpha), "(public; raw powers of two)")
+    print("bracket of c :", alpha.tolist(), f"(public; raw powers of two; one DReLU, {pow_rounds} "
+          f"rounds = 2 + log2({params.ell}))")
     print("1 / sqrt(c)  :", np.round(decode_fixed(inv_root, params), 5))
     print("sqrt(c)      :", np.round(decode_fixed(root, params), 5))
     zval = decode_fixed(z, params)

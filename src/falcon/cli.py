@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -212,12 +211,16 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     """
     k = params.ell // 8
     ell = params.ell
-    lg = int(math.log2(ell))
+    lg = (ell - 1).bit_length()  # ceil(log2 ell): the compare's tree levels
     x, y, z = dims
     wh = pool
     r = groups
-    # bounding-power probe: a DReLU whose bit opens with the compare's d
-    probe = 3 + lg
+    # a DReLU: the r open, the tree's lg levels over ell factors (ell - 1 Z_p
+    # products, 1 bit each) and the d open; a masked bit opens with d
+    drelu_rounds = 2 + lg
+    # the bounding power is one DReLU over ell - 1 probes per element, whose
+    # bits open with d: bytes per element (semi-honest, of the openings)
+    pow_sh, pow_open = (ell - 1) * (2 * k + 1 / 8), (ell - 1) * (k + 1 / 4)
     # divide's final product splits y into c = ceil((w + 2) / h) chunks of h
     # bits; divide refuses h <= 0, so clamping it only keeps this entry defined
     w = num.working_precision(params)
@@ -226,28 +229,28 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     table = {
         "mult": (1, k * n, 0),
         "matmul": (1, k * x * z, 0),
-        # the flip (ell Z_p products, k n bytes), ceil(log2(ell + 2)) = lg + 1
-        # tree levels over the ell + 2 factors, the open
-        "pc": (3 + lg, 2 * k * n, n / 8),
-        # the r open (its bits come flipped from preprocessing), then pc's
+        # the mult forming the blinding's products (ell + 2 Z_p products),
+        # the tree, the d open
+        "pc": (drelu_rounds, 2 * k * n + n / 4, n / 8),
+        # the r open (the products come from preprocessing), then pc's
         # tree levels and open
-        "wa": (3 + lg, 2 * k * n, k * n + n / 8),
-        "drelu": (3 + lg, 2 * k * n, k * n + n / 8),
+        "wa": (drelu_rounds, 2 * k * n, k * n + n / 8),
+        "drelu": (drelu_rounds, 2 * k * n, k * n + n / 8),
         # the DReLU opens the lift's e with d; then one mult by the lifted bit
-        "relu": (4 + lg, 3 * k * n, k * n + n / 4),
+        "relu": (1 + drelu_rounds, 3 * k * n + n / 8, k * n + n / 4),
         # n windows: ceil(log2 wh) tree levels of lifted DReLU + select, wh - 1 of each
-        "maxpool": ((wh - 1).bit_length() * (4 + lg), (wh - 1) * 3 * k * n,
+        "maxpool": ((wh - 1).bit_length() * (1 + drelu_rounds), (wh - 1) * (3 * k * n + n / 8),
                     (wh - 1) * (k * n + n / 4)),
-        "pow": (lg * probe, lg * 2 * k * n, lg * (k * n + n / 4)),
-        # lg + 1 probes (one validates b > 0), the reciprocal series (a
+        "pow": (drelu_rounds, pow_sh * n, pow_open * n),
+        # the bounding power (it validates b > 0), the reciprocal series (a
         # rescale, then four mults each rescaled) and the chunked product
-        "div": ((lg + 1) * probe + 11 + (c > 1), (lg + 1) * 2 * k * n + (3 * c + 8) * k * n,
-                (lg + 1) * (k * n + n / 4) + (2 * c + 4) * k * n),
+        "div": (drelu_rounds + 11 + (c > 1), pow_sh * n + (3 * c + 8) * k * n,
+                pow_open * n + (2 * c + 4) * k * n),
         # r groups of n: mean, squared deviations, variance, pow, 1/sqrt
         # (a rescale, four Newton steps of three mults each rescaled, a
         # rescale), then the normalised and the gamma-scaled products
-        "bn": (34 + lg * probe, 6 * k * r * n + (28 + 2 * lg) * k * r,
-               3 * k * r * n + (16 + lg) * k * r + lg * r / 4),
+        "bn": (34 + drelu_rounds, 6 * k * r * n + 28 * k * r + pow_sh * r,
+               3 * k * r * n + 16 * k * r + pow_open * r),
     }
     rounds, bytes_sh, opened = table[protocol]
     return {"rounds": rounds, "bytes": bytes_sh + opened if threat == "malicious" else bytes_sh}
@@ -309,7 +312,7 @@ def _bench_call(sess: PartySession, protocol: str, inputs):
     if protocol == "maxpool":
         return P.maxpool_argmax(sess, inputs[0])
     if protocol == "pow":
-        return num.bounding_power(sess, inputs[0], validate=False)
+        return num.bounding_power(sess, inputs[0])
     if protocol == "div":
         return num.divide(sess, inputs[0], inputs[1])
     if protocol == "bn":

@@ -83,33 +83,27 @@ def _trunc_vec(sess: PartySession, x: RssShare, s: np.ndarray, nearest: bool) ->
 # bounding power
 
 
-def bounding_power(sess: PartySession, x: RssShare, validate: bool = True) -> np.ndarray:
-    """Public alpha with 2^alpha <= raw(x) < 2^{alpha+1}; requires raw(x) >= 1.
+def bounding_power(sess: PartySession, x: RssShare) -> np.ndarray:
+    """Public alpha with 2^alpha <= raw(x) < 2^{alpha+1}; DomainError unless
+    raw(x) >= 1.
 
-    Binary search over the log2(ell) bits of alpha; each probe is one
-    DReLU whose bit is opened with the compare's d, so only the bounding
-    power leaks.
+    One DReLU over the (n, ell - 1) block of probes x - 2^j, j = 0 .. ell - 2,
+    whose bits open with the compare's d: bit j is (x >= 2^j). Bit 0 is the
+    validation, and alpha is the number of set bits j >= 1. For x > 0 each
+    opened row is the thermometer code of alpha, which the function returns
+    anyway; inside the envelope |x| < 2^{ell-2} no probe wraps, so a
+    nonpositive x opens all zeros.
     """
     params = sess.params
-    ell = params.ell
+    L, ell = params.L, params.ell
     n = int(np.prod(x.shape, dtype=int))
-    flat = x.reshape(n)
-    if validate:
-        lower = add_public(sess.party, flat, reduce_mod(-1, params.L))
-        ok = _open_drelu(sess, lower)
-        if not np.all(ok == 1):
-            raise DomainError("bounding power requires a strictly positive input")
-    alpha = np.zeros(n, dtype=np.int64)
-    nbits = int(np.log2(ell))
-    for i in range(nbits - 1, -1, -1):
-        step = 1 << i
-        # exponents at or above ell-1 cannot be exceeded by a positive
-        # value; clamping keeps the probe in-ring with the same outcome
-        exp = np.minimum(alpha + step, ell - 1).astype(np.uint64)
-        probe = sub_shares(flat, public_share(sess.party, _pow2(exp, params.L), params.L, shape=(n,)))
-        c = _open_drelu(sess, probe)
-        alpha += step * c.astype(np.int64)
-    return alpha.reshape(x.shape)
+    shape = (n, ell - 1)
+    probes = sub_shares(expand_last(x.reshape(n), shape),
+                        public_share(sess.party, _pow2(np.arange(ell - 1), L), L, shape=shape))
+    bits = _open_drelu(sess, probes)
+    if not np.all(bits[:, 0] == 1):
+        raise DomainError("bounding power requires a strictly positive input")
+    return bits[:, 1:].sum(axis=1, dtype=np.int64).reshape(x.shape)
 
 
 def _open_drelu(sess: PartySession, x: RssShare) -> np.ndarray:
@@ -265,8 +259,10 @@ def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta
     var = _mean_last_axis(sess, sq, m)
     if fp < 10:
         raise DomainError("fp must be at least 10 for the BN epsilon 2^-10")
+    # the squares are nonnegative and their truncation exact, so var >= 0 and
+    # b >= 2^(fp - 10) >= 1 raw: the bounding power's validation passes
     b = add_public(sess.party, var, np.uint64(1 << (fp - 10)))
-    alpha = bounding_power(sess, b, validate=False)
+    alpha = bounding_power(sess, b)
     inv = inv_sqrt_newton(sess, b, alpha)
     z = rescale(sess, mult(sess, dev, expand_last(inv, acts.shape)), fp)
     g = rescale(sess, mult(sess, expand_last(gamma, z.shape), z), fp)

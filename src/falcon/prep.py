@@ -8,8 +8,8 @@ Two interchangeable generators produce the same artifact types:
   wrap value x from the pairwise PRF streams, then two gates over Mult:
   the arithmetic XOR x + y - 2xy, which injects a Z_2 bit into another
   ring, and the Z_2 AND of one binary adder that yields x's bits and its
-  wrap bit. Nonzero masks are Fermat-checked, and the compare's flipped
-  bits (1 - 2 beta) x[i] are one Z_p Mult.
+  wrap bit. Nonzero masks are Fermat-checked, and the compare's products
+  of its blinding with x's bits are one Z_p Mult.
 
 Any source's output can be recorded with RecordingPrep, persisted to a
 per-party tensor container and replayed with FilePrep.
@@ -22,14 +22,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
-from .protocols import mult, one_minus_two_beta
+from .protocols import compare_products, mult
 from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
     add_shares,
     concat_shares,
-    expand_last,
     public_share,
     scale_share,
     share_components,
@@ -39,7 +38,7 @@ from .rss import (
 )
 from .session import PartySession, open_share
 
-PREP_MAGIC = b"FALPREP3"
+PREP_MAGIC = b"FALPREP4"
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +74,20 @@ class CompareRand:
 class WrapRand:
     """Random x with its Z_p bit sharing and alpha = wrap3 of its components,
     plus the blinding of the private compare on x's bits (a CompareRand's
-    fields) and those bits already flipped by it: vbits = (1 - 2 beta) x[i],
-    a sharing of its own, so the online compare multiplies nothing before
-    its tree."""
+    fields, with m the nonzero m~ of the compare's mask m~ (1 - 2 beta)) and
+    its products with those bits (`protocols.compare_products`), each a
+    sharing of its own, so the online compare multiplies nothing before its
+    tree."""
 
     x: RssShare        # (n,) over Z_L
     xbits: RssShare    # (n, ell) over Z_p
     alpha: RssShare    # (n,) over Z_2
     beta2: RssShare    # (n,) over Z_2
     beta_p: RssShare   # (n,) over Z_p, the same bit
-    m: RssShare        # (n,) over Z_p, nonzero
-    vbits: RssShare    # (n, ell) over Z_p
+    m: RssShare        # (n,) over Z_p, nonzero: m~
+    vbits: RssShare    # (n, ell) over Z_p, (1 - 2 beta) x[i]
+    m_beta: RssShare   # (n,) over Z_p, m~ beta
+    m_xtop: RssShare   # (n,) over Z_p, m~ x[ell - 1]
 
 
 @dataclass
@@ -154,20 +156,22 @@ class DealerPrep:
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
             bits = bit_decompose(x, p)  # (n, ell)
             beta, m = self._blinding(n)
-            # v is dealt as a fresh sharing: scaling the bits' shares by
-            # (1 or p - 1) would tell each party beta. The bits are 0/1 uint8,
-            # so the product is formed in Z_p's dtype, which holds p - 1
+            # the products are dealt as fresh sharings: scaling the bits'
+            # shares by (1 or p - 1) would tell each party beta. The bits are
+            # 0/1 uint8, so each product is formed in Z_p's dtype, which
+            # holds p - 1
             dt = dtype_for(p.p)
             v = bits.astype(dt, copy=False) * np.where(beta, p.p - 1, 1).astype(dt)[:, None]
             return (comps, *(self._share_all(val, mod) for val, mod in (
-                (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p))))
+                (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p),
+                (m * beta.astype(dt), p.p), (m * bits[:, -1].astype(dt), p.p))))
 
         comps, *shared = self._consume("wrap", (n,), gen)
         i = self.party.index - 1
         return WrapRand(share_components(self.party, tuple(comps), p.L), *(s[i] for s in shared))
 
     def _blinding(self, n: int):
-        """The compare's blinding bit beta and its nonzero mask m over Z_p."""
+        """The compare's blinding bit beta and the nonzero m~ of its mask over Z_p."""
         beta = self.rng.integers(0, 2, n).astype(NARROW)
         return beta, self.rng.integers(1, self.params.p, n).astype(dtype_for(self.params.p))
 
@@ -290,7 +294,8 @@ class DistributedPrep:
 
     `wrap_rands` also carries the compare's blinding: beta is sampled over
     Z_2 and injected into Z_p as one more column of x's bits (no rounds of
-    its own), and the flipped bits (1 - 2 beta) x[i] are one Z_p Mult.
+    its own), and its products with x's bits, (1 - 2 beta) x[i], m~ beta and
+    m~ x[ell - 1], are one Z_p Mult.
     """
 
     def __init__(self, sess: PartySession):
@@ -330,8 +335,8 @@ class DistributedPrep:
         lifted = bit_inject(sess, concat_shares([bits, beta2], axis=1), p)
         xbits, beta_p = lifted[:, :ell], lifted[:, ell]
         m = _nonzero_masks(sess, n)
-        vbits = mult(sess, expand_last(one_minus_two_beta(sess, beta_p), xbits.shape), xbits)
-        return WrapRand(x, xbits, alpha, beta2.reshape(n), beta_p, m, vbits)
+        return WrapRand(x, xbits, alpha, beta2.reshape(n), beta_p, m,
+                        *compare_products(sess, xbits, beta_p, m))
 
     def compare_rands(self, n: int) -> CompareRand:
         sess = self.sess

@@ -18,7 +18,8 @@ step of the cost model, and independent messages share a Round wherever
 the analytic round counts require it: a DReLU opens its one masked bit (a
 lift's e = b xor c, or a probe's b) in the step that opens the compare's
 d. The compare inside the wrap protocol answers eta = (x > r) for the
-opened r itself, and takes its bits already flipped by its blinding from
+opened r itself in log2(ell) tree levels, and takes its bits already
+flipped by its blinding, with the products of its mask, from
 preprocessing, so the step that opens r carries nothing else.
 """
 
@@ -221,16 +222,19 @@ def private_compare(sess: PartySession, xbits: RssShare, t, rand=None,
     """Share over Z_2 of the bit (x > t) for public t in [0, 2^ell).
 
     xbits holds the little-endian bits of x over Z_p, shape (n, ell). Each
-    instance multiplies ell + 2 factors below p (see `_pc_factors`): one per
-    bit position, the equality catcher and the mask m. The masked product d
-    is revealed, and the blinding bit is removed with a local XOR.
+    instance compares x with t' = t + (1 - beta) and multiplies ell factors
+    below p (see `_pc_factors`), the mask folded into the top one, in
+    ceil(log2 ell) tree levels. The masked product d is revealed, and the
+    blinding bit is removed with a local XOR. At t = 2^ell - 1 the answer is
+    a public 0.
 
-    rand holds the blinding (beta2, beta_p, m) and x's bits flipped by it,
-    vbits = (-1)^beta * x[i]: the wrap protocol passes its preprocessed
-    `WrapRand`, which carries both. Without it the compare draws its own
-    blinding and flips in one multiplication round. With a mask m (a Z_2
-    sharing of shape (n,)), returns (bit, opened): the public bit xor m,
-    opened in the same round as d.
+    rand holds the blinding (beta2, beta_p and the nonzero m~ of the mask
+    m = m~ (1 - 2 beta)) and its products with x's bits (`compare_products`):
+    the wrap protocol passes its preprocessed `WrapRand`, which carries
+    both. Without it the compare draws its own blinding and forms the
+    products in one multiplication round. With a mask m (a Z_2 sharing of
+    shape (n,)), returns (bit, opened): the public bit xor m, opened in the
+    same round as d.
     """
     ell = sess.params.ell
     n, nb = xbits.shape
@@ -241,78 +245,117 @@ def private_compare(sess: PartySession, xbits: RssShare, t, rand=None,
         raise ValueError("public operand is not below 2^ell")
     if rand is None:
         rand = sess.prep.compare_rands(n)
-        s = one_minus_two_beta(sess, rand.beta_p)
-        flipped = mult(sess, expand_last(s, xbits.shape), xbits)
+        products = compare_products(sess, xbits, rand.beta_p, rand.m)
     else:
-        flipped = rand.vbits
-    factors = _pc_factors(sess, xbits, flipped, t, rand)
-    del t, flipped  # the tree needs the factors alone
-    return _pc_core(sess, factors, rand, mask)
+        products = rand.vbits, rand.m_beta, rand.m_xtop
+    factors = _pc_factors(sess, xbits, t, rand.beta_p, rand.m, *products)
+    top = t == np.uint64((1 << ell) - 1)
+    del t, products  # the tree needs the factors alone
+    return _pc_core(sess, factors, rand.beta2, top, mask)
 
 
-def _pc_core(sess: PartySession, factors: RssShare, rand, mask: RssShare | None):
+def compare_products(sess: PartySession, xbits: RssShare, beta_p: RssShare,
+                     m: RssShare) -> tuple[RssShare, RssShare, RssShare]:
+    """The compare's products of its blinding, all in one multiplication:
+    x's bits flipped by it, vbits = (1 - 2 beta) x[i] of shape (n, ell), then
+    m~ beta and m~ x[ell - 1] of shape (n,)."""
+    n, ell = xbits.shape
+    col = m.reshape(n, 1)
+    prods = mult(sess,
+                 concat_shares([expand_last(one_minus_two_beta(sess, beta_p), xbits.shape),
+                                col, col], axis=1),
+                 concat_shares([xbits, beta_p.reshape(n, 1), xbits[:, ell - 1 :]], axis=1))
+    return prods[:, :ell], prods[:, ell], prods[:, ell + 1]
+
+
+def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.ndarray,
+             mask: RssShare | None):
     """Multiply the factors down and open d; a mask m opens beta2 xor m
-    alongside, which is bit xor m up to the beta' = (d != 0) known after."""
+    alongside, which is bit xor m up to the beta' = (d != 0) known after.
+    Where t is the top of the ring, beta2 and beta' are taken as a public 0:
+    the bit is 0 and the masked opening opens m alone."""
     prod = _tree_product(sess, factors)
+    keep = (~top).astype(NARROW)
+    beta2 = scale_share(keep, beta2)
     rnd = Round(sess, "pc-open-d")
     fin_d = open_begin(sess, prod, rnd)
-    fin_m = None if mask is None else open_begin(sess, add_shares(rand.beta2, mask), rnd)
+    fin_m = None if mask is None else open_begin(sess, add_shares(beta2, mask), rnd)
     results = rnd.run()
-    beta_prime = (fin_d(results) != 0).astype(NARROW)
-    bit = xor_public(sess, rand.beta2, beta_prime)
+    beta_prime = (fin_d(results) != 0).astype(NARROW) & keep
+    bit = xor_public(sess, beta2, beta_prime)
     if mask is None:
         return bit
     return bit, fin_m(results) ^ beta_prime
 
 
-# rows per block of the private-compare factor arithmetic: its few (rows,
-# ell + 2) temporaries then stay a few hundred KB whatever n is, and only
-# the (n, ell + 2) factors reach the multiplication tree
-PC_BLOCK_ROWS = 4096
+# rows per block of the private-compare factor arithmetic: its ~8 (rows,
+# ell) int16 temporaries then stay ~1 MB whatever n is, and only the (n, ell)
+# factors reach the multiplication tree (at n = 36864, 2048-row blocks peak
+# lower than 4096-row ones at the same CPU time)
+PC_BLOCK_ROWS = 2048
 
 
-def _pc_factors(sess: PartySession, xbits: RssShare, v: RssShare, t: np.ndarray,
-                rand) -> RssShare:
-    """The ell + 2 factors of each instance, (n, ell + 2) over Z_p: c[0..ell-1],
-    the equality catcher and the mask m. Local only, built in row blocks.
+def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssShare,
+                m: RssShare, v: RssShare, m_beta: RssShare, m_xtop: RssShare) -> RssShare:
+    """The ell factors of each instance, (n, ell) over Z_p: c[0..ell-2] and
+    m c[ell-1]. Local only, built in row blocks.
 
-    Every factor is linear in one component of the shares, so each component
-    is summed in a signed accumulator and reduced once:
-      c[i] = u[i] + sum_{k > i} w[k] + 1, with u[i] = v[i] - t[i] (1 - 2 beta)
-      and w[i] = x[i] xor t[i] = (1 - 2 t[i]) x[i] + t[i];
-      the catcher is beta + sum of all w.
-    Under beta = 0 some c[i] is 0 iff x < t and the catcher iff x = t, so
-    d != 0 iff x > t; under beta = 1 some c[i] is 0 iff x > t and the
-    catcher never, so d != 0 iff x <= t. Either way beta xor (d != 0) is
-    (x > t).
-    The public terms enter through component 1, as `add_public` does.
+    x is compared with t' = t + (1 - beta), whose bits are
+    t'[i] = t[i] xor (1 - beta) M[i] for the public M = t xor (t + 1), so
+    every factor is linear in the shares of x[i], beta, v[i] = (1 - 2 beta)
+    x[i], m~, m~ beta and m~ x[ell - 1]:
+      c[i] = u[i] + 1 + sum_{k > i} w[k], with u[i] = (1 - 2 beta)(x[i] - t'[i])
+      = v[i] - (1 - 2 beta) t[i] - M[i] (1 - 2 t[i]) (1 - beta), and
+      w[k] = x[k] xor t'[k], where x[k] xor (1 - beta) = 1 - beta - v[k];
+      the mask m = m~ (1 - 2 beta) times c[ell - 1] is
+      m~ x[ell - 1] - t[ell - 1] m~ - M[ell - 1] (1 - 2 t[ell - 1]) (m~ - m~ beta)
+      + m~ - 2 m~ beta.
+    Under beta = 1 some c[i] is 0 iff x > t' = t; under beta = 0 iff
+    x < t' = t + 1. Either way beta xor (d != 0) is (x > t). Each c[i] lies
+    in [0, ell + 1], so p > ell + 1 keeps it nonzero unless it is 0. At
+    t = 2^ell - 1 no c[i] is 0 under either beta (`_pc_core` fixes the
+    answer there).
+    Each component is summed in a signed accumulator and reduced once; the
+    public terms enter through component 1, as `add_public` does.
     """
     params = sess.params
     p, ell = params.p, params.ell
     n = xbits.shape[0]
-    # |each partial sum| < (ell + 2) p, which int16 holds for uint8-stored p;
-    # adding `lift`, a multiple of p, makes it nonnegative before the reduction
+    # each factor's signed sum lies in (-2 ell p, (2 ell + 1) p); adding
+    # `lift`, a multiple of p, puts it in [0, 2^16) for a uint8-stored p
+    # (p <= 127, ell <= 64). int16 arithmetic wraps mod 2^16, so the uint16
+    # view is exact even where a partial sum leaves int16's range
     acc, unsigned = (np.int16, np.uint16) if dtype_for(p) == NARROW else (np.int64, np.uint64)
-    lift = (ell + 2) * p
+    lift = 2 * ell * p
     own = (sess.party.index == 1, sess.party.index == 3)  # lo / hi hold component 1
-    out = (np.empty((n, ell + 2), dtype_for(p)), np.empty((n, ell + 2), dtype_for(p)))
+    out = (np.empty((n, ell), dtype_for(p)), np.empty((n, ell), dtype_for(p)))
     for k in range(0, n, PC_BLOCK_ROWS):
         rows = slice(k, k + PC_BLOCK_ROWS)
         tb = bit_decompose(t[rows], params).astype(acc)  # (b, ell)
-        flip = 1 - 2 * tb
+        mf = bit_decompose(t[rows] ^ (t[rows] + np.uint64(1)), params).astype(acc)
+        mf *= 1 - 2 * tb  # M (1 - 2t)
+        on_x = 1 - 2 * tb - mf  # (1 - 2t)(1 - M): w's coefficient of x
+        on_own = tb + mf  # w's public term; c's is 1 - on_own
+        on_beta = on_own + tb  # c's coefficient of beta
+        fold = (1 - tb[:, -1] - mf[:, -1], mf[:, -1] - 2)  # m~'s and m~ beta's in m c[ell-1]
         for j, comp in enumerate(("lo", "hi")):
-            x, vj, beta, m = (getattr(a, comp)[rows].astype(acc)
-                              for a in (xbits, v, rand.beta_p, rand.m))
-            w = tb * acc(own[j])
-            w += flip * x
-            f = np.empty((tb.shape[0], ell + 2), acc)
-            c = f[:, :ell]
-            np.multiply(tb, (2 * beta - own[j])[:, None], out=c)  # -t[i] s
-            c += vj
-            c[:, :-1] += np.cumsum(w[:, :0:-1], axis=1, dtype=acc)[:, ::-1]  # suffix sums
-            c += lift + own[j]
-            f[:, ell] = w.sum(axis=1, dtype=acc) + lift + beta
-            f[:, ell + 1] = m
+            x, vj, beta, mj, mb, mx = (getattr(a, comp)[rows].astype(acc)
+                                       for a in (xbits, v, beta_p, m, m_beta, m_xtop))
+            beta = beta[:, None]
+            f = on_beta * beta
+            f += vj
+            vj += beta
+            vj *= mf
+            w = np.multiply(on_x, x, out=x)
+            w -= vj
+            if own[j]:
+                w += on_own
+                f -= on_own
+            f += lift + own[j]
+            np.cumsum(w, axis=1, out=w)  # prefix sums: sum_{k > i} w[k] = w[:, -1] - w[:, i]
+            f -= w  # whole rows: a column slice is several times slower
+            f += w[:, -1:]
+            f[:, -1] = mx + mj * fold[0] + mb * fold[1] + lift
             out[j][rows] = reduce_mod(f.view(unsigned), p)
     return RssShare(out[0], out[1], p)
 
@@ -397,8 +440,8 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 
 
 # elementwise comparison batches above this size run in sequential chunks:
-# online DReLU peaks at ~0.54 KB per element over the three parties in both
-# threat models (tracemalloc at n = 2^17), so a full chunk holds ~24 MB per party
+# online DReLU peaks at ~0.45 KB per element over the three parties in both
+# threat models (tracemalloc at n = 2^17), so a full chunk holds ~20 MB per party
 COMPARE_CHUNK = 1 << 17
 
 

@@ -32,9 +32,10 @@ class RingParams:
     def __post_init__(self):
         if not 8 <= self.ell <= 64:
             raise RingError(f"ell must be in [8, 64], got {self.ell}")
-        # p > ell + 2 keeps every private-compare factor strictly below p.
-        if self.p <= self.ell + 2:
-            raise RingError(f"p must exceed ell + 2 = {self.ell + 2}, got {self.p}")
+        # p > ell + 1 keeps every private-compare factor, in [0, ell + 1],
+        # strictly below p.
+        if self.p <= self.ell + 1:
+            raise RingError(f"p must exceed ell + 1 = {self.ell + 1}, got {self.p}")
         if not _is_prime(self.p):
             raise RingError(f"p must be prime, got {self.p}")
         if not 0 < self.fp < self.ell - 2:

@@ -8,7 +8,7 @@ import pytest
 from falcon import protocols as P
 from falcon.oracle import oracle_compare
 from falcon.prep import DealerPrep
-from falcon.rings import RingParams, bit_decompose, sub_mod, wrap3
+from falcon.rings import RingError, RingParams, bit_decompose, sub_mod, wrap3
 from falcon.rss import share_components, share_secret
 from falcon.session import ThreatModel, run_three_parties
 from conftest import reconstruct_all
@@ -62,8 +62,8 @@ def test_private_compare_exhaustive_8bit(threat, p):
 
 
 def test_private_compare_full_word_targets():
-    # ell = 64: every uint64 target is in range, up to 2^64 - 1
-    params = RingParams(ell=64, p=67, fp=13)
+    # ell = 64: every uint64 target is in range, up to 2^64 - 1; p = 127,
+    # the largest uint8-stored prime, spans the factors' widest int16 range
     top = 2**64 - 1
     xs = np.array([0, 1, 2**63, top - 1, top] * 3, np.uint64)
     ts = np.repeat(np.array([0, top - 1, top], np.uint64), 5)
@@ -72,9 +72,10 @@ def test_private_compare_full_word_targets():
         bits = _share_bits(sess, xs, sess.params)
         return P.reconstruct(sess, P.private_compare(sess, bits, ts))
 
-    got = run_shared(params, job)[0]
-    # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
-    assert got.tolist() == [0, 1, 1, 1, 1] + [0, 0, 0, 0, 1] + [0] * 5
+    for p in (67, 127):
+        got = run_shared(RingParams(ell=64, p=p, fp=13), job)[0]
+        # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
+        assert got.tolist() == [0, 1, 1, 1, 1] + [0, 0, 0, 0, 1] + [0] * 5
 
 
 def test_private_compare_reveal_blinded(monkeypatch):
@@ -130,9 +131,36 @@ def test_private_compare_rounds():
         return sess.meter.rounds - r0
 
     rounds = run_shared(params, job)[0]
-    # the flip mult, ceil(log2(ell + 2)) tree levels over the ell + 2
-    # factors, the reveal
-    assert rounds == 2 + math.ceil(math.log2(32 + 2)) == 8
+    # the mult that forms the blinding's products, ceil(log2 ell) tree
+    # levels over the ell factors, the reveal
+    assert rounds == 2 + math.ceil(math.log2(32)) == 7
+
+
+@pytest.mark.parametrize("ell, p", [(11, 13), (29, 31), (35, 37)])
+def test_compare_and_wrap_exact_at_p_just_above_ell_plus_one(ell, p):
+    # every compare factor lies in [0, ell + 1], so p = ell + 2 is the
+    # smallest prime the ring accepts; p = ell + 1 is refused
+    params = RingParams(ell=ell, p=p, fp=4)
+    with pytest.raises(RingError):
+        RingParams(ell=p - 1, p=p, fp=4)
+    L, n = params.L, 4000
+    rng = np.random.default_rng(ell)
+    edges = np.array([0, 1, L - 2, L - 1], np.uint64)
+    xs = np.concatenate([rng.integers(0, L, n, dtype=np.uint64), np.repeat(edges, 4)])
+    ts = np.concatenate([xs[:n // 2] + rng.integers(0, 2, n // 2, dtype=np.uint64),  # near-equal
+                         rng.integers(0, L, n - n // 2, dtype=np.uint64), np.tile(edges, 4)])
+    ts %= np.uint64(L)
+    comps = _random_sharings(params, n, rng)
+
+    def job(sess):
+        bits = _share_bits(sess, xs, sess.params)
+        gt = P.reconstruct(sess, P.private_compare(sess, bits, ts))
+        theta = P.wrap3_protocol(sess, share_components(sess.party, tuple(comps), L))
+        return gt, P.reconstruct(sess, theta)
+
+    gt, theta = run_shared(params, job)[0]
+    assert np.array_equal(gt, oracle_compare(xs, ts))
+    assert np.array_equal(theta, wrap3(*comps, L))
 
 
 def _random_sharings(params, n, rng):
@@ -197,6 +225,31 @@ def test_wrap3_at_the_top_of_the_ring(ell, p):
     theta, r = run_shared(params, job, seed=5)[0]
     assert np.all(r == top)
     assert np.array_equal(theta, wrap3(*comps, L))
+
+
+@pytest.mark.parametrize("ell, p", [(8, 37), (32, 37), (64, 67)])
+def test_masked_wrap3_at_the_top_of_the_ring(ell, p):
+    # at r = 2^ell - 1 the compare's answer is a public 0, so a consumer's
+    # masked opening must open theta xor m from the mask alone; half the
+    # elements sit at the top, half at a random r
+    params = RingParams(ell=ell, p=p, fp=min(13, ell - 3))
+    L, n = params.L, 512
+    x = reconstruct_all(run_shared(params, lambda sess: sess.prep.wrap_rands(n).x, seed=5))
+    rng = np.random.default_rng(ell + 1)
+    r = np.where(np.arange(n) % 2 == 0, np.uint64(L - 1), rng.integers(0, L, n, dtype=np.uint64))
+    a = sub_mod(r, x, L)
+    c1, c2 = (rng.integers(0, L, n, dtype=np.uint64) for _ in range(2))
+    comps = (c1, c2, sub_mod(sub_mod(a, c1, L), c2, L))
+    masks = rng.integers(0, 2, n).astype(np.uint8)
+
+    def job(sess):
+        m = share_secret(masks, 2, sess.shared_rng)[sess.party.index - 1]
+        theta, opened = P.wrap3_protocol(sess, share_components(sess.party, comps, L), mask=m)
+        return P.reconstruct(sess, theta), opened
+
+    theta, opened = run_shared(params, job, seed=5)[0]
+    assert np.array_equal(theta, wrap3(*comps, L))
+    assert np.array_equal(opened, theta ^ masks)
 
 
 def test_wrap3_identity_on_transcripts():

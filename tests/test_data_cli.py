@@ -232,12 +232,12 @@ def test_cli_bench_json(mini_setup, capsys):
 
 
 def test_cli_bench_maxpool_json(capsys):
-    # 3x3 windows: four tree levels of DReLU and select, 4 + log2(ell) rounds
+    # 3x3 windows: four tree levels of DReLU and select, 3 + log2(ell) rounds
     # each, as table10 predicts
     rc = cli.main(["bench", "--protocol", "maxpool", "--n", "8", "--pool", "9", "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 36
+    assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 32
 
 
 def test_cli_bench_relu_json(capsys):
@@ -245,7 +245,7 @@ def test_cli_bench_relu_json(capsys):
     rc = cli.main(["bench", "--protocol", "relu", "--n", "8", "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 9
+    assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 8
 
 
 def test_cli_bench_reference_table(capsys):

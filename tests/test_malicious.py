@@ -199,7 +199,7 @@ def test_tampered_compare_round_aborts_its_receiver():
         def job(sess):
             sess.prep = DealerPrep(sess.party, PARAMS, seed=5)
             a = shared_input(sess, vals, PARAMS.L)
-            merged = sess.round_no + lg + 3  # wrap's r-open, lg + 1 tree levels, d
+            merged = sess.round_no + lg + 2  # wrap's r-open, lg tree levels, d
             seen = {}
             recv = sess.links.recv
 

@@ -1,5 +1,7 @@
 """Bounding power, division, Newton kernels, batch norm: accuracy + fx twins."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from falcon import numeric as N
 from falcon import protocols as P
 from falcon import oracle as O
 from falcon.numeric import DomainError
+from falcon.prep import RecordingPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
 from falcon.session import ThreatModel
 
@@ -41,13 +44,70 @@ def test_bounding_power_random():
     assert np.array_equal(alpha, O.fx_bounding_power(vals, PARAMS))
 
 
-def test_bounding_power_rejects_nonpositive():
-    def job(sess):
-        x = shared_input(sess, np.array([0], np.uint64), PARAMS.L)
-        return N.bounding_power(sess, x)
+def _bounding_power_cost(vals):
+    """(alpha or the DomainError, rounds, prep draws as (kind, n)) of one
+    bounding_power."""
 
-    with pytest.raises(DomainError):
-        run_shared(PARAMS, job)
+    def job(sess):
+        sess.prep = RecordingPrep(sess.prep)
+        x = shared_input(sess, vals, PARAMS.L)
+        r0 = sess.meter.rounds
+        try:
+            out = N.bounding_power(sess, x)
+        except DomainError as err:
+            out = err
+        draws = [(kind, getattr(item, fields(item)[0].name).shape[0])
+                 for kind, items in sess.prep.records.items() for item in items]
+        return out, sess.meter.rounds - r0, draws
+
+    return run_shared(PARAMS, job)[0]
+
+
+def test_bounding_power_is_one_drelu():
+    # one DReLU over the (n, ell - 1) probe block: the wrap open, log2 ell
+    # compare tree levels and the d open, in which the probe bits open
+    n, ell = 5, PARAMS.ell
+    alpha, rounds, draws = _bounding_power_cost(np.array([1, 2, 3, 1 << 20, (1 << 30) - 1],
+                                                         np.uint64))
+    assert list(alpha) == [0, 1, 1, 20, 29]
+    assert rounds == 2 + int(np.log2(ell)) == 7
+    assert draws == [("wrap", n * (ell - 1))]
+
+
+def test_bounding_power_opens_the_thermometer_code_of_alpha(monkeypatch):
+    # the only values the probe block opens are bits j = (x >= 2^j), j = 0 ..
+    # ell - 2: for x > 0 each row is the thermometer code of the returned
+    # alpha (bit j set iff j <= alpha), so nothing beyond alpha leaks
+    rng = np.random.default_rng(4)
+    vals = np.concatenate([[1, 2, 3, (1 << 30) - 1, 1 << 29],
+                           rng.integers(1, 1 << 30, 200)]).astype(np.uint64)
+    opened = []
+    open_drelu = N._open_drelu
+
+    def tap(sess, x):
+        bits = open_drelu(sess, x)
+        if sess.party.index == 1:
+            opened.append(bits)
+        return bits
+
+    monkeypatch.setattr(N, "_open_drelu", tap)
+    alpha = run_shared(PARAMS, lambda s: N.bounding_power(s, shared_input(s, vals, PARAMS.L)))[0]
+    assert np.array_equal(alpha, O.fx_bounding_power(vals, PARAMS))
+    (bits,) = opened
+    assert bits.shape == (len(vals), PARAMS.ell - 1)
+    j = np.arange(PARAMS.ell - 1)
+    assert np.array_equal(bits, (j[None, :] <= alpha[:, None]).astype(bits.dtype))
+
+
+def test_bounding_power_rejects_nonpositive():
+    # a nonpositive element fails the j = 0 probe, which rides in the same
+    # DReLU: the call raises after that one DReLU and opens nothing more
+    ell = PARAMS.ell
+    for vals in ([0], [5, 0, 7], [5, PARAMS.L - 3, 7]):
+        err, rounds, draws = _bounding_power_cost(np.array(vals, np.uint64))
+        assert isinstance(err, DomainError)
+        assert rounds == 2 + int(np.log2(ell))
+        assert draws == [("wrap", len(vals) * (ell - 1))]
 
 
 def _run_divide(params, a_vals, b_vals, threat=ThreatModel.SEMI_HONEST):

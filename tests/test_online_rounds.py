@@ -5,12 +5,14 @@ and one network-a SGD step (both malicious), each net with relu and maxpool
 swapped as the benchmark runs it. Each DReLU that steers anything is lifted
 to Z_L with its bit opened in the round that opens the compare's d, so every
 relu, its backward and the loss's two fallback selections are one
-multiplication each. Inference rounds do not depend on the batch, so 72 and
-25 are also the benchmark's counts at batch 16. One rescale of the SGD step
-has a data-dependent public shift: divide reads the loss's divisor at x in
-[0.5, 1), which is a local left shift for both samples here and a
-truncation round for some sample of the benchmark's batch of 32 (121
-rounds).
+multiplication each. A DReLU takes 2 + log2(ell) rounds: the private
+compare multiplies ell factors. The loss's divide finds its bounding power
+with one DReLU over ell - 1 thresholds per divisor. Inference rounds do not
+depend on the batch, so 65 and 23 are also the benchmark's counts at batch
+16. One rescale of the SGD step has a data-dependent public shift: divide
+reads the loss's divisor at x in [0.5, 1), which is a local left shift for
+both samples here and a truncation round for some sample of the
+benchmark's batch of 32 (76 rounds).
 
 Each shape pins party 1's rounds, messages, wire bytes and cost-model
 bits; all three parties must agree on every count. The private compare
@@ -93,13 +95,14 @@ def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool
 
 
 # (rounds, messages, wire bytes, cost-model bits); each private-compare
-# element reshares ell + 1 Z_p products in its tree (1 wire byte and 1
+# element reshares ell - 1 Z_p products in its tree (1 wire byte and 1
 # cost-model bit each at party 1), over 20,680 compare elements on infer-c,
-# 2,160 on infer-b-mal and 546 on train-a-mal
+# 2,160 on infer-b-mal and 596 on train-a-mal (the loss's two divisors each
+# probe ell - 1 thresholds)
 @pytest.mark.parametrize("make_net, threat, train, want", [
-    (network_c, ThreatModel.SEMI_HONEST, False, (72, 79, 1_056_500, 3_372_760)),
-    (network_b, ThreatModel.MALICIOUS, False, (25, 37, 133_060, 497_840)),
-    (network_a, ThreatModel.MALICIOUS, True, (120, 178, 2_427_514, 19_244_074)),
+    (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 1_015_000, 3_331_400)),
+    (network_b, ThreatModel.MALICIOUS, False, (23, 35, 128_700, 493_520)),
+    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 2_427_032, 19_247_932)),
 ], ids=["infer-c", "infer-b-mal", "train-a-mal"])
 def test_online_rounds_are_exact(make_net, threat, train, want):
     assert request_counts(make_net, threat, train) == (want, (0, 0, 0, 0))
@@ -110,5 +113,5 @@ def test_distributed_offline_counts_are_exact():
     # DistributedPrep material costs these counts, and the online phase
     # costs what it costs under the dealer
     online, offline = request_counts(network_b, ThreatModel.MALICIOUS, False, distributed=True)
-    assert online == (25, 37, 133_060, 497_840)
-    assert offline == (96, 98, 766_920, 3_083_328)
+    assert online == (23, 35, 128_700, 493_520)
+    assert offline == (96, 98, 771_240, 3_087_648)

@@ -180,9 +180,11 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
                 P.reconstruct(sess, wr.xbits),
                 P.reconstruct(sess, wr.alpha),
                 wr.x.lo,  # own component for the wrap oracle
-                tuple(P.reconstruct(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits)),
+                tuple(P.reconstruct(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits,
+                                                       wr.m_beta, wr.m_xtop)),
                 tuple((s.mod, s.lo.dtype, s.shape) for s in (wr.xbits, wr.alpha, wr.beta2,
-                                                              wr.beta_p, wr.m, wr.vbits)),
+                                                              wr.beta_p, wr.m, wr.vbits,
+                                                              wr.m_beta, wr.m_xtop)),
                 wr.x.mod,
             )
         if kind == "compare":
@@ -199,11 +201,12 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
     if kind == "trunc":
         _check_trunc_pairs(*outs[0], params)
     elif kind == "wrap":
-        x, bits, alpha, _, (b2, bp_, m, vbits), rings, x_mod = outs[0]
+        x, bits, alpha, _, (b2, bp_, m, vbits, m_beta, m_xtop), rings, x_mod = outs[0]
         p, bit_planes = params.p, (n, params.ell)
         assert x_mod == params.L
         assert rings == tuple((mod, dtype_for(mod), shape) for mod, shape in (
-            (p, bit_planes), (2, (n,)), (2, (n,)), (p, (n,)), (p, (n,)), (p, bit_planes)))
+            (p, bit_planes), (2, (n,)), (2, (n,)), (p, (n,)), (p, (n,)), (p, bit_planes),
+            (p, (n,)), (p, (n,))))
         comps = (outs[0][3], outs[1][3], outs[2][3])
         weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)
         # the uint64 sum wraps mod 2^64, a multiple of 2^ell
@@ -215,6 +218,10 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         assert np.all(m != 0)
         flip = 1 - 2 * b2.astype(np.int64)[:, None]
         assert np.array_equal(vbits, reduce_mod(flip * bits.astype(np.int64), p))
+        # and the products that fold the mask m~ (1 - 2 beta) into the top factor
+        wide = m.astype(np.uint64)
+        assert np.array_equal(m_beta, reduce_mod(wide * b2, p))
+        assert np.array_equal(m_xtop, reduce_mod(wide * bits[:, -1], p))
     elif kind == "compare":
         b2, bp_, m = outs[0]
         assert np.array_equal(b2, bp_)
@@ -249,8 +256,9 @@ def test_distributed_wrap_rands_rounds(params):
     # Rounds and cost-model bits per party of each artifact (Z_p and Z_2
     # count 1 bit). wrap_rands: one carry-save AND per bit, ell - 1 rounds of
     # two ripple products, a Z_p injection of x's bits and beta (two rounds,
-    # two products per injected bit, one per XOR), the nonzero masks and one
-    # flip product per bit. The masks take the square-and-multiply of
+    # two products per injected bit, one per XOR), the nonzero masks and the
+    # compare's products in one round: one flip product per bit, m~ beta and
+    # m~ x[ell - 1]. The masks take the square-and-multiply of
     # m^(p-1) and one open, each over a batch of n + 4 (one batch is enough
     # here). trunc_pairs injects ell - 1 - fp bits per pair.
     n, ell, fp = 8, params.ell, params.fp
@@ -267,7 +275,7 @@ def test_distributed_wrap_rands_rounds(params):
             costs.append((sess.meter.rounds - rounds, sess.meter.acct_bits - bits))
         return costs
 
-    want = [(ell + 4 + masks, 6 * n * ell + masks * (n + 4)), (2, 2 * n * ell),
+    want = [(ell + 4 + masks, 6 * n * ell + 2 * n + masks * (n + 4)), (2, 2 * n * ell),
             (2, 2 * n * (ell - 1 - fp) * ell)]
     assert run_three_parties(job, params, session_seed=6) == [want] * 3
 
@@ -402,13 +410,21 @@ def test_prep_file_checks_party_and_ring(tmp_path):
         save_tensors(path, {**entries, **bad}, PREP_MAGIC)
         with pytest.raises(FormatError):
             FilePrep(path, PartyId(1), PARAMS)
-    # a file of the previous format, whose wrap records lack the compare's
-    # blinding and flipped bits, is refused by its magic
-    new_fields = tuple(f"wrap.0.{f}." for f in ("beta2", "beta_p", "m", "vbits"))
-    save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(new_fields)},
-                 b"FALPREP2")
-    with pytest.raises(FormatError):
-        FilePrep(path, PartyId(1), PARAMS)
+    # files of the previous formats are refused by their magic: FALPREP2's
+    # wrap records lack the compare's blinding and flipped bits, and
+    # FALPREP3's lack m~ beta and m~ x[ell - 1] (its m was the mask itself)
+    for magic, dropped in [(b"FALPREP2", ("beta2", "beta_p", "m", "vbits", "m_beta", "m_xtop")),
+                           (b"FALPREP3", ("m_beta", "m_xtop"))]:
+        gone = tuple(f"wrap.0.{f}." for f in dropped)
+        save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(gone)}, magic)
+        with pytest.raises(FormatError, match="not a FALPREP4 file"):
+            FilePrep(path, PartyId(1), PARAMS)
+        # and so is a current file that lacks the fields
+        save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(gone)},
+                     PREP_MAGIC)
+        with pytest.raises(FormatError, match="missing"):
+            FilePrep(path, PartyId(1), PARAMS)
+    assert PREP_MAGIC == b"FALPREP4"
     # a file written with uint64 Z_p/Z_2 entries loads as the same uint8 shares
     wide = {k: v.astype(np.uint64) for k, v in entries.items()}
     save_tensors(path, wide, PREP_MAGIC)

@@ -90,15 +90,16 @@ def test_relu_fixed_point_values():
 
 
 def test_relu_round_meter_is_formula_exact():
-    # 4 + log2(ell) rounds: the wrap open, the compare's tree and its d
-    # open, in which the selection's e opens too, and the selection
+    # 3 + log2(ell) rounds: the wrap open, the compare's log2(ell) tree
+    # levels and its d open, in which the selection's e opens too, and the
+    # selection
     def job(sess):
         a = shared_input(sess, np.arange(64, dtype=np.uint64), PARAMS.L)
         r0 = sess.meter.rounds
         P.relu(sess, a)
         return sess.meter.rounds - r0
 
-    assert run_shared(PARAMS, job)[0] == 4 + 5
+    assert run_shared(PARAMS, job)[0] == 3 + 5
 
     params8 = RingParams(ell=8, p=37, fp=4)
 
@@ -108,7 +109,7 @@ def test_relu_round_meter_is_formula_exact():
         P.relu(sess, a)
         return sess.meter.rounds - r0
 
-    assert run_shared(params8, job8)[0] == 4 + 3
+    assert run_shared(params8, job8)[0] == 3 + 3
 
 
 def test_relu_staged_opening_is_blinded(monkeypatch):
@@ -238,17 +239,18 @@ def test_maxpool_takes_one_level_per_doubling():
         return level, got
 
     level, got = run_shared(PARAMS, job)[0]
-    assert level == 9
+    assert level == 3 + 5
     assert got == {n: ((n - 1).bit_length() * level, (n - 1).bit_length())
                    for n in range(2, 17)}
 
 
 def test_drelu_online_memory():
-    # the private-compare factors are built in row blocks, one signed
-    # accumulator per component, and the wrap protocol's opened-r state dies
-    # once the factors exist, so the online working set stays a few hundred
-    # bytes per element and party; the preprocessing material, flipped bits
-    # included, is drawn before the measured window
+    # the private-compare factors, (n, ell), are built in row blocks, one
+    # signed accumulator per component, and the wrap protocol's opened-r
+    # state dies once the factors exist, so the online working set stays a
+    # few hundred bytes per element and party (460-490 B over the three
+    # parties on a 2-core host); the preprocessing material, flipped bits
+    # and mask products included, is drawn before the measured window
     n = 36864  # one sequential maxpool step of network-c at batch 16
     raws = np.random.default_rng(9).integers(0, PARAMS.L, n, dtype=np.uint64)
     gate = threading.Barrier(3, timeout=60)
@@ -280,7 +282,7 @@ def test_drelu_online_memory():
         tracemalloc.stop()
     assert np.array_equal(got, oracle_drelu(raws, PARAMS))
     per_elem = peak[0] / n
-    assert per_elem < 700, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
+    assert per_elem < 600, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
 
 
 @pytest.mark.parametrize("ell", [63, 64])
@@ -327,14 +329,15 @@ def test_small_ring_shares_stay_uint8(mode):
     for bits, opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
-        # the wrap material carries the compare's blinding and flipped bits,
-        # so no drelu draws compare material of its own
+        # the wrap material carries the compare's blinding, flipped bits and
+        # mask products, so no drelu draws compare material of its own
         assert records["compare"] == []
         small = [bits]
         small += [s for w in records["wrap"]
-                  for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits)]
+                  for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits,
+                            w.m_beta, w.m_xtop)]
         small += [b.c2 for b in records["bitpair"]]
-        assert len(small) == 1 + 6 * 3 + 2  # 3 drelus, 2 of them lifted
+        assert len(small) == 1 + 8 * 3 + 2  # 3 drelus, 2 of them lifted
         for sh in small:
             assert sh.mod in (2, PARAMS.p)
             assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8

@@ -32,7 +32,8 @@ def test_params_defaults():
 
 @pytest.mark.parametrize(
     "ell,p,fp",
-    [(7, 37, 4), (65, 131, 13), (32, 33, 13), (32, 31, 13), (32, 37, 0), (32, 37, 30)],
+    [(7, 37, 4), (65, 131, 13), (32, 33, 13), (32, 31, 13), (36, 37, 13), (10, 11, 4),
+     (32, 37, 0), (32, 37, 30)],
 )
 def test_params_invalid(ell, p, fp):
     with pytest.raises(RingError):
