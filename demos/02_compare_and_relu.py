@@ -12,7 +12,7 @@ import numpy as np
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, bit_decompose, decode_fixed, encode_fixed
-from falcon.rss import share_secret
+from falcon.rss import public_share, share_secret
 from falcon.session import run_three_parties
 
 params = RingParams(ell=32, p=37, fp=13)
@@ -21,12 +21,14 @@ params = RingParams(ell=32, p=37, fp=13)
 def job(sess):
     sess.prep = DealerPrep(sess.party, params, seed=1)
 
-    # private compare: shared bits of x against a public threshold
+    # private compare: shared bits of x against a public threshold; the
+    # answer opens xor a mask shared over Z_2, here a public zero
     xs = np.array([3, 41, 100, 100], np.uint64)
     ts = np.array([10, 17, 100, 99], np.uint64)
     bits = share_secret(bit_decompose(xs, params), params.p,
                         sess.shared_rng)[sess.party.index - 1]
-    gt = P.reconstruct(sess, P.private_compare(sess, bits, ts))
+    zero = public_share(sess.party, np.uint64(0), 2, shape=xs.shape)
+    gt = P.private_compare(sess, bits, ts, zero)
 
     # ReLU over a fixed-point vector, with the round meter
     vals = encode_fixed(np.array([-3.5, -0.25, 0.0, 0.25, 7.75]), params)

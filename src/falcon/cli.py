@@ -26,7 +26,7 @@ from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
 from .rings import RingParams, bit_decompose, decode_fixed, encode_fixed
-from .rss import share_secret
+from .rss import public_share, share_secret
 from .session import PartySession, ThreatModel, make_session, run_three_parties
 from .transport import TcpLinks
 
@@ -230,12 +230,12 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
         "mult": (1, k * n, 0),
         "matmul": (1, k * x * z, 0),
         # the mult forming the blinding's products (ell + 2 Z_p products),
-        # the tree, the d open
-        "pc": (drelu_rounds, 2 * k * n + n / 4, n / 8),
+        # the tree, the d open with the masked bit
+        "pc": (drelu_rounds, 2 * k * n + 3 * n / 8, n / 4),
         # the r open (the products come from preprocessing), then pc's
         # tree levels and open
-        "wa": (drelu_rounds, 2 * k * n, k * n + n / 8),
-        "drelu": (drelu_rounds, 2 * k * n, k * n + n / 8),
+        "wa": (drelu_rounds, 2 * k * n + n / 8, k * n + n / 4),
+        "drelu": (drelu_rounds, 2 * k * n + n / 8, k * n + n / 4),
         # the DReLU opens the lift's e with d; then one mult by the lifted bit
         "relu": (1 + drelu_rounds, 3 * k * n + n / 8, k * n + n / 4),
         # n windows: ceil(log2 wh) tree levels of lifted DReLU + select, wh - 1 of each
@@ -301,12 +301,14 @@ def _bench_call(sess: PartySession, protocol: str, inputs):
         return P.mult(sess, *inputs)
     if protocol == "matmul":
         return P.matmul(sess, *inputs, truncate_after=False)
-    if protocol == "pc":
-        return P.private_compare(sess, inputs[0], inputs[1])
-    if protocol == "wa":
-        return P.wrap3_protocol(sess, inputs[0])
-    if protocol == "drelu":
-        return P.drelu(sess, inputs[0])
+    if protocol in ("pc", "wa", "drelu"):
+        # a public zero mask: each opens its bit in the compare's last round
+        zero = public_share(sess.party, np.uint64(0), 2, shape=inputs[0].shape[:1])
+        if protocol == "pc":
+            return P.private_compare(sess, inputs[0], inputs[1], zero)
+        if protocol == "wa":
+            return P.wrap3_protocol(sess, inputs[0], zero)
+        return P.drelu(sess, inputs[0], zero)
     if protocol == "relu":
         return P.relu(sess, inputs[0])
     if protocol == "maxpool":
@@ -392,6 +394,11 @@ def load_weights(path: str, params: RingParams) -> tuple[dict, dict]:
     return raws, {k: decode_fixed(v, params) for k, v in raws.items()}
 
 
+def _as_net_input(net: NetworkSpec, images: np.ndarray) -> np.ndarray:
+    """Images shaped as the net's input: flat rows, or (C, H, W) each."""
+    return images.reshape((len(images),) + tuple(net.input_shape))
+
+
 def cmd_infer(args) -> int:
     params = ring_params(args)
     net = load_net(args.net)
@@ -401,10 +408,7 @@ def cmd_infer(args) -> int:
     hi = lo + args.count
     images = store["images"][lo:hi]
     labels = store["labels"][lo:hi].astype(np.int64)
-    if len(net.input_shape) == 1:
-        images = images.reshape(len(images), -1)
-    else:
-        images = images.reshape((len(images),) + tuple(net.input_shape))
+    images = _as_net_input(net, images)
     float_images = decode_fixed(images, params)
 
     def job(sess: PartySession):
@@ -457,10 +461,7 @@ def cmd_train(args) -> int:
     store = load_tensors(args.data)
     images = store["images"]
     labels = store["labels"].astype(np.int64)
-    if len(net.input_shape) == 1:
-        images = images.reshape(len(images), -1)
-    else:
-        images = images.reshape((len(images),) + tuple(net.input_shape))
+    images = _as_net_input(net, images)
     n_train = min(args.train_count, len(images) - args.eval_count)
     train_x, train_y = images[:n_train], labels[:n_train]
     eval_x, eval_y = images[n_train : n_train + args.eval_count], labels[n_train : n_train + args.eval_count]

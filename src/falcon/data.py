@@ -9,6 +9,7 @@ files (magic 0x803/0x801) so the ingestion path exercises the real format.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -202,8 +203,6 @@ def synth_digits(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def write_synth_idx(dirpath: str, n_train: int = 10_000, n_test: int = 2_000, seed: int = 7):
     """Materialize the synthetic corpus as IDX files; returns the four paths."""
-    import os
-
     os.makedirs(dirpath, exist_ok=True)
     tr_img, tr_lab = synth_digits(n_train, seed=seed)
     te_img, te_lab = synth_digits(n_test, seed=seed + 1)

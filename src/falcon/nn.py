@@ -32,7 +32,7 @@ from .protocols import (
     truncate,
 )
 from .numeric import batch_norm_forward
-from .rings import UINT, RingError, RingParams, encode_fixed, reduce_mod
+from .rings import UINT, RingError, RingParams, encode_fixed, reduce_mod, signed
 from .rss import (
     RssShare,
     add_public,
@@ -356,8 +356,6 @@ def open_params(sess: PartySession, state: NetState) -> dict:
 
 def secure_predict(sess: PartySession, state: NetState, images_raw: np.ndarray) -> np.ndarray:
     """Argmax predictions over a public evaluation slice, 250 images a batch."""
-    from .rings import signed
-
     outs = []
     for k in range(0, len(images_raw), 250):
         xb = share_secret(images_raw[k : k + 250], sess.params.L,

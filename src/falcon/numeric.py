@@ -109,9 +109,7 @@ def bounding_power(sess: PartySession, x: RssShare) -> np.ndarray:
 def _open_drelu(sess: PartySession, x: RssShare) -> np.ndarray:
     """The public DReLU bit of x: masked by a zero sharing, it opens in the
     compare's last round."""
-    zero = public_share(sess.party, np.uint64(0), 2, shape=x.shape)
-    _, bit = drelu(sess, x, zero)
-    return bit
+    return drelu(sess, x, public_share(sess.party, np.uint64(0), 2, shape=x.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -457,8 +457,6 @@ def fx_sgd_step(raw_params: dict, grads: dict, lr_shift: int, params: RingParams
 def fx_loss_grad(logits_raw: np.ndarray, onehot: np.ndarray, params: RingParams,
                  scale_shift: int = 0) -> np.ndarray:
     """Twin of the secure ASM loss gradient."""
-    from .rings import encode_fixed
-
     fp = params.fp
     L = params.L
     B, classes = logits_raw.shape

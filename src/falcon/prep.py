@@ -17,6 +17,7 @@ per-party tensor container and replayed with FilePrep.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -120,7 +121,7 @@ class DealerPrep:
     """
 
     _memo: dict = {}
-    _lock = __import__("threading").Lock()
+    _lock = threading.Lock()
 
     def __init__(self, party: PartyId, params: RingParams, seed: int = 0):
         self.party = party

@@ -9,9 +9,12 @@ backward routes the gradient down the same bits (`maxpool_route`). Each
 protocol works elementwise over arbitrary array shapes and runs under
 either threat model of the session.
 
-A DReLU bit that steers anything is lifted once, by `drelu_lifted`, to a
+Private compare, the wrap protocol and DReLU each return one public
+array: their bit xor a mask shared over Z_2, which the caller passes. A
+DReLU bit that steers anything is lifted once, by `drelu_lifted`, to a
 sharing over Z_L; every consumer (ReLU, its backward, a maxpool level,
-the routing, the loss's fallback) is then one multiplication by it.
+the routing, the loss's fallback) is then one multiplication by it. A
+caller that publishes the bit masks it by a zero sharing.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
@@ -24,8 +27,6 @@ preprocessing, so the step that opens r carries nothing else.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,24 +218,23 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> 
 # private compare
 
 
-def private_compare(sess: PartySession, xbits: RssShare, t, rand=None,
-                    mask: RssShare | None = None):
-    """Share over Z_2 of the bit (x > t) for public t in [0, 2^ell).
+def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare,
+                    rand=None) -> np.ndarray:
+    """The public bit (x > t) xor m, for public t in [0, 2^ell) and a mask m
+    shared over Z_2 of shape (n,); a zero sharing opens the bit itself.
 
     xbits holds the little-endian bits of x over Z_p, shape (n, ell). Each
     instance compares x with t' = t + (1 - beta) and multiplies ell factors
     below p (see `_pc_factors`), the mask folded into the top one, in
-    ceil(log2 ell) tree levels. The masked product d is revealed, and the
-    blinding bit is removed with a local XOR. At t = 2^ell - 1 the answer is
-    a public 0.
+    ceil(log2 ell) tree levels. The masked product d and the blinding bit
+    xor m open in one round, and d unblinds the opened bit. At
+    t = 2^ell - 1 the answer is 0.
 
     rand holds the blinding (beta2, beta_p and the nonzero m~ of the mask
     m = m~ (1 - 2 beta)) and its products with x's bits (`compare_products`):
     the wrap protocol passes its preprocessed `WrapRand`, which carries
     both. Without it the compare draws its own blinding and forms the
-    products in one multiplication round. With a mask m (a Z_2 sharing of
-    shape (n,)), returns (bit, opened): the public bit xor m, opened in the
-    same round as d.
+    products in one multiplication round.
     """
     ell = sess.params.ell
     n, nb = xbits.shape
@@ -269,23 +269,19 @@ def compare_products(sess: PartySession, xbits: RssShare, beta_p: RssShare,
 
 
 def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.ndarray,
-             mask: RssShare | None):
-    """Multiply the factors down and open d; a mask m opens beta2 xor m
-    alongside, which is bit xor m up to the beta' = (d != 0) known after.
-    Where t is the top of the ring, beta2 and beta' are taken as a public 0:
-    the bit is 0 and the masked opening opens m alone."""
+             mask: RssShare) -> np.ndarray:
+    """Multiply the factors down and open d with beta2 xor m, which is
+    bit xor m up to the beta' = (d != 0) known after. Where t is the top of
+    the ring, beta2 and beta' are taken as a public 0: the bit is 0 and the
+    opening opens m alone."""
     prod = _tree_product(sess, factors)
     keep = (~top).astype(NARROW)
-    beta2 = scale_share(keep, beta2)
     rnd = Round(sess, "pc-open-d")
     fin_d = open_begin(sess, prod, rnd)
-    fin_m = None if mask is None else open_begin(sess, add_shares(beta2, mask), rnd)
+    fin_m = open_begin(sess, add_shares(scale_share(keep, beta2), mask), rnd)
     results = rnd.run()
     beta_prime = (fin_d(results) != 0).astype(NARROW) & keep
-    bit = xor_public(sess, beta2, beta_prime)
-    if mask is None:
-        return bit
-    return bit, fin_m(results) ^ beta_prime
+    return fin_m(results) ^ beta_prime
 
 
 # rows per block of the private-compare factor arithmetic: its ~8 (rows,
@@ -379,28 +375,16 @@ def _tree_product(sess: PartySession, factors: RssShare) -> RssShare:
 # wrap / DReLU / ReLU
 
 
-@dataclass
-class WrapTranscript:
-    """Per-run values exposed for the wrap-identity checks in tests."""
-
-    beta_bits: RssShare  # XOR of the three component carries, Z_2
-    delta: np.ndarray    # public
-    eta: RssShare        # Z_2
-    alpha: RssShare      # Z_2
-    r_public: np.ndarray
-
-
-def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = False,
-                   mask: RssShare | None = None):
-    """Share over Z_2 of wrap3(a1, a2, a3, L): the parity of the carry when
-    the three components are summed as integers.
+def wrap3_protocol(sess: PartySession, a: RssShare, mask: RssShare) -> np.ndarray:
+    """The public theta xor m, where theta = wrap3(a1, a2, a3, L) is the
+    parity of the carry when the three components are summed as integers
+    and m is a mask shared over Z_2 in a's shape.
 
     Masks a with the preprocessed x, opens r = a + x, evaluates the exact
     wrap of the opened components in the clear, and corrects with
     eta = (x > r). The compare takes its blinding and x's flipped bits
-    from the same `WrapRand`, so opening r is all the first round does.
-    With a mask m (a Z_2 sharing of a's shape), returns (theta, opened):
-    the public theta xor m, opened in the compare's last round.
+    from the same `WrapRand`, so opening r is all the first round does;
+    theta xor m opens in the compare's last round.
     """
     params = sess.params
     L = params.L
@@ -424,19 +408,10 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
     del r_sh, third
 
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2); all but
-    # eta is known now, so a mask m reaches the compare as m xor known
+    # eta is known now, so the mask reaches the compare as m xor known
     known = xor_public(sess, add_shares(beta_bits, wrand.alpha), delta)
-    inner = None if mask is None else add_shares(mask.reshape(n), known)
-
-    eta = private_compare(sess, wrand.xbits, r, wrand, mask=inner)
-    if mask is not None:
-        eta, opened = eta
-    theta = add_shares(known, eta).reshape(shape)
-    if mask is not None:
-        return theta, opened.reshape(shape)
-    if want_transcript:
-        return theta, WrapTranscript(beta_bits, delta, eta, wrand.alpha, r)
-    return theta
+    opened = private_compare(sess, wrand.xbits, r, add_shares(mask.reshape(n), known), wrand)
+    return opened.reshape(shape)
 
 
 # elementwise comparison batches above this size run in sequential chunks:
@@ -445,40 +420,28 @@ def wrap3_protocol(sess: PartySession, a: RssShare, want_transcript: bool = Fals
 COMPARE_CHUNK = 1 << 17
 
 
-def drelu(sess: PartySession, a: RssShare, mask: RssShare | None = None):
-    """Share over Z_2 of the ReLU derivative: 1 iff signed(a) >= 0.
+def drelu(sess: PartySession, a: RssShare, mask: RssShare) -> np.ndarray:
+    """The public b xor m, where b is the ReLU derivative (1 iff
+    signed(a) >= 0) and m a mask shared over Z_2 in a's shape.
 
-    Local MSBs of the components XOR the wrap of the doubled sharing XOR 1.
-    With a mask m (a Z_2 sharing of a's shape), returns (b, opened): the
-    public b xor m, opened in the compare's last round with d.
+    b is the components' local MSBs xor the wrap of the doubled sharing
+    xor 1; b xor m opens in the compare's last round, with d.
     `drelu_lifted` passes its bit pair's c and gets its e; a probe passes a
     zero sharing and gets b itself.
     """
     params = sess.params
     n = int(np.prod(a.shape, dtype=int))
-    flat = a.reshape(n)
-    flat_mask = None if mask is None else mask.reshape(n)
+    flat, flat_mask = a.reshape(n), mask.reshape(n)
     if n > COMPARE_CHUNK:
-        parts = [drelu(sess, flat[k : k + COMPARE_CHUNK],
-                       None if mask is None else flat_mask[k : k + COMPARE_CHUNK])
-                 for k in range(0, n, COMPARE_CHUNK)]
-        if mask is not None:
-            parts, opened = zip(*parts)
-            opened = np.concatenate(opened)
-        bits = concat_shares(list(parts))
+        opened = np.concatenate([drelu(sess, flat[k : k + COMPARE_CHUNK],
+                                       flat_mask[k : k + COMPARE_CHUNK])
+                                 for k in range(0, n, COMPARE_CHUNK)])
     else:
         top = np.uint64(params.ell - 1)
         msbs = RssShare((flat.lo >> top).astype(NARROW), (flat.hi >> top).astype(NARROW), 2)
         known = xor_public(sess, msbs, np.uint64(1))
-        theta = wrap3_protocol(sess, scale_share(np.uint64(2), flat),
-                               mask=None if mask is None else add_shares(flat_mask, known))
-        if mask is not None:
-            theta, opened = theta
-        bits = add_shares(known, theta)
-    bits = bits.reshape(a.shape)
-    if mask is None:
-        return bits
-    return bits, opened.reshape(a.shape)
+        opened = wrap3_protocol(sess, scale_share(np.uint64(2), flat), add_shares(flat_mask, known))
+    return opened.reshape(a.shape)
 
 
 def drelu_lifted(sess: PartySession, a: RssShare) -> RssShare:
@@ -488,7 +451,7 @@ def drelu_lifted(sess: PartySession, a: RssShare) -> RssShare:
     its d, and b = c_L xor e is local: the rounds of `drelu` alone.
     """
     pair = sess.prep.bit_pairs(int(np.prod(a.shape, dtype=int))).reshape(a.shape)
-    _, e = drelu(sess, a, pair.c2)
+    e = drelu(sess, a, pair.c2)
     return xor_public(sess, pair.cL, e)
 
 

@@ -42,6 +42,7 @@ from .transport import (
     MemoryHub,
     Message,
     PartyLinks,
+    TcpLinks,
 )
 
 DIGEST_BYTES = 8
@@ -289,8 +290,6 @@ def run_three_parties(
         hub = MemoryHub(fault=fault)
         link_factory = hub.links
     elif backend == "tcp":
-        from .transport import TcpLinks
-
         hub = None
 
         def link_factory(i: int) -> PartyLinks:

@@ -21,11 +21,12 @@ from falcon.nets import network_a, network_b, network_c
 from falcon.netspec import init_float_params
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, bit_decompose, decode_fixed, encode_fixed, wrap3
-from falcon.rss import share_components, share_secret
+from falcon.rss import share_secret
 from falcon.session import AbortError, ThreatModel, run_three_parties
 from falcon.transport import FaultInjector
 
-from test_protocols import run_shared, shared_input
+from test_compare_wrap import wrap3_greek_terms
+from test_protocols import run_shared, shared_input, zero_mask
 from test_relu_maxpool import maxpool_onehot
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
@@ -84,7 +85,7 @@ def test_criterion_1_private_compare_exhaustive():
     def job(sess):
         bits = share_secret(bit_decompose(xs, sess.params), sess.params.p,
                             sess.shared_rng)[sess.party.index - 1]
-        return P.reconstruct(sess, P.private_compare(sess, bits, rs))
+        return P.private_compare(sess, bits, rs, zero_mask(sess, len(xs)))
 
     got = run_shared(params, job, seed=1)[0]
     expect = (xs > rs).astype(np.uint64)
@@ -99,7 +100,7 @@ def test_criterion_1_private_compare_exhaustive():
 # 2. wrap correctness + transcript identity
 
 
-def test_criterion_2_wrap():
+def test_criterion_2_wrap(monkeypatch):
     failures = 0
     identity_fail = 0
     for ell in (16, 32):
@@ -107,24 +108,9 @@ def test_criterion_2_wrap():
         rng = np.random.default_rng(ell)
         comps = [rng.integers(0, params.L, 10_000, dtype=np.uint64) for _ in range(3)]
         expect = wrap3(comps[0], comps[1], comps[2], params.L)
-
-        def job(sess):
-            sess.prep = DealerPrep(sess.party, params, seed=2)
-            a = share_components(sess.party, tuple(comps), params.L)
-            theta, tr = P.wrap3_protocol(sess, a, want_transcript=True)
-            return P.reconstruct(sess, theta), tr
-
-        res = run_three_parties(job, params, session_seed=2)
-        got = res[0][0]
-        failures += int((got != expect).sum())
         # theta = beta1+beta2+beta3+delta-eta-alpha (mod 2), every transcript
-        from conftest import reconstruct_all
-
-        trs = [r[1] for r in res]
-        beta = reconstruct_all([t.beta_bits for t in trs])
-        eta = reconstruct_all([t.eta for t in trs])
-        alpha = reconstruct_all([t.alpha for t in trs])
-        rhs = (beta + trs[0].delta + eta + alpha) % 2
+        got, rhs = wrap3_greek_terms(monkeypatch, params, comps, seed=2)
+        failures += int((got != expect).sum())
         identity_fail += int((got != rhs).sum())
     verdict(2, failures == 0 and identity_fail == 0,
             f"wrap3 equals exact wrap mod 2 on 2x10^4 sharings at ell=16/32 "
@@ -143,8 +129,7 @@ def test_criterion_3_relu_drelu():
 
     def job8(sess):
         a = shared_input(sess, xs8, p8.L)
-        return (P.reconstruct(sess, P.drelu(sess, a)),
-                P.reconstruct(sess, P.relu(sess, a)))
+        return P.drelu(sess, a, zero_mask(sess, a.shape)), P.reconstruct(sess, P.relu(sess, a))
 
     d8, r8 = run_shared(p8, job8, seed=3)[0]
     ok8 = np.array_equal(d8, O.oracle_drelu(xs8, p8)) and np.array_equal(r8, O.oracle_relu(xs8, p8))
@@ -492,9 +477,9 @@ def test_criterion_10_cost_model():
 
     cases = [
         ("matmul", mk_matmul, lambda s, i: P.matmul(s, *i, truncate_after=False), dict(dims=(4, 4, 4))),
-        ("pc", mk_bits, lambda s, i: P.private_compare(s, *i), {}),
-        ("wa", mk_vec, lambda s, i: P.wrap3_protocol(s, i[0]), {}),
-        ("drelu", mk_vec, lambda s, i: P.drelu(s, i[0]), {}),
+        ("pc", mk_bits, lambda s, i: P.private_compare(s, *i, zero_mask(s, n)), {}),
+        ("wa", mk_vec, lambda s, i: P.wrap3_protocol(s, i[0], zero_mask(s, n)), {}),
+        ("drelu", mk_vec, lambda s, i: P.drelu(s, i[0], zero_mask(s, n)), {}),
         ("relu", mk_vec, lambda s, i: P.relu(s, i[0]), {}),
         ("maxpool", mk_windows(4), lambda s, i: P.maxpool_argmax(s, i[0]), dict(pool=4)),
         ("maxpool", mk_windows(9), lambda s, i: P.maxpool_argmax(s, i[0]), dict(pool=9)),

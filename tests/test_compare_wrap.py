@@ -7,13 +7,12 @@ import pytest
 
 from falcon import protocols as P
 from falcon.oracle import oracle_compare
-from falcon.prep import DealerPrep
-from falcon.rings import RingError, RingParams, bit_decompose, sub_mod, wrap3
+from falcon.rings import RingError, RingParams, add_mod, bit_decompose, sub_mod, wrap3
 from falcon.rss import share_components, share_secret
-from falcon.session import ThreatModel, run_three_parties
+from falcon.session import ThreatModel
 from conftest import reconstruct_all
 
-from test_protocols import run_shared
+from test_protocols import run_shared, tap_openings, zero_mask
 
 
 def _share_bits(sess, xs, params):
@@ -28,12 +27,12 @@ def test_private_compare_examples():
         x = np.array([5, 0, 3, 255], np.uint64)
         r = np.array([3, 0, 4, 254], np.uint64)
         bits = _share_bits(sess, x, sess.params)
+        zero = zero_mask(sess, 4)
         # t = 2^ell is not an ell-bit value: refused before any message
         with pytest.raises(ValueError, match="below 2\\^ell"):
-            P.private_compare(sess, bits, np.array([0, 0, 0, 256], np.uint64))
+            P.private_compare(sess, bits, np.array([0, 0, 0, 256], np.uint64), zero)
         rounds = sess.meter.rounds
-        out = P.private_compare(sess, bits, r)
-        return P.reconstruct(sess, out), rounds
+        return P.private_compare(sess, bits, r, zero), rounds
 
     got, rounds = run_shared(params, job)[0]
     assert rounds == 0
@@ -54,8 +53,7 @@ def test_private_compare_exhaustive_8bit(threat, p):
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        out = P.private_compare(sess, bits, rs)
-        return P.reconstruct(sess, out)
+        return P.private_compare(sess, bits, rs, zero_mask(sess, len(xs)))
 
     got = run_shared(params, job, threat=threat)[0]
     assert np.array_equal(got, oracle_compare(xs, rs))
@@ -70,7 +68,7 @@ def test_private_compare_full_word_targets():
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        return P.reconstruct(sess, P.private_compare(sess, bits, ts))
+        return P.private_compare(sess, bits, ts, zero_mask(sess, len(xs)))
 
     for p in (67, 127):
         got = run_shared(RingParams(ell=64, p=p, fp=13), job)[0]
@@ -82,36 +80,21 @@ def test_private_compare_reveal_blinded(monkeypatch):
     # for fixed (x, r) the revealed product is 0 about half the time (the
     # blinding bit flips) and uniform-looking over Z_p^* otherwise; the
     # output is correct regardless. d is read where it crosses the wire:
-    # the compare's "pc-open-d" round, the only opening of a Z_p payload
+    # the compare's "pc-open-d" round, which opens d over Z_p, then the bit
     from scipy import stats
 
     params = RingParams(ell=8, p=37, fp=4)
     n = 7400
     xs = np.full(n, 77, np.uint64)
     rs = np.full(n, 20, np.uint64)
-    seen = {}
-    open_begin = P.open_begin
-
-    def tap(sess, x, rnd):
-        fin = open_begin(sess, x, rnd)
-        if rnd.tag != "pc-open-d" or x.mod != params.p:
-            return fin
-
-        def finish(results):
-            out = fin(results)
-            seen.setdefault(sess.party.index, []).append(out)
-            return out
-
-        return finish
-
-    monkeypatch.setattr(P, "open_begin", tap)
+    seen = tap_openings(monkeypatch, "pc-open-d")
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        return P.reconstruct(sess, P.private_compare(sess, bits, rs))
+        return P.private_compare(sess, bits, rs, zero_mask(sess, n))
 
     got = run_shared(params, job)[0]
-    (d,) = seen[1]
+    d, _ = seen[1]
     assert np.all(got == 1)  # 77 > 20 regardless of blinding
     zero_frac = float((d == 0).mean())
     assert 0.45 < zero_frac < 0.55
@@ -127,7 +110,7 @@ def test_private_compare_rounds():
         xs = np.arange(8, dtype=np.uint64)
         bits = _share_bits(sess, xs, sess.params)
         r0 = sess.meter.rounds
-        P.private_compare(sess, bits, np.full(8, 5, np.uint64))
+        P.private_compare(sess, bits, np.full(8, 5, np.uint64), zero_mask(sess, 8))
         return sess.meter.rounds - r0
 
     rounds = run_shared(params, job)[0]
@@ -154,9 +137,10 @@ def test_compare_and_wrap_exact_at_p_just_above_ell_plus_one(ell, p):
 
     def job(sess):
         bits = _share_bits(sess, xs, sess.params)
-        gt = P.reconstruct(sess, P.private_compare(sess, bits, ts))
-        theta = P.wrap3_protocol(sess, share_components(sess.party, tuple(comps), L))
-        return gt, P.reconstruct(sess, theta)
+        gt = P.private_compare(sess, bits, ts, zero_mask(sess, len(xs)))
+        theta = P.wrap3_protocol(sess, share_components(sess.party, tuple(comps), L),
+                                 zero_mask(sess, n))
+        return gt, theta
 
     gt, theta = run_shared(params, job)[0]
     assert np.array_equal(gt, oracle_compare(xs, ts))
@@ -178,8 +162,7 @@ def test_wrap3_matches_exact_wrap(ell):
 
     def job(sess):
         a = share_components(sess.party, tuple(comps), params.L)
-        theta = P.wrap3_protocol(sess, a)
-        return P.reconstruct(sess, theta)
+        return P.wrap3_protocol(sess, a, zero_mask(sess, n))
 
     got = run_shared(params, job)[0]
     assert np.array_equal(got, expect)
@@ -194,7 +177,7 @@ def test_wrap3_fixed_cases():
         for comps in ((0, 0, 0), (200, 100, 0)):
             arr = tuple(np.uint64(c) for c in comps)
             a = share_components(sess.party, arr, params.L)
-            outs.append(P.reconstruct(sess, P.wrap3_protocol(sess, a)))
+            outs.append(P.wrap3_protocol(sess, a, zero_mask(sess, ())))
         return outs
 
     outs = run_shared(params, job)[0]
@@ -203,11 +186,11 @@ def test_wrap3_fixed_cases():
 
 
 @pytest.mark.parametrize("ell, p", [(8, 37), (32, 37), (64, 67)])
-def test_wrap3_at_the_top_of_the_ring(ell, p):
+def test_wrap3_at_the_top_of_the_ring(monkeypatch, ell, p):
     # the opened r at the top of the ring, 2^ell - 1, where eta = (x > r) is
     # 0 for every x: read the dealer's wrap mask x in a first run, then
     # share a = 2^ell - 1 - x under the same seed, so r = a + x = 2^ell - 1
-    # at every element
+    # at every element; r is read where it crosses the wire
     params = RingParams(ell=ell, p=p, fp=min(13, ell - 3))
     L, n = params.L, 512
     top = np.uint64(L - 1)
@@ -217,13 +200,13 @@ def test_wrap3_at_the_top_of_the_ring(ell, p):
     c1, c2 = (rng.integers(0, L, n, dtype=np.uint64) for _ in range(2))
     comps = (c1, c2, sub_mod(sub_mod(a, c1, L), c2, L))
 
-    def job(sess):
-        theta, tr = P.wrap3_protocol(sess, share_components(sess.party, comps, L),
-                                     want_transcript=True)
-        return P.reconstruct(sess, theta), tr.r_public
+    seen = tap_openings(monkeypatch, "wa-open-r")
 
-    theta, r = run_shared(params, job, seed=5)[0]
-    assert np.all(r == top)
+    def job(sess):
+        return P.wrap3_protocol(sess, share_components(sess.party, comps, L), zero_mask(sess, n))
+
+    theta = run_shared(params, job, seed=5)[0]
+    assert np.all(seen[1][0] == top)
     assert np.array_equal(theta, wrap3(*comps, L))
 
 
@@ -244,42 +227,50 @@ def test_masked_wrap3_at_the_top_of_the_ring(ell, p):
 
     def job(sess):
         m = share_secret(masks, 2, sess.shared_rng)[sess.party.index - 1]
-        theta, opened = P.wrap3_protocol(sess, share_components(sess.party, comps, L), mask=m)
-        return P.reconstruct(sess, theta), opened
+        return P.wrap3_protocol(sess, share_components(sess.party, comps, L), m)
 
-    theta, opened = run_shared(params, job, seed=5)[0]
-    assert np.array_equal(theta, wrap3(*comps, L))
-    assert np.array_equal(opened, theta ^ masks)
+    opened = run_shared(params, job, seed=5)[0]
+    assert np.array_equal(opened, wrap3(*comps, L) ^ masks)
 
 
-def test_wrap3_identity_on_transcripts():
-    # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2), per run
-    params = RingParams(ell=16, p=37, fp=8)
-    n = 500
-    rng = np.random.default_rng(77)
-    comps = _random_sharings(params, n, rng)
+def wrap3_greek_terms(monkeypatch, params, comps, seed):
+    """The opened theta of a zero-masked wrap of the components, and
+    beta1 + beta2 + beta3 + delta + eta + alpha (mod 2) from terms computed
+    apart from the protocol: the dealer's x (its components) and alpha from
+    a first run under the same seed, r as it crosses the wire, and
+    eta = (x > r) from the oracle."""
+    L, n = params.L, len(comps[0])
+
+    def draw(sess):
+        w = sess.prep.wrap_rands(n)
+        return w.x, w.alpha
+
+    first = run_shared(params, draw, seed=seed)
+    xs = [x.lo for x, _ in first]  # party i holds component i as lo
+    alpha = reconstruct_all([al for _, al in first])
+    seen = tap_openings(monkeypatch, "wa-open-r")
 
     def job(sess):
-        a = share_components(sess.party, tuple(comps), params.L)
-        theta, tr = P.wrap3_protocol(sess, a, want_transcript=True)
-        return theta, tr
+        return P.wrap3_protocol(sess, share_components(sess.party, tuple(comps), L),
+                                zero_mask(sess, n))
 
-    res = run_three_parties(_with_dealer(params, job), params, session_seed=0)
-    thetas = [r[0] for r in res]
-    trs = [r[1] for r in res]
-    theta = reconstruct_all(thetas)
-    beta_sum = reconstruct_all([t.beta_bits for t in trs])
-    eta = reconstruct_all([t.eta for t in trs])
-    alpha = reconstruct_all([t.alpha for t in trs])
-    delta = trs[0].delta
-    assert np.array_equal(theta, (beta_sum + delta + eta + alpha) % 2)
+    theta = run_shared(params, job, seed=seed)[0]
+    (r,) = seen[1]
+    x = reconstruct_all([x for x, _ in first])
+    r_comps = [add_mod(c, xc, L) for c, xc in zip(comps, xs)]
+    assert np.array_equal(r, add_mod(add_mod(r_comps[0], r_comps[1], L), r_comps[2], L))
+    beta = sum((c.astype(object) + xc.astype(object) >= L).astype(np.uint8)
+               for c, xc in zip(comps, xs))
+    delta = wrap3(*r_comps, L)
+    eta = oracle_compare(x, r)
+    return theta, (beta + delta + eta + alpha) % 2
+
+
+def test_wrap3_identity_on_transcripts(monkeypatch):
+    # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2), per run
+    params = RingParams(ell=16, p=37, fp=8)
+    comps = _random_sharings(params, 500, np.random.default_rng(77))
+    theta, rhs = wrap3_greek_terms(monkeypatch, params, comps, seed=0)
+    assert np.array_equal(theta, rhs)
     # and theta is the true wrap of the inputs
     assert np.array_equal(theta, wrap3(comps[0], comps[1], comps[2], params.L))
-
-
-def _with_dealer(params, fn, seed=0):
-    def wrapped(sess):
-        sess.prep = DealerPrep(sess.party, params, seed=seed)
-        return fn(sess)
-
-    return wrapped

@@ -1,5 +1,6 @@
-"""Every name a falcon module imports is used in that module, and every
-name a falcon function assigns is read in that function."""
+"""Every name a falcon module imports is used in that module, every import
+sits at module level, and every name a falcon function assigns is read in
+that function."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,23 @@ def unused_imports(tree: ast.Module) -> list:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def local_imports(tree: ast.Module) -> list:
+    """Imports inside a function, nested functions included, and
+    `__import__` calls anywhere: (line, module) each."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    found |= {(inner.lineno, alias.name) for alias in inner.names}
+                elif isinstance(inner, ast.ImportFrom):
+                    found.add((inner.lineno, "." * inner.level + (inner.module or "")))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "__import__"):
+            found.add((node.lineno, ast.unparse(node.args[0]) if node.args else ""))
+    return sorted(found)
 
 
 def dead_locals(tree: ast.Module) -> list:
@@ -57,6 +75,26 @@ def test_scan_flags_an_unused_import():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_scan_flags_a_local_import():
+    tree = ast.parse(
+        "import math\n"
+        "class C:\n"
+        "    lock = __import__('threading').Lock()\n"
+        "def f():\n"
+        "    import os\n"
+        "    def g():\n"
+        "        from .rings import signed\n"
+        "    return os, g\n")
+    assert local_imports(tree) == [(3, "'threading'"), (5, "os"), (7, ".rings")]
+
+
+def test_no_module_imports_inside_a_function():
+    found = {path.name: local_imports(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}

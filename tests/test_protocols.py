@@ -5,7 +5,7 @@ import pytest
 
 from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed, reduce_mod
-from falcon.rss import RssShare, share_secret
+from falcon.rss import RssShare, public_share, share_secret
 from falcon.session import ThreatModel, run_three_parties
 from falcon import protocols as P
 
@@ -23,6 +23,34 @@ def run_shared(params, fn, threat=ThreatModel.SEMI_HONEST, seed=0):
 def shared_input(sess, x, mod):
     # all parties derive the same sharing from the session rng (harness style)
     return share_secret(x, mod, sess.shared_rng)[sess.party.index - 1]
+
+
+def zero_mask(sess, shape):
+    """A public zero over Z_2: a compare, wrap or DReLU masked by it opens
+    its bit itself."""
+    return public_share(sess.party, np.uint64(0), 2, shape=shape)
+
+
+def tap_openings(monkeypatch, tag):
+    """Every value opened in a round tagged `tag`, read where it crosses the
+    wire: {party index: [opened, ...]} in the order the round finishes them."""
+    seen = {}
+    open_begin = P.open_begin
+
+    def tap(sess, x, rnd):
+        fin = open_begin(sess, x, rnd)
+        if rnd.tag != tag:
+            return fin
+
+        def finish(results):
+            out = fin(results)
+            seen.setdefault(sess.party.index, []).append(out)
+            return out
+
+        return finish
+
+    monkeypatch.setattr(P, "open_begin", tap)
+    return seen
 
 
 PARAMS = RingParams(ell=32, p=37, fp=13)

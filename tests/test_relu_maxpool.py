@@ -13,7 +13,7 @@ from falcon.rings import RingParams, encode_fixed, reduce_mod, wrap3
 from falcon.rss import public_share, share_components
 from falcon.session import ThreatModel, run_three_parties
 
-from test_protocols import run_shared, shared_input
+from test_protocols import run_shared, shared_input, tap_openings, zero_mask
 
 PARAMS = RingParams(ell=32, p=37, fp=13)
 
@@ -31,7 +31,7 @@ def test_drelu_exhaustive_8bit():
 
     def job(sess):
         a = shared_input(sess, xs, params.L)
-        return P.reconstruct(sess, P.drelu(sess, a))
+        return P.drelu(sess, a, zero_mask(sess, a.shape))
 
     got = run_shared(params, job)[0]
     assert np.array_equal(got, oracle_drelu(xs, params))
@@ -41,7 +41,7 @@ def test_drelu_edges():
     def job(sess):
         vals = np.array([0, PARAMS.L - 1, PARAMS.L // 2, PARAMS.L // 2 - 1], np.uint64)
         a = shared_input(sess, vals, PARAMS.L)
-        return P.reconstruct(sess, P.drelu(sess, a))
+        return P.drelu(sess, a, zero_mask(sess, a.shape))
 
     got = run_shared(PARAMS, job)[0]
     # 0 -> 1; -eps -> 0; exactly L/2 (MSB set) -> 0; L/2 - 1 -> 1
@@ -73,7 +73,8 @@ def test_wrap3_drelu_exact_above_byte_primes(p):
 
     def job(sess):
         a = share_components(sess.party, comps, params.L)
-        return P.reconstruct(sess, P.wrap3_protocol(sess, a)), P.reconstruct(sess, P.drelu(sess, a))
+        zero = zero_mask(sess, a.shape)
+        return P.wrap3_protocol(sess, a, zero), P.drelu(sess, a, zero)
 
     theta, bit = run_shared(params, job)[0]
     assert np.array_equal(theta, wrap3(*comps, params.L))
@@ -119,22 +120,7 @@ def test_relu_staged_opening_is_blinded(monkeypatch):
     # stays exact
     n = 7400
     xs = np.full(n, encode_fixed(1.5, PARAMS), np.uint64)
-    seen = {}
-    open_begin = P.open_begin
-
-    def tap(sess, x, rnd):
-        fin = open_begin(sess, x, rnd)
-        if rnd.tag != "pc-open-d":
-            return fin
-
-        def finish(results):
-            out = fin(results)
-            seen.setdefault(sess.party.index, []).append(out)
-            return out
-
-        return finish
-
-    monkeypatch.setattr(P, "open_begin", tap)
+    seen = tap_openings(monkeypatch, "pc-open-d")
 
     def job(sess):
         return P.reconstruct(sess, P.relu(sess, shared_input(sess, xs, PARAMS.L)))
@@ -266,15 +252,16 @@ def test_drelu_online_memory():
     def job(sess):
         sess.prep = Drawn(DealerPrep(sess.party, PARAMS, seed=9))
         a = shared_input(sess, raws, PARAMS.L)
+        zero = zero_mask(sess, a.shape)
         gate.wait()
         if sess.party.index == 1:
             tracemalloc.start()
         gate.wait()
-        bits = P.drelu(sess, a)
+        bits = P.drelu(sess, a, zero)
         gate.wait()
         if sess.party.index == 1:
             peak.append(tracemalloc.get_traced_memory()[1])
-        return P.reconstruct(sess, bits)
+        return bits
 
     try:
         got = run_three_parties(job, PARAMS, session_seed=9)[0]
@@ -283,6 +270,26 @@ def test_drelu_online_memory():
     assert np.array_equal(got, oracle_drelu(raws, PARAMS))
     per_elem = peak[0] / n
     assert per_elem < 600, f"drelu({n}) peaked at {per_elem:.0f} B per element over three parties"
+
+
+def test_drelu_runs_a_long_batch_in_chunks(monkeypatch):
+    # a batch above COMPARE_CHUNK runs as sequential chunks, each a whole
+    # DReLU of 2 + log2(ell) rounds, and their openings join in order
+    monkeypatch.setattr(P, "COMPARE_CHUNK", 100)
+    rng = np.random.default_rng(250)
+    raws = rng.integers(0, PARAMS.L, (10, 25), dtype=np.uint64)
+    masks = rng.integers(0, 2, (10, 25)).astype(np.uint8)
+
+    def job(sess):
+        a = shared_input(sess, raws, PARAMS.L)
+        m = shared_input(sess, masks, 2)
+        r0 = sess.meter.rounds
+        opened = P.drelu(sess, a, m)
+        return opened, sess.meter.rounds - r0
+
+    opened, rounds = run_shared(PARAMS, job)[0]
+    assert np.array_equal(opened, oracle_drelu(raws, PARAMS) ^ masks)
+    assert rounds == 3 * (2 + 5)
 
 
 @pytest.mark.parametrize("ell", [63, 64])
@@ -322,22 +329,21 @@ def test_small_ring_shares_stay_uint8(mode):
         sess.prep = RecordingPrep(DealerPrep(sess.party, PARAMS, seed=5) if mode == "dealer"
                                   else DistributedPrep(sess))
         a = shared_input(sess, raws, PARAMS.L)
-        bits = P.drelu(sess, a)
+        opened = P.drelu(sess, a, zero_mask(sess, a.shape))
         mx, path = P.maxpool_argmax(sess, a.reshape(4, 4))
-        return bits, P.reconstruct(sess, bits), mx, path, sess.prep.records
+        return opened, mx, path, sess.prep.records
 
-    for bits, opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
+    for opened, mx, path, records in run_three_parties(job, PARAMS, session_seed=5):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
         # the wrap material carries the compare's blinding, flipped bits and
         # mask products, so no drelu draws compare material of its own
         assert records["compare"] == []
-        small = [bits]
-        small += [s for w in records["wrap"]
-                  for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits,
-                            w.m_beta, w.m_xtop)]
+        small = [s for w in records["wrap"]
+                 for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits,
+                           w.m_beta, w.m_xtop)]
         small += [b.c2 for b in records["bitpair"]]
-        assert len(small) == 1 + 8 * 3 + 2  # 3 drelus, 2 of them lifted
+        assert len(small) == 8 * 3 + 2  # 3 drelus, 2 of them lifted
         for sh in small:
             assert sh.mod in (2, PARAMS.p)
             assert sh.lo.dtype == np.uint8 and sh.hi.dtype == np.uint8
