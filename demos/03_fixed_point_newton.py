@@ -15,7 +15,7 @@ from falcon.rings import RingParams, decode_fixed, encode_fixed
 from falcon.rss import share_secret
 from falcon.session import run_three_parties
 
-params = RingParams(ell=32, p=37, fp=13)
+params = RingParams(ell=32, fp=13)
 
 
 def job(sess):

@@ -25,7 +25,7 @@ from .data import FormatError, ingest_mnist, load_tensors, write_synth_idx
 from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
-from .rings import RingParams, bit_decompose, decode_fixed, encode_fixed
+from .rings import RingError, RingParams, bit_decompose, decode_fixed, encode_fixed
 from .rss import public_share, share_secret
 from .session import PartySession, ThreatModel, make_session, run_three_parties
 from .transport import TcpLinks
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     def ring(p):
         p.add_argument("--ring-bits", type=int, default=32)
         p.add_argument("--fp-bits", type=int, default=13)
-        p.add_argument("--prime", type=int, default=37)
 
     def common(p):  # the session commands: bench, infer, train
         p.add_argument("--party", type=int, default=0, help="party index for tcp runs (1-3); 0 = all in-process")
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--protocol", default="relu",
                    choices=["mult", "matmul", "pc", "wa", "drelu", "relu", "maxpool", "pow", "div", "bn"])
     b.add_argument("--n", type=int, default=1000)
-    b.add_argument("--trials", type=int, default=1)
     b.add_argument("--dims", default="4,4,4", help="matmul dims x,y,z")
     b.add_argument("--pool", type=int, default=4, help="maxpool window elements")
     b.add_argument("--groups", type=int, default=1, help="bn normalization groups")
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def ring_params(args) -> RingParams:
-    return RingParams(ell=args.ring_bits, p=args.prime, fp=args.fp_bits)
+    return RingParams(ell=args.ring_bits, fp=args.fp_bits)
 
 
 def make_prep(args, sess: PartySession):
@@ -326,24 +324,18 @@ def cmd_bench(args) -> int:
     params = ring_params(args)
 
     def job(sess: PartySession):
-        rows = []
-        for _ in range(args.trials):
-            inputs = _bench_inputs(sess, args.protocol, args)
-            r0, b0, w0 = sess.meter.rounds, sess.meter.acct_bits, sess.meter.wire_bytes
-            t0 = time.perf_counter()
-            _bench_call(sess, args.protocol, inputs)
-            rows.append(
-                {
-                    "rounds": sess.meter.rounds - r0,
-                    "acct_bytes": (sess.meter.acct_bits - b0) / 8,
-                    "wire_bytes": sess.meter.wire_bytes - w0,
-                    "seconds": time.perf_counter() - t0,
-                }
-            )
-        return rows
+        inputs = _bench_inputs(sess, args.protocol, args)
+        r0, b0, w0 = sess.meter.rounds, sess.meter.acct_bits, sess.meter.wire_bytes
+        t0 = time.perf_counter()
+        _bench_call(sess, args.protocol, inputs)
+        return {
+            "rounds": sess.meter.rounds - r0,
+            "acct_bytes": (sess.meter.acct_bits - b0) / 8,
+            "wire_bytes": sess.meter.wire_bytes - w0,
+            "seconds": time.perf_counter() - t0,
+        }
 
-    rows = run_cmd(args, job)
-    measured = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
+    measured = run_cmd(args, job)
     dims = tuple(int(v) for v in args.dims.split(","))
     predicted = table10(args.protocol, params, args.n, args.threat, dims, args.pool, args.groups)
     report = {

@@ -385,7 +385,7 @@ def load_checkpoint(path: str) -> tuple[dict, RingParams]:
     if ring is None or ring.shape != (3,):
         raise FormatError(f"{path}: no [ell, p, fp] ring entry")
     try:
-        params = RingParams(ell=int(ring[0]), p=int(ring[1]), fp=int(ring[2]))
+        params = RingParams(ell=int(ring[0]), fp=int(ring[2]))
     except RingError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return tensors, params

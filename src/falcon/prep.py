@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
 from .protocols import compare_products, mult
-from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
+from .rings import NARROW, UINT, RingParams, bit_decompose, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
@@ -158,14 +158,12 @@ class DealerPrep:
             bits = bit_decompose(x, p)  # (n, ell)
             beta, m = self._blinding(n)
             # the products are dealt as fresh sharings: scaling the bits'
-            # shares by (1 or p - 1) would tell each party beta. The bits are
-            # 0/1 uint8, so each product is formed in Z_p's dtype, which
-            # holds p - 1
-            dt = dtype_for(p.p)
-            v = bits.astype(dt, copy=False) * np.where(beta, p.p - 1, 1).astype(dt)[:, None]
+            # shares by (1 or p - 1) would tell each party beta. Each is a
+            # product of a bit and a value below p, so it fits a uint8
+            v = bits * np.where(beta, p.p - 1, 1).astype(NARROW)[:, None]
             return (comps, *(self._share_all(val, mod) for val, mod in (
                 (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p),
-                (m * beta.astype(dt), p.p), (m * bits[:, -1].astype(dt), p.p))))
+                (m * beta, p.p), (m * bits[:, -1], p.p))))
 
         comps, *shared = self._consume("wrap", (n,), gen)
         i = self.party.index - 1
@@ -174,7 +172,7 @@ class DealerPrep:
     def _blinding(self, n: int):
         """The compare's blinding bit beta and the nonzero m~ of its mask over Z_p."""
         beta = self.rng.integers(0, 2, n).astype(NARROW)
-        return beta, self.rng.integers(1, self.params.p, n).astype(dtype_for(self.params.p))
+        return beta, self.rng.integers(1, self.params.p, n).astype(NARROW)
 
     def compare_rands(self, n: int) -> CompareRand:
         p = self.params

@@ -65,11 +65,10 @@ reconstruct = open_share
 
 def _cross_terms(x: RssShare, y: RssShare) -> np.ndarray:
     # z_i = x_i (y_i + y_{i+1}) + x_{i+1} y_i, reduced once. Its integer value
-    # stays below 3 (m - 1)^2: uint16 holds it for a uint8-stored odd p, a
-    # power of two wraps its own dtype (2 | 2^8, 2^ell | 2^64), and uint64
-    # holds it for a uint64-stored p below 2^31
+    # stays below 3 (m - 1)^2: uint16 holds it for the odd p, and a power of
+    # two wraps its own dtype (2 | 2^8, 2^ell | 2^64)
     m = x.mod
-    acc = np.uint16 if dtype_for(m) == NARROW and m & (m - 1) else dtype_for(m)
+    acc = np.uint16 if m & (m - 1) else dtype_for(m)
     with np.errstate(over="ignore"):
         z = np.multiply(x.lo, np.add(y.lo, y.hi, dtype=acc), dtype=acc)
         z += np.multiply(x.hi, y.lo, dtype=acc)
@@ -318,24 +317,23 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
     p, ell = params.p, params.ell
     n = xbits.shape[0]
     # each factor's signed sum lies in (-2 ell p, (2 ell + 1) p); adding
-    # `lift`, a multiple of p, puts it in [0, 2^16) for a uint8-stored p
-    # (p <= 127, ell <= 64). int16 arithmetic wraps mod 2^16, so the uint16
-    # view is exact even where a partial sum leaves int16's range
-    acc, unsigned = (np.int16, np.uint16) if dtype_for(p) == NARROW else (np.int64, np.uint64)
+    # `lift`, a multiple of p, puts it in [0, 2^16) (p <= 67, ell <= 64).
+    # int16 arithmetic wraps mod 2^16, so the uint16 view is exact even
+    # where a partial sum leaves int16's range
     lift = 2 * ell * p
     own = (sess.party.index == 1, sess.party.index == 3)  # lo / hi hold component 1
-    out = (np.empty((n, ell), dtype_for(p)), np.empty((n, ell), dtype_for(p)))
+    out = (np.empty((n, ell), NARROW), np.empty((n, ell), NARROW))
     for k in range(0, n, PC_BLOCK_ROWS):
         rows = slice(k, k + PC_BLOCK_ROWS)
-        tb = bit_decompose(t[rows], params).astype(acc)  # (b, ell)
-        mf = bit_decompose(t[rows] ^ (t[rows] + np.uint64(1)), params).astype(acc)
+        tb = bit_decompose(t[rows], params).astype(np.int16)  # (b, ell)
+        mf = bit_decompose(t[rows] ^ (t[rows] + np.uint64(1)), params).astype(np.int16)
         mf *= 1 - 2 * tb  # M (1 - 2t)
         on_x = 1 - 2 * tb - mf  # (1 - 2t)(1 - M): w's coefficient of x
         on_own = tb + mf  # w's public term; c's is 1 - on_own
         on_beta = on_own + tb  # c's coefficient of beta
         fold = (1 - tb[:, -1] - mf[:, -1], mf[:, -1] - 2)  # m~'s and m~ beta's in m c[ell-1]
         for j, comp in enumerate(("lo", "hi")):
-            x, vj, beta, mj, mb, mx = (getattr(a, comp)[rows].astype(acc)
+            x, vj, beta, mj, mb, mx = (getattr(a, comp)[rows].astype(np.int16)
                                        for a in (xbits, v, beta_p, m, m_beta, m_xtop))
             beta = beta[:, None]
             f = on_beta * beta
@@ -352,7 +350,7 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
             f -= w  # whole rows: a column slice is several times slower
             f += w[:, -1:]
             f[:, -1] = mx + mj * fold[0] + mb * fold[1] + lift
-            out[j][rows] = reduce_mod(f.view(unsigned), p)
+            out[j][rows] = reduce_mod(f.view(np.uint16), p)
     return RssShare(out[0], out[1], p)
 
 

@@ -3,6 +3,8 @@
 Everything downstream (shares, protocols, oracles) works on raw ring
 values reduced with the helpers here and stored in one numpy dtype per
 modulus (`dtype_for`): uint8 for Z_2 and Z_p, uint64 for Z_{2^ell}.
+The compare prime p is not a setting: it is the smallest prime above
+ell + 1 (37 at ell = 32, 67 at ell = 64), so Z_p is always one byte.
 Fixed-point reals live in Z_{2^ell} in two's complement with `fp`
 fractional bits.
 """
@@ -10,6 +12,8 @@ fractional bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -23,21 +27,14 @@ class RingError(ValueError):
 
 @dataclass(frozen=True)
 class RingParams:
-    """Ring configuration: main ring width, compare prime, fixed-point bits."""
+    """Ring configuration: main ring width and fixed-point bits."""
 
     ell: int = 32
-    p: int = 37
     fp: int = 13
 
     def __post_init__(self):
         if not 8 <= self.ell <= 64:
             raise RingError(f"ell must be in [8, 64], got {self.ell}")
-        # p > ell + 1 keeps every private-compare factor, in [0, ell + 1],
-        # strictly below p.
-        if self.p <= self.ell + 1:
-            raise RingError(f"p must exceed ell + 1 = {self.ell + 1}, got {self.p}")
-        if not _is_prime(self.p):
-            raise RingError(f"p must be prime, got {self.p}")
         if not 0 < self.fp < self.ell - 2:
             raise RingError(f"fp must be in (0, ell-2), got {self.fp}")
 
@@ -45,16 +42,12 @@ class RingParams:
     def L(self) -> int:
         return 1 << self.ell
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    @cached_property
+    def p(self) -> int:
+        """The compare prime: the smallest prime above ell + 1, so every
+        private-compare factor, in [0, ell + 1], lies strictly below it. One
+        exists below 2 ell + 2 (Bertrand), so p <= 67 for ell <= 64."""
+        return next(q for q in count(self.ell + 2) if all(q % d for d in range(2, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +56,8 @@ def _is_prime(n: int) -> bool:
 
 def dtype_for(modulus: int) -> type:
     """Storage dtype of values mod `modulus`: uint8 when the sum of two
-    reduced values cannot wrap it (Z_2 and every p <= 127), else uint64."""
+    reduced values cannot wrap it (Z_2 and every compare prime, p <= 67),
+    else uint64 (Z_{2^ell})."""
     return NARROW if 2 * (modulus - 1) < 256 else UINT
 
 
@@ -92,7 +86,7 @@ def reduce_mod(x, modulus: int) -> np.ndarray:
         return x & dt(modulus - 1)
     if x.dtype.kind == "u":
         # wide division is slow; small values take a table lookup
-        if modulus < 256 and (x.dtype.itemsize <= 2 or (x.size and int(x.max()) < _REM_LUT_SPAN)):
+        if x.dtype.itemsize <= 2 or (x.size and int(x.max()) < _REM_LUT_SPAN):
             return _rem_lut(modulus)[x]
         return (x % np.uint64(modulus)).astype(dt, copy=False)
     # signed input: python-level mod keeps the result nonnegative
@@ -136,9 +130,8 @@ def mul_mod(a, b, modulus: int) -> np.ndarray:
         a, b = _reduced(a, modulus), _reduced(b, modulus)
         if modulus & (modulus - 1) == 0:
             return (a * b) & dt(modulus - 1)
-        if modulus < 256:  # product < m^2 < 2^16: a cache-hot table lookup
-            return _rem_lut(modulus)[a.astype(np.uint16) * b]
-        return (a * b) % np.uint64(modulus)
+        # odd: the product is below m^2 < 2^16, a cache-hot table lookup
+        return _rem_lut(modulus)[a.astype(np.uint16) * b]
 
 
 def neg_mod(a, modulus: int) -> np.ndarray:

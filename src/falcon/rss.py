@@ -41,7 +41,8 @@ class RssShare:
     """One party's replicated pair (lo = x_i, hi = x_{i+1}) modulo `mod`.
 
     lo/hi are arrays of identical shape in the modulus' storage dtype
-    (`rings.dtype_for`: uint8 over Z_2 and Z_p, uint64 over Z_{2^ell});
+    (`rings.dtype_for`: uint8 over Z_2 and Z_p, whose p <= 67 follows from
+    ell, uint64 over Z_{2^ell});
     elementwise protocols work on any shape, matrix protocols expect 2-D.
     """
 

@@ -19,9 +19,9 @@ def reconstruct_all(shares) -> np.ndarray:
 
 @pytest.fixture
 def params32() -> RingParams:
-    return RingParams(ell=32, p=37, fp=13)
+    return RingParams(ell=32, fp=13)
 
 
 @pytest.fixture
 def params8() -> RingParams:
-    return RingParams(ell=8, p=37, fp=4)
+    return RingParams(ell=8, fp=4)

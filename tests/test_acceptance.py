@@ -29,8 +29,8 @@ from test_compare_wrap import wrap3_greek_terms
 from test_protocols import run_shared, shared_input, zero_mask
 from test_relu_maxpool import maxpool_onehot
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
-P16 = RingParams(ell=32, p=37, fp=16)
+PARAMS = RingParams(ell=32, fp=13)
+P16 = RingParams(ell=32, fp=16)
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -74,7 +74,7 @@ def pretrained(digits):
 
 
 def test_criterion_1_private_compare_exhaustive():
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
     t0 = time.time()
     rng = np.random.default_rng(11)
     r_vals = np.concatenate([rng.integers(0, 256, 60, dtype=np.uint64),
@@ -104,7 +104,7 @@ def test_criterion_2_wrap(monkeypatch):
     failures = 0
     identity_fail = 0
     for ell in (16, 32):
-        params = RingParams(ell=ell, p=37, fp=min(13, ell - 3))
+        params = RingParams(ell=ell, fp=min(13, ell - 3))
         rng = np.random.default_rng(ell)
         comps = [rng.integers(0, params.L, 10_000, dtype=np.uint64) for _ in range(3)]
         expect = wrap3(comps[0], comps[1], comps[2], params.L)
@@ -124,7 +124,7 @@ def test_criterion_2_wrap(monkeypatch):
 
 def test_criterion_3_relu_drelu():
     # exhaustive at ell = 8
-    p8 = RingParams(ell=8, p=37, fp=4)
+    p8 = RingParams(ell=8, fp=4)
     xs8 = np.arange(256, dtype=np.uint64)
 
     def job8(sess):

@@ -7,7 +7,7 @@ import pytest
 
 from falcon import protocols as P
 from falcon.oracle import oracle_compare
-from falcon.rings import RingError, RingParams, add_mod, bit_decompose, sub_mod, wrap3
+from falcon.rings import RingParams, add_mod, bit_decompose, sub_mod, wrap3
 from falcon.rss import share_components, share_secret
 from falcon.session import ThreatModel
 from conftest import reconstruct_all
@@ -21,7 +21,7 @@ def _share_bits(sess, xs, params):
 
 
 def test_private_compare_examples():
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
 
     def job(sess):
         x = np.array([5, 0, 3, 255], np.uint64)
@@ -39,12 +39,10 @@ def test_private_compare_examples():
     assert list(got) == [1, 0, 0, 1]  # 5 > 3, not 0 > 0, not 3 > 4, 255 > 254
 
 
-@pytest.mark.parametrize("p", [37, 131])
 @pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS])
-def test_private_compare_exhaustive_8bit(threat, p):
-    # all x in [0, 256) against 64 targets, fresh random beta/m/shares each;
-    # p = 37 builds the factors in int16, p = 131 (stored as uint64) in int64
-    params = RingParams(ell=8, p=p, fp=4)
+def test_private_compare_exhaustive_8bit(threat):
+    # all x in [0, 256) against 64 targets, fresh random beta/m/shares each
+    params = RingParams(ell=8, fp=4)
     xs = np.tile(np.arange(256, dtype=np.uint64), 64)
     rng = np.random.default_rng(123)
     rs = np.repeat(
@@ -60,8 +58,8 @@ def test_private_compare_exhaustive_8bit(threat, p):
 
 
 def test_private_compare_full_word_targets():
-    # ell = 64: every uint64 target is in range, up to 2^64 - 1; p = 127,
-    # the largest uint8-stored prime, spans the factors' widest int16 range
+    # ell = 64: every uint64 target is in range, up to 2^64 - 1; p = 67, the
+    # largest compare prime, spans the factors' widest int16 range
     top = 2**64 - 1
     xs = np.array([0, 1, 2**63, top - 1, top] * 3, np.uint64)
     ts = np.repeat(np.array([0, top - 1, top], np.uint64), 5)
@@ -70,10 +68,9 @@ def test_private_compare_full_word_targets():
         bits = _share_bits(sess, xs, sess.params)
         return P.private_compare(sess, bits, ts, zero_mask(sess, len(xs)))
 
-    for p in (67, 127):
-        got = run_shared(RingParams(ell=64, p=p, fp=13), job)[0]
-        # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
-        assert got.tolist() == [0, 1, 1, 1, 1] + [0, 0, 0, 0, 1] + [0] * 5
+    got = run_shared(RingParams(ell=64, fp=13), job)[0]
+    # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
+    assert got.tolist() == [0, 1, 1, 1, 1] + [0, 0, 0, 0, 1] + [0] * 5
 
 
 def test_private_compare_reveal_blinded(monkeypatch):
@@ -83,7 +80,7 @@ def test_private_compare_reveal_blinded(monkeypatch):
     # the compare's "pc-open-d" round, which opens d over Z_p, then the bit
     from scipy import stats
 
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
     n = 7400
     xs = np.full(n, 77, np.uint64)
     rs = np.full(n, 20, np.uint64)
@@ -99,12 +96,12 @@ def test_private_compare_reveal_blinded(monkeypatch):
     zero_frac = float((d == 0).mean())
     assert 0.45 < zero_frac < 0.55
     nonzero = d[d != 0].astype(int)
-    counts = np.bincount(nonzero, minlength=37)[1:]
+    counts = np.bincount(nonzero, minlength=params.p)[1:]
     assert stats.chisquare(counts).pvalue > 1e-4
 
 
 def test_private_compare_rounds():
-    params = RingParams(ell=32, p=37, fp=13)
+    params = RingParams(ell=32, fp=13)
 
     def job(sess):
         xs = np.arange(8, dtype=np.uint64)
@@ -121,11 +118,10 @@ def test_private_compare_rounds():
 
 @pytest.mark.parametrize("ell, p", [(11, 13), (29, 31), (35, 37)])
 def test_compare_and_wrap_exact_at_p_just_above_ell_plus_one(ell, p):
-    # every compare factor lies in [0, ell + 1], so p = ell + 2 is the
-    # smallest prime the ring accepts; p = ell + 1 is refused
-    params = RingParams(ell=ell, p=p, fp=4)
-    with pytest.raises(RingError):
-        RingParams(ell=p - 1, p=p, fp=4)
+    # every compare factor lies in [0, ell + 1]; where ell + 2 is prime it is
+    # the derived p, the tightest prime that keeps the factors nonzero
+    params = RingParams(ell=ell, fp=4)
+    assert params.p == p == ell + 2
     L, n = params.L, 4000
     rng = np.random.default_rng(ell)
     edges = np.array([0, 1, L - 2, L - 1], np.uint64)
@@ -154,7 +150,7 @@ def _random_sharings(params, n, rng):
 
 @pytest.mark.parametrize("ell", [16, 32])
 def test_wrap3_matches_exact_wrap(ell):
-    params = RingParams(ell=ell, p=37, fp=min(13, ell - 3))
+    params = RingParams(ell=ell, fp=min(13, ell - 3))
     n = 10_000
     rng = np.random.default_rng(ell)
     comps = _random_sharings(params, n, rng)
@@ -169,7 +165,7 @@ def test_wrap3_matches_exact_wrap(ell):
 
 
 def test_wrap3_fixed_cases():
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
 
     # zero components and one wrapping combo
     def job(sess):
@@ -185,13 +181,14 @@ def test_wrap3_fixed_cases():
     assert outs[1] == 1  # 300 in [256, 512)
 
 
-@pytest.mark.parametrize("ell, p", [(8, 37), (32, 37), (64, 67)])
+@pytest.mark.parametrize("ell, p", [(8, 11), (32, 37), (64, 67)])
 def test_wrap3_at_the_top_of_the_ring(monkeypatch, ell, p):
     # the opened r at the top of the ring, 2^ell - 1, where eta = (x > r) is
     # 0 for every x: read the dealer's wrap mask x in a first run, then
     # share a = 2^ell - 1 - x under the same seed, so r = a + x = 2^ell - 1
     # at every element; r is read where it crosses the wire
-    params = RingParams(ell=ell, p=p, fp=min(13, ell - 3))
+    params = RingParams(ell=ell, fp=min(13, ell - 3))
+    assert params.p == p
     L, n = params.L, 512
     top = np.uint64(L - 1)
     x = reconstruct_all(run_shared(params, lambda sess: sess.prep.wrap_rands(n).x, seed=5))
@@ -210,12 +207,13 @@ def test_wrap3_at_the_top_of_the_ring(monkeypatch, ell, p):
     assert np.array_equal(theta, wrap3(*comps, L))
 
 
-@pytest.mark.parametrize("ell, p", [(8, 37), (32, 37), (64, 67)])
+@pytest.mark.parametrize("ell, p", [(8, 11), (32, 37), (64, 67)])
 def test_masked_wrap3_at_the_top_of_the_ring(ell, p):
     # at r = 2^ell - 1 the compare's answer is a public 0, so a consumer's
     # masked opening must open theta xor m from the mask alone; half the
     # elements sit at the top, half at a random r
-    params = RingParams(ell=ell, p=p, fp=min(13, ell - 3))
+    params = RingParams(ell=ell, fp=min(13, ell - 3))
+    assert params.p == p
     L, n = params.L, 512
     x = reconstruct_all(run_shared(params, lambda sess: sess.prep.wrap_rands(n).x, seed=5))
     rng = np.random.default_rng(ell + 1)
@@ -268,7 +266,7 @@ def wrap3_greek_terms(monkeypatch, params, comps, seed):
 
 def test_wrap3_identity_on_transcripts(monkeypatch):
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2), per run
-    params = RingParams(ell=16, p=37, fp=8)
+    params = RingParams(ell=16, fp=8)
     comps = _random_sharings(params, 500, np.random.default_rng(77))
     theta, rhs = wrap3_greek_terms(monkeypatch, params, comps, seed=0)
     assert np.array_equal(theta, rhs)

@@ -23,7 +23,7 @@ from falcon.prep import DealerPrep, RecordingPrep, load_prep_file, save_prep_fil
 from falcon.rings import UINT, RingParams, decode_fixed, encode_fixed
 from falcon.rss import PartyId, elem_acct_bits
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +92,11 @@ def test_cli_synth_then_ingest(tmp_path, capsys):
     paths = json.loads(capsys.readouterr().out)["paths"]
     store = str(tmp_path / "train.bin")
     rc = cli.main(["ingest-mnist", "--images", paths["train_images"], "--labels", paths["train_labels"],
-                   "--out", store, "--ring-bits", "32", "--fp-bits", "16", "--prime", "37", "--json"])
+                   "--out", store, "--ring-bits", "32", "--fp-bits", "16", "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["images"] == 40
     imgs = read_idx_images(paths["train_images"])
-    params = RingParams(ell=32, p=37, fp=16)
+    params = RingParams(ell=32, fp=16)
     assert np.array_equal(load_tensors(store)["images"], encode_fixed(imgs / 256.0, params))
     # the data commands take no three-party session flags
     with pytest.raises(SystemExit) as exc:
@@ -246,6 +246,13 @@ def test_cli_bench_relu_json(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["measured"]["rounds"] == report["predicted"]["rounds"] == 8
+
+
+@pytest.mark.parametrize("flags", [["--ring-bits", "7"], ["--ring-bits", "65"], ["--fp-bits", "40"]])
+def test_cli_ring_flags_out_of_range_report_error(capsys, flags):
+    rc = cli.main(["bench", "--protocol", "mult", "--n", "4"] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_bench_reference_table(capsys):

@@ -15,7 +15,7 @@ from falcon.transport import ChannelClosed, DesyncError, FaultInjector, Message
 
 from test_protocols import shared_input
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 def _job_mult_chain(sess):

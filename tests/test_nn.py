@@ -13,7 +13,7 @@ from falcon.rings import RingParams, decode_fixed, encode_fixed
 
 from test_protocols import run_shared, shared_input
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 def tiny_conv_net():

@@ -15,8 +15,8 @@ from falcon.session import ThreatModel
 
 from test_protocols import run_shared, shared_input
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
-P16 = RingParams(ell=32, p=37, fp=16)
+PARAMS = RingParams(ell=32, fp=13)
+P16 = RingParams(ell=32, fp=16)
 
 
 def test_bounding_power_examples():

@@ -6,8 +6,8 @@ from falcon import oracle as O
 from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 from falcon.rings import RingParams, encode_fixed
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
-P8 = RingParams(ell=8, p=37, fp=4)
+PARAMS = RingParams(ell=32, fp=13)
+P8 = RingParams(ell=8, fp=4)
 
 
 def test_oracle_compare():

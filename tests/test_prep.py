@@ -25,8 +25,8 @@ from conftest import reconstruct_all
 
 from test_protocols import run_shared, shared_input
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
-P8 = RingParams(ell=8, p=37, fp=4)
+PARAMS = RingParams(ell=32, fp=13)
+P8 = RingParams(ell=8, fp=4)
 
 
 def _dealers(params, seed=0):
@@ -148,18 +148,15 @@ def test_bit_inject_matches_shared_random_bits():
     assert np.array_equal(plain, lifted)
 
 
-P64 = RingParams(ell=64, p=67, fp=13)
-# a prime above 256: Z_p elements, p - 1 among them, no longer fit a uint8
-P257 = RingParams(ell=32, p=257, fp=13)
+P64 = RingParams(ell=64, fp=13)
 
 
 def _distributed_cases():
     # the id names only what differs from distributed, semi-honest, ell = 32
     for kind in ("trunc", "wrap", "compare", "bitpair"):
-        rings = ((RingParams(), ""), (P64, "-ell64")) + (((P257, "-p257"),) if kind == "wrap" else ())
         for source in ("", "-dealer"):
             for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
-                for params, pname in rings:
+                for params, pname in ((RingParams(), ""), (P64, "-ell64")):
                     yield pytest.param(kind, source == "-dealer", threat, params,
                                        id=kind + source + tname + pname)
 
@@ -250,7 +247,7 @@ def test_flipped_bits_are_a_fresh_sharing(dealer):
     assert run_three_parties(job, PARAMS, session_seed=5) == [0, 0, 0]
 
 
-@pytest.mark.parametrize("params", [RingParams(ell=16, p=37, fp=6), RingParams(), P64],
+@pytest.mark.parametrize("params", [RingParams(ell=16, fp=6), RingParams(), P64],
                          ids=["ell16", "ell32", "ell64"])
 def test_distributed_wrap_rands_rounds(params):
     # Rounds and cost-model bits per party of each artifact (Z_p and Z_2
@@ -386,15 +383,15 @@ def test_prep_file_checks_party_and_ring(tmp_path):
                     assert a.mod == b.mod
                     a, b = (a.lo, a.hi), (b.lo, b.hi)
                 assert np.array_equal(a, b)
-    for party, params in [(PartyId(2), PARAMS), (PartyId(1), RingParams(ell=32, p=41, fp=13)),
-                          (PartyId(1), RingParams(ell=16, p=37, fp=8))]:
+    for party, params in [(PartyId(2), PARAMS), (PartyId(1), RingParams(ell=16, fp=8))]:
         with pytest.raises(FormatError):
             FilePrep(path, party, params)
     # a well-formed container whose entries do not fit their record
     entries = load_tensors(path, PREP_MAGIC)
     narrow = {f"wrap.0.{f}.{k}": entries[f"wrap.0.{f}.{k}"][:, :8]  # (n, 8)
               for f in ("xbits", "vbits") for k in ("lo", "hi")}
-    for bad in [{"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
+    for bad in [{"session": np.array([1, 32, 41], np.uint64)},  # made under a foreign prime
+                {"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
                 {"trunc.0.d": np.uint64(PARAMS.fp)},  # one shift for the record
                 {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
                 {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},

@@ -53,7 +53,7 @@ def tap_openings(monkeypatch, tag):
     return seen
 
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 @pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS])
@@ -64,7 +64,7 @@ def test_mult_basic(threat):
         z = P.mult(sess, x, y)
         return P.reconstruct(sess, z)
 
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
     out = run_shared(params, job, threat=threat)
     assert all(o == 15 for o in out)
 
@@ -75,12 +75,12 @@ def test_mult_zero():
         y = shared_input(sess, np.uint64(123), 256)
         return P.reconstruct(sess, P.mult(sess, x, y))
 
-    assert run_shared(RingParams(ell=8, p=37, fp=4), job)[0] == 0
+    assert run_shared(RingParams(ell=8, fp=4), job)[0] == 0
 
 
 def test_mult_exhaustive_small_ring():
     # all pairs over the 8-bit ring in one vectorized run
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
     xs, ys = np.meshgrid(np.arange(256, dtype=np.uint64), np.arange(256, dtype=np.uint64))
     xs, ys = xs.ravel(), ys.ravel()
 
@@ -108,7 +108,7 @@ def test_cross_terms_exhaustive(mod):
     assert got.tolist() == _cross_terms_reference(xl, xh, yl, yh, mod)
 
 
-@pytest.mark.parametrize("mod", [67, 127, 131, 2**32, 2**64])
+@pytest.mark.parametrize("mod", [67, 2**32, 2**64])
 def test_cross_terms_sampled(mod):
     rng = np.random.default_rng(mod % 997)
     xl, xh, yl, yh = (rng.integers(0, mod, (400, 6), dtype=np.uint64) for _ in range(4))
@@ -239,7 +239,7 @@ def test_one_minus_two_beta(mod):
             out[beta] = P.reconstruct(sess, P.mult(sess, P.one_minus_two_beta(sess, b), x))
         return out
 
-    out = run_shared(RingParams(ell=8, p=37, fp=4), job)[0]
+    out = run_shared(RingParams(ell=8, fp=4), job)[0]
     assert np.array_equal(out[0], xs)
     assert np.array_equal(out[1], reduce_mod(-xs.astype(np.int64), mod))
 

@@ -9,13 +9,13 @@ import pytest
 from falcon import protocols as P
 from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
 from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
-from falcon.rings import RingParams, encode_fixed, reduce_mod, wrap3
-from falcon.rss import public_share, share_components
+from falcon.rings import RingParams, encode_fixed, reduce_mod
+from falcon.rss import public_share
 from falcon.session import ThreatModel, run_three_parties
 
 from test_protocols import run_shared, shared_input, tap_openings, zero_mask
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 def maxpool_onehot(sess, a):
@@ -26,7 +26,7 @@ def maxpool_onehot(sess, a):
 
 
 def test_drelu_exhaustive_8bit():
-    params = RingParams(ell=8, p=37, fp=4)
+    params = RingParams(ell=8, fp=4)
     xs = np.arange(256, dtype=np.uint64)
 
     def job(sess):
@@ -62,25 +62,6 @@ def test_relu_random_32bit(threat):
     assert np.array_equal(got, oracle_relu(raws, PARAMS))
 
 
-@pytest.mark.parametrize("p", [257, 263])
-def test_wrap3_drelu_exact_above_byte_primes(p):
-    # Z_p elements stop fitting a uint8 above 256, p - 1 among them, which
-    # the compare's preprocessed flip (1 - 2 beta) x[i] takes for beta = 1
-    params = RingParams(ell=32, p=p, fp=13)
-    rng = np.random.default_rng(p)
-    comps = tuple(rng.integers(0, params.L, 2000, dtype=np.uint64) for _ in range(3))
-    raws = reduce_mod(comps[0] + comps[1] + comps[2], params.L)
-
-    def job(sess):
-        a = share_components(sess.party, comps, params.L)
-        zero = zero_mask(sess, a.shape)
-        return P.wrap3_protocol(sess, a, zero), P.drelu(sess, a, zero)
-
-    theta, bit = run_shared(params, job)[0]
-    assert np.array_equal(theta, wrap3(*comps, params.L))
-    assert np.array_equal(bit, oracle_drelu(raws, params))
-
-
 def test_relu_fixed_point_values():
     def job(sess):
         a = shared_input(sess, encode_fixed(np.array([-5.0, 3.25]), PARAMS), PARAMS.L)
@@ -102,7 +83,7 @@ def test_relu_round_meter_is_formula_exact():
 
     assert run_shared(PARAMS, job)[0] == 3 + 5
 
-    params8 = RingParams(ell=8, p=37, fp=4)
+    params8 = RingParams(ell=8, fp=4)
 
     def job8(sess):
         a = shared_input(sess, np.arange(16, dtype=np.uint64), params8.L)
@@ -295,7 +276,7 @@ def test_drelu_runs_a_long_batch_in_chunks(monkeypatch):
 @pytest.mark.parametrize("ell", [63, 64])
 def test_relu_truncate_maxpool_at_wide_rings(ell):
     # the sign extension of the signed view must hold up to the full word
-    params = RingParams(ell=ell, p=67, fp=13)
+    params = RingParams(ell=ell, fp=13)
     rng = np.random.default_rng(ell)
     half = 1 << (ell - 3)  # truncation is exact below 2^{ell-2}
     vals = rng.integers(-half, half, 64, dtype=np.int64)

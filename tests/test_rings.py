@@ -1,8 +1,11 @@
 """Ring arithmetic, fixed-point encoding and the plain wrap functions."""
 
+import json
+
 import numpy as np
 import pytest
 
+from falcon import cli
 from falcon.rings import (
     RingError,
     RingParams,
@@ -21,7 +24,7 @@ from falcon.rings import (
     wrap3,
     wrap3_exact,
 )
-from falcon.rss import deserialize_elems
+from falcon.rss import deserialize_elems, elem_width
 
 
 def test_params_defaults():
@@ -30,14 +33,32 @@ def test_params_defaults():
     assert p.L == 2**32
 
 
-@pytest.mark.parametrize(
-    "ell,p,fp",
-    [(7, 37, 4), (65, 131, 13), (32, 33, 13), (32, 31, 13), (36, 37, 13), (10, 11, 4),
-     (32, 37, 0), (32, 37, 30)],
-)
-def test_params_invalid(ell, p, fp):
+@pytest.mark.parametrize("ell,fp", [(7, 4), (65, 13), (32, 0), (32, 30)])
+def test_params_invalid(ell, fp):
     with pytest.raises(RingError):
-        RingParams(ell=ell, p=p, fp=fp)
+        RingParams(ell=ell, fp=fp)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_compare_prime_follows_from_ell(capsys):
+    # the smallest prime above ell + 1 keeps every compare factor, in
+    # [0, ell + 1], nonzero unless it is 0; it never leaves a uint8
+    for ell in range(8, 65):
+        p = RingParams(ell=ell, fp=4).p
+        assert _is_prime(p) and p > ell + 1, ell
+        assert not any(_is_prime(q) for q in range(ell + 2, p)), ell
+        assert p <= 67
+        assert dtype_for(p) is np.uint8 and elem_width(p, ell) == 1
+    assert RingParams(ell=32).p == 37
+    assert RingParams(ell=64).p == 67
+    # so a 64-bit ring needs no prime passed alongside it
+    rc = cli.main(["bench", "--protocol", "relu", "--n", "8", "--ring-bits", "64", "--json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ring_bits"] == 64 and report["round_ratio"] == 1.0
 
 
 def test_encode_examples():
@@ -117,7 +138,7 @@ def test_signed_view():
     # every width against Python-int references, edges included
     rng = np.random.default_rng(6)
     for ell in (8, 16, 32, 40, 62, 63, 64):
-        p = RingParams(ell=ell, p=67, fp=4)
+        p = RingParams(ell=ell, fp=4)
         top = (1 << ell) - 1
         raws = [0, 1, (1 << (ell - 1)) - 1, 1 << (ell - 1), top]
         raws += [int(v) & top for v in rng.integers(0, 2**64, 200, dtype=np.uint64)]
@@ -125,9 +146,9 @@ def test_signed_view():
         assert signed(np.array(raws, np.uint64), p).tolist() == want
 
 
-# Z_2 and primes up to 127 are stored as uint8; 131 and 251 still fit a
-# byte but a + b would wrap it, so they keep the uint64 path
-SMALL_MODULI = (2, 37, 67, 127, 131, 251)
+# Z_2 and every compare prime (11 at ell = 8 up to 67 at ell = 64) are
+# stored as uint8, as is 127, the largest odd modulus a + b cannot wrap there
+SMALL_MODULI = (2, 11, 37, 67, 127)
 BINARY_OPS = ((add_mod, lambda x, y: x + y), (sub_mod, lambda x, y: x - y),
               (mul_mod, lambda x, y: x * y))
 
@@ -135,7 +156,7 @@ BINARY_OPS = ((add_mod, lambda x, y: x + y), (sub_mod, lambda x, y: x - y),
 @pytest.mark.parametrize("mod", SMALL_MODULI)
 def test_small_ring_helpers_exhaustive(mod):
     dt = dtype_for(mod)
-    assert dt is (np.uint8 if mod <= 127 else np.uint64)
+    assert dt is np.uint8
     pairs = [(x, y) for x in range(mod) for y in range(mod)]
     a = np.array([x for x, _ in pairs])
     b = np.array([y for _, y in pairs])

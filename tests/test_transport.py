@@ -21,7 +21,7 @@ from falcon.transport import (
 )
 from falcon.rss import serialize_elems, share_secret
 
-PARAMS = RingParams(ell=32, p=37, fp=13)
+PARAMS = RingParams(ell=32, fp=13)
 
 
 def test_message_roundtrip():
