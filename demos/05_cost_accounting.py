@@ -1,9 +1,11 @@
 """Round and byte meters against the analytic cost model.
 
-Every send is metered twice: wire bytes as serialized, and cost-model
-bytes where ring elements count their width and bit-ring elements count a
-single bit. The malicious variants send every opened element twice and
-everything else once, so they add the bytes of the openings.
+Every send is metered twice: wire bytes as serialized (Z_L elements in
+1, 4 or 8-byte words, Z_p elements packed at ceil(log2 p) bits and Z_2
+elements at one bit, plus headers), and cost-model bytes where ring
+elements count their width and bit-ring elements count a single bit. The
+malicious variants send every opened element twice and everything else
+once, so they add the bytes of the openings.
 """
 
 from falcon.cli import main

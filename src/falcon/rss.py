@@ -3,11 +3,16 @@
 A secret x in Z_m is split as x = x1 + x2 + x3 (mod m); party P_i holds
 the pair (x_i, x_{i+1}) with periodic indices. This module is pure value
 logic: share creation, local linear algebra, serialization and the keyed
-PRF streams. Anything that talks to a peer lives in falcon.session.
+PRF streams. Serialization packs each element at its ring's bit width
+(Z_2 at 1 bit, Z_p at ceil(log2 p) bits, Z_L in 1, 4 or 8-byte words) and
+refuses any payload that is not the one encoding of its elements. Anything
+that talks to a peer lives in falcon.session.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -168,15 +173,26 @@ def concat_shares(shares: list[RssShare], axis: int = 0) -> RssShare:
 
 
 # ---------------------------------------------------------------------------
-# serialization: little-endian fixed width, component lo then hi
+# serialization: component lo then hi, each element at its ring's bit width.
+# Z_L elements are little-endian words of 1, 4 or 8 bytes. Z_p and Z_2
+# elements pack at b = ceil(log2 mod) < 8 bits: the n elements, zero-padded
+# to 8g, are cut into P = 8 / gcd(b, 8) equal rows, and the payload is
+# bP / 8 rows of bytes whose column j, read as a little-endian word, holds
+# element j of row k at bits b*k to b*k + b - 1. That is b*g bytes.
 
 
-def elem_width(mod: int, ell: int) -> int:
-    """Wire width in bytes of one element: 1 for Z_p and Z_2; for Z_L the
-    smallest of 1, 4 or 8 bytes that holds ell bits."""
-    if mod < 256 or ell <= 8:
-        return 1
-    return 4 if ell <= 32 else 8
+def elem_bits(mod: int, ell: int) -> int:
+    """Wire width in bits of one element: ceil(log2 mod) for Z_2, Z_p and
+    Z_L at ell = 8; otherwise 32 or 64, the Z_L word that holds ell bits."""
+    if mod <= 256:
+        return (mod - 1).bit_length()
+    return 32 if ell <= 32 else 64
+
+
+def wire_nbytes(mod: int, ell: int, n: int) -> int:
+    """Payload bytes of n elements mod `mod`."""
+    b = elem_bits(mod, ell)
+    return b * -(-n // 8) if b < 8 else n * b // 8
 
 
 def elem_acct_bits(mod: int, ell: int) -> int:
@@ -184,21 +200,71 @@ def elem_acct_bits(mod: int, ell: int) -> int:
     return ell if mod == (1 << ell) else 1
 
 
+@functools.cache
+def _slots(b: int):
+    """(element row k, byte row r, bit shift s) of each of the P element
+    rows; an element with s + b > 8 spills its top bits into row r + 1."""
+    period = 8 // math.gcd(b, 8)
+    return period, tuple((k, *divmod(b * k, 8)) for k in range(period))
+
+
 def serialize_elems(x: np.ndarray, mod: int, ell: int) -> bytes:
-    return np.ascontiguousarray(x, f"<u{elem_width(mod, ell)}").tobytes()
+    b = elem_bits(mod, ell)
+    if b >= 8:
+        return np.ascontiguousarray(x, f"<u{b // 8}").tobytes()
+    x = np.asarray(x)
+    period, slots = _slots(b)
+    padded = -(-x.size // 8) * 8
+    if x.size == padded and x.dtype == np.uint8:
+        rows = np.ascontiguousarray(x).reshape(period, -1)
+    else:
+        rows = np.zeros((period, padded // period), np.uint8)
+        rows.reshape(-1)[: x.size] = x.reshape(-1)
+    out = np.empty((b * period // 8, rows.shape[1]), np.uint8)
+    # an element at shift 0, or one spilling into a row, holds that row's
+    # lowest bits, so it writes the row and the elements above it OR in;
+    # left shifts are uint8 products: numpy vectorizes those, not uint8 shifts
+    for k, r, s in slots:
+        if s == 0:
+            out[r] = rows[k]
+        else:
+            out[r] |= rows[k] * (1 << s)
+        if s + b > 8:
+            np.right_shift(rows[k], 8 - s, out=out[r + 1])
+    return out.tobytes()
 
 
 def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
     """Read the wire width into the modulus' storage dtype (a fresh array).
 
-    A sender reduces every element it serializes, so an element >= mod is a
-    malformed payload: it raises RingError rather than being reduced.
+    Every payload has one encoding: a sender reduces every element it
+    serializes and pads with zero bits, so a buffer of the wrong length, an
+    element >= mod or a nonzero padding bit is a malformed payload. Each
+    raises RingError rather than being reduced.
     """
-    width = elem_width(mod, ell)
-    out = np.frombuffer(buf, dtype=f"<u{width}").reshape(shape)
-    if mod < 1 << (8 * width) and out.size and int(out.max()) >= mod:
-        raise RingError(f"element {int(out.max())}, not below the modulus {mod}")
-    return out.astype(dtype_for(mod))
+    b = elem_bits(mod, ell)
+    n = int(np.prod(shape, dtype=int))
+    if len(buf) != wire_nbytes(mod, ell, n):
+        raise RingError(f"{len(buf)} payload bytes, not the {wire_nbytes(mod, ell, n)} "
+                        f"of {n} elements mod {mod}")
+    if b >= 8:
+        flat = np.frombuffer(buf, f"<u{b // 8}")
+    else:
+        period, slots = _slots(b)
+        rows = np.frombuffer(buf, np.uint8).reshape(b * period // 8, -1)
+        elems = np.empty((period, rows.shape[1]), np.uint8)
+        for k, r, s in slots:
+            np.right_shift(rows[r], s, out=elems[k])
+            if s + b > 8:
+                elems[k] |= rows[r + 1] * (1 << (8 - s))
+        elems &= (1 << b) - 1
+        flat = elems.reshape(-1)
+        if flat[n:].any():
+            raise RingError(f"nonzero padding bits after {n} elements mod {mod}")
+    if mod < 1 << b and n and int(flat.max()) >= mod:
+        raise RingError(f"element {int(flat[np.argmax(flat >= mod)])}, not below the modulus {mod}")
+    out = flat[:n].reshape(shape)
+    return out if b < 8 else out.astype(dtype_for(mod))
 
 
 # ---------------------------------------------------------------------------

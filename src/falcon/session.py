@@ -5,6 +5,13 @@ threat model and cost meters. Protocol code is written SPMD-style: the
 same function runs at each party and synchronizes through Round objects,
 each of which is exactly one communication round of the cost model.
 
+A payload is its ring elements as rss.serialize_elems packs them (Z_2 and
+Z_p at ceil(log2 mod) bits each, Z_L in 1, 4 or 8-byte words), followed in
+malicious openings by the sender's link digest. The receiver refuses a
+payload of the wrong length, an element out of range or a nonzero padding
+bit, naming the round and the sender; the handshake binds the format
+(WIRE_FORMAT), so peers that encode differently fail at set-up.
+
 Malicious mode: each party keeps a rolling digest of every payload it
 sends to and receives from each peer. Every opening delivers each missing
 component twice (once per peer), the receiver compares the copies, and the
@@ -30,8 +37,8 @@ from .rss import (
     RssShare,
     deserialize_elems,
     elem_acct_bits,
-    elem_width,
     serialize_elems,
+    wire_nbytes,
     zero_randomness_3of3,
 )
 from .transport import (
@@ -46,6 +53,9 @@ from .transport import (
 )
 
 DIGEST_BYTES = 8
+# the element encoding of rss.serialize_elems (Z_p and Z_2 packed at their bit
+# width); the handshake binds it, so peers on different formats fail at set-up
+WIRE_FORMAT = b"packed-1"
 
 
 class ThreatModel(Enum):
@@ -97,8 +107,8 @@ class PartySession:
     # -- handshake ---------------------------------------------------------
 
     def handshake(self, config_blob: bytes):
-        """All parties must present identical session configuration."""
-        digest = hashlib.blake2b(config_blob, digest_size=16).digest()
+        """All parties must present identical session configuration and wire format."""
+        digest = hashlib.blake2b(config_blob, digest_size=16, person=WIRE_FORMAT).digest()
         rnd = Round(self, "handshake")
         rnd.send_raw(self.party.next.index, digest)
         rnd.send_raw(self.party.prev.index, digest)
@@ -141,7 +151,7 @@ class Round:
 
     def expect_elems(self, frm: int, mod: int, shape, extra_len: int = 0) -> int:
         size = int(np.prod(shape, dtype=int))
-        nbytes = size * elem_width(mod, self.sess.params.ell) + extra_len
+        nbytes = wire_nbytes(mod, self.sess.params.ell, size) + extra_len
         self._expects.append((frm, nbytes, extra_len, mod, shape))
         return len(self._expects) - 1
 

@@ -1,8 +1,10 @@
 """Peer-to-peer messaging among the three parties with round/byte metering.
 
 Wire format: 16-byte header (session 8, round 4, sender 1, receiver 1,
-reserved 2) + 4-byte little-endian payload length + payload. The in-process
-and TCP backends deliver byte-identical payload streams for the same seeds.
+reserved 2) + 4-byte little-endian payload length + payload. Payloads are
+opaque here; the session packs ring elements into them at their bit width
+(rss.serialize_elems). The in-process and TCP backends deliver
+byte-identical payload streams for the same seeds.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Message:
 class CostMeter:
     """Per-party communication accounting.
 
-    wire_bytes counts actual bytes on the wire (header + payload).
+    wire_bytes counts actual bytes on the wire (header + packed payload).
     acct_bytes counts ring elements in the analytic cost-model units
     (Z_L elements at ell bits, Z_p/Z_2 elements at one bit); integrity
     metadata such as link digests is excluded from it.

@@ -9,7 +9,7 @@ import pytest
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
-from falcon.rss import deserialize_elems, elem_width, share_secret
+from falcon.rss import deserialize_elems, share_secret, wire_nbytes
 from falcon.session import AbortError, ThreatModel, run_three_parties
 from falcon.transport import ChannelClosed, DesyncError, FaultInjector, Message
 
@@ -88,7 +88,7 @@ def test_malicious_products_stay_hidden_from_each_party():
             assert payloads
             own = add_mod(z.lo, z.hi, PARAMS.L)
             for payload in payloads:
-                if len(payload) != z.lo.size * elem_width(PARAMS.L, PARAMS.ell):
+                if len(payload) != wire_nbytes(PARAMS.L, PARAMS.ell, z.lo.size):
                     continue
                 piece = deserialize_elems(payload, PARAMS.L, PARAMS.ell, z.shape)
                 assert not np.array_equal(add_mod(own, piece, PARAMS.L), product)
@@ -247,6 +247,36 @@ def test_handshake_rejects_config_mismatch():
 
     with pytest.raises(ConfigMismatchError):
         run_three_parties(job, PARAMS, session_seed=1)
+
+
+def test_handshake_binds_the_wire_format(monkeypatch):
+    """A peer that encodes payloads differently fails at set-up, not mid-run."""
+    from falcon import session
+    from falcon.session import ConfigMismatchError
+
+    own = session.WIRE_FORMAT
+    p2_sent = threading.Event()
+
+    def job(sess):
+        if sess.party.index == 2:
+            # P2 digests its config under another format; the others only
+            # start once P2 has sent, under the real one
+            send = sess.links.send
+
+            def send_then_restore(msg):
+                send(msg)
+                monkeypatch.setattr(session, "WIRE_FORMAT", own)
+                p2_sent.set()
+
+            sess.links.send = send_then_restore
+            monkeypatch.setattr(session, "WIRE_FORMAT", b"bytes-0")
+        else:
+            assert p2_sent.wait(10)
+        sess.handshake(b"ring=32,fp=13,threat=semi")
+
+    with pytest.raises(ConfigMismatchError):
+        run_three_parties(job, PARAMS, session_seed=1)
+    assert session.WIRE_FORMAT == own
 
 
 def test_handshake_accepts_matching_config():

@@ -95,14 +95,15 @@ def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool
 
 
 # (rounds, messages, wire bytes, cost-model bits); each private-compare
-# element reshares ell - 1 Z_p products in its tree (1 wire byte and 1
-# cost-model bit each at party 1), over 20,680 compare elements on infer-c,
-# 2,160 on infer-b-mal and 596 on train-a-mal (the loss's two divisors each
-# probe ell - 1 thresholds)
+# element reshares ell - 1 Z_p products in its tree (6 packed wire bits and
+# 1 cost-model bit each at party 1), over 20,680 compare elements on
+# infer-c, 2,160 on infer-b-mal and 596 on train-a-mal (the loss's two
+# divisors each probe ell - 1 thresholds); a payload of n Z_p elements is
+# 6 * ceil(n / 8) bytes and one of Z_2 bits ceil(n / 8)
 @pytest.mark.parametrize("make_net, threat, train, want", [
-    (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 1_015_000, 3_331_400)),
-    (network_b, ThreatModel.MALICIOUS, False, (23, 35, 128_700, 493_520)),
-    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 2_427_032, 19_247_932)),
+    (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 831_465, 3_331_400)),
+    (network_b, ThreatModel.MALICIOUS, False, (23, 35, 107_100, 493_520)),
+    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 2_421_108, 19_247_932)),
 ], ids=["infer-c", "infer-b-mal", "train-a-mal"])
 def test_online_rounds_are_exact(make_net, threat, train, want):
     assert request_counts(make_net, threat, train) == (want, (0, 0, 0, 0))
@@ -113,5 +114,5 @@ def test_distributed_offline_counts_are_exact():
     # DistributedPrep material costs these counts, and the online phase
     # costs what it costs under the dealer
     online, offline = request_counts(network_b, ThreatModel.MALICIOUS, False, distributed=True)
-    assert online == (23, 35, 128_700, 493_520)
-    assert offline == (96, 98, 771_240, 3_087_648)
+    assert online == (23, 35, 107_100, 493_520)
+    assert offline == (96, 98, 534_876, 3_087_648)

@@ -24,7 +24,7 @@ from falcon.rings import (
     wrap3,
     wrap3_exact,
 )
-from falcon.rss import deserialize_elems, elem_width
+from falcon.rss import deserialize_elems, elem_bits, serialize_elems, wire_nbytes
 
 
 def test_params_defaults():
@@ -51,7 +51,10 @@ def test_compare_prime_follows_from_ell(capsys):
         assert _is_prime(p) and p > ell + 1, ell
         assert not any(_is_prime(q) for q in range(ell + 2, p)), ell
         assert p <= 67
-        assert dtype_for(p) is np.uint8 and elem_width(p, ell) == 1
+        assert dtype_for(p) is np.uint8
+        # and a Z_p element packs in under a byte: ceil(log2 p) <= 7 bits
+        assert elem_bits(p, ell) == (p - 1).bit_length() <= 7
+        assert wire_nbytes(p, ell, 8) == elem_bits(p, ell)
     assert RingParams(ell=32).p == 37
     assert RingParams(ell=64).p == 67
     # so a 64-bit ring needs no prime passed alongside it
@@ -198,13 +201,14 @@ def test_reduce_and_deserialize_cover_every_input(mod):
     for t in (np.uint8, np.uint16, np.uint64, np.int64):
         got = reduce_mod(np.array(octets, t), mod)
         assert got.dtype == dt and got.tolist() == [v % mod for v in octets]
-    # a received element is range-checked, not reduced: the octets below mod
-    # come back as they are, and any other one rejects its payload
-    got = deserialize_elems(bytes(octets[:mod]), mod, 32, (mod,))
+    # a received element is range-checked, not reduced: the values below mod
+    # come back as they are, and any other value of its slot rejects its payload
+    below = np.arange(mod, dtype=np.uint8)
+    got = deserialize_elems(serialize_elems(below, mod, 32), mod, 32, (mod,))
     assert got.dtype == dt and got.flags.writeable and got.tolist() == octets[:mod]
-    for v in octets[mod:]:
+    for v in range(mod, 1 << elem_bits(mod, 32)):
         with pytest.raises(RingError):
-            deserialize_elems(bytes(octets[:mod] + [v]), mod, 32, (mod + 1,))
+            deserialize_elems(serialize_elems(np.append(below, v), mod, 32), mod, 32, (mod + 1,))
     large = [1 << 16, (1 << 17) - 1, 1 << 17, (1 << 32) + 5, 1 << 63, (1 << 64) - 1]
     got = reduce_mod(np.array(large, np.uint64), mod)
     assert got.dtype == dt and got.tolist() == [v % mod for v in large]
@@ -214,6 +218,94 @@ def test_reduce_and_deserialize_cover_every_input(mod):
     for v in large + negative:
         got = np.asarray(reduce_mod(v, mod))
         assert got.dtype == dt and int(got) == v % mod
+
+
+# (modulus, ell, wire bits per element): every small modulus packs at
+# ceil(log2 mod) bits; Z_L keeps its 1, 4 or 8-byte words
+WIRE_RINGS = [(m, 32, (m - 1).bit_length()) for m in SMALL_MODULI] + [
+    (2**8, 8, 8), (2**20, 20, 32), (2**32, 32, 32), (2**64, 64, 64)]
+WIRE_SIZES = list(range(18)) + [63, 64, 65, 100_003]
+
+
+def _reference_packing(vals: list, b: int) -> bytes:
+    # the documented layout, bit by bit: zero-pad to 8g, cut into P rows;
+    # column j of the output rows is a little-endian word holding row k's
+    # element j at bits b*k to b*k + b - 1
+    g = -(-len(vals) // 8)
+    period = 8 // np.gcd(b, 8)
+    cols = 8 * g // period
+    padded = vals + [0] * (8 * g - len(vals))
+    words = [sum(padded[k * cols + j] << (b * k) for k in range(period)) for j in range(cols)]
+    return bytes((words[j] >> (8 * r)) & 255 for r in range(b * period // 8) for j in range(cols))
+
+
+@pytest.mark.parametrize("mod, ell, bits", WIRE_RINGS, ids=lambda v: str(v))
+def test_wire_codec_round_trips_at_the_packed_length(mod, ell, bits):
+    rng = np.random.default_rng(mod % 1000 + ell)
+    assert elem_bits(mod, ell) == bits
+    for n in WIRE_SIZES:
+        want_len = bits * -(-n // 8) if bits < 8 else n * bits // 8
+        assert wire_nbytes(mod, ell, n) == want_len
+        vals = rng.integers(0, mod, n, dtype=np.uint64)
+        vals[: min(n, 2)] = [0, mod - 1][: min(n, 2)]
+        x = vals.astype(dtype_for(mod))
+        buf = serialize_elems(x, mod, ell)
+        assert len(buf) == want_len, n
+        if bits < 8 and n < 100:
+            assert buf == _reference_packing([int(v) for v in vals], bits), n
+        got = deserialize_elems(buf, mod, ell, (n,))
+        assert got.dtype == dtype_for(mod) and got.flags.writeable
+        assert np.array_equal(got, x), n
+    # any shape, and any storage of reduced values, packs as its flat elements
+    x = rng.integers(0, mod, (3, 5, 7), dtype=np.uint64)
+    buf = serialize_elems(x[:, ::2], mod, ell)
+    assert buf == serialize_elems(np.ascontiguousarray(x[:, ::2]).reshape(-1), mod, ell)
+    assert np.array_equal(deserialize_elems(buf, mod, ell, (3, 3, 7)), x[:, ::2])
+
+
+@pytest.mark.parametrize("mod", SMALL_MODULI)
+def test_wire_codec_refuses_every_slot_value_past_the_modulus(mod):
+    b = elem_bits(mod, 32)
+    rng = np.random.default_rng(mod)
+    for n in (1, 8, 13, 16, 17):
+        x = rng.integers(0, mod, n).astype(np.uint8)
+        for pos in {0, n // 2, n - 1}:
+            for v in range(mod, 1 << b):
+                bad = x.copy()
+                bad[pos] = v
+                with pytest.raises(RingError, match=f"element {v}, not below"):
+                    deserialize_elems(serialize_elems(bad, mod, 32), mod, 32, (n,))
+
+
+@pytest.mark.parametrize("mod", SMALL_MODULI)
+def test_wire_codec_refuses_any_nonzero_padding_bit(mod):
+    # over an all-zero payload, a data bit decodes to one element 2^i < mod,
+    # and each of the (8g - n) * b padding bits rejects the payload
+    b = elem_bits(mod, 32)
+    for n in (1, 5, 13, 63, 65):
+        buf = serialize_elems(np.zeros(n, np.uint8), mod, 32)
+        refused = 0
+        for bit in range(8 * len(buf)):
+            flipped = bytearray(buf)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                got = deserialize_elems(bytes(flipped), mod, 32, (n,))
+            except RingError as exc:
+                assert "padding" in str(exc)
+                refused += 1
+            else:
+                assert np.count_nonzero(got) == 1 and int(got.max()).bit_count() == 1
+        assert refused == (-(-n // 8) * 8 - n) * b, n
+
+
+@pytest.mark.parametrize("mod, ell, bits", WIRE_RINGS, ids=lambda v: str(v))
+def test_wire_codec_refuses_a_byte_short_or_long(mod, ell, bits):
+    for n in (0, 1, 8, 13, 64):
+        buf = serialize_elems(np.zeros(n, dtype_for(mod)), mod, ell)
+        for bad in (buf[:-1], buf + b"\x00"):
+            if len(bad) != len(buf):
+                with pytest.raises(RingError, match="payload bytes"):
+                    deserialize_elems(bad, mod, ell, (n,))
 
 
 def _object_matmul(a, b, mod):

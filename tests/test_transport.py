@@ -1,5 +1,6 @@
 """Framing, metering, desync, timeouts, and memory/TCP backend transparency."""
 
+import re
 import socket
 import threading
 import time
@@ -104,6 +105,33 @@ def test_malformed_frame_is_rejected(threat, error, frame):
         rnd.run()
 
     with pytest.raises(error):
+        run_three_parties(job, PARAMS, threat=threat, session_seed=0)
+
+
+@pytest.mark.parametrize("threat,error", [(ThreatModel.SEMI_HONEST, DesyncError),
+                                          (ThreatModel.MALICIOUS, AbortError)])
+@pytest.mark.parametrize("fault", ["digit_past_p", "padding_bit"])
+def test_packed_frame_of_the_right_length_is_refused(threat, error, fault):
+    # P3 expects 13 Z_p elements from P2, packed into 12 bytes; P2 sends a
+    # frame of that length holding the digit p + 3, or a set padding bit
+    # (the last byte's top bit is the last slot's, past the 13th element)
+    vals = np.arange(13, dtype=np.uint8)
+
+    def job(sess):
+        rnd = Round(sess, "t")
+        if sess.party.index == 2:
+            if fault == "digit_past_p":
+                vals[6] = PARAMS.p + 3
+            body = bytearray(serialize_elems(vals, PARAMS.p, PARAMS.ell))
+            if fault == "padding_bit":
+                body[-1] |= 0x80
+            sess.links.send(Message(sess.session_id, rnd.no, 2, 3, bytes(body)))
+        if sess.party.index == 3:
+            rnd.expect_elems(2, PARAMS.p, (13,))
+        rnd.run()
+
+    detail = f"element {PARAMS.p + 3}," if fault == "digit_past_p" else "nonzero padding bits"
+    with pytest.raises(error, match=r"round 1 \(t\): P2 sent P3 " + re.escape(detail)):
         run_three_parties(job, PARAMS, threat=threat, session_seed=0)
 
 
