@@ -1,8 +1,9 @@
 """Operator entry point: bench, infer, train, ingest-mnist, synth-data.
 
-Every command runs the three parties in-process by default (memory
-backend); with --backend tcp each party process runs the same command with
-its own --party index and a peer-address config file. All parties verify a
+Without --party, a command runs the three parties in-process. With
+--party i, this process is party i over TCP: each party runs the same
+command with its own index and the same peer-address file (--config).
+--timeout bounds every receive in both deployments. All parties verify a
 session handshake (threat model, ring, fixed-point bits, network hash)
 before any data is shared.
 """
@@ -43,11 +44,26 @@ REFERENCE_TIMINGS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "party", None) is not None and args.config is None:
+        parser.error("--party needs --config")
     try:
         return args.func(args)
     except (FormatError, RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def matmul_dims(text: str) -> tuple:  # argparse reports a ValueError as an invalid value
+    dims = tuple(int(v) for v in text.split(","))
+    if len(dims) != 3:
+        raise ValueError(text)
+    return dims
+
+
+def prep_mode(text: str) -> str:
+    if text in ("dealer", "distributed") or (text.startswith("file:") and len(text) > 5):
+        return text
+    raise argparse.ArgumentTypeError(f"expected dealer, distributed or file:<path>, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fp-bits", type=int, default=13)
 
     def common(p):  # the session commands: bench, infer, train
-        p.add_argument("--party", type=int, default=0, help="party index for tcp runs (1-3); 0 = all in-process")
-        p.add_argument("--config", default=None, help="peer address config (json) for tcp runs")
-        p.add_argument("--threat", choices=["semi", "malicious"], default="semi")
+        p.add_argument("--party", type=int, choices=(1, 2, 3), default=None,
+                       help="run as this party over TCP (needs --config); default: all three in-process")
+        p.add_argument("--config", default=None, help="peer address file (json) of a --party run")
+        p.add_argument("--threat", choices=[t.value for t in ThreatModel], default="semi")
         ring(p)
-        p.add_argument("--prep", default="dealer", help="dealer | distributed | file:<path>")
-        p.add_argument("--backend", choices=["memory", "tcp"], default="memory")
+        p.add_argument("--prep", type=prep_mode, default="dealer", help="dealer | distributed | file:<path>")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timeout", type=float, default=30.0, help="transport timeout (seconds)")
         p.add_argument("--json", action="store_true", dest="as_json")
@@ -74,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--protocol", default="relu",
                    choices=["mult", "matmul", "pc", "wa", "drelu", "relu", "maxpool", "pow", "div", "bn"])
     b.add_argument("--n", type=int, default=1000)
-    b.add_argument("--dims", default="4,4,4", help="matmul dims x,y,z")
+    b.add_argument("--dims", type=matmul_dims, default=(4, 4, 4), help="matmul dims x,y,z")
     b.add_argument("--pool", type=int, default=4, help="maxpool window elements")
     b.add_argument("--groups", type=int, default=1, help="bn normalization groups")
     b.add_argument("--reference", action="store_true", help="print published end-to-end timings")
@@ -137,12 +153,10 @@ def make_prep(args, sess: PartySession):
         return DealerPrep(sess.party, sess.params, seed=args.seed)
     if args.prep == "distributed":
         return DistributedPrep(sess)
-    if args.prep.startswith("file:"):
-        path = prep_path(args, sess)
-        if os.path.exists(path):
-            return FilePrep(path, sess.party, sess.params)
-        return RecordingPrep(DealerPrep(sess.party, sess.params, seed=args.seed))  # saved by run_cmd
-    raise ValueError(f"unknown prep mode {args.prep!r}")
+    path = prep_path(args, sess)  # file:<path>
+    if os.path.exists(path):
+        return FilePrep(path, sess.party, sess.params)
+    return RecordingPrep(DealerPrep(sess.party, sess.params, seed=args.seed))  # saved by run_cmd
 
 
 def prep_path(args, sess: PartySession) -> str:
@@ -150,10 +164,26 @@ def prep_path(args, sess: PartySession) -> str:
     return f"{args.prep[5:]}.p{sess.party.index}"
 
 
+def load_peers(path: str) -> dict:
+    """Party index -> (host, port) from a peers file: {"1": ["host", port], ...}."""
+    try:
+        with open(path) as f:
+            peers = json.load(f)
+    except OSError as exc:
+        raise FormatError(f"cannot read peers file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise FormatError(f"peers file {path} is not JSON: {exc}") from exc
+    try:
+        return {i: (str(peers[str(i)][0]), int(peers[str(i)][1])) for i in (1, 2, 3)}
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"peers file {path} needs a [host, port] for each of parties 1, 2 and 3") from exc
+
+
 def run_cmd(args, fn, config_extra: bytes = b""):
-    """Run fn(sess) under the requested backend/threat/prep; returns P1's result."""
+    """Run fn(sess) at all three parties in-process, or as party --party over
+    TCP; returns party 1's result in-process, this party's over TCP."""
     params = ring_params(args)
-    threat = ThreatModel.SEMI_HONEST if args.threat == "semi" else ThreatModel.MALICIOUS
+    threat = ThreatModel(args.threat)
 
     def wrapped(sess: PartySession):
         sess.prep = make_prep(args, sess)
@@ -166,24 +196,15 @@ def run_cmd(args, fn, config_extra: bytes = b""):
             save_prep_file(prep_path(args, sess), sess.party, params, sess.prep.records)
         return out
 
-    if args.backend == "memory":
-        results = run_three_parties(wrapped, params, threat=threat, session_seed=args.seed)
-        return results[0]
-    # tcp: this process is one party; peers run the same command
-    if args.party not in (1, 2, 3):
-        raise SystemExit("--backend tcp requires --party 1|2|3")
-    with open(args.config) as f:
-        addresses = {int(k): tuple(v) for k, v in json.load(f).items()}
-    for idx in addresses:
-        env_port = os.environ.get(f"FALCON_PORT_{idx}")
-        if env_port:
-            addresses[idx] = (addresses[idx][0], int(env_port))
-    links = TcpLinks(args.party, addresses, timeout=args.timeout)
+    if args.party is None:
+        return run_three_parties(wrapped, params, threat=threat, session_seed=args.seed,
+                                 timeout=args.timeout)[0]
+    links = TcpLinks(args.party, load_peers(args.config), timeout=args.timeout)
     sess = make_session(args.party, links, params, threat, args.seed, args.timeout)
     try:
         return wrapped(sess)
     finally:
-        sess.links.close()
+        links.close()
 
 
 def emit(args, report: dict, text_lines: list):
@@ -254,80 +275,71 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     return {"rounds": rounds, "bytes": bytes_sh + opened if threat == "malicious" else bytes_sh}
 
 
-def _bench_inputs(sess: PartySession, protocol: str, args):
+def bench_call(sess: PartySession, args):
+    """Draw the inputs of `args.protocol` from the shared rng; returns the
+    call that cmd_bench measures."""
     params = sess.params
     rng = sess.shared_rng
     n = args.n
 
-    def sh(vals, mod):
+    def sh(vals, mod=params.L):
         return share_secret(vals, mod, rng)[sess.party.index - 1]
 
-    if protocol in ("mult",):
-        return (sh(rng.integers(0, params.L, n, dtype=np.uint64), params.L),
-                sh(rng.integers(0, params.L, n, dtype=np.uint64), params.L))
-    if protocol == "matmul":
-        x, y, z = (int(v) for v in args.dims.split(","))
-        return (sh(encode_fixed(rng.uniform(-1, 1, (x, y)), params), params.L),
-                sh(encode_fixed(rng.uniform(-1, 1, (y, z)), params), params.L))
-    if protocol == "pc":
-        vals = rng.integers(0, params.L, n, dtype=np.uint64)
-        bits = sh(bit_decompose(vals, params), params.p)
-        targets = rng.integers(0, params.L, n, dtype=np.uint64)
-        return (bits, targets)
-    if protocol in ("wa", "drelu", "relu"):
-        return (sh(rng.integers(0, params.L, n, dtype=np.uint64), params.L),)
-    if protocol == "maxpool":
-        return (sh(encode_fixed(rng.uniform(-8, 8, (n, args.pool)), params), params.L),)
-    if protocol == "pow":
-        return (sh(rng.integers(1, 1 << (params.ell - 2), n, dtype=np.uint64), params.L),)
-    if protocol == "div":
-        b = np.exp(rng.uniform(np.log(0.5), np.log(50.0), n))
-        a = b * rng.uniform(0.5, 2.0, n)
-        return (sh(encode_fixed(a, params), params.L), sh(encode_fixed(b, params), params.L))
-    if protocol == "bn":
-        acts = rng.normal(0, 1, (args.groups, n))
-        return (
-            sh(encode_fixed(acts, params), params.L),
-            sh(encode_fixed(np.ones(args.groups), params), params.L),
-            sh(encode_fixed(np.zeros(args.groups), params), params.L),
-        )
-    raise ValueError(protocol)
+    def ring_elems():
+        return rng.integers(0, params.L, n, dtype=np.uint64)
 
+    def zero():  # a public mask: a comparison opens its bit in the compare's last round
+        return public_share(sess.party, np.uint64(0), 2, shape=(n,))
 
-def _bench_call(sess: PartySession, protocol: str, inputs):
-    if protocol == "mult":
-        return P.mult(sess, *inputs)
-    if protocol == "matmul":
-        return P.matmul(sess, *inputs, truncate_after=False)
-    if protocol in ("pc", "wa", "drelu"):
-        # a public zero mask: each opens its bit in the compare's last round
-        zero = public_share(sess.party, np.uint64(0), 2, shape=inputs[0].shape[:1])
-        if protocol == "pc":
-            return P.private_compare(sess, inputs[0], inputs[1], zero)
-        if protocol == "wa":
-            return P.wrap3_protocol(sess, inputs[0], zero)
-        return P.drelu(sess, inputs[0], zero)
-    if protocol == "relu":
-        return P.relu(sess, inputs[0])
-    if protocol == "maxpool":
-        return P.maxpool_argmax(sess, inputs[0])
-    if protocol == "pow":
-        return num.bounding_power(sess, inputs[0])
-    if protocol == "div":
-        return num.divide(sess, inputs[0], inputs[1])
-    if protocol == "bn":
-        return num.batch_norm_forward(sess, *inputs)
-    raise ValueError(protocol)
+    match args.protocol:
+        case "mult":
+            a, b = sh(ring_elems()), sh(ring_elems())
+            return lambda: P.mult(sess, a, b)
+        case "matmul":
+            x, y, z = args.dims
+            a = sh(encode_fixed(rng.uniform(-1, 1, (x, y)), params))
+            b = sh(encode_fixed(rng.uniform(-1, 1, (y, z)), params))
+            return lambda: P.matmul(sess, a, b, truncate_after=False)
+        case "pc":
+            bits = sh(bit_decompose(ring_elems(), params), params.p)
+            targets = ring_elems()
+            return lambda: P.private_compare(sess, bits, targets, zero())
+        case "wa":
+            a = sh(ring_elems())
+            return lambda: P.wrap3_protocol(sess, a, zero())
+        case "drelu":
+            a = sh(ring_elems())
+            return lambda: P.drelu(sess, a, zero())
+        case "relu":
+            a = sh(ring_elems())
+            return lambda: P.relu(sess, a)
+        case "maxpool":
+            a = sh(encode_fixed(rng.uniform(-8, 8, (n, args.pool)), params))
+            return lambda: P.maxpool_argmax(sess, a)
+        case "pow":
+            a = sh(rng.integers(1, 1 << (params.ell - 2), n, dtype=np.uint64))
+            return lambda: num.bounding_power(sess, a)
+        case "div":
+            b = np.exp(rng.uniform(np.log(0.5), np.log(50.0), n))
+            a = b * rng.uniform(0.5, 2.0, n)
+            sa, sb = sh(encode_fixed(a, params)), sh(encode_fixed(b, params))
+            return lambda: num.divide(sess, sa, sb)
+        case "bn":
+            acts = rng.normal(0, 1, (args.groups, n))
+            inputs = [sh(encode_fixed(v, params))
+                      for v in (acts, np.ones(args.groups), np.zeros(args.groups))]
+            return lambda: num.batch_norm_forward(sess, *inputs)
+    raise ValueError(args.protocol)
 
 
 def cmd_bench(args) -> int:
     params = ring_params(args)
 
     def job(sess: PartySession):
-        inputs = _bench_inputs(sess, args.protocol, args)
+        call = bench_call(sess, args)
         r0, b0, w0 = sess.meter.rounds, sess.meter.acct_bits, sess.meter.wire_bytes
         t0 = time.perf_counter()
-        _bench_call(sess, args.protocol, inputs)
+        call()
         return {
             "rounds": sess.meter.rounds - r0,
             "acct_bytes": (sess.meter.acct_bits - b0) / 8,
@@ -336,8 +348,7 @@ def cmd_bench(args) -> int:
         }
 
     measured = run_cmd(args, job)
-    dims = tuple(int(v) for v in args.dims.split(","))
-    predicted = table10(args.protocol, params, args.n, args.threat, dims, args.pool, args.groups)
+    predicted = table10(args.protocol, params, args.n, args.threat, args.dims, args.pool, args.groups)
     report = {
         "protocol": args.protocol,
         "n": args.n,

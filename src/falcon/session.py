@@ -295,6 +295,8 @@ def run_three_parties(
 
     The memory backend threads all parties in-process; pairwise PRF seeds
     and the shared data rng derive deterministically from session_seed.
+    Every party's links are closed once all three have returned, so a TCP
+    run leaves no socket or reader thread behind.
     """
     if backend == "memory":
         hub = MemoryHub(fault=fault)
@@ -332,6 +334,9 @@ def run_three_parties(
         t.start()
     for t in threads:
         t.join()
+    for s in sessions:
+        if s is not None:
+            s.links.close()
 
     for kind in (AbortError, DesyncError, ConfigMismatchError):
         for e in errors:

@@ -214,6 +214,28 @@ def test_tcp_idle_session_survives():
     assert all(np.array_equal(a, np.arange(4)) and np.array_equal(b, np.arange(4)) for a, b in out)
 
 
+def test_tcp_run_closes_its_links():
+    # each party holds two sockets and two reader threads; a finished run
+    # leaves none of them behind, and a second close is harmless
+    before = set(threading.enumerate())
+
+    def job(sess):
+        P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+                                         sess.shared_rng)[sess.party.index - 1])
+        return sess.links
+
+    for seed in range(3):
+        addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)}
+        links = run_three_parties(job, PARAMS, session_seed=seed, backend="tcp", addresses=addresses)
+        assert all(sock.fileno() == -1 for lk in links for sock in lk.socks.values())
+        for lk in links:
+            lk.close()
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
+
+
 def test_recv_timeout():
     def job(sess):
         if sess.party.index == 2:
