@@ -28,7 +28,7 @@ from .netspec import NetworkSpec, init_float_params
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
 from .rings import RingError, RingParams, bit_decompose, decode_fixed, encode_fixed
 from .rss import public_share, share_secret
-from .session import PartySession, ThreatModel, make_session, run_three_parties
+from .session import PartySession, ThreatModel, make_session, open_share, run_three_parties
 from .transport import TcpLinks
 
 # published end-to-end reference timings (seconds, single inference; not
@@ -46,11 +46,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "party", None) is not None and args.config is None:
         parser.error("--party needs --config")
+    if getattr(args, "config", None) is not None and args.party is None:
+        parser.error("--config needs --party")
     try:
         return args.func(args)
     except (FormatError, RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a refused or silent peer, a receive timeout, a busy port
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def matmul_dims(text: str) -> tuple:  # argparse reports a ValueError as an invalid value
@@ -418,7 +423,7 @@ def cmd_infer(args) -> int:
         state = nn.share_weights(sess, net, raws)
         t0 = time.perf_counter()
         xb = share_secret(images, params.L, sess.shared_rng)[sess.party.index - 1]
-        logits = P.reconstruct(sess, nn.forward(sess, state, xb))
+        logits = open_share(sess, nn.forward(sess, state, xb))
         wall = time.perf_counter() - t0
         return logits, wall, dict(sess.meter.snapshot())
 

@@ -8,8 +8,9 @@ Two interchangeable generators produce the same artifact types:
   wrap value x from the pairwise PRF streams, then two gates over Mult:
   the arithmetic XOR x + y - 2xy, which injects a Z_2 bit into another
   ring, and the Z_2 AND of one binary adder that yields x's bits and its
-  wrap bit. Nonzero masks are Fermat-checked, and the compare's products
-  of its blinding with x's bits are one Z_p Mult.
+  wrap bit: a carry-save stage, then a Sklansky parallel-prefix carry in
+  ceil(log2(ell - 1)) rounds. Nonzero masks are Fermat-checked, and the
+  compare's products of its blinding with x's bits are one Z_p Mult.
 
 Any source's output can be recorded with RecordingPrep, persisted to a
 per-party tensor container and replayed with FilePrep.
@@ -253,39 +254,64 @@ def bit_inject(sess: PartySession, b: RssShare, mod: int) -> RssShare:
     return _xor(sess, _xor(sess, s1, s2), s3)
 
 
+def _sklansky_levels(m: int):
+    """The levels of a Sklansky prefix over m positions, h = 1, 2, 4, ...
+    below m: the rows j in the upper half of a block of 2h rows, the top
+    row t of that block's lower half for each, and how many of the j lie in
+    the first block."""
+    rows = np.arange(m)
+    h = 1
+    while h < m:
+        upper = rows[rows & h != 0]
+        yield upper, (upper & -h) - 1, int(np.count_nonzero(upper < 2 * h))
+        h *= 2
+
+
 def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare]:
     """x's bits and its wrap bit from one Z_2 adder over x's component bits.
 
     Each party decomposes the two components it holds, so x1, x2 and x3 are
     Z_2-shared bit vectors without communication. A carry-save stage (one
-    AND) turns x1 + x2 + x3 into S + 2C, then a ripple carry chain adds S
-    and 2C. Returns the (n, ell) sum bits, which are the bits of x, and
-    alpha = bit ell of the sum (wrap3 of the components), both over Z_2.
+    AND) turns x1 + x2 + x3 into S + 2C, then a Sklansky parallel-prefix
+    carry adds S and 2C in ceil(log2(ell - 1)) AND levels. The adder runs
+    on bit-major (ell, n) planes, so a level gathers and writes back whole
+    rows; the sum bits transpose to (n, ell) once, at the end. Returns the
+    x.shape + (ell,) sum bits, which are the bits of x, and alpha = bit ell
+    of the sum (wrap3 of the components), both over Z_2.
     """
     params = sess.params
     ell = params.ell
-    comp = RssShare(bit_decompose(x.lo, params), bit_decompose(x.hi, params), 2)
+    comp = RssShare(*(np.ascontiguousarray(bit_decompose(c, params).reshape(-1, ell).T)
+                      for c in (x.lo, x.hi)), 2)
     s1, s2, s3 = lift_component_shares(sess, comp, 2)
 
     # carry-save: S = a^b^c, C = majority(a,b,c) = ((a^c)(b^c)) ^ c
     S = add_shares(add_shares(s1, s2), s3)
     C = add_shares(mult(sess, add_shares(s1, s3), add_shares(s2, s3)), s3)
 
-    # total = S + 2C; ripple the carry through positions 1..ell-1
-    # (A = S, B = C shifted left one position; g batched in one round).
-    # Sum bit i + 1 is A_i ^ B_i ^ carry, local before the carry update.
-    A = S[..., 1:ell]
-    B = C[..., 0 : ell - 1]
-    g_all = mult(sess, A, B)
-    p_all = add_shares(A, B)
-    carry = public_share(sess.party, np.uint64(0), 2, shape=x.shape + (1,))
-    sums = [S[..., :1]]
-    for i in range(ell - 1):
-        p_i = p_all[..., i : i + 1]
-        sums.append(add_shares(p_i, carry))
-        carry = add_shares(g_all[..., i : i + 1], mult(sess, p_i, carry))
-    # bit ell of the total: B_ell = C[ell-1] plus the carry into position ell
-    return concat_shares(sums, axis=-1), add_shares(C[..., ell - 1 :], carry).reshape(x.shape)
+    # total = S + 2C: add A = S[1:] and B = C[:-1], positions 1..ell-1, with
+    # generate g = AB (one round) and propagate p = A ^ B
+    A, B = S[1:], C[:-1]
+    g, p = mult(sess, A, B), add_shares(A, B)
+    # the prefix turns the planes (G, P) into G[j] = G_{j:0}, the carry out
+    # of position j. Per level, one Mult ANDs each upper-half row j with its
+    # top row t: G[j] ^= P[j] G[t], and P[j] = P[j] P[t] outside the first
+    # block, whose groups start at 0 and need no P again
+    gp = RssShare(np.stack([g.lo, p.lo]), np.stack([g.hi, p.hi]), 2)
+    for upper, top, first in _sklansky_levels(ell - 1):
+        rows, tops = np.concatenate([upper, upper[first:]]), np.concatenate([top, top[first:]])
+        plane = np.repeat([0, 1], [len(upper), len(upper) - first])
+        prod = mult(sess, gp[1, rows], gp[plane, tops])
+        for planes, out in ((gp.lo, prod.lo), (gp.hi, prod.hi)):
+            planes[0, upper] ^= out[: len(upper)]
+            planes[1, upper[first:]] = out[len(upper) :]
+    # sum bit i + 1 is p[i] ^ G[i-1], the carry into position i; bit ell
+    # is C[ell-1] ^ G[ell-2]
+    G = gp[0]
+    bits = concat_shares([S[:1], p[:1], add_shares(p[1:], G[:-1])])
+    alpha = add_shares(C[ell - 1], G[ell - 2])
+    bits = RssShare(np.ascontiguousarray(bits.lo.T), np.ascontiguousarray(bits.hi.T), 2)
+    return bits.reshape(x.shape + (ell,)), alpha.reshape(x.shape)
 
 
 class DistributedPrep:

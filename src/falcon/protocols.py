@@ -56,6 +56,7 @@ from .rss import (
 )
 from .session import PartySession, Round, open_begin, open_share, reshare_begin
 
+# kept only because perfbench/test_perfbench.py names it; call open_share
 reconstruct = open_share
 
 

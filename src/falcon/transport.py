@@ -266,9 +266,10 @@ class TcpLinks(PartyLinks):
                 try:
                     sock = socket.create_connection((host, port), timeout=self.timeout)
                     break
-                except OSError:
+                except OSError as exc:
                     if time.monotonic() > deadline:
-                        raise
+                        raise ConnectionError(f"P{self.party} could not reach P{peer} at {host}:{port} "
+                                              f"within {self.timeout}s ({exc})") from exc
                     time.sleep(0.05)  # peer's listener may not be up yet
             sock.settimeout(None)  # an idle peer is not a closed one
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

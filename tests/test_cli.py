@@ -48,13 +48,16 @@ def test_three_process_tcp_run_matches_in_process(tmp_path, capsys):
         assert _counts(json.loads(out)["measured"]) == want, f"P{party}"
 
 
-def test_party_runs_over_tcp(tmp_path):
-    # a lone party dials peers that never come up, and gives up after --timeout
+def test_party_runs_over_tcp(tmp_path, capsys):
+    # a lone party dials peers that never come up, gives up after --timeout
+    # and exits with status 3 and an error line, not a traceback
     peers = tmp_path / "peers.json"
     peers.write_text(json.dumps({str(i): ["127.0.0.1", _free_port()] for i in (1, 2, 3)}))
-    with pytest.raises(OSError):
-        cli.main(["bench", "--protocol", "mult", "--n", "4", "--party", "1", "--config", str(peers),
-                  "--timeout", "0.5"])
+    rc = cli.main(["bench", "--protocol", "mult", "--n", "4", "--party", "1", "--config", str(peers),
+                   "--timeout", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and "P1 could not reach P2" in err and "Traceback" not in err
 
 
 def test_timeout_reaches_the_in_process_session():
@@ -76,6 +79,11 @@ def _refused(capsys, argv) -> str:
 
 def test_party_needs_config(capsys):
     assert "--config" in _refused(capsys, ["bench", "--protocol", "mult", "--n", "4", "--party", "1"])
+
+
+def test_config_needs_party(capsys):
+    argv = ["bench", "--protocol", "mult", "--n", "4", "--config", "nosuch.json"]
+    assert "--config needs --party" in _refused(capsys, argv)
 
 
 @pytest.mark.parametrize("prep", ["bogus", "file:", "Dealer"])

@@ -5,11 +5,11 @@ import pytest
 
 from falcon import nn
 from falcon import oracle as O
-from falcon import protocols as P
 from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 from falcon.nets import BUILTIN, network_c
 from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
+from falcon.session import open_share
 
 from test_protocols import run_shared, shared_input
 
@@ -121,7 +121,7 @@ def _secure_forward(net, float_params, batch_raw, seed=0, want_state=False):
         state = nn.init_state(sess, net, float_params)
         x = shared_input(sess, batch_raw, PARAMS.L)
         logits = nn.forward(sess, state, x)
-        return P.reconstruct(sess, logits)
+        return open_share(sess, logits)
 
     return run_shared(PARAMS, job, seed=seed)[0]
 
@@ -184,11 +184,11 @@ def _secure_train_step(net, fparams, batch_raw, onehot, lr_shift, seed=0):
         grads = nn.backward(sess, state, delta)
         nn.sgd_step(sess, state, grads, lr_shift)
         opened_params = {
-            f"{i}.{name}": P.reconstruct(sess, st.params[name])
+            f"{i}.{name}": open_share(sess, st.params[name])
             for i, st in enumerate(state.layers)
             for name in st.params
         }
-        opened_grads = {k: P.reconstruct(sess, g) for k, g in grads.items()}
+        opened_grads = {k: open_share(sess, g) for k, g in grads.items()}
         return opened_params, opened_grads
 
     return run_shared(PARAMS, job, seed=seed)[0]
@@ -236,7 +236,7 @@ def test_linear_layer_gradient_is_outer_product():
         nn.forward(sess, state, x)
         d = shared_input(sess, encode_fixed(delta, PARAMS), PARAMS.L)
         grads = nn.backward(sess, state, d)
-        return P.reconstruct(sess, grads["0.w"])
+        return open_share(sess, grads["0.w"])
 
     dw = decode_fixed(run_shared(PARAMS, job)[0], PARAMS)
     assert np.allclose(dw, a.T @ delta, atol=2**-12)
@@ -255,7 +255,7 @@ def test_relu_layer_blocks_gradient_when_negative():
         nn.forward(sess, state, x)
         d = shared_input(sess, encode_fixed(np.array([[1.0, 1.0]]), PARAMS), PARAMS.L)
         grads = nn.backward(sess, state, d)
-        return P.reconstruct(sess, grads["0.w"])
+        return open_share(sess, grads["0.w"])
 
     dw = run_shared(PARAMS, job)[0]
     assert np.all(dw == 0)
@@ -276,7 +276,7 @@ def test_relu_layer_backward_is_one_multiplication():
         pairs, r0 = len(sess.prep.records["bitpair"]), sess.meter.rounds
         dx = nn._layer_backward(sess, net.layers[0], state.layers[0], d, {}, 0)
         rounds, pairs = sess.meter.rounds - r0, len(sess.prep.records["bitpair"]) - pairs
-        return P.reconstruct(sess, dx), rounds, pairs
+        return open_share(sess, dx), rounds, pairs
 
     dx, rounds, pairs = run_shared(PARAMS, job)[0]
     assert rounds == 1 and pairs == 0
@@ -370,13 +370,13 @@ def test_sgd_zero_grad_keeps_weights_and_lr_semantics():
         state = nn.init_state(sess, net, fparams)
         zero_g = {"0.w": shared_input(sess, np.zeros((2, 2), np.uint64), PARAMS.L)}
         nn.sgd_step(sess, state, zero_g, lr_shift=5)
-        w_after_zero = P.reconstruct(sess, state.layers[0].params["w"])
+        w_after_zero = open_share(sess, state.layers[0].params["w"])
         # grad = 2^{lr_shift} * encode(1) on one entry decreases it by 1.0
         g = np.zeros((2, 2))
         g[0, 0] = 2.0**5
         gsh = {"0.w": shared_input(sess, encode_fixed(g, PARAMS), PARAMS.L)}
         nn.sgd_step(sess, state, gsh, lr_shift=5)
-        w_after = P.reconstruct(sess, state.layers[0].params["w"])
+        w_after = open_share(sess, state.layers[0].params["w"])
         return w_after_zero, w_after
 
     w0, w1 = run_shared(PARAMS, job)[0]
@@ -396,7 +396,7 @@ def test_sgd_descends_on_quadratic_surrogate():
         state = nn.init_state(sess, net, fparams)
         losses = []
         for _ in range(10):
-            w = decode_fixed(P.reconstruct(sess, state.layers[0].params["w"]), PARAMS)[0, 0]
+            w = decode_fixed(open_share(sess, state.layers[0].params["w"]), PARAMS)[0, 0]
             losses.append((w - 2.0) ** 2)
             grad = encode_fixed(np.array([[2 * (w - 2.0)]]), PARAMS)
             gsh = {"0.w": shared_input(sess, grad, PARAMS.L)}
@@ -413,13 +413,13 @@ def test_loss_grad_examples():
         sess.prep = DealerPrep(sess.party, PARAMS, seed=8)
         # single hot positive logit -> ASM == onehot -> delta ~ 0
         l1 = shared_input(sess, encode_fixed(np.array([[3.0, 0.0, 0.0]]), PARAMS), PARAMS.L)
-        d1 = P.reconstruct(sess, nn.loss_grad_approx(sess, l1, np.eye(3)[[0]]))
+        d1 = open_share(sess, nn.loss_grad_approx(sess, l1, np.eye(3)[[0]]))
         # equal positive logits, 2 classes, label 1 -> [0.5, -0.5]
         l2 = shared_input(sess, encode_fixed(np.array([[1.0, 1.0]]), PARAMS), PARAMS.L)
-        d2 = P.reconstruct(sess, nn.loss_grad_approx(sess, l2, np.eye(2)[[1]]))
+        d2 = open_share(sess, nn.loss_grad_approx(sess, l2, np.eye(2)[[1]]))
         # all-negative logits -> uniform fallback
         l3 = shared_input(sess, encode_fixed(np.array([[-1.0, -2.0]]), PARAMS), PARAMS.L)
-        d3 = P.reconstruct(sess, nn.loss_grad_approx(sess, l3, np.eye(2)[[0]]))
+        d3 = open_share(sess, nn.loss_grad_approx(sess, l3, np.eye(2)[[0]]))
         return d1, d2, d3
 
     d1, d2, d3 = run_shared(PARAMS, job)[0]

@@ -112,7 +112,9 @@ def test_online_rounds_are_exact(make_net, threat, train, want):
 def test_distributed_offline_counts_are_exact():
     # the network-b request of the benchmark's distributed workload: its
     # DistributedPrep material costs these counts, and the online phase
-    # costs what it costs under the dealer
+    # costs what it costs under the dealer. Each of its two wrap_rands calls
+    # (2,160 elements in all) takes 2 + ceil(log2 31) = 7 adder rounds, and
+    # each element 120 prefix ANDs (test_prep.prefix_ands)
     online, offline = request_counts(network_b, ThreatModel.MALICIOUS, False, distributed=True)
     assert online == (23, 35, 107_100, 493_520)
-    assert offline == (96, 98, 534_876, 3_087_648)
+    assert offline == (44, 46, 557_866, 3_279_888)

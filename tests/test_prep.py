@@ -14,13 +14,15 @@ from falcon.prep import (
     DistributedPrep,
     FilePrep,
     RecordingPrep,
+    _adder_wrap_bit,
     bit_inject,
     sample_shared_bits,
     save_prep_file,
 )
-from falcon.rings import RingParams, dtype_for, reduce_mod, shift_signed, signed, wrap3
-from falcon.rss import PartyId, RssShare
-from falcon.session import ThreatModel, run_three_parties
+from falcon.rings import (RingParams, bit_decompose, dtype_for, reduce_mod, shift_signed,
+                          signed, wrap3)
+from falcon.rss import PartyId, RssShare, share_components
+from falcon.session import ThreatModel, open_share, run_three_parties
 from conftest import reconstruct_all
 
 from test_protocols import run_shared, shared_input
@@ -129,7 +131,7 @@ def test_bit_inject_exhaustive_components():
             from falcon.rss import RssShare
 
             b = RssShare(bits_lo, bits_hi, 2)
-            outs.append(P.reconstruct(sess, bit_inject(sess, b, sess.params.L)))
+            outs.append(open_share(sess, bit_inject(sess, b, sess.params.L)))
         return outs
 
     outs = run_shared(PARAMS, job)[0]
@@ -142,7 +144,7 @@ def test_bit_inject_matches_shared_random_bits():
     def job(sess):
         bits = sample_shared_bits(sess, (200,))
         injected = bit_inject(sess, bits, sess.params.L)
-        return P.reconstruct(sess, bits), P.reconstruct(sess, injected)
+        return open_share(sess, bits), open_share(sess, injected)
 
     plain, lifted = run_shared(PARAMS, job)[0]
     assert np.array_equal(plain, lifted)
@@ -169,15 +171,15 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         prep = DealerPrep(sess.party, sess.params, seed=5) if dealer else DistributedPrep(sess)
         if kind == "trunc":
             pair = prep.trunc_pairs(4000, _trunc_shifts(sess.params))
-            return P.reconstruct(sess, pair.r), P.reconstruct(sess, pair.r_shift), pair.d
+            return open_share(sess, pair.r), open_share(sess, pair.r_shift), pair.d
         if kind == "wrap":
             wr = prep.wrap_rands(n)
             return (
-                P.reconstruct(sess, wr.x),
-                P.reconstruct(sess, wr.xbits),
-                P.reconstruct(sess, wr.alpha),
+                open_share(sess, wr.x),
+                open_share(sess, wr.xbits),
+                open_share(sess, wr.alpha),
                 wr.x.lo,  # own component for the wrap oracle
-                tuple(P.reconstruct(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits,
+                tuple(open_share(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits,
                                                        wr.m_beta, wr.m_xtop)),
                 tuple((s.mod, s.lo.dtype, s.shape) for s in (wr.xbits, wr.alpha, wr.beta2,
                                                               wr.beta_p, wr.m, wr.vbits,
@@ -187,12 +189,12 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         if kind == "compare":
             cr = prep.compare_rands(n)
             return (
-                P.reconstruct(sess, cr.beta2),
-                P.reconstruct(sess, cr.beta_p),
-                P.reconstruct(sess, cr.m),
+                open_share(sess, cr.beta2),
+                open_share(sess, cr.beta_p),
+                open_share(sess, cr.m),
             )
         bp = prep.bit_pairs(n)
-        return P.reconstruct(sess, bp.c2), P.reconstruct(sess, bp.cL)
+        return open_share(sess, bp.c2), open_share(sess, bp.cL)
 
     outs = run_three_parties(job, params, threat=threat, session_seed=5)
     if kind == "trunc":
@@ -247,12 +249,33 @@ def test_flipped_bits_are_a_fresh_sharing(dealer):
     assert run_three_parties(job, PARAMS, session_seed=5) == [0, 0, 0]
 
 
+def prefix_levels(m):
+    """ceil(log2 m): the AND levels of a Sklansky prefix over m positions."""
+    return (m - 1).bit_length()
+
+
+def prefix_ands(m):
+    """ANDs of a Sklansky prefix over m positions with no carry in. At the
+    level of half-width h, every row j with j & h set takes a generate
+    product, and a propagate product unless it lies in the first block of
+    2h rows, the min(2h, m) - h rows of [h, 2h)."""
+    return sum(2 * sum(1 for j in range(m) if j & h) - (min(2 * h, m) - h)
+               for h in (1 << k for k in range(prefix_levels(m))))
+
+
+def test_prefix_ands_counts():
+    # m = 7 takes 5 + 4 + 3 over its three levels, m = 31 (ell = 32)
+    # 29 + 28 + 26 + 22 + 15 over five
+    assert [prefix_ands(m) for m in (1, 2, 3, 7, 31)] == [0, 1, 2, 12, 120]
+
+
 @pytest.mark.parametrize("params", [RingParams(ell=16, fp=6), RingParams(), P64],
                          ids=["ell16", "ell32", "ell64"])
 def test_distributed_wrap_rands_rounds(params):
     # Rounds and cost-model bits per party of each artifact (Z_p and Z_2
-    # count 1 bit). wrap_rands: one carry-save AND per bit, ell - 1 rounds of
-    # two ripple products, a Z_p injection of x's bits and beta (two rounds,
+    # count 1 bit). wrap_rands: one carry-save AND per bit, one round of the
+    # adder's ell - 1 generate products, the ceil(log2(ell - 1)) levels of
+    # its prefix carry, a Z_p injection of x's bits and beta (two rounds,
     # two products per injected bit, one per XOR), the nonzero masks and the
     # compare's products in one round: one flip product per bit, m~ beta and
     # m~ x[ell - 1]. The masks take the square-and-multiply of
@@ -272,9 +295,47 @@ def test_distributed_wrap_rands_rounds(params):
             costs.append((sess.meter.rounds - rounds, sess.meter.acct_bits - bits))
         return costs
 
-    want = [(ell + 4 + masks, 6 * n * ell + 2 * n + masks * (n + 4)), (2, 2 * n * ell),
-            (2, 2 * n * (ell - 1 - fp) * ell)]
+    wrap_rounds = 1 + 1 + prefix_levels(ell - 1) + 2 + masks + 1
+    wrap_bits = (n * ell + n * (ell - 1) + n * prefix_ands(ell - 1) + 2 * n * (ell + 1)
+                 + masks * (n + 4) + n * (ell + 2))
+    assert wrap_rounds == {16: 15, 32: 17, 64: 19}[ell]
+    want = [(wrap_rounds, wrap_bits), (2, 2 * n * ell), (2, 2 * n * (ell - 1 - fp) * ell)]
     assert run_three_parties(job, params, session_seed=6) == [want] * 3
+
+
+def _adder_cases(ell, n, rng):
+    """(max(n, 8), 3) component triples: the carry through all ell - 1
+    positions (2^ell - 1, 1, 0), sums of exactly L and 2L, x = 0 and
+    x = 2^ell - 1, then random triples up to n."""
+    L, top = 1 << ell, (1 << ell) - 1
+    edges = [(top, 1, 0), (0, top, 1), (L // 2, L // 2, 0), (top, top, 2), (0, 0, 0),
+             (top, 0, 0), (top, top, 1), (top, top, top)]
+    rand = rng.integers(0, top, (max(n - len(edges), 0), 3), dtype=np.uint64, endpoint=True)
+    return np.concatenate([np.array(edges, np.uint64), rand])
+
+
+@pytest.mark.parametrize("n", [1, 13])
+@pytest.mark.parametrize("ell", [8, 16, 32, 64])
+def test_adder_wrap_bit_on_chosen_components(ell, n):
+    # the adder's sum bits are the bits of x = x1 + x2 + x3 and its alpha
+    # the wrap of the components; at n = 1 each triple is its own call
+    params = RingParams(ell=ell, fp=4)
+    L = params.L
+    triples = _adder_cases(ell, n, np.random.default_rng(ell))
+    calls = [tuple(triples.T)] if n > 1 else [tuple(t[:, None]) for t in triples]
+
+    def job(sess):
+        outs = []
+        for comps in calls:
+            bits, alpha = _adder_wrap_bit(sess, share_components(sess.party, comps, L))
+            outs.append((open_share(sess, bits), open_share(sess, alpha)))
+        return outs
+
+    for comps, (bits, alpha) in zip(calls, run_three_parties(job, params, session_seed=2)[0]):
+        with np.errstate(over="ignore"):
+            x = reduce_mod(comps[0] + comps[1] + comps[2], L)
+        assert np.array_equal(bits, bit_decompose(x, params))
+        assert np.array_equal(alpha, wrap3(*comps, L))
 
 
 def _malicious_peak(job):
@@ -318,10 +379,10 @@ def test_dealer_and_distributed_interchangeable_online():
             sess.prep = (DealerPrep(sess.party, PARAMS, seed=6) if mode == "dealer"
                          else DistributedPrep(sess))
             x = shared_input(sess, encode_fixed(vals, PARAMS), PARAMS.L)
-            r = P.reconstruct(sess, P.relu(sess, x))
+            r = open_share(sess, P.relu(sess, x))
             a = shared_input(sess, encode_fixed(a_vals, PARAMS), PARAMS.L)
             b = shared_input(sess, encode_fixed(b_vals, PARAMS), PARAMS.L)
-            q = P.reconstruct(sess, N.divide(sess, a, b))
+            q = open_share(sess, N.divide(sess, a, b))
             return r, q
 
         return run_three_parties(run, PARAMS, session_seed=7)[0]
@@ -338,7 +399,7 @@ def test_prep_file_roundtrip(tmp_path):
     def record(sess):
         sess.prep = RecordingPrep(DealerPrep(sess.party, PARAMS, seed=8))
         x = shared_input(sess, np.arange(16, dtype=np.uint64), PARAMS.L)
-        out = P.reconstruct(sess, P.relu(sess, x))
+        out = open_share(sess, P.relu(sess, x))
         save_prep_file(str(path) + f".p{sess.party.index}", sess.party, PARAMS, sess.prep.records)
         return out
 
@@ -347,7 +408,7 @@ def test_prep_file_roundtrip(tmp_path):
     def replay(sess):
         sess.prep = FilePrep(str(path) + f".p{sess.party.index}", sess.party, PARAMS)
         x = shared_input(sess, np.arange(16, dtype=np.uint64), PARAMS.L)
-        return P.reconstruct(sess, P.relu(sess, x))
+        return open_share(sess, P.relu(sess, x))
 
     second = run_three_parties(replay, PARAMS, session_seed=9)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -355,7 +416,7 @@ def test_prep_file_roundtrip(tmp_path):
     def replay_wrong_order(sess):
         sess.prep = FilePrep(str(path) + f".p{sess.party.index}", sess.party, PARAMS)
         x = shared_input(sess, np.arange(8, dtype=np.uint64), PARAMS.L)
-        return P.reconstruct(sess, P.relu(sess, x))
+        return open_share(sess, P.relu(sess, x))
 
     with pytest.raises(RuntimeError):
         run_three_parties(replay_wrong_order, PARAMS, session_seed=9)
