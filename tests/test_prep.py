@@ -180,7 +180,7 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
                 open_share(sess, wr.alpha),
                 wr.x.lo,  # own component for the wrap oracle
                 tuple(open_share(sess, s) for s in (wr.beta2, wr.beta_p, wr.m, wr.vbits,
-                                                       wr.m_beta, wr.m_xtop)),
+                                                    wr.m_beta, wr.m_xtop)),
                 tuple((s.mod, s.lo.dtype, s.shape) for s in (wr.xbits, wr.alpha, wr.beta2,
                                                               wr.beta_p, wr.m, wr.vbits,
                                                               wr.m_beta, wr.m_xtop)),
