@@ -11,7 +11,7 @@ from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
 from falcon.rss import add_shares, scale_share, share_secret
-from falcon.session import ThreatModel, run_three_parties
+from falcon.session import ThreatModel, open_share, run_three_parties
 
 params = RingParams(ell=32, fp=13)
 
@@ -27,12 +27,12 @@ def job(sess):
 
     # local-only linear algebra: 2x + y
     z = add_shares(scale_share(np.uint64(2), x), y)
-    opened_linear = P.reconstruct(sess, z)
+    opened_linear = open_share(sess, z)
 
     # one multiplication costs one communication round
     r0 = sess.meter.rounds
     prod = P.truncate(sess, P.mult(sess, x, y), params.fp)
-    opened_prod = P.reconstruct(sess, prod)
+    opened_prod = open_share(sess, prod)
     return opened_linear, opened_prod, sess.meter.rounds - r0
 
 

@@ -9,11 +9,10 @@ the square-root family iterates Newton steps from a power-of-two guess.
 import numpy as np
 
 from falcon import numeric as N
-from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
 from falcon.rss import share_secret
-from falcon.session import run_three_parties
+from falcon.session import open_share, run_three_parties
 
 params = RingParams(ell=32, fp=13)
 
@@ -27,19 +26,19 @@ def job(sess):
 
     a = sh(np.array([1.0, 6.0, 7.25, 0.5]))
     b = sh(np.array([1.0, 3.0, 0.29, 8.0]))
-    quot = P.reconstruct(sess, N.divide(sess, a, b))
+    quot = open_share(sess, N.divide(sess, a, b))
 
     c = sh(np.array([0.25, 1.0, 4.0, 170.0]))
     r0 = sess.meter.rounds
     alpha = N.bounding_power(sess, c)
     pow_rounds = sess.meter.rounds - r0
-    inv_root = P.reconstruct(sess, N.inv_sqrt_newton(sess, c, alpha))
-    root = P.reconstruct(sess, N.sqrt_newton(sess, c))
+    inv_root = open_share(sess, N.inv_sqrt_newton(sess, c, alpha))
+    root = open_share(sess, N.sqrt_newton(sess, c))
 
     acts = sh(np.random.default_rng(3).normal(0.0, 1.0, (1, 32)))
     ones = sh(np.ones(1))
     zeros = sh(np.zeros(1))
-    z = P.reconstruct(sess, N.batch_norm_forward(sess, acts, ones, zeros))
+    z = open_share(sess, N.batch_norm_forward(sess, acts, ones, zeros)[0])
     return quot, alpha, pow_rounds, inv_root, root, z
 
 

@@ -10,13 +10,12 @@ import numpy as np
 
 from falcon import nn
 from falcon import oracle as O
-from falcon import protocols as P
 from falcon.data import synth_digits
 from falcon.nets import network_a
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
 from falcon.rss import share_secret
-from falcon.session import run_three_parties
+from falcon.session import open_share, run_three_parties
 
 params = RingParams(ell=32, fp=13)
 COUNT = 50
@@ -40,7 +39,7 @@ if __name__ == "__main__":
         sess.prep = DealerPrep(sess.party, params, seed=4)
         state = nn.init_state(sess, net, fparams)
         xb = share_secret(test, params.L, sess.shared_rng)[sess.party.index - 1]
-        return P.reconstruct(sess, nn.forward(sess, state, xb))
+        return open_share(sess, nn.forward(sess, state, xb))
 
     logits = decode_fixed(run_three_parties(job, params, session_seed=21)[0], params)
     ref = O.float_forward(net, fparams, x[2500 : 2500 + COUNT])

@@ -24,9 +24,9 @@ from . import oracle as O
 from . import protocols as P
 from .data import FormatError, ingest_mnist, load_tensors, write_synth_idx
 from .nets import BUILTIN
-from .netspec import NetworkSpec, init_float_params
+from .netspec import NetworkSpec, init_float_params, param_shapes
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
-from .rings import RingError, RingParams, bit_decompose, decode_fixed, encode_fixed
+from .rings import RingError, RingParams, decode_fixed, encode_fixed
 from .rss import public_share, share_secret
 from .session import PartySession, ThreatModel, make_session, open_share, run_three_parties
 from .transport import TcpLinks
@@ -253,9 +253,9 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     table = {
         "mult": (1, k * n, 0),
         "matmul": (1, k * x * z, 0),
-        # the mult forming the blinding's products (ell + 2 Z_p products),
-        # the tree, the d open with the masked bit
-        "pc": (drelu_rounds, 2 * k * n + 3 * n / 8, n / 4),
+        # the tree and the d open with the masked bit (the blinding's
+        # products come from preprocessing)
+        "pc": (1 + lg, k * n + n / 8, n / 4),
         # the r open (the products come from preprocessing), then pc's
         # tree levels and open
         "wa": (drelu_rounds, 2 * k * n + n / 8, k * n + n / 4),
@@ -305,10 +305,10 @@ def bench_call(sess: PartySession, args):
             a = sh(encode_fixed(rng.uniform(-1, 1, (x, y)), params))
             b = sh(encode_fixed(rng.uniform(-1, 1, (y, z)), params))
             return lambda: P.matmul(sess, a, b, truncate_after=False)
-        case "pc":
-            bits = sh(bit_decompose(ring_elems(), params), params.p)
+        case "pc":  # as DReLU runs it: on preprocessed bits, drawn before the call
+            rand = sess.prep.wrap_rands(n)
             targets = ring_elems()
-            return lambda: P.private_compare(sess, bits, targets, zero())
+            return lambda: P.private_compare(sess, rand.xbits, targets, zero(), rand)
         case "wa":
             a = sh(ring_elems())
             return lambda: P.wrap3_protocol(sess, a, zero())
@@ -391,15 +391,36 @@ def load_net(spec: str) -> NetworkSpec:
         return NetworkSpec.from_json(f.read()).swap_relu_maxpool()
 
 
-def load_weights(path: str, params: RingParams) -> tuple[dict, dict]:
-    """Returns (raw ring weights, float weights for the reference oracle)."""
-    if path.endswith(".npz"):
-        floats = {k: v for k, v in np.load(path).items()}
-        return {k: encode_fixed(v, params) for k, v in floats.items()}, floats
-    raws, ck_params = nn.load_checkpoint(path)
-    if (ck_params.ell, ck_params.fp) != (params.ell, params.fp):
-        raise FormatError("checkpoint ring parameters do not match the session")
-    return raws, {k: decode_fixed(v, params) for k, v in raws.items()}
+def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict, dict]:
+    """Returns (raw ring weights, float weights for the reference oracle) of
+    every `<layer>.<param>` of the net, once each is present in its shape and,
+    for a float `.npz`, inside the fixed-point range."""
+    npz = path.endswith(".npz")
+    if npz:
+        with np.load(path) as archive:
+            weights = dict(archive)
+    else:
+        weights, ck_params = nn.load_checkpoint(path)
+        if (ck_params.ell, ck_params.fp) != (params.ell, params.fp):
+            raise FormatError("checkpoint ring parameters do not match the session")
+    raws, floats = {}, {}
+    in_shapes = [tuple(net.input_shape)] + net.activation_shapes()
+    for i, layer in enumerate(net.layers):
+        for name, want in param_shapes(layer, in_shapes[i]).items():
+            key = f"{i}.{name}"
+            if key not in weights:
+                raise FormatError(f"{path}: missing {key!r}")
+            value = weights[key]
+            if value.shape != want:
+                raise FormatError(f"{path}: {key!r} has shape {value.shape}, not {want}")
+            if not npz:
+                raws[key], floats[key] = value, decode_fixed(value, params)
+                continue
+            try:
+                raws[key], floats[key] = encode_fixed(value, params), value
+            except OverflowError as exc:
+                raise FormatError(f"{path}: {key!r}: {exc}") from None
+    return raws, floats
 
 
 def _as_net_input(net: NetworkSpec, images: np.ndarray) -> np.ndarray:
@@ -410,7 +431,7 @@ def _as_net_input(net: NetworkSpec, images: np.ndarray) -> np.ndarray:
 def cmd_infer(args) -> int:
     params = ring_params(args)
     net = load_net(args.net)
-    raws, floats = load_weights(args.weights, params)
+    raws, floats = load_weights(args.weights, params, net)
     store = load_tensors(args.data)
     lo = args.offset
     hi = lo + args.count

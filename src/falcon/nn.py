@@ -136,8 +136,7 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         return mx.reshape(B, C, Ho, Wo)
     if layer.kind == "bn":
         grouped, restore = _channels_first(x)
-        out, z, inv = batch_norm_forward(sess, grouped, st.params["gamma"],
-                                         st.params["beta"], want_cache=True)
+        out, z, inv = batch_norm_forward(sess, grouped, st.params["gamma"], st.params["beta"])
         st.cache["z"] = z
         st.cache["inv"] = inv
         st.cache["m"] = grouped.shape[-1]

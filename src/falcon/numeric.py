@@ -47,25 +47,20 @@ def working_precision(params) -> int:
 def rescale(sess: PartySession, x: RssShare, s, nearest: bool = True) -> RssShare:
     """x / 2^s for a public (possibly per-element, possibly negative) shift.
 
-    Positive shifts truncate (optionally round-to-nearest); nonpositive
-    shifts multiply by 2^{-s} locally.
+    Every element is multiplied by 2^max(-s, 0) locally, and the elements
+    with s > 0 are truncated (optionally round-to-nearest) in one call, in
+    element order, and written back. The truncation runs on a gathered copy
+    before the scaled one is made, and a shift shared by all elements stays
+    a scalar, so no more than one extra copy of x is alive during it.
     """
-    s = np.broadcast_to(np.asarray(s, np.int64), x.shape)
-    if np.all(s <= 0):
-        return scale_share(_pow2(-s, x.mod), x)
-    if np.all(s > 0):
-        return _trunc_vec(sess, x, s, nearest)
-    pos = s > 0
-    flat_x = x.reshape(int(np.prod(x.shape, dtype=int)))
-    flat_s = s.reshape(-1)
-    pos = pos.reshape(-1)
-    out_lo = np.empty_like(flat_x.lo)
-    out_hi = np.empty_like(flat_x.hi)
-    hi_part = _trunc_vec(sess, flat_x[pos], flat_s[pos], nearest)
-    lo_part = scale_share(_pow2(-flat_s[~pos], x.mod), flat_x[~pos])
-    out_lo[pos], out_hi[pos] = hi_part.lo, hi_part.hi
-    out_lo[~pos], out_hi[~pos] = lo_part.lo, lo_part.hi
-    return RssShare(out_lo, out_hi, x.mod).reshape(x.shape)
+    s = np.asarray(s, np.int64)
+    pos = np.broadcast_to(s > 0, x.shape)
+    shifts = np.broadcast_to(s, x.shape)[pos] if s.ndim else s
+    part = _trunc_vec(sess, x[pos], shifts, nearest) if pos.any() else None
+    out = scale_share(_pow2(np.maximum(-s, 0), x.mod), x)
+    if part is not None:
+        out.lo[pos], out.hi[pos] = part.lo, part.hi
+    return out
 
 
 def _pow2(e, mod: int) -> np.ndarray:
@@ -240,9 +235,10 @@ def sqrt_newton(sess: PartySession, a: RssShare) -> RssShare:
 # batch normalization (forward)
 
 
-def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta: RssShare,
-                       want_cache: bool = False):
-    """gamma * (a - mu)/sqrt(var + eps) + beta over the last axis.
+def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta: RssShare):
+    """(out, z, inv): out = gamma z + beta over the last axis, with the
+    normalised z = (a - mu) inv and inv = 1/sqrt(var + eps), which the
+    backward pass reuses.
 
     acts is (..., m); gamma/beta broadcast over the leading axes. eps is
     the public constant 2^-10. Per-element squared deviations are
@@ -264,10 +260,7 @@ def batch_norm_forward(sess: PartySession, acts: RssShare, gamma: RssShare, beta
     inv = inv_sqrt_newton(sess, b, alpha)
     z = rescale(sess, mult(sess, dev, expand_last(inv, acts.shape)), fp)
     g = rescale(sess, mult(sess, expand_last(gamma, z.shape), z), fp)
-    out = add_shares(g, expand_last(beta, z.shape))
-    if want_cache:
-        return out, z, inv
-    return out
+    return add_shares(g, expand_last(beta, z.shape)), z, inv
 
 
 def _mean_last_axis(sess: PartySession, x: RssShare, m: int) -> RssShare:

@@ -1,4 +1,4 @@
-"""Data-independent preprocessing: truncation pairs, compare/wrap/bit material.
+"""Data-independent preprocessing: truncation pairs, wrap and bit material.
 
 Two interchangeable generators produce the same artifact types:
 
@@ -64,22 +64,12 @@ class TruncPair:
 
 
 @dataclass
-class CompareRand:
-    """A blinding bit in both rings plus a nonzero multiplicative mask."""
-
-    beta2: RssShare
-    beta_p: RssShare
-    m: RssShare
-
-
-@dataclass
 class WrapRand:
     """Random x with its Z_p bit sharing and alpha = wrap3 of its components,
-    plus the blinding of the private compare on x's bits (a CompareRand's
-    fields, with m the nonzero m~ of the compare's mask m~ (1 - 2 beta)) and
-    its products with those bits (`protocols.compare_products`), each a
-    sharing of its own, so the online compare multiplies nothing before its
-    tree."""
+    plus the blinding of the private compare on x's bits (a bit beta in both
+    rings and the nonzero m~ of the compare's mask m~ (1 - 2 beta)) and its
+    products with those bits (`protocols.compare_products`), each a sharing
+    of its own, so the online compare multiplies nothing before its tree."""
 
     x: RssShare        # (n,) over Z_L
     xbits: RssShare    # (n, ell) over Z_p
@@ -105,7 +95,7 @@ class BitPair:
 
 # the record kinds of a preprocessing file; each artifact's first field
 # leads with the instance count n
-_ARTIFACTS = {"trunc": TruncPair, "compare": CompareRand, "wrap": WrapRand, "bitpair": BitPair}
+_ARTIFACTS = {"trunc": TruncPair, "wrap": WrapRand, "bitpair": BitPair}
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +147,9 @@ class DealerPrep:
             x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
             bits = bit_decompose(x, p)  # (n, ell)
-            beta, m = self._blinding(n)
+            # the compare's blinding bit beta and the nonzero m~ of its mask
+            beta = self.rng.integers(0, 2, n).astype(NARROW)
+            m = self.rng.integers(1, p.p, n).astype(NARROW)
             # the products are dealt as fresh sharings: scaling the bits'
             # shares by (1 or p - 1) would tell each party beta. Each is a
             # product of a bit and a value below p, so it fits a uint8
@@ -170,21 +162,8 @@ class DealerPrep:
         i = self.party.index - 1
         return WrapRand(share_components(self.party, tuple(comps), p.L), *(s[i] for s in shared))
 
-    def _blinding(self, n: int):
-        """The compare's blinding bit beta and the nonzero m~ of its mask over Z_p."""
-        beta = self.rng.integers(0, 2, n).astype(NARROW)
-        return beta, self.rng.integers(1, self.params.p, n).astype(NARROW)
-
-    def compare_rands(self, n: int) -> CompareRand:
-        p = self.params
-
-        def gen():
-            beta, m = self._blinding(n)
-            return (self._share_all(beta, 2), self._share_all(beta, p.p), self._share_all(m, p.p))
-
-        b2_all, bp_all, m_all = self._consume("compare", (n,), gen)
-        i = self.party.index - 1
-        return CompareRand(b2_all[i], bp_all[i], m_all[i])
+    # kept only because perfbench/tracing.py patches it by name; no caller
+    compare_rands = wrap_rands
 
     def bit_pairs(self, n: int) -> BitPair:
         p = self.params
@@ -363,13 +342,8 @@ class DistributedPrep:
         return WrapRand(x, xbits, alpha, beta2.reshape(n), beta_p, m,
                         *compare_products(sess, xbits, beta_p, m))
 
-    def compare_rands(self, n: int) -> CompareRand:
-        sess = self.sess
-        params = sess.params
-        beta2 = sample_shared_bits(sess, (n,))
-        beta_p = bit_inject(sess, beta2, params.p)
-        m = _nonzero_masks(sess, n)
-        return CompareRand(beta2, beta_p, m)
+    # kept only because perfbench/tracing.py patches it by name; no caller
+    compare_rands = wrap_rands
 
     def bit_pairs(self, n: int) -> BitPair:
         sess = self.sess
@@ -414,7 +388,7 @@ def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
 
 
 def save_prep_file(path: str, party: PartyId, params: RingParams, records: dict):
-    """records: {"trunc": [TruncPair, ...], "compare": [...], "wrap": [...], "bitpair": [...]}"""
+    """records: {"trunc": [TruncPair, ...], "wrap": [WrapRand, ...], "bitpair": [BitPair, ...]}"""
     tensors = {"session": np.array([party.index, params.ell, params.p], UINT)}
     for kind, items in records.items():
         for i, item in enumerate(items):
@@ -494,9 +468,6 @@ class RecordingPrep:
     def wrap_rands(self, n: int) -> WrapRand:
         return self._record("wrap", self.inner.wrap_rands(n))
 
-    def compare_rands(self, n: int) -> CompareRand:
-        return self._record("compare", self.inner.compare_rands(n))
-
     def bit_pairs(self, n: int) -> BitPair:
         return self._record("bitpair", self.inner.bit_pairs(n))
 
@@ -526,9 +497,5 @@ class FilePrep:
 
     def wrap_rands(self, n: int) -> WrapRand:
         return self._take("wrap", n)
-
-    def compare_rands(self, n: int) -> CompareRand:
-        return self._take("compare", n)
-
     def bit_pairs(self, n: int) -> BitPair:
         return self._take("bitpair", n)

@@ -1,13 +1,13 @@
 """Online protocol suite over replicated shares.
 
 Multiplication with resharing, matrix/convolution variants, exact
-truncation from preprocessed pairs, private compare (the bit x > t for
-shared x and public t), the three-operand wrap bit, DReLU/ReLU, oblivious
-selection, and maxpool as a comparison tree of ceil(log2 n) levels whose
-keep bits stand for the argmax: inference takes the max alone, and
-backward routes the gradient down the same bits (`maxpool_route`). Each
-protocol works elementwise over arbitrary array shapes and runs under
-either threat model of the session.
+truncation from preprocessed pairs, private compare (the bit x > t for a
+preprocessed shared x and public t), the three-operand wrap bit,
+DReLU/ReLU, oblivious selection, and maxpool as a comparison tree of
+ceil(log2 n) levels whose keep bits stand for the argmax: inference takes
+the max alone, and backward routes the gradient down the same bits
+(`maxpool_route`). Each protocol works elementwise over arbitrary array
+shapes and runs under either threat model of the session.
 
 Private compare, the wrap protocol and DReLU each return one public
 array: their bit xor a mask shared over Z_2, which the caller passes. A
@@ -20,10 +20,11 @@ Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
 the analytic round counts require it: a DReLU opens its one masked bit (a
 lift's e = b xor c, or a probe's b) in the step that opens the compare's
-d. The compare inside the wrap protocol answers eta = (x > r) for the
-opened r itself in log2(ell) tree levels, and takes its bits already
-flipped by its blinding, with the products of its mask, from
-preprocessing, so the step that opens r carries nothing else.
+d. The compare runs on preprocessed material only: inside the wrap
+protocol it answers eta = (x > r) for the opened r itself in log2(ell)
+tree levels, and takes x's bits already flipped by its blinding, with the
+products of its mask, from the same `WrapRand`, so the step that opens r
+carries nothing else.
 """
 
 from __future__ import annotations
@@ -218,8 +219,7 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> 
 # private compare
 
 
-def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare,
-                    rand=None) -> np.ndarray:
+def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand) -> np.ndarray:
     """The public bit (x > t) xor m, for public t in [0, 2^ell) and a mask m
     shared over Z_2 of shape (n,); a zero sharing opens the bit itself.
 
@@ -230,11 +230,10 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare,
     xor m open in one round, and d unblinds the opened bit. At
     t = 2^ell - 1 the answer is 0.
 
-    rand holds the blinding (beta2, beta_p and the nonzero m~ of the mask
-    m = m~ (1 - 2 beta)) and its products with x's bits (`compare_products`):
-    the wrap protocol passes its preprocessed `WrapRand`, which carries
-    both. Without it the compare draws its own blinding and forms the
-    products in one multiplication round.
+    rand is the preprocessed `WrapRand` that xbits come from: it carries the
+    blinding (beta2, beta_p and the nonzero m~ of the mask m = m~ (1 - 2 beta))
+    and its products with x's bits (`compare_products`), so the compare
+    multiplies nothing before its tree.
     """
     ell = sess.params.ell
     n, nb = xbits.shape
@@ -243,14 +242,10 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare,
     t = np.asarray(t, dtype=np.uint64).reshape(n)
     if ell < 64 and np.any(t >> np.uint64(ell)):
         raise ValueError("public operand is not below 2^ell")
-    if rand is None:
-        rand = sess.prep.compare_rands(n)
-        products = compare_products(sess, xbits, rand.beta_p, rand.m)
-    else:
-        products = rand.vbits, rand.m_beta, rand.m_xtop
-    factors = _pc_factors(sess, xbits, t, rand.beta_p, rand.m, *products)
+    factors = _pc_factors(sess, xbits, t, rand.beta_p, rand.m, rand.vbits, rand.m_beta,
+                          rand.m_xtop)
     top = t == np.uint64((1 << ell) - 1)
-    del t, products  # the tree needs the factors alone
+    del t  # the tree needs the factors alone
     return _pc_core(sess, factors, rand.beta2, top, mask)
 
 

@@ -174,11 +174,11 @@ def shift_signed(x, d, params: RingParams) -> np.ndarray:
 def encode_fixed(real, params: RingParams) -> np.ndarray:
     """round(real * 2^fp) in two's complement over Z_L.
 
-    Raises OverflowError when |real| reaches 2^{ell-1-fp}.
+    Raises OverflowError when |real| reaches 2^{ell-1-fp} or is not a number.
     """
     real = np.asarray(real, dtype=np.float64)
     limit = float(1 << (params.ell - 1 - params.fp))
-    if np.any(np.abs(real) >= limit):
+    if not np.all(np.abs(real) < limit):
         raise OverflowError(f"|real| must be < 2^{params.ell - 1 - params.fp}")
     raw = np.rint(real * float(1 << params.fp)).astype(np.int64)
     return reduce_mod(raw, params.L)

@@ -20,12 +20,12 @@ from falcon.data import synth_digits
 from falcon.nets import network_a, network_b, network_c
 from falcon.netspec import init_float_params
 from falcon.prep import DealerPrep
-from falcon.rings import RingParams, bit_decompose, decode_fixed, encode_fixed, wrap3
+from falcon.rings import RingParams, decode_fixed, encode_fixed, wrap3
 from falcon.rss import share_secret
-from falcon.session import AbortError, ThreatModel, run_three_parties
+from falcon.session import AbortError, ThreatModel, open_share, run_three_parties
 from falcon.transport import FaultInjector
 
-from test_compare_wrap import wrap3_greek_terms
+from test_compare_wrap import chosen_compare_rand, compare_chosen, wrap3_greek_terms
 from test_protocols import run_shared, shared_input, zero_mask
 from test_relu_maxpool import maxpool_onehot
 
@@ -83,9 +83,7 @@ def test_criterion_1_private_compare_exhaustive():
     rs = np.repeat(r_vals, 256)
 
     def job(sess):
-        bits = share_secret(bit_decompose(xs, sess.params), sess.params.p,
-                            sess.shared_rng)[sess.party.index - 1]
-        return P.private_compare(sess, bits, rs, zero_mask(sess, len(xs)))
+        return compare_chosen(sess, xs, rs, zero_mask(sess, len(xs)))
 
     got = run_shared(params, job, seed=1)[0]
     expect = (xs > rs).astype(np.uint64)
@@ -129,7 +127,7 @@ def test_criterion_3_relu_drelu():
 
     def job8(sess):
         a = shared_input(sess, xs8, p8.L)
-        return P.drelu(sess, a, zero_mask(sess, a.shape)), P.reconstruct(sess, P.relu(sess, a))
+        return P.drelu(sess, a, zero_mask(sess, a.shape)), open_share(sess, P.relu(sess, a))
 
     d8, r8 = run_shared(p8, job8, seed=3)[0]
     ok8 = np.array_equal(d8, O.oracle_drelu(xs8, p8)) and np.array_equal(r8, O.oracle_relu(xs8, p8))
@@ -143,7 +141,7 @@ def test_criterion_3_relu_drelu():
         def run(sess):
             a = shared_input(sess, xs, PARAMS.L)
             r0, b0 = sess.meter.rounds, sess.meter.acct_bits
-            out = P.reconstruct(sess, P.relu(sess, a))
+            out = open_share(sess, P.relu(sess, a))
             meters[threat] = (sess.meter.rounds - r0 - 1, sess.meter.acct_bits - b0)
             return out
 
@@ -193,7 +191,7 @@ def test_criterion_4_maxpool():
         for vals in batches:
             a = shared_input(sess, encode_fixed(vals, sess.params), sess.params.L)
             mx, ind = maxpool_onehot(sess, a)
-            outs.append((P.reconstruct(sess, mx), P.reconstruct(sess, ind)))
+            outs.append((open_share(sess, mx), open_share(sess, ind)))
         return outs
 
     outs = run_shared(PARAMS, job, seed=4)[0]
@@ -223,7 +221,7 @@ def test_criterion_5_numerics():
     def job_div(sess):
         ash = shared_input(sess, a_raw, PARAMS.L)
         bsh = shared_input(sess, b_raw, PARAMS.L)
-        return P.reconstruct(sess, N.divide(sess, ash, bsh))
+        return open_share(sess, N.divide(sess, ash, bsh))
 
     got = decode_fixed(run_shared(PARAMS, job_div, seed=5)[0], PARAMS)
     aq, bq = decode_fixed(a_raw, PARAMS), decode_fixed(b_raw, PARAMS)
@@ -237,7 +235,7 @@ def test_criterion_5_numerics():
     def job_inv(sess):
         bsh = shared_input(sess, bv_raw, P16.L)
         alpha = N.bounding_power(sess, bsh)
-        return P.reconstruct(sess, N.inv_sqrt_newton(sess, bsh, alpha))
+        return open_share(sess, N.inv_sqrt_newton(sess, bsh, alpha))
 
     inv = decode_fixed(run_shared(P16, job_inv, seed=5)[0], P16)
     bq16 = decode_fixed(bv_raw, P16)
@@ -248,7 +246,7 @@ def test_criterion_5_numerics():
 
     def job_sqrt(sess):
         ash = shared_input(sess, sv_raw, PARAMS.L)
-        return P.reconstruct(sess, N.sqrt_newton(sess, ash))
+        return open_share(sess, N.sqrt_newton(sess, ash))
 
     sq = decode_fixed(run_shared(PARAMS, job_sqrt, seed=5)[0], PARAMS)
     sq_q = decode_fixed(sv_raw, PARAMS)
@@ -287,7 +285,7 @@ def test_criterion_6_batch_norm():
             a = shared_input(sess, encode_fixed(acts, PARAMS), PARAMS.L)
             g = shared_input(sess, encode_fixed(np.ones(6), PARAMS), PARAMS.L)
             bta = shared_input(sess, encode_fixed(np.zeros(6), PARAMS), PARAMS.L)
-            return P.reconstruct(sess, N.batch_norm_forward(sess, a, g, bta))
+            return open_share(sess, N.batch_norm_forward(sess, a, g, bta)[0])
 
         z = decode_fixed(run_shared(PARAMS, job, seed=6)[0], PARAMS)
         mu = acts.mean(axis=1, keepdims=True)
@@ -314,7 +312,7 @@ def test_criterion_7_malicious_abort(pretrained, digits):
         sess.prep = DealerPrep(sess.party, PARAMS, seed=7)
         state = nn.share_weights(sess, net, raws)
         xb = share_secret(batch, PARAMS.L, sess.shared_rng)[sess.party.index - 1]
-        return P.reconstruct(sess, nn.forward(sess, state, xb))
+        return open_share(sess, nn.forward(sess, state, xb))
 
     # count the message sites of one clean malicious forward pass
     counts = {}
@@ -365,7 +363,7 @@ def test_criterion_8_inference(pretrained, digits):
         def job(sess):
             state = nn.share_weights(sess, net, raws)
             xb = share_secret(images, PARAMS.L, sess.shared_rng)[sess.party.index - 1]
-            return P.reconstruct(sess, nn.forward(sess, state, xb))
+            return open_share(sess, nn.forward(sess, state, xb))
 
         def with_dealer(sess):
             sess.prep = DealerPrep(sess.party, PARAMS, seed=8)
@@ -453,9 +451,7 @@ def test_criterion_10_cost_model():
         return (shared_input(sess, mat_a, PARAMS.L), shared_input(sess, mat_b, PARAMS.L))
 
     def mk_bits(sess):
-        bits = share_secret(bit_decompose(pc_vals, PARAMS), PARAMS.p,
-                            sess.shared_rng)[sess.party.index - 1]
-        return bits, pc_targets
+        return (chosen_compare_rand(sess, pc_vals),)
 
     def mk_vec(sess):
         return (shared_input(sess, vec_vals, PARAMS.L),)
@@ -477,7 +473,8 @@ def test_criterion_10_cost_model():
 
     cases = [
         ("matmul", mk_matmul, lambda s, i: P.matmul(s, *i, truncate_after=False), dict(dims=(4, 4, 4))),
-        ("pc", mk_bits, lambda s, i: P.private_compare(s, *i, zero_mask(s, n)), {}),
+        ("pc", mk_bits,
+         lambda s, i: P.private_compare(s, i[0].xbits, pc_targets, zero_mask(s, n), i[0]), {}),
         ("wa", mk_vec, lambda s, i: P.wrap3_protocol(s, i[0], zero_mask(s, n)), {}),
         ("drelu", mk_vec, lambda s, i: P.drelu(s, i[0], zero_mask(s, n)), {}),
         ("relu", mk_vec, lambda s, i: P.relu(s, i[0]), {}),

@@ -1,6 +1,7 @@
 """Private compare and the three-operand wrap protocol vs plain oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,23 @@ from conftest import reconstruct_all
 from test_protocols import run_shared, tap_openings, zero_mask
 
 
-def _share_bits(sess, xs, params):
+def chosen_compare_rand(sess, xs):
+    """A dealt `WrapRand` whose compare material is for the chosen x: x's bits
+    shared over Z_p and their products with the dealt blinding
+    (`compare_products`, one multiplication round). Its x and alpha stay the
+    dealt ones, which a compare does not read."""
+    params = sess.params
     bits = bit_decompose(np.asarray(xs, np.uint64), params)
-    return share_secret(bits, params.p, sess.shared_rng)[sess.party.index - 1]
+    xbits = share_secret(bits, params.p, sess.shared_rng)[sess.party.index - 1]
+    rand = sess.prep.wrap_rands(len(bits))
+    vbits, m_beta, m_xtop = P.compare_products(sess, xbits, rand.beta_p, rand.m)
+    return replace(rand, xbits=xbits, vbits=vbits, m_beta=m_beta, m_xtop=m_xtop)
+
+
+def compare_chosen(sess, xs, ts, mask):
+    """private_compare of the chosen x against ts on `chosen_compare_rand`."""
+    rand = chosen_compare_rand(sess, xs)
+    return P.private_compare(sess, rand.xbits, ts, mask, rand)
 
 
 def test_private_compare_examples():
@@ -26,13 +41,14 @@ def test_private_compare_examples():
     def job(sess):
         x = np.array([5, 0, 3, 255], np.uint64)
         r = np.array([3, 0, 4, 254], np.uint64)
-        bits = _share_bits(sess, x, sess.params)
+        rand = chosen_compare_rand(sess, x)
         zero = zero_mask(sess, 4)
         # t = 2^ell is not an ell-bit value: refused before any message
+        r0 = sess.meter.rounds
         with pytest.raises(ValueError, match="below 2\\^ell"):
-            P.private_compare(sess, bits, np.array([0, 0, 0, 256], np.uint64), zero)
-        rounds = sess.meter.rounds
-        return P.private_compare(sess, bits, r, zero), rounds
+            P.private_compare(sess, rand.xbits, np.array([0, 0, 0, 256], np.uint64), zero, rand)
+        rounds = sess.meter.rounds - r0
+        return P.private_compare(sess, rand.xbits, r, zero, rand), rounds
 
     got, rounds = run_shared(params, job)[0]
     assert rounds == 0
@@ -50,8 +66,7 @@ def test_private_compare_exhaustive_8bit(threat):
     ).astype(np.uint64)
 
     def job(sess):
-        bits = _share_bits(sess, xs, sess.params)
-        return P.private_compare(sess, bits, rs, zero_mask(sess, len(xs)))
+        return compare_chosen(sess, xs, rs, zero_mask(sess, len(xs)))
 
     got = run_shared(params, job, threat=threat)[0]
     assert np.array_equal(got, oracle_compare(xs, rs))
@@ -65,8 +80,7 @@ def test_private_compare_full_word_targets():
     ts = np.repeat(np.array([0, top - 1, top], np.uint64), 5)
 
     def job(sess):
-        bits = _share_bits(sess, xs, sess.params)
-        return P.private_compare(sess, bits, ts, zero_mask(sess, len(xs)))
+        return compare_chosen(sess, xs, ts, zero_mask(sess, len(xs)))
 
     got = run_shared(RingParams(ell=64, fp=13), job)[0]
     # x > 0 but at 0, x > 2^64 - 2 only at the top, x > 2^64 - 1 never
@@ -87,8 +101,7 @@ def test_private_compare_reveal_blinded(monkeypatch):
     seen = tap_openings(monkeypatch, "pc-open-d")
 
     def job(sess):
-        bits = _share_bits(sess, xs, sess.params)
-        return P.private_compare(sess, bits, rs, zero_mask(sess, n))
+        return compare_chosen(sess, xs, rs, zero_mask(sess, n))
 
     got = run_shared(params, job)[0]
     d, _ = seen[1]
@@ -104,16 +117,15 @@ def test_private_compare_rounds():
     params = RingParams(ell=32, fp=13)
 
     def job(sess):
-        xs = np.arange(8, dtype=np.uint64)
-        bits = _share_bits(sess, xs, sess.params)
+        rand = chosen_compare_rand(sess, np.arange(8, dtype=np.uint64))
         r0 = sess.meter.rounds
-        P.private_compare(sess, bits, np.full(8, 5, np.uint64), zero_mask(sess, 8))
+        P.private_compare(sess, rand.xbits, np.full(8, 5, np.uint64), zero_mask(sess, 8), rand)
         return sess.meter.rounds - r0
 
     rounds = run_shared(params, job)[0]
-    # the mult that forms the blinding's products, ceil(log2 ell) tree
-    # levels over the ell factors, the reveal
-    assert rounds == 2 + math.ceil(math.log2(32)) == 7
+    # ceil(log2 ell) tree levels over the ell factors, the reveal; the
+    # blinding's products come with the material
+    assert rounds == 1 + math.ceil(math.log2(32)) == 6
 
 
 @pytest.mark.parametrize("ell, p", [(11, 13), (29, 31), (35, 37)])
@@ -132,8 +144,7 @@ def test_compare_and_wrap_exact_at_p_just_above_ell_plus_one(ell, p):
     comps = _random_sharings(params, n, rng)
 
     def job(sess):
-        bits = _share_bits(sess, xs, sess.params)
-        gt = P.private_compare(sess, bits, ts, zero_mask(sess, len(xs)))
+        gt = compare_chosen(sess, xs, ts, zero_mask(sess, len(xs)))
         theta = P.wrap3_protocol(sess, share_components(sess.party, tuple(comps), L),
                                  zero_mask(sess, n))
         return gt, theta

@@ -344,6 +344,40 @@ def test_cli_float_npz_weights_import(mini_setup, capsys):
     assert report["count"] == 6 and report["agreement"] >= 5
 
 
+@pytest.mark.parametrize("bad", ["huge", "nan", "missing", "shape", "checkpoint-shape"])
+def test_cli_weights_that_do_not_fit_the_net(mini_setup, capsys, monkeypatch, bad):
+    # a value beyond the fixed-point range or not a number, a missing
+    # parameter and one of the wrong shape are refused with status 2,
+    # naming the file and the key, before any party starts
+    d, store, net_path = mini_setup
+    from falcon.netspec import NetworkSpec, init_float_params
+
+    net = NetworkSpec.from_json(open(net_path).read())
+    fparams = init_float_params(net, seed=5)
+    key = "0.b" if bad == "missing" else "0.w"
+    if bad in ("huge", "nan"):
+        fparams[key][0, 0] = 1e6 if bad == "huge" else np.nan
+    elif bad == "missing":
+        del fparams[key]
+    else:
+        fparams[key] = np.zeros((10, 128))
+    path = str(d / f"{bad}.npz")
+    if bad == "checkpoint-shape":
+        path = str(d / f"{bad}.ckpt")
+        nn.save_checkpoint(path, {k: encode_fixed(v, PARAMS) for k, v in fparams.items()}, PARAMS)
+    else:
+        np.savez(path, **fparams)
+
+    def no_party(*args, **kwargs):
+        raise AssertionError("a party started")
+
+    monkeypatch.setattr(cli, "run_three_parties", no_party)
+    rc = cli.main(["infer", "--net", net_path, "--weights", path, "--data", store, "--count", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and repr(key) in err
+
+
 def test_cli_malicious_infer_adds_the_openings(mini_setup, capsys, monkeypatch):
     """Malicious sends each opened element a second time and nothing else twice."""
     d, store, net_path = mini_setup

@@ -10,7 +10,7 @@ from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
 from falcon.rss import deserialize_elems, share_secret, wire_nbytes
-from falcon.session import AbortError, ThreatModel, run_three_parties
+from falcon.session import AbortError, ThreatModel, open_share, run_three_parties
 from falcon.transport import ChannelClosed, DesyncError, FaultInjector, Message
 
 from test_protocols import shared_input
@@ -24,7 +24,7 @@ def _job_mult_chain(sess):
     y = shared_input(sess, np.arange(11, 19, dtype=np.uint64), PARAMS.L)
     z = P.mult(sess, x, y)
     z = P.mult(sess, z, y)
-    return P.reconstruct(sess, z)
+    return open_share(sess, z)
 
 
 def _count_messages(threat):
@@ -80,7 +80,7 @@ def test_malicious_products_stay_hidden_from_each_party():
             x, y = shared_input(sess, a, PARAMS.L), shared_input(sess, b, PARAMS.L)
             del received[:]
             z = op(sess, x, y)
-            views.append((z, list(received), P.reconstruct(sess, z)))
+            views.append((z, list(received), open_share(sess, z)))
         return views
 
     for views in run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS, session_seed=4):
@@ -160,7 +160,7 @@ def test_out_of_range_element_is_refused_naming_round_and_sender(threat, error):
     def job(sess):
         x, y = (share_secret(vals, PARAMS.p, sess.shared_rng)[sess.party.index - 1]
                 for _ in range(2))
-        return P.reconstruct(sess, P.mult(sess, x, y))
+        return open_share(sess, P.mult(sess, x, y))
 
     fault = _WriteModulus()
     with pytest.raises(error, match=r"round 1 \(mult\): P(\d) sent P(\d) element 37,") as info:
@@ -174,7 +174,7 @@ def test_malicious_relu_flip_aborts():
     def job(sess):
         sess.prep = DealerPrep(sess.party, PARAMS, seed=5)
         a = shared_input(sess, encode_fixed(np.linspace(-2, 2, 16), PARAMS), PARAMS.L)
-        return P.reconstruct(sess, P.relu(sess, a))
+        return open_share(sess, P.relu(sess, a))
 
     baseline = run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS, session_seed=5)
     assert all(np.array_equal(baseline[0], b) for b in baseline)
@@ -214,7 +214,7 @@ def test_tampered_compare_round_aborts_its_receiver():
 
             sess.links.recv = tap
             try:
-                return "output", P.reconstruct(sess, P.relu(sess, a)), seen
+                return "output", open_share(sess, P.relu(sess, a)), seen
             except AbortError:
                 sess.links.close()  # the peers stop at their next receive
                 return "abort", sess.round_no == merged, seen

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from falcon import numeric as N
-from falcon import protocols as P
 from falcon import oracle as O
 from falcon.numeric import DomainError
 from falcon.prep import RecordingPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed
-from falcon.session import ThreatModel
+from falcon.session import ThreatModel, open_share
 
 from test_protocols import run_shared, shared_input
 
@@ -119,7 +118,7 @@ def _run_divide(params, a_vals, b_vals, threat=ThreatModel.SEMI_HONEST):
     def job(sess):
         a = shared_input(sess, a_raw, params.L)
         b = shared_input(sess, b_raw, params.L)
-        return P.reconstruct(sess, N.divide(sess, a, b))
+        return open_share(sess, N.divide(sess, a, b))
 
     out = decode_fixed(run_shared(params, job, threat=threat)[0], params)
     return out, decode_fixed(a_raw, params), decode_fixed(b_raw, params)
@@ -155,7 +154,7 @@ def test_divide_matches_fx_twin_bit_for_bit():
     def job(sess):
         ash = shared_input(sess, a_raw, PARAMS.L)
         bsh = shared_input(sess, b_raw, PARAMS.L)
-        return P.reconstruct(sess, N.divide(sess, ash, bsh))
+        return open_share(sess, N.divide(sess, ash, bsh))
 
     got = run_shared(PARAMS, job)[0]
     assert np.array_equal(got, O.fx_divide(a_raw, b_raw, PARAMS))
@@ -172,7 +171,7 @@ def _run_invsqrt(params, b_vals):
     def job(sess):
         b = shared_input(sess, b_raw, params.L)
         alpha = N.bounding_power(sess, b)
-        return P.reconstruct(sess, N.inv_sqrt_newton(sess, b, alpha))
+        return open_share(sess, N.inv_sqrt_newton(sess, b, alpha))
 
     return decode_fixed(run_shared(params, job)[0], params), decode_fixed(b_raw, params)
 
@@ -208,7 +207,7 @@ def test_inv_sqrt_matches_fx_twin():
     def job(sess):
         b = shared_input(sess, b_raw, PARAMS.L)
         alpha = N.bounding_power(sess, b)
-        return P.reconstruct(sess, N.inv_sqrt_newton(sess, b, alpha))
+        return open_share(sess, N.inv_sqrt_newton(sess, b, alpha))
 
     got = run_shared(PARAMS, job)[0]
     assert np.array_equal(got, O.fx_inv_sqrt(b_raw, O.fx_bounding_power(b_raw, PARAMS), PARAMS))
@@ -219,7 +218,7 @@ def test_sqrt_examples_and_range(params):
     def job(sess):
         vals = np.array([4.0, 2.0, 1.0])
         a = shared_input(sess, encode_fixed(vals, params), params.L)
-        return P.reconstruct(sess, N.sqrt_newton(sess, a))
+        return open_share(sess, N.sqrt_newton(sess, a))
 
     got = decode_fixed(run_shared(params, job)[0], params)
     assert np.allclose(got, [2.0, np.sqrt(2.0), 1.0], rtol=1e-3, atol=0)
@@ -229,7 +228,7 @@ def test_sqrt_examples_and_range(params):
 
     def job2(sess):
         a = shared_input(sess, encode_fixed(b, params), params.L)
-        return P.reconstruct(sess, N.sqrt_newton(sess, a))
+        return open_share(sess, N.sqrt_newton(sess, a))
 
     raw2 = run_shared(params, job2)[0]
     assert np.array_equal(raw2, O.fx_sqrt(encode_fixed(b, params), params))
@@ -245,7 +244,7 @@ def test_batch_norm_constant_batch():
         acts = shared_input(sess, encode_fixed(np.full((1, 4), 2.0), PARAMS), PARAMS.L)
         gamma = shared_input(sess, encode_fixed(np.array([1.0]), PARAMS), PARAMS.L)
         beta = shared_input(sess, encode_fixed(np.array([0.0]), PARAMS), PARAMS.L)
-        return P.reconstruct(sess, N.batch_norm_forward(sess, acts, gamma, beta))
+        return open_share(sess, N.batch_norm_forward(sess, acts, gamma, beta)[0])
 
     out = decode_fixed(run_shared(PARAMS, job)[0], PARAMS)
     assert np.all(np.abs(out) <= 1e-2)
@@ -256,10 +255,10 @@ def test_batch_norm_two_point_batch():
         acts = shared_input(sess, encode_fixed(np.array([[1.0, 3.0]]), PARAMS), PARAMS.L)
         gamma = shared_input(sess, encode_fixed(np.array([1.0]), PARAMS), PARAMS.L)
         beta = shared_input(sess, encode_fixed(np.array([0.0]), PARAMS), PARAMS.L)
-        out1 = P.reconstruct(sess, N.batch_norm_forward(sess, acts, gamma, beta))
+        out1 = open_share(sess, N.batch_norm_forward(sess, acts, gamma, beta)[0])
         gamma2 = shared_input(sess, encode_fixed(np.array([2.0]), PARAMS), PARAMS.L)
         beta2 = shared_input(sess, encode_fixed(np.array([1.0]), PARAMS), PARAMS.L)
-        out2 = P.reconstruct(sess, N.batch_norm_forward(sess, acts, gamma2, beta2))
+        out2 = open_share(sess, N.batch_norm_forward(sess, acts, gamma2, beta2)[0])
         return out1, out2
 
     out1, out2 = run_shared(PARAMS, job)[0]
@@ -279,7 +278,7 @@ def test_batch_norm_normalizes_random_batches(m):
         a = shared_input(sess, encode_fixed(acts, PARAMS), PARAMS.L)
         gamma = shared_input(sess, encode_fixed(np.ones(4), PARAMS), PARAMS.L)
         beta = shared_input(sess, encode_fixed(np.zeros(4), PARAMS), PARAMS.L)
-        return P.reconstruct(sess, N.batch_norm_forward(sess, a, gamma, beta))
+        return open_share(sess, N.batch_norm_forward(sess, a, gamma, beta)[0])
 
     z = decode_fixed(run_shared(PARAMS, job)[0], PARAMS)
     mu = acts.mean(axis=1, keepdims=True)
@@ -300,7 +299,7 @@ def test_batch_norm_matches_fx_twin():
         a = shared_input(sess, acts, PARAMS.L)
         g = shared_input(sess, gamma, PARAMS.L)
         b = shared_input(sess, beta, PARAMS.L)
-        return P.reconstruct(sess, N.batch_norm_forward(sess, a, g, b))
+        return open_share(sess, N.batch_norm_forward(sess, a, g, b)[0])
 
     got = run_shared(PARAMS, job)[0]
     assert np.array_equal(got, O.fx_batch_norm(acts, gamma, beta, PARAMS))

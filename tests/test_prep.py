@@ -1,5 +1,6 @@
 """Preprocessing artifacts: reconstruct-and-recompute oracles, both modes."""
 
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -19,13 +20,13 @@ from falcon.prep import (
     sample_shared_bits,
     save_prep_file,
 )
-from falcon.rings import (RingParams, bit_decompose, dtype_for, reduce_mod, shift_signed,
-                          signed, wrap3)
+from falcon.rings import (RingParams, add_mod, bit_decompose, dtype_for, reduce_mod,
+                          shift_signed, signed, sub_mod, wrap3)
 from falcon.rss import PartyId, RssShare, share_components
 from falcon.session import ThreatModel, open_share, run_three_parties
 from conftest import reconstruct_all
 
-from test_protocols import run_shared, shared_input
+from test_protocols import run_shared, shared_input, zero_mask
 
 PARAMS = RingParams(ell=32, fp=13)
 P8 = RingParams(ell=8, fp=4)
@@ -87,31 +88,6 @@ def test_dealer_wrap_rands_alpha_matches_components():
     assert np.array_equal((bits * weights).sum(axis=-1) % (1 << PARAMS.ell), x)
 
 
-def test_dealer_compare_rands():
-    dealers = _dealers(PARAMS, seed=3)
-    cr = [d.compare_rands(1000) for d in dealers]
-    b2 = reconstruct_all([c.beta2 for c in cr])
-    bp = reconstruct_all([c.beta_p for c in cr])
-    m = reconstruct_all([c.m for c in cr])
-    assert np.array_equal(b2, bp)  # same bit in both rings
-    assert np.all(m != 0)
-    # Fermat: m^{p-1} = 1 for accepted masks
-    assert np.all(pow_mod(m, PARAMS.p - 1, PARAMS.p) == 1)
-
-
-def pow_mod(base, e, p):
-    # widen first: opened Z_p values are uint8, where b * b would wrap
-    base = np.asarray(base, np.uint64)
-    out = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            out = out * b % p
-        b = b * b % p
-        e >>= 1
-    return out
-
-
 def test_dealer_bit_pairs():
     dealers = _dealers(PARAMS, seed=4)
     bp = [d.bit_pairs(1000) for d in dealers]
@@ -154,13 +130,24 @@ P64 = RingParams(ell=64, fp=13)
 
 
 def _distributed_cases():
-    # the id names only what differs from distributed, semi-honest, ell = 32
+    # the id names only what differs from distributed, semi-honest, ell = 32;
+    # the compare also runs at ell = 8
     for kind in ("trunc", "wrap", "compare", "bitpair"):
+        rings = ((RingParams(), ""), (P64, "-ell64")) + (((P8, "-ell8"),) if kind == "compare" else ())
         for source in ("", "-dealer"):
             for threat, tname in ((ThreatModel.SEMI_HONEST, ""), (ThreatModel.MALICIOUS, "-malicious")):
-                for params, pname in ((RingParams(), ""), (P64, "-ell64")):
+                for params, pname in rings:
                     yield pytest.param(kind, source == "-dealer", threat, params,
                                        id=kind + source + tname + pname)
+
+
+def _compare_targets(x, params):
+    """Per element, by index mod 5: 0, x - 1, x, x + 1 and 2^ell - 1."""
+    L = params.L
+    x = np.asarray(x, np.uint64)
+    near = np.stack([np.zeros_like(x), sub_mod(x, 1, L), x, add_mod(x, 1, L),
+                     np.full_like(x, L - 1)])
+    return near[np.arange(len(x)) % 5, np.arange(len(x))]
 
 
 @pytest.mark.parametrize("kind,dealer,threat,params", _distributed_cases())
@@ -187,12 +174,13 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
                 wr.x.mod,
             )
         if kind == "compare":
-            cr = prep.compare_rands(n)
-            return (
-                open_share(sess, cr.beta2),
-                open_share(sess, cr.beta_p),
-                open_share(sess, cr.m),
-            )
+            # the compare as the wrap protocol runs it, on the material's x
+            wr = prep.wrap_rands(n)
+            x = open_share(sess, wr.x)
+            ts = _compare_targets(x, sess.params)
+            r0 = sess.meter.rounds
+            gt = P.private_compare(sess, wr.xbits, ts, zero_mask(sess, n), wr)
+            return x, ts, gt, sess.meter.rounds - r0
         bp = prep.bit_pairs(n)
         return open_share(sess, bp.c2), open_share(sess, bp.cL)
 
@@ -222,9 +210,10 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         assert np.array_equal(m_beta, reduce_mod(wide * b2, p))
         assert np.array_equal(m_xtop, reduce_mod(wide * bits[:, -1], p))
     elif kind == "compare":
-        b2, bp_, m = outs[0]
-        assert np.array_equal(b2, bp_)
-        assert np.all(m != 0)
+        x, ts, gt, rounds = outs[0]
+        assert np.array_equal(gt, (x > ts).astype(np.uint8))
+        # ceil(log2 ell) tree levels and the open of d
+        assert rounds == 1 + math.ceil(math.log2(params.ell))
     else:
         c2, cL = outs[0]
         assert np.array_equal(c2, cL)
@@ -430,7 +419,6 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     rec = RecordingPrep(DealerPrep(PartyId(1), PARAMS, seed=10))
     rec.trunc_pairs(4, PARAMS.fp)
     rec.trunc_pairs(3, np.array([2, 5, 13]))
-    rec.compare_rands(4)
     rec.wrap_rands(4)
     rec.bit_pairs(4)
     save_prep_file(path, PartyId(1), PARAMS, rec.records)
@@ -455,15 +443,15 @@ def test_prep_file_checks_party_and_ring(tmp_path):
                 {"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
                 {"trunc.0.d": np.uint64(PARAMS.fp)},  # one shift for the record
                 {"bitpair.0.c2.mod": np.array([2, 2], np.uint64)},
-                {"compare.0.m.hi": entries["compare.0.m.hi"][:3]},
+                {"wrap.0.m.hi": entries["wrap.0.m.hi"][:3]},
                 {k: v for k, v in narrow.items() if ".xbits." in k},
                 {k: v for k, v in narrow.items() if ".vbits." in k},
                 {"wrap.0.vbits.lo": entries["wrap.0.vbits.lo"][:, 0]},
                 {"bitpair.0.c2.mod": np.uint64(5)},
                 # Z_p shares are uint8: p itself breaks the reduced-operand
                 # invariant, 300 would be truncated to 44
-                {"compare.0.m.lo": np.full(4, PARAMS.p, np.uint8)},
-                {"compare.0.m.hi": np.full(4, 300, np.uint64)},
+                {"wrap.0.m.lo": np.full(4, PARAMS.p, np.uint8)},
+                {"wrap.0.m.hi": np.full(4, 300, np.uint64)},
                 {"trunc.0.r.lo": np.full(4, PARAMS.L, np.uint64)}]:
         save_tensors(path, {**entries, **bad}, PREP_MAGIC)
         with pytest.raises(FormatError):
@@ -487,7 +475,7 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     wide = {k: v.astype(np.uint64) for k, v in entries.items()}
     save_tensors(path, wide, PREP_MAGIC)
     back = FilePrep(path, PartyId(1), PARAMS).records
-    assert back["compare"][0].m.lo.dtype == np.uint8
-    assert np.array_equal(back["compare"][0].m.hi, rec.records["compare"][0].m.hi)
+    assert back["wrap"][0].m.lo.dtype == np.uint8
+    assert np.array_equal(back["wrap"][0].m.hi, rec.records["wrap"][0].m.hi)
     assert np.array_equal(back["wrap"][0].xbits.lo, rec.records["wrap"][0].xbits.lo)
     assert np.array_equal(back["wrap"][0].vbits.hi, rec.records["wrap"][0].vbits.hi)

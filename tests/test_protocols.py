@@ -6,7 +6,7 @@ import pytest
 from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed, reduce_mod
 from falcon.rss import RssShare, public_share, share_secret
-from falcon.session import ThreatModel, run_three_parties
+from falcon.session import ThreatModel, open_share, run_three_parties
 from falcon import protocols as P
 
 
@@ -62,7 +62,7 @@ def test_mult_basic(threat):
         x = shared_input(sess, np.uint64(3), 256)
         y = shared_input(sess, np.uint64(5), 256)
         z = P.mult(sess, x, y)
-        return P.reconstruct(sess, z)
+        return open_share(sess, z)
 
     params = RingParams(ell=8, fp=4)
     out = run_shared(params, job, threat=threat)
@@ -73,7 +73,7 @@ def test_mult_zero():
     def job(sess):
         x = shared_input(sess, np.uint64(0), 256)
         y = shared_input(sess, np.uint64(123), 256)
-        return P.reconstruct(sess, P.mult(sess, x, y))
+        return open_share(sess, P.mult(sess, x, y))
 
     assert run_shared(RingParams(ell=8, fp=4), job)[0] == 0
 
@@ -87,7 +87,7 @@ def test_mult_exhaustive_small_ring():
     def job(sess):
         x = shared_input(sess, xs, 256)
         y = shared_input(sess, ys, 256)
-        return P.reconstruct(sess, P.mult(sess, x, y))
+        return open_share(sess, P.mult(sess, x, y))
 
     out = run_shared(params, job)[0]
     assert np.array_equal(out, (xs * ys) % 256)
@@ -144,11 +144,11 @@ def test_truncate_examples():
         raw5 = encode_fixed(5.0, PARAMS)
         x = shared_input(sess, raw5, PARAMS.L)
         t = P.truncate(sess, x, PARAMS.fp)
-        a = P.reconstruct(sess, t)
+        a = open_share(sess, t)
 
         prod = P.mult(sess, shared_input(sess, encode_fixed(2.5, PARAMS), PARAMS.L),
                       shared_input(sess, encode_fixed(2.0, PARAMS), PARAMS.L))
-        b = P.reconstruct(sess, P.truncate(sess, prod, PARAMS.fp))
+        b = open_share(sess, P.truncate(sess, prod, PARAMS.fp))
         return a, b
 
     a, b = run_shared(PARAMS, job)[0]
@@ -163,7 +163,7 @@ def test_truncate_matches_plain_shift_exactly():
 
     def job(sess):
         x = shared_input(sess, raws, PARAMS.L)
-        return P.reconstruct(sess, P.truncate(sess, x, PARAMS.fp))
+        return open_share(sess, P.truncate(sess, x, PARAMS.fp))
 
     out = run_shared(PARAMS, job)[0]
     expect = reduce_mod(vals >> PARAMS.fp, PARAMS.L)
@@ -179,10 +179,10 @@ def test_matmul_identity_and_fixed_point(threat):
     def job(sess):
         eye = shared_input(sess, encode_fixed(np.eye(3), PARAMS), PARAMS.L)
         bs = shared_input(sess, encode_fixed(b, PARAMS), PARAMS.L)
-        ident = P.reconstruct(sess, P.matmul(sess, eye, bs, truncate_after=True))
+        ident = open_share(sess, P.matmul(sess, eye, bs, truncate_after=True))
 
         xs = shared_input(sess, encode_fixed(a, PARAMS), PARAMS.L)
-        prod = P.reconstruct(sess, P.matmul(sess, xs, bs, truncate_after=True))
+        prod = open_share(sess, P.matmul(sess, xs, bs, truncate_after=True))
         return ident, prod
 
     ident, prod = run_shared(PARAMS, job, threat=threat)[0]
@@ -218,7 +218,7 @@ def test_xor_public_truth_table():
         for x in (0, 1):
             for b in (0, 1):
                 xs = shared_input(sess, np.uint64(x), 2)
-                outs[(x, b)] = P.reconstruct(sess, P.xor_public(sess, xs, np.uint64(b)))
+                outs[(x, b)] = open_share(sess, P.xor_public(sess, xs, np.uint64(b)))
         return outs
 
     outs = run_shared(PARAMS, job)[0]
@@ -236,7 +236,7 @@ def test_one_minus_two_beta(mod):
         for beta in (0, 1):
             x = shared_input(sess, xs, mod)
             b = shared_input(sess, np.full(mod, beta, np.uint64), mod)
-            out[beta] = P.reconstruct(sess, P.mult(sess, P.one_minus_two_beta(sess, b), x))
+            out[beta] = open_share(sess, P.mult(sess, P.one_minus_two_beta(sess, b), x))
         return out
 
     out = run_shared(RingParams(ell=8, fp=4), job)[0]
@@ -262,7 +262,7 @@ def test_select_shares():
             r0 = sess.meter.rounds
             z = P.select_shares(sess, x, y, b)
             dr = sess.meter.rounds - r0
-            return P.reconstruct(sess, z), dr, sum(map(len, sess.prep.records.values()))
+            return open_share(sess, z), dr, sum(map(len, sess.prep.records.values()))
 
         return run_shared(PARAMS, job)[0]
 
@@ -315,7 +315,7 @@ def test_conv2d_delta_kernel():
         w = shared_input(sess, encode_fixed(kern, PARAMS), PARAMS.L)
         zero = shared_input(sess, np.zeros(1, np.uint64), PARAMS.L)
         out = P.conv2d(sess, a, w, zero, stride=1, padding=0)
-        return P.reconstruct(sess, out)
+        return open_share(sess, out)
 
     out = run_shared(PARAMS, job)[0]
     got = decode_fixed(out, PARAMS)
@@ -333,7 +333,7 @@ def test_conv2d_matches_float_oracle():
         w = shared_input(sess, encode_fixed(kern, PARAMS), PARAMS.L)
         b = shared_input(sess, encode_fixed(bias, PARAMS), PARAMS.L)
         out = P.conv2d(sess, a, w, b, stride=1, padding=1)
-        return P.reconstruct(sess, out)
+        return open_share(sess, out)
 
     out = decode_fixed(run_shared(PARAMS, job)[0], PARAMS)
     from falcon.oracle import float_conv2d

@@ -11,7 +11,7 @@ from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle
 from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
 from falcon.rings import RingParams, encode_fixed, reduce_mod
 from falcon.rss import public_share
-from falcon.session import ThreatModel, run_three_parties
+from falcon.session import ThreatModel, open_share, run_three_parties
 
 from test_protocols import run_shared, shared_input, tap_openings, zero_mask
 
@@ -56,7 +56,7 @@ def test_relu_random_32bit(threat):
 
     def job(sess):
         a = shared_input(sess, raws, PARAMS.L)
-        return P.reconstruct(sess, P.relu(sess, a))
+        return open_share(sess, P.relu(sess, a))
 
     got = run_shared(PARAMS, job, threat=threat)[0]
     assert np.array_equal(got, oracle_relu(raws, PARAMS))
@@ -65,7 +65,7 @@ def test_relu_random_32bit(threat):
 def test_relu_fixed_point_values():
     def job(sess):
         a = shared_input(sess, encode_fixed(np.array([-5.0, 3.25]), PARAMS), PARAMS.L)
-        return P.reconstruct(sess, P.relu(sess, a))
+        return open_share(sess, P.relu(sess, a))
 
     got = run_shared(PARAMS, job)[0]
     assert list(got) == [0, int(encode_fixed(3.25, PARAMS))]
@@ -104,7 +104,7 @@ def test_relu_staged_opening_is_blinded(monkeypatch):
     seen = tap_openings(monkeypatch, "pc-open-d")
 
     def job(sess):
-        return P.reconstruct(sess, P.relu(sess, shared_input(sess, xs, PARAMS.L)))
+        return open_share(sess, P.relu(sess, shared_input(sess, xs, PARAMS.L)))
 
     got = run_shared(PARAMS, job)[0]
     assert np.array_equal(got, oracle_relu(xs, PARAMS))
@@ -141,10 +141,10 @@ def test_maxpool_examples():
         one = shared_input(sess, encode_fixed(np.array([7.5]), PARAMS), PARAMS.L)
         mx1, ind1 = maxpool_onehot(sess, one)
         return (
-            P.reconstruct(sess, mx),
-            P.reconstruct(sess, ind),
-            P.reconstruct(sess, mx1),
-            P.reconstruct(sess, ind1),
+            open_share(sess, mx),
+            open_share(sess, ind),
+            open_share(sess, mx1),
+            open_share(sess, ind1),
         )
 
     mx, ind, mx1, ind1 = run_shared(PARAMS, job)[0]
@@ -173,7 +173,7 @@ def test_maxpool_random_vectors_earliest_tie():
             arr = np.stack(batch).astype(np.float64)
             a = shared_input(sess, encode_fixed(arr, sess.params), sess.params.L)
             mx, ind = maxpool_onehot(sess, a)
-            outs.append((n, P.reconstruct(sess, mx), P.reconstruct(sess, ind)))
+            outs.append((n, open_share(sess, mx), open_share(sess, ind)))
         return outs
 
     outs = run_shared(PARAMS, job)[0]
@@ -286,10 +286,10 @@ def test_relu_truncate_maxpool_at_wide_rings(ell):
 
     def job(sess):
         a = shared_input(sess, raws, params.L)
-        relu = P.reconstruct(sess, P.relu(sess, a))
-        trunc = P.reconstruct(sess, P.truncate(sess, a, params.fp))
+        relu = open_share(sess, P.relu(sess, a))
+        trunc = open_share(sess, P.truncate(sess, a, params.fp))
         mx, ind = maxpool_onehot(sess, shared_input(sess, windows, params.L))
-        return relu, trunc, P.reconstruct(sess, mx), P.reconstruct(sess, ind)
+        return relu, trunc, open_share(sess, mx), open_share(sess, ind)
 
     relu, trunc, mx, ind = run_shared(params, job)[0]
     assert np.array_equal(relu, oracle_relu(raws, params))
@@ -318,8 +318,8 @@ def test_small_ring_shares_stay_uint8(mode):
         assert opened.dtype == np.uint8
         assert np.array_equal(opened, oracle_drelu(raws, PARAMS))
         # the wrap material carries the compare's blinding, flipped bits and
-        # mask products, so no drelu draws compare material of its own
-        assert records["compare"] == []
+        # mask products: there is no compare material of its own to draw
+        assert set(records) == {"trunc", "wrap", "bitpair"}
         small = [s for w in records["wrap"]
                  for s in (w.xbits, w.alpha, w.beta2, w.beta_p, w.m, w.vbits,
                            w.m_beta, w.m_xtop)]

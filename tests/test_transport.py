@@ -11,7 +11,7 @@ import pytest
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams
-from falcon.session import AbortError, Round, ThreatModel, run_three_parties
+from falcon.session import AbortError, Round, ThreatModel, open_share, run_three_parties
 from falcon.transport import (
     HEADER_BYTES,
     DesyncError,
@@ -201,10 +201,10 @@ def test_tcp_idle_session_survives():
     # a peer idle for longer than the timeout between rounds is not a
     # closed peer: only a receive that waits too long times out
     def job(sess):
-        first = P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+        first = open_share(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
                                                  sess.shared_rng)[sess.party.index - 1])
         time.sleep(2.0)
-        second = P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+        second = open_share(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
                                                   sess.shared_rng)[sess.party.index - 1])
         return first, second
 
@@ -220,7 +220,7 @@ def test_tcp_run_closes_its_links():
     before = set(threading.enumerate())
 
     def job(sess):
-        P.reconstruct(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+        open_share(sess, share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
                                          sess.shared_rng)[sess.party.index - 1])
         return sess.links
 
@@ -266,7 +266,7 @@ def _relu_transcript(backend, threat, addresses=None):
         x = share_secret(np.arange(32, dtype=np.uint64), PARAMS.L, sess.shared_rng)[
             sess.party.index - 1
         ]
-        out = P.reconstruct(sess, P.relu(sess, x))
+        out = open_share(sess, P.relu(sess, x))
         captured[sess.party.index] = recorded
         return out
 
