@@ -40,7 +40,7 @@ from .rss import (
 )
 from .session import PartySession, open_share
 
-PREP_MAGIC = b"FALPREP4"
+PREP_MAGIC = b"FALPREP5"
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +69,17 @@ class WrapRand:
     plus the blinding of the private compare on x's bits (a bit beta in both
     rings and the nonzero m~ of the compare's mask m~ (1 - 2 beta)) and its
     products with those bits (`protocols.compare_products`), each a sharing
-    of its own, so the online compare multiplies nothing before its tree."""
+    of its own, so the online compare multiplies nothing before its tree.
+    x's bits are bit-major planes, C-contiguous (ell, n): plane i holds bit i
+    of every instance, the layout the compare's factors and tree work in."""
 
     x: RssShare        # (n,) over Z_L
-    xbits: RssShare    # (n, ell) over Z_p
+    xbits: RssShare    # (ell, n) over Z_p, plane i = x[i]
     alpha: RssShare    # (n,) over Z_2
     beta2: RssShare    # (n,) over Z_2
     beta_p: RssShare   # (n,) over Z_p, the same bit
     m: RssShare        # (n,) over Z_p, nonzero: m~
-    vbits: RssShare    # (n, ell) over Z_p, (1 - 2 beta) x[i]
+    vbits: RssShare    # (ell, n) over Z_p, plane i = (1 - 2 beta) x[i]
     m_beta: RssShare   # (n,) over Z_p, m~ beta
     m_xtop: RssShare   # (n,) over Z_p, m~ x[ell - 1]
 
@@ -146,17 +148,17 @@ class DealerPrep:
                      for _ in range(3)]
             x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
-            bits = bit_decompose(x, p)  # (n, ell)
+            bits = bit_decompose(x, p).T.copy()  # (ell, n) planes
             # the compare's blinding bit beta and the nonzero m~ of its mask
             beta = self.rng.integers(0, 2, n).astype(NARROW)
             m = self.rng.integers(1, p.p, n).astype(NARROW)
             # the products are dealt as fresh sharings: scaling the bits'
             # shares by (1 or p - 1) would tell each party beta. Each is a
             # product of a bit and a value below p, so it fits a uint8
-            v = bits * np.where(beta, p.p - 1, 1).astype(NARROW)[:, None]
+            v = bits * np.where(beta, p.p - 1, 1).astype(NARROW)
             return (comps, *(self._share_all(val, mod) for val, mod in (
                 (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p),
-                (m * beta, p.p), (m * bits[:, -1], p.p))))
+                (m * beta, p.p), (m * bits[-1], p.p))))
 
         comps, *shared = self._consume("wrap", (n,), gen)
         i = self.party.index - 1
@@ -254,9 +256,9 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
     AND) turns x1 + x2 + x3 into S + 2C, then a Sklansky parallel-prefix
     carry adds S and 2C in ceil(log2(ell - 1)) AND levels. The adder runs
     on bit-major (ell, n) planes, so a level gathers and writes back whole
-    rows; the sum bits transpose to (n, ell) once, at the end. Returns the
-    x.shape + (ell,) sum bits, which are the bits of x, and alpha = bit ell
-    of the sum (wrap3 of the components), both over Z_2.
+    rows, and its sum bits stay in that layout, the one `WrapRand.xbits`
+    keeps. Returns the (ell,) + x.shape sum bits, which are the bits of x,
+    and alpha = bit ell of the sum (wrap3 of the components), both over Z_2.
     """
     params = sess.params
     ell = params.ell
@@ -289,15 +291,14 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
     G = gp[0]
     bits = concat_shares([S[:1], p[:1], add_shares(p[1:], G[:-1])])
     alpha = add_shares(C[ell - 1], G[ell - 2])
-    bits = RssShare(np.ascontiguousarray(bits.lo.T), np.ascontiguousarray(bits.hi.T), 2)
-    return bits.reshape(x.shape + (ell,)), alpha.reshape(x.shape)
+    return bits.reshape((ell,) + x.shape), alpha.reshape(x.shape)
 
 
 class DistributedPrep:
     """Three-party preprocessing over the live session (slower; no dealer).
 
     `wrap_rands` also carries the compare's blinding: beta is sampled over
-    Z_2 and injected into Z_p as one more column of x's bits (no rounds of
+    Z_2 and injected into Z_p as one more plane of x's bits (no rounds of
     its own), and its products with x's bits, (1 - 2 beta) x[i], m~ beta and
     m~ x[ell - 1], are one Z_p Mult.
     """
@@ -334,10 +335,10 @@ class DistributedPrep:
         ell, p = params.ell, params.p
         x = sample_shared_bits(sess, (n,), mod=params.L)
         bits, alpha = _adder_wrap_bit(sess, x)
-        # beta rides into Z_p as one more column of the bits' injection
-        beta2 = sample_shared_bits(sess, (n, 1))
-        lifted = bit_inject(sess, concat_shares([bits, beta2], axis=1), p)
-        xbits, beta_p = lifted[:, :ell], lifted[:, ell]
+        # beta rides into Z_p as one more plane of the bits' injection
+        beta2 = sample_shared_bits(sess, (1, n))
+        lifted = bit_inject(sess, concat_shares([bits, beta2]), p)
+        xbits, beta_p = lifted[:ell], lifted[ell]
         m = _nonzero_masks(sess, n)
         return WrapRand(x, xbits, alpha, beta2.reshape(n), beta_p, m,
                         *compare_products(sess, xbits, beta_p, m))
@@ -424,7 +425,7 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
                 raise FormatError(f"{path}: {key!r} has shape {d.shape}, not ({n},)")
             return d.astype(np.int64)
         lo, hi, mod = need(f"{key}.lo"), need(f"{key}.hi"), need(f"{key}.mod")
-        want = (n, params.ell) if key.endswith((".xbits", ".vbits")) else (n,)
+        want = (params.ell, n) if key.endswith((".xbits", ".vbits")) else (n,)
         if lo.shape != want or hi.shape != want:
             raise FormatError(f"{path}: {key!r} has shapes {lo.shape}/{hi.shape}, not {want}")
         mod = (int(mod) or 1 << 64) if mod.shape == () else None  # 0 marks 2^64

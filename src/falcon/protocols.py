@@ -51,7 +51,6 @@ from .rss import (
     add_shares,
     broadcast_share,
     concat_shares,
-    expand_last,
     scale_share,
     sub_shares,
 )
@@ -223,7 +222,8 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand
     """The public bit (x > t) xor m, for public t in [0, 2^ell) and a mask m
     shared over Z_2 of shape (n,); a zero sharing opens the bit itself.
 
-    xbits holds the little-endian bits of x over Z_p, shape (n, ell). Each
+    xbits holds the little-endian bits of x over Z_p as bit-major planes,
+    shape (ell, n), plane i the bits x[i] of every instance. Each
     instance compares x with t' = t + (1 - beta) and multiplies ell factors
     below p (see `_pc_factors`), the mask folded into the top one, in
     ceil(log2 ell) tree levels. The masked product d and the blinding bit
@@ -236,7 +236,7 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand
     multiplies nothing before its tree.
     """
     ell = sess.params.ell
-    n, nb = xbits.shape
+    nb, n = xbits.shape
     if nb != ell:
         raise ValueError(f"expected {ell} shared bits, got {nb}")
     t = np.asarray(t, dtype=np.uint64).reshape(n)
@@ -252,15 +252,15 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand
 def compare_products(sess: PartySession, xbits: RssShare, beta_p: RssShare,
                      m: RssShare) -> tuple[RssShare, RssShare, RssShare]:
     """The compare's products of its blinding, all in one multiplication:
-    x's bits flipped by it, vbits = (1 - 2 beta) x[i] of shape (n, ell), then
-    m~ beta and m~ x[ell - 1] of shape (n,)."""
-    n, ell = xbits.shape
-    col = m.reshape(n, 1)
+    x's bits flipped by it, vbits = (1 - 2 beta) x[i] as (ell, n) planes
+    like xbits, then m~ beta and m~ x[ell - 1] of shape (n,)."""
+    ell, n = xbits.shape
+    row = m.reshape(1, n)
+    sign = one_minus_two_beta(sess, beta_p).reshape(1, n)
     prods = mult(sess,
-                 concat_shares([expand_last(one_minus_two_beta(sess, beta_p), xbits.shape),
-                                col, col], axis=1),
-                 concat_shares([xbits, beta_p.reshape(n, 1), xbits[:, ell - 1 :]], axis=1))
-    return prods[:, :ell], prods[:, ell], prods[:, ell + 1]
+                 concat_shares([broadcast_share(sign, xbits.shape), row, row]),
+                 concat_shares([xbits, beta_p.reshape(1, n), xbits[ell - 1 :]]))
+    return prods[:ell], prods[ell], prods[ell + 1]
 
 
 def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.ndarray,
@@ -279,17 +279,19 @@ def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.nda
     return fin_m(results) ^ beta_prime
 
 
-# rows per block of the private-compare factor arithmetic: its ~8 (rows,
-# ell) int16 temporaries then stay ~1 MB whatever n is, and only the (n, ell)
-# factors reach the multiplication tree (at n = 36864, 2048-row blocks peak
-# lower than 4096-row ones at the same CPU time)
-PC_BLOCK_ROWS = 2048
+# instances (columns of the (ell, n) planes) per block of the private-compare
+# factor arithmetic: its ~8 (ell, cols) int16 temporaries then stay ~2 MB
+# whatever n is, and only the (ell, n) factors reach the multiplication tree.
+# Under three party threads every numpy call gives up and retakes the
+# interpreter lock, so wider blocks run faster (4096 columns took ~35 % less
+# time than 2048 at n = 131072 on 2 cores); 6144 broke the online memory bound
+PC_BLOCK_ROWS = 4096
 
 
 def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssShare,
                 m: RssShare, v: RssShare, m_beta: RssShare, m_xtop: RssShare) -> RssShare:
-    """The ell factors of each instance, (n, ell) over Z_p: c[0..ell-2] and
-    m c[ell-1]. Local only, built in row blocks.
+    """The ell factors of each instance, (ell, n) planes over Z_p: c[0..ell-2]
+    and m c[ell-1]. Local only, built in column blocks of the planes.
 
     x is compared with t' = t + (1 - beta), whose bits are
     t'[i] = t[i] xor (1 - beta) M[i] for the public M = t xor (t + 1), so
@@ -307,31 +309,35 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
     t = 2^ell - 1 no c[i] is 0 under either beta (`_pc_core` fixes the
     answer there).
     Each component is summed in a signed accumulator and reduced once; the
-    public terms enter through component 1, as `add_public` does.
+    public terms enter through component 1, as `add_public` does. Every
+    operand is a C-contiguous block of planes, so each op runs over
+    contiguous memory, and the suffix sums take ceil(log2(ell - 1)) adds of
+    doubling spans: more element work than ell - 2 row adds, but fewer
+    numpy calls, each of which costs a trip through the interpreter lock.
     """
     params = sess.params
     p, ell = params.p, params.ell
-    n = xbits.shape[0]
+    n = xbits.shape[1]
     # each factor's signed sum lies in (-2 ell p, (2 ell + 1) p); adding
     # `lift`, a multiple of p, puts it in [0, 2^16) (p <= 67, ell <= 64).
     # int16 arithmetic wraps mod 2^16, so the uint16 view is exact even
     # where a partial sum leaves int16's range
     lift = 2 * ell * p
     own = (sess.party.index == 1, sess.party.index == 3)  # lo / hi hold component 1
-    out = (np.empty((n, ell), NARROW), np.empty((n, ell), NARROW))
+    out = (np.empty((ell, n), NARROW), np.empty((ell, n), NARROW))
     for k in range(0, n, PC_BLOCK_ROWS):
-        rows = slice(k, k + PC_BLOCK_ROWS)
-        tb = bit_decompose(t[rows], params).astype(np.int16)  # (b, ell)
-        mf = bit_decompose(t[rows] ^ (t[rows] + np.uint64(1)), params).astype(np.int16)
+        cols = slice(k, k + PC_BLOCK_ROWS)
+        tb = bit_decompose(t[cols], params).T.astype(np.int16, order="C")  # (ell, b)
+        mf = bit_decompose(t[cols] ^ (t[cols] + np.uint64(1)), params).T.astype(np.int16, order="C")
         mf *= 1 - 2 * tb  # M (1 - 2t)
         on_x = 1 - 2 * tb - mf  # (1 - 2t)(1 - M): w's coefficient of x
         on_own = tb + mf  # w's public term; c's is 1 - on_own
         on_beta = on_own + tb  # c's coefficient of beta
-        fold = (1 - tb[:, -1] - mf[:, -1], mf[:, -1] - 2)  # m~'s and m~ beta's in m c[ell-1]
+        fold = (1 - tb[-1] - mf[-1], mf[-1] - 2)  # m~'s and m~ beta's in m c[ell-1]
         for j, comp in enumerate(("lo", "hi")):
-            x, vj, beta, mj, mb, mx = (getattr(a, comp)[rows].astype(np.int16)
-                                       for a in (xbits, v, beta_p, m, m_beta, m_xtop))
-            beta = beta[:, None]
+            x, vj = (getattr(a, comp)[:, cols].astype(np.int16) for a in (xbits, v))
+            beta, mj, mb, mx = (getattr(a, comp)[cols].astype(np.int16)
+                                for a in (beta_p, m, m_beta, m_xtop))
             f = on_beta * beta
             f += vj
             vj += beta
@@ -342,27 +348,29 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
                 w += on_own
                 f -= on_own
             f += lift + own[j]
-            np.cumsum(w, axis=1, out=w)  # prefix sums: sum_{k > i} w[k] = w[:, -1] - w[:, i]
-            f -= w  # whole rows: a column slice is several times slower
-            f += w[:, -1:]
-            f[:, -1] = mx + mj * fold[0] + mb * fold[1] + lift
-            out[j][rows] = reduce_mod(f.view(np.uint16), p)
+            span = 1  # suffix sums by doubling spans: w[i] becomes sum_{k >= i} w[k]
+            while span < ell - 1:
+                w[1:-span] += w[1 + span :]  # numpy reads the overlap before writing
+                span *= 2
+            f[:-1] += w[1:]
+            f[-1] = mx + mj * fold[0] + mb * fold[1] + lift
+            out[j][:, cols] = reduce_mod(f.view(np.uint16), p)
     return RssShare(out[0], out[1], p)
 
 
 def _tree_product(sess: PartySession, factors: RssShare) -> RssShare:
-    """Pairwise multiplication tree over the factor axis (last axis)."""
+    """Pairwise multiplication tree over the factor planes (leading axis):
+    each level multiplies the top half of the planes by the bottom half,
+    two contiguous blocks, and carries an odd last plane up."""
     cur = factors
-    while cur.shape[-1] > 1:
-        k = cur.shape[-1]
+    while cur.shape[0] > 1:
+        k = cur.shape[0]
         half = k // 2
-        a = cur[..., :half]
-        b = cur[..., half : 2 * half]
-        prod = mult(sess, a, b)
+        prod = mult(sess, cur[:half], cur[half : 2 * half])
         if k % 2:
-            prod = concat_shares([prod, cur[..., -1:]], axis=-1)
+            prod = concat_shares([prod, cur[k - 1 :]])
         cur = prod
-    return cur.reshape(factors.shape[:-1])
+    return cur[0]
 
 
 # ---------------------------------------------------------------------------

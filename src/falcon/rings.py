@@ -61,16 +61,36 @@ def dtype_for(modulus: int) -> type:
     return NARROW if 2 * (modulus - 1) < 256 else UINT
 
 
-_REM_LUT_SPAN = 1 << 17
-_REM_LUTS: dict = {}
+# Odd moduli up to this bound (the largest compare prime) reduce narrow
+# inputs by Barrett's step with the 22-bit shift below; an exhaustive check
+# over every uint16 input first fails at 69
+_BARRETT_MAX = 67
+_BARRETT_SHIFT = 22
+# elements per Barrett step, so its uint32 temporary stays 256 KB
+_BARRETT_CHUNK = 1 << 16
 
 
-def _rem_lut(modulus: int) -> np.ndarray:
-    lut = _REM_LUTS.get(modulus)
-    if lut is None:
-        lut = (np.arange(_REM_LUT_SPAN, dtype=UINT) % np.uint64(modulus)).astype(dtype_for(modulus))
-        _REM_LUTS[modulus] = lut
-    return lut
+def _barrett(x: np.ndarray, modulus: int) -> np.ndarray:
+    """x mod an odd modulus <= _BARRETT_MAX for uint8/uint16 x, as uint8.
+
+    q = (x M) >> 22 with M = ceil(2^22 / m), then r = x - m q. The uint32
+    product wraps for x near 2^16 (65535 * 113360 > 2^32 at m = 37): q then
+    falls short by a multiple of 2^10, so x - m q overshoots r by a multiple
+    of m 2^10, which is 0 mod 2^8, and the uint8 result is still exact.
+    `tests/test_rings.py` checks every uint16 input for every compare prime.
+    """
+    mult, m = np.uint32(-(-(1 << _BARRETT_SHIFT) // modulus)), np.uint32(modulus)
+    out = np.empty(x.shape, NARROW)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(flat.size, _BARRETT_CHUNK), np.uint32)
+    for k in range(0, flat.size, _BARRETT_CHUNK):
+        xs = flat[k : k + _BARRETT_CHUNK]
+        q = buf[: xs.size]
+        np.multiply(xs, mult, out=q)
+        q >>= np.uint32(_BARRETT_SHIFT)
+        q *= m
+        np.subtract(xs, q, out=flat_out[k : k + _BARRETT_CHUNK], casting="unsafe")
+    return out
 
 
 def reduce_mod(x, modulus: int) -> np.ndarray:
@@ -85,9 +105,9 @@ def reduce_mod(x, modulus: int) -> np.ndarray:
             x = x.astype(UINT, copy=False).astype(dt, copy=False)
         return x & dt(modulus - 1)
     if x.dtype.kind == "u":
-        # wide division is slow; small values take a table lookup
-        if x.dtype.itemsize <= 2 or (x.size and int(x.max()) < _REM_LUT_SPAN):
-            return _rem_lut(modulus)[x]
+        # wide division is slow: narrow values take Barrett's multiply-shift
+        if x.dtype.itemsize <= 2 and modulus <= _BARRETT_MAX:
+            return _barrett(x, modulus)
         return (x % np.uint64(modulus)).astype(dt, copy=False)
     # signed input: python-level mod keeps the result nonnegative
     return (x.astype(np.int64) % modulus).astype(dt)
@@ -130,8 +150,8 @@ def mul_mod(a, b, modulus: int) -> np.ndarray:
         a, b = _reduced(a, modulus), _reduced(b, modulus)
         if modulus & (modulus - 1) == 0:
             return (a * b) & dt(modulus - 1)
-        # odd: the product is below m^2 < 2^16, a cache-hot table lookup
-        return _rem_lut(modulus)[a.astype(np.uint16) * b]
+        # odd: the product is below m^2 < 2^16, so Barrett's step reduces it
+        return reduce_mod(a.astype(np.uint16) * b, modulus)
 
 
 def neg_mod(a, modulus: int) -> np.ndarray:

@@ -18,13 +18,13 @@ from test_protocols import run_shared, tap_openings, zero_mask
 
 def chosen_compare_rand(sess, xs):
     """A dealt `WrapRand` whose compare material is for the chosen x: x's bits
-    shared over Z_p and their products with the dealt blinding
-    (`compare_products`, one multiplication round). Its x and alpha stay the
-    dealt ones, which a compare does not read."""
+    shared over Z_p as (ell, n) planes and their products with the dealt
+    blinding (`compare_products`, one multiplication round). Its x and alpha
+    stay the dealt ones, which a compare does not read."""
     params = sess.params
-    bits = bit_decompose(np.asarray(xs, np.uint64), params)
+    bits = bit_decompose(np.asarray(xs, np.uint64), params).T.copy()
     xbits = share_secret(bits, params.p, sess.shared_rng)[sess.party.index - 1]
-    rand = sess.prep.wrap_rands(len(bits))
+    rand = sess.prep.wrap_rands(bits.shape[1])
     vbits, m_beta, m_xtop = P.compare_products(sess, xbits, rand.beta_p, rand.m)
     return replace(rand, xbits=xbits, vbits=vbits, m_beta=m_beta, m_xtop=m_xtop)
 

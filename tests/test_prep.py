@@ -9,6 +9,7 @@ import pytest
 
 from falcon import protocols as P
 from falcon.data import FormatError, load_tensors, save_tensors
+from falcon.oracle import oracle_drelu
 from falcon.prep import (
     PREP_MAGIC,
     DealerPrep,
@@ -83,9 +84,9 @@ def test_dealer_wrap_rands_alpha_matches_components():
     assert np.array_equal(alpha, wrap3(*comps, PARAMS.L))
     # bit sharing matches the reconstructed x
     x = reconstruct_all([w.x for w in wr])
-    bits = reconstruct_all([w.xbits for w in wr])
+    bits = reconstruct_all([w.xbits for w in wr])  # (ell, n) planes
     weights = np.uint64(1) << np.arange(PARAMS.ell, dtype=np.uint64)
-    assert np.array_equal((bits * weights).sum(axis=-1) % (1 << PARAMS.ell), x)
+    assert np.array_equal((bits * weights[:, None]).sum(axis=0) % (1 << PARAMS.ell), x)
 
 
 def test_dealer_bit_pairs():
@@ -141,13 +142,13 @@ def _distributed_cases():
                                        id=kind + source + tname + pname)
 
 
-def _compare_targets(x, params):
-    """Per element, by index mod 5: 0, x - 1, x, x + 1 and 2^ell - 1."""
+def _compare_targets(x, params, shift=0):
+    """Per element, by (index + shift) mod 5: 0, x - 1, x, x + 1 and 2^ell - 1."""
     L = params.L
     x = np.asarray(x, np.uint64)
     near = np.stack([np.zeros_like(x), sub_mod(x, 1, L), x, add_mod(x, 1, L),
                      np.full_like(x, L - 1)])
-    return near[np.arange(len(x)) % 5, np.arange(len(x))]
+    return near[(np.arange(len(x)) + shift) % 5, np.arange(len(x))]
 
 
 @pytest.mark.parametrize("kind,dealer,threat,params", _distributed_cases())
@@ -172,6 +173,8 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
                                                               wr.beta_p, wr.m, wr.vbits,
                                                               wr.m_beta, wr.m_xtop)),
                 wr.x.mod,
+                # the compare reads its planes without a transpose or a copy
+                all(a.flags.c_contiguous for s in (wr.xbits, wr.vbits) for a in (s.lo, s.hi)),
             )
         if kind == "compare":
             # the compare as the wrap protocol runs it, on the material's x
@@ -188,27 +191,27 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
     if kind == "trunc":
         _check_trunc_pairs(*outs[0], params)
     elif kind == "wrap":
-        x, bits, alpha, _, (b2, bp_, m, vbits, m_beta, m_xtop), rings, x_mod = outs[0]
-        p, bit_planes = params.p, (n, params.ell)
-        assert x_mod == params.L
+        x, bits, alpha, _, (b2, bp_, m, vbits, m_beta, m_xtop), rings, x_mod, planar = outs[0]
+        p, bit_planes = params.p, (params.ell, n)
+        assert x_mod == params.L and planar
         assert rings == tuple((mod, dtype_for(mod), shape) for mod, shape in (
             (p, bit_planes), (2, (n,)), (2, (n,)), (p, (n,)), (p, (n,)), (p, bit_planes),
             (p, (n,)), (p, (n,))))
         comps = (outs[0][3], outs[1][3], outs[2][3])
         weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)
         # the uint64 sum wraps mod 2^64, a multiple of 2^ell
-        composed = reduce_mod((bits * weights).sum(axis=-1, dtype=np.uint64), params.L)
+        composed = reduce_mod((bits * weights[:, None]).sum(axis=0, dtype=np.uint64), params.L)
         assert np.array_equal(composed, x)
         assert np.array_equal(alpha, wrap3(*comps, params.L))
         # the compare's blinding, and x's bits flipped by it
         assert np.array_equal(b2, bp_) and 0 < b2.sum() < n
         assert np.all(m != 0)
-        flip = 1 - 2 * b2.astype(np.int64)[:, None]
+        flip = 1 - 2 * b2.astype(np.int64)
         assert np.array_equal(vbits, reduce_mod(flip * bits.astype(np.int64), p))
         # and the products that fold the mask m~ (1 - 2 beta) into the top factor
         wide = m.astype(np.uint64)
         assert np.array_equal(m_beta, reduce_mod(wide * b2, p))
-        assert np.array_equal(m_xtop, reduce_mod(wide * bits[:, -1], p))
+        assert np.array_equal(m_xtop, reduce_mod(wide * bits[-1], p))
     elif kind == "compare":
         x, ts, gt, rounds = outs[0]
         assert np.array_equal(gt, (x > ts).astype(np.uint8))
@@ -219,11 +222,44 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
         assert np.array_equal(c2, cL)
 
 
+@pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS],
+                         ids=["semi", "malicious"])
+@pytest.mark.parametrize("dealer", [True, False], ids=["dealer", "distributed"])
+def test_compare_and_drelu_across_column_blocks(dealer, threat):
+    # the compare's factors are built in column blocks of the (ell, n)
+    # planes; at n = PC_BLOCK_ROWS + 3 the second block is partial. Both
+    # blocks meet every target kind (the last one's three instances take
+    # x + 1, 2^ell - 1 and 0 under shift 0, x - 1, x and x + 1 under shift
+    # 3), so reading any plane, t or blinding product through a wrong
+    # column slice pairs one instance's bits with another's target
+    n = P.PC_BLOCK_ROWS + 3
+    L = PARAMS.L
+    edges = np.array([0, 1, L - 1, L // 2 - 1, L // 2], np.uint64)
+    raws = np.random.default_rng(17).integers(0, L, n, dtype=np.uint64)
+    raws[: len(edges)], raws[-3:] = edges, edges[[0, 3, 4]]
+
+    def job(sess):
+        sess.prep = DealerPrep(sess.party, PARAMS, seed=17) if dealer else DistributedPrep(sess)
+        outs = []
+        for shift in (0, 3):
+            wr = sess.prep.wrap_rands(n)
+            x = open_share(sess, wr.x)
+            ts = _compare_targets(x, PARAMS, shift)
+            outs.append((x, ts, P.private_compare(sess, wr.xbits, ts, zero_mask(sess, n), wr)))
+        a = shared_input(sess, raws, L)
+        return outs, P.drelu(sess, a, zero_mask(sess, n))
+
+    compares, bits = run_three_parties(job, PARAMS, threat=threat, session_seed=17)[0]
+    for x, ts, gt in compares:
+        assert np.array_equal(gt, (x > ts).astype(np.uint8))
+    assert np.array_equal(bits, oracle_drelu(raws, PARAMS))
+
+
 @pytest.mark.parametrize("dealer", [True, False], ids=["dealer", "distributed"])
 def test_flipped_bits_are_a_fresh_sharing(dealer):
     # each party's components of vbits = (1 - 2 beta) x[i] must not be its
     # components of xbits times 1 or p - 1: that sign is beta. A fresh sharing
-    # repeats a row of ell components with probability about 2 p^-ell
+    # repeats an instance's ell components with probability about 2 p^-ell
     p = PARAMS.p
 
     def job(sess):
@@ -232,7 +268,7 @@ def test_flipped_bits_are_a_fresh_sharing(dealer):
         scaled = 0
         for comp in ("lo", "hi"):
             x, v = getattr(wr.xbits, comp), getattr(wr.vbits, comp)
-            scaled += int(np.sum(np.all(v == x, axis=1) | np.all(v == (p - x) % p, axis=1)))
+            scaled += int(np.sum(np.all(v == x, axis=0) | np.all(v == (p - x) % p, axis=0)))
         return scaled
 
     assert run_three_parties(job, PARAMS, session_seed=5) == [0, 0, 0]
@@ -323,7 +359,7 @@ def test_adder_wrap_bit_on_chosen_components(ell, n):
     for comps, (bits, alpha) in zip(calls, run_three_parties(job, params, session_seed=2)[0]):
         with np.errstate(over="ignore"):
             x = reduce_mod(comps[0] + comps[1] + comps[2], L)
-        assert np.array_equal(bits, bit_decompose(x, params))
+        assert np.array_equal(bits, bit_decompose(x, params).T)
         assert np.array_equal(alpha, wrap3(*comps, L))
 
 
@@ -437,8 +473,11 @@ def test_prep_file_checks_party_and_ring(tmp_path):
             FilePrep(path, party, params)
     # a well-formed container whose entries do not fit their record
     entries = load_tensors(path, PREP_MAGIC)
-    narrow = {f"wrap.0.{f}.{k}": entries[f"wrap.0.{f}.{k}"][:, :8]  # (n, 8)
+    narrow = {f"wrap.0.{f}.{k}": entries[f"wrap.0.{f}.{k}"][:8]  # (8, n)
               for f in ("xbits", "vbits") for k in ("lo", "hi")}
+    # the (n, ell) bit records of FALPREP4, instance-major
+    rowmajor = {k: np.ascontiguousarray(v.T) for k, v in entries.items()
+                if k.endswith((".xbits.lo", ".xbits.hi", ".vbits.lo", ".vbits.hi"))}
     for bad in [{"session": np.array([1, 32, 41], np.uint64)},  # made under a foreign prime
                 {"trunc.0.d": np.arange(5, dtype=np.uint64)},  # r has 4 elements
                 {"trunc.0.d": np.uint64(PARAMS.fp)},  # one shift for the record
@@ -446,7 +485,8 @@ def test_prep_file_checks_party_and_ring(tmp_path):
                 {"wrap.0.m.hi": entries["wrap.0.m.hi"][:3]},
                 {k: v for k, v in narrow.items() if ".xbits." in k},
                 {k: v for k, v in narrow.items() if ".vbits." in k},
-                {"wrap.0.vbits.lo": entries["wrap.0.vbits.lo"][:, 0]},
+                {"wrap.0.vbits.lo": entries["wrap.0.vbits.lo"][0]},
+                rowmajor,
                 {"bitpair.0.c2.mod": np.uint64(5)},
                 # Z_p shares are uint8: p itself breaks the reduced-operand
                 # invariant, 300 would be truncated to 44
@@ -457,20 +497,24 @@ def test_prep_file_checks_party_and_ring(tmp_path):
         with pytest.raises(FormatError):
             FilePrep(path, PartyId(1), PARAMS)
     # files of the previous formats are refused by their magic: FALPREP2's
-    # wrap records lack the compare's blinding and flipped bits, and
-    # FALPREP3's lack m~ beta and m~ x[ell - 1] (its m was the mask itself)
+    # wrap records lack the compare's blinding and flipped bits, FALPREP3's
+    # lack m~ beta and m~ x[ell - 1] (its m was the mask itself), and
+    # FALPREP4's hold xbits and vbits instance-major, (n, ell)
     for magic, dropped in [(b"FALPREP2", ("beta2", "beta_p", "m", "vbits", "m_beta", "m_xtop")),
                            (b"FALPREP3", ("m_beta", "m_xtop"))]:
         gone = tuple(f"wrap.0.{f}." for f in dropped)
         save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(gone)}, magic)
-        with pytest.raises(FormatError, match="not a FALPREP4 file"):
+        with pytest.raises(FormatError, match="not a FALPREP5 file"):
             FilePrep(path, PartyId(1), PARAMS)
         # and so is a current file that lacks the fields
         save_tensors(path, {k: v for k, v in entries.items() if not k.startswith(gone)},
                      PREP_MAGIC)
         with pytest.raises(FormatError, match="missing"):
             FilePrep(path, PartyId(1), PARAMS)
-    assert PREP_MAGIC == b"FALPREP4"
+    save_tensors(path, {**entries, **rowmajor}, b"FALPREP4")
+    with pytest.raises(FormatError, match="not a FALPREP5 file"):
+        FilePrep(path, PartyId(1), PARAMS)
+    assert PREP_MAGIC == b"FALPREP5"
     # a file written with uint64 Z_p/Z_2 entries loads as the same uint8 shares
     wide = {k: v.astype(np.uint64) for k, v in entries.items()}
     save_tensors(path, wide, PREP_MAGIC)
@@ -479,3 +523,7 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     assert np.array_equal(back["wrap"][0].m.hi, rec.records["wrap"][0].m.hi)
     assert np.array_equal(back["wrap"][0].xbits.lo, rec.records["wrap"][0].xbits.lo)
     assert np.array_equal(back["wrap"][0].vbits.hi, rec.records["wrap"][0].vbits.hi)
+    # and a replay hands the compare the C-contiguous (ell, n) planes
+    for bits in (back["wrap"][0].xbits, back["wrap"][0].vbits):
+        assert bits.shape == (PARAMS.ell, 4)
+        assert bits.lo.flags.c_contiguous and bits.hi.flags.c_contiguous

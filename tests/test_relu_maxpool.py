@@ -212,12 +212,12 @@ def test_maxpool_takes_one_level_per_doubling():
 
 
 def test_drelu_online_memory():
-    # the private-compare factors, (n, ell), are built in row blocks, one
-    # signed accumulator per component, and the wrap protocol's opened-r
-    # state dies once the factors exist, so the online working set stays a
-    # few hundred bytes per element and party (460-490 B over the three
-    # parties on a 2-core host); the preprocessing material, flipped bits
-    # and mask products included, is drawn before the measured window
+    # the private-compare factors, (ell, n) planes, are built in column
+    # blocks, one signed accumulator per component, and the wrap protocol's
+    # opened-r state dies once the factors exist, so the online working set
+    # stays a few hundred bytes per element and party (470-500 B over the
+    # three parties on a 2-core host); the preprocessing material, flipped
+    # bits and mask products included, is drawn before the measured window
     n = 36864  # one sequential maxpool step of network-c at batch 16
     raws = np.random.default_rng(9).integers(0, PARAMS.L, n, dtype=np.uint64)
     gate = threading.Barrier(3, timeout=60)

@@ -64,6 +64,24 @@ def test_compare_prime_follows_from_ell(capsys):
     assert report["ring_bits"] == 64 and report["round_ratio"] == 1.0
 
 
+def test_reduction_is_exact_for_every_compare_prime():
+    # reduce_mod takes uint8/uint16 input to an odd p by Barrett's step,
+    # whose uint32 product wraps near 2^16; mul_mod reduces its uint16
+    # products the same way. Every input, for every prime some ell derives
+    primes = sorted({RingParams(ell=ell, fp=4).p for ell in range(8, 65)})
+    assert primes[0] == 11 and primes[-1] == 67
+    x = np.arange(1 << 16, dtype=np.uint16)
+    # three reduction chunks, the last one short, in a 2-D array
+    spread = np.concatenate([x, x[::-1], x[:6]]).reshape(2, -1)
+    for p in primes:
+        for xs in (x, x[:256].astype(np.uint8), spread):
+            got = reduce_mod(xs, p)
+            assert got.dtype == np.uint8 and got.shape == xs.shape
+            assert np.array_equal(got, xs % np.uint16(p)), p
+        a, b = (g.astype(np.uint8) for g in np.meshgrid(np.arange(p), np.arange(p)))
+        assert np.array_equal(mul_mod(a, b, p), a.astype(np.int64) * b % p), p
+
+
 def test_encode_examples():
     p = RingParams(ell=32, fp=13)
     assert encode_fixed(2.5, p) == 20480
