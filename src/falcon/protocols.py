@@ -283,7 +283,7 @@ def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.nda
 # factor arithmetic: its ~8 (ell, cols) int16 temporaries then stay ~2 MB
 # whatever n is, and only the (ell, n) factors reach the multiplication tree.
 # Under three party threads every numpy call gives up and retakes the
-# interpreter lock, so wider blocks run faster (4096 columns took ~35 % less
+# interpreter lock, so wider blocks run faster (4096 columns took ~30 % less
 # time than 2048 at n = 131072 on 2 cores); 6144 broke the online memory bound
 PC_BLOCK_ROWS = 4096
 

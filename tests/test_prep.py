@@ -228,10 +228,10 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
 def test_compare_and_drelu_across_column_blocks(dealer, threat):
     # the compare's factors are built in column blocks of the (ell, n)
     # planes; at n = PC_BLOCK_ROWS + 3 the second block is partial. Both
-    # blocks meet every target kind (the last one's three instances take
-    # x + 1, 2^ell - 1 and 0 under shift 0, x - 1, x and x + 1 under shift
-    # 3), so reading any plane, t or blinding product through a wrong
-    # column slice pairs one instance's bits with another's target
+    # blocks meet every target kind (two target shifts three apart give the
+    # last block's three instances five consecutive kinds), so reading any
+    # plane, t or blinding product through a wrong column slice pairs one
+    # instance's bits with another's target
     n = P.PC_BLOCK_ROWS + 3
     L = PARAMS.L
     edges = np.array([0, 1, L - 1, L // 2 - 1, L // 2], np.uint64)
