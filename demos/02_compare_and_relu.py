@@ -30,7 +30,7 @@ def job(sess):
     # their bits and their products, formed here in one multiplication
     xs = np.array([3, 41, 100, 100], np.uint64)
     ts = np.array([10, 17, 100, 99], np.uint64)
-    bits = share_secret(bit_decompose(xs, params).T.copy(), params.p,  # (ell, n) planes
+    bits = share_secret(bit_decompose(xs, params), params.p,  # (ell, n) planes
                         sess.shared_rng)[sess.party.index - 1]
     rand = sess.prep.wrap_rands(len(xs))
     vbits, m_beta, m_xtop = P.compare_products(sess, bits, rand.beta_p, rand.m)

@@ -28,8 +28,9 @@ from .netspec import NetworkSpec, init_float_params, param_shapes
 from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
 from .rings import RingError, RingParams, decode_fixed, encode_fixed
 from .rss import public_share, share_secret
-from .session import PartySession, ThreatModel, make_session, open_share, run_three_parties
-from .transport import TcpLinks
+from .session import (AbortError, ConfigMismatchError, PartySession, ThreatModel, make_session,
+                      open_share, run_three_parties)
+from .transport import DesyncError, TcpLinks
 
 # published end-to-end reference timings (seconds, single inference; not
 # measured here - hardware and network bound)
@@ -56,6 +57,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a refused or silent peer, a receive timeout, a busy port
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except (AbortError, DesyncError, ConfigMismatchError) as exc:  # a detected inconsistency, a bad frame, a config mismatch
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def matmul_dims(text: str) -> tuple:  # argparse reports a ValueError as an invalid value

@@ -116,9 +116,7 @@ def _propagate(layer: LayerSpec, shape: tuple, idx: int) -> tuple:
         if Ho <= 0 or Wo <= 0:
             raise ValueError(f"layer {idx}: pool window exceeds the input")
         return (C, Ho, Wo)
-    if layer.kind == "bn":
-        return shape
-    return shape  # relu
+    return shape  # relu, bn
 
 
 def param_shapes(layer: LayerSpec, act_shape: tuple) -> dict:

@@ -148,7 +148,7 @@ class DealerPrep:
                      for _ in range(3)]
             x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
-            bits = bit_decompose(x, p).T.copy()  # (ell, n) planes
+            bits = bit_decompose(x, p)  # (ell, n) planes
             # the compare's blinding bit beta and the nonzero m~ of its mask
             beta = self.rng.integers(0, 2, n).astype(NARROW)
             m = self.rng.integers(1, p.p, n).astype(NARROW)
@@ -262,8 +262,7 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
     """
     params = sess.params
     ell = params.ell
-    comp = RssShare(*(np.ascontiguousarray(bit_decompose(c, params).reshape(-1, ell).T)
-                      for c in (x.lo, x.hi)), 2)
+    comp = RssShare(*(bit_decompose(c, params).reshape(ell, -1) for c in (x.lo, x.hi)), 2)
     s1, s2, s3 = lift_component_shares(sess, comp, 2)
 
     # carry-save: S = a^b^c, C = majority(a,b,c) = ((a^c)(b^c)) ^ c

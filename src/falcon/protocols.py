@@ -327,8 +327,8 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
     out = (np.empty((ell, n), NARROW), np.empty((ell, n), NARROW))
     for k in range(0, n, PC_BLOCK_ROWS):
         cols = slice(k, k + PC_BLOCK_ROWS)
-        tb = bit_decompose(t[cols], params).T.astype(np.int16, order="C")  # (ell, b)
-        mf = bit_decompose(t[cols] ^ (t[cols] + np.uint64(1)), params).T.astype(np.int16, order="C")
+        tb = bit_decompose(t[cols], params).astype(np.int16)  # (ell, b)
+        mf = bit_decompose(t[cols] ^ (t[cols] + np.uint64(1)), params).astype(np.int16)
         mf *= 1 - 2 * tb  # M (1 - 2t)
         on_x = 1 - 2 * tb - mf  # (1 - 2t)(1 - M): w's coefficient of x
         on_own = tb + mf  # w's public term; c's is 1 - on_own

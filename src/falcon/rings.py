@@ -235,7 +235,11 @@ def wrap3(a1, a2, a3, L: int) -> np.ndarray:
 
 
 def bit_decompose(x, params: RingParams) -> np.ndarray:
-    """LSB-first bits of Z_L raws as uint8; output shape x.shape + (ell,)."""
+    """LSB-first bits of Z_L raws as uint8, bit-major: C-contiguous planes
+    of shape (ell,) + x.shape, plane i holding every element's bit i."""
     x = np.asarray(x, UINT)
     octets = np.ascontiguousarray(x, "<u8").view(np.uint8).reshape(x.shape + (8,))
-    return np.unpackbits(octets, axis=-1, count=params.ell, bitorder="little")
+    # unpack along the contiguous last axis, then copy the planes out: unpacking
+    # along a strided first axis made three-thread private compares ~6 % slower
+    bits = np.unpackbits(octets, axis=-1, count=params.ell, bitorder="little")
+    return np.ascontiguousarray(np.moveaxis(bits, -1, 0))

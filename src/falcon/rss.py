@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,10 +345,8 @@ class PrfState:
         return PrfState(PrfStream(seed_with_next), PrfStream(seed_with_prev))
 
     @staticmethod
-    def setup_seeds(session_seed: int | None = None) -> list[bytes]:
+    def setup_seeds(session_seed: int) -> list[bytes]:
         """The three pairwise seeds k_1, k_2, k_3 (k_i shared by P_i, P_{i+1})."""
-        if session_seed is None:
-            return [os.urandom(16) for _ in range(3)]
         root = np.random.default_rng(session_seed)
         return [root.bytes(16) for _ in range(3)]
 

@@ -66,10 +66,6 @@ class ThreatModel(Enum):
 class AbortError(RuntimeError):
     """Malicious-with-abort: an inconsistency was detected; no output released."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class ConfigMismatchError(RuntimeError):
     pass
@@ -295,15 +291,15 @@ def run_three_parties(
 
     The memory backend threads all parties in-process; pairwise PRF seeds
     and the shared data rng derive deterministically from session_seed.
-    Every party's links are closed once all three have returned, so a TCP
-    run leaves no socket or reader thread behind.
+    A party that raises closes its own links, so its peers' receives from it
+    end with ChannelClosed and they stop in turn. The other parties' links
+    are closed once all three threads have joined, so a TCP run leaves no
+    socket or reader thread behind. The run raises the error that caused the
+    stop (see _stop_rank); ties go to the lower party.
     """
     if backend == "memory":
-        hub = MemoryHub(fault=fault)
-        link_factory = hub.links
+        link_factory = MemoryHub(fault=fault).links
     elif backend == "tcp":
-        hub = None
-
         def link_factory(i: int) -> PartyLinks:
             # constructed inside each party thread: listeners and dialers
             # must come up concurrently
@@ -313,39 +309,38 @@ def run_three_parties(
 
     results: list = [None, None, None]
     errors: list = [None, None, None]
-    sessions: list = [None, None, None]
+    opened: list = [None, None, None]
 
     def runner(idx: int):
         try:
-            sessions[idx] = make_session(idx + 1, link_factory(idx + 1), params, threat,
-                                         session_seed, timeout)
-            results[idx] = fn(sessions[idx])
+            opened[idx] = link_factory(idx + 1)
+            results[idx] = fn(make_session(idx + 1, opened[idx], params, threat, session_seed,
+                                           timeout))
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             errors[idx] = exc
-            if hub is not None:
-                hub.close_all()
-            else:
-                for s in sessions:
-                    if s is not None:
-                        s.links.close()
+            if opened[idx] is not None:
+                opened[idx].close()
 
     threads = [threading.Thread(target=runner, args=(i,), daemon=True) for i in range(3)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    for s in sessions:
-        if s is not None:
-            s.links.close()
+    for links, exc in zip(opened, errors):
+        if links is not None and exc is None:
+            links.close()
 
-    for kind in (AbortError, DesyncError, ConfigMismatchError):
-        for e in errors:
-            if isinstance(e, kind):
-                raise e
-    for e in errors:
-        if e is not None and not isinstance(e, ChannelClosed):
-            raise e
-    for e in errors:
-        if e is not None:
-            raise e
+    raised = [i for i in range(3) if errors[i] is not None]
+    if raised:
+        raise errors[min(raised, key=lambda i: (_stop_rank(errors[i]), i))]
     return results
+
+
+def _stop_rank(exc: BaseException) -> int:
+    """How directly a party's error explains a stopped run, lowest first: an
+    abort, a desync, a configuration mismatch, any other error, and last a
+    closed channel."""
+    if isinstance(exc, ChannelClosed):  # a knock-on of a peer's stop
+        return 4
+    kinds = (AbortError, DesyncError, ConfigMismatchError)
+    return next((r for r, kind in enumerate(kinds) if isinstance(exc, kind)), 3)

@@ -153,10 +153,6 @@ class MemoryHub:
     def links(self, party: int) -> "PartyLinks":
         return MemoryLinks(self, party)
 
-    def close_all(self):
-        for p in self.pipes.values():
-            p.close()
-
 
 class PartyLinks:
     """A party's channels to its two peers (backend interface)."""
@@ -287,7 +283,10 @@ class TcpLinks(PartyLinks):
             self.queues[peer].close()
 
     def send(self, msg: Message):
-        self.socks[msg.receiver].sendall(msg.encode())
+        try:
+            self.socks[msg.receiver].sendall(msg.encode())
+        except OSError as exc:  # the peer, or this party, has stopped
+            raise ChannelClosed(f"P{self.party} cannot send to P{msg.receiver}: {exc}") from exc
 
     def recv(self, frm: int, timeout: float) -> Message:
         return self.queues[frm].get(timeout)

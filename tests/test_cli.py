@@ -27,15 +27,14 @@ def _counts(measured: dict) -> tuple:
     return measured["rounds"], measured["acct_bytes"], measured["wire_bytes"]
 
 
-def test_three_process_tcp_run_matches_in_process(tmp_path, capsys):
-    assert cli.main(RELU) == 0
-    want = _counts(json.loads(capsys.readouterr().out)["measured"])
-    assert want[0] > 0
+def _three_processes(tmp_path, extra=lambda party: []) -> list:
+    """Run RELU as three `--party i` processes over loopback, with
+    extra(i) appended to party i's arguments; returns each (status, out, err)."""
     peers = tmp_path / "peers.json"
     peers.write_text(json.dumps({str(i): ["127.0.0.1", _free_port()] for i in (1, 2, 3)}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     procs = [subprocess.Popen([sys.executable, "-m", "falcon.cli", *RELU, "--party", str(i),
-                               "--config", str(peers), "--timeout", "20"],
+                               "--config", str(peers), "--timeout", "20", *extra(i)],
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for i in (1, 2, 3)]
     try:
@@ -43,9 +42,26 @@ def test_three_process_tcp_run_matches_in_process(tmp_path, capsys):
     finally:
         for p in procs:
             p.kill()
-    for party, (p, (out, err)) in enumerate(zip(procs, outs), start=1):
-        assert p.returncode == 0, f"P{party}: {err}"
+    return [(p.returncode, out, err) for p, (out, err) in zip(procs, outs)]
+
+
+def test_three_process_tcp_run_matches_in_process(tmp_path, capsys):
+    assert cli.main(RELU) == 0
+    want = _counts(json.loads(capsys.readouterr().out)["measured"])
+    assert want[0] > 0
+    for party, (rc, out, err) in enumerate(_three_processes(tmp_path), start=1):
+        assert rc == 0, f"P{party}: {err}"
         assert _counts(json.loads(out)["measured"]) == want, f"P{party}"
+
+
+def test_seed_mismatch_exits_4_at_every_party(tmp_path):
+    # P3 on another --seed frames its messages under another session id:
+    # every party refuses a frame, prints an error line and exits with status 4
+    for party, (rc, out, err) in enumerate(_three_processes(
+            tmp_path, lambda i: ["--seed", "3"] if i == 3 else []), start=1):
+        assert rc == 4, f"P{party}: {err}"
+        assert err.startswith("error: ") and "Traceback" not in err, f"P{party}: {err}"
+        assert not out, f"P{party}"
 
 
 def test_party_runs_over_tcp(tmp_path, capsys):

@@ -22,7 +22,7 @@ def chosen_compare_rand(sess, xs):
     blinding (`compare_products`, one multiplication round). Its x and alpha
     stay the dealt ones, which a compare does not read."""
     params = sess.params
-    bits = bit_decompose(np.asarray(xs, np.uint64), params).T.copy()
+    bits = bit_decompose(np.asarray(xs, np.uint64), params)
     xbits = share_secret(bits, params.p, sess.shared_rng)[sess.party.index - 1]
     rand = sess.prep.wrap_rands(bits.shape[1])
     vbits, m_beta, m_xtop = P.compare_products(sess, xbits, rand.beta_p, rand.m)

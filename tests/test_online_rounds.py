@@ -1,18 +1,21 @@
-"""Exact online counts of one request of each benchmark shape.
+"""Exact online counts of one request of each end-to-end cell.
 
-One batch of 2 runs network-c inference (semi-honest), network-b inference
-and one network-a SGD step (both malicious), each net with relu and maxpool
-swapped as the benchmark runs it. Each DReLU that steers anything is lifted
-to Z_L with its bit opened in the round that opens the compare's d, so every
-relu, its backward and the loss's two fallback selections are one
-multiplication each. A DReLU takes 2 + log2(ell) rounds: the private
-compare multiplies ell factors. The loss's divide finds its bounding power
-with one DReLU over ell - 1 thresholds per divisor. Inference rounds do not
-depend on the batch, so 65 and 23 are also the benchmark's counts at batch
-16. One rescale of the SGD step has a data-dependent public shift: divide
-reads the loss's divisor at x in [0.5, 1), which is a local left shift for
-both samples here and a truncation round for some sample of the
-benchmark's batch of 32 (76 rounds).
+One batch of 2 runs each of the eight end-to-end cells: inference on
+networks a, b and c and one network-a SGD step, each in both threat
+models, each net with relu and maxpool swapped as the benchmark runs it.
+The benchmark's own shapes are network-c inference (semi-honest),
+network-b inference and the network-a SGD step (both malicious). Each
+DReLU that steers anything is lifted to Z_L with its bit opened in the
+round that opens the compare's d, so every relu, its backward and the
+loss's two fallback selections are one multiplication each. A DReLU takes
+2 + log2(ell) rounds: the private compare multiplies ell factors. The
+loss's divide finds its bounding power with one DReLU over ell - 1
+thresholds per divisor. Inference rounds do not depend on the batch, so 65
+and 23 are also the benchmark's counts at batch 16. One rescale of the SGD
+step has a data-dependent public shift: divide reads the loss's divisor at
+x in [0.5, 1), which is a local left shift for both samples here and a
+truncation round for some sample of the benchmark's batch of 32 (76
+rounds).
 
 Each shape pins party 1's rounds, messages, wire bytes and cost-model
 bits; all three parties must agree on every count. The private compare
@@ -104,7 +107,13 @@ def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool
     (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 831_465, 3_331_400)),
     (network_b, ThreatModel.MALICIOUS, False, (23, 35, 107_100, 493_520)),
     (network_a, ThreatModel.MALICIOUS, True, (75, 113, 2_421_108, 19_247_932)),
-], ids=["infer-c", "infer-b-mal", "train-a-mal"])
+    (network_a, ThreatModel.SEMI_HONEST, False, (23, 25, 21_284, 84_352)),
+    (network_a, ThreatModel.MALICIOUS, False, (23, 35, 26_348, 119_424)),
+    (network_b, ThreatModel.SEMI_HONEST, False, (23, 25, 87_410, 349_680)),
+    (network_c, ThreatModel.MALICIOUS, False, (65, 98, 1_016_096, 4_697_560)),
+    (network_a, ThreatModel.SEMI_HONEST, True, (75, 80, 1_461_148, 11_580_820)),
+], ids=["infer-c", "infer-b-mal", "train-a-mal", "infer-a", "infer-a-mal", "infer-b",
+        "infer-c-mal", "train-a"])
 def test_online_rounds_are_exact(make_net, threat, train, want):
     assert request_counts(make_net, threat, train) == (want, (0, 0, 0, 0))
 

@@ -359,7 +359,7 @@ def test_adder_wrap_bit_on_chosen_components(ell, n):
     for comps, (bits, alpha) in zip(calls, run_three_parties(job, params, session_seed=2)[0]):
         with np.errstate(over="ignore"):
             x = reduce_mod(comps[0] + comps[1] + comps[2], L)
-        assert np.array_equal(bits, bit_decompose(x, params).T)
+        assert np.array_equal(bits, bit_decompose(x, params))
         assert np.array_equal(alpha, wrap3(*comps, L))
 
 

@@ -146,9 +146,13 @@ def test_bit_decompose():
     # recomposition
     rng = np.random.default_rng(5)
     x = rng.integers(0, 256, 100, dtype=np.uint64)
-    bits = bit_decompose(x, p)
-    back = (bits * (np.uint64(1) << np.arange(8, dtype=np.uint64))).sum(axis=-1)
+    bits = bit_decompose(x, p)  # (ell, n) planes
+    assert bits.shape == (8, 100) and bits.flags.c_contiguous
+    back = (bits * (np.uint64(1) << np.arange(8, dtype=np.uint64))[:, None]).sum(axis=0)
     assert np.array_equal(back, x)
+    # bit-major for any shape: plane i of an array holds bit i of each element
+    x2 = x.reshape(4, 25)
+    assert np.array_equal(bit_decompose(x2, p), bits.reshape(8, 4, 25))
 
 
 def test_signed_view():

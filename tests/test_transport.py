@@ -236,6 +236,29 @@ def test_tcp_run_closes_its_links():
     assert not set(threading.enumerate()) - before
 
 
+@pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS])
+@pytest.mark.parametrize("backend", ["memory", "tcp"])
+def test_run_raises_the_error_that_stopped_it(backend, threat):
+    # P2 fails after one opening while P1 and P3 wait on it in the next: P2
+    # closes its links, its peers stop on closed channels (a receive from P2,
+    # or a send to it), and the run reports P2's error rather than theirs
+    def job(sess):
+        x = share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+                         sess.shared_rng)[sess.party.index - 1]
+        open_share(sess, x)
+        if sess.party.index == 2:
+            raise ValueError("P2 stops")
+        open_share(sess, x)
+
+    for seed in range(5):
+        addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)} if backend == "tcp" else None
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="P2 stops"):
+            run_three_parties(job, PARAMS, threat=threat, session_seed=seed, backend=backend,
+                              addresses=addresses, timeout=20.0)
+        assert time.monotonic() - start < 2.0
+
+
 def test_recv_timeout():
     def job(sess):
         if sess.party.index == 2:
