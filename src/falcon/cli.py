@@ -24,8 +24,9 @@ from . import oracle as O
 from . import protocols as P
 from .data import FormatError, ingest_mnist, load_tensors, write_synth_idx
 from .nets import BUILTIN
-from .netspec import NetworkSpec, init_float_params, param_shapes
-from .prep import DealerPrep, DistributedPrep, FilePrep, RecordingPrep, save_prep_file
+from .netspec import NetworkSpec, init_float_params
+from .prep import (DealerPrep, DistributedPrep, FilePrep, PrepMismatchError, RecordingPrep,
+                   save_prep_file)
 from .rings import RingError, RingParams, decode_fixed, encode_fixed
 from .rss import public_share, share_secret
 from .session import (AbortError, ConfigMismatchError, PartySession, ThreatModel, make_session,
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
         parser.error("--config needs --party")
     try:
         return args.func(args)
-    except (FormatError, RingError) as exc:
+    except (FormatError, RingError, PrepMismatchError) as exc:  # a bad file or flag, a file of another run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a refused or silent peer, a receive timeout, a busy port
@@ -408,22 +409,19 @@ def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict,
         if (ck_params.ell, ck_params.fp) != (params.ell, params.fp):
             raise FormatError("checkpoint ring parameters do not match the session")
     raws, floats = {}, {}
-    in_shapes = [tuple(net.input_shape)] + net.activation_shapes()
-    for i, layer in enumerate(net.layers):
-        for name, want in param_shapes(layer, in_shapes[i]).items():
-            key = f"{i}.{name}"
-            if key not in weights:
-                raise FormatError(f"{path}: missing {key!r}")
-            value = weights[key]
-            if value.shape != want:
-                raise FormatError(f"{path}: {key!r} has shape {value.shape}, not {want}")
-            if not npz:
-                raws[key], floats[key] = value, decode_fixed(value, params)
-                continue
-            try:
-                raws[key], floats[key] = encode_fixed(value, params), value
-            except OverflowError as exc:
-                raise FormatError(f"{path}: {key!r}: {exc}") from None
+    for key, want in net.param_layout():
+        if key not in weights:
+            raise FormatError(f"{path}: missing {key!r}")
+        value = weights[key]
+        if value.shape != want:
+            raise FormatError(f"{path}: {key!r} has shape {value.shape}, not {want}")
+        if not npz:
+            raws[key], floats[key] = value, decode_fixed(value, params)
+            continue
+        try:
+            raws[key], floats[key] = encode_fixed(value, params), value
+        except OverflowError as exc:
+            raise FormatError(f"{path}: {key!r}: {exc}") from None
     return raws, floats
 
 

@@ -56,6 +56,14 @@ class NetworkSpec:
             )
         return out
 
+    def param_layout(self):
+        """Yield every learnable parameter as ("<layer>.<param>", shape), in
+        layer then parameter order: the order weights are drawn and shared."""
+        in_shapes = [tuple(self.input_shape)] + self.activation_shapes()
+        for i, layer in enumerate(self.layers):
+            for name, pshape in param_shapes(layer, in_shapes[i]).items():
+                yield f"{i}.{name}", pshape
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -138,16 +146,13 @@ def init_float_params(net: NetworkSpec, seed: int = 0) -> dict:
     """He-style float initialization, deterministic under the seed."""
     rng = np.random.default_rng(seed)
     params: dict = {}
-    shape = tuple(net.input_shape)
-    for i, layer in enumerate(net.layers):
-        for name, pshape in param_shapes(layer, shape).items():
-            key = f"{i}.{name}"
-            if name == "w":
-                fan_in = pshape[0] if layer.kind == "fc" else int(np.prod(pshape[1:]))
-                params[key] = rng.normal(0.0, np.sqrt(2.0 / fan_in), pshape)
-            elif name == "gamma":
-                params[key] = np.ones(pshape)
-            else:
-                params[key] = np.zeros(pshape)
-        shape = _propagate(layer, shape, i)
+    for key, pshape in net.param_layout():
+        name = key.split(".")[1]
+        if name == "w":  # fc (in, out) or conv (out, in, F, F)
+            fan_in = pshape[0] if len(pshape) == 2 else int(np.prod(pshape[1:]))
+            params[key] = rng.normal(0.0, np.sqrt(2.0 / fan_in), pshape)
+        elif name == "gamma":
+            params[key] = np.ones(pshape)
+        else:
+            params[key] = np.zeros(pshape)
     return params

@@ -1,12 +1,16 @@
 """Secure neural-network engine: forward, backward, SGD, loss gradient.
 
 Layers evaluate batch-first: images as (B, C, H, W) shares, flat
-activations as (B, D). The forward pass caches whatever the backward pass
-reuses, mirroring the fused forward/backward optimization of the cost
-model: ReLU derivative bits and maxpool keep bits, both over Z_L so that
-each backward use is one multiplication, and batch-norm normalized
-activations and inverse sigma. Learning rates are powers of two; an SGD
-step is a subtraction after an arithmetic shift of the gradient.
+activations as (B, D). Convolution and maxpool read their input through
+one view of its windows (`rss.window_share`), and their backward passes
+scatter gradients back through its adjoint (`rss.unwindow_share`). The
+parameters are shared in the NetworkSpec's `param_layout` order. The
+forward pass caches whatever the backward pass reuses, mirroring the fused
+forward/backward optimization of the cost model: ReLU derivative bits and
+maxpool keep bits, both over Z_L so that each backward use is one
+multiplication, and batch-norm normalized activations and inverse sigma.
+Learning rates are powers of two; an SGD step is a subtraction after an
+arithmetic shift of the gradient.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
-from .netspec import LayerSpec, NetworkSpec, init_float_params, param_shapes, _propagate
+from .netspec import LayerSpec, NetworkSpec, init_float_params
 from .numeric import divide, rescale
 from .protocols import (
-    _im2col,
-    col2im,
     conv2d,
     drelu_lifted,
     matmul,
@@ -44,6 +46,8 @@ from .rss import (
     share_secret,
     sub_shares,
     sum_share,
+    unwindow_share,
+    window_share,
 )
 from .session import PartySession, open_share
 
@@ -64,10 +68,6 @@ class NetState:
     layers: list  # of LayerState
 
 
-def transpose(x: RssShare) -> RssShare:
-    return RssShare(x.lo.T, x.hi.T, x.mod)
-
-
 def init_state(sess: PartySession, net: NetworkSpec, float_params: dict | None = None,
                seed: int = 0) -> NetState:
     """Share the (possibly imported) float parameters under fixed-point encoding."""
@@ -78,17 +78,13 @@ def init_state(sess: PartySession, net: NetworkSpec, float_params: dict | None =
 
 
 def share_weights(sess: PartySession, net: NetworkSpec, raws: dict) -> NetState:
-    """Share raw ring weights {"<layer>.<param>": array} layer by layer, in
+    """Share raw ring weights {"<layer>.<param>": array} in the net's
     parameter order, from the session's shared rng."""
-    layers = []
-    shape = tuple(net.input_shape)
-    for i, layer in enumerate(net.layers):
-        st = LayerState()
-        for name in param_shapes(layer, shape):
-            st.params[name] = share_secret(raws[f"{i}.{name}"], sess.params.L,
-                                           sess.shared_rng)[sess.party.index - 1]
-        layers.append(st)
-        shape = _propagate(layer, shape, i)
+    layers = [LayerState() for _ in net.layers]
+    for key, _ in net.param_layout():
+        i, name = key.split(".")
+        layers[int(i)].params[name] = share_secret(raws[key], sess.params.L,
+                                                   sess.shared_rng)[sess.party.index - 1]
     return NetState(net, layers)
 
 
@@ -126,14 +122,14 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         st.cache["drelu"] = bit = drelu_lifted(sess, x)
         return mult(sess, x, bit)
     if layer.kind == "maxpool":
-        B, C, H, W = x.shape
-        Ho = (H - layer.window) // layer.stride + 1
-        Wo = (W - layer.window) // layer.stride + 1
-        windows = _pool_windows(x, layer.window, layer.stride, Ho, Wo)
-        mx, path = maxpool_argmax(sess, windows)
+        F = layer.window
+        windows = window_share(x, F, layer.stride, 0)  # (B, C, Ho, Wo, F, F)
+        # copied slot-major, so the copy reads whole image rows, then viewed slot-last
+        slots = windows.transpose(4, 5, 0, 1, 2, 3).reshape((F * F,) + windows.shape[:4])
+        mx, path = maxpool_argmax(sess, slots.transpose(1, 2, 3, 4, 0))
         st.cache["path"] = path
-        st.cache["in_shape"] = (B, C, H, W)
-        return mx.reshape(B, C, Ho, Wo)
+        st.cache["in_shape"] = x.shape
+        return mx
     if layer.kind == "bn":
         grouped, restore = _channels_first(x)
         out, z, inv = batch_norm_forward(sess, grouped, st.params["gamma"], st.params["beta"])
@@ -144,30 +140,15 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
-def _pool_windows(x: RssShare, window: int, stride: int, Ho: int, Wo: int) -> RssShare:
-    """(B, C, Ho, Wo, window*window) view of the pooling windows."""
-    B, C = x.shape[:2]
-
-    def gather(a):
-        cols = _im2col(a, window, stride, 0, Ho, Wo)
-        return cols.reshape(C, window * window, B, Ho, Wo).transpose(2, 0, 3, 4, 1)
-
-    return RssShare(gather(x.lo), gather(x.hi), x.mod)
-
-
 def _channels_first(x: RssShare):
     """Group activations per channel/feature: (C, B*spatial) plus a restorer."""
     B, C = x.shape[:2]
-    moved = (C, B) + x.shape[2:]
-
-    def group(a):
-        return np.moveaxis(a, 1, 0).reshape(C, -1)
+    swap = (1, 0) + tuple(range(2, len(x.shape)))
 
     def restore(y: RssShare) -> RssShare:
-        return RssShare(np.moveaxis(y.lo.reshape(moved), 0, 1),
-                        np.moveaxis(y.hi.reshape(moved), 0, 1), y.mod)
+        return y.reshape((C, B) + x.shape[2:]).transpose(*swap)
 
-    return RssShare(group(x.lo), group(x.hi), x.mod), restore
+    return x.transpose(*swap).reshape(C, -1), restore
 
 
 # ---------------------------------------------------------------------------
@@ -191,35 +172,30 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
                     grads: dict, idx: int) -> RssShare:
     """delta arrives in the layer's output shape; returns it for the input."""
     if layer.kind == "fc":
-        grads[f"{idx}.w"] = matmul(sess, transpose(st.cache["a_in"]), delta, truncate_after=True)
+        grads[f"{idx}.w"] = matmul(sess, st.cache["a_in"].transpose(), delta, truncate_after=True)
         grads[f"{idx}.b"] = sum_share(delta, 0)
-        return matmul(sess, delta, transpose(st.params["w"]), truncate_after=True)
+        return matmul(sess, delta, st.params["w"].transpose(), truncate_after=True)
     if layer.kind == "conv":
-        a_in = st.cache["a_in"]
-        B, C, H, W = a_in.shape
-        _, Cout, Ho, Wo = delta.shape
-        F, S, Pd = layer.kernel, layer.stride, layer.pad
+        a_in, w = st.cache["a_in"], st.params["w"]
+        F = layer.kernel
+        windows = window_share(a_in, F, layer.stride, layer.pad)  # (B, C, Ho, Wo, F, F)
+        B, C, Ho, Wo = windows.shape[:4]
         dmat, _ = _channels_first(delta)  # (Cout, B*Ho*Wo)
-        cols = RssShare(_im2col(a_in.lo, F, S, Pd, Ho, Wo), _im2col(a_in.hi, F, S, Pd, Ho, Wo), a_in.mod)
-        dw = matmul(sess, dmat, transpose(cols), truncate_after=True)
-        grads[f"{idx}.w"] = dw.reshape(Cout, C, F, F)
+        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * F * F, B * Ho * Wo)
+        dw = matmul(sess, dmat, cols.transpose(), truncate_after=True)
+        grads[f"{idx}.w"] = dw.reshape(w.shape)
         grads[f"{idx}.b"] = sum_share(dmat, -1)
-        dcols = matmul(sess, transpose(st.params["w"].reshape(Cout, C * F * F)), dmat,
-                       truncate_after=True)
-        dx_lo = col2im(dcols.lo, (B, C, H, W), F, S, Pd, a_in.mod)
-        dx_hi = col2im(dcols.hi, (B, C, H, W), F, S, Pd, a_in.mod)
-        return RssShare(dx_lo, dx_hi, a_in.mod)
+        dcols = matmul(sess, w.reshape(w.shape[0], C * F * F).transpose(), dmat,
+                       truncate_after=True)  # (C*F*F, B*Ho*Wo)
+        dwindows = dcols.reshape(C, F, F, B, Ho, Wo).transpose(3, 0, 4, 5, 1, 2)
+        return unwindow_share(dwindows, a_in.shape, layer.stride, layer.pad)
     if layer.kind == "relu":
         return mult(sess, delta, st.cache["drelu"])
     if layer.kind == "maxpool":
-        B, C, H, W = st.cache["in_shape"]
         routed = maxpool_route(sess, st.cache["path"], delta)  # (B, C, Ho, Wo, F*F)
-
-        def scatter(a):  # adjoint of _pool_windows
-            cols = a.transpose(1, 4, 0, 2, 3).reshape(C * layer.window ** 2, -1)
-            return col2im(cols, (B, C, H, W), layer.window, layer.stride, 0, delta.mod)
-
-        return RssShare(scatter(routed.lo), scatter(routed.hi), delta.mod)
+        F = layer.window
+        return unwindow_share(routed.reshape(routed.shape[:-1] + (F, F)), st.cache["in_shape"],
+                              layer.stride, 0)
     if layer.kind == "bn":
         return _bn_backward(sess, st, delta, grads, idx)
     raise ValueError(f"unknown layer kind {layer.kind!r}")

@@ -49,11 +49,14 @@ def rescale(sess: PartySession, x: RssShare, s, nearest: bool = True) -> RssShar
 
     Every element is multiplied by 2^max(-s, 0) locally, and the elements
     with s > 0 are truncated (optionally round-to-nearest) in one call, in
-    element order, and written back. The truncation runs on a gathered copy
+    element order, and written back. When every shift is positive x is
+    truncated as it stands; otherwise the truncation runs on a gathered copy
     before the scaled one is made, and a shift shared by all elements stays
     a scalar, so no more than one extra copy of x is alive during it.
     """
     s = np.asarray(s, np.int64)
+    if (s > 0).all():
+        return _trunc_vec(sess, x, s, nearest)
     pos = np.broadcast_to(s > 0, x.shape)
     shifts = np.broadcast_to(s, x.shape)[pos] if s.ndim else s
     part = _trunc_vec(sess, x[pos], shifts, nearest) if pos.any() else None

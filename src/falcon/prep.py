@@ -472,6 +472,11 @@ class RecordingPrep:
         return self._record("bitpair", self.inner.bit_pairs(n))
 
 
+class PrepMismatchError(RuntimeError):
+    """A replayed preprocessing file does not hold what the run asks for:
+    it runs out, or its next record has another size or shift."""
+
+
 class FilePrep:
     """Replays recorded artifacts from a per-party file, in order."""
 
@@ -482,20 +487,21 @@ class FilePrep:
     def _take(self, kind: str, n: int):
         idx = self._cursors[kind]
         if idx >= len(self.records[kind]):
-            raise RuntimeError(f"preprocessing file exhausted for {kind!r}")
+            raise PrepMismatchError(f"preprocessing file exhausted for {kind!r}")
         self._cursors[kind] += 1
         item = self.records[kind][idx]
         if getattr(item, fields(item)[0].name).shape != (n,):
-            raise RuntimeError("preprocessing file does not match the requested order")
+            raise PrepMismatchError("preprocessing file does not match the requested order")
         return item
 
     def trunc_pairs(self, n: int, d) -> TruncPair:
         item = self._take("trunc", n)
         if np.any(item.d != np.asarray(d, np.int64)):
-            raise RuntimeError("preprocessing file does not match the requested order")
+            raise PrepMismatchError("preprocessing file does not match the requested order")
         return item
 
     def wrap_rands(self, n: int) -> WrapRand:
         return self._take("wrap", n)
+
     def bit_pairs(self, n: int) -> BitPair:
         return self._take("bitpair", n)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .rings import (
     NARROW,
-    UINT,
     add_mod,
     bit_decompose,
     dtype_for,
@@ -53,6 +52,7 @@ from .rss import (
     concat_shares,
     scale_share,
     sub_shares,
+    window_share,
 )
 from .session import PartySession, Round, open_begin, open_share, reshare_begin
 
@@ -122,62 +122,24 @@ def truncate(sess: PartySession, x: RssShare, d) -> RssShare:
 
 def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare,
            stride: int = 1, padding: int = 0) -> RssShare:
-    """Convolution via im2col + matmul, rescaled to the fixed-point format.
+    """Convolution as one matmul over the image's windows, rescaled to the
+    fixed-point format.
 
-    img is (B, Cin, H, W), weights (Cout, Cin, F, F), bias (Cout,).
-    Output (B, Cout, Hout, Wout) with Hout = (H - F + 2P)/S + 1.
+    img is (B, Cin, H, W), weights (Cout, Cin, F, F), bias (Cout,). The
+    output (B, Cout, Hout, Wout) has one pixel per window of `window_share`.
     """
     B, Cin, H, W = img.shape
     Cout, Cin2, F, _ = weights.shape
     if Cin != Cin2:
         raise ValueError("channel mismatch between image and kernel")
-    # floor output size (partial final strides are dropped, the usual conv rule)
-    Hout = (H - F + 2 * padding) // stride + 1
-    Wout = (W - F + 2 * padding) // stride + 1
-    if Hout <= 0 or Wout <= 0:
+    if F > min(H, W) + 2 * padding:
         raise ValueError("kernel larger than the padded input")
-
-    cols_lo = _im2col(img.lo, F, stride, padding, Hout, Wout)
-    cols_hi = _im2col(img.hi, F, stride, padding, Hout, Wout)
-    cols = RssShare(cols_lo, cols_hi, img.mod)  # (Cin*F*F, B*Hout*Wout)
-    wmat = weights.reshape(Cout, Cin * F * F)
-    out = matmul(sess, wmat, cols, truncate_after=True)
-    out = out.reshape(Cout, B, Hout, Wout)
-    out = RssShare(out.lo.transpose(1, 0, 2, 3), out.hi.transpose(1, 0, 2, 3), img.mod)
+    windows = window_share(img, F, stride, padding)  # (B, Cin, Hout, Wout, F, F)
+    Hout, Wout = windows.shape[2:4]
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * F * F, B * Hout * Wout)
+    out = matmul(sess, weights.reshape(Cout, Cin * F * F), cols, truncate_after=True)
+    out = out.reshape(Cout, B, Hout, Wout).transpose(1, 0, 2, 3)
     return add_shares(out, broadcast_share(bias.reshape(1, Cout, 1, 1), out.shape))
-
-
-def _im2col(a: np.ndarray, F: int, stride: int, pad: int, Hout: int, Wout: int) -> np.ndarray:
-    B, C, H, W = a.shape
-    if pad:
-        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((C * F * F, B * Hout * Wout), dtype=UINT)
-    idx = 0
-    for c in range(C):
-        for i in range(F):
-            for j in range(F):
-                patch = a[:, c, i : i + stride * Hout : stride, j : j + stride * Wout : stride]
-                cols[idx] = patch.reshape(B * Hout * Wout)
-                idx += 1
-    return cols
-
-
-def col2im(cols: np.ndarray, img_shape, F: int, stride: int, pad: int, mod: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add column gradients back to image layout."""
-    B, C, H, W = img_shape
-    Hout = (H - F + 2 * pad) // stride + 1
-    Wout = (W - F + 2 * pad) // stride + 1
-    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=UINT)
-    idx = 0
-    with np.errstate(over="ignore"):
-        for c in range(C):
-            for i in range(F):
-                for j in range(F):
-                    patch = cols[idx].reshape(B, Hout, Wout)
-                    out[:, c, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += patch
-                    idx += 1
-    out = out[:, :, pad : pad + H, pad : pad + W] if pad else out
-    return reduce_mod(out, mod)
 
 
 # ---------------------------------------------------------------------------

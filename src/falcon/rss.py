@@ -2,8 +2,10 @@
 
 A secret x in Z_m is split as x = x1 + x2 + x3 (mod m); party P_i holds
 the pair (x_i, x_{i+1}) with periodic indices. This module is pure value
-logic: share creation, local linear algebra, serialization and the keyed
-PRF streams. Serialization packs each element at its ring's bit width
+logic: share creation, local linear algebra and array plumbing (image
+windows among it: `window_share` views the F x F windows of a (B, C, H, W)
+share and `unwindow_share` scatter-adds them back), serialization and the
+keyed PRF streams. Serialization packs each element at its ring's bit width
 (Z_2 at 1 bit, Z_p at ceil(log2 p) bits, Z_L in 1, 4 or 8-byte words) and
 refuses any payload that is not the one encoding of its elements. Anything
 that talks to a peer lives in falcon.session.
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .rings import NARROW, UINT, RingError, add_mod, dtype_for, mul_mod, reduce_mod, sub_mod
@@ -70,6 +73,9 @@ class RssShare:
 
     def __getitem__(self, idx) -> "RssShare":
         return RssShare(self.lo[idx], self.hi[idx], self.mod)
+
+    def transpose(self, *axes) -> "RssShare":
+        return RssShare(self.lo.transpose(*axes), self.hi.transpose(*axes), self.mod)
 
 
 def _check_same_ring(*shares: RssShare):
@@ -153,6 +159,37 @@ def broadcast_share(x: RssShare, shape) -> RssShare:
 def expand_last(x: RssShare, shape) -> RssShare:
     """x with a new trailing axis, broadcast to shape == x.shape + (k,)."""
     return broadcast_share(x.reshape(x.shape + (1,)), shape)
+
+
+def window_share(x: RssShare, F: int, stride: int, pad: int) -> RssShare:
+    """Read-only (B, C, Ho, Wo, F, F) view of the F x F windows of a
+    (B, C, H, W) share, taken every `stride` pixels over the image
+    zero-padded by `pad` on each side. A partial final stride is dropped, so
+    (Ho, Wo) is the floor output size of `netspec`."""
+
+    def view(a):
+        if pad:
+            a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        return sliding_window_view(a, (F, F), axis=(2, 3))[:, :, ::stride, ::stride]
+
+    return RssShare(view(x.lo), view(x.hi), x.mod)
+
+
+def unwindow_share(d: RssShare, shape, stride: int, pad: int) -> RssShare:
+    """Adjoint of `window_share`: scatter-add (B, C, Ho, Wo, F, F) windows
+    back into a (B, C, H, W) share of `shape`, one strided add per offset."""
+    B, C, H, W = shape
+    Ho, Wo, F = d.shape[2], d.shape[3], d.shape[4]
+
+    def scatter(a):
+        out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), UINT)
+        span_h, span_w = stride * Ho, stride * Wo
+        for i in range(F):
+            for j in range(F):
+                out[:, :, i : i + span_h : stride, j : j + span_w : stride] += a[..., i, j]
+        return reduce_mod(out[:, :, pad : pad + H, pad : pad + W], d.mod)
+
+    return RssShare(scatter(d.lo), scatter(d.hi), d.mod)
 
 
 def sum_share(x: RssShare, axis: int) -> RssShare:

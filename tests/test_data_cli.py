@@ -328,6 +328,17 @@ def test_cli_file_prep_mode(mini_setup, capsys):
     assert report["count"] == 4
 
 
+def test_cli_prep_file_of_another_run_exits_2(tmp_path, capsys):
+    # a file recorded by `bench --protocol mult --n 4` holds no wrap
+    # randomness, so replaying it under a relu runs out at the first take
+    prep = f"file:{tmp_path / 'prep.bin'}"
+    assert cli.main(["bench", "--protocol", "mult", "--n", "4", "--prep", prep]) == 0
+    capsys.readouterr()
+    assert cli.main(["bench", "--protocol", "relu", "--n", "5", "--prep", prep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exhausted" in err and "Traceback" not in err
+
+
 def test_cli_float_npz_weights_import(mini_setup, capsys):
     # float checkpoints quantize on load; inference runs against them directly
     d, store, net_path = mini_setup

@@ -1,6 +1,7 @@
 """Every name a falcon module imports is used in that module, every import
-sits at module level, and every name a falcon function assigns is read in
-that function."""
+sits at module level and takes no private (underscore) name from another
+falcon module, and every name a falcon function assigns is read in that
+function."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,15 @@ def local_imports(tree: ast.Module) -> list:
               and node.func.id == "__import__"):
             found.add((node.lineno, ast.unparse(node.args[0]) if node.args else ""))
     return sorted(found)
+
+
+def private_imports(tree: ast.Module) -> list:
+    """Underscore names imported from another falcon module, relatively or
+    by the package name: (line, name) each."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "falcon")
+                  for alias in node.names if alias.name.startswith("_"))
 
 
 def dead_locals(tree: ast.Module) -> list:
@@ -95,6 +105,23 @@ def test_scan_flags_a_local_import():
 
 def test_no_module_imports_inside_a_function():
     found = {path.name: local_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_scan_flags_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .netspec import NetworkSpec, _propagate\n"
+        "from falcon.protocols import _pc_factors\n"
+        "from . import _private\n")
+    assert private_imports(tree) == [(3, "_propagate"), (4, "_pc_factors"), (5, "_private")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {path.name: private_imports(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -87,6 +87,22 @@ def pool3_net():
     )
 
 
+def strided_net():
+    # a non-square input, a strided and padded conv (7x9 -> 5x6) and a
+    # stride-1 pool whose windows overlap (5x6 -> 4x5)
+    return NetworkSpec(
+        name="tiny-strided",
+        input_shape=(2, 7, 9),
+        classes=3,
+        layers=[
+            LayerSpec("conv", in_ch=2, out_ch=2, kernel=3, stride=2, pad=2),
+            LayerSpec("relu"),
+            LayerSpec("maxpool", window=2, stride=1),
+            LayerSpec("fc", in_dim=40, out_dim=3),
+        ],
+    )
+
+
 def test_builtin_shapes_propagate():
     for name, ctor in BUILTIN.items():
         net = ctor()
@@ -146,7 +162,8 @@ def test_zero_input_zero_bias_gives_zero_logits():
     assert np.all(out == 0)
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net])
+@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net,
+                                   strided_net])
 def test_secure_forward_bit_exact_vs_fx(maker):
     net = maker()
     fparams = init_float_params(net, seed=3)
@@ -194,7 +211,8 @@ def _secure_train_step(net, fparams, batch_raw, onehot, lr_shift, seed=0):
     return run_shared(PARAMS, job, seed=seed)[0]
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net])
+@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net,
+                                   strided_net])
 def test_training_step_bit_exact_vs_fx(maker):
     net = maker()
     fparams = init_float_params(net, seed=7)

@@ -1,17 +1,23 @@
 """Bounding power, division, Newton kernels, batch norm: accuracy + fx twins."""
 
+import threading
+import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from falcon import numeric as N
 from falcon import oracle as O
+from falcon import transport
 from falcon.numeric import DomainError
-from falcon.prep import RecordingPrep
-from falcon.rings import RingParams, decode_fixed, encode_fixed
-from falcon.session import ThreatModel, open_share
+from falcon.prep import DealerPrep, RecordingPrep
+from falcon.rings import RingParams, decode_fixed, encode_fixed, reduce_mod, signed
+from falcon.rss import PartyId, share_secret
+from falcon.session import ThreatModel, open_share, run_three_parties
 
+from conftest import reconstruct_all
 from test_protocols import run_shared, shared_input
 
 PARAMS = RingParams(ell=32, fp=13)
@@ -303,3 +309,47 @@ def test_batch_norm_matches_fx_twin():
 
     got = run_shared(PARAMS, job)[0]
     assert np.array_equal(got, O.fx_batch_norm(acts, gamma, beta, PARAMS))
+
+
+def test_rescale_with_every_shift_positive_copies_nothing(monkeypatch):
+    # nn.sgd_step's one rescale over all 118,282 network-a weights: with one
+    # positive shift, x is truncated as it stands, without a gathered copy,
+    # a copy scaled by 2^0 and the scatter back. Input and truncation pairs
+    # are dealt before tracing, so the peak is the rescale's own; one party
+    # computes at a time (it hands a baton on while it waits for a message),
+    # so the peak does not depend on how the threads interleave
+    n, shift = 118_282, 8
+    vals = np.random.default_rng(3).integers(-2**20, 2**20, n)
+    shares = share_secret(reduce_mod(vals, PARAMS.L), PARAMS.L, np.random.default_rng(4))
+    pairs = [DealerPrep(PartyId(i), PARAMS).trunc_pairs(n, shift) for i in (1, 2, 3)]
+    baton, holding = threading.Lock(), threading.local()
+    get = transport.Pipe.get
+
+    def handing_on(pipe, timeout):
+        if not getattr(holding, "on", False):
+            return get(pipe, timeout)
+        baton.release()
+        try:
+            return get(pipe, timeout)
+        finally:
+            baton.acquire()
+
+    def job(sess):
+        i = sess.party.index - 1
+        sess.prep = SimpleNamespace(trunc_pairs=lambda n, d: pairs[i])
+        with baton:
+            holding.on = True
+            try:
+                return N.rescale(sess, shares[i], np.int64(shift), nearest=True)
+            finally:
+                holding.on = False
+
+    monkeypatch.setattr(transport.Pipe, "get", handing_on)
+    tracemalloc.start()
+    try:
+        out = run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(signed(reconstruct_all(out), PARAMS), (vals + (1 << shift - 1)) >> shift)
+    assert peak < 16.5e6, f"rescale of {n} elements peaked at {peak / 1e6:.1f} MB over three parties"

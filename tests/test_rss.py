@@ -10,11 +10,14 @@ from falcon.rss import (
     PartyId,
     PrfState,
     PrfStream,
+    RssShare,
     add_public,
     add_shares,
     public_share,
     scale_share,
     share_secret,
+    unwindow_share,
+    window_share,
     zero_randomness_2of3,
     zero_randomness_3of3,
 )
@@ -85,6 +88,50 @@ def test_modulus_mixing_rejected():
     ys = share_secret(np.uint64(1), 37, rng)
     with pytest.raises(RingError):
         add_shares(xs[0], ys[0])
+
+
+WINDOW_CASES = [  # (F, stride, pad, H, W)
+    (3, 1, 1, 8, 8),
+    (3, 2, 2, 7, 9),
+    (2, 2, 0, 6, 5),
+    (3, 2, 0, 7, 7),
+    (3, 3, 1, 4, 11),
+    (5, 1, 0, 5, 6),
+    (1, 1, 0, 3, 4),
+]
+
+
+@pytest.mark.parametrize("F, stride, pad, H, W", WINDOW_CASES)
+@pytest.mark.parametrize("mod", [2**32, 37])
+def test_window_share_is_the_strided_padded_windows(mod, F, stride, pad, H, W):
+    rng = np.random.default_rng(F * 100 + H)
+    x = RssShare(rng.integers(0, mod, (2, 3, H, W)), rng.integers(0, mod, (2, 3, H, W)), mod)
+    win = window_share(x, F, stride, pad)
+    Ho, Wo = (H + 2 * pad - F) // stride + 1, (W + 2 * pad - F) // stride + 1
+    assert win.shape == (2, 3, Ho, Wo, F, F)
+    for a, got in ((x.lo, win.lo), (x.hi, win.hi)):
+        padded = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for i in range(Ho):
+            for j in range(Wo):
+                want = padded[:, :, i * stride : i * stride + F, j * stride : j * stride + F]
+                assert np.array_equal(got[:, :, i, j], want)
+
+
+@pytest.mark.parametrize("F, stride, pad, H, W", WINDOW_CASES)
+@pytest.mark.parametrize("mod", [2**32, 37])
+def test_unwindow_share_is_the_adjoint_of_window_share(mod, F, stride, pad, H, W):
+    # <window(x), d> = <x, unwindow(d)> mod m, per share component
+    rng = np.random.default_rng(F * 100 + W)
+    shape = (2, 3, H, W)
+    x = RssShare(rng.integers(0, mod, shape), rng.integers(0, mod, shape), mod)
+    win = window_share(x, F, stride, pad)
+    d = RssShare(rng.integers(0, mod, win.shape), rng.integers(0, mod, win.shape), mod)
+    back = unwindow_share(d, shape, stride, pad)
+    assert back.shape == shape and back.lo.dtype == dtype_for(mod)
+    for xa, wa, da, ba in ((x.lo, win.lo, d.lo, back.lo), (x.hi, win.hi, d.hi, back.hi)):
+        lhs = sum(int(v) for v in (wa.astype(object) * da.astype(object)).ravel()) % mod
+        rhs = sum(int(v) for v in (xa.astype(object) * ba.astype(object)).ravel()) % mod
+        assert lhs == rhs
 
 
 def test_zero_randomness_3of3_sums_to_zero():
