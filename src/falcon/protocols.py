@@ -242,8 +242,9 @@ def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.nda
 
 
 # instances (columns of the (ell, n) planes) per block of the private-compare
-# factor arithmetic: its ~8 (ell, cols) int16 temporaries then stay ~2 MB
-# whatever n is, and only the (ell, n) factors reach the multiplication tree.
+# factor arithmetic: its ~7 (ell, cols) int16 temporaries (M's terms take only
+# the leading rows) then stay ~2 MB whatever n is, and the factors are reduced
+# straight into the (ell, n) planes that reach the multiplication tree.
 # Under three party threads every numpy call gives up and retakes the
 # interpreter lock, so wider blocks run faster (4096 columns took ~30 % less
 # time than 2048 at n = 131072 on 2 cores); 6144 broke the online memory bound
@@ -290,22 +291,36 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
     for k in range(0, n, PC_BLOCK_ROWS):
         cols = slice(k, k + PC_BLOCK_ROWS)
         tb = bit_decompose(t[cols], params).astype(np.int16)  # (ell, b)
-        mf = bit_decompose(t[cols] ^ (t[cols] + np.uint64(1)), params).astype(np.int16)
-        mf *= 1 - 2 * tb  # M (1 - 2t)
-        on_x = 1 - 2 * tb - mf  # (1 - 2t)(1 - M): w's coefficient of x
-        on_own = tb + mf  # w's public term; c's is 1 - on_own
+        # M[0] = 1 and M[i] = t[0] ... t[i - 1], a prefix AND of t's bits
+        # taken by doubling spans (numpy's accumulate along the planes took
+        # longer than all the rest); its ones fill the leading r rows, r the
+        # bit length of the block's largest M
+        r = min(int((t[cols] ^ (t[cols] + np.uint64(1))).max()).bit_length(), ell)
+        mf = np.ones((r, tb.shape[1]), np.int16)
+        mf[1:] = tb[: r - 1]
+        span = 1
+        while span < r - 1:
+            mf[1 + span :] &= mf[1:-span]
+            span *= 2
+        mf *= 1 - 2 * tb[:r]  # M (1 - 2t), 0 on the rows below
+        on_x = 1 - 2 * tb  # (1 - 2t)(1 - M): w's coefficient of x
+        on_x[:r] -= mf
+        on_own = tb.copy()  # w's public term t + M (1 - 2t); c's is 1 - on_own
+        on_own[:r] += mf
         on_beta = on_own + tb  # c's coefficient of beta
-        fold = (1 - tb[-1] - mf[-1], mf[-1] - 2)  # m~'s and m~ beta's in m c[ell-1]
+        mtop = mf[-1] if r == ell else 0
+        fold = (1 - tb[-1] - mtop, mtop - 2)  # m~'s and m~ beta's in m c[ell-1]
         for j, comp in enumerate(("lo", "hi")):
             x, vj = (getattr(a, comp)[:, cols].astype(np.int16) for a in (xbits, v))
             beta, mj, mb, mx = (getattr(a, comp)[cols].astype(np.int16)
                                 for a in (beta_p, m, m_beta, m_xtop))
             f = on_beta * beta
             f += vj
-            vj += beta
-            vj *= mf
+            vm = vj[:r]
+            vm += beta
+            vm *= mf
             w = np.multiply(on_x, x, out=x)
-            w -= vj
+            w[:r] -= vm
             if own[j]:
                 w += on_own
                 f -= on_own
@@ -316,7 +331,7 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
                 span *= 2
             f[:-1] += w[1:]
             f[-1] = mx + mj * fold[0] + mb * fold[1] + lift
-            out[j][:, cols] = reduce_mod(f.view(np.uint16), p)
+            reduce_mod(f.view(np.uint16), p, out=out[j][:, cols])
     return RssShare(out[0], out[1], p)
 
 

@@ -6,7 +6,8 @@ modulus (`dtype_for`): uint8 for Z_2 and Z_p, uint64 for Z_{2^ell}.
 The compare prime p is not a setting: it is the smallest prime above
 ell + 1 (37 at ell = 32, 67 at ell = 64), so Z_p is always one byte.
 Fixed-point reals live in Z_{2^ell} in two's complement with `fp`
-fractional bits.
+fractional bits. Powers of two reduce by a mask, and an odd modulus by one
+kernel for every input dtype, x - m (x // m) (`reduce_mod`).
 """
 
 from __future__ import annotations
@@ -61,56 +62,27 @@ def dtype_for(modulus: int) -> type:
     return NARROW if 2 * (modulus - 1) < 256 else UINT
 
 
-# Odd moduli up to this bound (the largest compare prime) reduce narrow
-# inputs by Barrett's step with the 22-bit shift below; an exhaustive check
-# over every uint16 input first fails at 69
-_BARRETT_MAX = 67
-_BARRETT_SHIFT = 22
-# elements per Barrett step, so its uint32 temporary stays 256 KB
-_BARRETT_CHUNK = 1 << 16
-
-
-def _barrett(x: np.ndarray, modulus: int) -> np.ndarray:
-    """x mod an odd modulus <= _BARRETT_MAX for uint8/uint16 x, as uint8.
-
-    q = (x M) >> 22 with M = ceil(2^22 / m), then r = x - m q. The uint32
-    product wraps for x near 2^16 (65535 * 113360 > 2^32 at m = 37): q then
-    falls short by a multiple of 2^10, so x - m q overshoots r by a multiple
-    of m 2^10, which is 0 mod 2^8, and the uint8 result is still exact.
-    `tests/test_rings.py` checks every uint16 input for every compare prime.
-    """
-    mult, m = np.uint32(-(-(1 << _BARRETT_SHIFT) // modulus)), np.uint32(modulus)
-    out = np.empty(x.shape, NARROW)
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
-    buf = np.empty(min(flat.size, _BARRETT_CHUNK), np.uint32)
-    for k in range(0, flat.size, _BARRETT_CHUNK):
-        xs = flat[k : k + _BARRETT_CHUNK]
-        q = buf[: xs.size]
-        np.multiply(xs, mult, out=q)
-        q >>= np.uint32(_BARRETT_SHIFT)
-        q *= m
-        np.subtract(xs, q, out=flat_out[k : k + _BARRETT_CHUNK], casting="unsafe")
-    return out
-
-
-def reduce_mod(x, modulus: int) -> np.ndarray:
-    """Reduce an int array into [0, modulus) as dtype_for(modulus).
+def reduce_mod(x, modulus: int, out=None) -> np.ndarray:
+    """Reduce an int array into [0, modulus) as dtype_for(modulus), into
+    `out` when given (an array of that dtype and x's shape).
 
     modulus may be 2^ell, p or 2; any integer dtype, sign or size is accepted.
+    An odd modulus takes r = x - m (x // m): numpy divides by a scalar with a
+    multiply-shift, where its `%` divides each element. The quotient goes
+    straight into the output, whose width w wraps it: r < m < 2^w, so
+    x - m (q mod 2^w) is still r mod 2^w, and no temporary of x's width is
+    made. A python-int m takes x's dtype, and // floors, so signed x works.
     """
     x = np.asarray(x)
     dt = dtype_for(modulus)
     if modulus & (modulus - 1) == 0:  # power of two: mask the two's-complement bits
         if x.dtype != dt:
             x = x.astype(UINT, copy=False).astype(dt, copy=False)
-        return x & dt(modulus - 1)
-    if x.dtype.kind == "u":
-        # wide division is slow: narrow values take Barrett's multiply-shift
-        if x.dtype.itemsize <= 2 and modulus <= _BARRETT_MAX:
-            return _barrett(x, modulus)
-        return (x % np.uint64(modulus)).astype(dt, copy=False)
-    # signed input: python-level mod keeps the result nonnegative
-    return (x.astype(np.int64) % modulus).astype(dt)
+        return np.bitwise_and(x, dt(modulus - 1), out=out)
+    out = np.floor_divide(x, modulus, out=np.empty(x.shape, dt) if out is None else out,
+                          casting="unsafe")
+    out *= modulus
+    return np.subtract(x, out, out=out, casting="unsafe")
 
 
 # The mod-m helpers assume their array operands are already reduced (every
@@ -150,7 +122,8 @@ def mul_mod(a, b, modulus: int) -> np.ndarray:
         a, b = _reduced(a, modulus), _reduced(b, modulus)
         if modulus & (modulus - 1) == 0:
             return (a * b) & dt(modulus - 1)
-        # odd: the product is below m^2 < 2^16, so Barrett's step reduces it
+        # odd: the product is below m^2 < 2^16, a uint16 that reduce_mod
+        # divides straight into the uint8 result
         return reduce_mod(a.astype(np.uint16) * b, modulus)
 
 

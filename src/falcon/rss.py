@@ -308,19 +308,9 @@ def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
 
 
 # keystream bytes per AES call: a draw of any length then holds one piece of
-# stream and its reduction beside its output, not several copies of the draw
+# stream in its stream's buffer, not several copies of the draw
 _PIECE_BYTES = 1 << 18
-
-
-def _aes_stream(key: bytes, counter: int, nbytes: int):
-    """The keystream of one draw, in pieces of at most _PIECE_BYTES bytes."""
-    # each logical draw owns a disjoint 2^64-block slice of the CTR space;
-    # CTR is a stream, so the pieces concatenate to the one-call keystream
-    nonce = counter.to_bytes(8, "little") + b"\x00" * 8
-    enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
-    zeros = memoryview(bytes(min(nbytes, _PIECE_BYTES)))
-    for start in range(0, nbytes, _PIECE_BYTES):
-        yield enc.update(zeros[: min(_PIECE_BYTES, nbytes - start)])
+_ZEROS = memoryview(bytes(_PIECE_BYTES))  # the plaintext of every piece
 
 
 class PrfStream:
@@ -331,39 +321,51 @@ class PrfStream:
             raise ValueError("PRF key must be 16 bytes")
         self.key = key
         self.counter = 0
+        self._buf = None  # where AES-CTR writes each piece, made at the first draw
 
-    def _draw(self, n: int, nbytes: int, convert, dtype) -> np.ndarray:
-        # the draw's nbytes of keystream, each piece mapped by convert to
-        # elements (a piece is a whole number of words, and of octets of bits)
+    def _draw(self, n: int, dtype, bits: int, put) -> np.ndarray:
+        # n elements of `bits` keystream bits each: every piece of the draw's
+        # keystream is encrypted into the buffer, and put(piece, out_slice)
+        # writes its elements (a whole number of words, or octets of bits)
+        # straight into their slice of the output
         out = np.empty(n, dtype)
+        nbytes = -(-n * bits // 8)
+        if self._buf is None:  # update_into wants a block less a byte beyond the piece
+            self._buf = np.empty(_PIECE_BYTES + 15, np.uint8)
+        # each logical draw owns a disjoint 2^64-block slice of the CTR space;
+        # CTR is a stream, so the pieces concatenate to the one-call keystream
+        nonce = self.counter.to_bytes(8, "little") + b"\x00" * 8
+        enc = Cipher(algorithms.AES(self.key), modes.CTR(nonce)).encryptor()
         pos = 0
-        for piece in _aes_stream(self.key, self.counter, nbytes):
-            vals = convert(piece)[: n - pos]
-            out[pos : pos + vals.size] = vals
-            pos += vals.size
+        for start in range(0, nbytes, _PIECE_BYTES):
+            size = min(_PIECE_BYTES, nbytes - start)
+            enc.update_into(_ZEROS[:size], self._buf)
+            k = min(size * 8 // bits, n - pos)
+            put(self._buf[:size], out[pos : pos + k])
+            pos += k
         self.counter += 1
         return out
 
     def draw_u64(self, n: int) -> np.ndarray:
-        return self._draw(n, 8 * n, lambda piece: np.frombuffer(piece, "<u8"), UINT)
+        return self._draw(n, UINT, 64, lambda piece, out: np.copyto(out, piece.view("<u8")))
 
     def draw_mod(self, n: int, mod: int) -> np.ndarray:
         # Z_2 takes one keystream bit per element and 2^ell (ell <= 32) one
         # masked 4-byte word, both exact; an odd p below 2^16 reduces a 4-byte
-        # word, keeping a <= 2^-16 bias (masks only)
+        # word, a bias of at most p / 2^32 (2^-26.8 at p = 37; masks only)
         dt = dtype_for(mod)
         if mod == 2:
-            return self._draw(n, -(-n // 8), _stream_bits, dt)
+            return self._draw(n, dt, 1, lambda piece, out: np.copyto(
+                out, np.unpackbits(piece, count=out.size, bitorder="little")))
         pow2 = mod & (mod - 1) == 0
-        if mod < 1 << 16 or (pow2 and mod <= 1 << 32):
-            m = np.uint32(mod - 1 if pow2 else mod)
-            op = np.bitwise_and if pow2 else np.remainder
-            return self._draw(n, 4 * n, lambda piece: op(np.frombuffer(piece, "<u4"), m), dt)
+        if pow2 and mod <= 1 << 32:
+            m = np.uint32(mod - 1)
+            return self._draw(n, dt, 32, lambda piece, out: np.bitwise_and(
+                piece.view("<u4"), m, out=out))
+        if mod < 1 << 16:
+            return self._draw(n, dt, 32, lambda piece, out: reduce_mod(
+                piece.view("<u4"), mod, out=out))
         return reduce_mod(self.draw_u64(n), mod)
-
-
-def _stream_bits(piece: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(piece, np.uint8), bitorder="little")
 
 
 @dataclass

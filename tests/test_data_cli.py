@@ -176,7 +176,7 @@ def mini_setup(tmp_path_factory, corpus):
     _, paths = corpus
     store = d / "train.bin"
     ingest_mnist(paths["train_images"], paths["train_labels"], str(store), PARAMS)
-    from falcon.netspec import LayerSpec, NetworkSpec
+    from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 
     net = NetworkSpec("mini", (784,), 10, [
         LayerSpec("fc", in_dim=784, out_dim=24),
@@ -185,12 +185,15 @@ def mini_setup(tmp_path_factory, corpus):
     ])
     net_path = d / "mini.json"
     net_path.write_text(net.to_json())
+    # the weights the infer tests read, so each of them runs on its own
+    raws = {k: encode_fixed(v, PARAMS) for k, v in init_float_params(net, seed=1).items()}
+    nn.save_checkpoint(str(d / "mini.ckpt"), raws, PARAMS)
     return d, str(store), str(net_path)
 
 
 def test_cli_train_infer_roundtrip(mini_setup, capsys):
     d, store, net_path = mini_setup
-    ckpt = str(d / "mini.ckpt")
+    ckpt = str(d / "trained.ckpt")
     rc = cli.main([
         "train", "--net", net_path, "--data", store, "--iters", "4", "--batch", "8",
         "--train-count", "300", "--eval-count", "50", "--out", ckpt,

@@ -65,9 +65,9 @@ def test_compare_prime_follows_from_ell(capsys):
 
 
 def test_reduction_is_exact_for_every_compare_prime():
-    # reduce_mod takes uint8/uint16 input to an odd p by Barrett's step,
-    # whose uint32 product wraps near 2^16; mul_mod reduces its uint16
-    # products the same way. Every input, for every prime some ell derives
+    # reduce_mod takes an odd p by x - p (x // p), its quotient wrapping in
+    # the uint8 output; mul_mod reduces its uint16 products the same way.
+    # Every narrow input, for every prime some ell derives
     primes = sorted({RingParams(ell=ell, fp=4).p for ell in range(8, 65)})
     assert primes[0] == 11 and primes[-1] == 67
     x = np.arange(1 << 16, dtype=np.uint16)
@@ -80,6 +80,27 @@ def test_reduction_is_exact_for_every_compare_prime():
             assert np.array_equal(got, xs % np.uint16(p)), p
         a, b = (g.astype(np.uint8) for g in np.meshgrid(np.arange(p), np.arange(p)))
         assert np.array_equal(mul_mod(a, b, p), a.astype(np.int64) * b % p), p
+    # and wide inputs of either sign: the edges, then random words
+    rng = np.random.default_rng(26)
+    words = {
+        np.uint32: rng.integers(0, 1 << 32, 100_000, dtype=np.uint32),
+        np.uint64: rng.integers(0, 1 << 64, 100_000, dtype=np.uint64),
+        np.int64: rng.integers(-(1 << 63), (1 << 63) - 1, 100_000, dtype=np.int64, endpoint=True),
+    }
+    for p in primes:
+        edges = {
+            np.uint32: [0, p - 1, p, (1 << 32) - 1],
+            np.uint64: [0, p - 1, p, (1 << 32) - 1, (1 << 64) - 1],
+            np.int64: [0, p - 1, p, (1 << 32) - 1, -1, -p, (1 << 63) - 1, -(1 << 63)],
+        }
+        for t, rand in words.items():
+            xs = np.concatenate([np.array(edges[t], t), rand])
+            got = reduce_mod(xs, p)
+            assert got.dtype == np.uint8 and got.tolist() == [v % p for v in xs.tolist()], (p, t)
+            # into a strided slice of a given output, leaving the rest alone
+            out = np.full(2 * xs.size, 255, np.uint8)
+            assert np.shares_memory(reduce_mod(xs, p, out=out[::2]), out)
+            assert np.array_equal(out[::2], got) and not np.any(out[1::2] != 255), (p, t)
 
 
 def test_encode_examples():

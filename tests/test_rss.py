@@ -1,5 +1,8 @@
 """Replicated sharing: creation, linear homomorphism, PRF randomness."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -227,3 +230,59 @@ def test_draw_u64_reads_the_one_call_keystream():
     got = prf.draw_u64(100_000)  # several keystream pieces, counter 1
     assert got.dtype == np.uint64
     assert np.array_equal(got, np.frombuffer(_keystream(key, 1, 800_000), "<u8"))
+
+
+# (modulus, n) of a draw, "u64" for draw_u64: odd n, each over several
+# keystream pieces of 2^18 bytes but the Z_2 draw, which spans two
+_BUFFER_DRAWS = [(37, 200_001), ("u64", 100_003), (2, 4_000_003), (1 << 32, 70_001), (67, 65_537)]
+
+
+def _reference_draw(key, counter, mod, n):
+    if mod == "u64":
+        return np.frombuffer(_keystream(key, counter, 8 * n), "<u8")
+    if mod == 2:
+        octets = np.frombuffer(_keystream(key, counter, -(-n // 8)), np.uint8)
+        return np.unpackbits(octets, bitorder="little")[:n]
+    words = np.frombuffer(_keystream(key, counter, 4 * n), "<u4").astype(np.uint64)
+    return words & np.uint64(mod - 1) if mod & (mod - 1) == 0 else words % np.uint64(mod)
+
+
+def _draw(prf, mod, n):
+    return prf.draw_u64(n) if mod == "u64" else prf.draw_mod(n, mod)
+
+
+def test_draws_of_streams_interleaved_or_in_threads_read_their_keystreams():
+    # each stream encrypts its pieces into a buffer of its own: two streams
+    # drawing in turn, and three streams drawing in three threads at once,
+    # each read their one-call keystreams
+    keys = [bytes([7 * i + 1]) * 16 for i in range(3)]
+    a, b = PrfStream(keys[0]), PrfStream(keys[1])
+    for counter, (mod, n) in enumerate(_BUFFER_DRAWS):
+        x, y = _draw(a, mod, n), _draw(b, mod, n)
+        assert np.array_equal(x, _reference_draw(keys[0], counter, mod, n)), mod
+        assert np.array_equal(y, _reference_draw(keys[1], counter, mod, n)), mod
+
+    got = [[] for _ in keys]
+    start = threading.Barrier(len(keys), timeout=30)
+
+    def run(i):
+        prf = PrfStream(keys[i])
+        start.wait()
+        for mod, n in _BUFFER_DRAWS[i:] + _BUFFER_DRAWS[:i]:  # out of step
+            got[i].append((prf.counter, mod, n, _draw(prf, mod, n)))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, in the middle of draws
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for key, draws in zip(keys, got):
+        assert len(draws) == len(_BUFFER_DRAWS)
+        for counter, mod, n, x in draws:
+            assert np.array_equal(x, _reference_draw(key, counter, mod, n)), mod
