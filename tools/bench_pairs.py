@@ -11,8 +11,8 @@ k runs both sides once under seed + k, the side that starts alternating
 from pair to pair, one run at a time. The JSON holds, per workload and
 side, the median and quartiles of every end-to-end metric, the runs' and
 requests' failure counts, and per pair the `online_s` of both sides; with
---trace-workload, one `--trace 1` run per side adds the named per-layer
-metrics and the table10 lines. The host's core count and numpy version
+--trace-workload, one `--trace 1` run per side adds the per-layer metrics
+of TRACE_KEYS and the table10 lines. The host's core count and numpy version
 are recorded with them.
 """
 
@@ -42,8 +42,6 @@ def parse_args(argv):
                     help="repeatable; default: every workload of BENCHMARK.json")
     ap.add_argument("--seed", type=int, default=300, help="seed of the first pair")
     ap.add_argument("--trace-workload", help="also run it once per side with --trace 1")
-    ap.add_argument("--trace-key", action="append", dest="trace_keys",
-                    help=f"per-layer metric to keep (repeatable; default {', '.join(TRACE_KEYS)})")
     ap.add_argument("--out", required=True)
     return ap.parse_args(argv)
 
@@ -141,13 +139,12 @@ def main(argv=None) -> int:
                 "pairs": pairs,
             }
         if args.trace_workload:
-            keys = args.trace_keys or list(TRACE_KEYS)
             traced = {}
             for side in ("parent", "change"):
                 r = run_once(trees[side], args.trace_workload, args.seed, args.seconds, True)
                 traced[side] = r if "error" in r else {
                     "correct": r["correct"],
-                    **{k: r["metrics"].get(k, {}).get("value") for k in keys},
+                    **{k: r["metrics"].get(k, {}).get("value") for k in TRACE_KEYS},
                     "table10": r["table10"],
                 }
             traced["table10_unchanged"] = (traced["parent"].get("table10")
