@@ -66,11 +66,13 @@ def reduce_mod(x, modulus: int, out=None) -> np.ndarray:
     """Reduce an int array into [0, modulus) as dtype_for(modulus), into
     `out` when given (an array of that dtype and x's shape).
 
-    modulus may be 2^ell, p or 2; any integer dtype, sign or size is accepted.
-    An odd modulus takes r = x - m (x // m): numpy divides by a scalar with a
+    modulus may be 2^ell, p or 2. A power of two takes any integer dtype
+    and sign. An odd modulus must be stored in one byte (m <= 127, which
+    holds for every compare prime); x may then be any integer dtype and sign.
+    It takes r = x - m (x // m): numpy divides by a scalar with a
     multiply-shift, where its `%` divides each element. The quotient goes
-    straight into the output, whose width w wraps it: r < m < 2^w, so
-    x - m (q mod 2^w) is still r mod 2^w, and no temporary of x's width is
+    straight into the uint8 output, which wraps it: r < m < 2^8, so
+    x - m (q mod 2^8) is still r mod 2^8, and no temporary of x's width is
     made. A python-int m takes x's dtype, and // floors, so signed x works.
     """
     x = np.asarray(x)
@@ -79,6 +81,7 @@ def reduce_mod(x, modulus: int, out=None) -> np.ndarray:
         if x.dtype != dt:
             x = x.astype(UINT, copy=False).astype(dt, copy=False)
         return np.bitwise_and(x, dt(modulus - 1), out=out)
+    assert dt is NARROW, f"odd modulus {modulus} is wider than one byte"
     out = np.floor_divide(x, modulus, out=np.empty(x.shape, dt) if out is None else out,
                           casting="unsafe")
     out *= modulus

@@ -308,7 +308,7 @@ def deserialize_elems(buf: bytes, mod: int, ell: int, shape) -> np.ndarray:
 
 
 # keystream bytes per AES call: a draw of any length then holds one piece of
-# stream in its stream's buffer, not several copies of the draw
+# stream in its buffer, not several copies of the draw
 _PIECE_BYTES = 1 << 18
 _ZEROS = memoryview(bytes(_PIECE_BYTES))  # the plaintext of every piece
 
@@ -321,17 +321,16 @@ class PrfStream:
             raise ValueError("PRF key must be 16 bytes")
         self.key = key
         self.counter = 0
-        self._buf = None  # where AES-CTR writes each piece, made at the first draw
 
     def _draw(self, n: int, dtype, bits: int, put) -> np.ndarray:
         # n elements of `bits` keystream bits each: every piece of the draw's
-        # keystream is encrypted into the buffer, and put(piece, out_slice)
-        # writes its elements (a whole number of words, or octets of bits)
-        # straight into their slice of the output
+        # keystream is encrypted into one buffer of the draw, and
+        # put(piece, out_slice) writes its elements (a whole number of words,
+        # or octets of bits) straight into their slice of the output
         out = np.empty(n, dtype)
         nbytes = -(-n * bits // 8)
-        if self._buf is None:  # update_into wants a block less a byte beyond the piece
-            self._buf = np.empty(_PIECE_BYTES + 15, np.uint8)
+        # update_into wants a block less a byte beyond the piece
+        buf = np.empty(min(nbytes, _PIECE_BYTES) + 15, np.uint8)
         # each logical draw owns a disjoint 2^64-block slice of the CTR space;
         # CTR is a stream, so the pieces concatenate to the one-call keystream
         nonce = self.counter.to_bytes(8, "little") + b"\x00" * 8
@@ -339,9 +338,9 @@ class PrfStream:
         pos = 0
         for start in range(0, nbytes, _PIECE_BYTES):
             size = min(_PIECE_BYTES, nbytes - start)
-            enc.update_into(_ZEROS[:size], self._buf)
+            enc.update_into(_ZEROS[:size], buf)
             k = min(size * 8 // bits, n - pos)
-            put(self._buf[:size], out[pos : pos + k])
+            put(buf[:size], out[pos : pos + k])
             pos += k
         self.counter += 1
         return out

@@ -252,7 +252,7 @@ def _draw(prf, mod, n):
 
 
 def test_draws_of_streams_interleaved_or_in_threads_read_their_keystreams():
-    # each stream encrypts its pieces into a buffer of its own: two streams
+    # each draw encrypts its pieces into a buffer of its own: two streams
     # drawing in turn, and three streams drawing in three threads at once,
     # each read their one-call keystreams
     keys = [bytes([7 * i + 1]) * 16 for i in range(3)]

@@ -1,19 +1,18 @@
 """Alternating parent/change pairs of `perfbench/run.py`, summarised as JSON.
 
-    python3 tools/bench_pairs.py --parent REF [--change REF] [--pairs 10]
-        [--seconds 20] [--workload NAME ...] [--seed 300] [--trace-workload infer-c]
-        --out BENCH_<sha>.json
+    python3 tools/bench_pairs.py --parent REF [--change REF] --out BENCH_<sha>.json
 
 Each ref's committed files are extracted (`git archive`) into a fresh
 directory, as the benchmark runs them, so neither side sees the working
-tree, build leftovers or the other's `perfbench/`. For every workload, pair
-k runs both sides once under seed + k, the side that starts alternating
-from pair to pair, one run at a time. The JSON holds, per workload and
-side, the median and quartiles of every end-to-end metric, the runs' and
-requests' failure counts, and per pair the `online_s` of both sides; with
---trace-workload, one `--trace 1` run per side adds the per-layer metrics
-of TRACE_KEYS and the table10 lines. The host's core count and numpy version
-are recorded with them.
+tree, build leftovers or the other's `perfbench/`. For every workload of
+BENCHMARK.json, pair k of PAIRS runs both sides once under FIRST_SEED + k
+for the benchmark's `run_seconds`, the side that starts alternating from
+pair to pair, one run at a time. The JSON holds, per workload and side, the
+median and quartiles of every end-to-end metric, the runs' and requests'
+failure counts, and per pair the `online_s` of both sides. One `--trace 1`
+run of TRACE_WORKLOAD per side adds the per-layer metrics of TRACE_KEYS and
+the table10 lines. The host's core count and numpy version are recorded
+with them.
 """
 
 from __future__ import annotations
@@ -30,18 +29,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_KEYS = ("rss.prf_draw.s", "protocols.private_compare.self_s", "protocols.mult.self_s")
+TRACE_WORKLOAD = "infer-c"
+PAIRS = 10
+FIRST_SEED = 300
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the baseline")
     ap.add_argument("--change", default="HEAD", help="git ref of the change (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workload", action="append", dest="workloads",
-                    help="repeatable; default: every workload of BENCHMARK.json")
-    ap.add_argument("--seed", type=int, default=300, help="seed of the first pair")
-    ap.add_argument("--trace-workload", help="also run it once per side with --trace 1")
     ap.add_argument("--out", required=True)
     return ap.parse_args(argv)
 
@@ -103,8 +99,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     refs = {"parent": args.parent, "change": args.change}
     shas = {side: git("rev-parse", "--short", ref) for side, ref in refs.items()}
-    workloads = args.workloads or [w["name"] for w in
-                                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: extract(ref, scratch / side) for side, ref in refs.items()}
@@ -113,20 +109,20 @@ def main(argv=None) -> int:
             capture_output=True, text=True, check=True).stdout.strip()
         report = {
             "commit": shas["change"], "parent": shas["parent"],
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                        " --trace 0",
             "host": {"cores": os.cpu_count(), "numpy": numpy_version},
             "workloads": {},
         }
-        for w in workloads:
+        for w in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
             pairs = []
-            for k in range(args.pairs):
-                seed = args.seed + k
+            for k in range(PAIRS):
+                seed = FIRST_SEED + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(trees[side], w, seed, args.seconds, False))
-                    print(f"{w} pair {k + 1}/{args.pairs} seed {seed} {side}: "
+                    runs[side].append(run_once(trees[side], w, seed, seconds, False))
+                    print(f"{w} pair {k + 1}/{PAIRS} seed {seed} {side}: "
                           f"online_s {online(runs[side][-1])}", file=sys.stderr, flush=True)
                 pairs.append({"seed": seed, "first": order[0],
                               "parent": online(runs["parent"][-1]),
@@ -138,18 +134,17 @@ def main(argv=None) -> int:
                     f"{sum(p['change'] < p['parent'] for p in both)} of {len(both)}",
                 "pairs": pairs,
             }
-        if args.trace_workload:
-            traced = {}
-            for side in ("parent", "change"):
-                r = run_once(trees[side], args.trace_workload, args.seed, args.seconds, True)
-                traced[side] = r if "error" in r else {
-                    "correct": r["correct"],
-                    **{k: r["metrics"].get(k, {}).get("value") for k in TRACE_KEYS},
-                    "table10": r["table10"],
-                }
-            traced["table10_unchanged"] = (traced["parent"].get("table10")
-                                           == traced["change"].get("table10"))
-            report[f"traced_{args.trace_workload}_seed{args.seed}_party1"] = traced
+        traced = {}
+        for side in ("parent", "change"):
+            r = run_once(trees[side], TRACE_WORKLOAD, FIRST_SEED, seconds, True)
+            traced[side] = r if "error" in r else {
+                "correct": r["correct"],
+                **{k: r["metrics"].get(k, {}).get("value") for k in TRACE_KEYS},
+                "table10": r["table10"],
+            }
+        traced["table10_unchanged"] = (traced["parent"].get("table10")
+                                       == traced["change"].get("table10"))
+        report[f"traced_{TRACE_WORKLOAD}_seed{FIRST_SEED}_party1"] = traced
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
