@@ -23,7 +23,9 @@ in README.md).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,6 +58,12 @@ DIGEST_BYTES = 8
 # the element encoding of rss.serialize_elems (Z_p and Z_2 packed at their bit
 # width); the handshake binds it, so peers on different formats fail at set-up
 WIRE_FORMAT = b"packed-1"
+
+# one glibc malloc arena (M_ARENA_MAX, -8) for all threads, set before any allocates:
+# malloc_trim leaves a thread arena's free top resident, so with an arena per thread
+# the resident set moved from process to process (98-126 MB vs 65 MB, trimmed)
+if sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallopt"):
+    ctypes.CDLL(None).mallopt(-8, 1)
 
 
 class ThreatModel(Enum):

@@ -1,9 +1,14 @@
 """Framing, metering, desync, timeouts, and memory/TCP backend transparency."""
 
+import ctypes
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +311,31 @@ def test_tcp_backend_matches_memory_transcripts(threat):
     assert all(np.array_equal(a, b) for a, b in zip(mem_out, tcp_out))
     for party in (1, 2, 3):
         assert mem_tr[party] == tcp_tr[party]
+
+
+_GLIBC = sys.platform == "linux" and hasattr(ctypes.CDLL(None), "malloc_info")
+# a fresh process runs three parties, then glibc's malloc_info lists its arenas
+_ARENAS_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from falcon.rings import RingParams
+from falcon.session import run_three_parties
+run_three_parties(lambda sess: np.ones(10000).sum(), RingParams())
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+fp = ctypes.c_void_p(libc.fopen(sys.argv[1].encode(), b"w"))
+libc.malloc_info(0, fp)
+libc.fclose(fp)
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="malloc arenas are glibc's")
+def test_party_threads_share_one_malloc_arena(tmp_path):
+    # a thread arena keeps what is freed into its top resident through
+    # malloc_trim, so the parties allocate from the main arena only
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "malloc_info.xml"
+    subprocess.run([sys.executable, "-c", _ARENAS_SCRIPT, str(out)], env=env, check=True,
+                   timeout=60)
+    assert out.read_text().count("<heap nr=") == 1
