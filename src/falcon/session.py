@@ -59,9 +59,9 @@ DIGEST_BYTES = 8
 # width); the handshake binds it, so peers on different formats fail at set-up
 WIRE_FORMAT = b"packed-1"
 
-# one glibc malloc arena (M_ARENA_MAX, -8) for all threads, set before any allocates:
-# malloc_trim leaves a thread arena's free top resident, so with an arena per thread
-# the resident set moved from process to process (98-126 MB vs 65 MB, trimmed)
+# all threads share glibc's main malloc arena (mallopt M_ARENA_MAX = -8, set before any
+# allocates): malloc_trim keeps a thread arena's free top resident, so arenas per thread
+# left 98-126 MB resident after a trim, varying by process, where one arena leaves 65 MB
 if sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallopt"):
     ctypes.CDLL(None).mallopt(-8, 1)
 
