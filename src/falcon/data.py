@@ -76,7 +76,8 @@ def write_idx_labels(path: str, labels: np.ndarray):
 # magic: magic, count (u32), then per array its name (u16 length + utf-8),
 # dtype code (1 byte), ndim (u8), shape (u32 each) and little-endian bytes.
 
-_DTYPES = {b"u": np.dtype("<u8"), b"b": np.dtype("u1"), b"f": np.dtype("<f8")}
+_DTYPES = {b"u": np.dtype("<u8"), b"w": np.dtype("<u4"), b"b": np.dtype("u1"),
+           b"f": np.dtype("<f8")}
 _CODES = {dt.name: code for code, dt in _DTYPES.items()}
 
 

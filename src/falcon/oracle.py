@@ -4,7 +4,7 @@ Three layers:
 
 * plain integer oracles for the comparison/wrap/argmax substrate,
 * an exact fixed-point engine (`fx_*`) that reproduces the secure path's
-  arithmetic bit for bit, raw uint64 values mod 2^ell with the same
+  arithmetic bit for bit, raw values mod 2^ell with the same
   truncation rounding,
 * a 64-bit float engine for accuracy comparisons.
 

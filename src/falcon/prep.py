@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import FormatError, load_tensors, save_tensors
 from .protocols import compare_products, mult
-from .rings import NARROW, UINT, RingParams, bit_decompose, matmul_mod, reduce_mod, wrap3
+from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
@@ -310,17 +310,15 @@ class DistributedPrep:
         params = sess.params
         L = params.L
         d_arr = np.broadcast_to(np.asarray(d, np.int64), (n,))
-        r_lo = np.empty(n, UINT)
-        r_hi = np.empty(n, UINT)
-        u_lo = np.empty(n, UINT)
-        u_hi = np.empty(n, UINT)
+        dt = dtype_for(L)
+        r_lo, r_hi, u_lo, u_hi = (np.empty(n, dt) for _ in range(4))
         # one composition per distinct shift (the bit width differs):
         # u = sum_i b_i 2^i - 2^{nb-1}, uniform in [-2^{ell-2-d}, 2^{ell-2-d})
         for dv in np.unique(d_arr):
             idx = np.nonzero(d_arr == dv)[0]
             nb = params.ell - 1 - int(dv)
             bits = bit_inject(sess, sample_shared_bits(sess, (len(idx), nb)), L)
-            weights = (np.uint64(1) << np.arange(nb, dtype=np.uint64))[:, None]
+            weights = (dt(1) << np.arange(nb, dtype=dt))[:, None]
             u = RssShare(matmul_mod(bits.lo, weights, L)[:, 0], matmul_mod(bits.hi, weights, L)[:, 0], L)
             u = sub_shares(u, public_share(sess.party, np.uint64(1 << (nb - 1)), L, shape=(len(idx),)))
             r = scale_share(np.uint64(1 << int(dv)), u)
@@ -384,7 +382,10 @@ def _pow_const(sess: PartySession, m: RssShare, e: int) -> RssShare:
 
 # ---------------------------------------------------------------------------
 # persistence: one tensor container per party, each artifact flattened over
-# its dataclass fields ("trunc.<i>.r.lo", "trunc.<i>.d", ...)
+# its dataclass fields ("trunc.<i>.r.lo", "trunc.<i>.d", ...). Each share part
+# is written in its storage dtype (Z_L at ell <= 32 as 4-byte words) and the
+# trunc shifts as bytes; the reader takes any unsigned width, so files that
+# hold 8-byte Z_L parts and shifts load to the same records.
 
 
 def save_prep_file(path: str, party: PartyId, params: RingParams, records: dict):
@@ -397,8 +398,8 @@ def save_prep_file(path: str, party: PartyId, params: RingParams, records: dict)
                 if isinstance(value, RssShare):
                     tensors[f"{key}.lo"], tensors[f"{key}.hi"] = value.lo, value.hi
                     tensors[f"{key}.mod"] = np.uint64(value.mod % (1 << 64))  # 0 marks 2^64
-                else:  # the trunc shift, one per element
-                    tensors[key] = np.asarray(value, np.int64).astype(UINT)
+                else:  # the trunc shift, one per element, below ell <= 64
+                    tensors[key] = np.asarray(value, np.int64).astype(NARROW)
     save_tensors(path, tensors, PREP_MAGIC)
 
 

@@ -42,7 +42,7 @@ from .rings import (
     shift_signed,
     sub_mod,
     wrap2,
-    wrap3_exact,
+    wrap3,
 )
 from .rss import (
     RssShare,
@@ -67,7 +67,7 @@ reconstruct = open_share
 def _cross_terms(x: RssShare, y: RssShare) -> np.ndarray:
     # z_i = x_i (y_i + y_{i+1}) + x_{i+1} y_i, reduced once. Its integer value
     # stays below 3 (m - 1)^2: uint16 holds it for the odd p, and a power of
-    # two wraps its own dtype (2 | 2^8, 2^ell | 2^64)
+    # two wraps its own dtype (2 | 2^8, 2^ell | the word's range)
     m = x.mod
     acc = np.uint16 if m & (m - 1) else dtype_for(m)
     with np.errstate(over="ignore"):
@@ -201,12 +201,13 @@ def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand
     nb, n = xbits.shape
     if nb != ell:
         raise ValueError(f"expected {ell} shared bits, got {nb}")
-    t = np.asarray(t, dtype=np.uint64).reshape(n)
-    if ell < 64 and np.any(t >> np.uint64(ell)):
+    t = np.asarray(t).reshape(n)
+    if ell < 64 and np.any(t >> ell):
         raise ValueError("public operand is not below 2^ell")
+    t = t.astype(dtype_for(sess.params.L), copy=False)
     factors = _pc_factors(sess, xbits, t, rand.beta_p, rand.m, rand.vbits, rand.m_beta,
                           rand.m_xtop)
-    top = t == np.uint64((1 << ell) - 1)
+    top = t == (1 << ell) - 1
     del t  # the tree needs the factors alone
     return _pc_core(sess, factors, rand.beta2, top, mask)
 
@@ -295,7 +296,7 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
         # taken by doubling spans (numpy's accumulate along the planes took
         # longer than all the rest); its ones fill the leading r rows, r the
         # bit length of the block's largest M
-        r = min(int((t[cols] ^ (t[cols] + np.uint64(1))).max()).bit_length(), ell)
+        r = min(int((t[cols] ^ (t[cols] + 1)).max()).bit_length(), ell)
         mf = np.ones((r, tb.shape[1]), np.int16)
         mf[1:] = tb[: r - 1]
         span = 1
@@ -383,7 +384,7 @@ def wrap3_protocol(sess: PartySession, a: RssShare, mask: RssShare) -> np.ndarra
 
     # exact wrap of the opened sharing, in the clear from own components
     third = sub_mod(sub_mod(r, r_sh.lo, L), r_sh.hi, L)
-    delta = (wrap3_exact(r_sh.lo, r_sh.hi, third, L) & np.uint64(1)).astype(NARROW)
+    delta = wrap3(r_sh.lo, r_sh.hi, third, L)
     del r_sh, third
 
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2); all but
@@ -416,7 +417,7 @@ def drelu(sess: PartySession, a: RssShare, mask: RssShare) -> np.ndarray:
                                        flat_mask[k : k + COMPARE_CHUNK])
                                  for k in range(0, n, COMPARE_CHUNK)])
     else:
-        top = np.uint64(params.ell - 1)
+        top = params.ell - 1
         msbs = RssShare((flat.lo >> top).astype(NARROW), (flat.hi >> top).astype(NARROW), 2)
         known = xor_public(sess, msbs, np.uint64(1))
         opened = wrap3_protocol(sess, scale_share(np.uint64(2), flat), add_shares(flat_mask, known))

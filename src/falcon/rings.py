@@ -2,8 +2,10 @@
 
 Everything downstream (shares, protocols, oracles) works on raw ring
 values reduced with the helpers here and stored in one numpy dtype per
-modulus (`dtype_for`): uint8 for Z_2 and Z_p, uint64 for Z_{2^ell}.
-The compare prime p is not a setting: it is the smallest prime above
+modulus (`dtype_for`): uint8 for Z_2 and Z_p, and for Z_{2^ell} the
+narrowest word that holds ell bits, uint32 for ell <= 32 and uint64 above.
+Z_{2^ell} arithmetic wraps in that word, which is exact because 2^ell
+divides the word's range, so no kernel widens a share. The compare prime p is not a setting: it is the smallest prime above
 ell + 1 (37 at ell = 32, 67 at ell = 64), so Z_p is always one byte.
 Fixed-point reals live in Z_{2^ell} in two's complement with `fp`
 fractional bits. Powers of two reduce by a mask, and an odd modulus by one
@@ -19,6 +21,7 @@ from itertools import count
 import numpy as np
 
 UINT = np.uint64
+WORD = np.uint32
 NARROW = np.uint8
 
 
@@ -58,8 +61,19 @@ class RingParams:
 def dtype_for(modulus: int) -> type:
     """Storage dtype of values mod `modulus`: uint8 when the sum of two
     reduced values cannot wrap it (Z_2 and every compare prime, p <= 67),
-    else uint64 (Z_{2^ell})."""
-    return NARROW if 2 * (modulus - 1) < 256 else UINT
+    else the word of Z_{2^ell}: uint32 up to 2^32, uint64 above. The word
+    width follows from the modulus alone."""
+    if 2 * (modulus - 1) < 256:
+        return NARROW
+    return WORD if modulus <= 1 << 32 else UINT
+
+
+def sum_dtype(modulus: int) -> type:
+    """Accumulator of sums and products of values reduced mod `modulus`: a
+    power of two wraps its own storage dtype exactly (the modulus divides
+    the dtype's range); an odd one sums in uint64, exact while the sum stays
+    below 2^64."""
+    return dtype_for(modulus) if modulus & (modulus - 1) == 0 else UINT
 
 
 def reduce_mod(x, modulus: int, out=None) -> np.ndarray:
@@ -78,9 +92,8 @@ def reduce_mod(x, modulus: int, out=None) -> np.ndarray:
     x = np.asarray(x)
     dt = dtype_for(modulus)
     if modulus & (modulus - 1) == 0:  # power of two: mask the two's-complement bits
-        if x.dtype != dt:
-            x = x.astype(UINT, copy=False).astype(dt, copy=False)
-        return np.bitwise_and(x, dt(modulus - 1), out=out)
+        # one cast: integer casts wrap, and the modulus divides dt's range
+        return np.bitwise_and(x.astype(dt, copy=False), dt(modulus - 1), out=out)
     assert dt is NARROW, f"odd modulus {modulus} is wider than one byte"
     out = np.floor_divide(x, modulus, out=np.empty(x.shape, dt) if out is None else out,
                           casting="unsafe")
@@ -140,27 +153,33 @@ def neg_mod(a, modulus: int) -> np.ndarray:
 
 
 def matmul_mod(a, b, modulus: int) -> np.ndarray:
-    """Product of 2-D raw matrices, accumulated in wrapping uint64.
+    """Product of 2-D raw matrices, accumulated in wrapping `sum_dtype`.
 
-    Exact for every 2^ell (2^ell divides 2^64, so the wraps fold away) and
-    for odd p while k * (p - 1)^2 < 2^64, with k the inner dimension and
-    both operands reduced. einsum's sum-of-products loop is several times
-    faster than numpy's uint64 `@` (a plain triple loop), releases the GIL
-    and calls no BLAS.
+    Exact for every 2^ell, whose word (uint32 up to 2^32, else uint64) it
+    divides, so the wraps fold away; and for odd p in uint64 while
+    k * (p - 1)^2 < 2^64, with k the inner dimension and both operands
+    reduced. einsum's sum-of-products loop is several times faster than
+    numpy's integer `@` (a plain triple loop), and about twice as fast on
+    uint32 as on uint64; it releases the GIL and calls no BLAS.
     """
+    acc = sum_dtype(modulus)
     with np.errstate(over="ignore"):
-        return reduce_mod(np.einsum("ij,jk->ik", np.asarray(a, UINT), np.asarray(b, UINT)), modulus)
+        return reduce_mod(np.einsum("ij,jk->ik", np.asarray(a, acc), np.asarray(b, acc)), modulus)
 
 
 def signed(x, params: RingParams) -> np.ndarray:
-    """Two's-complement view of Z_L raws: values in [-L/2, L/2) as int64."""
-    pad = np.uint64(64 - params.ell)  # sign-extend bit ell-1 through bit 63
-    return np.asarray(np.asarray(x, UINT) << pad).view(np.int64) >> np.int64(pad)
+    """Two's-complement view of Z_L raws: values in [-L/2, L/2) as the
+    signed integer of Z_L's word (int32 for ell <= 32, else int64)."""
+    dt = np.dtype(dtype_for(params.L))
+    pad = 8 * dt.itemsize - params.ell  # sign-extend bit ell-1 through the word
+    word = np.asarray(np.asarray(x).astype(dt, copy=False) << pad)
+    return word.view(f"i{dt.itemsize}") >> pad
 
 
 def shift_signed(x, d, params: RingParams) -> np.ndarray:
     """Arithmetic right-shift by d (scalar or per-element) of the signed view."""
-    return reduce_mod(signed(x, params) >> np.asarray(d, np.int64), params.L)
+    s = signed(x, params)
+    return reduce_mod(s >> np.asarray(d, s.dtype), params.L)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +209,16 @@ def decode_fixed(raw, params: RingParams) -> np.ndarray:
 
 
 def wrap2(a1, a2, L: int) -> np.ndarray:
-    """1 iff a1 + a2 >= L as integers (the two-operand carry), a Z_2 bit."""
-    a1 = np.asarray(a1, UINT)
-    a2 = np.asarray(a2, UINT)
-    if L == 1 << 64:
+    """1 iff a1 + a2 >= L as integers (the two-operand carry), a Z_2 bit,
+    for a1, a2 in [0, L). Summed in L's word: where L is the word's whole
+    range the carry is the sum's overflow, else the sum cannot overflow."""
+    dt = np.dtype(dtype_for(L))
+    a1 = np.asarray(a1, dt)
+    a2 = np.asarray(a2, dt)
+    if L == 1 << 8 * dt.itemsize:
         with np.errstate(over="ignore"):
             return (a1 + a2 < a1).astype(NARROW)
-    return ((a1 + a2) >= np.uint64(L)).astype(NARROW)
+    return ((a1 + a2) >= L).astype(NARROW)
 
 
 def wrap3_exact(a1, a2, a3, L: int) -> np.ndarray:
@@ -207,14 +229,16 @@ def wrap3_exact(a1, a2, a3, L: int) -> np.ndarray:
 
 def wrap3(a1, a2, a3, L: int) -> np.ndarray:
     """Parity of wrap3_exact as a Z_2 bit; the 'wrap' used throughout the protocols."""
-    return (wrap3_exact(a1, a2, a3, L) & np.uint64(1)).astype(NARROW)
+    return wrap3_exact(a1, a2, a3, L) & 1
 
 
 def bit_decompose(x, params: RingParams) -> np.ndarray:
     """LSB-first bits of Z_L raws as uint8, bit-major: C-contiguous planes
     of shape (ell,) + x.shape, plane i holding every element's bit i."""
-    x = np.asarray(x, UINT)
-    octets = np.ascontiguousarray(x, "<u8").view(np.uint8).reshape(x.shape + (8,))
+    dt = np.dtype(dtype_for(params.L))
+    x = np.asarray(x, dt)
+    octets = np.ascontiguousarray(x, dt.newbyteorder("<")).view(np.uint8)
+    octets = octets.reshape(x.shape + (dt.itemsize,))
     # unpack along the contiguous last axis, then copy the planes out: unpacking
     # along a strided first axis made three-thread private compares ~6 % slower
     bits = np.unpackbits(octets, axis=-1, count=params.ell, bitorder="little")

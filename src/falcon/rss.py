@@ -21,7 +21,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .rings import NARROW, UINT, RingError, add_mod, dtype_for, mul_mod, reduce_mod, sub_mod
+from .rings import (
+    NARROW,
+    UINT,
+    RingError,
+    add_mod,
+    dtype_for,
+    mul_mod,
+    reduce_mod,
+    sub_mod,
+    sum_dtype,
+)
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,9 @@ class RssShare:
 
     lo/hi are arrays of identical shape in the modulus' storage dtype
     (`rings.dtype_for`: uint8 over Z_2 and Z_p, whose p <= 67 follows from
-    ell, uint64 over Z_{2^ell});
-    elementwise protocols work on any shape, matrix protocols expect 2-D.
+    ell; over Z_{2^ell} uint32 for ell <= 32 and uint64 above), cast here so
+    no share holds another; elementwise protocols work on any shape, matrix
+    protocols expect 2-D.
     """
 
     lo: np.ndarray
@@ -91,8 +102,9 @@ def share_secret(x, mod: int, rng: np.random.Generator) -> tuple[RssShare, RssSh
     if x.dtype != dt or (mod < 1 << 64 and x.size and int(x.max()) >= mod):
         x = reduce_mod(x, mod)
     # narrow rings draw bounded uint16 (exact, uniform and the fastest of
-    # numpy's bounded draws), so no wide temporaries of x's shape are made
-    draw = np.uint16 if dt == NARROW else np.uint64
+    # numpy's bounded draws), so no wide temporaries of x's shape are made;
+    # Z_L draws in its word, the same stream as a uint64 draw below 2^32
+    draw = np.uint16 if dt == NARROW else dt
     x1 = rng.integers(0, mod, size=x.shape, dtype=draw).astype(dt, copy=False)
     x2 = rng.integers(0, mod, size=x.shape, dtype=draw).astype(dt, copy=False)
     x3 = sub_mod(sub_mod(x, x1, mod), x2, mod)
@@ -182,7 +194,7 @@ def unwindow_share(d: RssShare, shape, stride: int, pad: int) -> RssShare:
     Ho, Wo, F = d.shape[2], d.shape[3], d.shape[4]
 
     def scatter(a):
-        out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), UINT)
+        out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), sum_dtype(d.mod))
         span_h, span_w = stride * Ho, stride * Wo
         for i in range(F):
             for j in range(F):
@@ -194,8 +206,8 @@ def unwindow_share(d: RssShare, shape, stride: int, pad: int) -> RssShare:
 
 def sum_share(x: RssShare, axis: int) -> RssShare:
     return RssShare(
-        reduce_mod(x.lo.sum(axis=axis, dtype=UINT), x.mod),
-        reduce_mod(x.hi.sum(axis=axis, dtype=UINT), x.mod),
+        reduce_mod(x.lo.sum(axis=axis, dtype=sum_dtype(x.mod)), x.mod),
+        reduce_mod(x.hi.sum(axis=axis, dtype=sum_dtype(x.mod)), x.mod),
         x.mod,
     )
 
@@ -313,6 +325,16 @@ _PIECE_BYTES = 1 << 18
 _ZEROS = memoryview(bytes(_PIECE_BYTES))  # the plaintext of every piece
 
 
+def _unpack_bits(piece: np.ndarray, out: np.ndarray):
+    # one keystream bit per element, LSB first, unpacked an eighth of a
+    # piece at a time: the unpacked temporary is then no larger than the
+    # piece, where a whole piece would unpack into eight times its size
+    step = _PIECE_BYTES // 8
+    for k in range(0, piece.size, step):
+        bits = out[8 * k : 8 * (k + step)]
+        bits[...] = np.unpackbits(piece[k : k + step], count=bits.size, bitorder="little")
+
+
 class PrfStream:
     """Deterministic stream under one 128-bit key; counter advances per draw."""
 
@@ -354,8 +376,7 @@ class PrfStream:
         # word, a bias of at most p / 2^32 (2^-26.8 at p = 37; masks only)
         dt = dtype_for(mod)
         if mod == 2:
-            return self._draw(n, dt, 1, lambda piece, out: np.copyto(
-                out, np.unpackbits(piece, count=out.size, bitorder="little")))
+            return self._draw(n, dt, 1, _unpack_bits)
         pow2 = mod & (mod - 1) == 0
         if pow2 and mod <= 1 << 32:
             m = np.uint32(mod - 1)

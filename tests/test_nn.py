@@ -8,7 +8,7 @@ from falcon import oracle as O
 from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 from falcon.nets import BUILTIN, network_c
 from falcon.prep import DealerPrep, RecordingPrep
-from falcon.rings import RingParams, decode_fixed, encode_fixed
+from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed
 from falcon.session import open_share
 
 from test_protocols import run_shared, shared_input
@@ -131,15 +131,15 @@ def test_netspec_roundtrip_and_swap():
     assert np.allclose(a, b)
 
 
-def _secure_forward(net, float_params, batch_raw, seed=0, want_state=False):
+def _secure_forward(net, float_params, batch_raw, seed=0, params=PARAMS):
     def job(sess):
-        sess.prep = DealerPrep(sess.party, PARAMS, seed=seed)
+        sess.prep = DealerPrep(sess.party, params, seed=seed)
         state = nn.init_state(sess, net, float_params)
-        x = shared_input(sess, batch_raw, PARAMS.L)
+        x = shared_input(sess, batch_raw, params.L)
         logits = nn.forward(sess, state, x)
         return open_share(sess, logits)
 
-    return run_shared(PARAMS, job, seed=seed)[0]
+    return run_shared(params, job, seed=seed)[0]
 
 
 def test_identity_fc_passthrough():
@@ -162,9 +162,19 @@ def test_zero_input_zero_bias_gives_zero_logits():
     assert np.all(out == 0)
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net,
-                                   strided_net])
-def test_secure_forward_bit_exact_vs_fx(maker):
+# every net at the default ring; fc, conv and pool3 also at a 24-bit ring
+# (uint32 words with 8 spare bits) and a 64-bit one (uint64 words)
+_FORWARD_CELLS = [
+    *(pytest.param(m, PARAMS, id=m.__name__) for m in (tiny_fc_net, tiny_conv_net, bn_net,
+                                                        conv_bn_net, pool3_net, strided_net)),
+    *(pytest.param(m, params, id=f"{m.__name__}-ell{params.ell}")
+      for params in (RingParams(ell=24, fp=8), RingParams(ell=64, fp=13))
+      for m in (tiny_fc_net, tiny_conv_net, pool3_net)),
+]
+
+
+@pytest.mark.parametrize("maker,params", _FORWARD_CELLS)
+def test_secure_forward_bit_exact_vs_fx(maker, params):
     net = maker()
     fparams = init_float_params(net, seed=3)
     rng = np.random.default_rng(4)
@@ -172,10 +182,11 @@ def test_secure_forward_bit_exact_vs_fx(maker):
         batch = rng.uniform(-1, 1, (8,) + net.input_shape)
     else:
         batch = rng.uniform(0, 1, (8,) + net.input_shape)
-    braw = encode_fixed(batch, PARAMS)
-    secure = _secure_forward(net, fparams, braw)
-    raw_params = {k: encode_fixed(v, PARAMS) for k, v in fparams.items()}
-    fx = O.fx_forward(net, raw_params, braw, PARAMS)
+    braw = encode_fixed(batch, params)
+    secure = _secure_forward(net, fparams, braw, params=params)
+    assert secure.dtype == dtype_for(params.L)
+    raw_params = {k: encode_fixed(v, params) for k, v in fparams.items()}
+    fx = O.fx_forward(net, raw_params, braw, params)
     assert np.array_equal(secure, fx)
 
 

@@ -1,6 +1,7 @@
 """Preprocessing artifacts: reconstruct-and-recompute oracles, both modes."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -527,3 +528,47 @@ def test_prep_file_checks_party_and_ring(tmp_path):
     for bits in (back["wrap"][0].xbits, back["wrap"][0].vbits):
         assert bits.shape == (PARAMS.ell, 4)
         assert bits.lo.flags.c_contiguous and bits.hi.flags.c_contiguous
+
+
+def test_prep_file_stores_zl_parts_in_the_ring_word(tmp_path):
+    # at ell = 32 every Z_L part is written as a 4-byte word and each trunc
+    # shift as a byte: under half the size of the 8-byte layout files had
+    # before. Both layouts replay to the same truncations
+    n = 4096
+    raws = np.random.default_rng(21).integers(0, 1 << 29, n, dtype=np.uint64)
+    paths = {"word": str(tmp_path / "word"), "wide": str(tmp_path / "wide")}
+
+    def truncated(sess):
+        x = shared_input(sess, raws, PARAMS.L)
+        return open_share(sess, P.truncate(sess, x, PARAMS.fp))
+
+    def record(sess):
+        sess.prep = RecordingPrep(DealerPrep(sess.party, PARAMS, seed=22))
+        out = truncated(sess)
+        save_prep_file(f"{paths['word']}.p{sess.party.index}", sess.party, PARAMS,
+                       sess.prep.records)
+        return out
+
+    first = run_three_parties(record, PARAMS, session_seed=23)
+    for i in (1, 2, 3):
+        entries = load_tensors(f"{paths['word']}.p{i}", PREP_MAGIC)
+        for key in ("r", "r_shift"):
+            for part in ("lo", "hi"):
+                assert entries[f"trunc.0.{key}.{part}"].dtype == np.dtype("<u4")
+        assert entries["trunc.0.d"].dtype == np.uint8
+        # the layout before: every Z_L part and shift in 8 bytes
+        wide = {k: v.astype(np.uint64) if v.dtype == np.uint32 or k.endswith(".d") else v
+                for k, v in entries.items()}
+        save_tensors(f"{paths['wide']}.p{i}", wide, PREP_MAGIC)
+        word, old = (os.path.getsize(f"{paths[k]}.p{i}") for k in ("word", "wide"))
+        assert word < 0.5 * old, (word, old)
+
+    for layout in ("word", "wide"):
+        def replay(sess, layout=layout):
+            sess.prep = FilePrep(f"{paths[layout]}.p{sess.party.index}", sess.party, PARAMS)
+            pair = sess.prep.records["trunc"][0]
+            assert pair.r.lo.dtype == pair.r_shift.hi.dtype == np.uint32
+            return truncated(sess)
+
+        again = run_three_parties(replay, PARAMS, session_seed=23)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again)), layout

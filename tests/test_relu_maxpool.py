@@ -9,7 +9,7 @@ import pytest
 from falcon import protocols as P
 from falcon.oracle import fx_maxpool_with_onehot, fx_trunc, oracle_drelu, oracle_relu
 from falcon.prep import DealerPrep, DistributedPrep, RecordingPrep
-from falcon.rings import RingParams, encode_fixed, reduce_mod
+from falcon.rings import RingParams, dtype_for, encode_fixed, reduce_mod
 from falcon.rss import public_share
 from falcon.session import ThreatModel, open_share, run_three_parties
 
@@ -302,8 +302,8 @@ def test_relu_truncate_maxpool_at_wide_rings(ell):
 @pytest.mark.parametrize("mode", ["dealer", "distributed"])
 def test_small_ring_shares_stay_uint8(mode):
     # every Z_p/Z_2 share on the compare path is uint8 end to end; a stray
-    # widening to uint64 anywhere would silently undo the narrow kernels.
-    # The maxpool keep bits are lifted to Z_L and so are uint64
+    # widening anywhere would silently undo the narrow kernels. The maxpool
+    # keep bits are lifted to Z_L and so are in its word, uint32 at ell = 32
     raws = np.random.default_rng(31).integers(0, PARAMS.L, 16, dtype=np.uint64)
 
     def job(sess):
@@ -331,4 +331,5 @@ def test_small_ring_shares_stay_uint8(mode):
         wide = [mx] + path + [w.x for w in records["wrap"]] + [b.cL for b in records["bitpair"]]
         assert len(wide) == 1 + 2 + 3 + 2
         for sh in wide:
-            assert sh.mod == PARAMS.L and sh.lo.dtype == np.uint64
+            assert sh.mod == PARAMS.L
+            assert sh.lo.dtype == sh.hi.dtype == dtype_for(PARAMS.L) == np.uint32

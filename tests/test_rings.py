@@ -18,6 +18,7 @@ from falcon.rings import (
     mul_mod,
     neg_mod,
     reduce_mod,
+    shift_signed,
     signed,
     sub_mod,
     wrap2,
@@ -375,3 +376,57 @@ def test_matmul_mod_matches_python_ints(mod):
         at, bt = np.asfortranarray(a), np.asfortranarray(b)
         assert np.array_equal(matmul_mod(at, bt, mod), got)
         assert np.array_equal(matmul_mod(b.T, a.T, mod), got.T)
+
+
+@pytest.mark.parametrize("ell", [8, 16, 31, 32, 33, 64])
+def test_ring_word_kernels_match_python_ints(ell):
+    # Z_L lives in uint32 up to ell = 32 and in uint64 above; every kernel
+    # works in that word and must agree with Python ints, at the residues
+    # next to L - 1 and L / 2 where a wrap in the word would show
+    params = RingParams(ell=ell, fp=4)
+    L, top = params.L, params.L - 1
+    dt = dtype_for(L)
+    assert dt is (np.uint32 if ell <= 32 else np.uint64)
+    rng = np.random.default_rng(ell)
+    edges = [0, 1, 2, L // 2 - 1, L // 2, L // 2 + 1, L - 2, top]
+    xs = edges * 3 + [int(v) & top for v in rng.integers(0, 2**64, 200, dtype=np.uint64)]
+    ys = edges[::-1] + edges[1:] + edges[:1] + edges
+    ys += [int(v) & top for v in rng.integers(0, 2**64, 200, dtype=np.uint64)]
+    a, b = (reduce_mod(np.array(v, np.uint64), L) for v in (xs, ys))
+    assert a.dtype == b.dtype == dt
+    for fn, ref in BINARY_OPS:
+        got = fn(a, b, L)
+        assert got.dtype == dt and got.tolist() == [ref(x, y) % L for x, y in zip(xs, ys)], fn
+    assert neg_mod(a, L).tolist() == [-x % L for x in xs]
+
+    # a long inner dimension of residues near L - 1: every product and sum wraps
+    k = 4096
+    A = [[top - int(v) for v in rng.integers(0, 8, k)] for _ in range(2)]
+    B = [[top - int(v) for v in rng.integers(0, 8, 3)] for _ in range(k)]
+    got = matmul_mod(np.array(A, np.uint64), np.array(B, np.uint64), L)
+    assert got.dtype == dt
+    assert got.tolist() == [[sum(A[i][j] * B[j][c] for j in range(k)) % L for c in range(3)]
+                            for i in range(2)]
+
+    # two- and three-operand carries at a1 + a2 in {L - 1, L, 2 L - 2}
+    a1 = [int(v) % L for v in rng.integers(1, 2**63, 30, dtype=np.uint64)] + [1, top]
+    a1 = [max(v, 1) for v in a1]
+    pairs = [(v, top - v) for v in a1] + [(v, L - v) for v in a1] + [(top, top)] * 3
+    p1, p2 = (np.array([p[i] for p in pairs], np.uint64) for i in range(2))
+    assert wrap2(p1, p2, L).tolist() == [int(x + y >= L) for x, y in pairs]
+    thirds = [(0, 1, top)[i % 3] for i in range(len(pairs))]
+    assert wrap3(p1, p2, np.array(thirds, np.uint64), L).tolist() == [
+        (x + y + z) // L % 2 for (x, y), z in zip(pairs, thirds)]
+
+    bits = bit_decompose(a, params)
+    assert bits.shape == (ell, len(xs))
+    assert bits.tolist() == [[(x >> i) & 1 for x in xs] for i in range(ell)]
+
+    sx = [x - L if x >> (ell - 1) else x for x in xs]
+    assert signed(a, params).tolist() == sx
+    for d in (0, 1, params.fp, ell - 1):
+        got = shift_signed(a, d, params)
+        assert got.dtype == dt and got.tolist() == [(s >> d) % L for s in sx], d
+    per_elem = np.arange(len(xs)) % ell
+    assert shift_signed(a, per_elem, params).tolist() == [
+        (s >> int(d)) % L for s, d in zip(sx, per_elem)]

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ def test_draw_mod_holders_agree_in_range(mod):
     if mod == 2:  # balanced: 2^15 +- 5 sigma ones over 2^16 bits
         for x in draws[:2]:
             assert abs(int(x.sum()) - (1 << 15)) < 5 * 128
+
+
+def test_draw_mod_z2_unpacks_within_the_piece_buffer():
+    # a Z_2 draw holds its 1-byte-per-bit output, one keystream piece and an
+    # unpacked temporary no larger than that piece: 4.0 + 0.25 + 0.25 MiB
+    # here, where unpacking a whole piece at once made an 8x temporary
+    # (6.1 MiB)
+    prf = PrfStream(bytes(range(16)))
+    prf.draw_mod(8, 2)  # the cipher's lazy set-up is not the draw's
+    tracemalloc.start()
+    try:
+        got = prf.draw_mod(4_000_003, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _reference_draw(bytes(range(16)), 1, 2, 4_000_003))
+    assert peak < 4.6 * 2**20, peak
 
 
 def test_draw_u64_reads_the_one_call_keystream():

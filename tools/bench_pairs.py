@@ -9,10 +9,14 @@ BENCHMARK.json, pair k of PAIRS runs both sides once under FIRST_SEED + k
 for the benchmark's `run_seconds`, the side that starts alternating from
 pair to pair, one run at a time. The JSON holds, per workload and side, the
 median and quartiles of every end-to-end metric, the runs' and requests'
-failure counts, and per pair the `online_s` of both sides. One `--trace 1`
-run of TRACE_WORKLOAD per side adds the per-layer metrics of TRACE_KEYS and
-the table10 lines. The host's core count and numpy version are recorded
-with them.
+failure counts, and per pair every end-to-end metric of both sides. Per
+metric, `verdicts` counts the pairs the change wins in the metric's better
+direction (ties count for neither side) and reads the gain rule: a gain
+only when the change wins at least nine tenths of the pairs run and its
+median beats the parent's by more than the parent's quartile spread. One
+`--trace 1` run of TRACE_WORKLOAD per side adds the per-layer metrics of
+TRACE_KEYS and the table10 lines. The host's core count and numpy version
+are recorded with them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACE_KEYS = ("rss.prf_draw.s", "protocols.private_compare.self_s", "protocols.mult.self_s")
+TRACE_KEYS = ("rss.prf_draw.s", "protocols.private_compare.self_s", "protocols.mult.self_s",
+              "rings.zl_arith.s", "protocols.matmul.s", "rss.deserialize_elems.s")
 TRACE_WORKLOAD = "infer-c"
 PAIRS = 10
 FIRST_SEED = 300
@@ -91,8 +96,29 @@ def summarise(runs: list) -> dict:
     }
 
 
-def online(run: dict):
-    return round(run["metrics"]["online_s"]["value"], 6) if run.get("metrics") else None
+def values(run: dict) -> dict:
+    """Every metric of a finished run, {} for a failed one."""
+    return {k: round(v["value"], 6) for k, v in run.get("metrics", {}).items()}
+
+
+def verdict(pairs: list, parent: dict, change: dict, name: str, better: str) -> dict:
+    """Pair wins of the change in metric `name` and whether they and the
+    medians make a gain: wins in at least nine tenths of all pairs run (a
+    failed run wins nothing), and a median gap, taken in the better
+    direction, above the parent's quartile spread."""
+    sign = 1 if better == "lower" else -1
+    both = [(p["parent"][name], p["change"][name]) for p in pairs
+            if name in p["parent"] and name in p["change"]]
+    wins = sum(sign * (a - b) > 0 for a, b in both)
+    losses = sum(sign * (a - b) < 0 for a, b in both)
+    if name not in parent["median"] or name not in change["median"]:
+        return {"better": better, "wins": wins, "losses": losses, "pairs": len(pairs),
+                "gain": False}
+    gap = sign * (parent["median"][name] - change["median"][name])
+    q1, q3 = parent["quartiles"][name]
+    return {"better": better, "wins": wins, "losses": losses, "pairs": len(pairs),
+            "median_gap": round(gap, 6), "parent_quartile_spread": round(q3 - q1, 6),
+            "gain": wins * 10 >= 9 * len(pairs) and gap > q3 - q1}
 
 
 def main(argv=None) -> int:
@@ -123,15 +149,16 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(run_once(trees[side], w, seed, seconds, False))
                     print(f"{w} pair {k + 1}/{PAIRS} seed {seed} {side}: "
-                          f"online_s {online(runs[side][-1])}", file=sys.stderr, flush=True)
+                          f"online_s {values(runs[side][-1]).get('online_s')}",
+                          file=sys.stderr, flush=True)
                 pairs.append({"seed": seed, "first": order[0],
-                              "parent": online(runs["parent"][-1]),
-                              "change": online(runs["change"][-1])})
-            both = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
+                              **{side: values(runs[side][-1]) for side in order}})
+            sides = {side: summarise(r) for side, r in runs.items()}
             report["workloads"][w] = {
-                **{side: summarise(r) for side, r in runs.items()},
-                "online_s_pairs_change_lower":
-                    f"{sum(p['change'] < p['parent'] for p in both)} of {len(both)}",
+                **sides,
+                "verdicts": {m["name"]: verdict(pairs, sides["parent"], sides["change"],
+                                                m["name"], m["better"])
+                             for m in bench["end_to_end"]},
                 "pairs": pairs,
             }
         traced = {}
