@@ -2,11 +2,11 @@
 
 Everything downstream (shares, protocols, oracles) works on raw ring
 values reduced with the helpers here and stored in one numpy dtype per
-modulus (`dtype_for`): uint8 for Z_2 and Z_p, and for Z_{2^ell} the
-narrowest word that holds ell bits, uint32 for ell <= 32 and uint64 above.
-Z_{2^ell} arithmetic wraps in that word, which is exact because 2^ell
-divides the word's range, so no kernel widens a share. The compare prime p is not a setting: it is the smallest prime above
-ell + 1 (37 at ell = 32, 67 at ell = 64), so Z_p is always one byte.
+modulus (`dtype_for`): uint8 for Z_2 and Z_p, and for Z_{2^ell} a word,
+uint32 for ell <= 32 and uint64 above. Z_{2^ell} arithmetic wraps in that word, which is exact because 2^ell
+divides the word's range, so no kernel widens a share. The compare prime
+p is not a setting: it is the smallest prime above ell + 1 (37 at
+ell = 32, 67 at ell = 64), so Z_p is always one byte.
 Fixed-point reals live in Z_{2^ell} in two's complement with `fp`
 fractional bits. Powers of two reduce by a mask, and an odd modulus by one
 kernel for every input dtype, x - m (x // m) (`reduce_mod`).
@@ -21,7 +21,6 @@ from itertools import count
 import numpy as np
 
 UINT = np.uint64
-WORD = np.uint32
 NARROW = np.uint8
 
 
@@ -65,7 +64,7 @@ def dtype_for(modulus: int) -> type:
     width follows from the modulus alone."""
     if 2 * (modulus - 1) < 256:
         return NARROW
-    return WORD if modulus <= 1 << 32 else UINT
+    return np.uint32 if modulus <= 1 << 32 else UINT
 
 
 def sum_dtype(modulus: int) -> type:
