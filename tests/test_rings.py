@@ -409,8 +409,7 @@ def test_ring_word_kernels_match_python_ints(ell):
                             for i in range(2)]
 
     # two- and three-operand carries at a1 + a2 in {L - 1, L, 2 L - 2}
-    a1 = [int(v) % L for v in rng.integers(1, 2**63, 30, dtype=np.uint64)] + [1, top]
-    a1 = [max(v, 1) for v in a1]
+    a1 = [int(v) for v in rng.integers(1, L, 30, dtype=np.uint64)] + [1, top]
     pairs = [(v, top - v) for v in a1] + [(v, L - v) for v in a1] + [(top, top)] * 3
     p1, p2 = (np.array([p[i] for p in pairs], np.uint64) for i in range(2))
     assert wrap2(p1, p2, L).tolist() == [int(x + y >= L) for x, y in pairs]

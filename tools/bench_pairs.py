@@ -111,14 +111,13 @@ def verdict(pairs: list, parent: dict, change: dict, name: str, better: str) -> 
             if name in p["parent"] and name in p["change"]]
     wins = sum(sign * (a - b) > 0 for a, b in both)
     losses = sum(sign * (a - b) < 0 for a, b in both)
-    if name not in parent["median"] or name not in change["median"]:
-        return {"better": better, "wins": wins, "losses": losses, "pairs": len(pairs),
-                "gain": False}
-    gap = sign * (parent["median"][name] - change["median"][name])
-    q1, q3 = parent["quartiles"][name]
-    return {"better": better, "wins": wins, "losses": losses, "pairs": len(pairs),
-            "median_gap": round(gap, 6), "parent_quartile_spread": round(q3 - q1, 6),
-            "gain": wins * 10 >= 9 * len(pairs) and gap > q3 - q1}
+    out = {"better": better, "wins": wins, "losses": losses, "pairs": len(pairs), "gain": False}
+    if name in parent["median"] and name in change["median"]:
+        gap = sign * (parent["median"][name] - change["median"][name])
+        q1, q3 = parent["quartiles"][name]
+        out.update(median_gap=round(gap, 6), parent_quartile_spread=round(q3 - q1, 6),
+                   gain=wins * 10 >= 9 * len(pairs) and gap > q3 - q1)
+    return out
 
 
 def main(argv=None) -> int:
