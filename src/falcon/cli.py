@@ -43,6 +43,10 @@ REFERENCE_TIMINGS = {
 }
 
 
+class SliceError(ValueError):
+    """The image flags select too few images of the tensor store."""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -52,7 +56,7 @@ def main(argv=None) -> int:
         parser.error("--config needs --party")
     try:
         return args.func(args)
-    except (FormatError, RingError, PrepMismatchError) as exc:  # a bad file or flag, a file of another run
+    except (FormatError, RingError, PrepMismatchError, SliceError) as exc:  # a bad file or flag, a file of another run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a refused or silent peer, a receive timeout, a busy port
@@ -438,6 +442,9 @@ def cmd_infer(args) -> int:
     lo = args.offset
     hi = lo + args.count
     images = store["images"][lo:hi]
+    if not len(images):
+        raise SliceError(f"--offset {lo} --count {args.count} selects none of the "
+                         f"{len(store['images'])} images of {args.data}")
     labels = store["labels"][lo:hi].astype(np.int64)
     images = _as_net_input(net, images)
     float_images = decode_fixed(images, params)
@@ -493,7 +500,11 @@ def cmd_train(args) -> int:
     images = store["images"]
     labels = store["labels"].astype(np.int64)
     images = _as_net_input(net, images)
-    n_train = min(args.train_count, len(images) - args.eval_count)
+    n_train = max(0, min(args.train_count, len(images) - args.eval_count))
+    if n_train < args.batch:
+        raise SliceError(f"--train-count {args.train_count} --eval-count {args.eval_count} leave "
+                         f"{n_train} of the {len(images)} images of {args.data} to train on, "
+                         f"fewer than --batch {args.batch}")
     train_x, train_y = images[:n_train], labels[:n_train]
     eval_x, eval_y = images[n_train : n_train + args.eval_count], labels[n_train : n_train + args.eval_count]
 

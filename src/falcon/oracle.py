@@ -8,11 +8,21 @@ Three layers:
   truncation rounding,
 * a 64-bit float engine for accuracy comparisons.
 
-Deliberately independent: nothing here imports the protocol suite, so a
+Both network engines read convolution and maxpool windows through one
+gather, `_patches`, and scatter window gradients back through its adjoint,
+`_unpatches`. Each forward records its layer's output shape, and the
+backward reshapes the incoming delta to that shape once, before the layer
+sees it, as `nn.backward` does.
+
+Deliberately independent: from falcon this imports only `rings`, and its
+windows are explicit strided slices rather than `rss.window_share`, so a
 divergence is a test failure rather than a shared bug.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -70,25 +80,13 @@ def fx_trunc(raw, d: int, params: RingParams) -> np.ndarray:
     return shift_signed(np.asarray(raw, UINT), d, params)
 
 
-def fx_shift_nearest(raw, s: int, params: RingParams) -> np.ndarray:
-    """Round-to-nearest rescaling used inside the numeric kernels."""
-    if s <= 0:
-        return reduce_mod(np.asarray(raw, UINT) << np.uint64(-s), params.L)
-    half = np.uint64(1) << np.uint64(s - 1)
-    return shift_signed(add_mod(raw, half, params.L), s, params)
-
-
 def fx_matmul(a, b, params: RingParams) -> np.ndarray:
     """Twin of the secure matmul with its fixed-point rescale."""
     return fx_trunc(matmul_mod(a, b, params.L), params.fp, params)
 
 
-def fx_relu(raw, params: RingParams) -> np.ndarray:
-    return oracle_relu(raw, params)
-
-
-def fx_drelu(raw, params: RingParams) -> np.ndarray:
-    return oracle_drelu(raw, params)
+def _sum_mod(x, axis: int, L: int) -> np.ndarray:
+    return reduce_mod(np.asarray(x).sum(axis=axis, dtype=UINT), L)
 
 
 def fx_maxpool_with_onehot(raws, params: RingParams):
@@ -243,7 +241,7 @@ def fx_batch_norm(acts_raw, gamma_raw, beta_raw, params: RingParams, want_cache:
 
 
 def _fx_mean_last(x, m: int, params: RingParams) -> np.ndarray:
-    total = reduce_mod(np.asarray(x, UINT).sum(axis=-1, dtype=np.uint64), params.L)
+    total = _sum_mod(x, -1, params.L)
     if m & (m - 1) == 0:
         return fx_rescale(total, int(np.log2(m)), params)
     inv_m = np.uint64(round((1 << params.fp) / m))
@@ -251,39 +249,76 @@ def _fx_mean_last(x, m: int, params: RingParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# float64 engine
+# windows, channel grouping and the layer drivers of both network engines
 
 
-def _oracle_im2col(a: np.ndarray, F: int, stride: int, pad: int, Hout: int, Wout: int) -> np.ndarray:
+def _patches(a: np.ndarray, F: int, stride: int, pad: int) -> np.ndarray:
+    """The F x F windows of a (B, C, H, W) image zero-padded by `pad`, taken
+    every `stride` pixels, as (B, C, Ho, Wo, F*F): slot i*F + j holds offset
+    (i, j). The only place the output size (Ho, Wo) is worked out."""
     B, C, H, W = a.shape
-    if pad:
-        a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((C * F * F, B * Hout * Wout), dtype=a.dtype)
-    idx = 0
-    for c in range(C):
-        for i in range(F):
-            for j in range(F):
-                patch = a[:, c, i : i + stride * Hout : stride, j : j + stride * Wout : stride]
-                cols[idx] = patch.reshape(B * Hout * Wout)
-                idx += 1
-    return cols
+    Ho = (H + 2 * pad - F) // stride + 1
+    Wo = (W + 2 * pad - F) // stride + 1
+    a = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((B, C, Ho, Wo, F * F), a.dtype)
+    for i in range(F):
+        for j in range(F):
+            out[..., i * F + j] = a[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
+    return out
 
 
-def _oracle_col2im(cols: np.ndarray, img_shape, F: int, stride: int, pad: int, mod: int) -> np.ndarray:
-    B, C, H, W = img_shape
-    Hout = (H - F + 2 * pad) // stride + 1
-    Wout = (W - F + 2 * pad) // stride + 1
-    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=np.uint64)
-    idx = 0
-    with np.errstate(over="ignore"):
-        for c in range(C):
-            for i in range(F):
-                for j in range(F):
-                    patch = cols[idx].reshape(B, Hout, Wout)
-                    out[:, c, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += patch
-                    idx += 1
-    out = out[:, :, pad : pad + H, pad : pad + W] if pad else out
-    return reduce_mod(out, mod)
+def _unpatches(d: np.ndarray, shape, F: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of `_patches`: scatter-add (B, C, Ho, Wo, F*F) windows into a
+    (B, C, H, W) image of `shape`. Integer windows add in wrapping uint64,
+    which the fixed-point engine then reduces mod 2^ell."""
+    B, C, H, W = shape
+    Ho, Wo = d.shape[2:4]
+    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad), UINT if d.dtype.kind == "u" else d.dtype)
+    for i in range(F):
+        for j in range(F):
+            out[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += d[..., i * F + j]
+    return out[:, :, pad : pad + H, pad : pad + W]
+
+
+def _conv_rows(a: np.ndarray, F: int, stride: int, pad: int):
+    """A convolution's input windows as matmul rows, (B*Ho*Wo, C*F*F) in the
+    kernel's (C, F, F) order, and the (B, Ho, Wo) the rows run over."""
+    p = _patches(a, F, stride, pad)
+    B, C, Ho, Wo, FF = p.shape
+    return p.transpose(0, 2, 3, 1, 4).reshape(B * Ho * Wo, C * FF), (B, Ho, Wo)
+
+
+def _channels_first(x: np.ndarray):
+    """Group (B, C, ...) activations per channel or feature as (C, rest),
+    plus the inverse of that grouping."""
+    swap = (1, 0) + tuple(range(2, x.ndim))
+    grouped = x.transpose(swap)
+    return grouped.reshape(len(grouped), -1), lambda y: y.reshape(grouped.shape).transpose(swap)
+
+
+def _forward(net, x: np.ndarray, layer_forward, caches: list | None) -> np.ndarray:
+    """Run layer_forward(layer, i, x, cache) through the net. Each cache also
+    records its layer's output shape and is appended to `caches` if given."""
+    if len(net.input_shape) == 1:
+        x = x.reshape(len(x), -1)
+    for i, layer in enumerate(net.layers):
+        cache: dict = {}
+        x = layer_forward(layer, i, x, cache)
+        cache["out_shape"] = x.shape
+        if caches is not None:
+            caches.append(cache)
+    return x.reshape(len(x), -1)
+
+
+def _backward(net, caches: list, delta: np.ndarray, layer_backward) -> dict:
+    """Chain rule over the caches of `_forward`, as `nn.backward`: the delta
+    is reshaped once to each layer's output shape before
+    layer_backward(layer, i, cache, delta, grads) returns its input's."""
+    grads: dict = {}
+    for i in range(len(net.layers) - 1, -1, -1):
+        cache = caches[i]
+        delta = layer_backward(net.layers[i], i, cache, delta.reshape(cache["out_shape"]), grads)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -292,166 +327,82 @@ def _oracle_col2im(cols: np.ndarray, img_shape, F: int, stride: int, pad: int, m
 
 def fx_forward(net, raw_params: dict, batch_raw: np.ndarray, params: RingParams,
                caches: list | None = None) -> np.ndarray:
-    """Plaintext fixed-point forward; optionally records per-layer caches."""
-    x = np.asarray(batch_raw, UINT)
-    if len(net.input_shape) == 1 and x.ndim != 2:
-        x = x.reshape(x.shape[0], -1)
-    for i, layer in enumerate(net.layers):
-        cache: dict = {}
-        x = _fx_layer_forward(layer, raw_params, i, x, params, cache)
-        if caches is not None:
-            if len(caches) <= i:
-                caches.append(cache)
-            else:
-                caches[i] = cache
-    if x.ndim > 2:
-        x = x.reshape(x.shape[0], -1)
-    return x
-
-
-def _fx_layer_forward(layer, raw_params, i, x, params: RingParams, cache: dict):
-    L = params.L
-    if layer.kind == "fc":
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        cache["a_in"] = x
-        out = fx_matmul(x, raw_params[f"{i}.w"], params)
-        return add_mod(out, raw_params[f"{i}.b"], L)
-    if layer.kind == "conv":
-        cache["a_in"] = x
-        B, C, H, W = x.shape
-        F, S, Pd = layer.kernel, layer.stride, layer.pad
-        Ho = (H - F + 2 * Pd) // S + 1
-        Wo = (W - F + 2 * Pd) // S + 1
-        cols = _oracle_im2col(x, F, S, Pd, Ho, Wo)
-        wmat = raw_params[f"{i}.w"].reshape(layer.out_ch, C * F * F)
-        out = fx_matmul(wmat, cols, params)
-        out = out.reshape(layer.out_ch, B, Ho, Wo).transpose(1, 0, 2, 3)
-        return add_mod(out, raw_params[f"{i}.b"].reshape(1, -1, 1, 1), L)
-    if layer.kind == "relu":
-        bits = fx_drelu(x, params)
-        cache["drelu"] = bits
-        return np.where(bits == 1, x, np.uint64(0))
-    if layer.kind == "maxpool":
-        B, C, H, W = x.shape
-        Ho = (H - layer.window) // layer.stride + 1
-        Wo = (W - layer.window) // layer.stride + 1
-        wins = _fx_pool_windows(x, layer.window, layer.stride, Ho, Wo)
-        best, onehot = fx_maxpool_with_onehot(wins, params)
-        cache["onehot"] = onehot
-        cache["in_shape"] = (B, C, H, W)
-        return best.reshape(B, C, Ho, Wo)
-    if layer.kind == "bn":
-        grouped, restore = _fx_channels_first(x)
-        out, z, inv = fx_batch_norm(grouped, raw_params[f"{i}.gamma"],
-                                    raw_params[f"{i}.beta"], params, want_cache=True)
-        cache["z"], cache["inv"], cache["m"] = z, inv, grouped.shape[-1]
-        return restore(out)
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
-
-
-def _fx_pool_windows(x, window, stride, Ho, Wo):
-    B, C, H, W = x.shape
-    out = np.empty((B, C, Ho, Wo, window * window), dtype=UINT)
-    k = 0
-    for i in range(window):
-        for j in range(window):
-            out[..., k] = x[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride]
-            k += 1
-    return out
-
-
-def _fx_channels_first(x):
-    if x.ndim == 2:
-        return x.T, lambda y: y.T
-    B, C, H, W = x.shape
-    grouped = x.transpose(1, 0, 2, 3).reshape(C, B * H * W)
-
-    def restore(y):
-        return y.reshape(C, B, H, W).transpose(1, 0, 2, 3)
-
-    return grouped, restore
+    """Plaintext fixed-point forward; appends each layer's cache to `caches`."""
+    return _forward(net, np.asarray(batch_raw, UINT),
+                    partial(_fx_layer_forward, raw_params, params), caches)
 
 
 def fx_backward(net, raw_params: dict, caches: list, loss_grad_raw: np.ndarray,
                 params: RingParams) -> dict:
-    grads: dict = {}
-    delta = np.asarray(loss_grad_raw, UINT)
-    L = params.L
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        cache = caches[i]
-        if layer.kind == "fc":
-            if delta.ndim > 2:
-                delta = delta.reshape(delta.shape[0], -1)
-            a_in = cache["a_in"]
-            grads[f"{i}.w"] = fx_matmul(a_in.T, delta, params)
-            grads[f"{i}.b"] = reduce_mod(delta.sum(axis=0, dtype=np.uint64), L)
-            delta = fx_matmul(delta, raw_params[f"{i}.w"].T, params)
-        elif layer.kind == "conv":
-            a_in = cache["a_in"]
-            B, C, H, W = a_in.shape
-            F, S, Pd = layer.kernel, layer.stride, layer.pad
-            Ho = (H - F + 2 * Pd) // S + 1
-            Wo = (W - F + 2 * Pd) // S + 1
-            if delta.ndim == 2:
-                delta = delta.reshape(B, layer.out_ch, Ho, Wo)
-            dmat = delta.transpose(1, 0, 2, 3).reshape(layer.out_ch, -1)
-            cols = _oracle_im2col(a_in, F, S, Pd, Ho, Wo)
-            grads[f"{i}.w"] = fx_matmul(dmat, cols.T, params).reshape(layer.out_ch, C, F, F)
-            grads[f"{i}.b"] = reduce_mod(dmat.sum(axis=-1, dtype=np.uint64), L)
-            dcols = fx_matmul(raw_params[f"{i}.w"].reshape(layer.out_ch, -1).T, dmat, params)
-            delta = _oracle_col2im(dcols, (B, C, H, W), F, S, Pd, L)
-        elif layer.kind == "relu":
-            bits = cache["drelu"]
-            if bits.shape != delta.shape:
-                delta = delta.reshape(bits.shape)
-            delta = np.where(bits == 1, delta, np.uint64(0))
-        elif layer.kind == "maxpool":
-            onehot = cache["onehot"]
-            B, C, H, W = cache["in_shape"]
-            if delta.ndim == 2:
-                delta = delta.reshape(onehot.shape[:-1])
-            routed = mul_mod(onehot, delta[..., None], L)
-            out = np.zeros((B, C, H, W), dtype=np.uint64)
-            k = 0
-            Ho, Wo = routed.shape[2], routed.shape[3]
-            with np.errstate(over="ignore"):
-                for ii in range(layer.window):
-                    for jj in range(layer.window):
-                        out[:, :, ii : ii + layer.stride * Ho : layer.stride,
-                            jj : jj + layer.stride * Wo : layer.stride] += routed[..., k]
-                        k += 1
-            delta = reduce_mod(out, L)
-        elif layer.kind == "bn":
-            delta = _fx_bn_backward(layer, raw_params, cache, delta, grads, i, params)
-    return grads
+    return _backward(net, caches, np.asarray(loss_grad_raw, UINT),
+                     partial(_fx_layer_backward, raw_params, params))
 
 
-def _fx_bn_backward(layer, raw_params, cache, delta, grads, i, params: RingParams):
-    fp = params.fp
+def _fx_layer_forward(raw_params, params: RingParams, layer, i, x, cache: dict):
     L = params.L
-    z, inv, m = cache["z"], cache["inv"], cache["m"]
-    grouped, restore = _fx_channels_first(delta)
-    dy = grouped
-    dyz = fx_trunc(mul_mod(dy, z, L), fp, params)
-    sum_dy = reduce_mod(dy.sum(axis=-1, dtype=np.uint64), L)
-    sum_dyz = reduce_mod(dyz.sum(axis=-1, dtype=np.uint64), L)
-    grads[f"{i}.gamma"] = sum_dyz
-    grads[f"{i}.beta"] = sum_dy
-    # the means come before the products: dy - mean(dy) - z * mean(dy*z)
-    mean_dy, mean_dyz = fx_trunc(np.stack([sum_dy, sum_dyz]), int(np.log2(m)), params)
-    zs = fx_trunc(mul_mod(z, mean_dyz[..., None], L), fp, params)
-    t = sub_mod(sub_mod(dy, mean_dy[..., None], L), zs, L)
-    g_inv = fx_trunc(mul_mod(raw_params[f"{i}.gamma"], inv, L), fp, params)
-    out = fx_trunc(mul_mod(g_inv[..., None], t, L), fp, params)
-    return restore(out)
+    if layer.kind == "fc":
+        x = cache["a_in"] = x.reshape(len(x), -1)
+        return add_mod(fx_matmul(x, raw_params[f"{i}.w"], params), raw_params[f"{i}.b"], L)
+    if layer.kind == "conv":
+        cache["a_in"] = x
+        w = raw_params[f"{i}.w"]
+        rows, bhw = _conv_rows(x, layer.kernel, layer.stride, layer.pad)
+        out = add_mod(fx_matmul(rows, w.reshape(len(w), -1).T, params), raw_params[f"{i}.b"], L)
+        return out.reshape(bhw + (-1,)).transpose(0, 3, 1, 2)
+    if layer.kind == "relu":
+        cache["drelu"] = bits = oracle_drelu(x, params)
+        return np.where(bits == 1, x, np.uint64(0))
+    if layer.kind == "maxpool":
+        cache["in_shape"] = x.shape
+        best, cache["onehot"] = fx_maxpool_with_onehot(
+            _patches(x, layer.window, layer.stride, 0), params)
+        return best
+    if layer.kind == "bn":
+        grouped, restore = _channels_first(x)
+        out, cache["z"], cache["inv"] = fx_batch_norm(
+            grouped, raw_params[f"{i}.gamma"], raw_params[f"{i}.beta"], params, want_cache=True)
+        return restore(out)
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
+
+
+def _fx_layer_backward(raw_params, params: RingParams, layer, i, cache: dict, delta, grads: dict):
+    fp, L = params.fp, params.L
+    if layer.kind == "fc":
+        grads[f"{i}.w"] = fx_matmul(cache["a_in"].T, delta, params)
+        grads[f"{i}.b"] = _sum_mod(delta, 0, L)
+        return fx_matmul(delta, raw_params[f"{i}.w"].T, params)
+    if layer.kind == "conv":
+        a_in, w = cache["a_in"], raw_params[f"{i}.w"]
+        rows, (B, Ho, Wo) = _conv_rows(a_in, layer.kernel, layer.stride, layer.pad)
+        d = delta.transpose(0, 2, 3, 1).reshape(len(rows), -1)  # (B*Ho*Wo, Cout)
+        grads[f"{i}.w"] = fx_matmul(d.T, rows, params).reshape(w.shape)
+        grads[f"{i}.b"] = _sum_mod(d, 0, L)
+        drows = fx_matmul(d, w.reshape(len(w), -1), params)
+        dwin = drows.reshape(B, Ho, Wo, a_in.shape[1], -1).transpose(0, 3, 1, 2, 4)
+        return reduce_mod(_unpatches(dwin, a_in.shape, layer.kernel, layer.stride, layer.pad), L)
+    if layer.kind == "relu":
+        return np.where(cache["drelu"] == 1, delta, np.uint64(0))
+    if layer.kind == "maxpool":
+        routed = mul_mod(cache["onehot"], delta[..., None], L)
+        return reduce_mod(_unpatches(routed, cache["in_shape"], layer.window, layer.stride, 0), L)
+    if layer.kind == "bn":
+        z, inv = cache["z"], cache["inv"]
+        dy, restore = _channels_first(delta)
+        dyz = fx_trunc(mul_mod(dy, z, L), fp, params)
+        grads[f"{i}.gamma"] = sum_dyz = _sum_mod(dyz, -1, L)
+        grads[f"{i}.beta"] = sum_dy = _sum_mod(dy, -1, L)
+        # the means come before the products: dy - mean(dy) - z * mean(dy*z)
+        mean_dy, mean_dyz = fx_trunc(np.stack([sum_dy, sum_dyz]), int(np.log2(z.shape[-1])), params)
+        zs = fx_trunc(mul_mod(z, mean_dyz[..., None], L), fp, params)
+        t = sub_mod(sub_mod(dy, mean_dy[..., None], L), zs, L)
+        g_inv = fx_trunc(mul_mod(raw_params[f"{i}.gamma"], inv, L), fp, params)
+        return restore(fx_trunc(mul_mod(g_inv[..., None], t, L), fp, params))
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
 def fx_sgd_step(raw_params: dict, grads: dict, lr_shift: int, params: RingParams):
     for name, g in grads.items():
-        step = fx_shift_nearest(g, lr_shift, params)
-        raw_params[name] = sub_mod(raw_params[name], step, params.L)
+        raw_params[name] = sub_mod(raw_params[name], fx_rescale(g, lr_shift, params), params.L)
 
 
 def fx_loss_grad(logits_raw: np.ndarray, onehot: np.ndarray, params: RingParams,
@@ -460,9 +411,9 @@ def fx_loss_grad(logits_raw: np.ndarray, onehot: np.ndarray, params: RingParams,
     fp = params.fp
     L = params.L
     B, classes = logits_raw.shape
-    r = fx_relu(logits_raw, params)
-    total = reduce_mod(r.sum(axis=-1, dtype=np.uint64), L)
-    pos = fx_drelu(add_mod(total, reduce_mod(-1, L), L), params)
+    r = oracle_relu(logits_raw, params)
+    total = _sum_mod(r, -1, L)
+    pos = oracle_drelu(add_mod(total, reduce_mod(-1, L), L), params)
     one = np.uint64(1 << fp)
     denom = np.where(pos == 1, total, one)
     recip = fx_divide(np.full(B, one), denom, params, a_max_bits=fp + 1)
@@ -472,7 +423,7 @@ def fx_loss_grad(logits_raw: np.ndarray, onehot: np.ndarray, params: RingParams,
     onehot_raw = encode_fixed(np.asarray(onehot, np.float64), params)
     delta = sub_mod(phat, onehot_raw, L)
     if scale_shift:
-        delta = fx_shift_nearest(delta, scale_shift, params)
+        delta = fx_rescale(delta, scale_shift, params)
     return delta
 
 
@@ -482,149 +433,83 @@ def fx_loss_grad(logits_raw: np.ndarray, onehot: np.ndarray, params: RingParams,
 
 def float_forward(net, float_params: dict, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
     """64-bit float reference forward pass over the same declarative spec."""
-    x = np.asarray(batch, np.float64)
-    if len(net.input_shape) == 1 and x.ndim != 2:
-        x = x.reshape(x.shape[0], -1)
-    for i, layer in enumerate(net.layers):
-        cache: dict = {}
-        if layer.kind == "fc":
-            if x.ndim > 2:
-                x = x.reshape(x.shape[0], -1)
-            cache["a_in"] = x
-            x = x @ float_params[f"{i}.w"] + float_params[f"{i}.b"]
-        elif layer.kind == "conv":
-            cache["a_in"] = x
-            x = float_conv2d(x, float_params[f"{i}.w"], float_params[f"{i}.b"],
-                             stride=layer.stride, padding=layer.pad)
-        elif layer.kind == "relu":
-            cache["mask"] = x > 0
-            x = np.maximum(x, 0.0)
-        elif layer.kind == "maxpool":
-            cache["a_in"] = x
-            x = float_maxpool(x, layer.window, layer.stride)
-            cache["out"] = x
-        elif layer.kind == "bn":
-            g, restore = (x.T, lambda y: y.T) if x.ndim == 2 else _float_group(x)
-            mu = g.mean(axis=-1, keepdims=True)
-            var = g.var(axis=-1, keepdims=True)
-            zed = (g - mu) / np.sqrt(var + 2.0**-10)
-            cache["z"], cache["var"] = zed, var
-            x = restore(float_params[f"{i}.gamma"][:, None] * zed + float_params[f"{i}.beta"][:, None])
-        if caches is not None:
-            if len(caches) <= i:
-                caches.append(cache)
-            else:
-                caches[i] = cache
-    if x.ndim > 2:
-        x = x.reshape(x.shape[0], -1)
-    return x
+    return _forward(net, np.asarray(batch, np.float64),
+                    partial(_float_layer_forward, float_params), caches)
 
 
-def _float_group(x):
-    B, C, H, W = x.shape
-    return x.transpose(1, 0, 2, 3).reshape(C, -1), (
-        lambda y: y.reshape(C, B, H, W).transpose(1, 0, 2, 3)
-    )
+def float_backward(net, float_params: dict, caches: list, loss_grad: np.ndarray) -> dict:
+    return _backward(net, caches, np.asarray(loss_grad, np.float64),
+                     partial(_float_layer_backward, float_params))
 
 
 def float_conv2d(img, kern, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Reference convolution: img (B,Cin,H,W), kern (Cout,Cin,F,F)."""
-    img = np.asarray(img, np.float64)
     kern = np.asarray(kern, np.float64)
-    B, Cin, H, W = img.shape
-    Cout, _, F, _ = kern.shape
-    Hout = (H - F + 2 * padding) // stride + 1
-    Wout = (W - F + 2 * padding) // stride + 1
-    if padding:
-        img = np.pad(img, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((B, Cout, Hout, Wout))
-    for i in range(Hout):
-        for j in range(Wout):
-            patch = img[:, :, i * stride : i * stride + F, j * stride : j * stride + F]
-            out[:, :, i, j] = np.einsum("bcij,ocij->bo", patch, kern)
+    rows, bhw = _conv_rows(np.asarray(img, np.float64), kern.shape[-1], stride, padding)
+    out = rows @ kern.reshape(len(kern), -1).T
     if bias is not None:
-        out += np.asarray(bias, np.float64).reshape(1, Cout, 1, 1)
-    return out
+        out += np.asarray(bias, np.float64)
+    return out.reshape(bhw + (-1,)).transpose(0, 3, 1, 2)
 
 
 def float_maxpool(img, window: int, stride: int) -> np.ndarray:
-    B, C, H, W = img.shape
-    Hout = (H - window) // stride + 1
-    Wout = (W - window) // stride + 1
-    out = np.zeros((B, C, Hout, Wout))
-    for i in range(Hout):
-        for j in range(Wout):
-            patch = img[:, :, i * stride : i * stride + window, j * stride : j * stride + window]
-            out[:, :, i, j] = patch.max(axis=(2, 3))
-    return out
+    return _patches(np.asarray(img, np.float64), window, stride, 0).max(axis=-1)
 
 
-def float_backward(net, float_params: dict, caches: list, loss_grad: np.ndarray) -> dict:
-    grads: dict = {}
-    delta = np.asarray(loss_grad, np.float64)
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        cache = caches[i]
-        if layer.kind == "fc":
-            if delta.ndim > 2:
-                delta = delta.reshape(delta.shape[0], -1)
-            a_in = cache["a_in"]
-            grads[f"{i}.w"] = a_in.T @ delta
-            grads[f"{i}.b"] = delta.sum(axis=0)
-            delta = delta @ float_params[f"{i}.w"].T
-        elif layer.kind == "conv":
-            a_in = cache["a_in"]
-            B, C, H, W = a_in.shape
-            F, S, Pd = layer.kernel, layer.stride, layer.pad
-            Ho = (H - F + 2 * Pd) // S + 1
-            Wo = (W - F + 2 * Pd) // S + 1
-            if delta.ndim == 2:
-                delta = delta.reshape(B, layer.out_ch, Ho, Wo)
-            dmat = delta.transpose(1, 0, 2, 3).reshape(layer.out_ch, -1)
-            cols = _oracle_im2col(a_in, F, S, Pd, Ho, Wo)
-            grads[f"{i}.w"] = (dmat @ cols.T).reshape(layer.out_ch, C, F, F)
-            grads[f"{i}.b"] = dmat.sum(axis=-1)
-            dcols = float_params[f"{i}.w"].reshape(layer.out_ch, -1).T @ dmat
-            out = np.zeros((B, C, H + 2 * Pd, W + 2 * Pd))
-            idx = 0
-            for c in range(C):
-                for ii in range(F):
-                    for jj in range(F):
-                        out[:, c, ii : ii + S * Ho : S, jj : jj + S * Wo : S] += dcols[idx].reshape(B, Ho, Wo)
-                        idx += 1
-            delta = out[:, :, Pd : Pd + H, Pd : Pd + W] if Pd else out
-        elif layer.kind == "relu":
-            if cache["mask"].shape != delta.shape:
-                delta = delta.reshape(cache["mask"].shape)
-            delta = delta * cache["mask"]
-        elif layer.kind == "maxpool":
-            a_in, out = cache["a_in"], cache["out"]
-            B, C, H, W = a_in.shape
-            Ho, Wo = out.shape[2], out.shape[3]
-            if delta.ndim == 2:
-                delta = delta.reshape(out.shape)
-            dx = np.zeros_like(a_in)
-            routed = np.zeros((B, C, Ho, Wo), bool)  # earliest-tie routing
-            for ii in range(layer.window):
-                for jj in range(layer.window):
-                    patch = a_in[:, :, ii : ii + layer.stride * Ho : layer.stride,
-                                 jj : jj + layer.stride * Wo : layer.stride]
-                    hit = (patch == out) & ~routed
-                    routed |= hit
-                    dx[:, :, ii : ii + layer.stride * Ho : layer.stride,
-                       jj : jj + layer.stride * Wo : layer.stride] += hit * delta
-            delta = dx
-        elif layer.kind == "bn":
-            z, var = cache["z"], cache["var"]
-            g, restore = (delta.T, lambda y: y.T) if delta.ndim == 2 else _float_group(delta)
-            m = g.shape[-1]
-            grads[f"{i}.gamma"] = (g * z).sum(axis=-1)
-            grads[f"{i}.beta"] = g.sum(axis=-1)
-            inv = 1.0 / np.sqrt(var + 2.0**-10)
-            gamma = float_params[f"{i}.gamma"][:, None]
-            t = m * g - g.sum(axis=-1, keepdims=True) - z * (g * z).sum(axis=-1, keepdims=True)
-            delta = restore(gamma * inv * t / m)
-    return grads
+def _float_layer_forward(float_params, layer, i, x, cache: dict):
+    if layer.kind == "fc":
+        x = cache["a_in"] = x.reshape(len(x), -1)
+        return x @ float_params[f"{i}.w"] + float_params[f"{i}.b"]
+    if layer.kind == "conv":
+        cache["a_in"] = x
+        return float_conv2d(x, float_params[f"{i}.w"], float_params[f"{i}.b"],
+                            stride=layer.stride, padding=layer.pad)
+    if layer.kind == "relu":
+        cache["mask"] = x > 0
+        return np.maximum(x, 0.0)
+    if layer.kind == "maxpool":
+        cache["a_in"] = x
+        return float_maxpool(x, layer.window, layer.stride)
+    if layer.kind == "bn":
+        g, restore = _channels_first(x)
+        cache["var"] = var = g.var(axis=-1, keepdims=True)
+        cache["z"] = z = (g - g.mean(axis=-1, keepdims=True)) / np.sqrt(var + 2.0**-10)
+        return restore(float_params[f"{i}.gamma"][:, None] * z + float_params[f"{i}.beta"][:, None])
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
+
+
+def _float_layer_backward(float_params, layer, i, cache: dict, delta, grads: dict):
+    if layer.kind == "fc":
+        grads[f"{i}.w"] = cache["a_in"].T @ delta
+        grads[f"{i}.b"] = delta.sum(axis=0)
+        return delta @ float_params[f"{i}.w"].T
+    if layer.kind == "conv":
+        a_in, w = cache["a_in"], float_params[f"{i}.w"]
+        rows, (B, Ho, Wo) = _conv_rows(a_in, layer.kernel, layer.stride, layer.pad)
+        d = delta.transpose(0, 2, 3, 1).reshape(len(rows), -1)  # (B*Ho*Wo, Cout)
+        grads[f"{i}.w"] = (d.T @ rows).reshape(w.shape)
+        grads[f"{i}.b"] = d.sum(axis=0)
+        dwin = (d @ w.reshape(len(w), -1)).reshape(B, Ho, Wo, a_in.shape[1], -1)
+        return _unpatches(dwin.transpose(0, 3, 1, 2, 4), a_in.shape, layer.kernel, layer.stride,
+                          layer.pad)
+    if layer.kind == "relu":
+        return delta * cache["mask"]
+    if layer.kind == "maxpool":
+        a_in = cache["a_in"]
+        wins = _patches(a_in, layer.window, layer.stride, 0)
+        first = wins.argmax(axis=-1)[..., None]  # the earliest maximum takes the gradient
+        routed = np.where(np.arange(wins.shape[-1]) == first, delta[..., None], 0.0)
+        return _unpatches(routed, a_in.shape, layer.window, layer.stride, 0)
+    if layer.kind == "bn":
+        z, var = cache["z"], cache["var"]
+        g, restore = _channels_first(delta)
+        m = g.shape[-1]
+        grads[f"{i}.gamma"] = sum_gz = (g * z).sum(axis=-1)
+        grads[f"{i}.beta"] = sum_g = g.sum(axis=-1)
+        t = m * g - sum_g[:, None] - z * sum_gz[:, None]
+        inv = 1.0 / np.sqrt(var + 2.0**-10)
+        return restore(float_params[f"{i}.gamma"][:, None] * inv * t / m)
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
 def softmax_xent_grad(logits: np.ndarray, onehot: np.ndarray) -> tuple[np.ndarray, float]:
@@ -686,7 +571,7 @@ def calibrate_float_params(net, float_params: dict, sample: np.ndarray,
     params = {k: v.copy() for k, v in float_params.items()}
     for i, layer in enumerate(net.layers):
         if layer.kind in ("fc", "conv"):
-            sub = NetworkishSlice(net.layers[: i + 1], net.input_shape)
+            sub = replace(net, layers=net.layers[: i + 1])
             out = float_forward(sub, params, np.asarray(sample, np.float64))
             peak = np.abs(out).max()
             if peak > limit:
@@ -694,16 +579,6 @@ def calibrate_float_params(net, float_params: dict, sample: np.ndarray,
                 params[f"{i}.w"] = params[f"{i}.w"] * factor
                 params[f"{i}.b"] = params[f"{i}.b"] * factor
     return params
-
-
-class NetworkishSlice:
-    """A network prefix, enough for float_forward."""
-
-    def __init__(self, layers, input_shape):
-        self.layers = layers
-        self.input_shape = input_shape
-        self.classes = 0
-        self.name = "slice"
 
 
 def float_accuracy(net, float_params: dict, images: np.ndarray, labels: np.ndarray,

@@ -144,8 +144,7 @@ class DealerPrep:
         p = self.params
 
         def gen():
-            comps = [reduce_mod(self.rng.integers(0, 1 << 63, n, dtype=np.uint64), p.L)
-                     for _ in range(3)]
+            comps = [self.rng.integers(0, p.L, n, dtype=dtype_for(p.L)) for _ in range(3)]
             x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
             alpha = wrap3(comps[0], comps[1], comps[2], p.L)
             bits = bit_decompose(x, p)  # (ell, n) planes

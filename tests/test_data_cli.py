@@ -316,6 +316,22 @@ def test_cli_bad_input_file_reports_error(mini_setup, capsys, bad):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["infer", "--weights", "mini.ckpt", "--offset", "400"],
+    ["train", "--eval-count", "400"],
+    ["train", "--eval-count", "500"],
+    ["train", "--train-count", "4", "--eval-count", "50"],
+], ids=["infer-offset-past-end", "train-eval-takes-all", "train-eval-past-end", "train-below-batch"])
+def test_cli_empty_image_slice_reports_error(mini_setup, capsys, flags):
+    # the store holds 400 images: each command selects too few of them
+    d, store, net_path = mini_setup
+    flags = [str(d / f) if f.endswith(".ckpt") else f for f in flags]
+    extra = ["--iters", "1", "--batch", "8"] if flags[0] == "train" else []
+    rc = cli.main(flags + ["--net", net_path, "--data", store] + extra)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_file_prep_mode(mini_setup, capsys):
     d, store, net_path = mini_setup
     prep_base = str(d / "prep.bin")

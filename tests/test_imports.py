@@ -1,7 +1,7 @@
 """Every name a falcon module imports is used in that module, every import
 sits at module level and takes no private (underscore) name from another
-falcon module, and every name a falcon function assigns is read in that
-function."""
+falcon module, every name a falcon function assigns is read in that
+function, and the plaintext oracle imports no falcon module but `rings`."""
 
 import ast
 from pathlib import Path
@@ -52,6 +52,23 @@ def private_imports(tree: ast.Module) -> list:
                   if isinstance(node, ast.ImportFrom)
                   and (node.level or (node.module or "").split(".")[0] == "falcon")
                   for alias in node.names if alias.name.startswith("_"))
+
+
+def falcon_imports(tree: ast.Module) -> list:
+    """Falcon modules imported relatively or by the package name: (line,
+    module) each, with `from . import x` naming module x."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {(node.lineno, alias.name.removeprefix("falcon.")) for alias in node.names
+                      if alias.name.split(".")[0] == "falcon"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "falcon"):
+            if node.module in (None, "falcon"):
+                found |= {(node.lineno, alias.name) for alias in node.names}
+            else:
+                found.add((node.lineno, node.module.removeprefix("falcon.")))
+    return sorted(found)
 
 
 def dead_locals(tree: ast.Module) -> list:
@@ -150,3 +167,21 @@ def test_no_function_assigns_a_name_it_never_reads():
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_scan_lists_the_falcon_modules_imported():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from .rings import signed\n"
+        "from . import rss, rings\n"
+        "from falcon.protocols import relu\n"
+        "import falcon.nn\n")
+    assert falcon_imports(tree) == [(2, "rings"), (3, "rings"), (3, "rss"), (4, "protocols"),
+                                    (5, "nn")]
+
+
+def test_oracle_imports_no_falcon_module_but_rings():
+    # the plaintext references stay independent of the protocol code they
+    # check, so a shared bug cannot make both sides agree
+    found = falcon_imports(ast.parse((SRC / "oracle.py").read_text()))
+    assert found and {module for _, module in found} == {"rings"}

@@ -72,6 +72,20 @@ def conv_bn_net():
     )
 
 
+def conv_bn_fc_net():
+    # bn feeds fc directly, so fc's flat delta must regain bn's image shape
+    return NetworkSpec(
+        name="tiny-conv-bn-fc",
+        input_shape=(1, 4, 4),
+        classes=3,
+        layers=[
+            LayerSpec("conv", in_ch=1, out_ch=2, kernel=3, stride=1, pad=1),
+            LayerSpec("bn"),
+            LayerSpec("fc", in_dim=32, out_dim=3),
+        ],
+    )
+
+
 def pool3_net():
     # odd fan-in and overlapping windows, as in alexnet-cifar10's first pool
     return NetworkSpec(
@@ -166,7 +180,8 @@ def test_zero_input_zero_bias_gives_zero_logits():
 # (uint32 words with 8 spare bits) and a 64-bit one (uint64 words)
 _FORWARD_CELLS = [
     *(pytest.param(m, PARAMS, id=m.__name__) for m in (tiny_fc_net, tiny_conv_net, bn_net,
-                                                        conv_bn_net, pool3_net, strided_net)),
+                                                        conv_bn_net, conv_bn_fc_net, pool3_net,
+                                                        strided_net)),
     *(pytest.param(m, params, id=f"{m.__name__}-ell{params.ell}")
       for params in (RingParams(ell=24, fp=8), RingParams(ell=64, fp=13))
       for m in (tiny_fc_net, tiny_conv_net, pool3_net)),
@@ -222,8 +237,8 @@ def _secure_train_step(net, fparams, batch_raw, onehot, lr_shift, seed=0):
     return run_shared(PARAMS, job, seed=seed)[0]
 
 
-@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net, pool3_net,
-                                   strided_net])
+@pytest.mark.parametrize("maker", [tiny_fc_net, tiny_conv_net, bn_net, conv_bn_net,
+                                   conv_bn_fc_net, pool3_net, strided_net])
 def test_training_step_bit_exact_vs_fx(maker):
     net = maker()
     fparams = init_float_params(net, seed=7)
@@ -357,12 +372,14 @@ def test_gradients_match_finite_differences():
             assert rel.max() < 1e-2, f"{k}: rel err {rel.max()}"
 
 
-def test_float_finite_difference_self_check():
-    # the float backward itself agrees with central differences (oracle sanity)
-    net = tiny_fc_net()
+@pytest.mark.parametrize("maker", [tiny_fc_net, strided_net, pool3_net, bn_net, conv_bn_fc_net])
+def test_float_finite_difference_self_check(maker):
+    # the float backward itself agrees with central differences (oracle
+    # sanity) for every parameter of fc, conv, maxpool and bn layers
+    net = maker()
     fparams = init_float_params(net, seed=21)
     rng = np.random.default_rng(22)
-    batch = rng.uniform(-1, 1, (3, 6))
+    batch = rng.uniform(-1, 1, (3,) + net.input_shape)
     labels = rng.integers(0, 3, 3)
     onehot = np.eye(3)[labels]
 
@@ -377,9 +394,10 @@ def test_float_finite_difference_self_check():
     grads = O.float_backward(net, fparams, caches, {0: delta}[0] / len(batch))
 
     eps = 1e-5
-    for k in ("0.w", "2.w"):
+    assert grads.keys() == fparams.keys()
+    for k in fparams:
         flat = fparams[k].ravel()
-        for idx in rng.choice(flat.size, 5, replace=False):
+        for idx in rng.choice(flat.size, min(5, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
             up = loss(fparams)
@@ -387,7 +405,7 @@ def test_float_finite_difference_self_check():
             dn = loss(fparams)
             flat[idx] = orig
             fd = (up - dn) / (2 * eps)
-            assert abs(grads[k].ravel()[idx] - fd) < 1e-4
+            assert abs(grads[k].ravel()[idx] - fd) < 1e-4, f"{k}[{idx}]"
 
 
 def test_sgd_zero_grad_keeps_weights_and_lr_semantics():

@@ -76,18 +76,21 @@ def test_dealer_trunc_pair_fixed_values():
     assert np.array_equal(rs, shift_signed(r, PARAMS.fp, PARAMS))
 
 
-def test_dealer_wrap_rands_alpha_matches_components():
-    dealers = _dealers(PARAMS, seed=2)
+@pytest.mark.parametrize("params", [PARAMS, RingParams(ell=64, fp=13)], ids=lambda p: p.ell)
+def test_dealer_wrap_rands_alpha_matches_components(params):
+    dealers = _dealers(params, seed=2)
     wr = [d.wrap_rands(1000) for d in dealers]
-    # alpha equals wrap3 of the actual emitted components
+    # each component is uniform over the whole ring, its top half included
     comps = (wr[0].x.lo, wr[1].x.lo, wr[2].x.lo)
+    assert all(c.dtype == dtype_for(params.L) and (c >= params.L // 2).any() for c in comps)
+    # alpha equals wrap3 of the actual emitted components
     alpha = reconstruct_all([w.alpha for w in wr])
-    assert np.array_equal(alpha, wrap3(*comps, PARAMS.L))
+    assert np.array_equal(alpha, wrap3(*comps, params.L))
     # bit sharing matches the reconstructed x
     x = reconstruct_all([w.x for w in wr])
     bits = reconstruct_all([w.xbits for w in wr])  # (ell, n) planes
-    weights = np.uint64(1) << np.arange(PARAMS.ell, dtype=np.uint64)
-    assert np.array_equal((bits * weights[:, None]).sum(axis=0) % (1 << PARAMS.ell), x)
+    weights = np.uint64(1) << np.arange(params.ell, dtype=np.uint64)
+    assert np.array_equal((bits * weights[:, None]).sum(axis=0, dtype=np.uint64), x)
 
 
 def test_dealer_bit_pairs():
