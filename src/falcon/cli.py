@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -67,9 +68,26 @@ def main(argv=None) -> int:
         return 4
 
 
+def at_least(low: int):
+    """An argparse type: an integer no less than low."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return value
+    return integer
+
+
+def seconds(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text}")
+    return value
+
+
 def matmul_dims(text: str) -> tuple:  # argparse reports a ValueError as an invalid value
     dims = tuple(int(v) for v in text.split(","))
-    if len(dims) != 3:
+    if len(dims) != 3 or min(dims) < 1:
         raise ValueError(text)
     return dims
 
@@ -96,17 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
         ring(p)
         p.add_argument("--prep", type=prep_mode, default="dealer", help="dealer | distributed | file:<path>")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--timeout", type=float, default=30.0, help="transport timeout (seconds)")
+        p.add_argument("--timeout", type=seconds, default=30.0, help="transport timeout (seconds)")
         p.add_argument("--json", action="store_true", dest="as_json")
 
     b = sub.add_parser("bench", help="measure a protocol against its analytic cost")
     common(b)
     b.add_argument("--protocol", default="relu",
                    choices=["mult", "matmul", "pc", "wa", "drelu", "relu", "maxpool", "pow", "div", "bn"])
-    b.add_argument("--n", type=int, default=1000)
+    b.add_argument("--n", type=at_least(1), default=1000)
     b.add_argument("--dims", type=matmul_dims, default=(4, 4, 4), help="matmul dims x,y,z")
-    b.add_argument("--pool", type=int, default=4, help="maxpool window elements")
-    b.add_argument("--groups", type=int, default=1, help="bn normalization groups")
+    b.add_argument("--pool", type=at_least(2), default=4, help="maxpool window elements")
+    b.add_argument("--groups", type=at_least(1), default=1, help="bn normalization groups")
     b.add_argument("--reference", action="store_true", help="print published end-to-end timings")
     b.set_defaults(func=cmd_bench)
 
@@ -115,21 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--net", required=True)
     i.add_argument("--weights", required=True, help="ring checkpoint or float .npz")
     i.add_argument("--data", required=True, help="tensor store from ingest-mnist")
-    i.add_argument("--count", type=int, default=100)
-    i.add_argument("--offset", type=int, default=0)
+    i.add_argument("--count", type=at_least(1), default=100)
+    i.add_argument("--offset", type=at_least(0), default=0)
     i.set_defaults(func=cmd_infer)
 
     t = sub.add_parser("train", help="secure SGD training")
     common(t)
     t.add_argument("--net", required=True)
     t.add_argument("--data", required=True)
-    t.add_argument("--iters", type=int, default=200)
-    t.add_argument("--batch", type=int, default=32)
+    t.add_argument("--iters", type=at_least(0), default=200)
+    t.add_argument("--batch", type=at_least(1), default=32)
     t.add_argument("--lr-shift", type=int, default=8)
     t.add_argument("--delta-shift", type=int, default=2)
     t.add_argument("--init-seed", type=int, default=3)
-    t.add_argument("--train-count", type=int, default=8000)
-    t.add_argument("--eval-count", type=int, default=1000)
+    t.add_argument("--train-count", type=at_least(0), default=8000)
+    t.add_argument("--eval-count", type=at_least(0), default=1000)
     t.add_argument("--out", default=None, help="ring checkpoint output path")
     t.add_argument("--check-oracle", action="store_true",
                    help="verify final weights equal the plaintext fixed-point twin")
@@ -147,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--json", action="store_true", dest="as_json")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--train-n", type=int, default=10000)
-    s.add_argument("--test-n", type=int, default=2000)
+    s.add_argument("--train-n", type=at_least(0), default=10000)
+    s.add_argument("--test-n", type=at_least(0), default=2000)
     s.set_defaults(func=cmd_synth)
 
     return parser
@@ -394,10 +412,16 @@ def cmd_bench(args) -> int:
 
 
 def load_net(spec: str) -> NetworkSpec:
+    """A built-in net by name, or a network file whose layer shapes chain up to its classes."""
     if spec in BUILTIN:
         return BUILTIN[spec]().swap_relu_maxpool()
-    with open(spec) as f:
-        return NetworkSpec.from_json(f.read()).swap_relu_maxpool()
+    try:
+        with open(spec) as f:
+            net = NetworkSpec.from_json(f.read())
+        net.activation_shapes()
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise FormatError(f"network file {spec}: {type(exc).__name__}: {exc}") from exc
+    return net.swap_relu_maxpool()
 
 
 def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict, dict]:

@@ -33,6 +33,8 @@ class LayerSpec:
         for name, v in asdict(self).items():
             if name != "kind" and v < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.stride < 1:
+            raise ValueError("stride must be at least 1")
 
 
 @dataclass

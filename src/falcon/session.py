@@ -292,7 +292,6 @@ def run_three_parties(
     session_seed: int = 0,
     backend: str = "memory",
     addresses: dict | None = None,
-    fault=None,
     timeout: float = 30.0,
 ):
     """Run fn(session) at all three parties; returns [r1, r2, r3].
@@ -306,7 +305,7 @@ def run_three_parties(
     stop (see _stop_rank); ties go to the lower party.
     """
     if backend == "memory":
-        link_factory = MemoryHub(fault=fault).links
+        link_factory = MemoryHub().links
     elif backend == "tcp":
         def link_factory(i: int) -> PartyLinks:
             # constructed inside each party thread: listeners and dialers

@@ -90,31 +90,6 @@ class CostMeter:
         }
 
 
-class FaultInjector:
-    """Flips the first payload byte of one message (by global delivery index).
-
-    Test fixture for the malicious-abort criteria: tampering is applied at
-    the receiving edge, as an in-transit corruption would be.
-    """
-
-    def __init__(self, message_index: int):
-        self.message_index = message_index
-        self._count = 0
-        self._lock = threading.Lock()
-        self.fired = False
-
-    def apply(self, payload: bytes) -> bytes:
-        with self._lock:
-            idx = self._count
-            self._count += 1
-        if idx != self.message_index or not payload:
-            return payload
-        self.fired = True
-        b = bytearray(payload)
-        b[0] ^= 0x01
-        return bytes(b)
-
-
 class Pipe:
     """One directed in-memory byte channel."""
 
@@ -144,18 +119,19 @@ class Pipe:
 
 
 class MemoryHub:
-    """All six directed pipes of a 3-party session, plus the fault hook."""
+    """All six directed pipes of a 3-party session."""
 
-    def __init__(self, fault: FaultInjector | None = None):
+    def __init__(self):
         self.pipes = {(s, r): Pipe() for s in (1, 2, 3) for r in (1, 2, 3) if s != r}
-        self.fault = fault
 
     def links(self, party: int) -> "PartyLinks":
         return MemoryLinks(self, party)
 
 
 class PartyLinks:
-    """A party's channels to its two peers (backend interface)."""
+    """A party's channels to its two peers (backend interface). Every message
+    the party receives comes out of recv, so a wrapper around it sees all of
+    the party's incoming traffic, whatever the backend."""
 
     party: int
 
@@ -180,13 +156,7 @@ class MemoryLinks(PartyLinks):
         self.hub.pipes[(self.party, msg.receiver)].put(msg)
 
     def recv(self, frm: int, timeout: float) -> Message:
-        msg = self.hub.pipes[(frm, self.party)].get(timeout)
-        if self.hub.fault is not None:
-            msg = Message(
-                msg.session_id, msg.round_tag, msg.sender, msg.receiver,
-                self.hub.fault.apply(msg.payload),
-            )
-        return msg
+        return self.hub.pipes[(frm, self.party)].get(timeout)
 
     def close(self):
         for (s, r), pipe in self.hub.pipes.items():

@@ -23,8 +23,8 @@ from falcon.prep import DealerPrep
 from falcon.rings import RingParams, decode_fixed, encode_fixed, wrap3
 from falcon.rss import share_secret
 from falcon.session import AbortError, ThreatModel, open_share, run_three_parties
-from falcon.transport import FaultInjector
 
+from tamper import RecvTamper
 from test_compare_wrap import chosen_compare_rand, compare_chosen, wrap3_greek_terms
 from test_protocols import run_shared, shared_input, zero_mask
 from test_relu_maxpool import maxpool_onehot
@@ -330,16 +330,16 @@ def test_criterion_7_malicious_abort(pretrained, digits):
     aborted = 0
     leaked = 0
     for site in sites:
-        fault = FaultInjector(int(site))
+        tamper = RecvTamper(int(site))
         try:
-            results = run_three_parties(
-                forward_job, PARAMS, threat=ThreatModel.MALICIOUS,
-                session_seed=7, fault=fault,
+            run_three_parties(
+                tamper.wrap(forward_job), PARAMS, threat=ThreatModel.MALICIOUS,
+                session_seed=7,
             )
             leaked += 1  # run completed despite tampering
         except AbortError:
             aborted += 1
-        assert fault.fired, f"site {site} out of range"
+        assert tamper.fired, f"site {site} out of range"
     verdict(7, aborted == 100 and leaked == 0,
             f"single-byte tampering at 100 sampled reconstruction/reshare sites of a "
             f"{net.name} forward pass ({total_sites} sites total): {aborted}/100 aborted, "

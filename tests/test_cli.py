@@ -107,6 +107,27 @@ def test_prep_is_checked_at_parse_time(capsys, prep):
     assert "--prep" in _refused(capsys, ["bench", "--protocol", "mult", "--n", "4", "--prep", prep])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--protocol", "mult", "--n", "0"],
+    ["bench", "--protocol", "mult", "--n", "-3"],
+    ["bench", "--protocol", "matmul", "--dims", "0,4,4"],
+    ["bench", "--protocol", "maxpool", "--n", "4", "--pool", "1"],
+    ["bench", "--protocol", "bn", "--n", "4", "--groups", "0"],
+    ["bench", "--protocol", "mult", "--n", "4", "--timeout", "0"],
+    ["bench", "--protocol", "mult", "--n", "4", "--timeout", "inf"],
+    ["train", "--net", "network-a", "--data", "nosuch.bin", "--batch", "0"],
+    ["train", "--net", "network-a", "--data", "nosuch.bin", "--batch", "-2"],
+    ["train", "--net", "network-a", "--data", "nosuch.bin", "--eval-count", "-5"],
+    ["synth-data", "--out-dir", "OUT", "--train-n", "-1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_count_and_size_flags_are_checked_when_parsed(tmp_path, capsys, argv):
+    # past its bound each would divide by zero, slice from the end, time out
+    # at once or run on nothing, so argparse refuses it before any work
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    assert argv[-2] in _refused(capsys, argv)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("content", [None, "{not json", json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2]})],
                          ids=["missing", "not_json", "no_party_3"])
 def test_bad_peers_file_is_refused(tmp_path, capsys, content):

@@ -316,6 +316,24 @@ def test_cli_bad_input_file_reports_error(mini_setup, capsys, bad):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "x"',
+    '{"kind": "fcc"}',
+    '{"name": "x", "input_shape": [4], "classes": 3, "layers": [{"kind": "fcc"}]}',
+    '{"name": "x", "input_shape": [4], "classes": 3, "layers": [{"kind": "fc", "in_dim": 4, "out_dim": 2}]}',
+    '{"name": "x", "input_shape": [1, 4, 4], "classes": 16, "layers": '
+    '[{"kind": "conv", "in_ch": 1, "out_ch": 1, "kernel": 1, "stride": 0}]}',
+], ids=["truncated-json", "missing-key", "unknown-layer-kind", "two-values-for-three-classes", "zero-stride"])
+def test_cli_bad_network_file_reports_error(mini_setup, capsys, text):
+    d, store, _ = mini_setup
+    net_path = d / "bad-net.json"
+    net_path.write_text(text)
+    rc = cli.main(["infer", "--net", str(net_path), "--weights", str(d / "mini.ckpt"), "--data", store,
+                   "--count", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: network file {net_path}: ")
+
+
 @pytest.mark.parametrize("flags", [
     ["infer", "--weights", "mini.ckpt", "--offset", "400"],
     ["train", "--eval-count", "400"],

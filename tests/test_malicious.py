@@ -1,5 +1,6 @@
 """Malicious-with-abort behavior: tampering detection, desync, handshake."""
 
+import functools
 import re
 import threading
 
@@ -11,9 +12,11 @@ from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
 from falcon.rss import deserialize_elems, share_secret, wire_nbytes
 from falcon.session import AbortError, ThreatModel, open_share, run_three_parties
-from falcon.transport import ChannelClosed, DesyncError, FaultInjector, Message
+from falcon.transport import ChannelClosed, DesyncError, Message
 
+from tamper import Deviation, RecvTamper
 from test_protocols import shared_input
+from test_transport import _free_port
 
 PARAMS = RingParams(ell=32, fp=13)
 
@@ -39,23 +42,32 @@ def _count_messages(threat):
     return sum(counts.values())
 
 
-def test_malicious_reconstruct_detects_flip():
-    total = _count_messages(ThreatModel.MALICIOUS)
+def _flip_sweep(indices, backend: str = "memory"):
     hits = 0
-    for msg_idx in range(total):
-        fault = FaultInjector(msg_idx)
+    for msg_idx in indices:
+        tamper = RecvTamper(msg_idx)
+        addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)} if backend == "tcp" else None
         try:
             run_three_parties(
-                _job_mult_chain, PARAMS, threat=ThreatModel.MALICIOUS,
-                session_seed=3, fault=fault,
+                tamper.wrap(_job_mult_chain), PARAMS, threat=ThreatModel.MALICIOUS,
+                session_seed=3, backend=backend, addresses=addresses,
             )
             triggered = False
         except AbortError:
             triggered = True
-        if fault.fired:
+        if tamper.fired:
             hits += 1
             assert triggered, f"tampered message {msg_idx} escaped detection"
-    assert hits > 0
+    return hits
+
+
+def test_malicious_reconstruct_detects_flip():
+    assert _flip_sweep(range(_count_messages(ThreatModel.MALICIOUS))) > 0
+
+
+def test_malicious_reconstruct_detects_flip_over_tcp():
+    # the tamper wraps the session's links, so it reaches TcpLinks as well
+    assert _flip_sweep((0, 3, 6, 9), backend="tcp") == 4
 
 
 def test_malicious_products_stay_hidden_from_each_party():
@@ -94,59 +106,28 @@ def test_malicious_products_stay_hidden_from_each_party():
                 assert not np.array_equal(add_mod(own, piece, PARAMS.L), product)
 
 
-class _VictimFault(FaultInjector):
-    """Also records which party thread received the tampered payload."""
-
-    victim_thread = None
-
-    def apply(self, payload: bytes) -> bytes:
-        out = super().apply(payload)
-        if out is not payload:
-            self.victim_thread = threading.get_ident()
-        return out
-
-
 def test_party_that_received_tampered_message_aborts():
     """Whichever message is tampered, its receiver stops at the next opening
     instead of opening a value built on it."""
-    parties = {}
-
     def job(sess):
-        parties[threading.get_ident()] = sess.party.index
         try:
             return _job_mult_chain(sess)
         except AbortError:
             return None
 
     for msg_idx in range(_count_messages(ThreatModel.MALICIOUS)):
-        fault = _VictimFault(msg_idx)
-        out = run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS,
-                                session_seed=3, fault=fault)
-        victim = parties[fault.victim_thread]
-        assert out[victim - 1] is None, f"P{victim} opened a value after message {msg_idx} was tampered"
+        tamper = RecvTamper(msg_idx)
+        out = run_three_parties(tamper.wrap(job), PARAMS, threat=ThreatModel.MALICIOUS,
+                                session_seed=3)
+        assert out[tamper.victim - 1] is None, f"P{tamper.victim} opened a value after message {msg_idx} was tampered"
 
 
 def test_semi_honest_flip_gives_wrong_value_no_abort():
     clean = run_three_parties(_job_mult_chain, PARAMS, session_seed=3)
-    fault = FaultInjector(2)
-    dirty = run_three_parties(_job_mult_chain, PARAMS, session_seed=3, fault=fault)
-    assert fault.fired
+    tamper = RecvTamper(2)
+    dirty = run_three_parties(tamper.wrap(_job_mult_chain), PARAMS, session_seed=3)
+    assert tamper.fired
     assert not all(np.array_equal(c, d) for c, d in zip(clean, dirty))
-
-
-class _WriteModulus:
-    """Overwrites the first element of the first delivered payload with p."""
-
-    def __init__(self):
-        self.fired = False
-        self._lock = threading.Lock()
-
-    def apply(self, payload: bytes) -> bytes:
-        with self._lock:
-            if self.fired:
-                return payload
-            self.fired = True
-        return bytes([PARAMS.p]) + payload[1:]
 
 
 @pytest.mark.parametrize("threat, error", [(ThreatModel.SEMI_HONEST, DesyncError),
@@ -162,10 +143,11 @@ def test_out_of_range_element_is_refused_naming_round_and_sender(threat, error):
                 for _ in range(2))
         return open_share(sess, P.mult(sess, x, y))
 
-    fault = _WriteModulus()
+    # the first element of the first delivered payload becomes p
+    tamper = RecvTamper(0, edit=lambda payload: bytes([PARAMS.p]) + payload[1:])
     with pytest.raises(error, match=r"round 1 \(mult\): P(\d) sent P(\d) element 37,") as info:
-        run_three_parties(job, PARAMS, threat=threat, session_seed=3, fault=fault)
-    assert fault.fired
+        run_three_parties(tamper.wrap(job), PARAMS, threat=threat, session_seed=3)
+    assert tamper.fired
     sender, receiver = map(int, re.search(r"P(\d) sent P(\d)", str(info.value)).groups())
     assert sender == receiver % 3 + 1  # a reshare piece comes from the next party
 
@@ -179,11 +161,11 @@ def test_malicious_relu_flip_aborts():
     baseline = run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS, session_seed=5)
     assert all(np.array_equal(baseline[0], b) for b in baseline)
     for msg_idx in (0, 5, 11, 23):
-        fault = FaultInjector(msg_idx)
+        tamper = RecvTamper(msg_idx)
         with pytest.raises(AbortError):
-            run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS,
-                              session_seed=5, fault=fault)
-        assert fault.fired
+            run_three_parties(tamper.wrap(job), PARAMS, threat=ThreatModel.MALICIOUS,
+                              session_seed=5)
+        assert tamper.fired
 
 
 def test_tampered_compare_round_aborts_its_receiver():
@@ -236,6 +218,49 @@ def test_tampered_compare_round_aborts_its_receiver():
                 assert kind == "abort" and in_round, \
                     f"P{receiver} did not abort in the merged round after message {k} from P{sender}"
                 assert all(o[0] != "output" for o in out)
+
+
+def _job_relu_relu_truncate(sess):
+    sess.prep = DealerPrep(sess.party, PARAMS, seed=6)
+    a = shared_input(sess, encode_fixed(np.linspace(-2, 2, 16), PARAMS), PARAMS.L)
+    return open_share(sess, P.truncate(sess, P.relu(sess, P.relu(sess, a)), 3))
+
+
+def _job_outcome(sess):
+    try:
+        return "output", _job_relu_relu_truncate(sess)
+    except AbortError:
+        sess.links.close()  # the peers stop at their next receive
+        return "abort", None
+    except ChannelClosed:
+        return "closed", None
+
+
+@functools.cache
+def _clean_relu_relu_truncate():
+    out = run_three_parties(_job_relu_relu_truncate, PARAMS, threat=ThreatModel.MALICIOUS,
+                            session_seed=6)
+    assert all(np.array_equal(out[0], o) for o in out)
+    return out[0]
+
+
+@pytest.mark.parametrize("corrupt", [1, 2, 3])
+@pytest.mark.parametrize("tag", ["wa-open-r", "pc-open-d", "open"])
+@pytest.mark.parametrize("kind", ["add", "stale"])
+def test_deviating_party_is_caught_by_its_next_peer(monkeypatch, kind, tag, corrupt):
+    """A party that keeps the wire format but sends its next peer a wrong
+    component of an opening ("add": off by one; "stale": the one it sent in
+    the previous opening of that tag and shape) makes that peer abort, and
+    no party outputs a value other than the clean run's."""
+    clean = _clean_relu_relu_truncate()
+    deviation = Deviation(corrupt, tag, kind)
+    deviation.install(monkeypatch)
+    out = run_three_parties(_job_outcome, PARAMS, threat=ThreatModel.MALICIOUS,
+                            session_seed=6, timeout=10.0)
+    assert deviation.fired
+    assert out[corrupt % 3][0] == "abort", f"P{corrupt % 3 + 1} did not abort: {out}"
+    for index, (kind_of_end, value) in enumerate(out, start=1):
+        assert kind_of_end != "output" or np.array_equal(value, clean), f"P{index} output a wrong value"
 
 
 def test_handshake_rejects_config_mismatch():
