@@ -36,7 +36,7 @@ def job(sess):
     vbits, m_beta, m_xtop = P.compare_products(sess, bits, rand.beta_p, rand.m)
     rand = replace(rand, xbits=bits, vbits=vbits, m_beta=m_beta, m_xtop=m_xtop)
     zero = public_share(sess.party, np.uint64(0), 2, shape=xs.shape)
-    gt = P.private_compare(sess, bits, ts, zero, rand)
+    gt = P.private_compare(sess, ts, zero, rand)
 
     # ReLU over a fixed-point vector, with the round meter
     vals = encode_fixed(np.array([-3.5, -0.25, 0.0, 0.25, 7.75]), params)

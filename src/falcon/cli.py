@@ -23,7 +23,7 @@ from . import nn
 from . import numeric as num
 from . import oracle as O
 from . import protocols as P
-from .data import FormatError, ingest_mnist, load_tensors, write_synth_idx
+from .data import FormatError, check_words, ingest_mnist, load_npz, load_tensors, read_file, write_synth_idx
 from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
 from .prep import (DealerPrep, DistributedPrep, FilePrep, PrepMismatchError, RecordingPrep,
@@ -198,17 +198,16 @@ def prep_path(args, sess: PartySession) -> str:
 
 def load_peers(path: str) -> dict:
     """Party index -> (host, port) from a peers file: {"1": ["host", port], ...}."""
+    blob = read_file(path, "peers file")
     try:
-        with open(path) as f:
-            peers = json.load(f)
-    except OSError as exc:
-        raise FormatError(f"cannot read peers file {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise FormatError(f"peers file {path} is not JSON: {exc}") from exc
-    try:
-        return {i: (str(peers[str(i)][0]), int(peers[str(i)][1])) for i in (1, 2, 3)}
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise FormatError(f"peers file {path} needs a [host, port] for each of parties 1, 2 and 3") from exc
+        peers = json.loads(blob)
+        peers = {i: (str(peers[str(i)][0]), int(peers[str(i)][1])) for i in (1, 2, 3)}
+        if not all(0 < port < 1 << 16 for _, port in peers.values()):
+            raise ValueError("a port is not in 1..65535")
+        return peers
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise FormatError(f"peers file {path} is not JSON with a [host, port] for each of parties "
+                          f"1, 2 and 3: {type(exc).__name__}: {exc}") from exc
 
 
 def run_cmd(args, fn, config_extra: bytes = b""):
@@ -335,7 +334,7 @@ def bench_call(sess: PartySession, args):
         case "pc":  # as DReLU runs it: on preprocessed bits, drawn before the call
             rand = sess.prep.wrap_rands(n)
             targets = ring_elems()
-            return lambda: P.private_compare(sess, rand.xbits, targets, zero(), rand)
+            return lambda: P.private_compare(sess, targets, zero(), rand)
         case "wa":
             a = sh(ring_elems())
             return lambda: P.wrap3_protocol(sess, a, zero())
@@ -415,9 +414,9 @@ def load_net(spec: str) -> NetworkSpec:
     """A built-in net by name, or a network file whose layer shapes chain up to its classes."""
     if spec in BUILTIN:
         return BUILTIN[spec]().swap_relu_maxpool()
+    blob = read_file(spec, "network file")
     try:
-        with open(spec) as f:
-            net = NetworkSpec.from_json(f.read())
+        net = NetworkSpec.from_json(blob)
         net.activation_shapes()
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         raise FormatError(f"network file {spec}: {type(exc).__name__}: {exc}") from exc
@@ -427,15 +426,14 @@ def load_net(spec: str) -> NetworkSpec:
 def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict, dict]:
     """Returns (raw ring weights, float weights for the reference oracle) of
     every `<layer>.<param>` of the net, once each is present in its shape and,
-    for a float `.npz`, inside the fixed-point range."""
+    for a float `.npz`, real numbers inside the fixed-point range."""
     npz = path.endswith(".npz")
     if npz:
-        with np.load(path) as archive:
-            weights = dict(archive)
+        weights = load_npz(path)
     else:
         weights, ck_params = nn.load_checkpoint(path)
         if (ck_params.ell, ck_params.fp) != (params.ell, params.fp):
-            raise FormatError("checkpoint ring parameters do not match the session")
+            raise FormatError(f"{path}: ring parameters do not match the session")
     raws, floats = {}, {}
     for key, want in net.param_layout():
         if key not in weights:
@@ -446,6 +444,8 @@ def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict,
         if not npz:
             raws[key], floats[key] = value, decode_fixed(value, params)
             continue
+        if value.dtype.kind not in "biuf":
+            raise FormatError(f"{path}: {key!r} holds {value.dtype}, not real numbers")
         try:
             raws[key], floats[key] = encode_fixed(value, params), value
         except OverflowError as exc:
@@ -453,24 +453,30 @@ def load_weights(path: str, params: RingParams, net: NetworkSpec) -> tuple[dict,
     return raws, floats
 
 
-def _as_net_input(net: NetworkSpec, images: np.ndarray) -> np.ndarray:
-    """Images shaped as the net's input: flat rows, or (C, H, W) each."""
-    return images.reshape((len(images),) + tuple(net.input_shape))
+def load_images(path: str, net: NetworkSpec, params: RingParams) -> tuple[np.ndarray, np.ndarray]:
+    """(images shaped as the net's input, int64 labels) of a tensor store
+    that holds one label per image and ring words that fit the net."""
+    store = load_tensors(path)
+    if "images" not in store or "labels" not in store:
+        raise FormatError(f"{path}: needs both 'images' and 'labels'")
+    images, labels = store["images"], store["labels"]
+    if images.ndim == 0 or labels.shape != images.shape[:1]:
+        raise FormatError(f"{path}: not one label per image: {labels.shape} labels, {images.shape} images")
+    if math.prod(images.shape[1:]) != math.prod(net.input_shape):
+        raise FormatError(f"{path}: images of shape {images.shape[1:]} do not fit {net.input_shape}")
+    check_words(path, "images", images, params.L)
+    return images.reshape((len(images),) + tuple(net.input_shape)), labels.astype(np.int64)
 
 
 def cmd_infer(args) -> int:
     params = ring_params(args)
     net = load_net(args.net)
     raws, floats = load_weights(args.weights, params, net)
-    store = load_tensors(args.data)
-    lo = args.offset
-    hi = lo + args.count
-    images = store["images"][lo:hi]
-    if not len(images):
-        raise SliceError(f"--offset {lo} --count {args.count} selects none of the "
-                         f"{len(store['images'])} images of {args.data}")
-    labels = store["labels"][lo:hi].astype(np.int64)
-    images = _as_net_input(net, images)
+    images, labels = load_images(args.data, net, params)
+    if args.offset >= len(images):
+        raise SliceError(f"--offset {args.offset} --count {args.count} selects none of the "
+                         f"{len(images)} images of {args.data}")
+    images, labels = (a[args.offset : args.offset + args.count] for a in (images, labels))
     float_images = decode_fixed(images, params)
 
     def job(sess: PartySession):
@@ -520,10 +526,7 @@ def cmd_infer(args) -> int:
 def cmd_train(args) -> int:
     params = ring_params(args)
     net = load_net(args.net)
-    store = load_tensors(args.data)
-    images = store["images"]
-    labels = store["labels"].astype(np.int64)
-    images = _as_net_input(net, images)
+    images, labels = load_images(args.data, net, params)
     n_train = max(0, min(args.train_count, len(images) - args.eval_count))
     if n_train < args.batch:
         raise SliceError(f"--train-count {args.train_count} --eval-count {args.eval_count} leave "
@@ -581,15 +584,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    params = ring_params(args)
-    tensors = ingest_mnist(args.images, args.labels, args.out, params)
-    report = {
-        "images": int(tensors["images"].shape[0]),
-        "shape": list(tensors["images"].shape),
-        "out": args.out,
-    }
-    emit(args, report, [f"ingested {report['images']} images -> {args.out} "
-                        f"(shape {tuple(tensors['images'].shape)})"])
+    shape = ingest_mnist(args.images, args.labels, args.out, ring_params(args))["images"].shape
+    report = {"images": shape[0], "shape": list(shape), "out": args.out}
+    emit(args, report, [f"ingested {shape[0]} images -> {args.out} (shape {shape})"])
     return 0
 
 

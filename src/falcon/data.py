@@ -1,4 +1,6 @@
-"""Dataset handling: IDX parsing, the binary tensor store, synthetic digits.
+"""Every file the package reads or writes (IDX, the tensor container, float
+.npz archives) and synthetic digits. `read_file` opens each input file, so
+one that cannot be read or does not parse raises FormatError naming it.
 
 The build environment has no network access, so a deterministic synthetic
 28x28 digit dataset stands in for MNIST: glyph rendering with seeded
@@ -8,66 +10,79 @@ files (magic 0x803/0x801) so the ingestion path exercises the real format.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
+import zipfile
+import zlib
 
 import numpy as np
 
 from .rings import RingParams, encode_fixed
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 STORE_MAGIC = b"FALTENS1"
 
 
 class FormatError(ValueError):
-    """A file's content does not parse as the format its reader expects."""
+    """An input file cannot be read, or does not parse as its format."""
+
+
+def read_file(path: str, what: str) -> bytes:
+    """The bytes of the `what` file at path, or FormatError naming it if it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def check_words(path: str, key: str, arr: np.ndarray, modulus: int):
+    """Refuse an entry that is not unsigned integers below modulus (<= 2^64)."""
+    if arr.dtype.kind != "u":
+        raise FormatError(f"{path}: {key!r} holds {arr.dtype}, not unsigned integers")
+    if modulus < 1 << 64 and arr.size and int(arr.max()) >= modulus:
+        raise FormatError(f"{path}: {key!r} holds {int(arr.max())}, not below {modulus}")
 
 
 # ---------------------------------------------------------------------------
-# IDX files
+# IDX files: a big-endian magic 0x800 + ndim (unsigned bytes), the ndim
+# dimensions (u32 each), then the bytes
 
 
-def read_idx_images(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        head = f.read(16)
-        if len(head) != 16:
-            raise FormatError("truncated IDX image header")
-        magic, n, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"bad IDX image magic 0x{magic:08x}")
-        body = f.read(n * rows * cols)
-        if len(body) != n * rows * cols:
-            raise FormatError("truncated IDX image body")
-        return np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols)
+def read_idx(path: str, ndim: int) -> np.ndarray:
+    blob = read_file(path, "IDX file")
+    head = 4 * (1 + ndim)
+    if len(blob) < head:
+        raise FormatError(f"{path}: truncated IDX header")
+    magic, *shape = struct.unpack_from(f">{1 + ndim}I", blob)
+    if magic != 0x800 + ndim:
+        raise FormatError(f"{path}: bad IDX magic 0x{magic:08x}, not 0x{0x800 + ndim:08x}")
+    if len(blob) - head != math.prod(shape):
+        raise FormatError(f"{path}: IDX body of {len(blob) - head} bytes, not {math.prod(shape)}")
+    return np.frombuffer(blob, np.uint8, offset=head).reshape(shape)
 
 
-def read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) != 8:
-            raise FormatError("truncated IDX label header")
-        magic, n = struct.unpack(">II", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"bad IDX label magic 0x{magic:08x}")
-        body = f.read(n)
-        if len(body) != n:
-            raise FormatError("truncated IDX label body")
-        return np.frombuffer(body, dtype=np.uint8)
-
-
-def write_idx_images(path: str, images: np.ndarray):
-    n, rows, cols = images.shape
+def write_idx(path: str, array: np.ndarray):
+    array = np.asarray(array, np.uint8)
     with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(np.asarray(images, np.uint8).tobytes())
+        f.write(struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes())
 
 
-def write_idx_labels(path: str, labels: np.ndarray):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        f.write(np.asarray(labels, np.uint8).tobytes())
+# ---------------------------------------------------------------------------
+# numpy archives: float weights
+
+
+def load_npz(path: str) -> dict:
+    """The arrays of a numpy .npz archive, read without unpickling."""
+    blob = read_file(path, "npz file")
+    try:
+        archive = np.load(io.BytesIO(blob), allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        return dict(archive)
+    except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:  # a damaged archive
+        raise FormatError(f"{path}: not an .npz archive: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +113,7 @@ def save_tensors(path: str, tensors: dict, magic: bytes = STORE_MAGIC):
 def load_tensors(path: str, magic: bytes = STORE_MAGIC) -> dict:
     """Read a container written with the same magic; any other content
     raises FormatError. Arrays are read-only views of the file's bytes."""
-    with open(path, "rb") as f:
-        blob = memoryview(f.read())
+    blob = memoryview(read_file(path, f"{magic.decode()} file"))
     if blob[: len(magic)] != magic:
         raise FormatError(f"{path}: not a {magic.decode()} file")
     pos = len(magic)
@@ -135,12 +149,10 @@ def load_tensors(path: str, magic: bytes = STORE_MAGIC) -> dict:
 
 def ingest_mnist(image_path: str, label_path: str, out_path: str, params: RingParams) -> dict:
     """Parse IDX files, scale pixels to [0, 1) fixed point, persist and return."""
-    images = read_idx_images(image_path)
-    labels = read_idx_labels(label_path)
+    images, labels = read_idx(image_path, 3), read_idx(label_path, 1)
     if len(images) != len(labels):
-        raise FormatError("image/label counts differ")
-    raw = encode_fixed(images.astype(np.float64) / 256.0, params)
-    tensors = {"images": raw, "labels": labels, "pixels": images}
+        raise FormatError(f"{image_path} holds {len(images)} images, {label_path} {len(labels)} labels")
+    tensors = {"images": encode_fixed(images / 256.0, params), "labels": labels, "pixels": images}
     save_tensors(out_path, tensors)
     return tensors
 
@@ -205,16 +217,10 @@ def synth_digits(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def write_synth_idx(dirpath: str, n_train: int = 10_000, n_test: int = 2_000, seed: int = 7):
     """Materialize the synthetic corpus as IDX files; returns the four paths."""
     os.makedirs(dirpath, exist_ok=True)
-    tr_img, tr_lab = synth_digits(n_train, seed=seed)
-    te_img, te_lab = synth_digits(n_test, seed=seed + 1)
-    paths = {
-        "train_images": os.path.join(dirpath, "train-images-idx3-ubyte"),
-        "train_labels": os.path.join(dirpath, "train-labels-idx1-ubyte"),
-        "test_images": os.path.join(dirpath, "t10k-images-idx3-ubyte"),
-        "test_labels": os.path.join(dirpath, "t10k-labels-idx1-ubyte"),
-    }
-    write_idx_images(paths["train_images"], tr_img)
-    write_idx_labels(paths["train_labels"], tr_lab)
-    write_idx_images(paths["test_images"], te_img)
-    write_idx_labels(paths["test_labels"], te_lab)
+    paths = {}
+    for split, prefix, n, s in (("train", "train", n_train, seed), ("test", "t10k", n_test, seed + 1)):
+        for kind, array in zip(("images", "labels"), synth_digits(n, seed=s)):
+            key = f"{split}_{kind}"  # the file as MNIST names it, e.g. t10k-labels-idx1-ubyte
+            paths[key] = os.path.join(dirpath, f"{prefix}-{kind}-idx{array.ndim}-ubyte")
+            write_idx(paths[key], array)
     return paths

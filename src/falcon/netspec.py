@@ -78,7 +78,7 @@ class NetworkSpec:
         )
 
     @staticmethod
-    def from_json(text: str) -> "NetworkSpec":
+    def from_json(text: str | bytes) -> "NetworkSpec":
         doc = json.loads(text)
         return NetworkSpec(
             name=doc["name"],

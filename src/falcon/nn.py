@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, load_tensors, save_tensors
+from .data import FormatError, check_words, load_tensors, save_tensors
 from .netspec import LayerSpec, NetworkSpec, init_float_params
 from .numeric import divide, rescale
 from .protocols import (
@@ -363,4 +363,6 @@ def load_checkpoint(path: str) -> tuple[dict, RingParams]:
         params = RingParams(ell=int(ring[0]), fp=int(ring[2]))
     except RingError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    for name, arr in tensors.items():  # the weights are ring words
+        check_words(path, name, arr, params.L)
     return tensors, params

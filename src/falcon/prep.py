@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import FormatError, load_tensors, save_tensors
+from .data import FormatError, check_words, load_tensors, save_tensors
 from .protocols import compare_products, mult
 from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
@@ -433,10 +433,7 @@ def load_prep_file(path: str, party: PartyId, params: RingParams) -> dict:
         # shares are stored narrow (uint8) for Z_2 and Z_p, so a larger value
         # would be truncated, and one in [p, 256) breaks the kernels' invariant
         for part in (lo, hi):
-            if part.dtype.kind != "u":
-                raise FormatError(f"{path}: {key!r} holds {part.dtype}, not unsigned integers")
-            if mod < 1 << 64 and part.size and int(part.max()) >= mod:
-                raise FormatError(f"{path}: {key!r} holds {int(part.max())}, not below {mod}")
+            check_words(path, key, part, mod)
         return RssShare(lo, hi, mod)
 
     records = {}

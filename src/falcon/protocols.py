@@ -180,33 +180,30 @@ def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> 
 # private compare
 
 
-def private_compare(sess: PartySession, xbits: RssShare, t, mask: RssShare, rand) -> np.ndarray:
+def private_compare(sess: PartySession, t, mask: RssShare, rand) -> np.ndarray:
     """The public bit (x > t) xor m, for public t in [0, 2^ell) and a mask m
     shared over Z_2 of shape (n,); a zero sharing opens the bit itself.
 
-    xbits holds the little-endian bits of x over Z_p as bit-major planes,
-    shape (ell, n), plane i the bits x[i] of every instance. Each
+    rand is x's preprocessed `WrapRand`: its xbits, the little-endian bits
+    of x over Z_p as bit-major (ell, n) planes, its blinding (beta2, beta_p
+    and the nonzero m~ of the mask m = m~ (1 - 2 beta)) and their products
+    (`compare_products`), so the compare multiplies nothing before its tree.
+    Each
     instance compares x with t' = t + (1 - beta) and multiplies ell factors
     below p (see `_pc_factors`), the mask folded into the top one, in
     ceil(log2 ell) tree levels. The masked product d and the blinding bit
     xor m open in one round, and d unblinds the opened bit. At
     t = 2^ell - 1 the answer is 0.
-
-    rand is the preprocessed `WrapRand` that xbits come from: it carries the
-    blinding (beta2, beta_p and the nonzero m~ of the mask m = m~ (1 - 2 beta))
-    and its products with x's bits (`compare_products`), so the compare
-    multiplies nothing before its tree.
     """
     ell = sess.params.ell
-    nb, n = xbits.shape
+    nb, n = rand.xbits.shape
     if nb != ell:
         raise ValueError(f"expected {ell} shared bits, got {nb}")
     t = np.asarray(t).reshape(n)
     if ell < 64 and np.any(t >> ell):
         raise ValueError("public operand is not below 2^ell")
     t = t.astype(dtype_for(sess.params.L), copy=False)
-    factors = _pc_factors(sess, xbits, t, rand.beta_p, rand.m, rand.vbits, rand.m_beta,
-                          rand.m_xtop)
+    factors = _pc_factors(sess, t, rand)
     top = t == (1 << ell) - 1
     del t  # the tree needs the factors alone
     return _pc_core(sess, factors, rand.beta2, top, mask)
@@ -252,10 +249,10 @@ def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.nda
 PC_BLOCK_ROWS = 4096
 
 
-def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssShare,
-                m: RssShare, v: RssShare, m_beta: RssShare, m_xtop: RssShare) -> RssShare:
+def _pc_factors(sess: PartySession, t: np.ndarray, rand) -> RssShare:
     """The ell factors of each instance, (ell, n) planes over Z_p: c[0..ell-2]
-    and m c[ell-1]. Local only, built in column blocks of the planes.
+    and m c[ell-1], from the `WrapRand` rand. Local only, built in column
+    blocks of the planes.
 
     x is compared with t' = t + (1 - beta), whose bits are
     t'[i] = t[i] xor (1 - beta) M[i] for the public M = t xor (t + 1), so
@@ -281,7 +278,7 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
     """
     params = sess.params
     p, ell = params.p, params.ell
-    n = xbits.shape[1]
+    n = rand.xbits.shape[1]
     # each factor's signed sum lies in (-2 ell p, (2 ell + 1) p); adding
     # `lift`, a multiple of p, puts it in [0, 2^16) (p <= 67, ell <= 64).
     # int16 arithmetic wraps mod 2^16, so the uint16 view is exact even
@@ -312,9 +309,9 @@ def _pc_factors(sess: PartySession, xbits: RssShare, t: np.ndarray, beta_p: RssS
         mtop = mf[-1] if r == ell else 0
         fold = (1 - tb[-1] - mtop, mtop - 2)  # m~'s and m~ beta's in m c[ell-1]
         for j, comp in enumerate(("lo", "hi")):
-            x, vj = (getattr(a, comp)[:, cols].astype(np.int16) for a in (xbits, v))
+            x, vj = (getattr(a, comp)[:, cols].astype(np.int16) for a in (rand.xbits, rand.vbits))
             beta, mj, mb, mx = (getattr(a, comp)[cols].astype(np.int16)
-                                for a in (beta_p, m, m_beta, m_xtop))
+                                for a in (rand.beta_p, rand.m, rand.m_beta, rand.m_xtop))
             f = on_beta * beta
             f += vj
             vm = vj[:r]
@@ -390,7 +387,7 @@ def wrap3_protocol(sess: PartySession, a: RssShare, mask: RssShare) -> np.ndarra
     # theta = beta1 + beta2 + beta3 + delta - eta - alpha (mod 2); all but
     # eta is known now, so the mask reaches the compare as m xor known
     known = xor_public(sess, add_shares(beta_bits, wrand.alpha), delta)
-    opened = private_compare(sess, wrand.xbits, r, add_shares(mask.reshape(n), known), wrand)
+    opened = private_compare(sess, r, add_shares(mask.reshape(n), known), wrand)
     return opened.reshape(shape)
 
 

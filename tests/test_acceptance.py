@@ -474,7 +474,7 @@ def test_criterion_10_cost_model():
     cases = [
         ("matmul", mk_matmul, lambda s, i: P.matmul(s, *i, truncate_after=False), dict(dims=(4, 4, 4))),
         ("pc", mk_bits,
-         lambda s, i: P.private_compare(s, i[0].xbits, pc_targets, zero_mask(s, n), i[0]), {}),
+         lambda s, i: P.private_compare(s, pc_targets, zero_mask(s, n), i[0]), {}),
         ("wa", mk_vec, lambda s, i: P.wrap3_protocol(s, i[0], zero_mask(s, n)), {}),
         ("drelu", mk_vec, lambda s, i: P.drelu(s, i[0], zero_mask(s, n)), {}),
         ("relu", mk_vec, lambda s, i: P.relu(s, i[0]), {}),

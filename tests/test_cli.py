@@ -128,8 +128,10 @@ def test_count_and_size_flags_are_checked_when_parsed(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("content", [None, "{not json", json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2]})],
-                         ids=["missing", "not_json", "no_party_3"])
+@pytest.mark.parametrize("content", [
+    None, "{not json", json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2]}),
+    json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2], "3": ["127.0.0.1", 65536]}),
+], ids=["missing", "not_json", "no_party_3", "port_65536"])
 def test_bad_peers_file_is_refused(tmp_path, capsys, content):
     peers = tmp_path / "peers.json"
     if content is not None:

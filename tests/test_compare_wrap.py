@@ -32,7 +32,7 @@ def chosen_compare_rand(sess, xs):
 def compare_chosen(sess, xs, ts, mask):
     """private_compare of the chosen x against ts on `chosen_compare_rand`."""
     rand = chosen_compare_rand(sess, xs)
-    return P.private_compare(sess, rand.xbits, ts, mask, rand)
+    return P.private_compare(sess, ts, mask, rand)
 
 
 def test_private_compare_examples():
@@ -46,9 +46,9 @@ def test_private_compare_examples():
         # t = 2^ell is not an ell-bit value: refused before any message
         r0 = sess.meter.rounds
         with pytest.raises(ValueError, match="below 2\\^ell"):
-            P.private_compare(sess, rand.xbits, np.array([0, 0, 0, 256], np.uint64), zero, rand)
+            P.private_compare(sess, np.array([0, 0, 0, 256], np.uint64), zero, rand)
         rounds = sess.meter.rounds - r0
-        return P.private_compare(sess, rand.xbits, r, zero, rand), rounds
+        return P.private_compare(sess, r, zero, rand), rounds
 
     got, rounds = run_shared(params, job)[0]
     assert rounds == 0
@@ -119,7 +119,7 @@ def test_private_compare_rounds():
     def job(sess):
         rand = chosen_compare_rand(sess, np.arange(8, dtype=np.uint64))
         r0 = sess.meter.rounds
-        P.private_compare(sess, rand.xbits, np.full(8, 5, np.uint64), zero_mask(sess, 8), rand)
+        P.private_compare(sess, np.full(8, 5, np.uint64), zero_mask(sess, 8), rand)
         return sess.meter.rounds - r0
 
     rounds = run_shared(params, job)[0]

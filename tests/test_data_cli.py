@@ -13,10 +13,10 @@ from falcon.data import (
     FormatError,
     ingest_mnist,
     load_tensors,
-    read_idx_images,
+    read_idx,
     save_tensors,
     synth_digits,
-    write_idx_labels,
+    write_idx,
     write_synth_idx,
 )
 from falcon.prep import DealerPrep, RecordingPrep, load_prep_file, save_prep_file
@@ -35,7 +35,7 @@ def corpus(tmp_path_factory):
 
 def test_idx_roundtrip(corpus):
     _, paths = corpus
-    imgs = read_idx_images(paths["train_images"])
+    imgs = read_idx(paths["train_images"], 3)
     assert imgs.shape == (400, 28, 28)
     assert imgs.dtype == np.uint8
 
@@ -44,7 +44,7 @@ def test_idx_bad_magic(tmp_path):
     p = tmp_path / "bad"
     p.write_bytes(b"\x00\x00\x08\x04" + b"\x00" * 12)
     with pytest.raises(FormatError):
-        read_idx_images(str(p))
+        read_idx(str(p), 3)
 
 
 def test_idx_truncated(corpus, tmp_path):
@@ -53,7 +53,7 @@ def test_idx_truncated(corpus, tmp_path):
     p = tmp_path / "trunc"
     p.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
-        read_idx_images(str(p))
+        read_idx(str(p), 3)
 
 
 def test_ingest_scaling(corpus, tmp_path):
@@ -61,7 +61,7 @@ def test_ingest_scaling(corpus, tmp_path):
     out = tmp_path / "store.bin"
     tensors = ingest_mnist(paths["train_images"], paths["train_labels"], str(out), PARAMS)
     # pixel p maps to encode(p/256); 255 -> 255/256, strictly below one
-    imgs = read_idx_images(paths["train_images"])
+    imgs = read_idx(paths["train_images"], 3)
     expect = encode_fixed(imgs.astype(np.float64) / 256.0, PARAMS)
     assert np.array_equal(tensors["images"], expect)
     loaded = load_tensors(str(out))
@@ -72,7 +72,7 @@ def test_ingest_scaling(corpus, tmp_path):
 
 def test_ingest_mismatched_counts(corpus, tmp_path):
     _, paths = corpus
-    write_idx_labels(str(tmp_path / "short"), np.zeros(7, np.uint8))
+    write_idx(str(tmp_path / "short"), np.zeros(7, np.uint8))
     with pytest.raises(FormatError):
         ingest_mnist(paths["train_images"], str(tmp_path / "short"), str(tmp_path / "o"), PARAMS)
 
@@ -95,7 +95,7 @@ def test_cli_synth_then_ingest(tmp_path, capsys):
                    "--out", store, "--ring-bits", "32", "--fp-bits", "16", "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["images"] == 40
-    imgs = read_idx_images(paths["train_images"])
+    imgs = read_idx(paths["train_images"], 3)
     params = RingParams(ell=32, fp=16)
     assert np.array_equal(load_tensors(store)["images"], encode_fixed(imgs / 256.0, params))
     # the data commands take no three-party session flags
@@ -392,7 +392,8 @@ def test_cli_float_npz_weights_import(mini_setup, capsys):
     assert report["count"] == 6 and report["agreement"] >= 5
 
 
-@pytest.mark.parametrize("bad", ["huge", "nan", "missing", "shape", "checkpoint-shape"])
+@pytest.mark.parametrize("bad", ["huge", "nan", "text", "complex", "missing", "shape",
+                                 "checkpoint-shape"])
 def test_cli_weights_that_do_not_fit_the_net(mini_setup, capsys, monkeypatch, bad):
     # a value beyond the fixed-point range or not a number, a missing
     # parameter and one of the wrong shape are refused with status 2,
@@ -405,6 +406,8 @@ def test_cli_weights_that_do_not_fit_the_net(mini_setup, capsys, monkeypatch, ba
     key = "0.b" if bad == "missing" else "0.w"
     if bad in ("huge", "nan"):
         fparams[key][0, 0] = 1e6 if bad == "huge" else np.nan
+    elif bad in ("text", "complex"):
+        fparams[key] = np.full(fparams[key].shape, "w" if bad == "text" else 1j)
     elif bad == "missing":
         del fparams[key]
     else:

@@ -1,7 +1,8 @@
 """Every name a falcon module imports is used in that module, every import
 sits at module level and takes no private (underscore) name from another
 falcon module, every name a falcon function assigns is read in that
-function, and the plaintext oracle imports no falcon module but `rings`."""
+function, the plaintext oracle imports no falcon module but `rings`, and
+only `data.py` opens a file."""
 
 import ast
 from pathlib import Path
@@ -95,6 +96,25 @@ def dead_locals(tree: ast.Module) -> list:
     return sorted(found)
 
 
+# numpy's and pathlib's file readers and writers, by attribute name
+FILE_METHODS = {"load", "save", "savez", "savez_compressed", "fromfile", "tofile", "memmap",
+                "loadtxt", "savetxt", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_calls(tree: ast.Module) -> list:
+    """Calls that open a file: `open(...)` and any `x.open(...)`, and the
+    `x.<method>(...)` of FILE_METHODS such as `np.load(...)`: (line, name) each."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append((node.lineno, "open"))
+            elif isinstance(func, ast.Attribute) and (func.attr == "open" or func.attr in FILE_METHODS):
+                found.append((node.lineno, func.attr))
+    return sorted(found)
+
+
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .rings import add_mod, sub_mod\nsub_mod(1, 2, 3)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "add_mod")]
@@ -185,3 +205,25 @@ def test_oracle_imports_no_falcon_module_but_rings():
     # check, so a shared bug cannot make both sides agree
     found = falcon_imports(ast.parse((SRC / "oracle.py").read_text()))
     assert found and {module for _, module in found} == {"rings"}
+
+
+def test_scan_flags_a_file_call():
+    tree = ast.parse(
+        "import io\n"
+        "with open(path, 'rb') as f:\n"
+        "    blob = f.read()\n"
+        "arrays = np.load(io.BytesIO(blob))\n"
+        "text = Path(path).read_text()\n"
+        "fd = os.open(path, 0)\n"
+        "sess.open_share(x)\n")
+    assert file_calls(tree) == [(2, "open"), (4, "load"), (5, "read_text"), (6, "open")]
+
+
+def test_only_data_opens_a_file():
+    # every input file goes through data.read_file, which turns an
+    # unreadable file into FormatError, and every file the package writes
+    # through data.save_tensors or data.write_idx
+    found = {path.name: file_calls(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10 and found.pop("data.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -186,7 +186,7 @@ def test_distributed_prep_oracles(kind, dealer, threat, params):
             x = open_share(sess, wr.x)
             ts = _compare_targets(x, sess.params)
             r0 = sess.meter.rounds
-            gt = P.private_compare(sess, wr.xbits, ts, zero_mask(sess, n), wr)
+            gt = P.private_compare(sess, ts, zero_mask(sess, n), wr)
             return x, ts, gt, sess.meter.rounds - r0
         bp = prep.bit_pairs(n)
         return open_share(sess, bp.c2), open_share(sess, bp.cL)
@@ -249,7 +249,7 @@ def test_compare_and_drelu_across_column_blocks(dealer, threat):
             wr = sess.prep.wrap_rands(n)
             x = open_share(sess, wr.x)
             ts = _compare_targets(x, PARAMS, shift)
-            outs.append((x, ts, P.private_compare(sess, wr.xbits, ts, zero_mask(sess, n), wr)))
+            outs.append((x, ts, P.private_compare(sess, ts, zero_mask(sess, n), wr)))
         a = shared_input(sess, raws, L)
         return outs, P.drelu(sess, a, zero_mask(sess, n))
 
