@@ -254,10 +254,10 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
             pool: int = 4, groups: int = 1) -> dict:
     """Analytic round/byte formulas (bytes in cost-model units).
 
-    Each entry is (rounds, semi-honest bytes, bytes of the openings). The
-    malicious model sends every opened element once more, so its bytes are
-    the semi-honest bytes plus those of the openings. Rescales whose shift
-    depends on the data count as taken.
+    Each entry is (rounds, bytes). Both threat models send the same ring
+    elements: a malicious opening adds only a hash and link digests, which
+    are integrity metadata, so `threat` does not change the result. Rescales
+    whose shift depends on the data count as taken.
     """
     k = params.ell // 8
     ell = params.ell
@@ -269,41 +269,38 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     # products, 1 bit each) and the d open; a masked bit opens with d
     drelu_rounds = 2 + lg
     # the bounding power is one DReLU over ell - 1 probes per element, whose
-    # bits open with d: bytes per element (semi-honest, of the openings)
-    pow_sh, pow_open = (ell - 1) * (2 * k + 1 / 8), (ell - 1) * (k + 1 / 4)
+    # bits open with d: bytes per element
+    pow_bytes = (ell - 1) * (2 * k + 1 / 8)
     # divide's final product splits y into c = ceil((w + 2) / h) chunks of h
     # bits; divide refuses h <= 0, so clamping it only keeps this entry defined
     w = num.working_precision(params)
     h = max(1, min(10, ell - 9 - params.fp))
     c = -(-(w + 2) // h)
     table = {
-        "mult": (1, k * n, 0),
-        "matmul": (1, k * x * z, 0),
+        "mult": (1, k * n),
+        "matmul": (1, k * x * z),
         # the tree and the d open with the masked bit (the blinding's
         # products come from preprocessing)
-        "pc": (1 + lg, k * n + n / 8, n / 4),
+        "pc": (1 + lg, k * n + n / 8),
         # the r open (the products come from preprocessing), then pc's
         # tree levels and open
-        "wa": (drelu_rounds, 2 * k * n + n / 8, k * n + n / 4),
-        "drelu": (drelu_rounds, 2 * k * n + n / 8, k * n + n / 4),
+        "wa": (drelu_rounds, 2 * k * n + n / 8),
+        "drelu": (drelu_rounds, 2 * k * n + n / 8),
         # the DReLU opens the lift's e with d; then one mult by the lifted bit
-        "relu": (1 + drelu_rounds, 3 * k * n + n / 8, k * n + n / 4),
+        "relu": (1 + drelu_rounds, 3 * k * n + n / 8),
         # n windows: ceil(log2 wh) tree levels of lifted DReLU + select, wh - 1 of each
-        "maxpool": ((wh - 1).bit_length() * (1 + drelu_rounds), (wh - 1) * (3 * k * n + n / 8),
-                    (wh - 1) * (k * n + n / 4)),
-        "pow": (drelu_rounds, pow_sh * n, pow_open * n),
+        "maxpool": ((wh - 1).bit_length() * (1 + drelu_rounds), (wh - 1) * (3 * k * n + n / 8)),
+        "pow": (drelu_rounds, pow_bytes * n),
         # the bounding power (it validates b > 0), the reciprocal series (a
         # rescale, then four mults each rescaled) and the chunked product
-        "div": (drelu_rounds + 11 + (c > 1), pow_sh * n + (3 * c + 8) * k * n,
-                pow_open * n + (2 * c + 4) * k * n),
+        "div": (drelu_rounds + 11 + (c > 1), pow_bytes * n + (3 * c + 8) * k * n),
         # r groups of n: mean, squared deviations, variance, pow, 1/sqrt
         # (a rescale, four Newton steps of three mults each rescaled, a
         # rescale), then the normalised and the gamma-scaled products
-        "bn": (34 + drelu_rounds, 6 * k * r * n + 28 * k * r + pow_sh * r,
-               3 * k * r * n + 16 * k * r + pow_open * r),
+        "bn": (34 + drelu_rounds, 6 * k * r * n + 28 * k * r + pow_bytes * r),
     }
-    rounds, bytes_sh, opened = table[protocol]
-    return {"rounds": rounds, "bytes": bytes_sh + opened if threat == "malicious" else bytes_sh}
+    rounds, nbytes = table[protocol]
+    return {"rounds": rounds, "bytes": nbytes}
 
 
 def bench_call(sess: PartySession, args):

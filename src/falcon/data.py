@@ -1,6 +1,7 @@
 """Every file the package reads or writes (IDX, the tensor container, float
-.npz archives) and synthetic digits. `read_file` opens each input file, so
-one that cannot be read or does not parse raises FormatError naming it.
+.npz archives) and synthetic digits. `read_file` opens each input file and
+`write_file` each output file, so one that cannot be read, written or
+parsed raises FormatError naming it.
 
 The build environment has no network access, so a deterministic synthetic
 28x28 digit dataset stands in for MNIST: glyph rendering with seeded
@@ -10,6 +11,7 @@ files (magic 0x803/0x801) so the ingestion path exercises the real format.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -28,13 +30,26 @@ class FormatError(ValueError):
     """An input file cannot be read, or does not parse as its format."""
 
 
+@contextlib.contextmanager
+def _os_errors(verb: str, what: str, path: str):
+    """Turn an OSError into a FormatError that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"cannot {verb} {what} {path}: {exc.strerror or exc}") from None
+
+
 def read_file(path: str, what: str) -> bytes:
     """The bytes of the `what` file at path, or FormatError naming it if it cannot be read."""
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    with _os_errors("read", what, path), open(path, "rb") as f:
+        return f.read()
+
+
+def write_file(path: str, what: str, data):
+    """Write data (an iterable of bytes-like chunks) as the `what` file at
+    path, or raise FormatError naming it if it cannot be written."""
+    with _os_errors("write", what, path), open(path, "wb") as f:
+        f.writelines(data)
 
 
 def check_words(path: str, key: str, arr: np.ndarray, modulus: int):
@@ -64,9 +79,9 @@ def read_idx(path: str, ndim: int) -> np.ndarray:
 
 
 def write_idx(path: str, array: np.ndarray):
-    array = np.asarray(array, np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape) + array.tobytes())
+    array = np.ascontiguousarray(array, np.uint8)
+    head = struct.pack(f">{1 + array.ndim}I", 0x800 + array.ndim, *array.shape)
+    write_file(path, "IDX file", (head, array))
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +112,16 @@ _CODES = {dt.name: code for code, dt in _DTYPES.items()}
 
 
 def save_tensors(path: str, tensors: dict, magic: bytes = STORE_MAGIC):
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name])
-            code = _CODES.get(arr.dtype.name)
-            if code is None:
-                raise FormatError(f"unsupported tensor dtype {arr.dtype}")
-            nb = name.encode()
-            f.write(struct.pack(f"<H{len(nb)}sc B{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
-            f.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+    chunks = [magic, struct.pack("<I", len(tensors))]
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name])
+        code = _CODES.get(arr.dtype.name)
+        if code is None:
+            raise FormatError(f"unsupported tensor dtype {arr.dtype}")
+        nb = name.encode()
+        chunks.append(struct.pack(f"<H{len(nb)}sc B{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
+        chunks.append(np.ascontiguousarray(arr, _DTYPES[code]))
+    write_file(path, f"{magic.decode()} file", chunks)
 
 
 def load_tensors(path: str, magic: bytes = STORE_MAGIC) -> dict:
@@ -216,7 +230,8 @@ def synth_digits(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def write_synth_idx(dirpath: str, n_train: int = 10_000, n_test: int = 2_000, seed: int = 7):
     """Materialize the synthetic corpus as IDX files; returns the four paths."""
-    os.makedirs(dirpath, exist_ok=True)
+    with _os_errors("write", "IDX directory", dirpath):
+        os.makedirs(dirpath, exist_ok=True)
     paths = {}
     for split, prefix, n, s in (("train", "train", n_train, seed), ("test", "t10k", n_test, seed + 1)):
         for kind, array in zip(("images", "labels"), synth_digits(n, seed=s)):

@@ -7,18 +7,21 @@ each of which is exactly one communication round of the cost model.
 
 A payload is its ring elements as rss.serialize_elems packs them (Z_2 and
 Z_p at ceil(log2 mod) bits each, Z_L in 1, 4 or 8-byte words), followed in
-malicious openings by the sender's link digest. The receiver refuses a
+malicious openings by the sender's link digest; the hash of an opening's
+component (below) is a payload of its own. The receiver refuses a
 payload of the wrong length, an element out of range or a nonzero padding
 bit, naming the round and the sender; the handshake binds the format
 (WIRE_FORMAT), so peers that encode differently fail at set-up.
 
 Malicious mode: each party keeps a rolling digest of every payload it
 sends to and receives from each peer. Every opening delivers each missing
-component twice (once per peer), the receiver compares the copies, and the
-two ends of each link compare their digests of what crossed it before the
-round. A message tampered with in transit therefore aborts before a value is
-released; a party that deviates is not yet caught (see the security model
-in README.md).
+component in full from one of its two holders and as a 16-byte hash from
+the other, the receiver hashes the copy and compares, and the two ends of
+each link compare their digests of what crossed it before the round. A
+message tampered with in transit therefore aborts before a value is
+released, and so does a wrong component or hash in an opening; a party
+that deviates in a reshare is not yet caught (see the security model in
+README.md).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rings import RingError, RingParams, add_mod
+from .rings import RingError, RingParams, add_mod, dtype_for
 from .rss import (
     PartyId,
     PrfState,
@@ -55,6 +58,9 @@ from .transport import (
 )
 
 DIGEST_BYTES = 8
+# an opening's check hash: the corrupt party knows the honest component, so a
+# forged hash must resist a chosen second preimage, which 8 bytes would not
+OPEN_HASH_BYTES = 16
 # the element encoding of rss.serialize_elems (Z_p and Z_2 packed at their bit
 # width); the handshake binds it, so peers on different formats fail at set-up
 WIRE_FORMAT = b"packed-1"
@@ -149,6 +155,10 @@ class Round:
         bits = elem_acct_bits(mod, ell) * int(np.asarray(arr).size)
         self.send_raw(to, payload, acct_bits=bits)
 
+    def send_hash(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b""):
+        """Send open_hash(arr) + extra: integrity metadata, not ring elements."""
+        self.send_raw(to, open_hash(arr, mod) + extra)
+
     def expect_raw(self, frm: int, nbytes: int) -> int:
         self._expects.append((frm, nbytes, 0, None, None))
         return len(self._expects) - 1
@@ -196,43 +206,46 @@ class Round:
 # openings (reconstruction to all parties)
 
 
+def open_hash(arr: np.ndarray, mod: int) -> bytes:
+    """A component's hash over its little-endian words in mod's storage dtype,
+    so a share and the same values decoded from the wire hash alike."""
+    words = np.ascontiguousarray(arr, np.dtype(dtype_for(mod)).newbyteorder("<"))
+    return hashlib.blake2b(words, digest_size=OPEN_HASH_BYTES).digest()
+
+
 def open_begin(sess: PartySession, x: RssShare, rnd: Round):
     """Stage the opening of x into rnd; returns a finisher for the payloads.
 
-    Semi-honest: each party sends one component to the next party.
-    Malicious: both peers supply the missing component, each with its digest
-    of what it had sent this party before the round. A mismatch of the copies,
-    or of either digest against this party's digest of what arrived, aborts:
-    the party that holds a corrupted value is the one that stops.
+    Each party sends its lo to the next party, which misses it. Malicious:
+    the lo carries the sender's digest of what it had sent that peer before
+    the round, and each party also sends its previous peer the hash of its
+    hi, the component that peer misses, with the same digest. A copy whose
+    hash differs from the other holder's, or a digest that differs from this
+    party's digest of what arrived, aborts: the party that holds a corrupted
+    value is the one that stops.
     """
     nxt, prv = sess.party.next.index, sess.party.prev.index
-    if not sess.malicious:
-        rnd.send_elems(nxt, x.lo, x.mod)
-        ia = rnd.expect_elems(prv, x.mod, x.shape)
-
-        def finish(results):
-            missing, _ = results[ia]
-            return add_mod(add_mod(x.lo, x.hi, x.mod), missing, x.mod)
-
-        return finish
-
-    rnd.send_elems(nxt, x.lo, x.mod, extra=rnd.sent_at_start[nxt])
-    rnd.send_elems(prv, x.hi, x.mod, extra=rnd.sent_at_start[prv])
-    # receives land only in rnd.run, so these are the round-start digests
-    arrived = {q: sess.received[q].digest() for q in (nxt, prv)}
-    ia = rnd.expect_elems(prv, x.mod, x.shape, extra_len=DIGEST_BYTES)
-    ib = rnd.expect_elems(nxt, x.mod, x.shape, extra_len=DIGEST_BYTES)
+    mal = sess.malicious
+    rnd.send_elems(nxt, x.lo, x.mod, extra=rnd.sent_at_start[nxt] if mal else b"")
+    ia = rnd.expect_elems(prv, x.mod, x.shape, extra_len=DIGEST_BYTES if mal else 0)
+    if mal:
+        rnd.send_hash(prv, x.hi, x.mod, extra=rnd.sent_at_start[prv])
+        # receives land only in rnd.run, so these are the round-start digests
+        arrived = {q: sess.received[q].digest() for q in (nxt, prv)}
+        ib = rnd.expect_raw(nxt, OPEN_HASH_BYTES + DIGEST_BYTES)
 
     def finish(results):
-        va, da = results[ia]
-        vb, db = results[ib]
-        if not np.array_equal(va, vb):
-            raise AbortError("reconstruction mismatch: peers sent different components")
-        for q, digest in ((prv, da), (nxt, db)):
-            if digest != arrived[q]:
-                raise AbortError(f"link digest mismatch: P{sess.party.index} did not "
-                                 f"receive what P{q} sent it")
-        return add_mod(add_mod(x.lo, x.hi, x.mod), va, x.mod)
+        missing, da = results[ia]
+        if mal:
+            hb, db = results[ib][:OPEN_HASH_BYTES], results[ib][OPEN_HASH_BYTES:]
+            if open_hash(missing, x.mod) != hb:
+                raise AbortError(f"reconstruction mismatch: P{prv}'s component does not "
+                                 f"match P{nxt}'s hash of it")
+            for q, digest in ((prv, da), (nxt, db)):
+                if digest != arrived[q]:
+                    raise AbortError(f"link digest mismatch: P{sess.party.index} did not "
+                                     f"receive what P{q} sent it")
+        return add_mod(add_mod(x.lo, x.hi, x.mod), missing, x.mod)
 
     return finish
 

@@ -61,7 +61,8 @@ class CostMeter:
     wire_bytes counts actual bytes on the wire (header + packed payload).
     acct_bytes counts ring elements in the analytic cost-model units
     (Z_L elements at ell bits, Z_p/Z_2 elements at one bit); integrity
-    metadata such as link digests is excluded from it.
+    metadata, the link digests and a malicious opening's hash of the
+    component, is excluded from it.
     """
 
     rounds: int = 0

@@ -159,7 +159,7 @@ def test_criterion_3_relu_drelu():
     k, n = PARAMS.ell // 8, 100_000
     rounds_semi = meters["semi"][0]
     bytes_semi = meters["semi"][1] / 8 - k * n  # minus the output opening
-    bytes_mal = meters["malicious"][1] / 8 - 2 * k * n  # sent by both peers
+    bytes_mal = meters["malicious"][1] / 8 - k * n  # the other holder sends a hash
     bound_semi = 1.25 * table10("relu", PARAMS, n, "semi")["bytes"]
     bound_mal = 1.25 * table10("relu", PARAMS, n, "malicious")["bytes"]
     rounds_ok = rounds_semi == 3 + int(math.log2(PARAMS.ell))
@@ -484,7 +484,7 @@ def test_criterion_10_cost_model():
         ("div", mk_div, lambda s, i: N.divide(s, *i), {}),
         ("bn", mk_bn, lambda s, i: N.batch_norm_forward(s, *i), dict(groups=2)),
     ]
-    mult_family_ratios = {}
+    differ = []  # protocols whose malicious bytes are not the semi-honest ones
     for proto, mk, call, extra in cases:
         row = {}
         for threat in ("semi", "malicious"):
@@ -501,19 +501,19 @@ def test_criterion_10_cost_model():
             row[threat] = bts
             lines.append(f"{proto}{extra.get('pool', '')}[{threat}]: rounds {rounds}/{pred['rounds']} "
                          f"({r_ratio:.2f}x), bytes {bts:.0f}/{pred['bytes']} ({b_ratio:.2f}x)")
-        mult_family_ratios[proto] = row["malicious"] / row["semi"]
-    # a reshare is sent once in both models; only openings are sent twice
-    ratio = mult_family_ratios["matmul"]
-    exact1 = ratio == 1.0
-    all_ok &= exact1
+        if row["malicious"] != row["semi"]:
+            differ.append(proto)
+    # an opening's second holder sends a hash, which is not ring elements, so
+    # both models send the same cost-model bytes
+    all_ok &= not differ
     print()
     for line in lines:
         print("  " + line)
     verdict(10, all_ok,
             f"rounds equal to the analytic formulas for MatMul/PC/WA/DReLU/ReLU/Maxpool/Pow/Div "
             f"and within 0.8x-1.25x for BN, bytes within 0.8x-1.25x for all; "
-            f"malicious/semi-honest byte ratio for the "
-            f"mult family = {ratio} (exactly 1.0: {exact1})")
+            f"malicious bytes equal to semi-honest bytes for every protocol "
+            f"(differ: {differ or 'none'})")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from falcon.data import (
 )
 from falcon.prep import DealerPrep, RecordingPrep, load_prep_file, save_prep_file
 from falcon.rings import UINT, RingParams, decode_fixed, encode_fixed
-from falcon.rss import PartyId, elem_acct_bits
+from falcon.rss import PartyId
+from falcon.session import DIGEST_BYTES, OPEN_HASH_BYTES
+from falcon.transport import HEADER_BYTES
 
 PARAMS = RingParams(ell=32, fp=13)
 
@@ -429,27 +431,30 @@ def test_cli_weights_that_do_not_fit_the_net(mini_setup, capsys, monkeypatch, ba
     assert err.startswith("error: ") and path in err and repr(key) in err
 
 
-def test_cli_malicious_infer_adds_the_openings(mini_setup, capsys, monkeypatch):
-    """Malicious sends each opened element a second time and nothing else twice."""
+def test_cli_malicious_infer_adds_one_hash_per_opening(mini_setup, capsys, monkeypatch):
+    """Malicious sends the semi-honest ring elements, plus at each opening one
+    message to the previous party: a hash and two link digests."""
     d, store, net_path = mini_setup
     base = ["infer", "--net", net_path, "--weights", str(d / "mini.ckpt"), "--data", store,
             "--count", "4", "--json"]
-    opened_bits = []  # party 1's openings in the semi-honest run
+    assert cli.main(base) == 0
+    semi = json.loads(capsys.readouterr().out)
+    opens = []  # party 1's openings in the malicious run
     open_begin = session.open_begin
 
     def tap(sess, x, rnd):
         if sess.party.index == 1:
-            opened_bits.append(elem_acct_bits(x.mod, sess.params.ell) * x.lo.size)
+            opens.append(x.shape)
         return open_begin(sess, x, rnd)
 
     with monkeypatch.context() as m:
         m.setattr(session, "open_begin", tap)
         m.setattr(P, "open_begin", tap)
-        assert cli.main(base) == 0
-    semi = json.loads(capsys.readouterr().out)
-    assert cli.main(base + ["--threat", "malicious"]) == 0
+        assert cli.main(base + ["--threat", "malicious"]) == 0
     mal = json.loads(capsys.readouterr().out)
-    assert opened_bits
-    surplus = mal["meter"]["acct_bytes"] - semi["meter"]["acct_bytes"]
-    assert surplus == sum(opened_bits) / 8
+    assert opens
+    assert mal["meter"]["acct_bytes"] == semi["meter"]["acct_bytes"]
+    per_open = HEADER_BYTES + OPEN_HASH_BYTES + 2 * DIGEST_BYTES
+    assert per_open == 52
+    assert mal["meter"]["wire_bytes"] - semi["meter"]["wire_bytes"] == per_open * len(opens)
     assert mal["agreement"] == semi["agreement"]

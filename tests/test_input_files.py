@@ -1,6 +1,7 @@
-"""Every file the command line reads, unreadable or malformed: each case
-exits with status 2 and an `error:` line that names the file, before any
-protocol output and without a traceback."""
+"""Every file the command line reads, unreadable or malformed, and every
+file it writes, unwritable: each case exits with status 2 and an `error:`
+line that names the file, before any protocol output and without a
+traceback."""
 
 import json
 import shutil
@@ -130,3 +131,23 @@ def test_ring_checkpoint_must_hold_ring_words(good, tmp_path, capsys, weights):
     save_tensors(path, {**params, "ring": np.array([PARAMS.ell, PARAMS.p, PARAMS.fp], UINT)},
                  nn.CKPT_MAGIC)
     _refused(capsys, _infer({**good, "ckpt": path}), path)
+
+
+# a path under a directory that does not exist, and one under a regular file
+OUTPUTS = {
+    "ingest-mnist": lambda f, d: _ingest({**f, "out": str(d / "no-such-dir" / "x.bin")}),
+    "train": lambda f, d: ["train", "--net", f["net"], "--data", f["data"], "--iters", "1",
+                           "--batch", "2", "--train-count", "4", "--eval-count", "1",
+                           "--out", str(d / "no-such-dir" / "x.ckpt")],
+    "synth-data": lambda f, d: ["synth-data", "--train-n", "2", "--test-n", "1",
+                                "--out-dir", f["net"] + "/idx"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_unwritable_output_file_exits_2(good, tmp_path, capsys, command):
+    # train writes its checkpoint once it has trained, after its progress lines
+    argv = OUTPUTS[command](good, tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and argv[-1] in err and "Traceback" not in err, err

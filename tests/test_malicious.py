@@ -11,7 +11,8 @@ from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams, add_mod, encode_fixed
 from falcon.rss import deserialize_elems, share_secret, wire_nbytes
-from falcon.session import AbortError, ThreatModel, open_share, run_three_parties
+from falcon.session import (DIGEST_BYTES, OPEN_HASH_BYTES, AbortError, ThreatModel, open_share,
+                            run_three_parties)
 from falcon.transport import ChannelClosed, DesyncError, Message
 
 from tamper import Deviation, RecvTamper
@@ -201,6 +202,7 @@ def test_tampered_compare_round_aborts_its_receiver():
                 sess.links.close()  # the peers stop at their next receive
                 return "abort", sess.round_no == merged, seen
             except ChannelClosed:
+                sess.links.close()  # a peer that waits on this party stops too
                 return "closed", None, seen
 
         return job
@@ -233,6 +235,8 @@ def _job_outcome(sess):
         sess.links.close()  # the peers stop at their next receive
         return "abort", None
     except ChannelClosed:
+        # a peer that still waits on this party must stop too, not time out
+        sess.links.close()
         return "closed", None
 
 
@@ -244,23 +248,56 @@ def _clean_relu_relu_truncate():
     return out[0]
 
 
-@pytest.mark.parametrize("corrupt", [1, 2, 3])
-@pytest.mark.parametrize("tag", ["wa-open-r", "pc-open-d", "open"])
-@pytest.mark.parametrize("kind", ["add", "stale"])
-def test_deviating_party_is_caught_by_its_next_peer(monkeypatch, kind, tag, corrupt):
-    """A party that keeps the wire format but sends its next peer a wrong
-    component of an opening ("add": off by one; "stale": the one it sent in
-    the previous opening of that tag and shape) makes that peer abort, and
-    no party outputs a value other than the clean run's."""
+def _deviating_run(monkeypatch, corrupt: int, tag: str, kind: str) -> list:
+    """The ends of a run in which `corrupt` deviates; no party outputs a
+    value other than the clean run's."""
     clean = _clean_relu_relu_truncate()
     deviation = Deviation(corrupt, tag, kind)
     deviation.install(monkeypatch)
     out = run_three_parties(_job_outcome, PARAMS, threat=ThreatModel.MALICIOUS,
                             session_seed=6, timeout=10.0)
     assert deviation.fired
-    assert out[corrupt % 3][0] == "abort", f"P{corrupt % 3 + 1} did not abort: {out}"
     for index, (kind_of_end, value) in enumerate(out, start=1):
         assert kind_of_end != "output" or np.array_equal(value, clean), f"P{index} output a wrong value"
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [1, 2, 3])
+@pytest.mark.parametrize("tag", ["wa-open-r", "pc-open-d", "open"])
+@pytest.mark.parametrize("kind", ["add", "stale"])
+def test_deviating_party_is_caught_by_its_next_peer(monkeypatch, kind, tag, corrupt):
+    """A party that keeps the wire format but sends its next peer a wrong
+    component of an opening ("add": off by one; "stale": the one it sent in
+    the previous opening of that tag and shape) makes that peer abort."""
+    out = _deviating_run(monkeypatch, corrupt, tag, kind)
+    assert out[corrupt % 3][0] == "abort", f"P{corrupt % 3 + 1} did not abort: {out}"
+
+
+@pytest.mark.parametrize("corrupt", [1, 2, 3])
+@pytest.mark.parametrize("tag", ["wa-open-r", "pc-open-d", "open"])
+def test_deviating_hash_is_caught_by_its_previous_peer(monkeypatch, tag, corrupt):
+    """A party that sends its previous peer the hash of a wrong hi makes that
+    peer abort: the full copy comes from the component's honest holder."""
+    out = _deviating_run(monkeypatch, corrupt, tag, "hash")
+    prev = (corrupt - 2) % 3 + 1
+    assert out[prev - 1][0] == "abort", f"P{prev} did not abort: {out}"
+
+
+def _flip_hash_byte(payload: bytes) -> bytes:
+    return payload[:5] + bytes([payload[5] ^ 0x01]) + payload[6:]
+
+
+@pytest.mark.parametrize("backend", ["memory", "tcp"])
+def test_flipped_open_hash_aborts_its_receiver(backend):
+    # an opening's hash is the one payload of OPEN_HASH_BYTES + DIGEST_BYTES
+    # in this job: its Z_L payloads are 32 bytes, or 40 with a digest
+    tamper = RecvTamper(0, edit=_flip_hash_byte,
+                        when=lambda msg: len(msg.payload) == OPEN_HASH_BYTES + DIGEST_BYTES)
+    addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)} if backend == "tcp" else None
+    with pytest.raises(AbortError, match="reconstruction mismatch"):
+        run_three_parties(tamper.wrap(_job_mult_chain), PARAMS, threat=ThreatModel.MALICIOUS,
+                          session_seed=3, backend=backend, addresses=addresses)
+    assert tamper.fired
 
 
 def test_handshake_rejects_config_mismatch():
