@@ -27,7 +27,7 @@ STORE_MAGIC = b"FALTENS1"
 
 
 class FormatError(ValueError):
-    """An input file cannot be read, or does not parse as its format."""
+    """A file cannot be read or written, or does not parse as its format."""
 
 
 @contextlib.contextmanager
