@@ -23,7 +23,8 @@ from . import nn
 from . import numeric as num
 from . import oracle as O
 from . import protocols as P
-from .data import FormatError, check_words, ingest_mnist, load_npz, load_tensors, read_file, write_synth_idx
+from .data import (FormatError, check_words, ingest_mnist, load_npz, load_tensors, read_file,
+                   write_file, write_synth_idx)
 from .nets import BUILTIN
 from .netspec import NetworkSpec, init_float_params
 from .prep import (DealerPrep, DistributedPrep, FilePrep, PrepMismatchError, RecordingPrep,
@@ -255,8 +256,8 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
     """Analytic round/byte formulas (bytes in cost-model units).
 
     Each entry is (rounds, bytes). Both threat models send the same ring
-    elements: a malicious opening adds only a hash and link digests, which
-    are integrity metadata, so `threat` does not change the result. Rescales
+    elements; malicious mode adds only integrity metadata (link digests, an
+    opening's hash), so `threat` does not change the result. Rescales
     whose shift depends on the data count as taken.
     """
     k = params.ell // 8
@@ -531,6 +532,8 @@ def cmd_train(args) -> int:
                          f"fewer than --batch {args.batch}")
     train_x, train_y = images[:n_train], labels[:n_train]
     eval_x, eval_y = images[n_train : n_train + args.eval_count], labels[n_train : n_train + args.eval_count]
+    if args.out:
+        write_file(args.out, "checkpoint", [])  # an unwritable path fails before training
 
     def job(sess: PartySession):
         t0 = time.perf_counter()

@@ -6,22 +6,21 @@ same function runs at each party and synchronizes through Round objects,
 each of which is exactly one communication round of the cost model.
 
 A payload is its ring elements as rss.serialize_elems packs them (Z_2 and
-Z_p at ceil(log2 mod) bits each, Z_L in 1, 4 or 8-byte words), followed in
-malicious openings by the sender's link digest; the hash of an opening's
-component (below) is a payload of its own. The receiver refuses a
-payload of the wrong length, an element out of range or a nonzero padding
-bit, naming the round and the sender; the handshake binds the format
-(WIRE_FORMAT), so peers that encode differently fail at set-up.
+Z_p at ceil(log2 mod) bits each, Z_L in 1, 4 or 8-byte words), or an
+opening's hash (below). The receiver refuses a frame with a wrong header
+field or length, an element out of range or a nonzero padding bit, naming
+the round and the sender; the handshake binds the format (WIRE_FORMAT),
+so peers that frame or encode differently fail at set-up.
 
-Malicious mode: each party keeps a rolling digest of every payload it
-sends to and receives from each peer. Every opening delivers each missing
-component in full from one of its two holders and as a 16-byte hash from
-the other, the receiver hashes the copy and compares, and the two ends of
-each link compare their digests of what crossed it before the round. A
-message tampered with in transit therefore aborts before a value is
-released, and so does a wrong component or hash in an opening; a party
-that deviates in a reshare is not yet caught (see the security model in
-README.md).
+Malicious mode: every payload ends with the sender's running digest of
+what it had sent that peer before, which the receiver checks against its
+own digest of what it had received, so a message tampered with in transit
+aborts its receiver at the next message on that link. Every opening
+delivers each missing component in full from one of its two holders and
+as a 16-byte hash from the other, and the receiver hashes the copy and
+compares. So a tampered message, or a wrong component or hash in an
+opening, aborts before a value built on it is opened; a party that
+deviates in a reshare is not yet caught (see README.md's security model).
 """
 
 from __future__ import annotations
@@ -61,9 +60,11 @@ DIGEST_BYTES = 8
 # an opening's check hash: the corrupt party knows the honest component, so a
 # forged hash must resist a chosen second preimage, which 8 bytes would not
 OPEN_HASH_BYTES = 16
-# the element encoding of rss.serialize_elems (Z_p and Z_2 packed at their bit
-# width); the handshake binds it, so peers on different formats fail at set-up
-WIRE_FORMAT = b"packed-1"
+# the frame (18-byte header, malicious link-digest trailer) and the element
+# encoding of rss.serialize_elems (Z_p and Z_2 packed at their bit width); the
+# handshake binds it, so peers on different formats fail at set-up
+WIRE_FORMAT = b"packed-2"
+FRAME_FIELDS = ("session", "round", "sender", "receiver", "bytes")
 
 # all threads share glibc's main malloc arena (mallopt M_ARENA_MAX = -8, set before any
 # allocates): malloc_trim keeps a thread arena's free top resident, so arenas per thread
@@ -130,73 +131,78 @@ class PartySession:
 
 
 class Round:
-    """One synchronization step: a batch of sends, then the matching receives."""
+    """One synchronization step: a batch of sends, then the matching receives.
+
+    Malicious: send_raw ends each payload with the link digest, and run
+    checks it before reading the payload. Links are FIFO and every party
+    sends and expects in the same order, so both ends digest one stream.
+    """
 
     def __init__(self, sess: PartySession, tag: str = ""):
         self.sess = sess
         self.tag = tag
         sess.round_no += 1
         self.no = sess.round_no
-        # what this party had sent as of round start: what it vouches for in this round
-        self.sent_at_start = {q: h.digest() for q, h in sess.sent.items()} if sess.malicious else None
         self._expects: list = []
         self._done = False
 
     def send_raw(self, to: int, payload: bytes, acct_bits: int = 0):
-        msg = Message(self.sess.session_id, self.no, self.sess.party.index, to, payload)
-        self.sess.links.send(msg)
-        if self.sess.malicious:
-            self.sess.sent[to].update(payload)
-        self.sess.meter.on_send(HEADER_BYTES + len(payload), acct_bits)
+        sess = self.sess
+        if sess.malicious:
+            trailer = sess.sent[to].digest()
+            sess.sent[to].update(payload)
+            payload += trailer
+        sess.links.send(Message(sess.session_id, self.no, sess.party.index, to, payload))
+        sess.meter.on_send(HEADER_BYTES + len(payload), acct_bits)
 
-    def send_elems(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b""):
+    def send_elems(self, to: int, arr: np.ndarray, mod: int):
         ell = self.sess.params.ell
-        payload = serialize_elems(arr, mod, ell) + extra
         bits = elem_acct_bits(mod, ell) * int(np.asarray(arr).size)
-        self.send_raw(to, payload, acct_bits=bits)
+        self.send_raw(to, serialize_elems(arr, mod, ell), acct_bits=bits)
 
-    def send_hash(self, to: int, arr: np.ndarray, mod: int, extra: bytes = b""):
-        """Send open_hash(arr) + extra: integrity metadata, not ring elements."""
-        self.send_raw(to, open_hash(arr, mod) + extra)
+    def send_hash(self, to: int, arr: np.ndarray, mod: int):
+        """Send open_hash(arr): integrity metadata, not ring elements."""
+        self.send_raw(to, open_hash(arr, mod))
 
     def expect_raw(self, frm: int, nbytes: int) -> int:
-        self._expects.append((frm, nbytes, 0, None, None))
+        self._expects.append((frm, nbytes, None, None))
         return len(self._expects) - 1
 
-    def expect_elems(self, frm: int, mod: int, shape, extra_len: int = 0) -> int:
+    def expect_elems(self, frm: int, mod: int, shape) -> int:
         size = int(np.prod(shape, dtype=int))
-        nbytes = wire_nbytes(mod, self.sess.params.ell, size) + extra_len
-        self._expects.append((frm, nbytes, extra_len, mod, shape))
+        self._expects.append((frm, wire_nbytes(mod, self.sess.params.ell, size), mod, shape))
         return len(self._expects) - 1
 
     def run(self) -> list:
         assert not self._done
         self._done = True
         sess = self.sess
+        me = sess.party.index
+        trailer = DIGEST_BYTES if sess.malicious else 0
         out = [None] * len(self._expects)
-        for i, (frm, nbytes, extra_len, mod, shape) in enumerate(self._expects):
+        for i, (frm, nbytes, mod, shape) in enumerate(self._expects):
             msg = sess.links.recv(frm, sess.timeout)
             got = (msg.session_id, msg.round_tag, msg.sender, msg.receiver, len(msg.payload))
-            want = (sess.session_id, self.no, frm, sess.party.index, nbytes)
+            want = (sess.session_id, self.no, frm, me, nbytes + trailer)
             if got != want:
-                self._malformed(f"expected (session, round, sender, receiver, bytes) = "
-                                f"{want}, got {got}")
-            if sess.malicious:
-                sess.received[frm].update(msg.payload)
-            if mod is None:
-                out[i] = msg.payload
-            else:
-                split = nbytes - extra_len
-                try:
-                    arr = deserialize_elems(msg.payload[:split], mod, sess.params.ell, shape)
-                except RingError as exc:
-                    self._malformed(f"round {self.no} ({self.tag}): P{frm} sent "
-                                    f"P{sess.party.index} {exc}")
-                out[i] = (arr, msg.payload[split:])
+                bad = [f"{k} {g} (expected {w})" for k, g, w in zip(FRAME_FIELDS, got, want) if g != w]
+                self._malformed(f"the frame from P{frm} to P{me} has {', '.join(bad)}")
+            body = msg.payload
+            if trailer:
+                body, tail = body[:nbytes], body[nbytes:]
+                if tail != sess.received[frm].digest():
+                    raise AbortError(f"link digest mismatch: round {self.no} ({self.tag}): P{me} "
+                                     f"did not receive what P{frm} sent it")
+                sess.received[frm].update(body)
+            try:
+                out[i] = body if mod is None else deserialize_elems(body, mod, sess.params.ell, shape)
+            except RingError as exc:
+                self._malformed(f"P{frm} sent P{me} {exc}")
         sess.meter.on_round()
         return out
 
     def _malformed(self, detail: str):
+        detail = f"round {self.no} ({self.tag}): {detail}"
         if self.sess.malicious:
             raise AbortError(f"desync: {detail}")
         raise DesyncError(f"malformed frame: {detail}")
@@ -217,34 +223,22 @@ def open_begin(sess: PartySession, x: RssShare, rnd: Round):
     """Stage the opening of x into rnd; returns a finisher for the payloads.
 
     Each party sends its lo to the next party, which misses it. Malicious:
-    the lo carries the sender's digest of what it had sent that peer before
-    the round, and each party also sends its previous peer the hash of its
-    hi, the component that peer misses, with the same digest. A copy whose
-    hash differs from the other holder's, or a digest that differs from this
-    party's digest of what arrived, aborts: the party that holds a corrupted
-    value is the one that stops.
+    each party also sends its previous peer open_hash of its hi, the
+    component that peer misses, and a copy whose hash differs aborts: the
+    party that would open a wrong value is the one that stops.
     """
     nxt, prv = sess.party.next.index, sess.party.prev.index
-    mal = sess.malicious
-    rnd.send_elems(nxt, x.lo, x.mod, extra=rnd.sent_at_start[nxt] if mal else b"")
-    ia = rnd.expect_elems(prv, x.mod, x.shape, extra_len=DIGEST_BYTES if mal else 0)
-    if mal:
-        rnd.send_hash(prv, x.hi, x.mod, extra=rnd.sent_at_start[prv])
-        # receives land only in rnd.run, so these are the round-start digests
-        arrived = {q: sess.received[q].digest() for q in (nxt, prv)}
-        ib = rnd.expect_raw(nxt, OPEN_HASH_BYTES + DIGEST_BYTES)
+    rnd.send_elems(nxt, x.lo, x.mod)
+    ia = rnd.expect_elems(prv, x.mod, x.shape)
+    if sess.malicious:
+        rnd.send_hash(prv, x.hi, x.mod)
+        ib = rnd.expect_raw(nxt, OPEN_HASH_BYTES)
 
     def finish(results):
-        missing, da = results[ia]
-        if mal:
-            hb, db = results[ib][:OPEN_HASH_BYTES], results[ib][OPEN_HASH_BYTES:]
-            if open_hash(missing, x.mod) != hb:
-                raise AbortError(f"reconstruction mismatch: P{prv}'s component does not "
-                                 f"match P{nxt}'s hash of it")
-            for q, digest in ((prv, da), (nxt, db)):
-                if digest != arrived[q]:
-                    raise AbortError(f"link digest mismatch: P{sess.party.index} did not "
-                                     f"receive what P{q} sent it")
+        missing = results[ia]
+        if sess.malicious and open_hash(missing, x.mod) != results[ib]:
+            raise AbortError(f"reconstruction mismatch: P{prv}'s component does not "
+                             f"match P{nxt}'s hash of it")
         return add_mod(add_mod(x.lo, x.hi, x.mod), missing, x.mod)
 
     return finish
@@ -273,8 +267,7 @@ def reshare_begin(sess: PartySession, z_local: np.ndarray, mod: int, rnd: Round)
     ih = rnd.expect_elems(sess.party.next.index, mod, z_local.shape)
 
     def finish(results):
-        hi, _ = results[ih]
-        return RssShare(c, hi, mod)
+        return RssShare(c, results[ih], mod)
 
     return finish
 

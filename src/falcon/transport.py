@@ -1,9 +1,10 @@
 """Peer-to-peer messaging among the three parties with round/byte metering.
 
-Wire format: 16-byte header (session 8, round 4, sender 1, receiver 1,
-reserved 2) + 4-byte little-endian payload length + payload. Payloads are
-opaque here; the session packs ring elements into them at their bit width
-(rss.serialize_elems). The in-process and TCP backends deliver
+Wire format: 14-byte header (session 8, round 4, sender 1, receiver 1) +
+4-byte little-endian payload length + payload; session.Round.run checks
+every header field. Payloads are opaque here: the session packs ring
+elements into them (rss.serialize_elems), malicious ones with a link
+digest. The in-process and TCP backends deliver
 byte-identical payload streams for the same seeds.
 """
 
@@ -16,9 +17,9 @@ import threading
 import time
 from dataclasses import dataclass
 
-HEADER = struct.Struct("<QIBBH")  # session, round_tag, sender, receiver, reserved
+HEADER = struct.Struct("<QIBB")  # session, round_tag, sender, receiver
 LEN = struct.Struct("<I")
-HEADER_BYTES = HEADER.size + LEN.size  # 20
+HEADER_BYTES = HEADER.size + LEN.size  # 18
 
 
 class ChannelClosed(ConnectionError):
@@ -43,14 +44,14 @@ class Message:
 
     def encode(self) -> bytes:
         return (
-            HEADER.pack(self.session_id, self.round_tag, self.sender, self.receiver, 0)
+            HEADER.pack(self.session_id, self.round_tag, self.sender, self.receiver)
             + LEN.pack(len(self.payload))
             + self.payload
         )
 
     @staticmethod
     def decode(header: bytes, payload: bytes) -> "Message":
-        session_id, round_tag, sender, receiver, _ = HEADER.unpack(header[: HEADER.size])
+        session_id, round_tag, sender, receiver = HEADER.unpack(header[: HEADER.size])
         return Message(session_id, round_tag, sender, receiver, payload)
 
 
@@ -58,11 +59,11 @@ class Message:
 class CostMeter:
     """Per-party communication accounting.
 
-    wire_bytes counts actual bytes on the wire (header + packed payload).
+    wire_bytes counts actual bytes on the wire (header + payload).
     acct_bytes counts ring elements in the analytic cost-model units
     (Z_L elements at ell bits, Z_p/Z_2 elements at one bit); integrity
-    metadata, the link digests and a malicious opening's hash of the
-    component, is excluded from it.
+    metadata, the link digest ending each malicious payload and an
+    opening's hash of the component, is excluded from it.
     """
 
     rounds: int = 0

@@ -90,12 +90,12 @@ class Deviation:
         method = "send_hash" if self.kind == "hash" else "send_elems"
         send = getattr(session.Round, method)
 
-        def deviating(rnd, to: int, arr, mod: int, extra: bytes = b""):
+        def deviating(rnd, to: int, arr, mod: int):
             sess = rnd.sess
             peer = sess.party.prev if self.kind == "hash" else sess.party.next
             if (sess.party.index, rnd.tag, to) == (self.corrupt, self.tag, peer.index):
                 arr = self._deviate(rnd.no, np.asarray(arr), mod)
-            return send(rnd, to, arr, mod, extra)
+            return send(rnd, to, arr, mod)
 
         monkeypatch.setattr(session.Round, method, deviating)
 

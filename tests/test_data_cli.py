@@ -432,8 +432,9 @@ def test_cli_weights_that_do_not_fit_the_net(mini_setup, capsys, monkeypatch, ba
 
 
 def test_cli_malicious_infer_adds_one_hash_per_opening(mini_setup, capsys, monkeypatch):
-    """Malicious sends the semi-honest ring elements, plus at each opening one
-    message to the previous party: a hash and two link digests."""
+    """Malicious sends the semi-honest ring elements, with a link digest on
+    every message, plus at each opening one message to the previous party:
+    a header, a hash and its link digest."""
     d, store, net_path = mini_setup
     base = ["infer", "--net", net_path, "--weights", str(d / "mini.ckpt"), "--data", store,
             "--count", "4", "--json"]
@@ -454,7 +455,9 @@ def test_cli_malicious_infer_adds_one_hash_per_opening(mini_setup, capsys, monke
     mal = json.loads(capsys.readouterr().out)
     assert opens
     assert mal["meter"]["acct_bytes"] == semi["meter"]["acct_bytes"]
-    per_open = HEADER_BYTES + OPEN_HASH_BYTES + 2 * DIGEST_BYTES
-    assert per_open == 52
-    assert mal["meter"]["wire_bytes"] - semi["meter"]["wire_bytes"] == per_open * len(opens)
+    per_open = HEADER_BYTES + OPEN_HASH_BYTES + DIGEST_BYTES
+    assert per_open == 42
+    assert mal["meter"]["messages"] == semi["meter"]["messages"] + len(opens)
+    assert (mal["meter"]["wire_bytes"] - semi["meter"]["wire_bytes"]
+            == DIGEST_BYTES * semi["meter"]["messages"] + per_open * len(opens))
     assert mal["agreement"] == semi["agreement"]

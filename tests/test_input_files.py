@@ -146,8 +146,10 @@ OUTPUTS = {
 
 @pytest.mark.parametrize("command", OUTPUTS)
 def test_unwritable_output_file_exits_2(good, tmp_path, capsys, command):
-    # train writes its checkpoint once it has trained, after its progress lines
+    # train opens its checkpoint before the session starts, so a bad path
+    # costs no secure training run
     argv = OUTPUTS[command](good, tmp_path)
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: cannot write ") and argv[-1] in err and "Traceback" not in err, err
+    assert "secure sgd iteration" not in out, out

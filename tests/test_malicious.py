@@ -98,29 +98,58 @@ def test_malicious_products_stay_hidden_from_each_party():
 
     for views in run_three_parties(job, PARAMS, threat=ThreatModel.MALICIOUS, session_seed=4):
         for z, payloads, product in views:
-            assert payloads
             own = add_mod(z.lo, z.hi, PARAMS.L)
+            checked = 0
             for payload in payloads:
-                if len(payload) != wire_nbytes(PARAMS.L, PARAMS.ell, z.lo.size):
+                # a piece is the round's Z_L payload before its link digest
+                body = payload[:-DIGEST_BYTES]
+                if len(body) != wire_nbytes(PARAMS.L, PARAMS.ell, z.lo.size):
                     continue
-                piece = deserialize_elems(payload, PARAMS.L, PARAMS.ell, z.shape)
+                piece = deserialize_elems(body, PARAMS.L, PARAMS.ell, z.shape)
                 assert not np.array_equal(add_mod(own, piece, PARAMS.L), product)
+                checked += 1
+            assert checked, "no reshare piece of the round was checked"
+
+
+def _mult_chain_outcome(sess):
+    try:
+        return "output", _job_mult_chain(sess)
+    except AbortError:
+        sess.links.close()  # the peers stop at their next receive
+        return "abort", None
+    except ChannelClosed:
+        sess.links.close()  # a peer that waits on this party stops too
+        return "closed", None
+
+
+def _tampered_mult_chains(deliveries, backend: str = "memory"):
+    """Whichever delivery is tampered, its receiver aborts, and no party
+    opens a value other than the clean run's."""
+    clean = run_three_parties(_job_mult_chain, PARAMS, threat=ThreatModel.MALICIOUS,
+                              session_seed=3)
+    for msg_idx in deliveries:
+        tamper = RecvTamper(msg_idx)
+        addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)} if backend == "tcp" else None
+        out = run_three_parties(tamper.wrap(_mult_chain_outcome), PARAMS,
+                                threat=ThreatModel.MALICIOUS, session_seed=3, backend=backend,
+                                addresses=addresses, timeout=10.0)
+        assert tamper.fired
+        assert out[tamper.victim - 1][0] == "abort", \
+            f"P{tamper.victim} did not abort after message {msg_idx} was tampered: {out}"
+        for index, (kind, value) in enumerate(out, start=1):
+            assert kind != "output" or np.array_equal(value, clean[index - 1]), \
+                f"P{index} opened a wrong value after message {msg_idx} was tampered"
 
 
 def test_party_that_received_tampered_message_aborts():
-    """Whichever message is tampered, its receiver stops at the next opening
-    instead of opening a value built on it."""
-    def job(sess):
-        try:
-            return _job_mult_chain(sess)
-        except AbortError:
-            return None
+    """The receiver of a tampered message stops at the next message on that
+    link, before the bad piece is multiplied into a consistent sharing of a
+    wrong value that an opening would release."""
+    _tampered_mult_chains(range(_count_messages(ThreatModel.MALICIOUS)))
 
-    for msg_idx in range(_count_messages(ThreatModel.MALICIOUS)):
-        tamper = RecvTamper(msg_idx)
-        out = run_three_parties(tamper.wrap(job), PARAMS, threat=ThreatModel.MALICIOUS,
-                                session_seed=3)
-        assert out[tamper.victim - 1] is None, f"P{tamper.victim} opened a value after message {msg_idx} was tampered"
+
+def test_party_that_received_tampered_message_aborts_over_tcp():
+    _tampered_mult_chains((0, 3, 6, 9), backend="tcp")
 
 
 def test_semi_honest_flip_gives_wrong_value_no_abort():
@@ -290,7 +319,7 @@ def _flip_hash_byte(payload: bytes) -> bytes:
 @pytest.mark.parametrize("backend", ["memory", "tcp"])
 def test_flipped_open_hash_aborts_its_receiver(backend):
     # an opening's hash is the one payload of OPEN_HASH_BYTES + DIGEST_BYTES
-    # in this job: its Z_L payloads are 32 bytes, or 40 with a digest
+    # in this job: its Z_L payloads are 32 bytes plus a digest
     tamper = RecvTamper(0, edit=_flip_hash_byte,
                         when=lambda msg: len(msg.payload) == OPEN_HASH_BYTES + DIGEST_BYTES)
     addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)} if backend == "tcp" else None

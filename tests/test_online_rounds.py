@@ -102,20 +102,21 @@ def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool
 # 1 cost-model bit each at party 1), over 20,680 compare elements on
 # infer-c, 2,160 on infer-b-mal and 596 on train-a-mal (the loss's two
 # divisors each probe ell - 1 thresholds); a payload of n Z_p elements is
-# 6 * ceil(n / 8) bytes and one of Z_2 bits ceil(n / 8). A malicious cell
-# costs its semi-honest twin's rounds and cost-model bits; each of party 1's
-# openings adds one message, the hash of its hi to the previous party, and
-# 52 wire bytes: that message's header, the 16-byte hash and two 8-byte link
-# digests (10 openings on infer-a/b, 26 on infer-c, 33 on train-a)
+# 6 * ceil(n / 8) bytes and one of Z_2 bits ceil(n / 8); each message has an
+# 18-byte header. A malicious cell costs its semi-honest twin's rounds and
+# cost-model bits; each of its twin's messages gains an 8-byte link digest,
+# and each of party 1's openings adds one message, the hash of its hi to the
+# previous party, of 42 wire bytes: the header, the 16-byte hash and the
+# digest (10 openings on infer-a/b, 26 on infer-c, 33 on train-a)
 @pytest.mark.parametrize("make_net, threat, train, want", [
-    (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 831_465, 3_331_400)),
-    (network_b, ThreatModel.MALICIOUS, False, (23, 35, 87_930, 349_680)),
-    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 1_462_864, 11_580_820)),
-    (network_a, ThreatModel.SEMI_HONEST, False, (23, 25, 21_284, 84_352)),
-    (network_a, ThreatModel.MALICIOUS, False, (23, 35, 21_804, 84_352)),
-    (network_b, ThreatModel.SEMI_HONEST, False, (23, 25, 87_410, 349_680)),
-    (network_c, ThreatModel.MALICIOUS, False, (65, 98, 832_817, 3_331_400)),
-    (network_a, ThreatModel.SEMI_HONEST, True, (75, 80, 1_461_148, 11_580_820)),
+    (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 831_321, 3_331_400)),
+    (network_b, ThreatModel.MALICIOUS, False, (23, 35, 87_980, 349_680)),
+    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 1_463_014, 11_580_820)),
+    (network_a, ThreatModel.SEMI_HONEST, False, (23, 25, 21_234, 84_352)),
+    (network_a, ThreatModel.MALICIOUS, False, (23, 35, 21_854, 84_352)),
+    (network_b, ThreatModel.SEMI_HONEST, False, (23, 25, 87_360, 349_680)),
+    (network_c, ThreatModel.MALICIOUS, False, (65, 98, 832_989, 3_331_400)),
+    (network_a, ThreatModel.SEMI_HONEST, True, (75, 80, 1_460_988, 11_580_820)),
 ], ids=["infer-c", "infer-b-mal", "train-a-mal", "infer-a", "infer-a-mal", "infer-b",
         "infer-c-mal", "train-a"])
 def test_online_rounds_are_exact(make_net, threat, train, want):
@@ -129,7 +130,7 @@ def test_distributed_offline_counts_are_exact():
     # (2,160 elements in all) takes 2 + ceil(log2 31) = 7 adder rounds, and
     # each element 120 prefix ANDs (test_prep.prefix_ands). Its two
     # openings cost what the online ones do: semi-honest offline counts are
-    # (44, 44, 556_006, 3_277_512)
+    # (44, 44, 555_918, 3_277_512)
     online, offline = request_counts(network_b, ThreatModel.MALICIOUS, False, distributed=True)
-    assert online == (23, 35, 87_930, 349_680)
-    assert offline == (44, 46, 556_110, 3_277_512)
+    assert online == (23, 35, 87_980, 349_680)
+    assert offline == (44, 46, 556_354, 3_277_512)

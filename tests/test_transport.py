@@ -1,6 +1,7 @@
 """Framing, metering, desync, timeouts, and memory/TCP backend transparency."""
 
 import ctypes
+import hashlib
 import os
 import re
 import socket
@@ -16,8 +17,10 @@ import pytest
 from falcon import protocols as P
 from falcon.prep import DealerPrep
 from falcon.rings import RingParams
-from falcon.session import AbortError, Round, ThreatModel, open_share, run_three_parties
+from falcon.session import (DIGEST_BYTES, AbortError, Round, ThreatModel, open_share,
+                            run_three_parties)
 from falcon.transport import (
+    HEADER,
     HEADER_BYTES,
     DesyncError,
     Message,
@@ -28,6 +31,14 @@ from falcon.transport import (
 from falcon.rss import serialize_elems, share_secret
 
 PARAMS = RingParams(ell=32, fp=13)
+
+
+def _trailer(threat) -> bytes:
+    """What a hand-built first frame on a link ends with: nothing, or in the
+    malicious model the sender's link digest of an empty history."""
+    if threat is ThreatModel.MALICIOUS:
+        return hashlib.blake2b(digest_size=DIGEST_BYTES).digest()
+    return b""
 
 
 def test_message_roundtrip():
@@ -97,19 +108,24 @@ def test_round_tag_mismatch_raises_desync():
 @pytest.mark.parametrize("frame", ["short_payload", "wrong_session"])
 def test_malformed_frame_is_rejected(threat, error, frame):
     # P2 expects four Z_L elements from P1; P1 sends a bad frame instead
+    trailer = _trailer(threat)
+
     def job(sess):
         rnd = Round(sess, "t")
         if sess.party.index == 1:
             body = serialize_elems(np.arange(4), PARAMS.L, PARAMS.ell)
             if frame == "short_payload":
-                sess.links.send(Message(sess.session_id, rnd.no, 1, 2, body[:3]))
+                sess.links.send(Message(sess.session_id, rnd.no, 1, 2, body[:3] + trailer))
             else:
-                sess.links.send(Message(sess.session_id + 1, rnd.no, 1, 2, body))
+                sess.links.send(Message(sess.session_id + 1, rnd.no, 1, 2, body + trailer))
         if sess.party.index == 2:
             rnd.expect_elems(1, PARAMS.L, (4,))
         rnd.run()
 
-    with pytest.raises(error):
+    refused = (f"bytes {3 + len(trailer)} (expected {16 + len(trailer)})"
+               if frame == "short_payload" else "session 1 (expected 0)")
+    with pytest.raises(error, match=r"round 1 \(t\): the frame from P1 to P2 has "
+                       + re.escape(refused) + "$"):
         run_three_parties(job, PARAMS, threat=threat, session_seed=0)
 
 
@@ -130,7 +146,7 @@ def test_packed_frame_of_the_right_length_is_refused(threat, error, fault):
             body = bytearray(serialize_elems(vals, PARAMS.p, PARAMS.ell))
             if fault == "padding_bit":
                 body[-1] |= 0x80
-            sess.links.send(Message(sess.session_id, rnd.no, 2, 3, bytes(body)))
+            sess.links.send(Message(sess.session_id, rnd.no, 2, 3, bytes(body) + _trailer(threat)))
         if sess.party.index == 3:
             rnd.expect_elems(2, PARAMS.p, (13,))
         rnd.run()
@@ -138,6 +154,34 @@ def test_packed_frame_of_the_right_length_is_refused(threat, error, fault):
     detail = f"element {PARAMS.p + 3}," if fault == "digit_past_p" else "nonzero padding bits"
     with pytest.raises(error, match=r"round 1 \(t\): P2 sent P3 " + re.escape(detail)):
         run_three_parties(job, PARAMS, threat=threat, session_seed=0)
+
+
+@pytest.mark.parametrize("threat,error", [(ThreatModel.SEMI_HONEST, DesyncError),
+                                          (ThreatModel.MALICIOUS, AbortError)])
+def test_flipped_header_byte_is_refused_over_tcp(monkeypatch, threat, error):
+    # P1 flips one header byte of every frame it sends, each byte in turn;
+    # the receiving session checks every header field, so each flip ends the
+    # run. The length field is not flipped: a larger length waits for bytes
+    # that never come
+    encode = Message.encode
+
+    def job(sess):
+        x = share_secret(np.arange(4, dtype=np.uint64), PARAMS.L,
+                         sess.shared_rng)[sess.party.index - 1]
+        return open_share(sess, x)
+
+    for pos in range(HEADER.size):
+        def flipped(msg, pos=pos):
+            blob = encode(msg)
+            if msg.sender != 1:
+                return blob
+            return blob[:pos] + bytes([blob[pos] ^ 0x01]) + blob[pos + 1:]
+
+        monkeypatch.setattr(Message, "encode", flipped)
+        addresses = {i: ("127.0.0.1", _free_port()) for i in (1, 2, 3)}
+        with pytest.raises(error, match=r"the frame from P1 to P\d has "):
+            run_three_parties(job, PARAMS, threat=threat, session_seed=0, backend="tcp",
+                              addresses=addresses, timeout=10.0)
 
 
 def _free_port() -> int:
