@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from falcon import protocols as P
-from falcon.prep import DealerPrep
+from falcon.prep import DealerPrep, compare_products
 from falcon.rings import RingParams, bit_decompose, decode_fixed, encode_fixed
 from falcon.rss import public_share, share_secret
 from falcon.session import open_share, run_three_parties
@@ -33,7 +33,7 @@ def job(sess):
     bits = share_secret(bit_decompose(xs, params), params.p,  # (ell, n) planes
                         sess.shared_rng)[sess.party.index - 1]
     rand = sess.prep.wrap_rands(len(xs))
-    vbits, m_beta, m_xtop = P.compare_products(sess, bits, rand.beta_p, rand.m)
+    vbits, m_beta, m_xtop = compare_products(sess, bits, rand.beta_p, rand.m)
     rand = replace(rand, xbits=bits, vbits=vbits, m_beta=m_beta, m_xtop=m_xtop)
     zero = public_share(sess.party, np.uint64(0), 2, shape=xs.shape)
     gt = P.private_compare(sess, ts, zero, rand)

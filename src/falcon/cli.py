@@ -56,9 +56,14 @@ def main(argv=None) -> int:
         parser.error("--party needs --config")
     if getattr(args, "config", None) is not None and args.party is None:
         parser.error("--config needs --party")
+    if args.command == "train":
+        for flag, shift in (("--lr-shift", args.lr_shift), ("--delta-shift", args.delta_shift)):
+            if shift > args.ring_bits - 2:  # a truncation pair shifts by at most ell - 2
+                parser.error(f"{flag} {shift} is above --ring-bits - 2 = {args.ring_bits - 2}")
     try:
         return args.func(args)
-    except (FormatError, RingError, PrepMismatchError, SliceError) as exc:  # a bad file or flag, a file of another run
+    except (FormatError, RingError, PrepMismatchError, SliceError, num.DomainError) as exc:
+        # a bad file or flag, a file of another run, a fixed-point format a protocol refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a refused or silent peer, a receive timeout, a busy port

@@ -24,16 +24,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import FormatError, check_words, load_tensors, save_tensors
-from .protocols import compare_products, mult
+from .protocols import mult
 from .rings import NARROW, UINT, RingParams, bit_decompose, dtype_for, matmul_mod, reduce_mod, wrap3
 from .rss import (
     PartyId,
     RssShare,
     add_shares,
+    broadcast_share,
     concat_shares,
     public_share,
     scale_share,
-    share_components,
     share_secret,
     sub_shares,
     zero_randomness_2of3,
@@ -68,7 +68,7 @@ class WrapRand:
     """Random x with its Z_p bit sharing and alpha = wrap3 of its components,
     plus the blinding of the private compare on x's bits (a bit beta in both
     rings and the nonzero m~ of the compare's mask m~ (1 - 2 beta)) and its
-    products with those bits (`protocols.compare_products`), each a sharing
+    products with those bits (`prep.compare_products`), each a sharing
     of its own, so the online compare multiplies nothing before its tree.
     x's bits are bit-major planes, C-contiguous (ell, n): plane i holds bit i
     of every instance, the layout the compare's factors and tree work in."""
@@ -109,8 +109,10 @@ class DealerPrep:
 
     Every party instantiates the same dealer and takes its own components;
     privacy is out of scope for this fixture (tests and local runs only).
-    In-process parties share one generation pass through a memo keyed by
-    (seed, params, call index): the threads request artifacts in lockstep.
+    A call's material depends only on the seed, the ring, the call index,
+    the kind and its arguments, so the parties request artifacts in
+    lockstep. In-process parties share one dealing pass through a memo
+    keyed by those: it only saves the other two from dealing it again.
     """
 
     _memo: dict = {}
@@ -120,48 +122,40 @@ class DealerPrep:
         self.party = party
         self.params = params
         self.seed = seed
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEA1]))
         self.calls = 0
-
-    def _share_all(self, vals, mod):
-        return share_secret(vals, mod, self.rng)
 
     def trunc_pairs(self, n: int, d) -> TruncPair:
         p = self.params
         d_arr = np.broadcast_to(np.asarray(d, np.int64), (n,))
 
-        def gen():
+        def deal(rng):
             span = (np.int64(1) << (p.ell - 2 - d_arr)).astype(np.int64)
-            u = self.rng.integers(-span, span, size=n).astype(np.int64)
-            r = reduce_mod(u << d_arr, p.L)
-            return (self._share_all(r, p.L), self._share_all(reduce_mod(u, p.L), p.L))
+            u = rng.integers(-span, span, size=n).astype(np.int64)
+            return (share_secret(reduce_mod(u << d_arr, p.L), p.L, rng),
+                    share_secret(reduce_mod(u, p.L), p.L, rng))
 
-        r_all, u_all = self._consume("trunc", (n, d_arr.tobytes()), gen)
-        i = self.party.index - 1
-        return TruncPair(r_all[i], u_all[i], d_arr)
+        return TruncPair(*self._deal("trunc", (n, d_arr.tobytes()), deal), d_arr)
 
     def wrap_rands(self, n: int) -> WrapRand:
         p = self.params
 
-        def gen():
-            comps = [self.rng.integers(0, p.L, n, dtype=dtype_for(p.L)) for _ in range(3)]
-            x = reduce_mod(comps[0] + comps[1] + comps[2], p.L)
-            alpha = wrap3(comps[0], comps[1], comps[2], p.L)
+        def deal(rng):
+            x = rng.integers(0, p.L, n, dtype=dtype_for(p.L))
+            xs = share_secret(x, p.L, rng)
             bits = bit_decompose(x, p)  # (ell, n) planes
+            alpha = wrap3(*(s.lo for s in xs), p.L)
             # the compare's blinding bit beta and the nonzero m~ of its mask
-            beta = self.rng.integers(0, 2, n).astype(NARROW)
-            m = self.rng.integers(1, p.p, n).astype(NARROW)
+            beta = rng.integers(0, 2, n).astype(NARROW)
+            m = rng.integers(1, p.p, n).astype(NARROW)
             # the products are dealt as fresh sharings: scaling the bits'
             # shares by (1 or p - 1) would tell each party beta. Each is a
             # product of a bit and a value below p, so it fits a uint8
             v = bits * np.where(beta, p.p - 1, 1).astype(NARROW)
-            return (comps, *(self._share_all(val, mod) for val, mod in (
+            return (xs, *(share_secret(val, mod, rng) for val, mod in (
                 (bits, p.p), (alpha, 2), (beta, 2), (beta, p.p), (m, p.p), (v, p.p),
                 (m * beta, p.p), (m * bits[-1], p.p))))
 
-        comps, *shared = self._consume("wrap", (n,), gen)
-        i = self.party.index - 1
-        return WrapRand(share_components(self.party, tuple(comps), p.L), *(s[i] for s in shared))
+        return WrapRand(*self._deal("wrap", (n,), deal))
 
     # kept only because perfbench/tracing.py patches it by name; no caller
     compare_rands = wrap_rands
@@ -169,31 +163,28 @@ class DealerPrep:
     def bit_pairs(self, n: int) -> BitPair:
         p = self.params
 
-        def gen():
-            c = self.rng.integers(0, 2, n).astype(NARROW)
-            return (self._share_all(c, 2), self._share_all(c, p.L))
+        def deal(rng):
+            c = rng.integers(0, 2, n).astype(NARROW)
+            return share_secret(c, 2, rng), share_secret(c, p.L, rng)
 
-        c2_all, cL_all = self._consume("bitpair", (n,), gen)
-        i = self.party.index - 1
-        return BitPair(c2_all[i], cL_all[i])
+        return BitPair(*self._deal("bitpair", (n,), deal))
 
-    def _consume(self, kind: str, args: tuple, gen):
-        """Memoized generation: whichever in-process party arrives first
-        produces the full triple, the rest reuse it. All parties re-seed
-        their rng per call index so the stream stays aligned either way."""
+    def _deal(self, kind: str, args: tuple, deal) -> list[RssShare]:
+        """This party's shares of the sharings that deal(rng) returns, each
+        a triple of all parties' shares. The rng is seeded by the seed and
+        the call index alone, and only the party that deals creates it:
+        whichever in-process party arrives first, the rest take its
+        sharings from the memo."""
         key = (self.seed, repr(self.params), self.calls, kind, args)
-        self.calls += 1
         with DealerPrep._lock:
-            hit = DealerPrep._memo.get(key)
-            if hit is None:
+            dealt = DealerPrep._memo.get(key)
+            if dealt is None:
                 if len(DealerPrep._memo) > 128:
                     DealerPrep._memo.clear()
-                hit = gen()
-                DealerPrep._memo[key] = hit
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0xDEA1, self.calls])
-        )
-        return hit
+                rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xDEA1, self.calls]))
+                dealt = DealerPrep._memo[key] = deal(rng)
+        self.calls += 1
+        return [shares[self.party.index - 1] for shares in dealt]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +281,21 @@ def _adder_wrap_bit(sess: PartySession, x: RssShare) -> tuple[RssShare, RssShare
     bits = concat_shares([S[:1], p[:1], add_shares(p[1:], G[:-1])])
     alpha = add_shares(C[ell - 1], G[ell - 2])
     return bits.reshape((ell,) + x.shape), alpha.reshape(x.shape)
+
+
+def compare_products(sess: PartySession, xbits: RssShare, beta_p: RssShare,
+                     m: RssShare) -> tuple[RssShare, RssShare, RssShare]:
+    """The compare's products of its blinding, all in one multiplication:
+    x's bits flipped by it, vbits = (1 - 2 beta) x[i] as (ell, n) planes
+    like xbits, then m~ beta and m~ x[ell - 1] of shape (n,)."""
+    ell, n = xbits.shape
+    row = m.reshape(1, n)
+    sign = sub_shares(public_share(sess.party, np.uint64(1), xbits.mod, shape=(1, n)),
+                      scale_share(np.uint64(2), beta_p.reshape(1, n)))  # 1 - 2 beta, local
+    prods = mult(sess,
+                 concat_shares([broadcast_share(sign, xbits.shape), row, row]),
+                 concat_shares([xbits, beta_p.reshape(1, n), xbits[ell - 1 :]]))
+    return prods[:ell], prods[ell], prods[ell + 1]
 
 
 class DistributedPrep:

@@ -155,12 +155,6 @@ def xor_public(sess: PartySession, x: RssShare, b) -> RssShare:
     return add_public(sess.party, RssShare(lo, hi, x.mod), b)
 
 
-def one_minus_two_beta(sess: PartySession, beta: RssShare) -> RssShare:
-    """Share of (-1)^beta = 1 - 2*beta (local)."""
-    neg2 = sub_mod(0, 2, beta.mod)
-    return add_public(sess.party, scale_share(neg2, beta), np.uint64(1))
-
-
 def select_shares(sess: PartySession, x: RssShare, y: RssShare, b: RssShare) -> RssShare:
     """z = x when b = 0, y when b = 1: z = x + (y - x) * b, one multiplication.
 
@@ -187,12 +181,11 @@ def private_compare(sess: PartySession, t, mask: RssShare, rand) -> np.ndarray:
     rand is x's preprocessed `WrapRand`: its xbits, the little-endian bits
     of x over Z_p as bit-major (ell, n) planes, its blinding (beta2, beta_p
     and the nonzero m~ of the mask m = m~ (1 - 2 beta)) and their products
-    (`compare_products`), so the compare multiplies nothing before its tree.
-    Each
-    instance compares x with t' = t + (1 - beta) and multiplies ell factors
-    below p (see `_pc_factors`), the mask folded into the top one, in
-    ceil(log2 ell) tree levels. The masked product d and the blinding bit
-    xor m open in one round, and d unblinds the opened bit. At
+    (`prep.compare_products`), so the compare multiplies nothing before its
+    tree. Each instance compares x with t' = t + (1 - beta) and multiplies
+    ell factors below p (see `_pc_factors`), the mask folded into the top
+    one, in ceil(log2 ell) tree levels. The masked product d and the
+    blinding bit xor m open in one round, and d unblinds the opened bit. At
     t = 2^ell - 1 the answer is 0.
     """
     ell = sess.params.ell
@@ -207,20 +200,6 @@ def private_compare(sess: PartySession, t, mask: RssShare, rand) -> np.ndarray:
     top = t == (1 << ell) - 1
     del t  # the tree needs the factors alone
     return _pc_core(sess, factors, rand.beta2, top, mask)
-
-
-def compare_products(sess: PartySession, xbits: RssShare, beta_p: RssShare,
-                     m: RssShare) -> tuple[RssShare, RssShare, RssShare]:
-    """The compare's products of its blinding, all in one multiplication:
-    x's bits flipped by it, vbits = (1 - 2 beta) x[i] as (ell, n) planes
-    like xbits, then m~ beta and m~ x[ell - 1] of shape (n,)."""
-    ell, n = xbits.shape
-    row = m.reshape(1, n)
-    sign = one_minus_two_beta(sess, beta_p).reshape(1, n)
-    prods = mult(sess,
-                 concat_shares([broadcast_share(sign, xbits.shape), row, row]),
-                 concat_shares([xbits, beta_p.reshape(1, n), xbits[ell - 1 :]]))
-    return prods[:ell], prods[ell], prods[ell + 1]
 
 
 def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.ndarray,

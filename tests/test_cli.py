@@ -128,6 +128,24 @@ def test_count_and_size_flags_are_checked_when_parsed(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--lr-shift", "--delta-shift"])
+def test_train_shift_above_ell_minus_2_is_refused_when_parsed(capsys, flag):
+    # a truncation pair shifts by at most ell - 2: one shift past it is
+    # refused before any party starts, and ell - 2 itself passes the parser
+    # (the missing --data file stops the run instead)
+    train = ["train", "--net", "network-a", "--data", "nosuch.bin", "--ring-bits", "16"]
+    assert flag in _refused(capsys, [*train, flag, "15"])
+    assert "nosuch.bin" in _refused(capsys, [*train, flag, "14"])
+
+
+@pytest.mark.parametrize("flags,why", [
+    (["--protocol", "bn", "--fp-bits", "8"], "at least 10"),
+    (["--protocol", "div", "--fp-bits", "25"], "headroom"),
+], ids=["bn-fp8", "div-fp25"])
+def test_fixed_point_format_a_protocol_refuses_exits_2(capsys, flags, why):
+    assert why in _refused(capsys, ["bench", "--n", "4", *flags])
+
+
 @pytest.mark.parametrize("content", [
     None, "{not json", json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2]}),
     json.dumps({"1": ["127.0.0.1", 1], "2": ["127.0.0.1", 2], "3": ["127.0.0.1", 65536]}),

@@ -8,6 +8,7 @@ import pytest
 
 from falcon import protocols as P
 from falcon.oracle import oracle_compare
+from falcon.prep import compare_products
 from falcon.rings import RingParams, add_mod, bit_decompose, sub_mod, wrap3
 from falcon.rss import share_components, share_secret
 from falcon.session import ThreatModel
@@ -25,7 +26,7 @@ def chosen_compare_rand(sess, xs):
     bits = bit_decompose(np.asarray(xs, np.uint64), params)
     xbits = share_secret(bits, params.p, sess.shared_rng)[sess.party.index - 1]
     rand = sess.prep.wrap_rands(bits.shape[1])
-    vbits, m_beta, m_xtop = P.compare_products(sess, xbits, rand.beta_p, rand.m)
+    vbits, m_beta, m_xtop = compare_products(sess, xbits, rand.beta_p, rand.m)
     return replace(rand, xbits=xbits, vbits=vbits, m_beta=m_beta, m_xtop=m_xtop)
 
 

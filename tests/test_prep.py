@@ -19,6 +19,7 @@ from falcon.prep import (
     RecordingPrep,
     _adder_wrap_bit,
     bit_inject,
+    compare_products,
     sample_shared_bits,
     save_prep_file,
 )
@@ -100,6 +101,52 @@ def test_dealer_bit_pairs():
     cL = reconstruct_all([b.cL for b in bp])
     assert np.array_equal(c2, cL)
     assert set(np.unique(c2)) <= {0, 1}
+
+
+def _dealt(dealer) -> list:
+    """Every share one dealer hands out over a fixed run of requests."""
+    items = (dealer.trunc_pairs(100, np.repeat([PARAMS.fp, PARAMS.ell - 2], 50)),
+             dealer.wrap_rands(100), dealer.bit_pairs(100), dealer.trunc_pairs(100, PARAMS.fp))
+    return [getattr(a, f.name) for a in items for f in fields(a) if f.name != "d"]
+
+
+def test_dealer_material_depends_only_on_the_call():
+    # three dealers that share the memo, and three that each deal alone (the
+    # memo cleared before each party, as the benchmark's clear_dealer_memo
+    # can), hand out the same consistent sharings call by call
+    DealerPrep._memo.clear()
+    shared = [_dealt(d) for d in _dealers(PARAMS, seed=12)]
+    alone = []
+    for dealer in _dealers(PARAMS, seed=12):
+        DealerPrep._memo.clear()
+        alone.append(_dealt(dealer))
+    for k in range(len(shared[0])):
+        reconstruct_all([alone[i][k] for i in range(3)])
+        for i in range(3):
+            assert np.array_equal(alone[i][k].lo, shared[i][k].lo)
+            assert np.array_equal(alone[i][k].hi, shared[i][k].hi)
+
+
+def test_compare_products_exhaustive():
+    # at ell = 8 (p = 11), every x, both beta and every nonzero m~: the
+    # compare's flipped bits vbits = (1 - 2 beta) x[i], m~ beta and
+    # m~ x[ell - 1], all in one multiplication round
+    p = P8.p
+    x, beta, m = (g.ravel() for g in np.meshgrid(np.arange(256), np.arange(2), np.arange(1, p),
+                                                   indexing="ij"))
+    bits = bit_decompose(x.astype(np.uint64), P8).astype(np.int64)  # (ell, n) planes
+
+    def job(sess):
+        r0 = sess.meter.rounds
+        prods = compare_products(sess, *(shared_input(sess, v, p) for v in (bits, beta, m)))
+        rounds = sess.meter.rounds - r0
+        return [open_share(sess, s) for s in prods], rounds
+
+    (vbits, m_beta, m_xtop), rounds = run_shared(P8, job)[0]
+    assert rounds == 1
+    assert np.array_equal(vbits, (1 - 2 * beta) * bits % p)
+    assert np.array_equal(m_beta, m * beta % p)
+    assert np.array_equal(m_xtop, m * bits[-1] % p)
 
 
 def test_bit_inject_exhaustive_components():

@@ -226,24 +226,6 @@ def test_xor_public_truth_table():
         assert got == x ^ b
 
 
-@pytest.mark.parametrize("mod", [37, 256])
-def test_one_minus_two_beta(mod):
-    # the sign share private compare multiplies by: (-1)^beta * x
-    xs = np.arange(mod, dtype=np.uint64)
-
-    def job(sess):
-        out = {}
-        for beta in (0, 1):
-            x = shared_input(sess, xs, mod)
-            b = shared_input(sess, np.full(mod, beta, np.uint64), mod)
-            out[beta] = open_share(sess, P.mult(sess, P.one_minus_two_beta(sess, b), x))
-        return out
-
-    out = run_shared(RingParams(ell=8, fp=4), job)[0]
-    assert np.array_equal(out[0], xs)
-    assert np.array_equal(out[1], reduce_mod(-xs.astype(np.int64), mod))
-
-
 def test_select_shares():
     # the bit is shared over Z_L, as drelu_lifted returns it: the selection
     # is one multiplication, with no opening and no bit pair

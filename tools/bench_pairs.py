@@ -9,7 +9,7 @@ BENCHMARK.json, pair k of PAIRS runs both sides once under FIRST_SEED + k
 for the benchmark's `run_seconds`, the side that starts alternating from
 pair to pair, one run at a time. The JSON holds, per workload and side, the
 median and quartiles of every end-to-end metric, the runs' and requests'
-failure counts, and per pair every end-to-end metric of both sides. Per
+failure counts with each failed run's stderr tail, and per pair every end-to-end metric of both sides. Per
 metric, `verdicts` counts the pairs the change wins in the metric's better
 direction (ties count for neither side) and reads the gain rule: a gain
 only when the change wins at least nine tenths of the pairs run and its
@@ -37,6 +37,7 @@ TRACE_KEYS = ("rss.prf_draw.s", "protocols.private_compare.self_s", "protocols.m
 TRACE_WORKLOAD = "infer-c"
 PAIRS = 10
 FIRST_SEED = 300
+STDERR_TAIL = 2048  # characters of a failed run's stderr kept in the report
 
 
 def parse_args(argv):
@@ -62,16 +63,21 @@ def extract(ref: str, dest: Path) -> Path:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One perfbench run: its closing JSON object, plus its table10 lines;
-    a run that exits nonzero or prints no JSON is {"error": ...}."""
+    a run that exits nonzero or prints no JSON is {"error": ...}. A run
+    that reports failed requests or no metrics keeps its notes and the
+    last STDERR_TAIL characters of its stderr as "cause"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    lines = [line.strip() for line in proc.stdout.strip().splitlines()]
+    stderr = proc.stderr.strip()[-STDERR_TAIL:]
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    result["table10"] = [line.strip() for line in lines if line.strip().startswith("table10 ")]
+        return {"error": f"exit {proc.returncode}: {stderr}"}
+    result["table10"] = [line for line in lines if line.startswith("table10 ")]
+    if result["failed"] or not result["metrics"]:
+        result["cause"] = "\n".join([line for line in lines if line.startswith("note: ")] + [stderr])
     return result
 
 
@@ -92,7 +98,8 @@ def summarise(runs: list) -> dict:
         "attempted_requests": sum(r["attempted"] for r in done),
         "median": {k: round(statistics.median(v), 6) for k, v in values.items()},
         "quartiles": {k: quartiles(v) for k, v in values.items()},
-        "errors": [r["error"] for r in runs if "error" in r],
+        "errors": [r.get("error") or f"failed {r['failed']} of {r['attempted']} requests: {r['cause']}"
+                   for r in runs if "error" in r or "cause" in r],
     }
 
 
