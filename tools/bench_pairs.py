@@ -9,11 +9,12 @@ BENCHMARK.json, pair k of PAIRS runs both sides once under FIRST_SEED + k
 for the benchmark's `run_seconds`, the side that starts alternating from
 pair to pair, one run at a time. The JSON holds, per workload and side, the
 median and quartiles of every end-to-end metric, the runs' and requests'
-failure counts with each failed run's stderr tail, and per pair every end-to-end metric of both sides. Per
-metric, `verdicts` counts the pairs the change wins in the metric's better
-direction (ties count for neither side) and reads the gain rule: a gain
-only when the change wins at least nine tenths of the pairs run and its
-median beats the parent's by more than the parent's quartile spread. One
+failure counts with each failed run's stderr tail, and per pair every
+end-to-end metric of both sides. Per metric, `verdicts` counts the pairs
+the change wins in the metric's better direction (ties count for neither
+side) and reads the gain rule: a gain only when the change wins at least
+nine tenths of the pairs run and its median beats the parent's by more
+than the parent's quartile spread. One
 `--trace 1` run of TRACE_WORKLOAD per side adds the per-layer metrics of
 TRACE_KEYS and the table10 lines. The host's core count and numpy version
 are recorded with them.
