@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from falcon.prep import DealerPrep, RecordingPrep
+from falcon.prep import DealerPrep, RecordingPrep, compare_products
 from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed, reduce_mod
 from falcon.rss import RssShare, public_share, share_secret
 from falcon.session import ThreatModel, open_share, run_three_parties
@@ -224,6 +224,28 @@ def test_xor_public_truth_table():
     outs = run_shared(PARAMS, job)[0]
     for (x, b), got in outs.items():
         assert got == x ^ b
+
+
+@pytest.mark.parametrize("mod", [37, 256])
+def test_one_minus_two_beta(mod):
+    # the sign share private compare multiplies by, (-1)^beta * x, as the
+    # compare's blinding products form it: one plane of x's "bits" holding
+    # every value of the modulus, so the sign is checked on each
+    xs = np.arange(mod, dtype=np.uint64)
+
+    def job(sess):
+        out = {}
+        for beta in (0, 1):
+            x = shared_input(sess, xs.reshape(1, mod), mod)
+            b = shared_input(sess, np.full(mod, beta, np.uint64), mod)
+            m = shared_input(sess, np.ones(mod, np.uint64), mod)
+            vbits, _, _ = compare_products(sess, x, b, m)
+            out[beta] = open_share(sess, vbits)[0]
+        return out
+
+    out = run_shared(RingParams(ell=8, fp=4), job)[0]
+    assert np.array_equal(out[0], xs)
+    assert np.array_equal(out[1], reduce_mod(-xs.astype(np.int64), mod))
 
 
 def test_select_shares():
