@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threat", choices=[t.value for t in ThreatModel], default="semi")
         ring(p)
         p.add_argument("--prep", type=prep_mode, default="dealer", help="dealer | distributed | file:<path>")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=at_least(0), default=0)
         p.add_argument("--timeout", type=seconds, default=30.0, help="transport timeout (seconds)")
         p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch", type=at_least(1), default=32)
     t.add_argument("--lr-shift", type=int, default=8)
     t.add_argument("--delta-shift", type=int, default=2)
-    t.add_argument("--init-seed", type=int, default=3)
+    t.add_argument("--init-seed", type=at_least(0), default=3)
     t.add_argument("--train-count", type=at_least(0), default=8000)
     t.add_argument("--eval-count", type=at_least(0), default=1000)
     t.add_argument("--out", default=None, help="ring checkpoint output path")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_ingest)
 
     s = sub.add_parser("synth-data", help="generate the offline digit dataset as IDX files")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=at_least(0), default=0)
     s.add_argument("--json", action="store_true", dest="as_json")
     s.add_argument("--out-dir", required=True)
     s.add_argument("--train-n", type=at_least(0), default=10000)
@@ -298,8 +298,11 @@ def table10(protocol: str, params: RingParams, n: int, threat: str, dims=(4, 4, 
         "maxpool": ((wh - 1).bit_length() * (1 + drelu_rounds), (wh - 1) * (3 * k * n + n / 8)),
         "pow": (drelu_rounds, pow_bytes * n),
         # the bounding power (it validates b > 0), the reciprocal series (a
-        # rescale, then four mults each rescaled) and the chunked product
-        "div": (drelu_rounds + 11 + (c > 1), pow_bytes * n + (3 * c + 8) * k * n),
+        # rescale, the mult x w0 and its rescale, e0 e0 with w0 (1 + e0) in
+        # one mult and one rescale, the mult y (1 + e1)), one truncation
+        # round for y and its c - 1 chunk shifts, and the chunked product
+        # and its rescale: 9 rounds after the bounding power
+        "div": (drelu_rounds + 9, pow_bytes * n + (3 * c + 8) * k * n),
         # r groups of n: mean, squared deviations, variance, pow, 1/sqrt
         # (a rescale, four Newton steps of three mults each rescaled, a
         # rescale), then the normalised and the gamma-scaled products

@@ -26,11 +26,11 @@ from .protocols import (
     conv2d,
     drelu_lifted,
     matmul,
+    matmuls,
     maxpool_argmax,
     maxpool_route,
     mult,
     relu,
-    select_shares,
     truncate,
 )
 from .numeric import batch_norm_forward
@@ -43,6 +43,7 @@ from .rss import (
     concat_shares,
     expand_last,
     public_share,
+    scale_share,
     share_secret,
     sub_shares,
     sum_share,
@@ -156,25 +157,36 @@ def _channels_first(x: RssShare):
 
 
 def backward(sess: PartySession, state: NetState, loss_grad: RssShare) -> dict:
-    """Chain rule through the cached forward pass; returns {layer.param: grad}."""
+    """Chain rule through the cached forward pass; returns {layer.param: grad}.
+
+    The walk stops at the lowest layer with parameters, which computes its
+    parameters' gradients alone: nothing reads the gradient of the input.
+    """
     grads: dict = {}
     delta = loss_grad
-    for i in range(len(state.net.layers) - 1, -1, -1):
+    lowest = next((i for i, st in enumerate(state.layers) if st.params), len(state.layers))
+    for i in range(len(state.net.layers) - 1, lowest - 1, -1):
         st = state.layers[i]
         if "out_shape" not in st.cache:
             raise MissingCacheError("forward() must run before backward()")
         delta = delta.reshape(st.cache["out_shape"])
-        delta = _layer_backward(sess, state.net.layers[i], st, delta, grads, i)
+        delta = _layer_backward(sess, state.net.layers[i], st, delta, grads, i,
+                                need_dx=i > lowest)
     return grads
 
 
 def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta: RssShare,
-                    grads: dict, idx: int) -> RssShare:
-    """delta arrives in the layer's output shape; returns it for the input."""
+                    grads: dict, idx: int, need_dx: bool = True) -> RssShare | None:
+    """delta arrives in the layer's output shape; returns it for the input,
+    or None when need_dx is false. A layer's weight-gradient and
+    input-gradient products share one reshare round and one rescale round."""
     if layer.kind == "fc":
-        grads[f"{idx}.w"] = matmul(sess, st.cache["a_in"].transpose(), delta, truncate_after=True)
+        pairs = [(st.cache["a_in"].transpose(), delta)]
+        if need_dx:
+            pairs.append((delta, st.params["w"].transpose()))
+        grads[f"{idx}.w"], *dx = matmuls(sess, pairs, truncate_after=True)
         grads[f"{idx}.b"] = sum_share(delta, 0)
-        return matmul(sess, delta, st.params["w"].transpose(), truncate_after=True)
+        return dx[0] if need_dx else None
     if layer.kind == "conv":
         a_in, w = st.cache["a_in"], st.params["w"]
         F = layer.kernel
@@ -182,12 +194,15 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         B, C, Ho, Wo = windows.shape[:4]
         dmat, _ = _channels_first(delta)  # (Cout, B*Ho*Wo)
         cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * F * F, B * Ho * Wo)
-        dw = matmul(sess, dmat, cols.transpose(), truncate_after=True)
+        pairs = [(dmat, cols.transpose())]
+        if need_dx:
+            pairs.append((w.reshape(w.shape[0], C * F * F).transpose(), dmat))
+        dw, *dcols = matmuls(sess, pairs, truncate_after=True)  # dcols: (C*F*F, B*Ho*Wo)
         grads[f"{idx}.w"] = dw.reshape(w.shape)
         grads[f"{idx}.b"] = sum_share(dmat, -1)
-        dcols = matmul(sess, w.reshape(w.shape[0], C * F * F).transpose(), dmat,
-                       truncate_after=True)  # (C*F*F, B*Ho*Wo)
-        dwindows = dcols.reshape(C, F, F, B, Ho, Wo).transpose(3, 0, 4, 5, 1, 2)
+        if not need_dx:
+            return None
+        dwindows = dcols[0].reshape(C, F, F, B, Ho, Wo).transpose(3, 0, 4, 5, 1, 2)
         return unwindow_share(dwindows, a_in.shape, layer.stride, layer.pad)
     if layer.kind == "relu":
         return mult(sess, delta, st.cache["drelu"])
@@ -197,33 +212,42 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         return unwindow_share(routed.reshape(routed.shape[:-1] + (F, F)), st.cache["in_shape"],
                               layer.stride, 0)
     if layer.kind == "bn":
-        return _bn_backward(sess, st, delta, grads, idx)
+        return _bn_backward(sess, st, delta, grads, idx, need_dx)
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
 def _bn_backward(sess: PartySession, st: LayerState, delta: RssShare, grads: dict,
-                 idx: int) -> RssShare:
+                 idx: int, need_dx: bool) -> RssShare | None:
     """Standard batch-norm gradient from the cached z and 1/sigma.
 
     dx = gamma * inv * (dy - mean(dy) - z * mean(dy*z)); the means are taken
     before the products so every truncation input stays inside the envelope.
+    gamma * inv does not depend on dy, so it is multiplied and rescaled
+    with dy * z.
     """
     fp = sess.params.fp
     z, inv, m = st.cache["z"], st.cache["inv"], st.cache["m"]
     if m & (m - 1):
         raise ValueError("bn training requires a power-of-two group size")
     dy, restore = _channels_first(delta)  # (C, m)
-    dyz = truncate(sess, mult(sess, dy, z), fp)
+    n = dy.lo.size
+    xs, ys = [dy.reshape(-1)], [z.reshape(-1)]
+    if need_dx:
+        xs.append(st.params["gamma"])
+        ys.append(inv)
+    prods = truncate(sess, mult(sess, concat_shares(xs), concat_shares(ys)), fp)
+    dyz, g_inv = prods[:n].reshape(dy.shape), prods[n:]  # g_inv: (C,)
     sum_dy = sum_share(dy, -1)
     sum_dyz = sum_share(dyz, -1)
     grads[f"{idx}.gamma"] = sum_dyz
     grads[f"{idx}.beta"] = sum_dy
+    if not need_dx:
+        return None
     C = sum_dy.shape[0]
     means = truncate(sess, concat_shares([sum_dy, sum_dyz]), int(np.log2(m)))
     mean_dy, mean_dyz = means[:C], means[C:]
     zs = truncate(sess, mult(sess, z, expand_last(mean_dyz, z.shape)), fp)
     t = sub_shares(sub_shares(dy, expand_last(mean_dy, dy.shape)), zs)
-    g_inv = truncate(sess, mult(sess, st.params["gamma"], inv), fp)  # (C,)
     out = truncate(sess, mult(sess, expand_last(g_inv, t.shape), t), fp)
     return restore(out)
 
@@ -263,26 +287,30 @@ def loss_grad_approx(sess: PartySession, logits: RssShare, onehot: np.ndarray,
                      scale_shift: int = 0) -> RssShare:
     """delta = (ASM(logits) - onehot) / 2^{scale_shift}.
 
-    ASM(x)_i = relu(x_i)/sum_j relu(x_j); the all-nonpositive fallback
-    (uniform 1/classes) is selected obliviously, so no sample-dependent
-    branching happens in the clear. scale_shift carries the batch-mean
-    factor of the loss (and any extra damping) at nearest rounding,
-    keeping batch-summed backward products inside the safe envelope.
+    ASM(x)_i = relu(x_i)/sum_j relu(x_j), with the uniform 1/classes as the
+    fallback of a row whose logits are all nonpositive. The relu outputs
+    are nonnegative, so their total is 0 exactly when its positivity bit
+    pos is 0, and then every probability truncates to 0: the fallback adds
+    (1 - pos) times a public constant to the divisor and to the
+    probabilities, locally, and nothing sample-dependent is branched on in
+    the clear. scale_shift carries the batch-mean factor of the loss (and
+    any extra damping) at nearest rounding, keeping batch-summed backward
+    products inside the safe envelope.
     """
     params = sess.params
     fp = params.fp
     B, classes = logits.shape
     r = relu(sess, logits)
     total = sum_share(r, -1)  # (B,)
-    # one lifted positivity bit steers both selections
     pos = drelu_lifted(sess, add_public(sess.party, total, reduce_mod(-1, params.L)))
-    one = public_share(sess.party, np.uint64(1 << fp), params.L, shape=(B,))
-    denom = select_shares(sess, one, total, pos)
-    recip = divide(sess, one, denom, a_max_bits=fp + 1)
+    fallback = add_public(sess.party, scale_share(reduce_mod(-1, params.L), pos), 1)  # 1 - pos
+    one = np.uint64(1 << fp)
+    denom = add_shares(total, scale_share(one, fallback))
+    recip = divide(sess, public_share(sess.party, one, params.L, shape=(B,)), denom,
+                   a_max_bits=fp + 1)
     probs = truncate(sess, mult(sess, r, expand_last(recip, r.shape)), fp)
-    uniform = public_share(sess.party, np.uint64(round((1 << fp) / classes)),
-                           params.L, shape=r.shape)
-    phat = select_shares(sess, uniform, probs, pos)
+    uniform = np.uint64(round((1 << fp) / classes))
+    phat = add_shares(probs, expand_last(scale_share(uniform, fallback), r.shape))
     onehot_raw = reduce_mod(-encode_fixed(np.asarray(onehot, np.float64), params).astype(np.int64),
                             params.L)
     delta = add_public(sess.party, phat, onehot_raw)

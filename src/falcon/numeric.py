@@ -132,7 +132,7 @@ def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None 
     alpha = bounding_power(sess, flat_b)  # DomainError on b <= 0
     q = alpha + 1
 
-    y = _reciprocal_series(sess, flat_b, q, w)  # ~ (1/x) at precision w
+    z = _reciprocal_series(sess, flat_b, q, w)  # ~ (1/x) at precision 2w
 
     if a_max_bits is None:
         a_max_bits = fp + 7
@@ -140,52 +140,57 @@ def divide(sess: PartySession, a: RssShare, b: RssShare, a_max_bits: int | None 
     if h <= 0:
         raise DomainError("a_max_bits leaves no headroom for the final product")
     s1 = w + q - fp
-    out = _chunked_product_rescale(sess, flat_a, y, s1, h, w)
+    out = _chunked_product_rescale(sess, flat_a, z, s1, h, w)
     return out.reshape(b.shape)
 
 
 def _reciprocal_series(sess: PartySession, b: RssShare, q: np.ndarray, w: int) -> RssShare:
-    """1/x at precision w for x = raw(b) read at precision q (x in [0.5, 1))."""
+    """The product w0 (1 + e0)(1 + e1) ~ 1/x at precision 2w, not yet
+    rescaled, for x = raw(b) read at precision q (x in [0.5, 1)).
+
+    e0 e0 and w0 (1 + e0) are independent, so they share one
+    multiplication and one rescale.
+    """
     params = sess.params
+    n = b.shape[0]
     x = rescale(sess, b, q - w)  # [2^{w-1}, 2^w)
     c29 = np.uint64(round(2.9142 * (1 << w)))
     one = np.uint64(1 << w)
     w0 = add_public(sess.party, scale_share(reduce_mod(-2, params.L), x), c29)
     e0 = sub_shares(public_share(sess.party, one, params.L, shape=x.shape),
                     rescale(sess, mult(sess, x, w0), w))
-    e1 = rescale(sess, mult(sess, e0, e0), w)
     t1 = add_public(sess.party, e0, one)
+    prods = rescale(sess, mult(sess, concat_shares([e0, w0]), concat_shares([e0, t1])), w)
+    e1, y = prods[:n], prods[n:]
     t2 = add_public(sess.party, e1, one)
-    y = rescale(sess, mult(sess, w0, t1), w)
-    return rescale(sess, mult(sess, y, t2), w)
+    return mult(sess, y, t2)
 
 
-def _chunked_product_rescale(sess: PartySession, a: RssShare, y: RssShare, s1: np.ndarray,
+def _chunked_product_rescale(sess: PartySession, a: RssShare, z: RssShare, s1: np.ndarray,
                              h: int, w: int) -> RssShare:
-    """a * y / 2^{s1} with y split into h-bit chunks by public powers of two."""
+    """a * y / 2^{s1} with y = z / 2^w (to nearest) split into h-bit chunks
+    by public powers of two.
+
+    y and its shifts y >> k*h, k = 1 .. nchunks - 1, open in one truncation
+    round: with v = z + 2^{w-1}, y = floor(v / 2^w) and
+    floor(y / 2^{kh}) = floor(v / 2^{w+kh}).
+    """
     nchunks = max(1, -(-(w + 2) // h))
-    # y >> k*h for k = 1..nchunks-1, all in one opening round
-    stack = concat_shares([y] * (nchunks - 1)) if nchunks > 1 else None
-    if stack is not None:
-        shifts = np.concatenate([np.full(y.shape, k * h, np.int64) for k in range(1, nchunks)])
-        trunc_all = rescale(sess, stack, shifts, nearest=False)
-        tr = [trunc_all[k * y.shape[0] : (k + 1) * y.shape[0]] for k in range(nchunks - 1)]
-    else:
-        tr = []
-    chunks = []
-    prev = y
-    for k in range(nchunks - 1):
-        chunks.append(sub_shares(prev, scale_share(np.uint64(1 << h), tr[k])))
-        prev = tr[k]
-    chunks.append(prev)
+    n = a.shape[0]
+    v = add_public(sess.party, z, np.uint64(1 << (w - 1)))
+    shifts = np.concatenate([np.full(n, w + k * h, np.int64) for k in range(nchunks)])
+    levels = rescale(sess, concat_shares([v] * nchunks), shifts, nearest=False)
+    tops = [levels[k * n : (k + 1) * n] for k in range(nchunks)]  # y >> k*h
+    chunks = [sub_shares(tops[k], scale_share(np.uint64(1 << h), tops[k + 1]))
+              for k in range(nchunks - 1)] + [tops[-1]]
 
     a_rep = concat_shares([a] * nchunks)
     prods = mult(sess, a_rep, concat_shares(chunks))
     shift_vec = np.concatenate([s1 - k * h for k in range(nchunks)])
     scaled = rescale(sess, prods, shift_vec)
-    out = scaled[: a.shape[0]]
+    out = scaled[:n]
     for k in range(1, nchunks):
-        out = add_shares(out, scaled[k * a.shape[0] : (k + 1) * a.shape[0]])
+        out = add_shares(out, scaled[k * n : (k + 1) * n])
     return out
 
 

@@ -1,20 +1,22 @@
 """Online protocol suite over replicated shares.
 
-Multiplication with resharing, matrix/convolution variants, exact
-truncation from preprocessed pairs, private compare (the bit x > t for a
-preprocessed shared x and public t), the three-operand wrap bit,
-DReLU/ReLU, oblivious selection, and maxpool as a comparison tree of
-ceil(log2 n) levels whose keep bits stand for the argmax: inference takes
-the max alone, and backward routes the gradient down the same bits
-(`maxpool_route`). Each protocol works elementwise over arbitrary array
-shapes and runs under either threat model of the session.
+Multiplication with resharing, matrix/convolution variants (independent
+matrix products share their rounds), exact truncation from preprocessed
+pairs, private compare (the bit x > t for a preprocessed shared x and
+public t), the three-operand wrap bit, DReLU/ReLU, oblivious selection,
+and maxpool as a comparison tree of ceil(log2 n) levels whose keep bits
+stand for the argmax: inference takes the max alone, and backward routes
+the gradient down the same bits (`maxpool_route`). Each protocol works
+elementwise over arbitrary array shapes and runs under either threat
+model of the session.
 
 Private compare, the wrap protocol and DReLU each return one public
 array: their bit xor a mask shared over Z_2, which the caller passes. A
 DReLU bit that steers anything is lifted once, by `drelu_lifted`, to a
 sharing over Z_L; every consumer (ReLU, its backward, a maxpool level,
-the routing, the loss's fallback) is then one multiplication by it. A
-caller that publishes the bit masks it by a zero sharing.
+the routing) is then one multiplication by it, and the loss's fallback a
+local linear function of it. A caller that publishes the bit masks it by
+a zero sharing.
 
 Round structure is explicit: every Round object is one synchronization
 step of the cost model, and independent messages share a Round wherever
@@ -87,20 +89,36 @@ def mult(sess: PartySession, x: RssShare, y: RssShare) -> RssShare:
 
 def matmul(sess: PartySession, x: RssShare, y: RssShare, truncate_after: bool = False) -> RssShare:
     """Share of the matrix product X @ Y; fixed-point rescale when asked."""
-    if x.mod != y.mod:
-        raise ValueError("modulus mismatch in matmul")
-    if x.lo.ndim != 2 or y.lo.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
-    # the cross terms as two products, (x_i + x_{i+1}) y_i + x_i y_{i+1}; the
-    # sum is over x, the smaller operand of every layer's forward call
-    m = x.mod
-    z = add_mod(matmul_mod(add_mod(x.lo, x.hi, m), y.lo, m), matmul_mod(x.lo, y.hi, m), m)
+    return matmuls(sess, [(x, y)], truncate_after)[0]
+
+
+def matmuls(sess: PartySession, pairs: list, truncate_after: bool = False) -> list[RssShare]:
+    """Shares of the products X @ Y of independent pairs (x, y): one reshare
+    round for all of them and, when asked, one fixed-point rescale round.
+
+    Each pair's cross terms are staged into one flat buffer, which is
+    reshared and truncated as it stands; each product is a view of it.
+    """
+    m = pairs[0][0].mod
+    for x, y in pairs:
+        if x.mod != m or y.mod != m:
+            raise ValueError("modulus mismatch in matmul")
+        if x.lo.ndim != 2 or y.lo.ndim != 2 or x.shape[1] != y.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
+    shapes = [(x.shape[0], y.shape[1]) for x, y in pairs]
+    ends = np.cumsum([r * c for r, c in shapes])
+    z = np.empty(int(ends[-1]), dtype_for(m))
+    for (x, y), end in zip(pairs, ends):
+        # the cross terms as two products, (x_i + x_{i+1}) y_i + x_i y_{i+1};
+        # the sum is over x, the smaller operand of every layer's forward call
+        z[end - x.shape[0] * y.shape[1] : end] = add_mod(
+            matmul_mod(add_mod(x.lo, x.hi, m), y.lo, m), matmul_mod(x.lo, y.hi, m), m).reshape(-1)
     rnd = Round(sess, "matmul")
     fin = reshare_begin(sess, z, m, rnd)
     out = fin(rnd.run())
     if truncate_after:
         out = truncate(sess, out, sess.params.fp)
-    return out
+    return [out[end - r * c : end].reshape(r, c) for (r, c), end in zip(shapes, ends)]
 
 
 def truncate(sess: PartySession, x: RssShare, d) -> RssShare:

@@ -128,6 +128,22 @@ def test_count_and_size_flags_are_checked_when_parsed(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--protocol", "relu", "--n", "4", "--seed", "-1"],
+    ["bench", "--protocol", "relu", "--n", "4", "--prep", "distributed", "--seed", "-1"],
+    ["infer", "--net", "network-a", "--weights", "w.npz", "--data", "nosuch.bin", "--seed", "-1"],
+    ["train", "--net", "network-a", "--data", "nosuch.bin", "--seed", "-1"],
+    ["train", "--net", "network-a", "--data", "nosuch.bin", "--init-seed", "-1"],
+    ["synth-data", "--out-dir", "OUT", "--seed", "-1"],
+], ids=lambda argv: f"{argv[0]} {' '.join(argv[-2:])}")
+def test_negative_seed_is_refused_when_parsed(tmp_path, capsys, argv):
+    # the session keys and numpy's generators are seeded from it, and numpy
+    # refuses a negative seed with a traceback, so argparse refuses it first
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    assert argv[-2] in _refused(capsys, argv)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--lr-shift", "--delta-shift"])
 def test_train_shift_above_ell_minus_2_is_refused_when_parsed(capsys, flag):
     # a truncation pair shifts by at most ell - 2: one shift past it is

@@ -9,7 +9,7 @@ from falcon.netspec import LayerSpec, NetworkSpec, init_float_params
 from falcon.nets import BUILTIN, network_c
 from falcon.prep import DealerPrep, RecordingPrep
 from falcon.rings import RingParams, decode_fixed, dtype_for, encode_fixed
-from falcon.session import open_share
+from falcon.session import ThreatModel, open_share
 
 from test_protocols import run_shared, shared_input
 
@@ -325,6 +325,170 @@ def test_relu_layer_backward_is_one_multiplication():
     dx, rounds, pairs = run_shared(PARAMS, job)[0]
     assert rounds == 1 and pairs == 0
     assert np.array_equal(dx, encode_fixed(np.where(xs >= 0, ds, 0.0), PARAMS))
+
+
+def _batch_for(net, rng, n=4):
+    if len(net.input_shape) == 1:
+        return encode_fixed(rng.uniform(-1, 1, (n,) + net.input_shape), PARAMS)
+    return encode_fixed(rng.uniform(0, 1, (n,) + net.input_shape), PARAMS)
+
+
+def _delta_for(net, idx, rng, n=4):
+    shape = net.activation_shapes()[idx]
+    return encode_fixed(rng.uniform(-0.5, 0.5, (n,) + tuple(shape)), PARAMS)
+
+
+def _cost(sess, before):
+    return sess.meter.rounds - before[0], sess.meter.acct_bits - before[1]
+
+
+def test_one_fc_backward_takes_two_rounds_and_opens_only_the_weight_gradient():
+    # the lowest layer with parameters computes no input gradient: its one
+    # product is reshared and its truncation opens |W| elements, nothing more
+    net = NetworkSpec("lin", (6,), 3, [LayerSpec("fc", in_dim=6, out_dim=3)])
+    fparams = init_float_params(net, seed=14)
+    rng = np.random.default_rng(15)
+    braw, draw = _batch_for(net, rng), _delta_for(net, 0, rng)
+
+    def job(sess):
+        state = nn.init_state(sess, net, fparams)
+        nn.forward(sess, state, shared_input(sess, braw, PARAMS.L))
+        d = shared_input(sess, draw, PARAMS.L)
+        before = sess.meter.rounds, sess.meter.acct_bits
+        grads = nn.backward(sess, state, d)
+        cost = _cost(sess, before)
+        return cost, {k: open_share(sess, g) for k, g in grads.items()}
+
+    (rounds, bits), grads = run_shared(PARAMS, job)[0]
+    assert rounds == 2
+    assert bits == 2 * 6 * 3 * PARAMS.ell
+    raw_params = {k: encode_fixed(v, PARAMS) for k, v in fparams.items()}
+    caches: list = []
+    O.fx_forward(net, raw_params, braw, PARAMS, caches)
+    want = O.fx_backward(net, raw_params, caches, draw, PARAMS)
+    assert grads.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(grads[k], want[k]), k
+
+
+def test_conv_first_backward_costs_layer_0_its_weight_gradient_alone(monkeypatch):
+    net = tiny_conv_net()
+    fparams = init_float_params(net, seed=16)
+    rng = np.random.default_rng(17)
+    braw, draw = _batch_for(net, rng), _delta_for(net, len(net.layers) - 1, rng)
+    layer_backward = nn._layer_backward
+    costs = {}
+
+    def metered(sess, layer, st, delta, grads, idx, **kw):
+        before = sess.meter.rounds, sess.meter.acct_bits
+        dx = layer_backward(sess, layer, st, delta, grads, idx, **kw)
+        if sess.party.index == 1:
+            costs[idx] = _cost(sess, before) + (dx is None,)
+        return dx
+
+    monkeypatch.setattr(nn, "_layer_backward", metered)
+
+    def job(sess):
+        state = nn.init_state(sess, net, fparams)
+        nn.forward(sess, state, shared_input(sess, braw, PARAMS.L))
+        grads = nn.backward(sess, state, shared_input(sess, draw, PARAMS.L))
+        return {k: open_share(sess, g) for k, g in grads.items()}
+
+    grads = run_shared(PARAMS, job)[0]
+    # one reshare and one truncation of dW (2 x 1 x 3 x 3), no dcols or unwindow
+    assert costs[0] == (2, 2 * 18 * PARAMS.ell, True)
+    assert [costs[i][0] for i in (3, 2, 1)] == [2, 2, 1]  # fc, a 2-level maxpool, relu
+    raw_params = {k: encode_fixed(v, PARAMS) for k, v in fparams.items()}
+    caches: list = []
+    O.fx_forward(net, raw_params, braw, PARAMS, caches)
+    want = O.fx_backward(net, raw_params, caches, draw, PARAMS)
+    for k in want:
+        assert np.array_equal(grads[k], want[k]), k
+
+
+def _layer_backward_vs_fx(net, idx, need_dx, seed):
+    """One layer's backward after a forward pass: party 1's (rounds,
+    cost-model bits) and its opened grads and dx, next to the oracle's."""
+    fparams = init_float_params(net, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    braw, draw = _batch_for(net, rng), _delta_for(net, idx, rng)
+    layer = net.layers[idx]
+
+    def job(sess):
+        state = nn.init_state(sess, net, fparams)
+        nn.forward(sess, state, shared_input(sess, braw, PARAMS.L))
+        d = shared_input(sess, draw, PARAMS.L)
+        grads: dict = {}
+        before = sess.meter.rounds, sess.meter.acct_bits
+        dx = nn._layer_backward(sess, layer, state.layers[idx], d, grads, idx, need_dx=need_dx)
+        cost = _cost(sess, before)
+        return (cost, {k: open_share(sess, g) for k, g in grads.items()},
+                None if dx is None else open_share(sess, dx))
+
+    cost, grads, dx = run_shared(PARAMS, job)[0]
+    raw_params = {k: encode_fixed(v, PARAMS) for k, v in fparams.items()}
+    caches: list = []
+    O.fx_forward(net, raw_params, braw, PARAMS, caches)
+    fx_grads: dict = {}
+    fx_dx = O._fx_layer_backward(raw_params, PARAMS, layer, idx, caches[idx], draw, fx_grads)
+    assert grads.keys() == fx_grads.keys()
+    for k in fx_grads:
+        assert np.array_equal(grads[k], fx_grads[k]), k
+    if need_dx:
+        assert np.array_equal(dx, fx_dx)
+    else:
+        assert dx is None
+    return cost
+
+
+def test_hidden_fc_backward_takes_two_rounds():
+    # dW = a^T delta and dx = delta W^T share one reshare round and one
+    # truncation round, which opens both
+    rounds, bits = _layer_backward_vs_fx(tiny_fc_net(), 2, True, seed=18)
+    assert rounds == 2
+    assert bits == 2 * (5 * 3 + 4 * 5) * PARAMS.ell
+
+
+@pytest.mark.parametrize("maker,idx,need_dx,rounds", [
+    # dW and dcols share a product round and a truncation round
+    (conv_bn_net, 0, True, 2),
+    (conv_bn_net, 0, False, 2),
+    # dy z with gamma inv (2), the means (1), z mean(dy z) (2) and the
+    # product with gamma inv (2): 7, where they took 9 one by one; the
+    # gradients of gamma and beta alone take the first 2
+    (bn_net, 1, True, 7),
+    (bn_net, 1, False, 2),
+    (conv_bn_fc_net, 1, True, 7),
+], ids=["conv", "conv-no-dx", "bn", "bn-no-dx", "conv-bn"])
+def test_conv_and_bn_backward_rounds(maker, idx, need_dx, rounds):
+    assert _layer_backward_vs_fx(maker(), idx, need_dx, seed=19)[0] == rounds
+
+
+@pytest.mark.parametrize("threat", [ThreatModel.SEMI_HONEST, ThreatModel.MALICIOUS],
+                         ids=["semi", "malicious"])
+@pytest.mark.parametrize("scale_shift", [0, 2])
+def test_loss_fallback_boundary_matches_fx(threat, scale_shift):
+    # a row of nonpositive logits (total 0: the uniform fallback), a row
+    # whose only positive logit is 1 raw (total 1: no fallback) and an
+    # ordinary row; the fallback is linear in the positivity bit, so it
+    # must agree with the oracle's selection at the boundary
+    logits = encode_fixed(np.array([[-1.0, -2.0, 0.0], [0.0, 0.0, -0.25], [0.7, -0.2, 1.3]]),
+                          PARAMS)
+    logits[1, 0] = 1
+    onehot = np.eye(3)[[0, 1, 2]]
+
+    def job(sess):
+        x = shared_input(sess, logits, PARAMS.L)
+        return open_share(sess, nn.loss_grad_approx(sess, x, onehot, scale_shift=scale_shift))
+
+    got = run_shared(PARAMS, job, threat=threat)[0]
+    want = O.fx_loss_grad(logits, onehot, PARAMS, scale_shift=scale_shift)
+    assert np.array_equal(got, want)
+    uniform = round((1 << PARAMS.fp) / 3)
+    if scale_shift == 0:  # row 0 is uniform minus its onehot, row 1 puts ~1.0 on class 0
+        assert np.array_equal(decode_fixed(got[0], PARAMS) + [1, 0, 0],
+                              decode_fixed(np.full(3, uniform, np.uint64), PARAMS))
+        assert np.allclose(decode_fixed(got[1], PARAMS), [1.0, -1.0, 0.0], atol=2.0**-12)
 
 
 def test_backward_without_forward_raises():

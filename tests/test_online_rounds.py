@@ -6,15 +6,18 @@ models, each net with relu and maxpool swapped as the benchmark runs it.
 The benchmark's own shapes are network-c inference (semi-honest),
 network-b inference and the network-a SGD step (both malicious). Each
 DReLU that steers anything is lifted to Z_L with its bit opened in the
-round that opens the compare's d, so every relu, its backward and the
-loss's two fallback selections are one multiplication each. A DReLU takes
-2 + log2(ell) rounds: the private compare multiplies ell factors. The
-loss's divide finds its bounding power with one DReLU over ell - 1
-thresholds per divisor. Inference rounds do not depend on the batch, so 65
-and 23 are also the benchmark's counts at batch 16. One rescale of the SGD
-step has a data-dependent public shift: divide reads the loss's divisor at
-x in [0.5, 1), which is a local left shift for both samples here and a
-truncation round for some sample of the benchmark's batch of 32 (76
+round that opens the compare's d, so every relu and its backward is one
+multiplication, and the loss's fallback, steered by its positivity bit,
+is local. A DReLU takes 2 + log2(ell) rounds: the private compare
+multiplies ell factors. The loss's divide finds its bounding power with
+one DReLU over ell - 1 thresholds per divisor. Inference rounds do not
+depend on the batch, so 65 and 23 are also the benchmark's counts at
+batch 16. The SGD step's backward stops at the lowest fc, which computes
+its weight gradient alone, and each other fc's two products share one
+reshare round and one truncation round. One rescale of the SGD step has a
+data-dependent public shift: divide reads the loss's divisor at x in
+[0.5, 1), which is a local left shift for both samples here and a
+truncation round for some sample of the benchmark's batch of 32 (65
 rounds).
 
 Each shape pins party 1's rounds, messages, wire bytes and cost-model
@@ -107,16 +110,22 @@ def request_counts(make_net, threat: ThreatModel, train: bool, distributed: bool
 # cost-model bits; each of its twin's messages gains an 8-byte link digest,
 # and each of party 1's openings adds one message, the hash of its hi to the
 # previous party, of 42 wire bytes: the header, the 16-byte hash and the
-# digest (10 openings on infer-a/b, 26 on infer-c, 33 on train-a)
+# digest (10 openings on infer-a/b, 26 on infer-c, 28 on train-a).
+# The SGD step's rounds are those of its forward, the loss (a relu, the
+# positivity DReLU, a divide of 2 + log2(ell) + 9 rounds less its local
+# first rescale, the probability product and its rescale, the delta's
+# rescale), a backward of 2 rounds per fc and 1 per relu, and sgd_step's
+# rescale: 22 + 33 + 8 + 1. Each of its rounds carries one message at
+# party 1 but the five DReLUs' d opens, which carry two
 @pytest.mark.parametrize("make_net, threat, train, want", [
     (network_c, ThreatModel.SEMI_HONEST, False, (65, 72, 831_321, 3_331_400)),
     (network_b, ThreatModel.MALICIOUS, False, (23, 35, 87_980, 349_680)),
-    (network_a, ThreatModel.MALICIOUS, True, (75, 113, 1_463_014, 11_580_820)),
+    (network_a, ThreatModel.MALICIOUS, True, (64, 97, 1_449_886, 11_479_764)),
     (network_a, ThreatModel.SEMI_HONEST, False, (23, 25, 21_234, 84_352)),
     (network_a, ThreatModel.MALICIOUS, False, (23, 35, 21_854, 84_352)),
     (network_b, ThreatModel.SEMI_HONEST, False, (23, 25, 87_360, 349_680)),
     (network_c, ThreatModel.MALICIOUS, False, (65, 98, 832_989, 3_331_400)),
-    (network_a, ThreatModel.SEMI_HONEST, True, (75, 80, 1_460_988, 11_580_820)),
+    (network_a, ThreatModel.SEMI_HONEST, True, (64, 69, 1_448_158, 11_479_764)),
 ], ids=["infer-c", "infer-b-mal", "train-a-mal", "infer-a", "infer-a-mal", "infer-b",
         "infer-c-mal", "train-a"])
 def test_online_rounds_are_exact(make_net, threat, train, want):

@@ -15,7 +15,8 @@ the change wins in the metric's better direction (ties count for neither
 side) and reads the gain rule: a gain only when the change wins at least
 nine tenths of the pairs run and its median beats the parent's by more
 than the parent's quartile spread. One
-`--trace 1` run of TRACE_WORKLOAD per side adds the per-layer metrics of
+`--trace 1` run of every workload per side adds its `correct` (which
+includes the tracer's root-span check), the per-layer metrics of
 TRACE_KEYS and the table10 lines. The host's core count and numpy version
 are recorded with them.
 """
@@ -34,8 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_KEYS = ("rss.prf_draw.s", "protocols.private_compare.self_s", "protocols.mult.self_s",
-              "rings.zl_arith.s", "protocols.matmul.s", "rss.deserialize_elems.s")
-TRACE_WORKLOAD = "infer-c"
+              "rings.zl_arith.s", "protocols.matmul.s", "rss.deserialize_elems.s",
+              "numeric.divide.rounds", "session.messages")
 PAIRS = 10
 FIRST_SEED = 300
 STDERR_TAIL = 2048  # characters of a failed run's stderr kept in the report
@@ -65,8 +66,8 @@ def extract(ref: str, dest: Path) -> Path:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One perfbench run: its closing JSON object, plus its table10 lines;
     a run that exits nonzero or prints no JSON is {"error": ...}. A run
-    that reports failed requests or no metrics keeps its notes and the
-    last STDERR_TAIL characters of its stderr as "cause"."""
+    that reports failed requests, no metrics or a failed check keeps its
+    notes and the last STDERR_TAIL characters of its stderr as "cause"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -77,7 +78,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bo
     except (IndexError, json.JSONDecodeError):
         return {"error": f"exit {proc.returncode}: {stderr}"}
     result["table10"] = [line for line in lines if line.startswith("table10 ")]
-    if result["failed"] or not result["metrics"]:
+    if result["failed"] or not result["metrics"] or not result["correct"]:
         result["cause"] = "\n".join([line for line in lines if line.startswith("note: ")] + [stderr])
     return result
 
@@ -168,17 +169,19 @@ def main(argv=None) -> int:
                              for m in bench["end_to_end"]},
                 "pairs": pairs,
             }
-        traced = {}
-        for side in ("parent", "change"):
-            r = run_once(trees[side], TRACE_WORKLOAD, FIRST_SEED, seconds, True)
-            traced[side] = r if "error" in r else {
-                "correct": r["correct"],
-                **{k: r["metrics"].get(k, {}).get("value") for k in TRACE_KEYS},
-                "table10": r["table10"],
-            }
-        traced["table10_unchanged"] = (traced["parent"].get("table10")
-                                       == traced["change"].get("table10"))
-        report[f"traced_{TRACE_WORKLOAD}_seed{FIRST_SEED}_party1"] = traced
+        for w in (w["name"] for w in bench["workloads"]):
+            traced = {}
+            for side in ("parent", "change"):
+                r = run_once(trees[side], w, FIRST_SEED, seconds, True)
+                traced[side] = r if "error" in r else {
+                    "correct": r["correct"],
+                    **{k: r["metrics"].get(k, {}).get("value") for k in TRACE_KEYS},
+                    "table10": r["table10"],
+                    **({"cause": r["cause"]} if "cause" in r else {}),
+                }
+            traced["table10_unchanged"] = (traced["parent"].get("table10")
+                                           == traced["change"].get("table10"))
+            report[f"traced_{w}_seed{FIRST_SEED}_party1"] = traced
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
