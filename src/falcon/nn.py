@@ -3,12 +3,15 @@
 Layers evaluate batch-first: images as (B, C, H, W) shares, flat
 activations as (B, D). Convolution and maxpool read their input through
 one view of its windows (`rss.window_share`), and their backward passes
-scatter gradients back through its adjoint (`rss.unwindow_share`). The
-parameters are shared in the NetworkSpec's `param_layout` order. The
-forward pass caches whatever the backward pass reuses, mirroring the fused
-forward/backward optimization of the cost model: ReLU derivative bits and
-maxpool keep bits, both over Z_L so that each backward use is one
-multiplication, and batch-norm normalized activations and inverse sigma.
+scatter gradients back through its adjoint (`rss.unwindow_share`).
+Convolution is a layer of nn alone, one matmul with the weights on the
+left of its input's window columns; `_window_columns` owns their layout
+for the forward and the backward pass. The parameters are shared in the
+NetworkSpec's `param_layout` order. The forward pass caches whatever the
+backward pass reuses, mirroring the fused forward/backward optimization
+of the cost model: ReLU derivative bits and maxpool keep bits, both over
+Z_L so that each backward use is one multiplication, and batch-norm
+normalized activations and inverse sigma.
 Learning rates are powers of two; an SGD step is a subtraction after an
 arithmetic shift of the gradient.
 """
@@ -23,7 +26,6 @@ from .data import FormatError, check_words, load_tensors, save_tensors
 from .netspec import LayerSpec, NetworkSpec, init_float_params
 from .numeric import divide, rescale
 from .protocols import (
-    conv2d,
     drelu_lifted,
     matmul,
     matmuls,
@@ -117,8 +119,11 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         return add_shares(out, broadcast_share(st.params["b"], out.shape))
     if layer.kind == "conv":
         st.cache["a_in"] = x
-        return conv2d(sess, x, st.params["w"], st.params["b"],
-                      stride=layer.stride, padding=layer.pad)
+        w = st.params["w"]
+        cols, (B, Ho, Wo) = _window_columns(x, layer)
+        out = matmul(sess, w.reshape(w.shape[0], -1), cols, truncate_after=True)
+        out = out.reshape(w.shape[0], B, Ho, Wo).transpose(1, 0, 2, 3)
+        return add_shares(out, broadcast_share(st.params["b"].reshape(1, -1, 1, 1), out.shape))
     if layer.kind == "relu":
         st.cache["drelu"] = bit = drelu_lifted(sess, x)
         return mult(sess, x, bit)
@@ -139,6 +144,15 @@ def _layer_forward(sess: PartySession, layer: LayerSpec, st: LayerState, x: RssS
         st.cache["m"] = grouped.shape[-1]
         return restore(out)
     raise ValueError(f"unknown layer kind {layer.kind!r}")
+
+
+def _window_columns(x: RssShare, layer: LayerSpec):
+    """The conv input's windows as columns (C*F*F, B*Ho*Wo), rows in the
+    kernel's (C, F, F) order, and the (B, Ho, Wo) the columns cover."""
+    F = layer.kernel
+    windows = window_share(x, F, layer.stride, layer.pad)  # (B, C, Ho, Wo, F, F)
+    B, C, Ho, Wo = windows.shape[:4]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * F * F, B * Ho * Wo), (B, Ho, Wo)
 
 
 def _channels_first(x: RssShare):
@@ -189,19 +203,17 @@ def _layer_backward(sess: PartySession, layer: LayerSpec, st: LayerState, delta:
         return dx[0] if need_dx else None
     if layer.kind == "conv":
         a_in, w = st.cache["a_in"], st.params["w"]
-        F = layer.kernel
-        windows = window_share(a_in, F, layer.stride, layer.pad)  # (B, C, Ho, Wo, F, F)
-        B, C, Ho, Wo = windows.shape[:4]
+        cols, (B, Ho, Wo) = _window_columns(a_in, layer)
         dmat, _ = _channels_first(delta)  # (Cout, B*Ho*Wo)
-        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * F * F, B * Ho * Wo)
         pairs = [(dmat, cols.transpose())]
         if need_dx:
-            pairs.append((w.reshape(w.shape[0], C * F * F).transpose(), dmat))
-        dw, *dcols = matmuls(sess, pairs, truncate_after=True)  # dcols: (C*F*F, B*Ho*Wo)
+            pairs.append((w.reshape(w.shape[0], -1).transpose(), dmat))
+        dw, *dcols = matmuls(sess, pairs, truncate_after=True)  # dcols: like cols
         grads[f"{idx}.w"] = dw.reshape(w.shape)
         grads[f"{idx}.b"] = sum_share(dmat, -1)
         if not need_dx:
             return None
+        C, F = w.shape[1], layer.kernel
         dwindows = dcols[0].reshape(C, F, F, B, Ho, Wo).transpose(3, 0, 4, 5, 1, 2)
         return unwindow_share(dwindows, a_in.shape, layer.stride, layer.pad)
     if layer.kind == "relu":

@@ -98,16 +98,11 @@ def bounding_power(sess: PartySession, x: RssShare) -> np.ndarray:
     shape = (n, ell - 1)
     probes = sub_shares(expand_last(x.reshape(n), shape),
                         public_share(sess.party, _pow2(np.arange(ell - 1), L), L, shape=shape))
-    bits = _open_drelu(sess, probes)
+    # masked by a zero sharing, each DReLU bit opens itself
+    bits = drelu(sess, probes, public_share(sess.party, np.uint64(0), 2, shape=shape))
     if not np.all(bits[:, 0] == 1):
         raise DomainError("bounding power requires a strictly positive input")
     return bits[:, 1:].sum(axis=1, dtype=np.int64).reshape(x.shape)
-
-
-def _open_drelu(sess: PartySession, x: RssShare) -> np.ndarray:
-    """The public DReLU bit of x: masked by a zero sharing, it opens in the
-    compare's last round."""
-    return drelu(sess, x, public_share(sess.party, np.uint64(0), 2, shape=x.shape))
 
 
 # ---------------------------------------------------------------------------

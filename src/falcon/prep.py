@@ -112,7 +112,8 @@ class DealerPrep:
     A call's material depends only on the seed, the ring, the call index,
     the kind and its arguments, so the parties request artifacts in
     lockstep. In-process parties share one dealing pass through a memo
-    keyed by those: it only saves the other two from dealing it again.
+    keyed by those: it only saves the other two from dealing it again, and
+    an entry lives until all three have taken their shares.
     """
 
     _memo: dict = {}
@@ -174,15 +175,21 @@ class DealerPrep:
         a triple of all parties' shares. The rng is seeded by the seed and
         the call index alone, and only the party that deals creates it:
         whichever in-process party arrives first, the rest take its
-        sharings from the memo."""
+        sharings from the memo, and the third party's take drops the entry.
+        A process that holds fewer parties is bounded by clearing the memo
+        past 128 entries."""
         key = (self.seed, repr(self.params), self.calls, kind, args)
         with DealerPrep._lock:
-            dealt = DealerPrep._memo.get(key)
-            if dealt is None:
+            entry = DealerPrep._memo.get(key)
+            if entry is None:
                 if len(DealerPrep._memo) > 128:
                     DealerPrep._memo.clear()
                 rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xDEA1, self.calls]))
-                dealt = DealerPrep._memo[key] = deal(rng)
+                entry = DealerPrep._memo[key] = (deal(rng), set())
+            dealt, takers = entry
+            takers.add(self.party.index)
+            if len(takers) == 3:
+                del DealerPrep._memo[key]
         self.calls += 1
         return [shares[self.party.index - 1] for shares in dealt]
 

@@ -1,7 +1,8 @@
 """Online protocol suite over replicated shares.
 
-Multiplication with resharing, matrix/convolution variants (independent
-matrix products share their rounds), exact truncation from preprocessed
+Multiplication with resharing, matrix products (independent ones share
+their rounds; the convolution layer's window-column layout belongs to
+`nn`, which hands matmul the columns), exact truncation from preprocessed
 pairs, private compare (the bit x > t for a preprocessed shared x and
 public t), the three-operand wrap bit, DReLU/ReLU, oblivious selection,
 and maxpool as a comparison tree of ceil(log2 n) levels whose keep bits
@@ -50,11 +51,9 @@ from .rss import (
     RssShare,
     add_public,
     add_shares,
-    broadcast_share,
     concat_shares,
     scale_share,
     sub_shares,
-    window_share,
 )
 from .session import PartySession, Round, open_begin, open_share, reshare_begin
 
@@ -138,28 +137,6 @@ def truncate(sess: PartySession, x: RssShare, d) -> RssShare:
     return add_public(sess.party, pair.r_shift, shifted)
 
 
-def conv2d(sess: PartySession, img: RssShare, weights: RssShare, bias: RssShare,
-           stride: int = 1, padding: int = 0) -> RssShare:
-    """Convolution as one matmul over the image's windows, rescaled to the
-    fixed-point format.
-
-    img is (B, Cin, H, W), weights (Cout, Cin, F, F), bias (Cout,). The
-    output (B, Cout, Hout, Wout) has one pixel per window of `window_share`.
-    """
-    B, Cin, H, W = img.shape
-    Cout, Cin2, F, _ = weights.shape
-    if Cin != Cin2:
-        raise ValueError("channel mismatch between image and kernel")
-    if F > min(H, W) + 2 * padding:
-        raise ValueError("kernel larger than the padded input")
-    windows = window_share(img, F, stride, padding)  # (B, Cin, Hout, Wout, F, F)
-    Hout, Wout = windows.shape[2:4]
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * F * F, B * Hout * Wout)
-    out = matmul(sess, weights.reshape(Cout, Cin * F * F), cols, truncate_after=True)
-    out = out.reshape(Cout, B, Hout, Wout).transpose(1, 0, 2, 3)
-    return add_shares(out, broadcast_share(bias.reshape(1, Cout, 1, 1), out.shape))
-
-
 # ---------------------------------------------------------------------------
 # bit plumbing
 
@@ -215,22 +192,14 @@ def private_compare(sess: PartySession, t, mask: RssShare, rand) -> np.ndarray:
         raise ValueError("public operand is not below 2^ell")
     t = t.astype(dtype_for(sess.params.L), copy=False)
     factors = _pc_factors(sess, t, rand)
-    top = t == (1 << ell) - 1
+    # where t is the top of the ring, beta2 and beta' = (d != 0) are taken
+    # as a public 0: the bit is 0 and the opening opens m alone
+    keep = (t != (1 << ell) - 1).astype(NARROW)
     del t  # the tree needs the factors alone
-    return _pc_core(sess, factors, rand.beta2, top, mask)
-
-
-def _pc_core(sess: PartySession, factors: RssShare, beta2: RssShare, top: np.ndarray,
-             mask: RssShare) -> np.ndarray:
-    """Multiply the factors down and open d with beta2 xor m, which is
-    bit xor m up to the beta' = (d != 0) known after. Where t is the top of
-    the ring, beta2 and beta' are taken as a public 0: the bit is 0 and the
-    opening opens m alone."""
     prod = _tree_product(sess, factors)
-    keep = (~top).astype(NARROW)
     rnd = Round(sess, "pc-open-d")
     fin_d = open_begin(sess, prod, rnd)
-    fin_m = open_begin(sess, add_shares(scale_share(keep, beta2), mask), rnd)
+    fin_m = open_begin(sess, add_shares(scale_share(keep, rand.beta2), mask), rnd)
     results = rnd.run()
     beta_prime = (fin_d(results) != 0).astype(NARROW) & keep
     return fin_m(results) ^ beta_prime
@@ -264,8 +233,8 @@ def _pc_factors(sess: PartySession, t: np.ndarray, rand) -> RssShare:
     Under beta = 1 some c[i] is 0 iff x > t' = t; under beta = 0 iff
     x < t' = t + 1. Either way beta xor (d != 0) is (x > t). Each c[i] lies
     in [0, ell + 1], so p > ell + 1 keeps it nonzero unless it is 0. At
-    t = 2^ell - 1 no c[i] is 0 under either beta (`_pc_core` fixes the
-    answer there).
+    t = 2^ell - 1 no c[i] is 0 under either beta (`private_compare` fixes
+    the answer there).
     Each component is summed in a signed accumulator and reduced once; the
     public terms enter through component 1, as `add_public` does. Every
     operand is a C-contiguous block of planes, so each op runs over

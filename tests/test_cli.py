@@ -1,12 +1,14 @@
 """The session commands' deployments and the command-line surface."""
 
 import argparse
+import io
 import json
 import os
 import re
 import socket
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -27,13 +29,13 @@ def _counts(measured: dict) -> tuple:
     return measured["rounds"], measured["acct_bytes"], measured["wire_bytes"]
 
 
-def _three_processes(tmp_path, extra=lambda party: []) -> list:
-    """Run RELU as three `--party i` processes over loopback, with
-    extra(i) appended to party i's arguments; returns each (status, out, err)."""
+def _three_processes(tmp_path, argv=RELU, extra=lambda party: []) -> list:
+    """Run argv as three `--party i` processes over loopback, with extra(i)
+    appended to party i's arguments; returns each (status, out, err)."""
     peers = tmp_path / "peers.json"
     peers.write_text(json.dumps({str(i): ["127.0.0.1", _free_port()] for i in (1, 2, 3)}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    procs = [subprocess.Popen([sys.executable, "-m", "falcon.cli", *RELU, "--party", str(i),
+    procs = [subprocess.Popen([sys.executable, "-m", "falcon.cli", *argv, "--party", str(i),
                                "--config", str(peers), "--timeout", "20", *extra(i)],
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for i in (1, 2, 3)]
@@ -58,10 +60,60 @@ def test_seed_mismatch_exits_4_at_every_party(tmp_path):
     # P3 on another --seed frames its messages under another session id:
     # every party refuses a frame, prints an error line and exits with status 4
     for party, (rc, out, err) in enumerate(_three_processes(
-            tmp_path, lambda i: ["--seed", "3"] if i == 3 else []), start=1):
+            tmp_path, extra=lambda i: ["--seed", "3"] if i == 3 else []), start=1):
         assert rc == 4, f"P{party}: {err}"
         assert err.startswith("error: ") and "Traceback" not in err, f"P{party}: {err}"
         assert not out, f"P{party}"
+
+
+TRAIN = ["train", "--net", "network-a", "--iters", "2", "--batch", "8", "--threat", "malicious",
+         "--check-oracle", "--seed", "5", "--train-count", "16", "--eval-count", "8", "--json"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """An ingested synthetic store and a checkpoint TRAIN wrote in-process."""
+    d = tmp_path_factory.mktemp("three")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth-data", "--out-dir", str(d), "--train-n", "24", "--test-n", "1",
+                         "--seed", "1"]) == 0
+        assert cli.main(["ingest-mnist", "--images", str(d / "train-images-idx3-ubyte"),
+                         "--labels", str(d / "train-labels-idx1-ubyte"),
+                         "--out", str(d / "train.bin")]) == 0
+    store, ckpt = str(d / "train.bin"), str(d / "in-process.ckpt")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main([*TRAIN, "--data", store, "--out", ckpt]) == 0
+    report = json.loads(out.getvalue())
+    assert report["oracle_bit_identical"] is True
+    return store, ckpt, report
+
+
+def _without(report: dict, *keys) -> dict:
+    return {k: v for k, v in report.items() if k not in keys}
+
+
+def test_three_process_train_writes_the_in_process_checkpoint(trained, tmp_path):
+    store, ckpt, want = trained
+    runs = _three_processes(tmp_path, [*TRAIN, "--data", store],
+                            lambda i: ["--out", str(tmp_path / f"p{i}.ckpt")])
+    for party, (rc, out, err) in enumerate(runs, start=1):
+        assert rc == 0, f"P{party}: {err}"
+        got = json.loads(out)
+        assert _without(got, "seconds", "checkpoint") == _without(want, "seconds", "checkpoint")
+        assert (tmp_path / f"p{party}.ckpt").read_bytes() == Path(ckpt).read_bytes(), f"P{party}"
+
+
+def test_three_process_infer_prints_the_in_process_report(trained, tmp_path, capsys):
+    store, ckpt, _ = trained
+    infer = ["infer", "--net", "network-a", "--weights", ckpt, "--data", store, "--count", "8",
+             "--threat", "malicious", "--seed", "5", "--json"]
+    assert cli.main(infer) == 0
+    want = _without(json.loads(capsys.readouterr().out), "seconds", "meter")
+    assert want["count"] == 8
+    for party, (rc, out, err) in enumerate(_three_processes(tmp_path, infer), start=1):
+        assert rc == 0, f"P{party}: {err}"
+        assert _without(json.loads(out), "seconds", "meter") == want, f"P{party}"
 
 
 def test_party_runs_over_tcp(tmp_path, capsys):

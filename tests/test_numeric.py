@@ -87,15 +87,15 @@ def test_bounding_power_opens_the_thermometer_code_of_alpha(monkeypatch):
     vals = np.concatenate([[1, 2, 3, (1 << 30) - 1, 1 << 29],
                            rng.integers(1, 1 << 30, 200)]).astype(np.uint64)
     opened = []
-    open_drelu = N._open_drelu
+    drelu = N.drelu
 
-    def tap(sess, x):
-        bits = open_drelu(sess, x)
+    def tap(sess, x, mask):
+        bits = drelu(sess, x, mask)
         if sess.party.index == 1:
             opened.append(bits)
         return bits
 
-    monkeypatch.setattr(N, "_open_drelu", tap)
+    monkeypatch.setattr(N, "drelu", tap)
     alpha = run_shared(PARAMS, lambda s: N.bounding_power(s, shared_input(s, vals, PARAMS.L)))[0]
     assert np.array_equal(alpha, O.fx_bounding_power(vals, PARAMS))
     (bits,) = opened

@@ -127,6 +127,20 @@ def test_dealer_material_depends_only_on_the_call():
             assert np.array_equal(alone[i][k].hi, shared[i][k].hi)
 
 
+def test_dealer_memo_drops_an_entry_once_all_three_parties_take_it():
+    # three in-process dealers of one seed leave none of their material in
+    # the memo: the third party's take of each call drops its entry
+    seed = 4321
+
+    def job(sess):
+        x = shared_input(sess, np.arange(-50, 50).astype(np.uint64), PARAMS.L)
+        return open_share(sess, P.relu(sess, P.truncate(sess, x, 2)))
+
+    out = run_shared(PARAMS, job, seed=seed)
+    assert np.array_equal(signed(out[0], PARAMS), np.maximum(np.arange(-50, 50) >> 2, 0))
+    assert not [key for key in DealerPrep._memo if key[0] == seed]
+
+
 def test_compare_products_exhaustive():
     # at ell = 8 (p = 11), every x, both beta and every nonzero m~: the
     # compare's flipped bits vbits = (1 - 2 beta) x[i], m~ beta and

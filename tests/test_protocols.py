@@ -1,4 +1,5 @@
-"""Core online protocols: mult, truncation, matmul/conv, select, bit ops."""
+"""Core online protocols: mult, truncation, matmul (and the nn conv layer
+over it), select, bit ops."""
 
 import numpy as np
 import pytest
@@ -308,6 +309,16 @@ def test_select_shares_blinding():
     assert 0.45 < frac < 0.55
 
 
+def conv_layer(sess, img, w, b, stride, pad):
+    """The nn conv layer's forward pass over shared img, weights and bias."""
+    from falcon.netspec import LayerSpec
+    from falcon.nn import LayerState, _layer_forward
+
+    cout, cin, F, _ = w.shape
+    layer = LayerSpec("conv", in_ch=cin, out_ch=cout, kernel=F, stride=stride, pad=pad)
+    return _layer_forward(sess, layer, LayerState(params={"w": w, "b": b}), img)
+
+
 def test_conv2d_delta_kernel():
     rng = np.random.default_rng(3)
     img = rng.uniform(0, 1, size=(1, 1, 6, 6))
@@ -318,7 +329,7 @@ def test_conv2d_delta_kernel():
         a = shared_input(sess, encode_fixed(img, PARAMS), PARAMS.L)
         w = shared_input(sess, encode_fixed(kern, PARAMS), PARAMS.L)
         zero = shared_input(sess, np.zeros(1, np.uint64), PARAMS.L)
-        out = P.conv2d(sess, a, w, zero, stride=1, padding=0)
+        out = conv_layer(sess, a, w, zero, stride=1, pad=0)
         return open_share(sess, out)
 
     out = run_shared(PARAMS, job)[0]
@@ -336,7 +347,7 @@ def test_conv2d_matches_float_oracle():
         a = shared_input(sess, encode_fixed(img, PARAMS), PARAMS.L)
         w = shared_input(sess, encode_fixed(kern, PARAMS), PARAMS.L)
         b = shared_input(sess, encode_fixed(bias, PARAMS), PARAMS.L)
-        out = P.conv2d(sess, a, w, b, stride=1, padding=1)
+        out = conv_layer(sess, a, w, b, stride=1, pad=1)
         return open_share(sess, out)
 
     out = decode_fixed(run_shared(PARAMS, job)[0], PARAMS)
